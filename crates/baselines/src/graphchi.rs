@@ -288,6 +288,7 @@ impl<'a, Pr: VertexProgram> GraphChiEngine<'a, Pr> {
                 gated: false,
                 c_rop: f64::NAN,
                 c_cop: f64::NAN,
+                plan: None,
                 rop_units: 0,
                 cop_units: p as u32,
                 active_vertices,

@@ -285,6 +285,7 @@ impl<'a, Pr: VertexProgram> XStreamEngine<'a, Pr> {
                 gated: false,
                 c_rop: f64::NAN,
                 c_cop: f64::NAN,
+                plan: None,
                 rop_units: k as u32,
                 cop_units: 0,
                 active_vertices,

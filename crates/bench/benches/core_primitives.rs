@@ -2,6 +2,7 @@
 //! operations, predictor evaluation, and pod byte-casting.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hus_core::predict::IoPlan;
 use hus_core::{ActiveSet, Predictor};
 use hus_storage::Throughput;
 use std::hint::black_box;
@@ -46,14 +47,15 @@ fn bench_predictor(c: &mut Criterion) {
         4.0,
         4,
     );
-    c.bench_function("predictor/select_iteration", |b| {
+    let rop = IoPlan { sequential: 6_000_000, batched: 900_000, random: 700_000, write: 2_500_000 };
+    let cop = IoPlan { sequential: 6_300_000_000, write: 168_000_000, ..Default::default() };
+    c.bench_function("predictor/select", |b| {
         b.iter(|| {
-            predictor.select_iteration(
+            predictor.select(
                 black_box(10_000),
-                black_box(400_000),
                 black_box(42_000_000),
-                black_box(1_500_000_000),
-                black_box(16),
+                black_box(&rop),
+                black_box(&cop),
             )
         })
     });

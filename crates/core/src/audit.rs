@@ -3,14 +3,15 @@
 //! The predictor (paper §3.4) commits to ROP or COP from the *predicted*
 //! costs `C_rop`/`C_cop` before any I/O happens. This module closes the
 //! loop after the fact: for every iteration of a finished run it pairs
-//! the decision's predicted cost with the I/O time the same throughput
-//! numbers assign to the bytes that were actually moved, and summarizes
-//! how far off the model was. `hus audit` and `debug_profile` render the
+//! the I/O plan the predictor priced for the selected model with the
+//! bytes that were actually billed — per access class, and in seconds,
+//! both sides priced by the one [`IoPlan::seconds`] — and summarizes how
+//! far off the model was. `hus audit` and `debug_profile` render the
 //! result; the engine feeds the same per-iteration error into the
 //! `predict.misprediction_pct` histogram so a live `/metrics` scrape
 //! shows model quality without waiting for the run to end.
 
-use crate::predict::UpdateModel;
+use crate::predict::{IoPlan, UpdateModel};
 use crate::stats::RunStats;
 use hus_storage::{IoSnapshot, Throughput};
 
@@ -27,13 +28,18 @@ pub struct AuditRow {
     pub c_rop: f64,
     /// Predicted COP cost in seconds (NaN when gated or forced).
     pub c_cop: f64,
-    /// The chosen model's predicted cost (NaN when unavailable).
+    /// The selected model's predicted cost: its whole plan, `D`
+    /// write-back included, priced like `actual` (NaN when gated or
+    /// forced).
     pub predicted: f64,
     /// Modeled I/O seconds for the bytes the iteration actually moved,
     /// billed at the same [`Throughput`] the predictor used.
     pub actual: f64,
-    /// Bytes the iteration actually transferred (reads + writes).
-    pub bytes: u64,
+    /// The selected model's predicted bytes per access class (`None`
+    /// when gated or forced).
+    pub plan: Option<IoPlan>,
+    /// The bytes the iteration actually billed, per access class.
+    pub billed: IoPlan,
     /// Measured wall-clock seconds.
     pub wall_seconds: f64,
 }
@@ -50,18 +56,13 @@ impl AuditRow {
     }
 }
 
-/// Modeled seconds to move `io`'s bytes at the given read throughputs.
-///
-/// This is deliberately the predictor's view of the device — the three
-/// read classes at their measured rates, writes billed sequentially —
-/// not the richer [`hus_storage::CostModel`], so "actual" is in the
-/// same units as `C_rop`/`C_cop` and the comparison isolates the
-/// *prediction* error rather than differences between time models.
+/// Modeled seconds to move `io`'s bytes at the given read throughputs:
+/// the billed bytes priced exactly like a predicted plan
+/// ([`IoPlan::seconds`]), so "actual" is in the same units as
+/// `C_rop`/`C_cop` and the comparison isolates the *prediction* error
+/// rather than differences between time models.
 pub fn io_seconds(tput: &Throughput, io: &IoSnapshot) -> f64 {
-    io.seq_read_bytes as f64 / tput.sequential_bps
-        + io.rand_read_bytes as f64 / tput.random_bps
-        + io.batched_read_bytes as f64 / tput.batched_bps
-        + io.write_bytes as f64 / tput.sequential_bps
+    IoPlan::billed(io).seconds(tput)
 }
 
 /// Pair every iteration of `stats` with its modeled actual cost.
@@ -70,19 +71,17 @@ pub fn audit_rows(stats: &RunStats, tput: &Throughput) -> Vec<AuditRow> {
         .iterations
         .iter()
         .map(|it| {
-            let predicted = match it.model {
-                UpdateModel::Rop => it.c_rop,
-                UpdateModel::Cop => it.c_cop,
-            };
+            let billed = IoPlan::billed(&it.io);
             AuditRow {
                 iteration: it.iteration,
                 model: it.model,
                 gated: it.gated,
                 c_rop: it.c_rop,
                 c_cop: it.c_cop,
-                predicted,
-                actual: io_seconds(tput, &it.io),
-                bytes: it.io.total_bytes(),
+                predicted: it.plan.map_or(f64::NAN, |plan| plan.seconds(tput)),
+                actual: billed.seconds(tput),
+                plan: it.plan,
+                billed,
                 wall_seconds: it.wall_seconds,
             }
         })
@@ -108,8 +107,15 @@ fn fmt_cost(c: f64) -> String {
     }
 }
 
+/// `predicted/billed` MB of one access class.
+fn fmt_class(plan: Option<IoPlan>, billed: IoPlan, class: fn(&IoPlan) -> u64) -> String {
+    let mb = |bytes: u64| format!("{:.3}", bytes as f64 / 1e6);
+    format!("{}/{}", plan.map_or("-".into(), |p| mb(class(&p))), mb(class(&billed)))
+}
+
 /// Render the audit trail as an aligned text table (one row per
-/// iteration) followed by the misprediction summary line.
+/// iteration; the four `*_MB` columns are predicted/billed bytes per
+/// access class) followed by the misprediction summary line.
 pub fn render_table(rows: &[AuditRow]) -> String {
     let mut t = hus_obs::table::Table::new(&[
         "iter",
@@ -120,7 +126,10 @@ pub fn render_table(rows: &[AuditRow]) -> String {
         "predicted",
         "actual",
         "err%",
-        "bytes",
+        "seq_MB",
+        "batched_MB",
+        "rand_MB",
+        "write_MB",
         "wall_s",
     ]);
     for r in rows {
@@ -133,7 +142,10 @@ pub fn render_table(rows: &[AuditRow]) -> String {
             fmt_cost(r.predicted),
             format!("{:.4}", r.actual),
             r.error_pct().map(|e| format!("{e:.1}")).unwrap_or_else(|| "-".into()),
-            hus_obs::table::fmt_gb(r.bytes),
+            fmt_class(r.plan, r.billed, |p| p.sequential),
+            fmt_class(r.plan, r.billed, |p| p.batched),
+            fmt_class(r.plan, r.billed, |p| p.random),
+            fmt_class(r.plan, r.billed, |p| p.write),
             format!("{:.3}", r.wall_seconds),
         ]);
     }
@@ -153,20 +165,25 @@ mod tests {
         Throughput { sequential_bps: 100e6, random_bps: 1e6, batched_bps: 40e6 }
     }
 
+    /// A plan that takes `seconds` at [`tput`].
+    fn plan_of(seconds: f64) -> Option<IoPlan> {
+        Some(IoPlan { sequential: (seconds * 100e6) as u64, ..Default::default() })
+    }
+
     fn iter_stats(
         iteration: usize,
         model: UpdateModel,
-        gated: bool,
-        c_rop: f64,
-        c_cop: f64,
+        plan: Option<IoPlan>,
         io: IoSnapshot,
     ) -> IterationStats {
+        let cost = plan.map_or(f64::NAN, |p| p.seconds(&tput()));
         IterationStats {
             iteration,
             model,
-            gated,
-            c_rop,
-            c_cop,
+            gated: plan.is_none(),
+            c_rop: cost,
+            c_cop: cost,
+            plan,
             rop_units: 0,
             cop_units: 0,
             active_vertices: 1,
@@ -204,23 +221,29 @@ mod tests {
     }
 
     #[test]
-    fn rows_pick_the_chosen_models_cost() {
-        let io = IoSnapshot { seq_read_bytes: 100_000_000, ..Default::default() };
-        let stats = run(vec![
-            iter_stats(0, UpdateModel::Rop, false, 2.0, 3.0, io),
-            iter_stats(1, UpdateModel::Cop, false, 4.0, 0.5, io),
-        ]);
+    fn predicted_is_the_plan_priced_like_the_billed_bytes() {
+        // The plan and the bill are the same bytes, write-back included:
+        // priced by the one function, the error is exactly zero.
+        let io = IoSnapshot {
+            seq_read_bytes: 50_000_000,
+            rand_read_bytes: 20_000,
+            write_bytes: 10_000_000,
+            ..Default::default()
+        };
+        let plan = IoPlan::billed(&io);
+        let stats = run(vec![iter_stats(0, UpdateModel::Rop, Some(plan), io)]);
         let rows = audit_rows(&stats, &tput());
-        assert_eq!(rows[0].predicted, 2.0);
-        assert_eq!(rows[1].predicted, 0.5);
-        assert!((rows[0].actual - 1.0).abs() < 1e-9);
-        assert_eq!(rows[0].bytes, 100_000_000);
+        assert_eq!(rows[0].plan, Some(plan));
+        assert_eq!(rows[0].billed, plan);
+        assert_eq!(rows[0].predicted.to_bits(), rows[0].actual.to_bits());
+        assert_eq!(rows[0].error_pct(), Some(0.0));
+        assert!((rows[0].actual - 0.62).abs() < 1e-9, "0.5 + 0.02 + 0.1 s");
     }
 
     #[test]
     fn gated_rows_carry_no_error() {
         let io = IoSnapshot { seq_read_bytes: 100_000_000, ..Default::default() };
-        let stats = run(vec![iter_stats(0, UpdateModel::Cop, true, f64::NAN, f64::NAN, io)]);
+        let stats = run(vec![iter_stats(0, UpdateModel::Cop, None, io)]);
         let rows = audit_rows(&stats, &tput());
         assert!(rows[0].error_pct().is_none());
         assert!(misprediction_ratio(&rows).is_none());
@@ -231,9 +254,9 @@ mod tests {
         let io = IoSnapshot { seq_read_bytes: 100_000_000, ..Default::default() };
         // actual = 1.0s; predictions 2.0 (100% off) and 1.5 (50% off).
         let stats = run(vec![
-            iter_stats(0, UpdateModel::Rop, false, 2.0, 9.0, io),
-            iter_stats(1, UpdateModel::Rop, false, 1.5, 9.0, io),
-            iter_stats(2, UpdateModel::Cop, true, f64::NAN, f64::NAN, io),
+            iter_stats(0, UpdateModel::Rop, plan_of(2.0), io),
+            iter_stats(1, UpdateModel::Rop, plan_of(1.5), io),
+            iter_stats(2, UpdateModel::Cop, None, io),
         ]);
         let rows = audit_rows(&stats, &tput());
         let ratio = misprediction_ratio(&rows).unwrap();
@@ -244,15 +267,17 @@ mod tests {
     fn table_renders_every_iteration_and_summary() {
         let io = IoSnapshot { seq_read_bytes: 100_000_000, ..Default::default() };
         let stats = run(vec![
-            iter_stats(0, UpdateModel::Rop, false, 2.0, 3.0, io),
-            iter_stats(1, UpdateModel::Cop, true, f64::NAN, f64::NAN, io),
+            iter_stats(0, UpdateModel::Rop, plan_of(2.0), io),
+            iter_stats(1, UpdateModel::Cop, None, io),
         ]);
         let out = render_table(&audit_rows(&stats, &tput()));
         assert!(out.contains("C_rop"), "{out}");
         assert!(out.contains("ROP"));
         assert!(out.contains("COP"));
         assert!(out.contains("misprediction ratio"));
-        // Gated row renders dashes for the unavailable costs.
-        assert!(out.lines().any(|l| l.contains("yes") && l.contains('-')), "{out}");
+        // Predicted/billed MB per access class; a gated row has no plan.
+        assert!(out.contains("seq_MB") && out.contains("write_MB"), "{out}");
+        assert!(out.contains("200.000/100.000"), "{out}");
+        assert!(out.lines().any(|l| l.contains("yes") && l.contains("-/100.000")), "{out}");
     }
 }

@@ -26,7 +26,9 @@
 //! fetches (the write happens on a helper thread while the next column
 //! starts streaming).
 
-use crate::graph::EdgeRecords;
+use crate::graph::{EdgeRecords, HusGraph};
+use crate::meta::INDEX_ENTRY_BYTES;
+use crate::predict::IoPlan;
 use crate::program::VertexProgram;
 use crate::rop::{load_d, IterCtx};
 use crate::vertex_store::VertexStore;
@@ -306,6 +308,33 @@ fn process_column_inner<Pr: VertexProgram>(
     Ok((d_col, streamed))
 }
 
+/// The I/O plan of pulling column `col`: exactly the bytes
+/// [`run_column`] bills. `D_col` is read and written back once; every
+/// non-empty in-block `(i, col)` costs its `S_i`, its in-index and its
+/// encoded payload, all sequential (an overlay-resident block is
+/// served from memory; the stream bypasses the decoded-block cache, so
+/// a compressed block bills its payload every sweep). Nothing here
+/// depends on the frontier — COP pays for every in-edge, active or not.
+pub fn column_plan(graph: &HusGraph, col: usize, value_bytes: u64) -> IoPlan {
+    let meta = graph.meta();
+    let d_bytes = meta.interval_len(col) as u64 * value_bytes;
+    let mut plan = IoPlan { sequential: d_bytes, write: d_bytes, ..Default::default() };
+    for i in (0..graph.p()).filter(|&i| graph.in_block_len(i, col) > 0) {
+        plan.sequential += meta.interval_len(i) as u64 * value_bytes;
+        if !graph.in_block_resident(i, col) {
+            plan.sequential += (meta.interval_len(col) as u64 + 1) * INDEX_ENTRY_BYTES
+                + meta.in_block(i, col).encoded_bytes;
+        }
+    }
+    plan
+}
+
+/// The I/O plan of a whole COP sweep (all `P` columns); static for a
+/// run, so the engine computes it once.
+pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
+    (0..graph.p()).map(|col| column_plan(graph, col, value_bytes)).sum()
+}
+
 /// Process column `col` under COP and write `D_col` back synchronously.
 /// Used by the Gauss-Seidel and per-column schedules, whose visibility
 /// rules need the write (and commit) to happen before the next unit.
@@ -407,6 +436,7 @@ mod tests {
     use crate::engine::{Engine, RunConfig, UpdateMode};
     use crate::graph::HusGraph;
     use crate::meta::GraphMeta;
+    use crate::predict::IoPlan;
     use crate::program::{EdgeCtx, VertexProgram};
     use hus_storage::StorageDir;
 
@@ -471,6 +501,32 @@ mod tests {
             .expect("COP run hung on a mid-stream storage error");
         assert!(failed, "truncated shard must surface a StorageError");
         handle.join().unwrap();
+    }
+
+    /// [`super::sweep_plan`] is the bill of a COP iteration, to the byte
+    /// — also with a delta overlay attached, whose touched blocks are
+    /// served from memory.
+    #[test]
+    fn sweep_plan_is_what_a_cop_iteration_bills() {
+        let el = hus_gen::rmat(300, 3000, 9, Default::default());
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+        let base = HusGraph::open(dir.clone()).unwrap();
+        let mut dynamic = crate::delta::DynamicGraph::open(dir).unwrap();
+        dynamic.insert_edge(1, 299, 1.0).unwrap();
+        dynamic.insert_edge(150, 2, 1.0).unwrap();
+        let overlaid = dynamic.snapshot().unwrap();
+        let plans = [&base, overlaid].map(|g| {
+            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads: 1, ..Default::default() };
+            let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
+            let plan = super::sweep_plan(g, 4);
+            for it in &stats.iterations {
+                assert_eq!(IoPlan::billed(&it.io), plan, "iteration {}", it.iteration);
+            }
+            plan
+        });
+        assert!(plans[1].sequential < plans[0].sequential, "overlay blocks cost no device I/O");
     }
 
     /// Readahead depth must not change results or modeled I/O bytes on

@@ -8,13 +8,13 @@
 use crate::active::ActiveSet;
 use crate::cop;
 use crate::graph::HusGraph;
-use crate::predict::{Decision, Predictor, UpdateModel};
+use crate::predict::{Decision, IoPlan, Predictor, UpdateModel};
 use crate::program::VertexProgram;
-use crate::rop::{self, IterCtx};
+use crate::rop::{self, Frontier, IterCtx};
 use crate::stats::{IterationStats, RunStats};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
-use hus_storage::{IoSnapshot, IoTracker, Result, StorageError, Throughput};
+use hus_storage::{Access, IoSnapshot, IoTracker, Result, StorageError, Throughput};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -314,6 +314,18 @@ impl RunConfig {
     }
 }
 
+/// What [`Engine::plan_iteration`] decided for one iteration.
+struct IterationPlan {
+    /// The decision; under per-column selection its costs are summed
+    /// over the columns and its model is left to the executed majority.
+    decision: Decision,
+    /// The I/O plan of the selected model(s) — what the iteration is
+    /// predicted to bill; `None` when forced or gated.
+    predicted: Option<IoPlan>,
+    /// Per destination column, when selection is per column.
+    columns: Option<Vec<UpdateModel>>,
+}
+
 /// A configured run of a program over a graph.
 pub struct Engine<'a, Pr: VertexProgram> {
     graph: &'a HusGraph,
@@ -384,6 +396,107 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         self.graph.dir().subdir(&name)
     }
 
+    /// Choose this iteration's update model(s): forced or α-gated when
+    /// there is no `frontier` summary, otherwise by pricing both
+    /// executors' I/O plans over it — once for the whole iteration, or
+    /// once per destination column.
+    fn plan_iteration(
+        &self,
+        predictor: &Predictor,
+        ctx: &IterCtx<'_, Pr>,
+        cop_plans: &[IoPlan],
+        frontier: Option<&Frontier>,
+    ) -> IterationPlan {
+        let Some(frontier) = frontier else {
+            let decision = match self.config.mode {
+                UpdateMode::ForceRop => Decision::forced(UpdateModel::Rop, false),
+                UpdateMode::ForceCop => Decision::forced(UpdateModel::Cop, false),
+                UpdateMode::Hybrid => Decision::forced(UpdateModel::Cop, true),
+            };
+            if decision.gated {
+                crate::predict::count_decision(&decision);
+            }
+            return IterationPlan { decision, predicted: None, columns: None };
+        };
+        let p = self.graph.p();
+        let per_column = self.config.granularity == SelectionGranularity::PerColumn;
+        let width = if per_column { 1 } else { p };
+        let mut decision =
+            Decision { c_rop: 0.0, c_cop: 0.0, ..Decision::forced(UpdateModel::Cop, false) };
+        let mut predicted = IoPlan::default();
+        let mut models = Vec::with_capacity(p / width);
+        for cols in (0..p).step_by(width).map(|col| col..col + width) {
+            let (rop_plan, cop_plan) = self.unit_plans(predictor, ctx, frontier, cols, cop_plans);
+            let d = predictor.compare(&rop_plan, &cop_plan);
+            crate::predict::count_decision(&d);
+            decision.c_rop += d.c_rop;
+            decision.c_cop += d.c_cop;
+            predicted += if d.model == UpdateModel::Rop { rop_plan } else { cop_plan };
+            models.push(d.model);
+        }
+        if !per_column {
+            decision.model = models[0];
+        }
+        IterationPlan {
+            decision,
+            predicted: Some(predicted),
+            columns: per_column.then_some(models),
+        }
+    }
+
+    /// The `(C_rop, C_cop)` plans of pushing into vs. pulling the
+    /// destination columns `cols`.
+    fn unit_plans(
+        &self,
+        predictor: &Predictor,
+        ctx: &IterCtx<'_, Pr>,
+        frontier: &Frontier,
+        cols: std::ops::Range<usize>,
+        cop_plans: &[IoPlan],
+    ) -> (IoPlan, IoPlan) {
+        if !predictor.paper_literal {
+            let per_row_d = self.config.synchrony == Synchrony::GaussSeidel;
+            let cop_plan = cop_plans[cols.clone()].iter().copied().sum();
+            return (rop::plan(ctx, frontier, cols, per_row_d), cop_plan);
+        }
+        // Verbatim formulas: the columns' active edges are each row's,
+        // split by the static share of its out-blocks that lie in `cols`.
+        let active_edges: f64 = frontier
+            .rows
+            .iter()
+            .zip(ctx.row_edges)
+            .enumerate()
+            .filter(|(_, (_, &row_edges))| row_edges > 0)
+            .map(|(i, (row, &row_edges))| {
+                let in_cols: u64 = cols.clone().map(|j| self.graph.out_block_len(i, j)).sum();
+                row.degree_sum as f64 * in_cols as f64 / row_edges as f64
+            })
+            .sum();
+        let (p, n) = (self.graph.p() as u64, cols.len() as u64);
+        predictor.literal_plans(
+            active_edges.ceil() as u64,
+            self.graph.num_edges() * n / p,
+            predictor.vertex_bytes(self.graph.meta().num_vertices as u64, p) * n,
+        )
+    }
+
+    /// End-of-iteration swap: commit the intervals whose `D` was
+    /// written. Under a non-identity reset (PageRank-style) the others
+    /// must still be re-derived for this iteration, pushed into or not.
+    fn commit_written(&self, store: &mut VertexStore<Pr::Value>, written: &[bool]) -> Result<()> {
+        for (i, &wrote) in written.iter().enumerate() {
+            if !wrote {
+                if !self.program.needs_reset() {
+                    continue;
+                }
+                let d = rop::load_d(self.program, store, i, false, Access::Sequential)?;
+                store.write_next(i, &d)?;
+            }
+            store.commit(i);
+        }
+        Ok(())
+    }
+
     fn run_inner(&self) -> Result<(Vec<Pr::Value>, RunStats)> {
         if self.config.synchrony == Synchrony::GaussSeidel && self.program.needs_reset() {
             return Err(StorageError::Corrupt(
@@ -448,16 +561,20 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             ),
         };
 
-        // `M` is the *on-disk* bytes per edge: for codec-compressed
-        // graphs the predicted costs must reflect the encoded payload
-        // that actually travels from the device, not the decoded width.
-        let mut predictor = Predictor::new(
-            self.config.throughput,
-            self.graph.disk_edge_bytes(),
-            std::mem::size_of::<Pr::Value>() as u64,
-        );
+        // `M` is the *on-disk* bytes per edge: the verbatim formulas
+        // must reflect the encoded payload that actually travels from
+        // the device, not the decoded width.
+        let value_bytes = std::mem::size_of::<Pr::Value>() as u64;
+        let mut predictor =
+            Predictor::new(self.config.throughput, self.graph.disk_edge_bytes(), value_bytes);
         predictor.alpha = self.config.alpha;
         predictor.paper_literal = self.config.paper_literal_predictor;
+        // Static for the run: COP's plan per column (its sweep is their
+        // sum) and the per-row edge totals ROP's plan shares blocks by.
+        let cop_plans: Vec<IoPlan> =
+            (0..p).map(|col| cop::column_plan(self.graph, col, value_bytes)).collect();
+        let row_edges = rop::row_edge_totals(self.graph);
+        let gauss_seidel = self.config.synchrony == Synchrony::GaussSeidel;
 
         let mut iterations = Vec::new();
         let mut total_edges = 0u64;
@@ -470,7 +587,17 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 converged = true;
                 break;
             }
-            let active_edges = active.active_degree_sum(0, v, self.graph.out_degrees());
+            // One pass over the frontier sums its active out-edges and,
+            // when the hybrid gate is open, summarizes it per row for
+            // the ROP plan. It runs ahead of the iteration clock: the
+            // `predict` span times the pricing alone.
+            let frontier = (self.config.mode == UpdateMode::Hybrid
+                && !predictor.gate_forces_cop(active_vertices, v as u64))
+            .then(|| Frontier::scan(self.graph, &active));
+            let active_edges = match &frontier {
+                Some(frontier) => frontier.active_edges(),
+                None => active.active_degree_sum(0, v, self.graph.out_degrees()),
+            };
             FRONTIER_HIST.record(active_vertices);
             ACTIVE_EDGES_HIST.record(active_edges);
             ITERATION_GAUGE.set(iteration as u64);
@@ -480,51 +607,27 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             let mut phase_io = PhaseIoMeter::start(&tracker);
 
             // Decide the model(s) for this iteration.
-            let next_active;
-            let decision;
-            {
+            let (next_active, ctx);
+            let IterationPlan { decision, predicted, columns } = {
                 let _s = span!("predict");
                 next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
-                decision = match self.config.mode {
-                    UpdateMode::ForceRop => Decision {
-                        model: UpdateModel::Rop,
-                        gated: false,
-                        c_rop: f64::NAN,
-                        c_cop: f64::NAN,
-                    },
-                    UpdateMode::ForceCop => Decision {
-                        model: UpdateModel::Cop,
-                        gated: false,
-                        c_rop: f64::NAN,
-                        c_cop: f64::NAN,
-                    },
-                    UpdateMode::Hybrid => {
-                        let d = predictor.select_iteration(
-                            active_vertices,
-                            active_edges,
-                            v as u64,
-                            self.graph.num_edges(),
-                            p as u64,
-                        );
-                        crate::predict::count_decision(&d);
-                        d
-                    }
+                ctx = IterCtx {
+                    graph: self.graph,
+                    program: self.program,
+                    active: &active,
+                    next_active: &next_active,
+                    coalesce_ratio: self.config.throughput.batched_bps
+                        / self.config.throughput.random_bps,
+                    index_ratio: self.config.throughput.sequential_bps
+                        / self.config.throughput.random_bps,
+                    merge_slack: self.config.range_merge_slack,
+                    deadline: self.config.deadline,
+                    row_edges: &row_edges,
                 };
-            }
+                self.plan_iteration(&predictor, &ctx, &cop_plans, frontier.as_ref())
+            };
             phase_io.lap(&tracker, "predict");
 
-            let ctx = IterCtx {
-                graph: self.graph,
-                program: self.program,
-                active: &active,
-                next_active: &next_active,
-                coalesce_ratio: self.config.throughput.batched_bps
-                    / self.config.throughput.random_bps,
-                index_ratio: self.config.throughput.sequential_bps
-                    / self.config.throughput.random_bps,
-                merge_slack: self.config.range_merge_slack,
-                deadline: self.config.deadline,
-            };
             let readahead = self.config.effective_readahead();
             let queue_depth = self.config.queue_depth.max(1);
 
@@ -532,54 +635,19 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             let mut rop_units = 0u32;
             let mut cop_units = 0u32;
 
-            let per_column = self.config.mode == UpdateMode::Hybrid
-                && self.config.granularity == SelectionGranularity::PerColumn;
-
-            if per_column {
-                // Fine-grained: decide per destination column. Edge class
+            if let Some(columns) = columns {
+                // Fine-grained: each destination column pulls whole or
+                // pushes only its active sources' edges. Edge class
                 // (i, j) is covered exactly once — by column j's mode.
-                let per_interval_edges: Vec<u64> = {
-                    let _s = span!("predict");
-                    (0..p)
-                        .map(|i| {
-                            active.active_degree_sum(
-                                meta.interval_start(i),
-                                meta.interval_starts[i + 1],
-                                self.graph.out_degrees(),
-                            )
-                        })
-                        .collect()
-                };
-                for col in 0..p {
-                    // Estimate this column's share of each row's active
-                    // edges from the static block edge counts.
-                    let d = {
-                        let _s = span!("predict");
-                        let mut est = 0.0f64;
-                        for (i, &row_active) in per_interval_edges.iter().enumerate() {
-                            let row_total: u64 =
-                                (0..p).map(|j| self.graph.out_block_len(i, j)).sum();
-                            if row_total > 0 {
-                                est += row_active as f64 * self.graph.out_block_len(i, col) as f64
-                                    / row_total as f64;
-                            }
-                        }
-                        let d = predictor.select_interval(
-                            active_vertices,
-                            est.ceil() as u64,
-                            v as u64,
-                            self.graph.num_edges(),
-                            p as u64,
-                        );
-                        crate::predict::count_decision(&d);
-                        d
-                    };
-                    phase_io.lap(&tracker, "predict");
-                    match d.model {
+                let mut written = vec![true; p];
+                for (col, model) in columns.into_iter().enumerate() {
+                    match model {
                         UpdateModel::Rop => {
                             {
                                 let _s = span!("rop.column", interval = col);
-                                edges_this_iter += rop::run_push_column(&ctx, &store, col, false)?;
+                                let (pushed, wrote) = rop::run_push_column(&ctx, &store, col)?;
+                                edges_this_iter += pushed;
+                                written[col] = wrote;
                             }
                             phase_io.lap(&tracker, "rop");
                             rop_units += 1;
@@ -603,21 +671,17 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 }
                 {
                     let _s = span!("sync");
-                    for i in 0..p {
-                        store.commit(i);
-                    }
+                    self.commit_written(&mut store, &written)?;
                 }
                 phase_io.lap(&tracker, "sync");
             } else {
                 match decision.model {
                     UpdateModel::Rop => {
-                        if self.config.synchrony == Synchrony::GaussSeidel {
+                        if gauss_seidel {
                             // Paper-literal: every processed row loads
-                            // its destination intervals, pushes, writes
-                            // them back and swaps immediately, so later
-                            // rows observe the updates (and pay the
-                            // per-row vertex traffic of the paper's
-                            // C_rop formula).
+                            // the destination intervals it pushes into,
+                            // writes them back and swaps immediately, so
+                            // later rows observe the updates.
                             for row in 0..p {
                                 let base = meta.interval_start(row);
                                 let end = meta.interval_starts[row + 1];
@@ -687,30 +751,13 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                             phase_io.lap(&tracker, "gather");
                             {
                                 let _s = span!("sync");
-                                for (i, t) in touched.into_iter().enumerate() {
-                                    if t {
-                                        store.commit(i);
-                                    } else if self.program.needs_reset() {
-                                        // Non-identity reset (PageRank-style):
-                                        // intervals that received no pushes must
-                                        // still be re-derived for this iteration.
-                                        let d = rop::load_d(
-                                            self.program,
-                                            &store,
-                                            i,
-                                            false,
-                                            hus_storage::Access::Sequential,
-                                        )?;
-                                        store.write_next(i, &d)?;
-                                        store.commit(i);
-                                    }
-                                }
+                                self.commit_written(&mut store, &touched)?;
                             }
                             phase_io.lap(&tracker, "sync");
                         }
                     }
                     UpdateModel::Cop => {
-                        if self.config.synchrony == Synchrony::GaussSeidel {
+                        if gauss_seidel {
                             // Paper-literal: Swap(S_i, D_i) right after
                             // column i (Algorithm 3 line 20). The
                             // write-back must land before the next
@@ -757,16 +804,13 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             let wall_seconds = iter_start.elapsed().as_secs_f64();
             let iter_io = tracker.snapshot().since(&iter_io_start);
             EDGES_PROCESSED.add(edges_this_iter);
-            if !decision.gated && decision.c_rop.is_finite() {
+            if let Some(plan) = &predicted {
                 // Audit the committed prediction against what the same
                 // throughput numbers say the moved bytes cost.
-                let predicted = match decision.model {
-                    UpdateModel::Rop => decision.c_rop,
-                    UpdateModel::Cop => decision.c_cop,
-                };
-                let actual = crate::audit::io_seconds(&self.config.throughput, &iter_io);
+                let tput = &self.config.throughput;
+                let actual = crate::audit::io_seconds(tput, &iter_io);
                 if actual > 0.0 {
-                    let err_pct = (predicted - actual).abs() / actual * 100.0;
+                    let err_pct = (plan.seconds(tput) - actual).abs() / actual * 100.0;
                     MISPREDICTION_PCT.record(err_pct as u64);
                 }
             }
@@ -781,6 +825,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 gated: decision.gated,
                 c_rop: decision.c_rop,
                 c_cop: decision.c_cop,
+                plan: predicted,
                 rop_units,
                 cop_units,
                 active_vertices,
@@ -960,6 +1005,66 @@ mod tests {
             Engine::new(&g, &MinLabel, config).run().unwrap().0
         };
         assert_eq!(run(SelectionGranularity::PerIteration), run(SelectionGranularity::PerColumn));
+    }
+
+    /// Per-column push loads `D_j` lazily: a column nothing is pushed
+    /// into is not written, so it must not be swapped — and under a
+    /// non-identity reset it must still be re-derived.
+    #[test]
+    fn per_column_push_handles_untouched_columns() {
+        /// Counts the messages received this iteration.
+        struct Received {
+            reset: bool,
+        }
+        impl VertexProgram for Received {
+            type Value = u32;
+            fn init(&self, _v: u32) -> u32 {
+                7
+            }
+            fn initially_active(&self, v: u32) -> bool {
+                v < 2
+            }
+            fn scatter(&self, _s: &u32, _c: &EdgeCtx) -> Option<u32> {
+                Some(1)
+            }
+            fn combine(&self, d: &mut u32, m: u32) -> bool {
+                *d += m;
+                true
+            }
+            fn reset(&self, _v: u32, prev: &u32) -> u32 {
+                if self.reset {
+                    0
+                } else {
+                    *prev
+                }
+            }
+            fn needs_reset(&self) -> bool {
+                self.reset
+            }
+        }
+        // Two sources of a 200-cycle in 8 intervals push into column 0
+        // only; α = 2 keeps the gate open so every column is priced.
+        let el = classic::cycle(200);
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(8)).unwrap();
+        for reset in [false, true] {
+            let run = |mode, granularity| {
+                let config = RunConfig {
+                    mode,
+                    granularity,
+                    alpha: 2.0,
+                    max_iterations: 3,
+                    threads: 1,
+                    ..Default::default()
+                };
+                Engine::new(&g, &Received { reset }, config).run().unwrap()
+            };
+            let (want, _) = run(UpdateMode::ForceCop, SelectionGranularity::PerIteration);
+            let (got, stats) = run(UpdateMode::Hybrid, SelectionGranularity::PerColumn);
+            assert_eq!(got, want, "reset {reset}");
+            assert!(stats.iterations.iter().all(|it| it.rop_units > 0), "some columns push");
+        }
     }
 
     #[test]

@@ -400,6 +400,29 @@ impl HusGraph {
         }
     }
 
+    /// Whether out-block `(i, j)` is served from the in-memory overlay:
+    /// neither its index nor its record reads bill device I/O (the I/O
+    /// plans of [`crate::rop`] price such blocks at zero).
+    pub fn out_block_resident(&self, i: usize, j: usize) -> bool {
+        self.overlay_out(i, j).is_some()
+    }
+
+    /// Whether in-block `(i, j)` is served from the in-memory overlay
+    /// (see [`Self::out_block_resident`]; used by [`crate::cop`]'s plan).
+    pub fn in_block_resident(&self, i: usize, j: usize) -> bool {
+        self.overlay_in(i, j).is_some()
+    }
+
+    /// Whether reads of out-block `(i, j)`'s edge *records* bill no
+    /// device I/O right now: the block is overlay-resident, or its
+    /// compressed shard holds it in the decoded-block cache. On a
+    /// compressed graph any other read of the block fetches its whole
+    /// encoded payload, whatever range was asked for.
+    pub fn out_records_cached(&self, i: usize, j: usize) -> bool {
+        self.out_block_resident(i, j)
+            || self.out_edges[i].is_resident(self.meta.out_block(i, j).edge_offset)
+    }
+
     /// On-disk bytes per edge (`M` of the predictor), inflated by the
     /// resident delta bytes when an overlay is attached — the cost
     /// model's view of the read amplification buffered updates add.

@@ -13,8 +13,9 @@
 //!   sequentially, destinations pull from active sources in parallel
 //!   within a block (paper §3.3, Algorithm 3; §3.5).
 //! * **I/O-based performance prediction** ([`predict`]) — the `C_rop` /
-//!   `C_cop` byte-cost comparison with the α active-fraction gate
-//!   (paper §3.4, Table 1).
+//!   `C_cop` comparison with the α active-fraction gate (paper §3.4,
+//!   Table 1), over the I/O plans [`rop::plan`] and [`cop::sweep_plan`]
+//!   build of the bytes each executor would bill.
 //! * **The hybrid engine** ([`engine`]) — per-iteration model selection,
 //!   double-buffered vertex stores ([`vertex_store`]), frontier tracking
 //!   ([`active`]), and per-iteration statistics ([`stats`]).
@@ -27,8 +28,8 @@
 //! pushed — interval `i` chose COP) nor `column j` (not pulled — interval
 //! `j` chose ROP), so updates can be silently dropped. This crate
 //! therefore makes the hybrid decision **globally per iteration** by
-//! default ([`engine::SelectionGranularity::PerIteration`]), aggregating
-//! the paper's per-interval cost formulas — this matches how the paper
+//! default ([`engine::SelectionGranularity::PerIteration`]), pricing a
+//! whole iteration under either model — this matches how the paper
 //! itself reports model choices (Figure 8 labels whole iterations ROP or
 //! COP). A correct finer-grained variant that decides **per destination
 //! column** (pull the whole column, or push only the active sources'

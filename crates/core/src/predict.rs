@@ -1,33 +1,107 @@
 //! The I/O-based performance prediction method (paper §3.4).
 //!
-//! Per vertex interval `i`, with `A_i` the active vertices of the
-//! interval, `d_v` out-degrees, `M` the edge record size, `N` the vertex
-//! value size, and `P` the interval count, the paper states:
+//! Per iteration the hybrid engine runs whichever update model moves
+//! its bytes faster. The paper states both costs in closed form over
+//! `|E|`, `|V|`, `P` and the frontier's active out-edges; this engine
+//! instead prices the **I/O plan** each executor would actually bill —
+//! an [`IoPlan`] of bytes per access class (sequential / batched /
+//! random / write):
+//!
+//! * [`crate::cop::sweep_plan`] is the plan of a COP sweep. It depends
+//!   only on the graph, so it is computed once per run, and it is
+//!   *exact*: per non-empty in-block the encoded block, its in-index
+//!   and `S_i`, plus one `D_j` read and write-back per column.
+//! * [`crate::rop::plan`] is the plan of a ROP iteration, computed
+//!   from one pass over the frontier ([`crate::rop::Frontier::scan`])
+//!   by walking the same choices `rop.rs` makes when it executes: `S_i`
+//!   per active row, index probes vs. the whole offset array, selective
+//!   ranges vs. one coalesced sweep per out-block, merged runs at
+//!   `T_batched`, and one `D_j` read + write per destination interval
+//!   that is actually pushed into.
+//!
+//! Both plans are priced by [`IoPlan::seconds`] — the same function
+//! [`crate::audit`] prices the billed bytes with — and ROP is selected
+//! iff `C_rop ≤ C_cop`. To bound prediction overhead the comparison is
+//! only evaluated when the active-vertex count is below `α·|V|` (α = 5%
+//! in the paper); above the gate COP is chosen outright and no plan is
+//! built.
+//!
+//! ## The paper's verbatim formulas
 //!
 //! ```text
 //! C_rop(i) = ( Σ_{v∈A_i} d_v · M  +  (2|V|/P + |V|) · N ) / T_random
 //! C_cop(i) = (       |E|/P · M    +  (2|V|/P + |V|) · N ) / T_sequential
 //! ```
 //!
-//! ROP is selected iff `C_rop ≤ C_cop`. To bound prediction overhead the
-//! comparison is only evaluated when the active-vertex count is below
-//! `α·|V|` (α = 5% in the paper); above the gate COP is chosen outright.
-//!
-//! ## Refinement (default)
-//!
-//! ROP's vertex transfers — the `(2|V|/P + |V|)·N` term — are contiguous
-//! whole-interval reads/writes, not small scattered requests. Billing
-//! them at a small-request `T_random` (≈1 MB/s on the paper's HDD) would
-//! make `C_rop` exceed `C_cop` even with an *empty* frontier, i.e. the
-//! hybrid would never choose ROP — contradicting the paper's own results.
-//! (The paper's behavior implies its fio-measured `T_random` reflects
-//! large requests.) By default we therefore bill the vertex term at
-//! `T_sequential` in both models and reserve `T_random` for the
-//! per-vertex edge-range loads that are genuinely scattered. Set
-//! [`Predictor::paper_literal`] to recover the verbatim formula.
+//! survive as [`Predictor::literal_plans`], used only when
+//! [`Predictor::paper_literal`] is set (the ablation binaries). Billing
+//! ROP's contiguous whole-interval vertex transfers at a small-request
+//! `T_random` (≈1 MB/s on the paper's HDD) makes `C_rop` exceed `C_cop`
+//! even with an *empty* frontier, so the verbatim model never picks ROP
+//! on such a device — the reason it is not the default.
 
-use hus_storage::Throughput;
+use hus_storage::{IoSnapshot, Throughput};
 use serde::{Deserialize, Serialize};
+
+/// Bytes an iteration (or one column of it) moves, per access class —
+/// the unit both cost estimates and the audit of billed I/O share.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct IoPlan {
+    /// Bytes read as part of a streaming scan ([`hus_storage::Access::Sequential`]).
+    pub sequential: u64,
+    /// Bytes read in coalesced ascending sweeps ([`hus_storage::Access::Batched`]).
+    pub batched: u64,
+    /// Bytes read by isolated positioned reads ([`hus_storage::Access::Random`]).
+    pub random: u64,
+    /// Bytes written (vertex-interval write-backs).
+    pub write: u64,
+}
+
+impl IoPlan {
+    /// The billed bytes of `io`, in plan form.
+    pub fn billed(io: &IoSnapshot) -> Self {
+        IoPlan {
+            sequential: io.seq_read_bytes,
+            batched: io.batched_read_bytes,
+            random: io.rand_read_bytes,
+            write: io.write_bytes,
+        }
+    }
+
+    /// All bytes of the plan, reads and writes.
+    pub fn total_bytes(&self) -> u64 {
+        self.sequential + self.batched + self.random + self.write
+    }
+
+    /// Seconds the plan takes at the given read throughputs. Writes are
+    /// whole vertex intervals and are billed sequentially. This is
+    /// deliberately the predictor's view of the device, not the richer
+    /// [`hus_storage::CostModel`]: predicted and billed bytes priced
+    /// here differ only by the *prediction* error.
+    pub fn seconds(&self, t: &Throughput) -> f64 {
+        (self.sequential + self.write) as f64 / t.sequential_bps
+            + self.batched as f64 / t.batched_bps
+            + self.random as f64 / t.random_bps
+    }
+}
+
+impl std::ops::AddAssign for IoPlan {
+    fn add_assign(&mut self, o: IoPlan) {
+        self.sequential += o.sequential;
+        self.batched += o.batched;
+        self.random += o.random;
+        self.write += o.write;
+    }
+}
+
+impl std::iter::Sum for IoPlan {
+    fn sum<I: Iterator<Item = IoPlan>>(iter: I) -> IoPlan {
+        iter.fold(IoPlan::default(), |mut acc, p| {
+            acc += p;
+            acc
+        })
+    }
+}
 
 /// The two update models of the hybrid strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -47,40 +121,40 @@ impl std::fmt::Display for UpdateModel {
     }
 }
 
-/// The paper's cost predictor (Table 1 notation).
+/// The cost predictor: the α gate plus a comparison of two priced
+/// [`IoPlan`]s.
 ///
 /// ```
-/// use hus_core::predict::{Predictor, UpdateModel};
+/// use hus_core::predict::{IoPlan, Predictor, UpdateModel};
 /// use hus_storage::DeviceProfile;
 ///
 /// let p = Predictor::new(DeviceProfile::hdd().read, 4.0, 4);
-/// // A tiny frontier prefers selective pushes...
-/// let sparse = p.select_iteration(100, 1_000, 1_000_000, 20_000_000, 8);
-/// assert_eq!(sparse.model, UpdateModel::Rop);
-/// // ...a dense one is gated straight to streaming pulls.
-/// let dense = p.select_iteration(900_000, 15_000_000, 1_000_000, 20_000_000, 8);
+/// let cop = IoPlan { sequential: 200_000_000, write: 4_000_000, ..Default::default() };
+/// // A tiny frontier reads a few scattered ranges: selective pushes win...
+/// let sparse = IoPlan { sequential: 500_000, random: 4_000, write: 500_000, ..Default::default() };
+/// assert_eq!(p.select(100, 1_000_000, &sparse, &cop).model, UpdateModel::Rop);
+/// // ...a dense one is gated straight to streaming pulls, plans unread.
+/// let dense = p.select(900_000, 1_000_000, &sparse, &cop);
 /// assert_eq!(dense.model, UpdateModel::Cop);
 /// assert!(dense.gated);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Predictor {
-    /// Measured or assumed disk throughputs (`T_sequential`, `T_random`).
+    /// Measured or assumed disk throughputs (`T_sequential`, `T_random`,
+    /// `T_batched`) the plans are priced at.
     pub throughput: Throughput,
-    /// On-disk bytes per edge record `M`. For raw graphs this is the
-    /// record width (4 unweighted, 8 weighted); for codec-compressed
-    /// graphs it is the *encoded* shard payload divided by the stored
-    /// record count ([`crate::meta::GraphMeta::disk_edge_bytes`]) — the
-    /// costs model what actually travels from the device, so a graph
-    /// that compresses 2× halves both `C_rop`'s and `C_cop`'s edge
-    /// terms.
+    /// On-disk bytes per edge record `M` of the verbatim formulas
+    /// ([`crate::graph::HusGraph::disk_edge_bytes`]: the encoded shard
+    /// payload divided by the stored record count).
     pub edge_bytes: f64,
     /// Vertex value size `N` in bytes.
     pub value_bytes: u64,
     /// Active-fraction gate α: when `|active| ≥ α·|V|` COP is selected
     /// without evaluating the costs (paper: 5%).
     pub alpha: f64,
-    /// Bill ROP's vertex term at `T_random` exactly as written in the
-    /// paper (see module docs). Default `false` (refined model).
+    /// Price the paper's verbatim closed-form costs
+    /// ([`Predictor::literal_plans`]) instead of the executors' plans
+    /// (see module docs). Default `false`.
     pub paper_literal: bool,
 }
 
@@ -91,30 +165,29 @@ impl Predictor {
         Predictor { throughput, edge_bytes, value_bytes, alpha: 0.05, paper_literal: false }
     }
 
-    /// Vertex-value transfer bytes per interval: `(2|V|/P + |V|) · N`
-    /// (source interval + indices + all destination intervals).
-    pub fn vertex_bytes(&self, num_vertices: u64, p: u64) -> f64 {
-        (2.0 * num_vertices as f64 / p as f64 + num_vertices as f64) * self.value_bytes as f64
+    /// The verbatim formulas' vertex-value transfer bytes per interval:
+    /// `(2|V|/P + |V|) · N` (source interval + indices + all destination
+    /// intervals).
+    pub fn vertex_bytes(&self, num_vertices: u64, p: u64) -> u64 {
+        (2 * num_vertices / p + num_vertices) * self.value_bytes
     }
 
-    fn rop_vertex_bps(&self) -> f64 {
-        if self.paper_literal {
-            self.throughput.random_bps
-        } else {
-            self.throughput.sequential_bps
-        }
-    }
-
-    /// `C_rop` for one interval with `active_out_edges = Σ_{v∈A_i} d_v`.
-    pub fn c_rop(&self, active_out_edges: u64, num_vertices: u64, p: u64) -> f64 {
-        active_out_edges as f64 * self.edge_bytes / self.throughput.random_bps
-            + self.vertex_bytes(num_vertices, p) / self.rop_vertex_bps()
-    }
-
-    /// `C_cop` for one interval (independent of the frontier).
-    pub fn c_cop(&self, num_edges: u64, num_vertices: u64, p: u64) -> f64 {
-        (num_edges as f64 / p as f64 * self.edge_bytes + self.vertex_bytes(num_vertices, p))
-            / self.throughput.sequential_bps
+    /// The paper's closed-form `(C_rop, C_cop)` as plans: ROP moves
+    /// `active_out_edges · M + vertex_bytes` at `T_random`, COP
+    /// `streamed_edges · M + vertex_bytes` at `T_sequential`. One
+    /// interval passes `|E|/P` and [`Self::vertex_bytes`]; a whole
+    /// iteration `|E|` and `P` times the vertex bytes.
+    pub fn literal_plans(
+        &self,
+        active_out_edges: u64,
+        streamed_edges: u64,
+        vertex_bytes: u64,
+    ) -> (IoPlan, IoPlan) {
+        let edge_bytes = |edges: u64| (edges as f64 * self.edge_bytes).round() as u64;
+        (
+            IoPlan { random: edge_bytes(active_out_edges) + vertex_bytes, ..Default::default() },
+            IoPlan { sequential: edge_bytes(streamed_edges) + vertex_bytes, ..Default::default() },
+        )
     }
 
     /// Whether the α gate forces COP (`|active| ≥ α·|V|`).
@@ -122,63 +195,30 @@ impl Predictor {
         active_vertices as f64 >= self.alpha * num_vertices as f64
     }
 
-    /// The paper's per-interval decision (Algorithm 1, line 6).
-    pub fn select_interval(
-        &self,
-        active_vertices: u64,
-        active_out_edges: u64,
-        num_vertices: u64,
-        num_edges: u64,
-        p: u64,
-    ) -> Decision {
-        if self.gate_forces_cop(active_vertices, num_vertices) {
-            return Decision {
-                model: UpdateModel::Cop,
-                gated: true,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-            };
-        }
-        let c_rop = self.c_rop(active_out_edges, num_vertices, p);
-        let c_cop = self.c_cop(num_edges, num_vertices, p);
+    /// The cheaper of the two plans at this predictor's throughputs
+    /// (ROP on a tie).
+    pub fn compare(&self, rop: &IoPlan, cop: &IoPlan) -> Decision {
+        let c_rop = rop.seconds(&self.throughput);
+        let c_cop = cop.seconds(&self.throughput);
         let model = if c_rop <= c_cop { UpdateModel::Rop } else { UpdateModel::Cop };
         Decision { model, gated: false, c_rop, c_cop }
     }
 
-    /// Whole-iteration decision: per-interval costs summed over all `P`
-    /// intervals (see `lib.rs` on why the default engine decides
-    /// globally).
-    pub fn select_iteration(
+    /// The hybrid decision (Algorithm 1, line 6) for one iteration or
+    /// one column of it: COP outright above the α gate, otherwise
+    /// [`Self::compare`]. (The engine tests the gate first, so that a
+    /// gated iteration never builds the plans.)
+    pub fn select(
         &self,
         active_vertices: u64,
-        active_out_edges_total: u64,
         num_vertices: u64,
-        num_edges: u64,
-        p: u64,
+        rop: &IoPlan,
+        cop: &IoPlan,
     ) -> Decision {
         if self.gate_forces_cop(active_vertices, num_vertices) {
-            return Decision {
-                model: UpdateModel::Cop,
-                gated: true,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-            };
+            return Decision::forced(UpdateModel::Cop, true);
         }
-        let vb = self.vertex_bytes(num_vertices, p) * p as f64;
-        let c_rop = active_out_edges_total as f64 * self.edge_bytes / self.throughput.random_bps
-            + vb / self.rop_vertex_bps();
-        let c_cop = (num_edges as f64 * self.edge_bytes + vb) / self.throughput.sequential_bps;
-        let model = if c_rop <= c_cop { UpdateModel::Rop } else { UpdateModel::Cop };
-        Decision { model, gated: false, c_rop, c_cop }
-    }
-
-    /// The frontier size (in active out-edges, whole graph) at which the
-    /// predicted costs cross over — below it ROP wins, above it COP.
-    pub fn crossover_active_edges(&self, num_vertices: u64, num_edges: u64, p: u64) -> f64 {
-        let vb = self.vertex_bytes(num_vertices, p) * p as f64;
-        let c_cop = (num_edges as f64 * self.edge_bytes + vb) / self.throughput.sequential_bps;
-        let rop_fixed = vb / self.rop_vertex_bps();
-        ((c_cop - rop_fixed) * self.throughput.random_bps / self.edge_bytes).max(0.0)
+        self.compare(rop, cop)
     }
 }
 
@@ -215,6 +255,14 @@ pub struct Decision {
     pub c_cop: f64,
 }
 
+impl Decision {
+    /// A decision made without pricing any plan: a forced update mode,
+    /// or (`gated`) the α gate.
+    pub fn forced(model: UpdateModel, gated: bool) -> Self {
+        Decision { model, gated, c_rop: f64::NAN, c_cop: f64::NAN }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,32 +276,51 @@ mod tests {
     }
 
     #[test]
-    fn empty_frontier_prefers_rop() {
-        let p = hdd_predictor();
-        let d = p.select_interval(0, 0, 1_000_000, 10_000_000, 8);
-        assert_eq!(d.model, UpdateModel::Rop, "{d:?}");
-        assert!(!d.gated);
-        assert!(d.c_rop <= d.c_cop);
+    fn plan_seconds_bill_each_class_at_its_rate() {
+        let plan = IoPlan {
+            sequential: 120_000_000, // 1s
+            batched: 40_000_000,     // 1s
+            random: 1_000_000,       // 1s
+            write: 240_000_000,      // 2s at sequential
+        };
+        assert!((plan.seconds(&hdd_predictor().throughput) - 5.0).abs() < 1e-9);
+        assert_eq!(plan.total_bytes(), 401_000_000);
     }
 
     #[test]
-    fn paper_literal_variant_bills_vertices_at_random() {
-        let mut p = hdd_predictor();
-        p.paper_literal = true;
-        // With small-request T_random the vertex term alone dwarfs C_cop:
-        // the verbatim formula can never pick ROP (the motivation for the
-        // refined default).
-        let d = p.select_interval(0, 0, 1_000_000, 10_000_000, 8);
-        assert_eq!(d.model, UpdateModel::Cop);
-        assert!(p.c_rop(0, 1_000_000, 8) > p.c_cop(10_000_000, 1_000_000, 8));
+    fn billed_plan_mirrors_the_snapshot_classes() {
+        let io = IoSnapshot {
+            seq_read_bytes: 1,
+            batched_read_bytes: 2,
+            rand_read_bytes: 3,
+            write_bytes: 4,
+            ..Default::default()
+        };
+        let want = IoPlan { sequential: 1, batched: 2, random: 3, write: 4 };
+        assert_eq!(IoPlan::billed(&io), want);
     }
 
     #[test]
-    fn dense_frontier_is_gated_to_cop() {
+    fn cheaper_plan_wins_and_ties_go_to_rop() {
         let p = hdd_predictor();
-        let d = p.select_interval(100_000, 5_000_000, 1_000_000, 10_000_000, 8);
+        let cop = IoPlan { sequential: 120_000_000, ..Default::default() };
+        let cheap = IoPlan { random: 999_999, ..Default::default() };
+        let tie = IoPlan { random: 1_000_000, ..Default::default() };
+        let dear = IoPlan { random: 1_000_001, ..Default::default() };
+        assert_eq!(p.select(1, 1_000_000, &cheap, &cop).model, UpdateModel::Rop);
+        assert_eq!(p.select(1, 1_000_000, &tie, &cop).model, UpdateModel::Rop);
+        let d = p.select(1, 1_000_000, &dear, &cop);
         assert_eq!(d.model, UpdateModel::Cop);
-        assert!(d.gated);
+        assert!(!d.gated && d.c_rop > d.c_cop);
+    }
+
+    #[test]
+    fn dense_frontier_is_gated_to_cop_without_pricing() {
+        let p = hdd_predictor();
+        let free = IoPlan::default();
+        let d = p.select(100_000, 1_000_000, &free, &free);
+        assert_eq!(d.model, UpdateModel::Cop);
+        assert!(d.gated && d.c_rop.is_nan() && d.c_cop.is_nan());
     }
 
     #[test]
@@ -264,113 +331,43 @@ mod tests {
     }
 
     #[test]
-    fn cost_crossover_exists_below_gate() {
-        let p = hdd_predictor();
-        let v = 10_000_000u64;
-        let e = 100_000_000u64;
-        let sparse = p.select_interval(1_000, 10_000, v, e, 16);
-        assert_eq!(sparse.model, UpdateModel::Rop, "{sparse:?}");
-        // Below the 5% vertex gate but with very many active edges (hubs).
-        let denser = p.select_interval(400_000, 60_000_000, v, e, 16);
-        assert!(!denser.gated);
-        assert_eq!(denser.model, UpdateModel::Cop, "{denser:?}");
-    }
-
-    #[test]
-    fn crossover_formula_matches_decisions() {
-        let p = hdd_predictor();
-        let (v, e, parts) = (1_000_000u64, 20_000_000u64, 8u64);
-        let x = p.crossover_active_edges(v, e, parts);
-        assert!(x > 0.0);
-        let below = p.select_iteration(1, (x * 0.9) as u64, v, e, parts);
-        let above = p.select_iteration(1, (x * 1.1) as u64, v, e, parts);
-        assert_eq!(below.model, UpdateModel::Rop);
-        assert_eq!(above.model, UpdateModel::Cop);
-    }
-
-    #[test]
-    fn c_rop_monotone_in_active_edges() {
-        let p = hdd_predictor();
-        let a = p.c_rop(1_000, 1_000_000, 8);
-        let b = p.c_rop(10_000, 1_000_000, 8);
-        assert!(b > a);
-    }
-
-    #[test]
-    fn c_cop_independent_of_frontier() {
-        let p = hdd_predictor();
-        let c = p.c_cop(10_000_000, 1_000_000, 8);
-        assert!(c > 0.0);
-        assert_eq!(c, p.c_cop(10_000_000, 1_000_000, 8));
-    }
-
-    #[test]
-    fn iteration_decision_matches_summed_interval_costs() {
+    fn literal_plans_are_the_papers_formulas() {
         let p = hdd_predictor();
         let (v, e, parts) = (1_000_000u64, 10_000_000u64, 8u64);
-        let active_edges_total = 40_000u64;
-        let d = p.select_iteration(10_000, active_edges_total, v, e, parts);
-        let per = active_edges_total / parts;
-        let c_rop_sum: f64 = (0..parts).map(|_| p.c_rop(per, v, parts)).sum();
-        let c_cop_sum: f64 = (0..parts).map(|_| p.c_cop(e, v, parts)).sum();
-        assert!((d.c_rop - c_rop_sum).abs() / c_rop_sum < 1e-12);
-        assert!((d.c_cop - c_cop_sum).abs() / c_cop_sum < 1e-12);
+        let vb = p.vertex_bytes(v, parts);
+        assert_eq!(vb, (2 * v / parts + v) * 4);
+        let (rop, cop) = p.literal_plans(10_000, e / parts, vb);
+        assert_eq!(rop, IoPlan { random: 40_000 + vb, ..Default::default() });
+        assert_eq!(cop, IoPlan { sequential: e / parts * 4 + vb, ..Default::default() });
+        // With small-request T_random the vertex term alone dwarfs
+        // C_cop: the verbatim formula never picks ROP on this device,
+        // even with an empty frontier (why it is not the default).
+        let (idle, _) = p.literal_plans(0, e / parts, vb);
+        assert_eq!(p.select(0, v, &idle, &cop).model, UpdateModel::Cop);
     }
 
     #[test]
-    fn costs_scale_with_encoded_disk_bytes_per_edge() {
-        // The predictor's `M` is GraphMeta::disk_edge_bytes(): the
-        // *encoded* on-disk payload per edge. A codec that halves the
-        // shard bytes must halve both edge terms — compression moves the
-        // ROP/COP crossover, which is the point of feeding the cost
-        // model encoded byte counts.
-        let tput = Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 40e6 };
-        let raw = Predictor::new(tput, 4.0, 4);
-        let compressed = Predictor::new(tput, 2.0, 4);
-        let (v, e, parts) = (1_000_000u64, 20_000_000u64, 8u64);
-        let vertex_term = raw.vertex_bytes(v, parts) / tput.sequential_bps;
-        let raw_edge_term = raw.c_cop(e, v, parts) - vertex_term;
-        let comp_edge_term = compressed.c_cop(e, v, parts) - vertex_term;
-        assert!((comp_edge_term - raw_edge_term / 2.0).abs() / raw_edge_term < 1e-12);
-        let raw_rop_edges =
-            raw.c_rop(10_000, v, parts) - raw.vertex_bytes(v, parts) / tput.sequential_bps;
-        let comp_rop_edges = compressed.c_rop(10_000, v, parts)
-            - compressed.vertex_bytes(v, parts) / tput.sequential_bps;
-        assert!((comp_rop_edges - raw_rop_edges / 2.0).abs() / raw_rop_edges < 1e-12);
-        // And the crossover frontier grows: cheaper streams tolerate
-        // larger frontiers before COP wins... both models shrink
-        // equally in the edge term, so the crossover in *edges* stays
-        // put, but the predicted costs themselves must drop.
-        assert!(compressed.c_cop(e, v, parts) < raw.c_cop(e, v, parts));
-    }
-
-    #[test]
-    fn fractional_edge_bytes_are_preserved() {
-        // disk_edge_bytes is rarely integral; make sure nothing rounds.
+    fn literal_edge_terms_scale_with_fractional_encoded_bytes() {
+        // `M` is the *encoded* on-disk payload per edge, rarely
+        // integral: a codec that stores 2.5 bytes per edge must bill
+        // exactly that, not a rounded width.
         let tput = Throughput { sequential_bps: 100e6, random_bps: 1e6, batched_bps: 40e6 };
-        let p = Predictor::new(tput, 2.5, 4);
-        let c_a = p.c_cop(1_000_000, 10_000, 4);
-        let q = Predictor::new(tput, 2.0, 4);
-        let c_b = q.c_cop(1_000_000, 10_000, 4);
-        let edge_a = c_a - p.vertex_bytes(10_000, 4) / tput.sequential_bps;
-        let edge_b = c_b - q.vertex_bytes(10_000, 4) / tput.sequential_bps;
-        assert!((edge_a / edge_b - 1.25).abs() < 1e-12);
+        let (rop, cop) = Predictor::new(tput, 2.5, 4).literal_plans(1_000, 1_000_000, 0);
+        assert_eq!((rop.random, cop.sequential), (2_500, 2_500_000));
     }
 
     #[test]
-    fn faster_random_device_shifts_crossover_toward_rop() {
-        let hdd = hdd_predictor();
+    fn faster_random_device_shifts_the_choice_toward_rop() {
         let ssd = Predictor::new(
             Throughput { sequential_bps: 450e6, random_bps: 250e6, batched_bps: 400e6 },
             4.0,
             4,
         );
-        // A frontier density where the HDD prefers COP but the SSD,
-        // whose random reads are nearly free, prefers ROP.
-        let (v, e, parts) = (10_000_000u64, 100_000_000u64, 16u64);
-        let hdd_d = hdd.select_interval(400_000, 1_000_000, v, e, parts);
-        let ssd_d = ssd.select_interval(400_000, 1_000_000, v, e, parts);
-        assert_eq!(hdd_d.model, UpdateModel::Cop, "{hdd_d:?}");
-        assert_eq!(ssd_d.model, UpdateModel::Rop, "{ssd_d:?}");
+        // The same two plans: the HDD prefers the stream, the SSD,
+        // whose random reads are nearly free, the selective reads.
+        let rop = IoPlan { random: 4_000_000, ..Default::default() };
+        let cop = IoPlan { sequential: 400_000_000, ..Default::default() };
+        assert_eq!(hdd_predictor().select(1, 10_000_000, &rop, &cop).model, UpdateModel::Cop);
+        assert_eq!(ssd.select(1, 10_000_000, &rop, &cop).model, UpdateModel::Rop);
     }
 }

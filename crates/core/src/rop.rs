@@ -1,16 +1,22 @@
 //! Row-oriented Push (paper §3.3, Algorithm 2).
 //!
 //! Processing row `i`: load `S_i`; for every out-block `(i, j)` load the
-//! out-index and `D_j`, selectively fetch each active vertex's out-edge
-//! range (random I/O — the whole point of ROP is to pay random access in
-//! exchange for touching only active edges), push messages into `D_j`,
-//! and write `D_j` back. Out-blocks of a row have disjoint destination
-//! intervals, so they are processed in parallel (§3.5) with no write
-//! conflicts and no atomics on vertex values.
+//! out-index, selectively fetch each active vertex's out-edge range
+//! (random I/O — the whole point of ROP is to pay random access in
+//! exchange for touching only active edges), load `D_j` on the first
+//! block that actually has edges to push, push messages into it, and
+//! write the touched `D_j` back. Out-blocks of a row have disjoint
+//! destination intervals, so they are processed in parallel (§3.5) with
+//! no write conflicts and no atomics on vertex values.
+//!
+//! [`plan`] prices an iteration before it runs by walking the same
+//! choices over a one-pass [`Frontier`] summary — the `C_rop` side of
+//! the hybrid predictor ([`crate::predict`]).
 
 use crate::active::ActiveSet;
 use crate::graph::HusGraph;
 use crate::meta::{INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
+use crate::predict::IoPlan;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::vertex_store::VertexStore;
 use crate::VertexId;
@@ -42,7 +48,7 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     pub next_active: &'a ActiveSet,
     /// `T_batched / T_random` of the device: per-vertex selective
     /// fetches are used only while they are predicted cheaper than one
-    /// coalesced sweep of the block (see [`push_block_into`]).
+    /// coalesced sweep of the block (the fetch choice of [`run_row`]).
     pub coalesce_ratio: f64,
     /// `T_sequential / T_random` of the device: per-vertex index *entry*
     /// fetches are used only while they are predicted cheaper than
@@ -58,9 +64,18 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     /// ([`RunConfig::deadline`](crate::engine::RunConfig)), checked at
     /// every block boundary of the ROP/COP loops.
     pub deadline: Option<crate::engine::Deadline>,
+    /// Out-edges per row ([`row_edge_totals`], static for a run): the
+    /// denominator of each out-block's share of its row in [`plan`].
+    pub row_edges: &'a [u64],
 }
 
 impl<Pr: VertexProgram> IterCtx<'_, Pr> {
+    /// The slack [`merge_runs`] groups ranges under; `None` (no merging)
+    /// when batched transfers are no faster than random ones.
+    fn merge_slack(&self) -> Option<u64> {
+        (self.coalesce_ratio > 1.0).then_some(self.merge_slack)
+    }
+
     fn scatter_ctx(&self, src: VertexId, dst: VertexId, weight: f32) -> EdgeCtx {
         EdgeCtx { src, dst, weight, src_out_degree: self.graph.out_degrees()[src as usize] }
     }
@@ -92,10 +107,11 @@ pub fn load_d<Pr: VertexProgram>(
 /// A ROP iteration keeps touched `D_j` buffers in memory: the paper's
 /// per-row parallelism has every touched `D_j` resident simultaneously
 /// anyway, so reloading them per row would bill phantom traffic. An
-/// interval no active vertex pushes into is never loaded (and never
-/// swapped — its current values stay valid), which is what makes ROP
-/// cheap on wavefront workloads that touch a couple of intervals per
-/// iteration.
+/// interval is loaded by the first out-block that has edges to push
+/// into it ([`run_row`]); one no active vertex pushes into is
+/// never loaded (and never swapped — its current values stay valid),
+/// which is what makes ROP cheap on wavefront workloads that touch a
+/// couple of intervals per iteration.
 pub type DBuffers<V> = Vec<Mutex<Option<Vec<V>>>>;
 
 /// Empty (unloaded) destination buffers for one iteration.
@@ -141,23 +157,35 @@ pub fn run_row<Pr: VertexProgram>(
     let s_row = store.load_current(row, Access::Sequential)?;
 
     // Out-blocks (row, 0..P) in parallel: disjoint destination intervals,
-    // so each worker owns its D_j lock without contention.
+    // so each worker owns its D_j lock without contention. The lock is
+    // taken only once the block is known to have edges to push, so rows
+    // running concurrently overlap their index reads.
     let edge_counts: Vec<u64> = (0..ctx.graph.p())
         .into_par_iter()
         .map(|j| {
-            if ctx.graph.out_block_len(row, j) == 0 {
-                return Ok(0);
-            }
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
+            let Some(fetch) = plan_block_fetch(ctx, row, j, base, &actives)? else {
+                return Ok(0);
+            };
             let mut slot = d_all[j].lock();
-            if slot.is_none() {
-                *slot = Some(load_d(ctx.program, store, j, false, Access::Sequential)?);
-            }
-            let d_j = slot.as_mut().expect("just loaded");
-            push_block_into(ctx, row, j, base, &actives, &s_row, d_j)
+            let d_j = loaded_d(ctx.program, store, j, &mut slot)?;
+            push_fetch(ctx, (row, j), base, fetch, &s_row, d_j)
         })
         .collect::<Result<Vec<u64>>>()?;
     Ok(edge_counts.iter().sum())
+}
+
+/// `D_j` out of its slot, loaded (from `reset(S_j)`) on first use.
+fn loaded_d<'d, Pr: VertexProgram>(
+    program: &Pr,
+    store: &VertexStore<Pr::Value>,
+    j: usize,
+    slot: &'d mut Option<Vec<Pr::Value>>,
+) -> Result<&'d mut [Pr::Value]> {
+    if slot.is_none() {
+        *slot = Some(load_d(program, store, j, false, Access::Sequential)?);
+    }
+    Ok(slot.as_mut().expect("just loaded"))
 }
 
 /// Whether a frontier of `active_count` sources in an interval of
@@ -212,47 +240,100 @@ fn merge_runs(
     runs
 }
 
-/// The in-memory push of one out-block into an already-loaded `D_j`.
+/// What out-block `(row, j)` fetches for this frontier, decided from its
+/// index.
+struct BlockFetch {
+    /// The active vertices' non-empty `(vertex, lo, hi)` record ranges,
+    /// ascending (`LoadOutEdges` in Algorithm 2).
+    ranges: Vec<(VertexId, u32, u32)>,
+    /// Read the block whole in one coalesced sweep instead of fetching
+    /// the ranges selectively.
+    sweep: bool,
+}
+
+/// Read out-block `(row, j)`'s index for the row's `actives` and choose
+/// its fetch plan; `None` when no active vertex has an edge in the
+/// block, so the caller never loads `D_j` for it.
 ///
 /// Per block, ROP chooses between two fetch plans with the same cost
 /// model the predictor uses: fetching the active vertices' ranges
-/// selectively costs `requested_bytes / T_random`; one coalesced
+/// selectively costs `bytes / T_random` for isolated ranges and
+/// `bytes / T_batched` for ranges [`merge_runs`] coalesces; one
 /// ascending sweep of the whole block costs `block_bytes / T_batched`.
-/// The cheaper plan is taken, so a dense frontier gracefully degrades to
-/// an elevator sweep instead of a seek storm. Within the selective plan,
-/// ranges whose gaps fit under [`IterCtx::merge_slack`] are additionally
-/// merged into batched multi-range runs (fewer operations, identical
-/// bytes).
-pub fn push_block_into<Pr: VertexProgram>(
+/// The cheaper plan is taken, so a dense scattered frontier gracefully
+/// degrades to an elevator sweep instead of a seek storm, while a
+/// clustered one keeps reading only its runs. On a compressed graph a
+/// block that is not in the decoded-block cache is always swept: any
+/// read of it fetches the whole encoded payload, so the selective plan
+/// would move the same bytes at the random rate.
+fn plan_block_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     row: usize,
     j: usize,
     row_base: VertexId,
     actives: &[VertexId],
-    s_row: &[Pr::Value],
-    d_j: &mut [Pr::Value],
-) -> Result<u64> {
-    // The whole per-block push runs under (row, j)'s attribution scope:
-    // index probes, selective fetches, and sweeps all land on one cell.
+) -> Result<Option<BlockFetch>> {
+    let block_edges = ctx.graph.out_block_len(row, j);
+    if block_edges == 0 {
+        return Ok(None);
+    }
+    let len = ctx.graph.meta().interval_len(row) as usize;
+    let record_bytes = ctx.graph.meta().edge_record_bytes();
+    // Index probes land on (row, j)'s attribution cell, like the edge
+    // fetches of `push_fetch`.
     hus_obs::attr::with_block(row as u32, j as u32, || {
-        push_block_inner(ctx, row, j, row_base, actives, s_row, d_j)
+        let mut sweep = !ctx.graph.codec().is_raw() && !ctx.graph.out_records_cached(row, j);
+        // Tiny frontiers fetch each vertex's two CSR offsets individually
+        // instead of streaming the block's whole offset array — the same
+        // cost logic as every other fetch choice here.
+        let mut ranges = Vec::with_capacity(actives.len());
+        let mut want = |v: VertexId, lo: u32, hi: u32| {
+            if lo < hi {
+                ranges.push((v, lo, hi));
+            }
+        };
+        if selective_index_probe(actives.len(), len, ctx.index_ratio) {
+            for &v in actives {
+                let (lo, hi) = ctx.graph.load_out_index_entry(row, j, (v - row_base) as usize)?;
+                want(v, lo, hi);
+            }
+        } else {
+            let index = ctx.graph.load_out_index(row, j, Access::Sequential)?;
+            for &v in actives {
+                let local = (v - row_base) as usize;
+                want(v, index[local], index[local + 1]);
+            }
+            // Records in singleton runs are fetched at the random rate,
+            // those in merged runs at the batched rate the sweep pays.
+            let (mut single, mut merged) = (0u64, 0u64);
+            for run in merge_runs(&ranges, record_bytes, ctx.merge_slack()) {
+                let isolated = run.len() == 1;
+                let records: u64 = ranges[run].iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
+                *if isolated { &mut single } else { &mut merged } += records;
+            }
+            sweep |= single as f64 * ctx.coalesce_ratio + merged as f64 >= block_edges as f64;
+        }
+        if ranges.is_empty() {
+            return Ok(None);
+        }
+        if sweep { &COALESCED_SWEEPS } else { &SELECTIVE_BLOCKS }.incr();
+        Ok(Some(BlockFetch { ranges, sweep }))
     })
 }
 
-fn push_block_inner<Pr: VertexProgram>(
+/// Fetch the edges `fetch` names and push them into the loaded `D_j`;
+/// returns the number of edges pushed. Within the selective plan,
+/// ranges whose gaps fit under [`IterCtx::merge_slack`] are merged into
+/// batched multi-range runs (fewer operations, identical bytes).
+fn push_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
-    row: usize,
-    j: usize,
+    (row, j): (usize, usize),
     row_base: VertexId,
-    actives: &[VertexId],
+    fetch: BlockFetch,
     s_row: &[Pr::Value],
     d_j: &mut [Pr::Value],
 ) -> Result<u64> {
     let meta = ctx.graph.meta();
-    let block_edges = ctx.graph.out_block_len(row, j);
-    if block_edges == 0 {
-        return Ok(0);
-    }
     let dst_base = meta.interval_start(j);
     let mut pushed = 0u64;
 
@@ -270,95 +351,53 @@ fn push_block_inner<Pr: VertexProgram>(
         pushed += (hi - lo) as u64;
     };
 
-    // Tiny frontiers fetch each vertex's two CSR offsets individually
-    // instead of streaming the block's whole offset array — the same
-    // cost logic as every other fetch choice here.
-    let len = meta.interval_len(row) as usize;
-    let plan: Vec<(VertexId, u32, u32)> =
-        if selective_index_probe(actives.len(), len, ctx.index_ratio) {
-            SELECTIVE_BLOCKS.incr();
-            let mut probed = Vec::with_capacity(actives.len());
-            for &v in actives {
-                let local = (v - row_base) as usize;
-                let (lo, hi) = ctx.graph.load_out_index_entry(row, j, local)?;
-                if lo < hi {
-                    probed.push((v, lo, hi));
-                }
+    let BlockFetch { ranges, sweep } = fetch;
+    hus_obs::attr::with_block(row as u32, j as u32, || -> Result<()> {
+        if sweep {
+            let recs = ctx.graph.load_out_block_batch(row, j)?;
+            for (v, lo, hi) in ranges {
+                push_range(v, &recs, lo as usize, hi as usize);
             }
-            probed
-        } else {
-            let index = ctx.graph.load_out_index(row, j, Access::Sequential)?;
-            let requested: u64 = actives
-                .iter()
-                .map(|&v| {
-                    let local = (v - row_base) as usize;
-                    (index[local + 1] - index[local]) as u64
-                })
-                .sum();
-            if requested == 0 {
-                return Ok(0);
-            }
-
-            if requested as f64 * ctx.coalesce_ratio >= block_edges as f64 {
-                // Dense in this block: one coalesced sweep.
-                COALESCED_SWEEPS.incr();
-                let recs = ctx.graph.load_out_block_batch(row, j)?;
-                for &v in actives {
-                    let local = (v - row_base) as usize;
-                    push_range(v, &recs, index[local] as usize, index[local + 1] as usize);
-                }
-                return Ok(pushed);
-            }
-            // Sparse: selective fetch of each vertex's edge range
-            // (`LoadOutEdges` in Algorithm 2).
-            SELECTIVE_BLOCKS.incr();
-            actives
-                .iter()
-                .filter_map(|&v| {
-                    let local = (v - row_base) as usize;
-                    let (lo, hi) = (index[local], index[local + 1]);
-                    (lo < hi).then_some((v, lo, hi))
-                })
-                .collect()
-        };
-
-    // Execute the selective plan. Ranges arrive sorted by vertex, which
-    // is ascending file order in a CSR block, so nearby actives form
-    // mergeable runs: each multi-range run is one batched operation
-    // billing exactly the requested bytes, singletons stay random reads.
-    let record_bytes = meta.edge_record_bytes();
-    let slack = (ctx.coalesce_ratio > 1.0).then_some(ctx.merge_slack);
-    for run_at in merge_runs(&plan, record_bytes, slack) {
-        let run = &plan[run_at];
-        if let [(v, lo, hi)] = *run {
-            RANGE_EDGES.record((hi - lo) as u64);
-            let recs = ctx.graph.load_out_records(row, j, lo, hi)?;
-            push_range(v, &recs, 0, recs.len());
-        } else {
-            MERGED_RUN_RANGES.record(run.len() as u64);
-            let ranges: Vec<(u32, u32)> = run.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
-            let fetched = ctx.graph.load_out_record_ranges(row, j, &ranges)?;
-            for (recs, &(v, lo, hi)) in fetched.iter().zip(run) {
+            return Ok(());
+        }
+        // Ranges arrive sorted by vertex, which is ascending file order
+        // in a CSR block, so nearby actives form mergeable runs: each
+        // multi-range run is one batched operation billing exactly the
+        // requested bytes, singletons stay random reads.
+        for run_at in merge_runs(&ranges, meta.edge_record_bytes(), ctx.merge_slack()) {
+            let run = &ranges[run_at];
+            if let [(v, lo, hi)] = *run {
                 RANGE_EDGES.record((hi - lo) as u64);
-                push_range(v, recs, 0, recs.len());
+                let recs = ctx.graph.load_out_records(row, j, lo, hi)?;
+                push_range(v, &recs, 0, recs.len());
+            } else {
+                MERGED_RUN_RANGES.record(run.len() as u64);
+                let wanted: Vec<(u32, u32)> = run.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
+                let fetched = ctx.graph.load_out_record_ranges(row, j, &wanted)?;
+                for (recs, &(v, lo, hi)) in fetched.iter().zip(run) {
+                    RANGE_EDGES.record((hi - lo) as u64);
+                    push_range(v, recs, 0, recs.len());
+                }
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(pushed)
 }
 
 /// Per-column push (the `PerColumn` hybrid schedule): for a column `j`
 /// that the predictor assigned to push, walk every source interval `i`
 /// and push only the active vertices' edges of out-block `(i, j)` into a
-/// single `D_j` buffer.
+/// single `D_j` buffer, loaded by the first block with edges to push.
+/// Returns the edges pushed and whether `D_j` was written (an untouched
+/// column is neither read nor written, and must not be committed).
 pub fn run_push_column<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     col: usize,
-    touched_col: bool,
-) -> Result<u64> {
+) -> Result<(u64, bool)> {
     let meta = ctx.graph.meta();
-    let mut d_col = load_d(ctx.program, store, col, touched_col, Access::Sequential)?;
+    let mut d_col = None;
     let mut pushed = 0u64;
     for i in 0..ctx.graph.p() {
         let base = meta.interval_start(i);
@@ -369,15 +408,368 @@ pub fn run_push_column<Pr: VertexProgram>(
         }
         crate::engine::check_deadline(ctx.deadline.as_ref())?;
         let s_row = store.load_current(i, Access::Sequential)?;
-        pushed += push_block_into(ctx, i, col, base, &actives, &s_row, &mut d_col)?;
+        if let Some(fetch) = plan_block_fetch(ctx, i, col, base, &actives)? {
+            let d_j = loaded_d(ctx.program, store, col, &mut d_col)?;
+            pushed += push_fetch(ctx, (i, col), base, fetch, &s_row, d_j)?;
+        }
     }
-    store.write_next(col, &d_col)?;
-    Ok(pushed)
+    if let Some(d_col) = &d_col {
+        store.write_next(col, d_col)?;
+    }
+    Ok((pushed, d_col.is_some()))
+}
+
+/// Out-edges per source interval, `Σ_j |out-block (i, j)|` — static for
+/// a run ([`IterCtx::row_edges`]).
+pub fn row_edge_totals(graph: &HusGraph) -> Vec<u64> {
+    let p = graph.p();
+    (0..p).map(|i| (0..p).map(|j| graph.out_block_len(i, j)).sum()).collect()
+}
+
+/// Log₂ buckets of [`RowFrontier`]'s nearest-neighbour distances;
+/// vertices farther than `2^NEAR_BUCKETS` ids from any other active
+/// vertex count as isolated.
+const NEAR_BUCKETS: usize = 24;
+
+/// One source interval's part of the frontier.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowFrontier {
+    /// Active vertices in the interval (`|A_i|`).
+    pub actives: u64,
+    /// Their out-degrees summed (`Σ_{v∈A_i} d_v`).
+    pub degree_sum: u64,
+    /// `near[b]`: summed out-degree of the active vertices whose nearest
+    /// active neighbour in the interval is fewer than `2^(b+1)` vertex
+    /// ids away — how much of the row's edge traffic sits in clusters
+    /// that [`merge_runs`] will coalesce.
+    near: [u64; NEAR_BUCKETS],
+}
+
+impl RowFrontier {
+    fn record(&mut self, degree: u32, nearest: u32) {
+        self.actives += 1;
+        self.degree_sum += degree as u64;
+        if let Some(slot) = self.near.get_mut(nearest.ilog2() as usize) {
+            *slot += degree as u64;
+        }
+    }
+
+    /// Share of the row's active out-degree whose vertex has another
+    /// active vertex at most `reach` ids away (linear within a bucket).
+    fn share_within(&self, reach: f64) -> f64 {
+        if reach < 1.0 || self.degree_sum == 0 {
+            return 0.0;
+        }
+        let b = (reach as u64).ilog2() as usize;
+        if b >= NEAR_BUCKETS {
+            return self.near[NEAR_BUCKETS - 1] as f64 / self.degree_sum as f64;
+        }
+        let below = if b > 0 { self.near[b - 1] } else { 0 };
+        let width = (1u64 << b) as f64;
+        let inside = ((reach - width + 1.0) / width).min(1.0);
+        (below as f64 + (self.near[b] - below) as f64 * inside) / self.degree_sum as f64
+    }
+}
+
+/// What [`plan`] needs to know about an iteration's frontier, gathered
+/// in the one pass that also yields the active out-edge count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frontier {
+    /// Per source interval.
+    pub rows: Vec<RowFrontier>,
+}
+
+impl Frontier {
+    /// Summarize `active` per source interval of `graph`.
+    pub fn scan(graph: &HusGraph, active: &ActiveSet) -> Self {
+        let meta = graph.meta();
+        let degrees = graph.out_degrees();
+        let rows = (0..graph.p())
+            .map(|i| {
+                let mut row = RowFrontier::default();
+                // A vertex is recorded once its successor is known: its
+                // nearest active neighbour is the closer of the two.
+                let mut prev: Option<(VertexId, u32)> = None;
+                for v in active.iter_range(meta.interval_start(i), meta.interval_starts[i + 1]) {
+                    let mut gap = u32::MAX;
+                    if let Some((u, before)) = prev {
+                        gap = v - u;
+                        row.record(degrees[u as usize], before.min(gap));
+                    }
+                    prev = Some((v, gap));
+                }
+                if let Some((u, before)) = prev {
+                    row.record(degrees[u as usize], before);
+                }
+                for b in 1..NEAR_BUCKETS {
+                    row.near[b] += row.near[b - 1];
+                }
+                row
+            })
+            .collect();
+        Frontier { rows }
+    }
+
+    /// Active out-edges of the whole frontier (`Σ_{v active} d_v`).
+    pub fn active_edges(&self) -> u64 {
+        self.rows.iter().map(|r| r.degree_sum).sum()
+    }
+}
+
+/// The I/O plan of pushing `frontier` into the destination columns
+/// `cols`: `0..P` for a whole ROP iteration ([`run_row`] over every
+/// active row), `j..j + 1` for one [`run_push_column`]. It walks the
+/// executor's own choices with the frontier summarized per row:
+///
+/// * `S_i`, sequential, per active row;
+/// * per non-empty out-block `(i, j)`: index probes (random) or the
+///   whole offset array (sequential), by [`selective_index_probe`];
+///   then the requested edges — the row's active out-degree times the
+///   block's static share of the row — either as one coalesced sweep of
+///   the block (batched) or selectively, the share of them that sits in
+///   mergeable clusters (gaps within the merge slack) batched and the
+///   rest random; on a compressed graph, the whole encoded block swept
+///   once if some edge is requested, or nothing while the decoded-block
+///   cache holds it;
+/// * `D_j` read + write-back once per destination interval that some
+///   block has edges to push into — the expected number of pushed edges
+///   capped at one stands in for "some". With `per_row_d` (Gauss-Seidel:
+///   every row loads, writes and commits its own `D` buffers) that is
+///   counted per block instead; programs with a non-identity `reset`
+///   re-derive every interval, pushed into or not.
+///
+/// Overlay-resident blocks are read from memory and cost nothing.
+pub fn plan<Pr: VertexProgram>(
+    ctx: &IterCtx<'_, Pr>,
+    frontier: &Frontier,
+    cols: std::ops::Range<usize>,
+    per_row_d: bool,
+) -> IoPlan {
+    let meta = ctx.graph.meta();
+    let value_bytes = std::mem::size_of::<Pr::Value>() as f64;
+    // Estimates are fractional; each class is rounded once at the end.
+    let (mut sequential, mut batched, mut random) = (0.0f64, 0.0f64, 0.0f64);
+    let mut d_loads = vec![0.0f64; cols.len()];
+    for (i, row) in frontier.rows.iter().enumerate().filter(|(_, row)| row.actives > 0) {
+        let len = meta.interval_len(i) as f64;
+        sequential += len * value_bytes;
+        let probe = selective_index_probe(row.actives as usize, len as usize, ctx.index_ratio);
+        for j in cols.clone() {
+            let block_edges = ctx.graph.out_block_len(i, j) as f64;
+            if block_edges == 0.0 {
+                continue;
+            }
+            let requested = row.degree_sum as f64 * block_edges / ctx.row_edges[i] as f64;
+            let d = &mut d_loads[j - cols.start];
+            *d = if per_row_d { *d + requested.min(1.0) } else { (*d + requested).min(1.0) };
+            if ctx.graph.out_block_resident(i, j) {
+                continue;
+            }
+            if probe {
+                random += (row.actives * INDEX_PROBE_BYTES) as f64;
+            } else {
+                sequential += (len + 1.0) * INDEX_ENTRY_BYTES as f64;
+            }
+            let block_bytes = meta.out_block(i, j).encoded_bytes as f64;
+            if ctx.graph.out_records_cached(i, j) {
+                // Decoded-block cache hit: the records cost nothing.
+            } else if !ctx.graph.codec().is_raw() {
+                batched += requested.min(1.0) * block_bytes;
+            } else {
+                // Of the row's actives about `ranges` have edges in this
+                // block. Two of them merge when the records between them
+                // fit the slack: at the block's mean density that is
+                // `reach` vertex ids, shrunk by how much sparser the
+                // block's ranges are than the row's actives.
+                let ranges = requested.min(row.actives as f64);
+                let merged = if ctx.merge_slack().is_some() && ranges >= 2.0 {
+                    let reach = ctx.merge_slack as f64 * len / block_bytes + 1.0;
+                    row.share_within(reach * ranges / row.actives as f64)
+                } else {
+                    0.0
+                };
+                let rated = requested * (merged + (1.0 - merged) * ctx.coalesce_ratio);
+                if !probe && rated >= block_edges {
+                    batched += block_bytes;
+                } else {
+                    let bytes = requested / block_edges * block_bytes;
+                    batched += bytes * merged;
+                    random += bytes * (1.0 - merged);
+                }
+            }
+        }
+    }
+    let d_bytes: f64 = cols
+        .clone()
+        .zip(&d_loads)
+        .map(|(j, &loads)| {
+            let loads = if ctx.program.needs_reset() { 1.0 } else { loads };
+            loads * meta.interval_len(j) as f64 * value_bytes
+        })
+        .sum();
+    IoPlan {
+        sequential: (sequential + d_bytes).round() as u64,
+        batched: batched.round() as u64,
+        random: random.round() as u64,
+        write: d_bytes.round() as u64,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, RunConfig, UpdateMode};
+    use crate::BuildConfig;
+    use hus_storage::StorageDir;
+
+    /// Counts messages; only vertex 5 starts active. `reset` to zero (a
+    /// PageRank-family accumulator) is opt-in.
+    struct CountFromFive {
+        reset: bool,
+    }
+
+    impl VertexProgram for CountFromFive {
+        type Value = u32;
+        fn init(&self, v: u32) -> u32 {
+            100 + v
+        }
+        fn initially_active(&self, v: u32) -> bool {
+            v == 5
+        }
+        fn scatter(&self, _src: &u32, _ctx: &EdgeCtx) -> Option<u32> {
+            Some(1)
+        }
+        fn combine(&self, dst: &mut u32, msg: u32) -> bool {
+            *dst += msg;
+            true
+        }
+        fn reset(&self, _v: u32, prev: &u32) -> u32 {
+            if self.reset {
+                0
+            } else {
+                *prev
+            }
+        }
+        fn needs_reset(&self) -> bool {
+            self.reset
+        }
+    }
+
+    /// One push iteration of [`CountFromFive`] over a 64-cycle in four
+    /// 16-vertex intervals (raw codec: the byte counts are pinned).
+    fn one_push_from_five(reset: bool) -> (Vec<u32>, crate::RunStats) {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&hus_gen::classic::cycle(64), &dir, &config).unwrap();
+        let config = RunConfig {
+            max_iterations: 1,
+            threads: 1,
+            throughput: SLOW_SWEEPS,
+            ..RunConfig::with_mode(UpdateMode::ForceRop)
+        };
+        Engine::new(&g, &CountFromFive { reset }, config).run().unwrap()
+    }
+
+    /// An HDD whose coalesced sweeps are only twice as fast as random
+    /// reads, so that even this graph's 15-record blocks are read
+    /// selectively (at the preset's 40:1 one record justifies a sweep).
+    const SLOW_SWEEPS: hus_storage::Throughput =
+        hus_storage::Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 2e6 };
+
+    /// The executor's side of the plan: a frontier of one vertex whose
+    /// only edge (5 → 6) lands in out-block (0, 0) touches `S_0`, row
+    /// 0's indices and one `D_0` — not the `D_1` of the row's other
+    /// non-empty block (0, 1), which holds 15 → 16 but nothing of
+    /// vertex 5's.
+    #[test]
+    fn one_vertex_frontier_reads_one_source_and_one_destination_interval() {
+        let (values, stats) = one_push_from_five(false);
+        assert_eq!(values[6], 107, "one message into 6");
+        assert_eq!(values[16], 116, "interval 1 is untouched");
+        let io = &stats.iterations[0].io;
+        // S_0: 16 values × 4 B. Index: with 17-entry offset arrays the
+        // whole array (68 B sequential) beats one 8-byte probe at the
+        // HDD's 120:1 ratio, for each of the row's 2 non-empty blocks.
+        // D_0: 64 B, read once...
+        assert_eq!(io.seq_read_bytes, 64 + 2 * 68 + 64);
+        // ...and written back once; no other interval is.
+        assert_eq!((io.write_bytes, io.write_ops), (64, 1));
+        // The one requested record, a singleton run.
+        assert_eq!((io.rand_read_bytes, io.rand_read_ops), (4, 1));
+        assert_eq!(io.batched_read_bytes, 0);
+    }
+
+    /// A PageRank-family program re-derives every vertex each iteration:
+    /// intervals nothing was pushed into are still reset and written.
+    #[test]
+    fn reset_programs_still_rederive_untouched_intervals() {
+        let (values, stats) = one_push_from_five(true);
+        let mut want = vec![0u32; 64];
+        want[6] = 1;
+        assert_eq!(values, want);
+        let io = &stats.iterations[0].io;
+        assert_eq!((io.write_bytes, io.write_ops), (4 * 64, 4));
+        // S_0, two indices, and all four intervals read for their reset.
+        assert_eq!(io.seq_read_bytes, 64 + 2 * 68 + 4 * 64);
+    }
+
+    /// The planner's side: [`plan`] prices exactly those bytes.
+    #[test]
+    fn plan_of_a_one_vertex_frontier_is_what_the_executor_bills() {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&hus_gen::classic::cycle(64), &dir, &config).unwrap();
+        let active = ActiveSet::from_fn(64, |v| v == 5);
+        let row_edges = row_edge_totals(&g);
+        assert_eq!(row_edges, vec![16; 4]);
+        let frontier = Frontier::scan(&g, &active);
+        assert_eq!((frontier.rows[0].actives, frontier.active_edges()), (1, 1));
+        for reset in [false, true] {
+            let ctx = IterCtx {
+                graph: &g,
+                program: &CountFromFive { reset },
+                active: &active,
+                next_active: &ActiveSet::new(64),
+                coalesce_ratio: SLOW_SWEEPS.batched_bps / SLOW_SWEEPS.random_bps,
+                index_ratio: SLOW_SWEEPS.sequential_bps / SLOW_SWEEPS.random_bps,
+                merge_slack: 4096,
+                deadline: None,
+                row_edges: &row_edges,
+            };
+            // Vertex 5's one edge is split 15/16 : 1/16 between blocks
+            // (0, 0) and (0, 1) by their static shares of the row — as
+            // are the expected record and the expected destination
+            // interval, which therefore add up to the one of each the
+            // executor moves in the two tests above.
+            let d = if reset { 4 * 64 } else { 64 };
+            let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
+            assert_eq!(plan(&ctx, &frontier, 0..4, false), want, "reset {reset}");
+        }
+    }
+
+    #[test]
+    fn frontier_scan_buckets_actives_by_nearest_neighbour() {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&hus_gen::classic::cycle(64), &dir, &BuildConfig::with_p(2))
+            .unwrap();
+        // Row 0: a pair (3, 4), then 20 (16 away from 4), row 1: 40 alone.
+        let active = ActiveSet::from_fn(64, |v| [3, 4, 20, 40].contains(&v));
+        let f = Frontier::scan(&g, &active);
+        assert_eq!((f.rows[0].actives, f.rows[0].degree_sum), (3, 3));
+        assert_eq!((f.rows[1].actives, f.rows[1].degree_sum), (1, 1));
+        assert_eq!(f.active_edges(), 4);
+        // Within 1 id: the pair, two thirds of the row's out-degree;
+        // 20's nearest neighbour is 16 ids away; 40 is isolated.
+        assert_eq!(f.rows[0].share_within(0.5), 0.0);
+        assert!((f.rows[0].share_within(1.0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((f.rows[0].share_within(15.0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((f.rows[0].share_within(16.0) - (2.0 + 1.0 / 16.0) / 3.0).abs() < 1e-12);
+        assert_eq!(f.rows[0].share_within(31.0), 1.0);
+        assert_eq!(f.rows[1].share_within(1e9), 0.0);
+    }
 
     /// Regression: the selective-index crossover is pinned to the
     /// on-disk layout constants. If the record layout changes (e.g. u64

@@ -5,7 +5,7 @@
 //! amount (the paper's Figure 9 metric) and modeled device time (the
 //! Table 3 / Figure 7 / Figure 11 metric) identically across systems.
 
-use crate::predict::UpdateModel;
+use crate::predict::{IoPlan, UpdateModel};
 use hus_obs::PhaseStat;
 use hus_storage::{CostModel, IoSnapshot, ResilienceSnapshot};
 use serde::{Deserialize, Serialize};
@@ -24,6 +24,11 @@ pub struct IterationStats {
     pub c_rop: f64,
     /// Predicted `C_cop` (NaN when gated or forced).
     pub c_cop: f64,
+    /// The I/O plan the predictor priced for the selected model(s) —
+    /// the bytes per access class this iteration was expected to bill,
+    /// to be held against `io` ([`crate::audit`]). `None` when gated or
+    /// forced, and for engines without a predictor.
+    pub plan: Option<IoPlan>,
     /// Columns/intervals processed with push this iteration.
     pub rop_units: u32,
     /// Columns/intervals processed with pull this iteration.
@@ -153,6 +158,7 @@ mod tests {
             gated: false,
             c_rop: 1.0,
             c_cop: 2.0,
+            plan: None,
             rop_units: 0,
             cop_units: 0,
             active_vertices: 10,

@@ -355,6 +355,12 @@ impl ReadBackend for CodecBackend {
     fn len(&self) -> u64 {
         self.decoded_total
     }
+
+    fn is_resident(&self, offset: u64) -> bool {
+        // A peek: unlike `cached`, it must not refresh the LRU stamp.
+        let b = self.spans.partition_point(|s| s.decoded_offset + s.decoded_len <= offset);
+        b < self.spans.len() && self.shard_of(b).lock().blocks.contains_key(&b)
+    }
 }
 
 #[cfg(test)]

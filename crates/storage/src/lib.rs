@@ -139,6 +139,16 @@ pub trait ReadBackend: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether a read at byte `offset` would currently be served from an
+    /// in-memory copy and bill no device I/O. Advisory — the answer can
+    /// be stale by the time of the read — and `false` for every backend
+    /// that keeps no such copies; [`CodecBackend`] answers for its
+    /// decoded-block cache, which is what lets the ROP/COP cost plans
+    /// price a cached compressed block at zero.
+    fn is_resident(&self, _offset: u64) -> bool {
+        false
+    }
 }
 
 /// One destination range of a [`ReadBackend::read_ranges`] request: fill
@@ -171,6 +181,10 @@ impl<T: ReadBackend + ?Sized> ReadBackend for std::sync::Arc<T> {
 
     fn len(&self) -> u64 {
         (**self).len()
+    }
+
+    fn is_resident(&self, offset: u64) -> bool {
+        (**self).is_resident(offset)
     }
 }
 

@@ -5,7 +5,8 @@
 //! * push (ROP), pull (COP), the hybrid, and the per-column schedule are
 //!   observationally equivalent for min-propagation programs on random
 //!   graphs,
-//! * the predictor's decision is monotone in frontier density,
+//! * the predictor's ROP plan is monotone in the frontier and its COP
+//!   plan independent of it,
 //! * interval partitioning always covers `[0, V)` exactly.
 
 use husgraph::algos::{reference, Bfs, Wcc};
@@ -130,26 +131,52 @@ proptest! {
     }
 
     #[test]
-    fn predictor_is_monotone_in_frontier(
-        active_edges in 0u64..10_000_000,
-        extra in 1u64..1_000_000,
+    fn predictor_plans_are_monotone_in_the_frontier(
+        el in arb_edge_list(80, 500),
+        p in 1u32..6,
+        small in proptest::collection::btree_set(0u32..80, 0..20),
+        extra in proptest::collection::btree_set(0u32..80, 1..20),
     ) {
-        let pred = Predictor::new(
-            Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 40e6 },
-            4.0,
-            4,
-        );
-        let (v, e, p) = (1_000_000u64, 20_000_000u64, 8u64);
-        let c1 = pred.c_rop(active_edges, v, p);
-        let c2 = pred.c_rop(active_edges + extra, v, p);
-        prop_assert!(c2 > c1, "c_rop must be strictly increasing: {c1} vs {c2}");
-        // COP is frontier-independent.
-        prop_assert_eq!(pred.c_cop(e, v, p).to_bits(), pred.c_cop(e, v, p).to_bits());
-        // Decisions flip at most once along the density axis.
-        let dense_decision = pred.select_iteration(1, active_edges + extra, v, e, p);
-        let sparse_decision = pred.select_iteration(1, active_edges, v, e, p);
-        if sparse_decision.model == husgraph::core::UpdateModel::Cop {
-            prop_assert_eq!(dense_decision.model, husgraph::core::UpdateModel::Cop);
+        use husgraph::core::rop::{self, Frontier, IterCtx};
+        use husgraph::core::{cop, ActiveSet, UpdateModel};
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(p)).unwrap();
+        let n = el.num_vertices;
+        // Batched no faster than random: run merging is off, so adding
+        // an active vertex can only add cost (with merging on, a vertex
+        // that bridges two singleton ranges rightly makes both cheaper).
+        let tput = Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 1e6 };
+        let row_edges = rop::row_edge_totals(&g);
+        let program = Bfs::new(0);
+        let c_rop = |frontier: &std::collections::BTreeSet<u32>| {
+            let active = ActiveSet::from_fn(n, |v| frontier.contains(&v));
+            let ctx = IterCtx {
+                graph: &g,
+                program: &program,
+                active: &active,
+                next_active: &ActiveSet::new(n),
+                coalesce_ratio: tput.batched_bps / tput.random_bps,
+                index_ratio: tput.sequential_bps / tput.random_bps,
+                merge_slack: 4096,
+                deadline: None,
+                row_edges: &row_edges,
+            };
+            rop::plan(&ctx, &Frontier::scan(&g, &active), 0..g.p(), false)
+        };
+        let sparse = c_rop(&small);
+        let dense = c_rop(&small.union(&extra).copied().collect());
+        // C_rop is non-decreasing in the frontier, in bytes and seconds.
+        prop_assert!(dense.total_bytes() >= sparse.total_bytes(), "{sparse:?} vs {dense:?}");
+        prop_assert!(dense.seconds(&tput) >= sparse.seconds(&tput), "{sparse:?} vs {dense:?}");
+        // C_cop never sees the frontier: one plan per run, the sum of
+        // its columns. So decisions flip at most once along the density
+        // axis.
+        let sweep = cop::sweep_plan(&g, 4);
+        prop_assert_eq!(sweep, (0..g.p()).map(|col| cop::column_plan(&g, col, 4)).sum());
+        let pred = Predictor::new(tput, 4.0, 4);
+        if pred.select(1, u64::MAX, &sparse, &sweep).model == UpdateModel::Cop {
+            prop_assert_eq!(pred.select(1, u64::MAX, &dense, &sweep).model, UpdateModel::Cop);
         }
     }
 
