@@ -297,29 +297,6 @@ fn baseline_iters(algo: AlgoKind) -> usize {
     }
 }
 
-/// Schema version stamped into every `BENCH_*.json` side-channel file
-/// (bump when an emitter's field set changes shape).
-pub const BENCH_SCHEMA: u32 = 2;
-
-/// Schema version of `BENCH_pipeline.json`: the multicore scaling sweep
-/// (threads × backend × codec curves) emitted by the `block_io` bench.
-pub const BENCH_PIPELINE_SCHEMA: u32 = 3;
-
-/// Uniform preamble for the `BENCH_*.json` emitters: bench name, the
-/// shared schema version, and the host's core count — results are only
-/// comparable between hosts of similar parallelism, so every file
-/// carries the qualifier.
-pub fn bench_json_preamble(bench: &str) -> String {
-    bench_json_preamble_v(bench, BENCH_SCHEMA)
-}
-
-/// [`bench_json_preamble`] with an explicit schema version, for emitters
-/// whose field set has moved past [`BENCH_SCHEMA`].
-pub fn bench_json_preamble_v(bench: &str, schema: u32) -> String {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    format!("\"bench\": {bench:?},\n  \"schema\": {schema},\n  \"host_cores\": {cores}")
-}
-
 /// Modeled HDD runtime of a run (the paper's evaluation device).
 pub fn modeled_hdd_seconds(stats: &RunStats) -> f64 {
     stats.modeled_seconds(&CostModel::new(DeviceProfile::hdd()))

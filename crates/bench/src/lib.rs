@@ -4,8 +4,8 @@
 //! evaluation (§4) against the scaled synthetic datasets (see
 //! `DESIGN.md` for the substitution rationale and the per-experiment
 //! index). Each `src/bin/*.rs` binary reproduces one table/figure and
-//! prints it in a paper-like layout; `benches/` holds Criterion
-//! micro-benchmarks of the core building blocks.
+//! prints it in a paper-like layout. Performance is measured by
+//! `husbench` (the standalone `benchmark/` package), not here.
 //!
 //! Common knobs (environment variables):
 //!
@@ -20,7 +20,6 @@ pub mod harness;
 pub mod report;
 
 pub use harness::{
-    bench_json_preamble, bench_json_preamble_v, build_stores, run_hus, run_system, workload,
-    AlgoKind, Stores, SystemKind, Workload, BENCH_PIPELINE_SCHEMA, BENCH_SCHEMA,
+    build_stores, run_hus, run_system, workload, AlgoKind, Stores, SystemKind, Workload,
 };
 pub use report::{fmt_gb, fmt_secs, fmt_speedup, Table};

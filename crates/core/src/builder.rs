@@ -7,14 +7,14 @@
 //! `out-index(i,j)` / `in-index(i,j)` structures that enable ROP's
 //! selective loads and COP's per-destination parallelism).
 
-use crate::meta::{BlockMeta, GraphMeta, DEGREES_FILE, META_FILE};
+use crate::external::write_shard;
+use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, META_FILE};
 pub use crate::partition::PartitionStrategy;
 use crate::partition::{interval_of, interval_starts};
 use hus_codec::Codec;
 use hus_gen::EdgeList;
-use hus_storage::checksum::ShardFooter;
 use hus_storage::durable::crash_point;
-use hus_storage::{pod, BuildManifest, Result, StagingDir, StorageDir, StorageError};
+use hus_storage::{BuildManifest, Result, StagingDir, StorageDir, StorageError};
 
 /// Build-time configuration.
 #[derive(Debug, Clone)]
@@ -101,9 +101,9 @@ pub(crate) fn finalize_build(staging: StagingDir, meta: &GraphMeta) -> Result<()
 pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<GraphMeta> {
     el.validate().map_err(StorageError::Corrupt)?;
     let weighted = el.is_weighted();
-    let edge_bytes: u64 = if weighted { 8 } else { 4 };
     let out_degrees = el.out_degrees();
-    let p = config.resolve_p(el.num_vertices, el.num_edges() as u64, edge_bytes);
+    let num_edges = el.num_edges() as u64;
+    let p = config.resolve_p(el.num_vertices, num_edges, if weighted { 8 } else { 4 });
     let starts = interval_starts(el.num_vertices, p, config.partition, &out_degrees);
     let p = p as usize;
 
@@ -113,128 +113,46 @@ pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<Gr
     // Bucket edge indices into the P×P grid.
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); p * p];
     for (k, e) in el.edges.iter().enumerate() {
-        let i = interval_of(&starts, e.src);
-        let j = interval_of(&starts, e.dst);
-        buckets[i * p + j].push(k as u32);
+        buckets[interval_of(&starts, e.src) * p + interval_of(&starts, e.dst)].push(k as u32);
     }
 
-    let mut out_blocks = vec![BlockMeta::default(); p * p];
-    let mut in_blocks = vec![BlockMeta::default(); p * p];
-    let codec = config.codec;
-    // Reusable per-block scratch: the decoded record run and its
-    // encoded payload.
-    let mut raw_buf: Vec<u8> = Vec::new();
-    let mut enc_buf: Vec<u8> = Vec::new();
-
-    // Out-shards: for each source interval i, blocks (i, 0..P) sorted by
-    // source within each block. Each block's records are gathered,
-    // codec-encoded, and written as one payload; the per-block CRC-32C
-    // covers the *encoded* bytes and is sealed into a footer at the end
-    // of each file (appended untracked: integrity metadata, not modeled
-    // data I/O — see docs/FORMAT.md).
-    for i in 0..p {
-        let mut edges_w = out.writer(&GraphMeta::out_edges_file(i))?;
-        let mut index_w = out.writer(&GraphMeta::out_index_file(i))?;
-        let mut edge_crcs = Vec::with_capacity(p);
-        let mut index_crcs = Vec::with_capacity(p);
-        let base = starts[i];
-        let len = (starts[i + 1] - starts[i]) as usize;
-        let mut decoded_pos = 0u64;
-        for j in 0..p {
-            let mut ids = buckets[i * p + j].clone();
-            // Canonical order: (src, dst), stable for duplicate edges.
-            // Neighbor-sorted adjacency makes shard bytes a function of
-            // the edge *set* (not input order) and lets the delta
-            // overlay merge runs with an exact two-pointer walk.
-            ids.sort_by_key(|&k| (el.edges[k as usize].src, el.edges[k as usize].dst));
-            let block = &mut out_blocks[i * p + j];
-            block.edge_count = ids.len() as u64;
-            block.index_offset = index_w.position();
-            // CSR offsets over this interval's sources, local to the block.
-            let mut offsets = vec![0u32; len + 1];
-            for &k in &ids {
-                offsets[(el.edges[k as usize].src - base) as usize + 1] += 1;
+    // Out-shards (blocks `(i, 0..P)` of each source interval `i`), then
+    // in-shards (blocks `(0..P, j)` of each destination interval `j`).
+    let mut meta = GraphMeta::unbuilt(el.num_vertices, num_edges, starts, weighted, config.codec);
+    // One shard's records as `(own vertex, neighbor, edge index)`, its
+    // blocks back to back, and where each block ends.
+    let mut shard: Vec<(u32, u32, u32)> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(p);
+    for o in Orientation::BOTH {
+        for own in 0..p {
+            shard.clear();
+            ends.clear();
+            for other in 0..p {
+                let (i, j) = o.orient(own, other);
+                let start = shard.len();
+                shard.extend(buckets[i * p + j].iter().map(|&k| {
+                    let e = el.edges[k as usize];
+                    let (v, neighbor) = o.orient(e.src, e.dst);
+                    (v, neighbor, k)
+                }));
+                // Canonical order: (own vertex, neighbor), duplicate
+                // edges in input order. Neighbor-sorted adjacency makes
+                // shard bytes a function of the edge *set* (not input
+                // order) and lets the delta overlay merge runs with an
+                // exact two-pointer walk.
+                shard[start..].sort_unstable();
+                ends.push(shard.len());
             }
-            for v in 0..len {
-                offsets[v + 1] += offsets[v];
-            }
-            index_crcs.push(hus_storage::crc32c(pod::as_bytes(&offsets)));
-            index_w.write_pod_slice(&offsets)?;
-            raw_buf.clear();
-            for &k in &ids {
-                let e = &el.edges[k as usize];
-                raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(&e.dst)));
-                if weighted {
-                    let w = &el.weights.as_ref().unwrap()[k as usize];
-                    raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(w)));
-                }
-            }
-            codec.encode(&raw_buf, edge_bytes as usize, &mut enc_buf);
-            block.edge_offset = decoded_pos;
-            block.encoded_offset = edges_w.position();
-            block.encoded_bytes = enc_buf.len() as u64;
-            decoded_pos += raw_buf.len() as u64;
-            edge_crcs.push(hus_storage::crc32c(&enc_buf));
-            edges_w.write_all(&enc_buf)?;
+            let mut start = 0;
+            let runs = ends.iter().map(|&end| {
+                let run = &shard[std::mem::replace(&mut start, end)..end];
+                run.iter().map(|&(v, neighbor, k)| {
+                    (v, neighbor, el.weights.as_ref().map_or(1.0, |w| w[k as usize]))
+                })
+            });
+            write_shard(&out, &mut meta, o, own, runs)?;
+            crash_point("build.shard");
         }
-        crash_point("build.shard_mid"); // torn: buffered writes lost
-        edges_w.finish()?;
-        index_w.finish()?;
-        ShardFooter::with_codec(edge_crcs, codec.id())
-            .append_to(&out.path(&GraphMeta::out_edges_file(i)))?;
-        ShardFooter::new(index_crcs).append_to(&out.path(&GraphMeta::out_index_file(i)))?;
-        crash_point("build.shard");
-    }
-
-    // In-shards: for each destination interval j, blocks (0..P, j) sorted
-    // by destination within each block.
-    for j in 0..p {
-        let mut edges_w = out.writer(&GraphMeta::in_edges_file(j))?;
-        let mut index_w = out.writer(&GraphMeta::in_index_file(j))?;
-        let mut edge_crcs = Vec::with_capacity(p);
-        let mut index_crcs = Vec::with_capacity(p);
-        let base = starts[j];
-        let len = (starts[j + 1] - starts[j]) as usize;
-        let mut decoded_pos = 0u64;
-        for i in 0..p {
-            let mut ids = buckets[i * p + j].clone();
-            // Canonical order: (dst, src) — see the out-shard note above.
-            ids.sort_by_key(|&k| (el.edges[k as usize].dst, el.edges[k as usize].src));
-            let block = &mut in_blocks[i * p + j];
-            block.edge_count = ids.len() as u64;
-            block.index_offset = index_w.position();
-            let mut offsets = vec![0u32; len + 1];
-            for &k in &ids {
-                offsets[(el.edges[k as usize].dst - base) as usize + 1] += 1;
-            }
-            for v in 0..len {
-                offsets[v + 1] += offsets[v];
-            }
-            index_crcs.push(hus_storage::crc32c(pod::as_bytes(&offsets)));
-            index_w.write_pod_slice(&offsets)?;
-            raw_buf.clear();
-            for &k in &ids {
-                let e = &el.edges[k as usize];
-                raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(&e.src)));
-                if weighted {
-                    let w = &el.weights.as_ref().unwrap()[k as usize];
-                    raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(w)));
-                }
-            }
-            codec.encode(&raw_buf, edge_bytes as usize, &mut enc_buf);
-            block.edge_offset = decoded_pos;
-            block.encoded_offset = edges_w.position();
-            block.encoded_bytes = enc_buf.len() as u64;
-            decoded_pos += raw_buf.len() as u64;
-            edge_crcs.push(hus_storage::crc32c(&enc_buf));
-            edges_w.write_all(&enc_buf)?;
-        }
-        edges_w.finish()?;
-        index_w.finish()?;
-        ShardFooter::with_codec(edge_crcs, codec.id())
-            .append_to(&out.path(&GraphMeta::in_edges_file(j)))?;
-        ShardFooter::new(index_crcs).append_to(&out.path(&GraphMeta::in_index_file(j)))?;
-        crash_point("build.shard");
     }
 
     // Out-degrees (used by scatter contexts and the predictor).
@@ -243,17 +161,6 @@ pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<Gr
     deg_w.finish()?;
     crash_point("build.degrees");
 
-    let meta = GraphMeta {
-        num_vertices: el.num_vertices,
-        num_edges: el.num_edges() as u64,
-        p: p as u32,
-        weighted,
-        checksums: true,
-        codec: codec.name().to_string(),
-        interval_starts: starts,
-        out_blocks,
-        in_blocks,
-    };
     meta.validate().map_err(StorageError::Corrupt)?;
     finalize_build(staging, &meta)?;
     Ok(meta)
@@ -263,6 +170,7 @@ pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<Gr
 mod tests {
     use super::*;
     use hus_gen::rmat::{rmat, RmatConfig};
+    use hus_storage::checksum::ShardFooter;
 
     fn build_tmp(el: &EdgeList, p: u32) -> (tempfile::TempDir, StorageDir, GraphMeta) {
         let tmp = tempfile::tempdir().unwrap();

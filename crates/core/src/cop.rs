@@ -33,6 +33,7 @@ use crate::program::VertexProgram;
 use crate::rop::{load_d, IterCtx};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
+use hus_storage::direct::DEFAULT_QUEUE_DEPTH;
 use hus_storage::{Access, Result, StorageError};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -104,8 +105,8 @@ struct PipelineState<V> {
 }
 
 /// Process column `col` under COP with a readahead window of
-/// `readahead` blocks and at most `queue_depth` concurrent producer
-/// fetches (see [`RunConfig::queue_depth`](crate::RunConfig)).
+/// `readahead` blocks and at most [`DEFAULT_QUEUE_DEPTH`] concurrent
+/// producer fetches.
 /// `touched_col` says whether `D_col` was already
 /// initialized this iteration. Returns the updated `D_col` (not yet
 /// written back) and the number of edge records streamed (COP pays for
@@ -124,9 +125,8 @@ fn process_column<Pr: VertexProgram>(
     col: usize,
     touched_col: bool,
     readahead: usize,
-    queue_depth: usize,
 ) -> Result<(Vec<Pr::Value>, u64)> {
-    match process_column_inner(ctx, store, col, touched_col, readahead, queue_depth) {
+    match process_column_inner(ctx, store, col, touched_col, readahead) {
         // A crossed deadline is a final verdict on the query, not a
         // pipeline fault — re-running the column synchronously would
         // only overshoot the budget further.
@@ -151,7 +151,7 @@ fn process_column<Pr: VertexProgram>(
                     }
                 }
             }
-            process_column_inner(ctx, store, col, touched_col, 0, queue_depth)
+            process_column_inner(ctx, store, col, touched_col, 0)
         }
         other => other,
     }
@@ -165,7 +165,6 @@ fn process_column_inner<Pr: VertexProgram>(
     col: usize,
     touched_col: bool,
     readahead: usize,
-    queue_depth: usize,
 ) -> Result<(Vec<Pr::Value>, u64)> {
     let meta = ctx.graph.meta();
     let mut d_col = load_d(ctx.program, store, col, touched_col, Access::Sequential)?;
@@ -212,9 +211,11 @@ fn process_column_inner<Pr: VertexProgram>(
     });
     let wakeup = Condvar::new();
     let next_fetch = AtomicUsize::new(0);
-    // Producer fan-out = the configured queue depth, clamped by the
+    // Producer fan-out = the software queue depth presented to the
+    // storage backend (the direct-I/O backend's io_uring ring has the
+    // same size, so one column walk can keep it full), clamped by the
     // window (more producers than resident slots would just park).
-    let producers = depth.min(queue_depth.max(1));
+    let producers = depth.min(DEFAULT_QUEUE_DEPTH);
     let record_bytes = meta.edge_record_bytes();
 
     let result: Result<()> = std::thread::scope(|scope| {
@@ -344,9 +345,8 @@ pub fn run_column<Pr: VertexProgram>(
     col: usize,
     touched_col: bool,
     readahead: usize,
-    queue_depth: usize,
 ) -> Result<u64> {
-    let (d_col, streamed) = process_column(ctx, store, col, touched_col, readahead, queue_depth)?;
+    let (d_col, streamed) = process_column(ctx, store, col, touched_col, readahead)?;
     store.write_next(col, &d_col)?;
     Ok(streamed)
 }
@@ -360,7 +360,6 @@ pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     readahead: usize,
-    queue_depth: usize,
 ) -> Result<u64> {
     fn join_write(pending: Option<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
         match pending {
@@ -377,7 +376,7 @@ pub fn run_columns<Pr: VertexProgram>(
         for col in 0..ctx.graph.p() {
             let processed = {
                 let _s = span!("cop.column", interval = col);
-                process_column(ctx, store, col, false, readahead, queue_depth)
+                process_column(ctx, store, col, false, readahead)
             };
             // The previous column's write-back overlapped this column's
             // processing; collect it before publishing the next one.

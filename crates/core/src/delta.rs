@@ -25,9 +25,8 @@
 //! rebuild of the same final edge set would produce for that block.
 
 use crate::graph::{EdgeRecords, HusGraph};
-use crate::meta::GraphMeta;
+use crate::meta::{GraphMeta, Orientation};
 use crate::partition::interval_of;
-use hus_gen::{Edge, EdgeList};
 use hus_storage::delta::{DeltaRecord, DeltaRun, DELTA_RECORD_BYTES};
 use hus_storage::{durable, Access, BuildManifest, Result, StorageDir, StorageError};
 use std::collections::BTreeMap;
@@ -186,10 +185,9 @@ impl MergedBlock {
 /// untouched blocks keep reading through the tracked base path.
 #[derive(Debug)]
 pub(crate) struct DeltaOverlay {
-    /// Merged out-blocks, keyed `(i, j)`.
-    pub(crate) out: HashMap<(usize, usize), MergedBlock>,
-    /// Merged in-blocks, keyed `(i, j)`.
-    pub(crate) ins: HashMap<(usize, usize), MergedBlock>,
+    /// Merged blocks keyed `(i, j)`, one map per [`Orientation`]
+    /// (indexed `o as usize`).
+    pub(crate) blocks: [HashMap<(usize, usize), MergedBlock>; 2],
     /// Out-degree table with every delta applied.
     pub(crate) out_degrees: Vec<u32>,
     /// Edge count with every delta applied.
@@ -293,44 +291,35 @@ pub(crate) fn build_overlay(
     let delta_records: u64 =
         runs.iter().map(DeltaRun::record_count).sum::<u64>() + memtable.entries;
     let mut overlay = DeltaOverlay {
-        out: HashMap::new(),
-        ins: HashMap::new(),
+        blocks: [HashMap::new(), HashMap::new()],
         out_degrees: graph.base_out_degrees().to_vec(),
         num_edges: meta.num_edges,
         delta_bytes: delta_records * DELTA_RECORD_BYTES,
     };
     for (&(i, j), ops) in &resolved {
         let (i, j) = (i as usize, j as usize);
-        // Out orientation: own vertex is src (interval i), neighbor dst.
-        let base_idx = graph.load_out_index(i, j, Access::Sequential)?;
-        let base = graph.stream_out_block(i, j)?;
-        let n_i = meta.interval_len(i) as usize;
-        let start_i = meta.interval_start(i);
-        let merged =
-            merge_block(n_i, start_i, &base_idx, &base, ops.iter().map(|(&k, v)| (k, v)), weighted);
-        for v in 0..n_i {
-            let before = base_idx[v + 1] - base_idx[v];
-            let after = merged.index[v + 1] - merged.index[v];
-            let d = &mut overlay.out_degrees[(start_i + v as u32) as usize];
-            *d = (*d + after) - before;
+        for o in Orientation::BOTH {
+            // The orientation's own vertex (src in out-blocks, dst in
+            // in-blocks) indexes the block; the other is the neighbor.
+            let own = o.orient(i, j).0;
+            let (n_own, start) = (meta.interval_len(own) as usize, meta.interval_start(own));
+            let base_idx = graph.index(o, i, j, Access::Sequential)?;
+            let base = graph.records(o, i, j, None, Access::Sequential)?;
+            let mut keyed: Vec<((u32, u32), &DeltaOp)> =
+                ops.iter().map(|(&(src, dst), op)| (o.orient(src, dst), op)).collect();
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            let merged = merge_block(n_own, start, &base_idx, &base, keyed.into_iter(), weighted);
+            if o == Orientation::Out {
+                for v in 0..n_own {
+                    let before = base_idx[v + 1] - base_idx[v];
+                    let after = merged.index[v + 1] - merged.index[v];
+                    let d = &mut overlay.out_degrees[start as usize + v];
+                    *d = (*d + after) - before;
+                }
+                overlay.num_edges = overlay.num_edges + merged.len() - base.len() as u64;
+            }
+            overlay.blocks[o as usize].insert((i, j), merged);
         }
-        overlay.num_edges = overlay.num_edges + merged.len() - base.len() as u64;
-        overlay.out.insert((i, j), merged);
-
-        // In orientation: own vertex is dst (interval j), neighbor src.
-        let in_idx = graph.load_in_index(i, j, Access::Sequential)?;
-        let in_base = graph.stream_in_block(i, j)?;
-        let in_ops: BTreeMap<(u32, u32), &DeltaOp> =
-            ops.iter().map(|(&(src, dst), op)| ((dst, src), op)).collect();
-        let merged_in = merge_block(
-            meta.interval_len(j) as usize,
-            meta.interval_start(j),
-            &in_idx,
-            &in_base,
-            in_ops.into_iter(),
-            weighted,
-        );
-        overlay.ins.insert((i, j), merged_in);
     }
     Ok(overlay)
 }
@@ -691,28 +680,9 @@ impl DynamicGraph {
         self.refresh_overlay()?;
         // Materialize the merged edge set through the overlay-aware
         // out-block walk.
-        let meta = self.graph.meta().clone();
-        let p = meta.p as usize;
-        let weighted = meta.weighted;
-        let mut edges = Vec::with_capacity(self.graph.num_edges() as usize);
-        let mut weights = weighted.then(|| Vec::with_capacity(edges.capacity()));
-        for i in 0..p {
-            let base = meta.interval_start(i);
-            for j in 0..p {
-                let idx = self.graph.load_out_index(i, j, Access::Sequential)?;
-                let recs = self.graph.stream_out_block(i, j)?;
-                for v in 0..meta.interval_len(i) as usize {
-                    for k in idx[v]..idx[v + 1] {
-                        edges.push(Edge::new(base + v as u32, recs.neighbor(k as usize)));
-                        if let Some(w) = &mut weights {
-                            w.push(recs.weight(k as usize));
-                        }
-                    }
-                }
-            }
-        }
-        let el = EdgeList { num_vertices: meta.num_vertices, edges, weights };
-        let config = crate::builder::BuildConfig::with_p_codec(meta.p, self.graph.codec());
+        let el = self.graph.edge_list(Orientation::Out)?;
+        let config =
+            crate::builder::BuildConfig::with_p_codec(self.graph.meta().p, self.graph.codec());
         // Detach the overlay before the base flips underneath it.
         self.graph.set_overlay(None);
         if let Err(e) = crate::builder::build(&el, &self.dir, &config) {
@@ -868,6 +838,7 @@ mod tests {
     use crate::builder::{build, BuildConfig};
     use hus_codec::Codec;
     use hus_gen::rmat::{rmat, RmatConfig};
+    use hus_gen::EdgeList;
 
     fn built(el: &EdgeList, p: u32) -> (tempfile::TempDir, StorageDir) {
         let tmp = tempfile::tempdir().unwrap();
@@ -876,40 +847,9 @@ mod tests {
         (tmp, dir)
     }
 
-    /// Reconstruct the edge set via the overlay-aware out-blocks.
-    fn edges_out(g: &HusGraph) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for i in 0..g.p() {
-            let base = g.meta().interval_start(i);
-            for j in 0..g.p() {
-                let idx = g.load_out_index(i, j, Access::Sequential).unwrap();
-                let recs = g.stream_out_block(i, j).unwrap();
-                for v in 0..g.meta().interval_len(i) as usize {
-                    for k in idx[v]..idx[v + 1] {
-                        out.push((base + v as u32, recs.neighbor(k as usize)));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Same via the in-blocks (both orientations must agree).
-    fn edges_in(g: &HusGraph) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for j in 0..g.p() {
-            let base = g.meta().interval_start(j);
-            for i in 0..g.p() {
-                let idx = g.load_in_index(i, j, Access::Sequential).unwrap();
-                let recs = g.stream_in_block(i, j).unwrap();
-                for v in 0..g.meta().interval_len(j) as usize {
-                    for k in idx[v]..idx[v + 1] {
-                        out.push((recs.neighbor(k as usize), base + v as u32));
-                    }
-                }
-            }
-        }
-        out
+    /// Reconstruct the edge set via the overlay-aware `o`-blocks.
+    fn edges_via(g: &HusGraph, o: Orientation) -> Vec<(u32, u32)> {
+        g.edge_list(o).unwrap().edges.iter().map(|e| (e.src, e.dst)).collect()
     }
 
     #[test]
@@ -931,13 +871,12 @@ mod tests {
             want.insert((s, d));
         }
         let g = dg.snapshot().unwrap();
-        let mut got_out = edges_out(g);
-        got_out.sort_unstable();
         let want: Vec<(u32, u32)> = want.into_iter().collect();
-        assert_eq!(got_out, want);
-        let mut got_in = edges_in(g);
-        got_in.sort_unstable();
-        assert_eq!(got_in, want);
+        for o in Orientation::BOTH {
+            let mut got = edges_via(g, o);
+            got.sort_unstable();
+            assert_eq!(got, want, "{o:?}");
+        }
         assert_eq!(g.num_edges(), want.len() as u64);
         // Degrees track the merged edge set.
         let mut deg = vec![0u32; 100];
@@ -962,7 +901,7 @@ mod tests {
         dg.delete_edge(s, d).unwrap();
         assert_eq!(dg.run_count(), 2);
         let g = dg.snapshot().unwrap();
-        assert!(!edges_out(g).contains(&(s, d)));
+        assert!(!edges_via(g, Orientation::Out).contains(&(s, d)));
         assert_eq!(g.num_edges(), el.edges.len() as u64 - 1);
     }
 
@@ -975,14 +914,14 @@ mod tests {
         dg.insert_edge(3, 4, 1.0).unwrap();
         dg.flush().unwrap().unwrap();
         let want = {
-            let mut v = edges_out(dg.snapshot().unwrap());
+            let mut v = edges_via(dg.snapshot().unwrap(), Orientation::Out);
             v.sort_unstable();
             v
         };
         drop(dg);
         let mut dg2 = DynamicGraph::open(dir).unwrap();
         assert_eq!(dg2.run_count(), 1);
-        let mut got = edges_out(dg2.snapshot().unwrap());
+        let mut got = edges_via(dg2.snapshot().unwrap(), Orientation::Out);
         got.sort_unstable();
         assert_eq!(got, want);
     }
@@ -998,7 +937,7 @@ mod tests {
         dg.delete_edge(0, 79).unwrap();
         dg.insert_edge(79, 0, 1.0).unwrap();
         let before = {
-            let mut v = edges_out(dg.snapshot().unwrap());
+            let mut v = edges_via(dg.snapshot().unwrap(), Orientation::Out);
             v.sort_unstable();
             v
         };
@@ -1016,7 +955,7 @@ mod tests {
                 "stale run file {name:?} after compaction"
             );
         }
-        let mut after = edges_out(dg.snapshot().unwrap());
+        let mut after = edges_via(dg.snapshot().unwrap(), Orientation::Out);
         after.sort_unstable();
         assert_eq!(after, before, "compaction preserves the merged edge set");
         assert!(!dg.compact().unwrap(), "nothing left to fold");
@@ -1118,7 +1057,7 @@ mod tests {
         assert!(dg.delete_edge(1, 2).unwrap_err().is_no_space());
         assert_eq!(dg.memtable_len(), buffered, "rejected ops must not be buffered");
         // Reads keep serving: base generation plus the acked update.
-        assert!(edges_out(dg.snapshot().unwrap()).contains(&(1, 2)));
+        assert!(edges_via(dg.snapshot().unwrap(), Orientation::Out).contains(&(1, 2)));
         let snap = resilience.snapshot();
         assert!(snap.write_faults >= 3, "every failed attempt drew a fault: {snap:?}");
         assert!(snap.spill_rollbacks >= 3, "every failed attempt rolled back: {snap:?}");
@@ -1177,7 +1116,7 @@ mod tests {
         assert!(failures > 0 && committed, "seed must exercise both paths");
         assert!(!dg.is_degraded(), "successful spill exits degraded mode");
         assert_eq!(dg.run_count(), 1);
-        assert!(edges_out(dg.snapshot().unwrap()).contains(&(1, 2)));
+        assert!(edges_via(dg.snapshot().unwrap(), Orientation::Out).contains(&(1, 2)));
     }
 
     #[test]
@@ -1199,6 +1138,6 @@ mod tests {
         assert_eq!(dg.run_count(), 1, "prior generation (base + run) intact");
         assert!(resilience.snapshot().spill_rollbacks >= 1);
         // Reads still serve the committed run through a fresh overlay.
-        assert!(edges_out(dg.snapshot().unwrap()).contains(&(1, 2)));
+        assert!(edges_via(dg.snapshot().unwrap(), Orientation::Out).contains(&(1, 2)));
     }
 }

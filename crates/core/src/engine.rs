@@ -125,8 +125,7 @@ pub enum Synchrony {
 /// Run-time configuration.
 ///
 /// [`Default`] resolves every knob from the environment where an
-/// override exists (`HUS_PARALLEL_ROWS`, `HUS_READAHEAD`,
-/// `HUS_QUEUE_DEPTH`, `HUS_MERGE_SLACK`, `HUS_VERIFY`; see the
+/// override exists (`HUS_READAHEAD`, `HUS_VERIFY`, `HUS_CKPT`; see the
 /// README's knob table).
 /// Struct-update syntax pins just the fields a caller cares about:
 ///
@@ -166,23 +165,12 @@ pub struct RunConfig {
     /// Scratch directory name for the vertex store, created under the
     /// graph directory. `None` derives a unique name per run.
     pub scratch_name: Option<String>,
-    /// Process independent ROP rows concurrently under the run's thread
-    /// pool (synchronous schedule only; Gauss-Seidel keeps its ordered
-    /// row sweep). Rows push into disjoint-by-lock `D_j` buffers, so the
-    /// result is identical to the serial walk for commutative combines.
-    /// Env override: `HUS_PARALLEL_ROWS=0` disables.
-    pub parallel_rows: bool,
     /// COP readahead window in blocks: how many in-blocks the producer
     /// pool may fetch ahead of the consumer. `0` (the default) sizes the
     /// window from the thread budget (`threads` clamped to 2..=8 — each
     /// resident block costs one in-block plus one `S` interval of
     /// memory). Env override: `HUS_READAHEAD`.
     pub readahead_blocks: usize,
-    /// Maximum byte gap between two selective ROP edge ranges that are
-    /// still merged into a single batched multi-range read. Merging
-    /// kicks in only when the device's batched throughput actually beats
-    /// its random throughput. Env override: `HUS_MERGE_SLACK`.
-    pub range_merge_slack: u64,
     /// Verify per-block CRC-32C checksums (stored in the shard footers by
     /// the builder) on every full-block read. Detects on-disk corruption
     /// at the exact `(i, j)` block; costs one pass over each block read.
@@ -196,13 +184,6 @@ pub struct RunConfig {
     /// checkpoint bit-identically (see DESIGN.md §10 and
     /// [`crate::checkpoint`]). Env override: `HUS_CKPT`.
     pub checkpoint_every: u32,
-    /// Upper bound on concurrent in-flight block fetches per COP column
-    /// walk (the producer fan-out of the readahead pipeline). This is
-    /// the software queue depth presented to the storage backend: the
-    /// direct-I/O backend maps it onto its io_uring submission queue,
-    /// while buffered backends see it as producer-thread parallelism.
-    /// Env override: `HUS_QUEUE_DEPTH`.
-    pub queue_depth: usize,
     /// Cooperative run deadline, checked once per iteration and at
     /// every block boundary of the COP/ROP loops; `None` (the default)
     /// disables it. Crossing the deadline aborts the run with the typed
@@ -253,16 +234,6 @@ pub fn check_deadline(d: Option<&Deadline>) -> Result<()> {
     }
 }
 
-/// Default [`RunConfig::range_merge_slack`]: one 4 KiB device sector —
-/// ranges closer than a sector apart cost the device nothing extra to
-/// read as one run.
-pub const DEFAULT_MERGE_SLACK: u64 = 4096;
-
-/// Default [`RunConfig::queue_depth`]: matches the direct backend's
-/// default io_uring ring size so one column walk can keep the ring full
-/// without overcommitting producer threads on buffered backends.
-pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-
 pub(crate) fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
@@ -286,12 +257,9 @@ impl Default for RunConfig {
             max_iterations: 1_000,
             throughput: hus_storage::DeviceProfile::hdd().read,
             scratch_name: None,
-            parallel_rows: env_flag("HUS_PARALLEL_ROWS", true),
             readahead_blocks: env_parse("HUS_READAHEAD", 0),
-            range_merge_slack: env_parse("HUS_MERGE_SLACK", DEFAULT_MERGE_SLACK),
             verify_checksums: env_flag("HUS_VERIFY", false),
             checkpoint_every: env_parse("HUS_CKPT", 0),
-            queue_depth: env_parse("HUS_QUEUE_DEPTH", DEFAULT_QUEUE_DEPTH),
             deadline: None,
         }
     }
@@ -620,7 +588,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                         / self.config.throughput.random_bps,
                     index_ratio: self.config.throughput.sequential_bps
                         / self.config.throughput.random_bps,
-                    merge_slack: self.config.range_merge_slack,
                     deadline: self.config.deadline,
                     row_edges: &row_edges,
                 };
@@ -629,7 +596,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             phase_io.lap(&tracker, "predict");
 
             let readahead = self.config.effective_readahead();
-            let queue_depth = self.config.queue_depth.max(1);
 
             let mut edges_this_iter = 0u64;
             let mut rop_units = 0u32;
@@ -655,14 +621,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                         UpdateModel::Cop => {
                             {
                                 let _s = span!("cop.column", interval = col);
-                                edges_this_iter += cop::run_column(
-                                    &ctx,
-                                    &store,
-                                    col,
-                                    false,
-                                    readahead,
-                                    queue_depth,
-                                )?;
+                                edges_this_iter +=
+                                    cop::run_column(&ctx, &store, col, false, readahead)?;
                             }
                             phase_io.lap(&tracker, "cop");
                             cop_units += 1;
@@ -717,33 +677,23 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                                 })
                                 .collect();
                             rop_units += rows.len() as u32;
-                            if self.config.parallel_rows
-                                && self.config.threads > 1
-                                && rows.len() > 1
-                            {
-                                // Rows are independent (§3.5: per-D_j
-                                // locks serialize pushes into a shared
-                                // destination); per-row edge counts are
-                                // aggregated afterwards instead of a
-                                // shared mutable counter.
-                                let row_edges: Vec<u64> = rows
-                                    .into_par_iter()
-                                    .map(|row| {
-                                        let _s = span!("rop.row", interval = row);
-                                        rop::run_row(&ctx, &store, row, &d_all)
-                                    })
-                                    .collect::<Result<Vec<u64>>>()?;
-                                edges_this_iter += row_edges.iter().sum::<u64>();
-                                phase_io.lap(&tracker, "rop");
-                            } else {
-                                for row in rows {
-                                    {
-                                        let _s = span!("rop.row", interval = row);
-                                        edges_this_iter += rop::run_row(&ctx, &store, row, &d_all)?;
-                                    }
-                                    phase_io.lap(&tracker, "rop");
-                                }
-                            }
+                            // Rows are independent (§3.5: per-D_j locks
+                            // serialize pushes into a shared
+                            // destination), so they fan out over the
+                            // run's pool — inline when it has one
+                            // thread or there is one row. Per-row edge
+                            // counts are aggregated afterwards instead
+                            // of a shared mutable counter; the first
+                            // error in row order wins.
+                            let row_edges: Vec<u64> = rows
+                                .into_par_iter()
+                                .map(|row| {
+                                    let _s = span!("rop.row", interval = row);
+                                    rop::run_row(&ctx, &store, row, &d_all)
+                                })
+                                .collect::<Result<Vec<u64>>>()?;
+                            edges_this_iter += row_edges.iter().sum::<u64>();
+                            phase_io.lap(&tracker, "rop");
                             let touched = {
                                 let _s = span!("gather");
                                 rop::store_touched::<Pr>(&store, d_all)?
@@ -765,14 +715,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                             for col in 0..p {
                                 {
                                     let _s = span!("cop.column", interval = col);
-                                    edges_this_iter += cop::run_column(
-                                        &ctx,
-                                        &store,
-                                        col,
-                                        false,
-                                        readahead,
-                                        queue_depth,
-                                    )?;
+                                    edges_this_iter +=
+                                        cop::run_column(&ctx, &store, col, false, readahead)?;
                                     store.commit(col);
                                 }
                                 phase_io.lap(&tracker, "cop");
@@ -782,8 +726,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                             // Synchronous: columns write disjoint next
                             // buffers, so each column's write-back
                             // overlaps the next column's fetches.
-                            edges_this_iter +=
-                                cop::run_columns(&ctx, &store, readahead, queue_depth)?;
+                            edges_this_iter += cop::run_columns(&ctx, &store, readahead)?;
                             phase_io.lap(&tracker, "cop");
                             cop_units += p as u32;
                             {

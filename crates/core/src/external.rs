@@ -13,10 +13,13 @@
 //!    all writes buffered and tracked.
 //! 3. **Per-shard finish** — each spill (≈ `|E|/P` edges, in memory by
 //!    the choice of `P`, exactly the paper's block-sizing rule) is
-//!    sorted and written as the shard's blocks + CSR indices.
+//!    sorted, cut at the interval boundaries and handed to
+//!    `write_shard` — the one function that writes a shard's blocks,
+//!    CSR indices and footers, for this builder and for [`crate::build`].
 //!
-//! The output is **byte-identical** to the in-memory builder's (the
-//! tests assert it), so either path can build a graph directory.
+//! The output is therefore **byte-identical** to the in-memory
+//! builder's (the tests assert it), so either path can build a graph
+//! directory.
 //!
 //! Like the in-memory builder, everything is written into a sibling
 //! staging directory and committed by one atomic rename. On top of
@@ -24,14 +27,17 @@
 //! (degrees, spill, every finished shard) it records a CRC-sealed
 //! [`PROGRESS_FILE`] inside the staging directory, so a build that is
 //! killed mid-way picks up from the last durable phase instead of
-//! repeating the streaming passes (DESIGN.md §10).
+//! repeating the spill pass and the finished shards. The record is
+//! bound to the input — edge count and a CRC-32C of the edge stream,
+//! re-derived by the (read-only) degree pass of every invocation — so
+//! staging left by a build of a different edge list is never adopted
+//! (DESIGN.md §10).
 
 use crate::builder::{finalize_build, BuildConfig};
-use crate::meta::{BlockMeta, GraphMeta, DEGREES_FILE};
+use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE};
 use crate::partition::{interval_of, interval_starts};
-use hus_codec::Codec;
 use hus_gen::Edge;
-use hus_storage::checksum::ShardFooter;
+use hus_storage::checksum::{Crc32c, ShardFooter};
 use hus_storage::durable::crash_point;
 use hus_storage::manifest::{seal_text, unseal_text};
 use hus_storage::{pod, Access, Result, StagingDir, StorageDir, StorageError};
@@ -121,51 +127,32 @@ pub const PROGRESS_FILE: &str = "progress.json";
 /// phase so an interrupted build can resume.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BuildProgress {
-    /// Identity of (source, config); a resume with a different input or
+    /// Identity of (input, config): shape, configuration, edge count and
+    /// a checksum of the edge stream. A resume with a different input or
     /// configuration discards the stale staging directory.
     fingerprint: String,
-    degrees_done: bool,
+    /// The manifest under construction; present once the degree pass
+    /// has fixed `P` and the interval boundaries (and `degrees.bin` is
+    /// durable). Block descriptors fill in shard by shard.
+    meta: Option<GraphMeta>,
     spilled: bool,
-    /// Out-shards fully written (edges + index + footers durable).
-    out_shards_done: u32,
-    /// In-shards fully written.
-    in_shards_done: u32,
-    num_edges: u64,
-    p: u32,
-    interval_starts: Vec<u32>,
-    out_blocks: Vec<BlockMeta>,
-    in_blocks: Vec<BlockMeta>,
+    /// Shards fully written (edges + index + footers durable), counted
+    /// along the build order: `P` out-shards, then `P` in-shards.
+    shards_done: u32,
 }
 
 impl BuildProgress {
-    fn fresh(fingerprint: String) -> Self {
-        BuildProgress {
-            fingerprint,
-            degrees_done: false,
-            spilled: false,
-            out_shards_done: 0,
-            in_shards_done: 0,
-            num_edges: 0,
-            p: 0,
-            interval_starts: Vec::new(),
-            out_blocks: Vec::new(),
-            in_blocks: Vec::new(),
-        }
-    }
-
     /// Shape invariants that make the resumed state safe to index into.
     fn coherent(&self) -> bool {
-        if !self.degrees_done {
-            return !self.spilled && self.out_shards_done == 0 && self.in_shards_done == 0;
-        }
-        let p = self.p as usize;
+        let Some(meta) = &self.meta else {
+            return !self.spilled && self.shards_done == 0;
+        };
+        let p = meta.p as usize;
         p >= 1
-            && self.interval_starts.len() == p + 1
-            && self.out_blocks.len() == p * p
-            && self.in_blocks.len() == p * p
-            && self.out_shards_done as usize <= p
-            && self.in_shards_done as usize <= p
-            && (self.spilled || (self.out_shards_done == 0 && self.in_shards_done == 0))
+            && meta.interval_starts.len() == p + 1
+            && Orientation::BOTH.iter().all(|&o| meta.blocks(o).len() == p * p)
+            && self.shards_done as usize <= 2 * p
+            && (self.spilled || self.shards_done == 0)
     }
 }
 
@@ -177,7 +164,7 @@ fn save_progress(out: &StorageDir, prog: &BuildProgress) -> Result<()> {
 }
 
 /// Load and validate the progress file of a staging directory; `None`
-/// when absent, torn, or recorded for a different (source, config).
+/// when absent, torn, or recorded for a different (input, config).
 fn load_progress(out: &StorageDir, fingerprint: &str) -> Option<BuildProgress> {
     let text = out.get_meta(PROGRESS_FILE).ok()?;
     let body = unseal_text(&text).ok()?;
@@ -197,21 +184,24 @@ fn adopt_or_begin(dir: &StorageDir, fingerprint: &str) -> Result<(StagingDir, Bu
             None => drop(staging), // stale: removed by Drop
         }
     }
-    Ok((dir.staging()?, BuildProgress::fresh(fingerprint.to_string())))
+    let fresh = BuildProgress {
+        fingerprint: fingerprint.to_string(),
+        meta: None,
+        spilled: false,
+        shards_done: 0,
+    };
+    Ok((dir.staging()?, fresh))
 }
 
-fn spill_out(i: usize) -> String {
-    format!("spill_out_{i}.tmp")
-}
-
-fn spill_in(j: usize) -> String {
-    format!("spill_in_{j}.tmp")
+fn spill_file(o: Orientation, k: usize) -> String {
+    format!("spill_{}_{k}.tmp", o.name())
 }
 
 /// Build the dual-block representation of `source` into `dir` with two
 /// streaming passes and bounded memory. Produces the same files as
 /// [`crate::build`], staged and committed atomically; an interrupted
-/// build left in a staging sibling resumes from its last durable phase.
+/// build of the *same input* left in a staging sibling resumes from its
+/// last durable phase.
 pub fn build_external<S: EdgeSource>(
     source: &S,
     dir: &StorageDir,
@@ -219,68 +209,72 @@ pub fn build_external<S: EdgeSource>(
 ) -> Result<GraphMeta> {
     let num_vertices = source.num_vertices();
     let weighted = source.weighted();
-    let rec_bytes: usize = if weighted { 12 } else { 8 };
+
+    // Pass 1: out-degrees; also counts, validates and checksums the
+    // edge stream. It runs on a resume too — what it derives is the
+    // input's identity, and nothing staged is trusted before that
+    // identity matches the one the staging directory was recorded for.
+    let mut out_degrees = vec![0u32; num_vertices as usize];
+    let mut num_edges = 0u64;
+    let mut stream_crc = Crc32c::new();
+    for (e, w) in source.scan()? {
+        if e.src >= num_vertices || e.dst >= num_vertices {
+            return Err(StorageError::Corrupt(format!(
+                "edge {} -> {} out of range for {} vertices",
+                e.src, e.dst, num_vertices
+            )));
+        }
+        out_degrees[e.src as usize] += 1;
+        num_edges += 1;
+        stream_crc.update(&e.src.to_le_bytes());
+        stream_crc.update(&e.dst.to_le_bytes());
+        if weighted {
+            stream_crc.update(&w.to_le_bytes());
+        }
+    }
     let fingerprint = format!(
-        "v={num_vertices} w={weighted} codec={} part={:?} p={:?} budget={}",
+        "v={num_vertices} w={weighted} codec={} part={:?} p={:?} budget={} edges={num_edges} \
+         crc32c={:08x}",
         config.codec.name(),
         config.partition,
         config.p,
         config.memory_budget_bytes,
+        stream_crc.finish(),
     );
 
     let (staging, mut prog) = adopt_or_begin(dir, &fingerprint)?;
     let out = staging.dir().clone();
 
-    if !prog.degrees_done {
-        // Pass 1: out-degrees (also counts and validates edges).
-        let mut out_degrees = vec![0u32; num_vertices as usize];
-        let mut num_edges = 0u64;
-        for (e, _) in source.scan()? {
-            if e.src >= num_vertices || e.dst >= num_vertices {
-                return Err(StorageError::Corrupt(format!(
-                    "edge {} -> {} out of range for {} vertices",
-                    e.src, e.dst, num_vertices
-                )));
-            }
-            out_degrees[e.src as usize] += 1;
-            num_edges += 1;
-        }
-
-        let edge_bytes: u64 = if weighted { 8 } else { 4 };
-        let p = config.resolve_p(num_vertices, num_edges, edge_bytes) as usize;
-        let starts = interval_starts(num_vertices, p as u32, config.partition, &out_degrees);
-
-        // degrees.bin is both a final output and the checkpoint that
-        // lets a resume skip pass 1 entirely.
+    if prog.meta.is_none() {
+        let p = config.resolve_p(num_vertices, num_edges, if weighted { 8 } else { 4 });
+        let starts = interval_starts(num_vertices, p, config.partition, &out_degrees);
+        // degrees.bin is both a final output and the first checkpoint.
         let mut deg_w = out.writer(DEGREES_FILE)?;
         deg_w.write_pod_slice(&out_degrees)?;
         deg_w.finish_synced()?;
-
-        prog.num_edges = num_edges;
-        prog.p = p as u32;
-        prog.interval_starts = starts;
-        prog.out_blocks = vec![BlockMeta::default(); p * p];
-        prog.in_blocks = vec![BlockMeta::default(); p * p];
-        prog.degrees_done = true;
+        prog.meta =
+            Some(GraphMeta::unbuilt(num_vertices, num_edges, starts, weighted, config.codec));
         save_progress(&out, &prog)?;
         crash_point("ext.degrees");
     }
-    let p = prog.p as usize;
-    let starts = prog.interval_starts.clone();
-    let num_edges = prog.num_edges;
+    drop(out_degrees); // |V| words the sort phase should not hold
+    let starts = prog.meta.as_ref().expect("recorded by the degree phase").interval_starts.clone();
+    let p = starts.len() - 1;
 
     if !prog.spilled {
         // Pass 2: spill every edge into its source-interval and
         // destination-interval staging files (truncating any partial
         // spill from an interrupted earlier attempt).
-        let mut outs: Vec<_> =
-            (0..p).map(|i| out.writer(&spill_out(i))).collect::<Result<Vec<_>>>()?;
-        let mut ins: Vec<_> =
-            (0..p).map(|j| out.writer(&spill_in(j))).collect::<Result<Vec<_>>>()?;
+        let mut spills = Vec::with_capacity(2 * p);
+        for o in Orientation::BOTH {
+            for k in 0..p {
+                spills.push(out.writer(&spill_file(o, k))?);
+            }
+        }
         for (e, w) in source.scan()? {
-            let i = interval_of(&starts, e.src);
-            let j = interval_of(&starts, e.dst);
-            for writer in [&mut outs[i], &mut ins[j]] {
+            let grid = (interval_of(&starts, e.src), interval_of(&starts, e.dst));
+            for o in Orientation::BOTH {
+                let writer = &mut spills[o as usize * p + o.orient(grid.0, grid.1).0];
                 writer.write_pod(&e.src)?;
                 writer.write_pod(&e.dst)?;
                 if weighted {
@@ -288,7 +282,7 @@ pub fn build_external<S: EdgeSource>(
                 }
             }
         }
-        for w in outs.into_iter().chain(ins) {
+        for w in spills {
             w.finish_synced()?;
         }
         prog.spilled = true;
@@ -299,195 +293,134 @@ pub fn build_external<S: EdgeSource>(
     // Per-shard finish: sort one spill at a time and emit blocks+index.
     // Each completed shard advances the durable progress cursor, so a
     // resume re-does at most one shard.
-    let read_spill = |name: &str| -> Result<Vec<(Edge, f32)>> {
-        let reader = out.reader(name)?;
-        let len = reader.len() as usize;
-        let mut bytes = vec![0u8; len];
-        if len > 0 {
-            reader.read_at(0, &mut bytes, Access::Sequential)?;
-        }
-        let count = len / rec_bytes;
-        let mut records = Vec::with_capacity(count);
-        for r in 0..count {
-            let at = r * rec_bytes;
-            let src = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            let dst = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-            let w = if weighted {
-                f32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap())
-            } else {
-                1.0
-            };
-            records.push((Edge::new(src, dst), w));
-        }
-        Ok(records)
-    };
-
-    for i in prog.out_shards_done as usize..p {
-        let mut records = read_spill(&spill_out(i))?;
-        // Canonical (dst-interval, src, dst) order — matching the
-        // in-memory builder's per-block (src, dst) sort exactly, stable
-        // for duplicate edges.
-        records.sort_by_key(|(e, _)| (interval_of(&starts, e.dst), e.src, e.dst));
-        write_shard(
-            &out,
-            &GraphMeta::out_edges_file(i),
-            &GraphMeta::out_index_file(i),
-            &records,
-            &starts,
-            p,
-            i,
-            weighted,
-            config.codec,
-            ShardKind::Out,
-            &mut prog.out_blocks,
-        )?;
-        prog.out_shards_done = i as u32 + 1;
+    for k in prog.shards_done as usize..2 * p {
+        let (o, own) = (Orientation::BOTH[k / p], k % p);
+        let mut records = read_spill(&out, &spill_file(o, own), o, weighted)?;
+        // Canonical (other-interval, own vertex, neighbor) order —
+        // matching the in-memory builder's per-block sort exactly,
+        // stable for duplicate edges.
+        records.sort_by_key(|&(v, neighbor, _)| (interval_of(&starts, neighbor), v, neighbor));
+        // Block `other` is the run of neighbors below its interval's end.
+        let mut rest = records.as_slice();
+        let runs = starts[1..].iter().map(|&end| {
+            let (run, tail) = rest.split_at(rest.partition_point(|r| r.1 < end));
+            rest = tail;
+            run.iter().copied()
+        });
+        let meta = prog.meta.as_mut().expect("recorded by the degree phase");
+        write_shard(&out, meta, o, own, runs)?;
+        prog.shards_done = k as u32 + 1;
         save_progress(&out, &prog)?;
         crash_point("ext.shard");
-        std::fs::remove_file(out.path(&spill_out(i))).ok();
+        std::fs::remove_file(out.path(&spill_file(o, own))).ok();
     }
-    for j in prog.in_shards_done as usize..p {
-        let mut records = read_spill(&spill_in(j))?;
-        records.sort_by_key(|(e, _)| (interval_of(&starts, e.src), e.dst, e.src));
-        write_shard(
-            &out,
-            &GraphMeta::in_edges_file(j),
-            &GraphMeta::in_index_file(j),
-            &records,
-            &starts,
-            p,
-            j,
-            weighted,
-            config.codec,
-            ShardKind::In,
-            &mut prog.in_blocks,
-        )?;
-        prog.in_shards_done = j as u32 + 1;
-        save_progress(&out, &prog)?;
-        crash_point("ext.shard");
-        std::fs::remove_file(out.path(&spill_in(j))).ok();
-    }
-
-    let meta = GraphMeta {
-        num_vertices,
-        num_edges,
-        p: p as u32,
-        weighted,
-        checksums: true,
-        codec: config.codec.name().to_string(),
-        interval_starts: starts,
-        out_blocks: prog.out_blocks.clone(),
-        in_blocks: prog.in_blocks.clone(),
-    };
+    let meta = prog.meta.expect("recorded by the degree phase");
     meta.validate().map_err(StorageError::Corrupt)?;
 
     // Sweep build-time scratch so it never ships in the committed
     // directory (a crash after a shard's progress record can leave its
     // spill behind).
     std::fs::remove_file(out.path(PROGRESS_FILE)).ok();
-    for k in 0..p {
-        std::fs::remove_file(out.path(&spill_out(k))).ok();
-        std::fs::remove_file(out.path(&spill_in(k))).ok();
+    for o in Orientation::BOTH {
+        for k in 0..p {
+            std::fs::remove_file(out.path(&spill_file(o, k))).ok();
+        }
     }
     finalize_build(staging, &meta)?;
     Ok(meta)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum ShardKind {
-    /// Out-shard: blocked by destination interval, indexed by source.
-    Out,
-    /// In-shard: blocked by source interval, indexed by destination.
-    In,
+/// Read one spill back as `(own vertex, neighbor, weight)` records of
+/// orientation `o` (weight 1.0 when unweighted).
+fn read_spill(
+    dir: &StorageDir,
+    name: &str,
+    o: Orientation,
+    weighted: bool,
+) -> Result<Vec<(u32, u32, f32)>> {
+    let reader = dir.reader(name)?;
+    let mut bytes = vec![0u8; reader.len() as usize];
+    if !bytes.is_empty() {
+        reader.read_at(0, &mut bytes, Access::Sequential)?;
+    }
+    let field = |rec: &[u8], at: usize| rec[at..at + 4].try_into().expect("4-byte field");
+    Ok(bytes
+        .chunks_exact(if weighted { 12 } else { 8 })
+        .map(|rec| {
+            let (v, neighbor) =
+                o.orient(u32::from_le_bytes(field(rec, 0)), u32::from_le_bytes(field(rec, 4)));
+            (v, neighbor, if weighted { f32::from_le_bytes(field(rec, 8)) } else { 1.0 })
+        })
+        .collect())
 }
 
-/// Write one shard's records (already sorted by `(other-interval, own
-/// vertex)`) as `P` codec-encoded blocks with per-vertex CSR offsets —
-/// byte-identical to the in-memory builder's output for the same codec.
-#[allow(clippy::too_many_arguments)]
-fn write_shard(
+/// Write `o`-shard `own` — `P` codec-encoded blocks, each with its
+/// per-vertex CSR offset array, and the two CRC footers. This is the one
+/// place that spells out the shard format of `docs/FORMAT.md`; both
+/// builders end here, which is what makes their output byte-identical.
+///
+/// `runs` yields the shard's `P` blocks in file order, each as
+/// `(own vertex, neighbor, weight)` records in canonical
+/// `(own vertex, neighbor)` order. The block descriptors are recorded
+/// into `meta`. The per-block CRC-32C covers the *encoded* bytes;
+/// footers are appended untracked (integrity metadata, not modeled data
+/// I/O).
+pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
     dir: &StorageDir,
-    edges_name: &str,
-    index_name: &str,
-    records: &[(Edge, f32)],
-    starts: &[u32],
-    p: usize,
+    meta: &mut GraphMeta,
+    o: Orientation,
     own: usize,
-    weighted: bool,
-    codec: Codec,
-    kind: ShardKind,
-    blocks: &mut [BlockMeta],
+    runs: impl Iterator<Item = R>,
 ) -> Result<()> {
-    let base = starts[own];
-    let len = (starts[own + 1] - starts[own]) as usize;
-    let record_bytes: usize = if weighted { 8 } else { 4 };
-    let mut edges_w = dir.writer(edges_name)?;
-    let mut index_w = dir.writer(index_name)?;
+    let codec = meta.codec().map_err(StorageError::Corrupt)?;
+    let (p, weighted) = (meta.p as usize, meta.weighted);
+    let base = meta.interval_start(own);
+    let record_bytes = meta.edge_record_bytes() as usize;
+    let (edges_name, index_name) = (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
+    let mut edges_w = dir.writer(&edges_name)?;
+    let mut index_w = dir.writer(&index_name)?;
     let mut edge_crcs = Vec::with_capacity(p);
     let mut index_crcs = Vec::with_capacity(p);
+    // Reusable per-block scratch: CSR offsets over this interval's
+    // vertices, the decoded record run and its encoded payload.
+    let mut offsets = vec![0u32; meta.interval_len(own) as usize + 1];
     let mut raw_buf: Vec<u8> = Vec::new();
     let mut enc_buf: Vec<u8> = Vec::new();
     let mut decoded_pos = 0u64;
-    let mut cursor = 0usize;
-    for other in 0..p {
-        // Records of block `other` form a contiguous run of the sorted
-        // shard.
-        let run_start = cursor;
-        while cursor < records.len() {
-            let (e, _) = records[cursor];
-            let o = match kind {
-                ShardKind::Out => interval_of(starts, e.dst),
-                ShardKind::In => interval_of(starts, e.src),
-            };
-            if o != other {
-                break;
-            }
-            cursor += 1;
-        }
-        let run = &records[run_start..cursor];
-        let block = match kind {
-            ShardKind::Out => &mut blocks[own * p + other],
-            ShardKind::In => &mut blocks[other * p + own],
-        };
-        block.edge_count = run.len() as u64;
-        block.index_offset = index_w.position();
-        let mut offsets = vec![0u32; len + 1];
-        for (e, _) in run {
-            let v = match kind {
-                ShardKind::Out => e.src,
-                ShardKind::In => e.dst,
-            };
-            offsets[(v - base) as usize + 1] += 1;
-        }
-        for v in 0..len {
-            offsets[v + 1] += offsets[v];
-        }
-        index_crcs.push(hus_storage::crc32c(pod::as_bytes(&offsets)));
-        index_w.write_pod_slice(&offsets)?;
+    for (other, run) in runs.enumerate() {
+        offsets.fill(0);
         raw_buf.clear();
-        for (e, w) in run {
-            let neighbor = match kind {
-                ShardKind::Out => e.dst,
-                ShardKind::In => e.src,
-            };
-            raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(&neighbor)));
+        for (v, neighbor, weight) in run {
+            offsets[(v - base) as usize + 1] += 1;
+            raw_buf.extend_from_slice(&neighbor.to_le_bytes());
             if weighted {
-                raw_buf.extend_from_slice(pod::as_bytes(std::slice::from_ref(w)));
+                raw_buf.extend_from_slice(&weight.to_le_bytes());
             }
+        }
+        for v in 1..offsets.len() {
+            offsets[v] += offsets[v - 1];
         }
         codec.encode(&raw_buf, record_bytes, &mut enc_buf);
-        block.edge_offset = decoded_pos;
-        block.encoded_offset = edges_w.position();
-        block.encoded_bytes = enc_buf.len() as u64;
+        let (i, j) = o.orient(own, other);
+        *meta.block_mut(o, i, j) = BlockMeta {
+            edge_offset: decoded_pos,
+            edge_count: (raw_buf.len() / record_bytes) as u64,
+            index_offset: index_w.position(),
+            encoded_offset: edges_w.position(),
+            encoded_bytes: enc_buf.len() as u64,
+        };
         decoded_pos += raw_buf.len() as u64;
+        index_crcs.push(hus_storage::crc32c(pod::as_bytes(&offsets)));
+        index_w.write_pod_slice(&offsets)?;
         edge_crcs.push(hus_storage::crc32c(&enc_buf));
         edges_w.write_all(&enc_buf)?;
     }
-    debug_assert_eq!(cursor, records.len(), "sorted shard fully consumed");
+    assert_eq!(edge_crcs.len(), p, "a shard has exactly P blocks");
+    crash_point("build.shard_mid"); // torn: buffered writes lost
     edges_w.finish()?;
     index_w.finish()?;
-    ShardFooter::with_codec(edge_crcs, codec.id()).append_to(&dir.path(edges_name))?;
-    ShardFooter::new(index_crcs).append_to(&dir.path(index_name))?;
+    ShardFooter::with_codec(edge_crcs, codec.id()).append_to(&dir.path(&edges_name))?;
+    ShardFooter::new(index_crcs).append_to(&dir.path(&index_name))?;
     Ok(())
 }
 
@@ -495,6 +428,7 @@ fn write_shard(
 mod tests {
     use super::*;
     use crate::builder::build;
+    use hus_codec::Codec;
     use hus_gen::rmat;
 
     fn file_bytes(dir: &StorageDir, name: &str) -> Vec<u8> {
@@ -502,59 +436,83 @@ mod tests {
     }
 
     fn assert_dirs_identical(a: &StorageDir, b: &StorageDir, p: usize) {
-        for i in 0..p {
-            for name in [
-                GraphMeta::out_edges_file(i),
-                GraphMeta::out_index_file(i),
-                GraphMeta::in_edges_file(i),
-                GraphMeta::in_index_file(i),
-            ] {
-                assert_eq!(file_bytes(a, &name), file_bytes(b, &name), "{name}");
-            }
+        for (name, _) in GraphMeta::data_files(p as u32) {
+            assert_eq!(file_bytes(a, &name), file_bytes(b, &name), "{name}");
         }
-        assert_eq!(file_bytes(a, DEGREES_FILE), file_bytes(b, DEGREES_FILE));
+    }
+
+    /// Build `el` with both builders and require the same manifest and
+    /// the same bytes in every data file.
+    fn assert_builders_agree(case: &str, el: &hus_gen::EdgeList, cfg: &BuildConfig) {
+        let tmp = tempfile::tempdir().unwrap();
+        let mem_dir = StorageDir::create(tmp.path().join("mem")).unwrap();
+        let ext_dir = StorageDir::create(tmp.path().join("ext")).unwrap();
+        let mem_meta = build(el, &mem_dir, cfg).unwrap();
+        let ext_meta = build_external(&ListSource(el), &ext_dir, cfg).unwrap();
+        assert_eq!(mem_meta, ext_meta, "{case}");
+        assert_eq!(mem_meta.codec().unwrap(), cfg.codec, "{case}");
+        assert_dirs_identical(&mem_dir, &ext_dir, mem_meta.p as usize);
+    }
+
+    /// 12 vertices in 3 intervals; interval 1 (vertices 4..8) has no
+    /// edge in or out, and several edges repeat.
+    fn sparse_with_duplicates() -> hus_gen::EdgeList {
+        hus_gen::EdgeList::from_pairs([
+            (0, 9),
+            (3, 1),
+            (0, 9),
+            (11, 2),
+            (9, 0),
+            (3, 1),
+            (0, 9),
+            (10, 11),
+        ])
     }
 
     #[test]
     fn external_build_matches_in_memory_build_exactly() {
         let el = rmat(300, 2500, 21, Default::default());
-        let tmp = tempfile::tempdir().unwrap();
-        let mem_dir = StorageDir::create(tmp.path().join("mem")).unwrap();
-        let ext_dir = StorageDir::create(tmp.path().join("ext")).unwrap();
-        let cfg = BuildConfig::with_p(4);
-        let mem_meta = build(&el, &mem_dir, &cfg).unwrap();
-        let ext_meta = build_external(&ListSource(&el), &ext_dir, &cfg).unwrap();
-        assert_eq!(mem_meta, ext_meta);
-        assert_dirs_identical(&mem_dir, &ext_dir, 4);
+        assert_builders_agree("rmat", &el, &BuildConfig::with_p(4));
+        assert_builders_agree("P = 1", &el, &BuildConfig::with_p(1));
+        assert_builders_agree(
+            "empty interval + duplicates",
+            &sparse_with_duplicates(),
+            &BuildConfig::with_p(3),
+        );
+        assert_builders_agree("edgeless", &hus_gen::EdgeList::empty(10), &BuildConfig::with_p(2));
     }
 
     #[test]
     fn external_build_matches_for_weighted_graphs() {
         let el = rmat(150, 1200, 33, Default::default()).with_hash_weights(0.5, 3.0);
-        let tmp = tempfile::tempdir().unwrap();
-        let mem_dir = StorageDir::create(tmp.path().join("mem")).unwrap();
-        let ext_dir = StorageDir::create(tmp.path().join("ext")).unwrap();
-        let cfg = BuildConfig::with_p(3);
-        assert_eq!(
-            build(&el, &mem_dir, &cfg).unwrap(),
-            build_external(&ListSource(&el), &ext_dir, &cfg).unwrap()
+        assert_builders_agree("rmat", &el, &BuildConfig::with_p(3));
+        assert_builders_agree(
+            "weighted x delta-varint",
+            &el,
+            &BuildConfig::with_p_codec(3, Codec::DeltaVarint),
         );
-        assert_dirs_identical(&mem_dir, &ext_dir, 3);
+        // Duplicate edges carrying different weights: both builders must
+        // keep them in input order (the sorts are stable).
+        let mut dup = sparse_with_duplicates();
+        dup.weights = Some((0..dup.edges.len()).map(|k| k as f32 + 0.5).collect());
+        for codec in [Codec::Raw, Codec::DeltaVarint] {
+            assert_builders_agree(
+                "weighted duplicates",
+                &dup,
+                &BuildConfig::with_p_codec(3, codec),
+            );
+        }
     }
 
     #[test]
     fn external_build_matches_under_delta_varint() {
         // The byte-identity guarantee holds per codec, not just for raw.
         let el = rmat(300, 2500, 21, Default::default());
-        let tmp = tempfile::tempdir().unwrap();
-        let mem_dir = StorageDir::create(tmp.path().join("mem")).unwrap();
-        let ext_dir = StorageDir::create(tmp.path().join("ext")).unwrap();
-        let cfg = BuildConfig::with_p_codec(4, Codec::DeltaVarint);
-        let mem_meta = build(&el, &mem_dir, &cfg).unwrap();
-        let ext_meta = build_external(&ListSource(&el), &ext_dir, &cfg).unwrap();
-        assert_eq!(mem_meta, ext_meta);
-        assert_eq!(mem_meta.codec().unwrap(), Codec::DeltaVarint);
-        assert_dirs_identical(&mem_dir, &ext_dir, 4);
+        let dv = |p| BuildConfig::with_p_codec(p, Codec::DeltaVarint);
+        assert_builders_agree("rmat", &el, &dv(4));
+        assert_builders_agree("P = 1", &el, &dv(1));
+        assert_builders_agree("empty interval + duplicates", &sparse_with_duplicates(), &dv(3));
+        assert_builders_agree("edgeless", &hus_gen::EdgeList::empty(10), &dv(2));
     }
 
     #[test]
@@ -594,7 +552,13 @@ mod tests {
         // Plant a staging sibling recorded for a different build and
         // "crash" so its Drop cleanup never runs.
         let staging = dir.staging().unwrap();
-        save_progress(staging.dir(), &BuildProgress::fresh("other-build".into())).unwrap();
+        let other = BuildProgress {
+            fingerprint: "other-build".into(),
+            meta: None,
+            spilled: false,
+            shards_done: 0,
+        };
+        save_progress(staging.dir(), &other).unwrap();
         std::mem::forget(staging);
         assert_eq!(dir.staging_siblings().len(), 1);
 

@@ -21,7 +21,7 @@
 //! remnants of interrupted spills.
 
 use crate::checkpoint::CKPT_SLOTS;
-use crate::meta::{GraphMeta, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
+use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
 use hus_storage::checksum::{footer_len, ShardFooter};
 use hus_storage::{crc32c, Access, BuildManifest, Result, StorageDir};
 use std::path::PathBuf;
@@ -172,25 +172,16 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
     // 3. Every shard file: length, footer, per-block payload CRCs,
     //    index monotonicity.
     for own in 0..p {
-        let shards = [
-            (GraphMeta::out_edges_file(own), GraphMeta::out_index_file(own), true),
-            (GraphMeta::in_edges_file(own), GraphMeta::in_index_file(own), false),
-        ];
-        for (edges_name, index_name, is_out) in shards {
-            let block = |other: usize| {
-                if is_out {
-                    meta.out_block(own, other)
-                } else {
-                    meta.in_block(other, own)
-                }
-            };
+        for o in Orientation::BOTH {
+            let (edges_name, index_name) =
+                (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
             check_file(
                 dir,
                 &edges_name,
                 &mut report,
                 meta.checksums.then_some(codec.id()),
                 p,
-                (0..p).map(|o| (block(o).encoded_offset, block(o).encoded_bytes)).collect(),
+                meta.shard_blocks(o, own).map(|b| (b.encoded_offset, b.encoded_bytes)).collect(),
             );
             let seg = (meta.interval_len(own) as u64 + 1) * INDEX_ENTRY_BYTES;
             check_file(
@@ -199,12 +190,11 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
                 &mut report,
                 meta.checksums.then_some(hus_codec::CODEC_RAW),
                 p,
-                (0..p).map(|o| (block(o).index_offset, seg)).collect(),
+                meta.shard_blocks(o, own).map(|b| (b.index_offset, seg)).collect(),
             );
             // CSR invariants per index block: offsets start at 0, are
             // non-decreasing, and end at the block's edge count.
-            for other in 0..p {
-                let b = block(other);
+            for (other, b) in meta.shard_blocks(o, own).enumerate() {
                 if let Err(issue) =
                     check_index_block(dir, &index_name, b.index_offset, seg, b.edge_count)
                 {

@@ -1,9 +1,10 @@
 //! Runtime handle to a built dual-block graph.
 
 use crate::builder::{build, BuildConfig};
-use crate::meta::{GraphMeta, DEGREES_FILE, META_FILE};
+use crate::delta::{DeltaOverlay, MergedBlock};
+use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
 use hus_codec::Codec;
-use hus_gen::EdgeList;
+use hus_gen::{Edge, EdgeList};
 use hus_storage::checksum::{footer_len, ShardFooter};
 use hus_storage::{
     Access, BlockSpan, BuildManifest, CodecBackend, RangeRead, ReadBackend, Result, StorageDir,
@@ -21,14 +22,13 @@ fn verify_legacy_layout(dir: &StorageDir, meta: &GraphMeta) -> Result<()> {
     let p = meta.p as usize;
     let foot = if meta.checksums { footer_len(p) } else { 0 };
     let mut expected: Vec<(String, u64)> = Vec::with_capacity(4 * p + 1);
-    for i in 0..p {
-        let out_edges: u64 = (0..p).map(|j| meta.out_block(i, j).encoded_bytes).sum();
-        let in_edges: u64 = (0..p).map(|ii| meta.in_block(ii, i).encoded_bytes).sum();
-        let index = p as u64 * (meta.interval_len(i) as u64 + 1) * crate::meta::INDEX_ENTRY_BYTES;
-        expected.push((GraphMeta::out_edges_file(i), out_edges + foot));
-        expected.push((GraphMeta::out_index_file(i), index + foot));
-        expected.push((GraphMeta::in_edges_file(i), in_edges + foot));
-        expected.push((GraphMeta::in_index_file(i), index + foot));
+    for o in Orientation::BOTH {
+        for k in 0..p {
+            let edges: u64 = meta.shard_blocks(o, k).map(|b| b.encoded_bytes).sum();
+            let index = p as u64 * (meta.interval_len(k) as u64 + 1) * INDEX_ENTRY_BYTES;
+            expected.push((GraphMeta::edges_file(o, k), edges + foot));
+            expected.push((GraphMeta::index_file(o, k), index + foot));
+        }
     }
     expected.push((DEGREES_FILE.to_string(), 4 * meta.num_vertices as u64));
     for (name, want) in expected {
@@ -52,19 +52,23 @@ fn verify_legacy_layout(dir: &StorageDir, meta: &GraphMeta) -> Result<()> {
     Ok(())
 }
 
-/// Per-file, per-block CRC-32C tables loaded from the shard footers of a
-/// checksummed graph (`GraphMeta::checksums`). Outer index is the shard
-/// file, inner index the block's position within that file.
-struct GraphChecksums {
-    /// `out_edges[i][j]`: CRC of out-block `(i, j)` payload.
-    out_edges: Vec<Vec<u32>>,
-    /// `out_index[i][j]`: CRC of out-block `(i, j)`'s CSR offset array.
-    out_index: Vec<Vec<u32>>,
-    /// `in_edges[j][i]`: CRC of in-block `(i, j)` payload (in-shard `j`
-    /// concatenates blocks by source interval `i`).
-    in_edges: Vec<Vec<u32>>,
-    /// `in_index[j][i]`: CRC of in-block `(i, j)`'s CSR offset array.
-    in_index: Vec<Vec<u32>>,
+/// One opened shard: its two files and, on a checksummed graph
+/// (`GraphMeta::checksums`), the per-block CRC-32C rows of their
+/// footers, indexed by the block's position within the shard.
+struct Shard {
+    edges: Arc<dyn ReadBackend>,
+    index: Arc<dyn ReadBackend>,
+    edge_crcs: Option<Vec<u32>>,
+    index_crcs: Option<Vec<u32>>,
+}
+
+/// Where reads of one block are served from.
+enum Source<'a> {
+    /// The block was touched by buffered updates: its merged in-memory
+    /// form, read without device I/O.
+    Overlay(&'a MergedBlock),
+    /// The base shard and the block's descriptor in it.
+    Base(&'a Shard, &'a BlockMeta),
 }
 
 /// An opened dual-block graph: manifest, shard readers, and the
@@ -74,11 +78,8 @@ pub struct HusGraph {
     meta: GraphMeta,
     codec: Codec,
     out_degrees: Vec<u32>,
-    out_edges: Vec<Arc<dyn ReadBackend>>,
-    out_index: Vec<Arc<dyn ReadBackend>>,
-    in_edges: Vec<Arc<dyn ReadBackend>>,
-    in_index: Vec<Arc<dyn ReadBackend>>,
-    checksums: Option<GraphChecksums>,
+    /// `shards[o as usize][k]` is interval `k`'s `o`-shard.
+    shards: [Vec<Shard>; 2],
     /// Shared with the [`CodecBackend`]s wrapping compressed shards, so
     /// one toggle switches graph-level and codec-level verification.
     verify: Arc<AtomicBool>,
@@ -89,7 +90,7 @@ pub struct HusGraph {
     /// shards unchanged. `Arc`-shared so one materialization serves
     /// every concurrent reader of the same `(generation, run set)`
     /// snapshot (see `crate::delta::overlay_builds`).
-    overlay: Option<Arc<crate::delta::DeltaOverlay>>,
+    overlay: Option<Arc<DeltaOverlay>>,
 }
 
 impl HusGraph {
@@ -144,119 +145,84 @@ impl HusGraph {
             )));
         }
         let codec = meta.codec().map_err(StorageError::Corrupt)?;
+        let verify = Arc::new(AtomicBool::new(crate::engine::env_flag("HUS_VERIFY", false)));
         // Footers are integrity metadata, loaded untracked at open like
         // the manifest (and before the readers: compressed shards hand
         // their CRCs to the decoding backends). A graph that claims
         // checksums but lacks a valid footer on any shard file — or
         // whose footer names a different codec than the manifest — is
         // rejected as corrupt.
-        let checksums = if meta.checksums {
-            let load = |name: String, expect: u16| -> Result<Vec<u32>> {
-                let f = ShardFooter::read_from(&dir.path(&name), p)?;
-                if f.codec != expect {
-                    return Err(StorageError::Corrupt(format!(
-                        "{name}: footer codec id {} disagrees with meta.json codec {:?} (id {expect})",
-                        f.codec, meta.codec
-                    )));
-                }
-                Ok(f.crcs)
-            };
-            Some(GraphChecksums {
-                out_edges: (0..p)
-                    .map(|i| load(GraphMeta::out_edges_file(i), codec.id()))
-                    .collect::<Result<_>>()?,
-                out_index: (0..p)
-                    .map(|i| load(GraphMeta::out_index_file(i), hus_codec::CODEC_RAW))
-                    .collect::<Result<_>>()?,
-                in_edges: (0..p)
-                    .map(|j| load(GraphMeta::in_edges_file(j), codec.id()))
-                    .collect::<Result<_>>()?,
-                in_index: (0..p)
-                    .map(|j| load(GraphMeta::in_index_file(j), hus_codec::CODEC_RAW))
-                    .collect::<Result<_>>()?,
-            })
-        } else {
-            None
+        let footer_crcs = |name: &str, expect: u16| -> Result<Option<Vec<u32>>> {
+            if !meta.checksums {
+                return Ok(None);
+            }
+            let f = ShardFooter::read_from(&dir.path(name), p)?;
+            if f.codec != expect {
+                return Err(StorageError::Corrupt(format!(
+                    "{name}: footer codec id {} disagrees with meta.json codec {:?} (id {expect})",
+                    f.codec, meta.codec
+                )));
+            }
+            Ok(Some(f.crcs))
         };
-        let verify = Arc::new(AtomicBool::new(crate::engine::env_flag("HUS_VERIFY", false)));
-        // Compressed shard readers are wrapped in a decoding backend so
-        // all the offset math below keeps addressing decoded records;
-        // raw shards read the stack directly (bit-identical to the
-        // pre-codec layout). Index files are never compressed.
         let m = meta.edge_record_bytes();
-        let edge_reader = |name: String,
-                           spans: Vec<BlockSpan>,
-                           crcs: Option<Vec<u32>>|
-         -> Result<Arc<dyn ReadBackend>> {
-            let inner = dir.reader(&name)?;
-            Ok(if codec.is_raw() {
-                inner
-            } else {
-                Arc::new(CodecBackend::new(
-                    inner,
+        let open_shard = |o: Orientation, own: usize| -> Result<Shard> {
+            let (edges_name, index_name) =
+                (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
+            let edge_crcs = footer_crcs(&edges_name, codec.id())?;
+            let index_crcs = footer_crcs(&index_name, hus_codec::CODEC_RAW)?;
+            // Compressed shard readers are wrapped in a decoding backend
+            // so all the offset math below keeps addressing decoded
+            // records; raw shards read the stack directly (bit-identical
+            // to the pre-codec layout). Index files are never compressed.
+            let mut edges = dir.reader(&edges_name)?;
+            if !codec.is_raw() {
+                let spans = meta.shard_blocks(o, own).enumerate().map(|(other, b)| {
+                    let (i, j) = o.orient(own, other);
+                    BlockSpan {
+                        id: (i as u32, j as u32),
+                        decoded_offset: b.edge_offset,
+                        decoded_len: b.edge_count * m,
+                        encoded_offset: b.encoded_offset,
+                        encoded_len: b.encoded_bytes,
+                    }
+                });
+                edges = Arc::new(CodecBackend::new(
+                    edges,
                     codec.as_dyn(),
                     m as usize,
-                    spans,
-                    crcs,
+                    spans.collect(),
+                    edge_crcs.clone(),
                     Arc::clone(&verify),
-                    dir.path(&name),
+                    dir.path(&edges_name),
                     dir.resilience(),
-                ))
-            })
+                ));
+            }
+            Ok(Shard { edges, index: dir.reader(&index_name)?, edge_crcs, index_crcs })
         };
-        let span = |id: (usize, usize), b: &crate::meta::BlockMeta| BlockSpan {
-            id: (id.0 as u32, id.1 as u32),
-            decoded_offset: b.edge_offset,
-            decoded_len: b.edge_count * m,
-            encoded_offset: b.encoded_offset,
-            encoded_len: b.encoded_bytes,
-        };
-        let mut out_edges = Vec::with_capacity(p);
-        let mut out_index = Vec::with_capacity(p);
-        let mut in_edges = Vec::with_capacity(p);
-        let mut in_index = Vec::with_capacity(p);
-        for i in 0..p {
-            out_edges.push(edge_reader(
-                GraphMeta::out_edges_file(i),
-                (0..p).map(|j| span((i, j), meta.out_block(i, j))).collect(),
-                checksums.as_ref().map(|cs| cs.out_edges[i].clone()),
-            )?);
-            out_index.push(dir.reader(&GraphMeta::out_index_file(i))?);
-            in_edges.push(edge_reader(
-                GraphMeta::in_edges_file(i),
-                (0..p).map(|ii| span((ii, i), meta.in_block(ii, i))).collect(),
-                checksums.as_ref().map(|cs| cs.in_edges[i].clone()),
-            )?);
-            in_index.push(dir.reader(&GraphMeta::in_index_file(i))?);
+        let mut shards = [Vec::with_capacity(p), Vec::with_capacity(p)];
+        for o in Orientation::BOTH {
+            for own in 0..p {
+                shards[o as usize].push(open_shard(o, own)?);
+            }
         }
-        Ok(HusGraph {
-            dir,
-            meta,
-            codec,
-            out_degrees,
-            out_edges,
-            out_index,
-            in_edges,
-            in_index,
-            checksums,
-            verify,
-            overlay: None,
-        })
+        Ok(HusGraph { dir, meta, codec, out_degrees, shards, verify, overlay: None })
     }
 
     /// Attach or detach the dynamic-graph overlay. With an overlay
     /// attached, reads of touched blocks are served from the merged
     /// in-memory view; untouched blocks keep reading the base shards.
-    pub(crate) fn set_overlay(&mut self, overlay: Option<Arc<crate::delta::DeltaOverlay>>) {
+    pub(crate) fn set_overlay(&mut self, overlay: Option<Arc<DeltaOverlay>>) {
         self.overlay = overlay;
     }
 
-    fn overlay_out(&self, i: usize, j: usize) -> Option<&crate::delta::MergedBlock> {
-        self.overlay.as_ref().and_then(|ov| ov.out.get(&(i, j)))
-    }
-
-    fn overlay_in(&self, i: usize, j: usize) -> Option<&crate::delta::MergedBlock> {
-        self.overlay.as_ref().and_then(|ov| ov.ins.get(&(i, j)))
+    /// Resolve `o`-block `(i, j)` to what serves its reads — the one
+    /// place the block loaders consult the overlay.
+    fn source(&self, o: Orientation, i: usize, j: usize) -> Source<'_> {
+        if let Some(m) = self.overlay.as_ref().and_then(|ov| ov.blocks[o as usize].get(&(i, j))) {
+            return Source::Overlay(m);
+        }
+        Source::Base(&self.shards[o as usize][o.orient(i, j).0], self.meta.block(o, i, j))
     }
 
     /// Enable or disable read-side checksum verification at runtime
@@ -272,77 +238,63 @@ impl HusGraph {
     /// Whether full-block reads are currently verified against the shard
     /// checksum footers.
     pub fn verify_enabled(&self) -> bool {
-        self.verify.load(Ordering::Relaxed) && self.checksums.is_some()
+        self.verify.load(Ordering::Relaxed) && self.meta.checksums
     }
 
-    /// Verify a freshly read full block's payload against its stored CRC.
-    ///
-    /// Only used on the raw-codec path: for compressed shards the
-    /// [`CodecBackend`] checks the footer CRC against the *encoded*
-    /// payload on every fetch (any read shape), so graph-level checks of
-    /// the decoded bytes would be both redundant and wrong. Under raw,
-    /// CRCs cover whole blocks, so selective reads are verified exactly
-    /// when they happen to span a full block; smaller partial reads pass
-    /// through unchecked — see DESIGN.md §9.
+    /// With verification on, check freshly read bytes of `o`-block
+    /// `(i, j)` — its whole edge payload (`edges`) or its whole CSR
+    /// offset array — against the CRC stored in its shard's footer.
     fn verify_block(
         &self,
-        stored: u32,
+        o: Orientation,
+        (i, j): (usize, usize),
+        edges: bool,
         data: &[u8],
-        file: String,
-        block: (usize, usize),
         offset: u64,
     ) -> Result<()> {
+        if !self.verify_enabled() {
+            return Ok(());
+        }
+        let (own, other) = o.orient(i, j);
+        let shard = &self.shards[o as usize][own];
+        let crcs = if edges { &shard.edge_crcs } else { &shard.index_crcs };
+        let Some(stored) = crcs.as_ref().map(|row| row[other]) else { return Ok(()) };
         let actual = hus_storage::crc32c(data);
         if actual == stored {
             return Ok(());
         }
         self.dir.resilience().record_checksum_failure();
-        hus_obs::attr::record_at(block.0 as u32, block.1 as u32, hus_obs::BlockStat::Retries, 1);
+        hus_obs::attr::record_at(i as u32, j as u32, hus_obs::BlockStat::Retries, 1);
+        let file =
+            if edges { GraphMeta::edges_file(o, own) } else { GraphMeta::index_file(o, own) };
         Err(StorageError::ChecksumMismatch {
             path: self.dir.path(&file),
-            block: (block.0 as u32, block.1 as u32),
+            block: (i as u32, j as u32),
             offset,
             expected: stored,
             actual,
         })
     }
 
-    /// Raw-codec verification of a whole out-block payload, shared by
-    /// the full-block loaders and the selective paths that happen to
-    /// span an entire block. No-op for compressed graphs (the codec
-    /// backend already verified the encoded payload) and when
-    /// verification is off.
-    fn verify_raw_out_block(&self, i: usize, j: usize, data: &[u8], offset: u64) -> Result<()> {
-        if !self.codec.is_raw() || !self.verify_enabled() {
+    /// Raw-codec verification of a whole block payload, shared by the
+    /// full-block loaders and the selective paths that happen to span an
+    /// entire block. No-op for compressed graphs: the [`CodecBackend`]
+    /// checks the footer CRC against the *encoded* payload on every
+    /// fetch (any read shape), so a graph-level check of the decoded
+    /// bytes would be both redundant and wrong. Under raw, CRCs cover
+    /// whole blocks, so smaller partial reads pass through unchecked —
+    /// see DESIGN.md §9.
+    fn verify_raw_block(
+        &self,
+        o: Orientation,
+        block: (usize, usize),
+        data: &[u8],
+        offset: u64,
+    ) -> Result<()> {
+        if !self.codec.is_raw() {
             return Ok(());
         }
-        if let Some(cs) = &self.checksums {
-            self.verify_block(
-                cs.out_edges[i][j],
-                data,
-                GraphMeta::out_edges_file(i),
-                (i, j),
-                offset,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Raw-codec verification of a whole in-block payload.
-    fn verify_raw_in_block(&self, i: usize, j: usize, data: &[u8], offset: u64) -> Result<()> {
-        if !self.codec.is_raw() || !self.verify_enabled() {
-            return Ok(());
-        }
-        if let Some(cs) = &self.checksums {
-            self.verify_block(
-                cs.in_edges[j][i],
-                data,
-                GraphMeta::in_edges_file(j),
-                (i, j),
-                offset,
-            )?;
-        }
-        Ok(())
+        self.verify_block(o, block, true, data, offset)
     }
 
     /// The manifest.
@@ -382,35 +334,37 @@ impl HusGraph {
         self.overlay.as_ref().map_or(self.meta.num_edges, |ov| ov.num_edges)
     }
 
+    /// Record count of `o`-block `(i, j)`, reflecting any overlay.
+    fn block_len(&self, o: Orientation, i: usize, j: usize) -> u64 {
+        match self.source(o, i, j) {
+            Source::Overlay(m) => m.len(),
+            Source::Base(_, block) => block.edge_count,
+        }
+    }
+
     /// Record count of out-block `(i, j)`, reflecting any overlay.
     /// Prefer this over `meta().out_block(i, j).edge_count` for
     /// skip/coalesce decisions.
     pub fn out_block_len(&self, i: usize, j: usize) -> u64 {
-        match self.overlay_out(i, j) {
-            Some(m) => m.len(),
-            None => self.meta.out_block(i, j).edge_count,
-        }
+        self.block_len(Orientation::Out, i, j)
     }
 
     /// Record count of in-block `(i, j)`, reflecting any overlay.
     pub fn in_block_len(&self, i: usize, j: usize) -> u64 {
-        match self.overlay_in(i, j) {
-            Some(m) => m.len(),
-            None => self.meta.in_block(i, j).edge_count,
-        }
+        self.block_len(Orientation::In, i, j)
     }
 
     /// Whether out-block `(i, j)` is served from the in-memory overlay:
     /// neither its index nor its record reads bill device I/O (the I/O
     /// plans of [`crate::rop`] price such blocks at zero).
     pub fn out_block_resident(&self, i: usize, j: usize) -> bool {
-        self.overlay_out(i, j).is_some()
+        matches!(self.source(Orientation::Out, i, j), Source::Overlay(_))
     }
 
     /// Whether in-block `(i, j)` is served from the in-memory overlay
     /// (see [`Self::out_block_resident`]; used by [`crate::cop`]'s plan).
     pub fn in_block_resident(&self, i: usize, j: usize) -> bool {
-        self.overlay_in(i, j).is_some()
+        matches!(self.source(Orientation::In, i, j), Source::Overlay(_))
     }
 
     /// Whether reads of out-block `(i, j)`'s edge *records* bill no
@@ -419,8 +373,10 @@ impl HusGraph {
     /// compressed graph any other read of the block fetches its whole
     /// encoded payload, whatever range was asked for.
     pub fn out_records_cached(&self, i: usize, j: usize) -> bool {
-        self.out_block_resident(i, j)
-            || self.out_edges[i].is_resident(self.meta.out_block(i, j).edge_offset)
+        match self.source(Orientation::Out, i, j) {
+            Source::Overlay(_) => true,
+            Source::Base(shard, block) => shard.edges.is_resident(block.edge_offset),
+        }
     }
 
     /// On-disk bytes per edge (`M` of the predictor), inflated by the
@@ -442,73 +398,39 @@ impl HusGraph {
         self.meta.p as usize
     }
 
-    /// Load out-index `(i, j)`: `interval_len(i) + 1` CSR offsets local
-    /// to out-block `(i, j)`.
-    pub fn load_out_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok(m.index.clone());
-        }
-        let block = self.meta.out_block(i, j);
-        let count = self.meta.interval_len(i) as usize + 1;
+    /// Load the CSR offsets of `o`-block `(i, j)`: one per vertex of the
+    /// interval that owns the shard, plus the end sentinel, local to the
+    /// block.
+    pub(crate) fn index(
+        &self,
+        o: Orientation,
+        i: usize,
+        j: usize,
+        access: Access,
+    ) -> Result<Vec<u32>> {
+        let (shard, block) = match self.source(o, i, j) {
+            Source::Overlay(m) => return Ok(m.index.clone()),
+            Source::Base(shard, block) => (shard, block),
+        };
+        let count = self.meta.interval_len(o.orient(i, j).0) as usize + 1;
         let idx: Vec<u32> = hus_obs::attr::with_block(i as u32, j as u32, || {
-            hus_storage::read_pod_vec(&self.out_index[i], block.index_offset, count, access)
+            hus_storage::read_pod_vec(&shard.index, block.index_offset, count, access)
         })?;
-        if self.verify_enabled() {
-            if let Some(cs) = &self.checksums {
-                self.verify_block(
-                    cs.out_index[i][j],
-                    hus_storage::pod::as_bytes(&idx),
-                    GraphMeta::out_index_file(i),
-                    (i, j),
-                    block.index_offset,
-                )?;
-            }
-        }
+        self.verify_block(o, (i, j), false, hus_storage::pod::as_bytes(&idx), block.index_offset)?;
         Ok(idx)
     }
 
-    /// Load in-index `(i, j)`: `interval_len(j) + 1` CSR offsets local to
-    /// in-block `(i, j)`.
-    pub fn load_in_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
-        if let Some(m) = self.overlay_in(i, j) {
-            return Ok(m.index.clone());
-        }
-        let block = self.meta.in_block(i, j);
-        let count = self.meta.interval_len(j) as usize + 1;
-        let idx: Vec<u32> = hus_obs::attr::with_block(i as u32, j as u32, || {
-            hus_storage::read_pod_vec(&self.in_index[j], block.index_offset, count, access)
-        })?;
-        if self.verify_enabled() {
-            if let Some(cs) = &self.checksums {
-                self.verify_block(
-                    cs.in_index[j][i],
-                    hus_storage::pod::as_bytes(&idx),
-                    GraphMeta::in_index_file(j),
-                    (i, j),
-                    block.index_offset,
-                )?;
-            }
-        }
-        Ok(idx)
-    }
-
-    /// Randomly load the two CSR offsets delimiting one vertex's edge
-    /// range in out-block `(i, j)` — an 8-byte random read. When the
-    /// frontier is far smaller than the interval, fetching entries
-    /// per-vertex beats loading the whole `len+1`-entry index array
-    /// (the engine chooses by predicted cost).
-    pub fn load_out_index_entry(&self, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok((m.index[local], m.index[local + 1]));
-        }
-        let block = self.meta.out_block(i, j);
+    /// Randomly load the two CSR offsets delimiting local vertex
+    /// `local`'s edge range in `o`-block `(i, j)`.
+    fn index_entry(&self, o: Orientation, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
+        let (shard, block) = match self.source(o, i, j) {
+            Source::Overlay(m) => return Ok((m.index[local], m.index[local + 1])),
+            Source::Base(shard, block) => (shard, block),
+        };
         let mut buf = [0u8; 8];
         hus_obs::attr::with_block(i as u32, j as u32, || {
-            self.out_index[i].read_at(
-                block.index_offset + local as u64 * 4,
-                &mut buf,
-                Access::Random,
-            )
+            let at = block.index_offset + local as u64 * INDEX_ENTRY_BYTES;
+            shard.index.read_at(at, &mut buf, Access::Random)
         })?;
         Ok((
             u32::from_le_bytes(buf[0..4].try_into().unwrap()),
@@ -516,52 +438,62 @@ impl HusGraph {
         ))
     }
 
-    /// Randomly load records `[lo, hi)` of out-block `(i, j)` — ROP's
-    /// selective per-vertex edge fetch (`LoadOutEdges` in Algorithm 2).
-    /// On a raw-codec graph with verification on, a selective read that
-    /// spans the whole block is checked against the footer CRC like a
-    /// full-block load (compressed graphs verify every shape inside the
-    /// codec backend).
-    pub fn load_out_records(&self, i: usize, j: usize, lo: u32, hi: u32) -> Result<EdgeRecords> {
-        debug_assert!(lo <= hi);
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok(m.records.slice(lo as usize, hi as usize));
-        }
-        let block = self.meta.out_block(i, j);
-        debug_assert!((hi as u64) <= block.edge_count);
+    /// Load records `[lo, hi)` of `o`-block `(i, j)`, or the whole block
+    /// when `range` is `None`, as one read billed under `access`. On a
+    /// raw-codec graph with verification on, a read that spans the whole
+    /// block is checked against the footer CRC (compressed graphs verify
+    /// every shape inside the codec backend).
+    pub(crate) fn records(
+        &self,
+        o: Orientation,
+        i: usize,
+        j: usize,
+        range: Option<(u32, u32)>,
+        access: Access,
+    ) -> Result<EdgeRecords> {
+        let (shard, block) = match self.source(o, i, j) {
+            Source::Overlay(m) => {
+                let (lo, hi) = range.map_or((0, m.records.len()), |(lo, hi)| (lo as _, hi as _));
+                return Ok(m.records.slice(lo, hi));
+            }
+            Source::Base(shard, block) => (shard, block),
+        };
+        let (lo, hi) = range.map_or((0, block.edge_count), |(lo, hi)| (lo as u64, hi as u64));
+        debug_assert!(lo <= hi && hi <= block.edge_count);
         let m = self.meta.edge_record_bytes();
-        let offset = block.edge_offset + lo as u64 * m;
-        let len = (hi - lo) as usize * m as usize;
-        let mut data = vec![0u8; len];
-        hus_obs::attr::with_block(i as u32, j as u32, || {
-            self.out_edges[i].read_at(offset, &mut data, Access::Random)
-        })?;
-        if lo == 0 && hi as u64 == block.edge_count {
-            self.verify_raw_out_block(i, j, &data, block.edge_offset)?;
+        let mut data = vec![0u8; ((hi - lo) * m) as usize];
+        // An empty block is never fetched; an explicit empty range still
+        // bills its (zero-byte) operation, as selective callers expect.
+        if range.is_some() || !data.is_empty() {
+            hus_obs::attr::with_block(i as u32, j as u32, || {
+                shard.edges.read_at(block.edge_offset + lo * m, &mut data, access)
+            })?;
+        }
+        if lo == 0 && hi == block.edge_count {
+            self.verify_raw_block(o, (i, j), &data, block.edge_offset)?;
         }
         Ok(EdgeRecords { data, weighted: self.meta.weighted })
     }
 
-    /// Load several record ranges `[lo, hi)` of out-block `(i, j)` as one
-    /// batched multi-range request — ROP's coalesced selective fetch.
-    /// The engine merges nearby active vertices' ranges (sorted, gaps
-    /// under a slack) and issues each merged run through
-    /// [`ReadBackend::read_ranges`], so a run of `k` ranges costs one
-    /// tracked operation billing exactly the requested bytes. Ranges must
-    /// be sorted ascending and non-overlapping.
-    pub fn load_out_record_ranges(
+    /// Load several record ranges `[lo, hi)` of `o`-block `(i, j)` as
+    /// one batched multi-range request. Ranges must be sorted ascending
+    /// and non-overlapping.
+    fn record_ranges(
         &self,
+        o: Orientation,
         i: usize,
         j: usize,
         ranges: &[(u32, u32)],
     ) -> Result<Vec<EdgeRecords>> {
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok(ranges
-                .iter()
-                .map(|&(lo, hi)| m.records.slice(lo as usize, hi as usize))
-                .collect());
-        }
-        let block = self.meta.out_block(i, j);
+        let (shard, block) = match self.source(o, i, j) {
+            Source::Overlay(m) => {
+                return Ok(ranges
+                    .iter()
+                    .map(|&(lo, hi)| m.records.slice(lo as usize, hi as usize))
+                    .collect())
+            }
+            Source::Base(shard, block) => (shard, block),
+        };
         let m = self.meta.edge_record_bytes();
         let mut bufs: Vec<Vec<u8>> = ranges
             .iter()
@@ -579,14 +511,14 @@ impl HusGraph {
             })
             .collect();
         hus_obs::attr::with_block(i as u32, j as u32, || {
-            self.out_edges[i].read_ranges(&mut reqs, Access::Batched)
+            shard.edges.read_ranges(&mut reqs, Access::Batched)
         })?;
         drop(reqs);
         if let [(0, hi)] = ranges {
             // A single merged range that swallowed the whole block is a
             // full-block read in disguise; verify it as one (raw codec).
             if *hi as u64 == block.edge_count {
-                self.verify_raw_out_block(i, j, &bufs[0], block.edge_offset)?;
+                self.verify_raw_block(o, (i, j), &bufs[0], block.edge_offset)?;
             }
         }
         Ok(bufs
@@ -595,66 +527,96 @@ impl HusGraph {
             .collect())
     }
 
+    /// Every edge (and weight, on a weighted graph) recovered by walking
+    /// the `o`-shards block by block through their CSR indices —
+    /// overlay-aware, so it is the merged edge set compaction folds.
+    pub(crate) fn edge_list(&self, o: Orientation) -> Result<EdgeList> {
+        let mut edges = Vec::with_capacity(self.num_edges() as usize);
+        let mut weights = self.meta.weighted.then(|| Vec::with_capacity(edges.capacity()));
+        for own in 0..self.p() {
+            let base = self.meta.interval_start(own);
+            for other in 0..self.p() {
+                let (i, j) = o.orient(own, other);
+                let idx = self.index(o, i, j, Access::Sequential)?;
+                let recs = self.records(o, i, j, None, Access::Sequential)?;
+                for v in 0..self.meta.interval_len(own) {
+                    for k in idx[v as usize] as usize..idx[v as usize + 1] as usize {
+                        let (src, dst) = o.orient(base + v, recs.neighbor(k));
+                        edges.push(Edge::new(src, dst));
+                        if let Some(w) = &mut weights {
+                            w.push(recs.weight(k));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(EdgeList { num_vertices: self.meta.num_vertices, edges, weights })
+    }
+
+    /// Load out-index `(i, j)`: `interval_len(i) + 1` CSR offsets local
+    /// to out-block `(i, j)`.
+    pub fn load_out_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
+        self.index(Orientation::Out, i, j, access)
+    }
+
+    /// Load in-index `(i, j)`: `interval_len(j) + 1` CSR offsets local to
+    /// in-block `(i, j)`.
+    pub fn load_in_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
+        self.index(Orientation::In, i, j, access)
+    }
+
+    /// Randomly load the two CSR offsets delimiting one vertex's edge
+    /// range in out-block `(i, j)` — an 8-byte random read. When the
+    /// frontier is far smaller than the interval, fetching entries
+    /// per-vertex beats loading the whole `len+1`-entry index array
+    /// (the engine chooses by predicted cost).
+    pub fn load_out_index_entry(&self, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
+        self.index_entry(Orientation::Out, i, j, local)
+    }
+
+    /// Randomly load records `[lo, hi)` of out-block `(i, j)` — ROP's
+    /// selective per-vertex edge fetch (`LoadOutEdges` in Algorithm 2).
+    pub fn load_out_records(&self, i: usize, j: usize, lo: u32, hi: u32) -> Result<EdgeRecords> {
+        self.records(Orientation::Out, i, j, Some((lo, hi)), Access::Random)
+    }
+
+    /// Load several record ranges `[lo, hi)` of out-block `(i, j)` as one
+    /// batched multi-range request — ROP's coalesced selective fetch.
+    /// The engine merges nearby active vertices' ranges (sorted, gaps
+    /// under a slack) and issues each merged run through
+    /// [`ReadBackend::read_ranges`], so a run of `k` ranges costs one
+    /// tracked operation billing exactly the requested bytes. Ranges must
+    /// be sorted ascending and non-overlapping.
+    pub fn load_out_record_ranges(
+        &self,
+        i: usize,
+        j: usize,
+        ranges: &[(u32, u32)],
+    ) -> Result<Vec<EdgeRecords>> {
+        self.record_ranges(Orientation::Out, i, j, ranges)
+    }
+
     /// Load the whole out-block `(i, j)` in one coalesced request: ROP's
     /// elevator fetch. When a frontier is dense enough that its
     /// per-vertex ranges cover most of a block, issuing them as one
     /// ascending sweep is what a real disk scheduler converges to;
     /// billed at the device's batched-sweep throughput.
     pub fn load_out_block_batch(&self, i: usize, j: usize) -> Result<EdgeRecords> {
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok(m.records.clone());
-        }
-        let block = self.meta.out_block(i, j);
-        let m = self.meta.edge_record_bytes();
-        let len = (block.edge_count * m) as usize;
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            hus_obs::attr::with_block(i as u32, j as u32, || {
-                self.out_edges[i].read_at(block.edge_offset, &mut data, Access::Batched)
-            })?;
-        }
-        self.verify_raw_out_block(i, j, &data, block.edge_offset)?;
-        Ok(EdgeRecords { data, weighted: self.meta.weighted })
+        self.records(Orientation::Out, i, j, None, Access::Batched)
     }
 
     /// Sequentially stream the whole in-block `(i, j)` — COP's
     /// `LoadInEdges` (Algorithm 3). The paper sizes `P` so a block fits
     /// in memory; we load it in one tracked sequential read.
     pub fn stream_in_block(&self, i: usize, j: usize) -> Result<EdgeRecords> {
-        if let Some(m) = self.overlay_in(i, j) {
-            return Ok(m.records.clone());
-        }
-        let block = self.meta.in_block(i, j);
-        let m = self.meta.edge_record_bytes();
-        let len = (block.edge_count * m) as usize;
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            hus_obs::attr::with_block(i as u32, j as u32, || {
-                self.in_edges[j].read_at(block.edge_offset, &mut data, Access::Sequential)
-            })?;
-        }
-        self.verify_raw_in_block(i, j, &data, block.edge_offset)?;
-        Ok(EdgeRecords { data, weighted: self.meta.weighted })
+        self.records(Orientation::In, i, j, None, Access::Sequential)
     }
 
     /// Sequentially stream the whole out-block `(i, j)` (used by the
     /// ablation harness to measure layout costs; ROP itself reads
     /// selectively).
     pub fn stream_out_block(&self, i: usize, j: usize) -> Result<EdgeRecords> {
-        if let Some(m) = self.overlay_out(i, j) {
-            return Ok(m.records.clone());
-        }
-        let block = self.meta.out_block(i, j);
-        let m = self.meta.edge_record_bytes();
-        let len = (block.edge_count * m) as usize;
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            hus_obs::attr::with_block(i as u32, j as u32, || {
-                self.out_edges[i].read_at(block.edge_offset, &mut data, Access::Sequential)
-            })?;
-        }
-        self.verify_raw_out_block(i, j, &data, block.edge_offset)?;
-        Ok(EdgeRecords { data, weighted: self.meta.weighted })
+        self.records(Orientation::Out, i, j, None, Access::Sequential)
     }
 }
 
@@ -731,7 +693,7 @@ impl EdgeRecords {
 mod tests {
     use super::*;
     use hus_gen::rmat::{rmat, RmatConfig};
-    use hus_gen::{Csr, Edge};
+    use hus_gen::Csr;
 
     fn open_graph(el: &EdgeList, p: u32) -> (tempfile::TempDir, HusGraph) {
         let tmp = tempfile::tempdir().unwrap();
@@ -749,64 +711,23 @@ mod tests {
         (tmp, g)
     }
 
-    /// Reconstruct the edge set through the out-blocks + out-indices.
-    fn edges_via_out_blocks(g: &HusGraph) -> Vec<Edge> {
-        let mut edges = Vec::new();
-        let p = g.p();
-        for i in 0..p {
-            let base = g.meta().interval_start(i);
-            for j in 0..p {
-                let idx = g.load_out_index(i, j, Access::Sequential).unwrap();
-                let recs = g.stream_out_block(i, j).unwrap();
-                for v_local in 0..g.meta().interval_len(i) as usize {
-                    for k in idx[v_local]..idx[v_local + 1] {
-                        edges.push(Edge::new(base + v_local as u32, recs.neighbor(k as usize)));
-                    }
-                }
-            }
-        }
-        edges
-    }
-
-    /// Reconstruct the edge set through the in-blocks + in-indices.
-    fn edges_via_in_blocks(g: &HusGraph) -> Vec<Edge> {
-        let mut edges = Vec::new();
-        let p = g.p();
-        for j in 0..p {
-            let base = g.meta().interval_start(j);
-            for i in 0..p {
-                let idx = g.load_in_index(i, j, Access::Sequential).unwrap();
-                let recs = g.stream_in_block(i, j).unwrap();
-                for v_local in 0..g.meta().interval_len(j) as usize {
-                    for k in idx[v_local]..idx[v_local + 1] {
-                        edges.push(Edge::new(recs.neighbor(k as usize), base + v_local as u32));
-                    }
-                }
-            }
-        }
+    /// The edge set reconstructed through the `o`-blocks + `o`-indices,
+    /// sorted.
+    fn edges_via_blocks(g: &HusGraph, o: Orientation) -> Vec<Edge> {
+        let mut edges = g.edge_list(o).unwrap().edges;
+        edges.sort_unstable();
         edges
     }
 
     #[test]
-    fn out_blocks_reconstruct_the_graph() {
+    fn blocks_of_either_orientation_reconstruct_the_graph() {
         let el = rmat(120, 700, 9, RmatConfig::default());
         let (_t, g) = open_graph(&el, 4);
-        let mut got = edges_via_out_blocks(&g);
-        let mut want = el.edges.clone();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn in_blocks_reconstruct_the_graph() {
-        let el = rmat(120, 700, 9, RmatConfig::default());
-        let (_t, g) = open_graph(&el, 4);
-        let mut got = edges_via_in_blocks(&g);
         let mut want = el.edges;
-        got.sort_unstable();
         want.sort_unstable();
-        assert_eq!(got, want);
+        for o in Orientation::BOTH {
+            assert_eq!(edges_via_blocks(&g, o), want, "{o:?}");
+        }
     }
 
     #[test]
@@ -1052,14 +973,11 @@ mod tests {
         assert_eq!(g.codec(), Codec::DeltaVarint);
         // Both traversal directions reconstruct the graph through the
         // decoding backends, weights intact.
-        let mut got = edges_via_out_blocks(&g);
         let mut want = el.edges.clone();
-        got.sort_unstable();
         want.sort_unstable();
-        assert_eq!(got, want);
-        let mut got_in = edges_via_in_blocks(&g);
-        got_in.sort_unstable();
-        assert_eq!(got_in, want);
+        for o in Orientation::BOTH {
+            assert_eq!(edges_via_blocks(&g, o), want, "{o:?}");
+        }
         // A COP stream bills the block's *encoded* bytes.
         let (i, j) = (0..3)
             .flat_map(|i| (0..3).map(move |j| (i, j)))

@@ -66,7 +66,7 @@ pub use engine::{
 pub use external::{build_external, BinaryFileSource, EdgeSource, ListSource};
 pub use fsck::{fsck, FsckReport};
 pub use graph::HusGraph;
-pub use meta::{BlockMeta, GraphMeta};
+pub use meta::{BlockMeta, GraphMeta, Orientation};
 pub use predict::{Predictor, UpdateModel};
 pub use program::{EdgeCtx, VertexProgram};
 pub use stats::{CheckpointStats, IterationStats, RunStats};

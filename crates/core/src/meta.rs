@@ -39,6 +39,46 @@ pub const INDEX_ENTRY_BYTES: u64 = 4;
 /// ([`crate::graph::HusGraph::load_out_index_entry`]).
 pub const INDEX_PROBE_BYTES: u64 = 2 * INDEX_ENTRY_BYTES;
 
+/// Which endpoint owns a shard — the one place that knows how the two
+/// halves of the dual-block representation differ. An out-shard and an
+/// in-shard are the same structure (`P` blocks, a per-vertex CSR index
+/// per block, a CRC footer) with source and destination swapped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Orientation {
+    /// Out-shard of a source interval: indexed by source, blocked by
+    /// destination interval, records store the destination.
+    Out,
+    /// In-shard of a destination interval: indexed by destination,
+    /// blocked by source interval, records store the source.
+    In,
+}
+
+impl Orientation {
+    /// Both orientations, in build order.
+    pub const BOTH: [Orientation; 2] = [Orientation::Out, Orientation::In];
+
+    /// File-name prefix (`out` / `in`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Orientation::Out => "out",
+            Orientation::In => "in",
+        }
+    }
+
+    /// Map a `(source side, destination side)` pair to this
+    /// orientation's `(own, other)` pair — or back, the swap being its
+    /// own inverse. Applies alike to an edge's endpoints (`own` indexes
+    /// the shard, `other` is the stored neighbor) and to grid
+    /// coordinates (`own` names the shard file, `other` the block's
+    /// position inside it).
+    pub fn orient<T>(self, src_side: T, dst_side: T) -> (T, T) {
+        match self {
+            Orientation::Out => (src_side, dst_side),
+            Orientation::In => (dst_side, src_side),
+        }
+    }
+}
+
 /// Location of one edge block inside its shard files.
 ///
 /// Blocks carry both address spaces: `edge_offset` is the block's
@@ -106,6 +146,29 @@ pub struct GraphMeta {
 }
 
 impl GraphMeta {
+    /// The manifest a builder starts from: shape and format fixed, every
+    /// block descriptor still empty (the shard writer fills them in).
+    pub(crate) fn unbuilt(
+        num_vertices: u32,
+        num_edges: u64,
+        interval_starts: Vec<u32>,
+        weighted: bool,
+        codec: hus_codec::Codec,
+    ) -> Self {
+        let p = interval_starts.len() - 1;
+        GraphMeta {
+            num_vertices,
+            num_edges,
+            p: p as u32,
+            weighted,
+            checksums: true,
+            codec: codec.name().to_string(),
+            interval_starts,
+            out_blocks: vec![BlockMeta::default(); p * p],
+            in_blocks: vec![BlockMeta::default(); p * p],
+        }
+    }
+
     /// Size in bytes of one *decoded* edge record.
     pub fn edge_record_bytes(&self) -> u64 {
         if self.weighted {
@@ -165,34 +228,74 @@ impl GraphMeta {
         self.interval_starts[i]
     }
 
+    /// One orientation's descriptors, row-major over the `(i, j)` grid.
+    pub fn blocks(&self, o: Orientation) -> &[BlockMeta] {
+        match o {
+            Orientation::Out => &self.out_blocks,
+            Orientation::In => &self.in_blocks,
+        }
+    }
+
+    pub(crate) fn block_mut(&mut self, o: Orientation, i: usize, j: usize) -> &mut BlockMeta {
+        let at = i * self.p as usize + j;
+        match o {
+            Orientation::Out => &mut self.out_blocks[at],
+            Orientation::In => &mut self.in_blocks[at],
+        }
+    }
+
+    /// The `o`-block `(i, j)` descriptor (sources in interval `i`,
+    /// destinations in interval `j`, whichever shard stores it).
+    pub fn block(&self, o: Orientation, i: usize, j: usize) -> &BlockMeta {
+        &self.blocks(o)[i * self.p as usize + j]
+    }
+
+    /// The `P` blocks of `o`-shard `own`, in file order.
+    pub fn shard_blocks(&self, o: Orientation, own: usize) -> impl Iterator<Item = &BlockMeta> {
+        (0..self.p as usize).map(move |other| {
+            let (i, j) = o.orient(own, other);
+            self.block(o, i, j)
+        })
+    }
+
+    /// Name of interval `k`'s `o`-shard edge file.
+    pub fn edges_file(o: Orientation, k: usize) -> String {
+        format!("{}_{k}.edges", o.name())
+    }
+
+    /// Name of interval `k`'s `o`-shard index file.
+    pub fn index_file(o: Orientation, k: usize) -> String {
+        format!("{}_{k}.index", o.name())
+    }
+
     /// The out-block `(i, j)` descriptor.
     pub fn out_block(&self, i: usize, j: usize) -> &BlockMeta {
-        &self.out_blocks[i * self.p as usize + j]
+        self.block(Orientation::Out, i, j)
     }
 
     /// The in-block `(i, j)` descriptor.
     pub fn in_block(&self, i: usize, j: usize) -> &BlockMeta {
-        &self.in_blocks[i * self.p as usize + j]
+        self.block(Orientation::In, i, j)
     }
 
     /// Name of interval `i`'s out-shard edge file.
     pub fn out_edges_file(i: usize) -> String {
-        format!("out_{i}.edges")
+        Self::edges_file(Orientation::Out, i)
     }
 
     /// Name of interval `i`'s out-shard index file.
     pub fn out_index_file(i: usize) -> String {
-        format!("out_{i}.index")
+        Self::index_file(Orientation::Out, i)
     }
 
     /// Name of interval `j`'s in-shard edge file.
     pub fn in_edges_file(j: usize) -> String {
-        format!("in_{j}.edges")
+        Self::edges_file(Orientation::In, j)
     }
 
     /// Name of interval `j`'s in-shard index file.
     pub fn in_index_file(j: usize) -> String {
-        format!("in_{j}.index")
+        Self::index_file(Orientation::In, j)
     }
 
     /// Every data file of a graph with `p` intervals, in deterministic
@@ -202,13 +305,11 @@ impl GraphMeta {
     /// and open-time validation / `hus fsck` walk.
     pub fn data_files(p: u32) -> Vec<(String, bool)> {
         let mut out = Vec::with_capacity(4 * p as usize + 1);
-        for i in 0..p as usize {
-            out.push((Self::out_edges_file(i), true));
-            out.push((Self::out_index_file(i), true));
-        }
-        for j in 0..p as usize {
-            out.push((Self::in_edges_file(j), true));
-            out.push((Self::in_index_file(j), true));
+        for o in Orientation::BOTH {
+            for k in 0..p as usize {
+                out.push((Self::edges_file(o, k), true));
+                out.push((Self::index_file(o, k), true));
+            }
         }
         out.push((DEGREES_FILE.to_string(), false));
         out
@@ -257,12 +358,13 @@ impl GraphMeta {
         let codec = self.codec()?;
         if codec.is_raw() {
             let m = self.edge_record_bytes();
-            for (dir, blocks) in [("out", &self.out_blocks), ("in", &self.in_blocks)] {
-                for (k, b) in blocks.iter().enumerate() {
+            for o in Orientation::BOTH {
+                for (k, b) in self.blocks(o).iter().enumerate() {
                     if b.encoded_offset != b.edge_offset || b.encoded_bytes != b.edge_count * m {
                         return Err(format!(
                             "raw codec requires encoded == decoded layout, violated by \
-                             {dir}-block {k}"
+                             {}-block {k}",
+                            o.name()
                         ));
                     }
                 }

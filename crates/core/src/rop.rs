@@ -54,12 +54,6 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     /// fetches are used only while they are predicted cheaper than
     /// loading the block's whole CSR offset array.
     pub index_ratio: f64,
-    /// Maximum byte gap between two selective edge ranges that are still
-    /// merged into one batched multi-range read
-    /// ([`RunConfig::range_merge_slack`](crate::engine::RunConfig)).
-    /// Merging is disabled whenever `coalesce_ratio <= 1.0` — if batched
-    /// transfers are no faster than random ones there is nothing to win.
-    pub merge_slack: u64,
     /// Cooperative deadline
     /// ([`RunConfig::deadline`](crate::engine::RunConfig)), checked at
     /// every block boundary of the ROP/COP loops.
@@ -69,11 +63,19 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     pub row_edges: &'a [u64],
 }
 
+/// Maximum byte gap between two selective edge ranges that are still
+/// merged into one batched multi-range read: one 4 KiB device sector —
+/// ranges closer than a sector apart cost the device nothing extra to
+/// read as one run. Merging is disabled whenever `coalesce_ratio <= 1.0`
+/// — if batched transfers are no faster than random ones there is
+/// nothing to win.
+pub const DEFAULT_MERGE_SLACK: u64 = 4096;
+
 impl<Pr: VertexProgram> IterCtx<'_, Pr> {
     /// The slack [`merge_runs`] groups ranges under; `None` (no merging)
     /// when batched transfers are no faster than random ones.
     fn merge_slack(&self) -> Option<u64> {
-        (self.coalesce_ratio > 1.0).then_some(self.merge_slack)
+        (self.coalesce_ratio > 1.0).then_some(DEFAULT_MERGE_SLACK)
     }
 
     fn scatter_ctx(&self, src: VertexId, dst: VertexId, weight: f32) -> EdgeCtx {
@@ -583,7 +585,7 @@ pub fn plan<Pr: VertexProgram>(
                 // block's ranges are than the row's actives.
                 let ranges = requested.min(row.actives as f64);
                 let merged = if ctx.merge_slack().is_some() && ranges >= 2.0 {
-                    let reach = ctx.merge_slack as f64 * len / block_bytes + 1.0;
+                    let reach = DEFAULT_MERGE_SLACK as f64 * len / block_bytes + 1.0;
                     row.share_within(reach * ranges / row.actives as f64)
                 } else {
                     0.0
@@ -734,7 +736,6 @@ mod tests {
                 next_active: &ActiveSet::new(64),
                 coalesce_ratio: SLOW_SWEEPS.batched_bps / SLOW_SWEEPS.random_bps,
                 index_ratio: SLOW_SWEEPS.sequential_bps / SLOW_SWEEPS.random_bps,
-                merge_slack: 4096,
                 deadline: None,
                 row_edges: &row_edges,
             };

@@ -100,12 +100,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  `DESIGN.md` §11)",
     },
     EnvKnob {
-        name: "HUS_MERGE_SLACK",
-        default: "`4096`",
-        effect: "max byte gap between selective ROP ranges merged into one batched read \
-                 (active only when the device's batched rate beats its random rate)",
-    },
-    EnvKnob {
         name: "HUS_METRICS_ADDR",
         default: "unset",
         effect: "`host:port` (e.g. `127.0.0.1:9464`) starts the dependency-free \
@@ -124,12 +118,6 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HUS_P",
         default: "`8`",
         effect: "partition/interval count for all systems (experiment binaries)",
-    },
-    EnvKnob {
-        name: "HUS_PARALLEL_ROWS",
-        default: "`1`",
-        effect: "`0` disables row-parallel ROP (independent rows processed concurrently \
-                 under the run's thread pool; see `DESIGN.md` §6)",
     },
     EnvKnob {
         name: "HUS_PROBE",
@@ -154,13 +142,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  a crossed deadline aborts the query with a typed `deadline` error \
                  (`0` = unlimited; CLI override `--deadline-ms`; see `DESIGN.md` \
                  §12)",
-    },
-    EnvKnob {
-        name: "HUS_QUEUE_DEPTH",
-        default: "`8`",
-        effect: "I/O queue depth: concurrent producer fetches per COP column walk and \
-                 the io_uring submission-queue size of the `direct` backend (see \
-                 `DESIGN.md` §3.5)",
     },
     EnvKnob {
         name: "HUS_READAHEAD",

@@ -42,20 +42,10 @@ const O_DIRECT: i32 = 0o200000;
 #[cfg(not(any(target_arch = "aarch64", target_arch = "arm", target_arch = "powerpc64")))]
 const O_DIRECT: i32 = 0o40000;
 
-/// Environment knob naming the vectored submission depth (shared with the
-/// COP pipeline's producer pool; see `RunConfig` in `hus-core`).
-pub const QUEUE_DEPTH_ENV: &str = "HUS_QUEUE_DEPTH";
-
-/// Default in-flight request target when `HUS_QUEUE_DEPTH` is unset.
+/// I/O queue depth: the in-flight request target of a vectored
+/// submission here (and the io_uring ring size), shared with the COP
+/// pipeline's producer pool in `hus-core`.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-
-fn env_queue_depth() -> usize {
-    std::env::var(QUEUE_DEPTH_ENV)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&d| d > 0)
-        .unwrap_or(DEFAULT_QUEUE_DEPTH)
-}
 
 /// Per-access-class direct-read latency in nanoseconds (the direct twin of
 /// `storage.file.read_ns.*`).
@@ -110,9 +100,9 @@ pub struct DirectBackend {
 
 impl DirectBackend {
     /// Open `path` with `O_DIRECT`, attributing traffic to `tracker`.
-    /// Submission depth comes from `HUS_QUEUE_DEPTH` (default 8).
+    /// Submission depth is [`DEFAULT_QUEUE_DEPTH`].
     pub fn open(path: impl AsRef<Path>, tracker: Arc<IoTracker>) -> Result<Self> {
-        Self::open_with_depth(path, tracker, env_queue_depth())
+        Self::open_with_depth(path, tracker, DEFAULT_QUEUE_DEPTH)
     }
 
     /// Open with an explicit queue depth (≥1).

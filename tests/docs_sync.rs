@@ -65,6 +65,9 @@ fn env_registry_is_complete_and_live() {
         stale.is_empty(),
         "knobs registered in hus_obs::env::KNOBS but never read in source: {stale:?}"
     );
+    // Ratchet: the knob count only moves down, toward ROADMAP's <= 18.
+    // A new knob has to retire an old one.
+    assert!(registered.len() <= 24, "{} HUS_* knobs registered; the cap is 24", registered.len());
 }
 
 /// `docs/FORMAT.md` states byte-level constants; they must equal the

@@ -32,25 +32,20 @@ fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
 
 /// Explicit config so ambient `HUS_*` env overrides can't skew the
 /// comparison: everything pinned except the knobs under test.
-fn cfg(mode: UpdateMode, threads: usize, parallel_rows: bool, readahead: usize) -> RunConfig {
-    RunConfig {
-        mode,
-        threads,
-        parallel_rows,
-        readahead_blocks: readahead,
-        ..RunConfig::with_mode(mode)
-    }
+/// One thread is the serial walk: rows and columns run inline, in order.
+fn cfg(mode: UpdateMode, threads: usize, readahead: usize) -> RunConfig {
+    RunConfig { mode, threads, readahead_blocks: readahead, ..RunConfig::with_mode(mode) }
 }
 
 #[test]
 fn parallel_rop_rows_match_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceRop, 1, false, 1);
+    let serial_cfg = cfg(UpdateMode::ForceRop, 1, 1);
     let (serial_vals, serial_stats) = Engine::new(&g, &Bfs::new(0), serial_cfg).run().unwrap();
 
     for threads in [4, 8] {
         g.dir().tracker().reset();
-        let par_cfg = cfg(UpdateMode::ForceRop, threads, true, 1);
+        let par_cfg = cfg(UpdateMode::ForceRop, threads, 1);
         let (par_vals, par_stats) = Engine::new(&g, &Bfs::new(0), par_cfg).run().unwrap();
         assert_eq!(serial_vals, par_vals, "BFS values diverged at {threads} threads");
         assert_eq!(
@@ -70,7 +65,7 @@ fn parallel_rop_repeated_runs_are_stable() {
     let mut baseline: Option<Vec<u32>> = None;
     for round in 0..4 {
         g.dir().tracker().reset();
-        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8, true, 1)).run().unwrap();
+        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8, 1)).run().unwrap();
         match &baseline {
             None => baseline = Some(vals),
             Some(b) => assert_eq!(b, &vals, "WCC diverged on parallel round {round}"),
@@ -81,12 +76,12 @@ fn parallel_rop_repeated_runs_are_stable() {
 #[test]
 fn deep_cop_readahead_matches_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceCop, 1, false, 1);
+    let serial_cfg = cfg(UpdateMode::ForceCop, 1, 1);
     let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, serial_cfg).run().unwrap();
 
     for readahead in [2, 6] {
         g.dir().tracker().reset();
-        let deep_cfg = cfg(UpdateMode::ForceCop, 4, true, readahead);
+        let deep_cfg = cfg(UpdateMode::ForceCop, 4, readahead);
         let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, deep_cfg).run().unwrap();
         assert_eq!(serial_vals, deep_vals, "WCC values diverged at readahead {readahead}");
         assert_eq!(
@@ -103,10 +98,10 @@ fn hybrid_pipeline_matches_serial_hybrid() {
     // iteration — with every pipeline feature on vs everything off.
     let (_tmp, g) = build(4);
     let (serial_vals, serial_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1, false, 1)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1, 1)).run().unwrap();
     g.dir().tracker().reset();
     let (par_vals, par_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8, true, 4)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8, 4)).run().unwrap();
     assert_eq!(serial_vals, par_vals);
     assert_eq!(serial_stats.total_io.total_bytes(), par_stats.total_io.total_bytes());
 }

@@ -158,7 +158,6 @@ proptest! {
                 next_active: &ActiveSet::new(n),
                 coalesce_ratio: tput.batched_bps / tput.random_bps,
                 index_ratio: tput.sequential_bps / tput.random_bps,
-                merge_slack: 4096,
                 deadline: None,
                 row_edges: &row_edges,
             };

@@ -20,7 +20,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use husgraph::algos::PageRank;
-use husgraph::core::{build_external, fsck, BuildConfig, Engine, HusGraph, ListSource, RunConfig};
+use husgraph::core::{
+    build_external, fsck, BuildConfig, EdgeSource, Engine, HusGraph, ListSource, RunConfig,
+};
 use husgraph::gen::EdgeList;
 use husgraph::storage::durable::CRASH_EXIT_CODE;
 use husgraph::storage::{StorageDir, StorageError};
@@ -226,6 +228,79 @@ fn interrupted_external_build_resumes_to_byte_identical_output() {
         let b = std::fs::read(tmp.path().join("g").join(name)).unwrap();
         assert_eq!(a, b, "file `{name}` differs between resumed and uninterrupted builds");
     }
+}
+
+/// An [`EdgeSource`] that counts its passes: a fresh external build
+/// scans twice (degree pass, spill pass), a resume past the spill phase
+/// only once (the degree pass, which re-derives the input's identity).
+struct CountingSource<'a> {
+    list: ListSource<'a>,
+    scans: std::cell::Cell<u32>,
+}
+
+impl<'a> CountingSource<'a> {
+    fn new(el: &'a EdgeList) -> Self {
+        CountingSource { list: ListSource(el), scans: std::cell::Cell::new(0) }
+    }
+}
+
+impl<'a> EdgeSource for CountingSource<'a> {
+    type Iter = <ListSource<'a> as EdgeSource>::Iter;
+
+    fn num_vertices(&self) -> u32 {
+        self.list.num_vertices()
+    }
+
+    fn weighted(&self) -> bool {
+        self.list.weighted()
+    }
+
+    fn scan(&self) -> husgraph::storage::Result<Self::Iter> {
+        self.scans.set(self.scans.get() + 1);
+        self.list.scan()
+    }
+}
+
+#[test]
+fn interrupted_external_build_is_resumed_only_for_the_same_input() {
+    let a = edges();
+    // Same |V|, weights and config as `a` — everything the progress
+    // record used to be bound to — but a different edge stream.
+    let b = husgraph::gen::rmat(a.num_vertices, 3_000, 43, Default::default());
+    assert_ne!(a.num_edges(), b.num_edges());
+    let refs = tempfile::tempdir().unwrap();
+    let reference = |el: &EdgeList, name: &str| {
+        let dir = StorageDir::create(refs.path().join(name)).unwrap();
+        build_external(&ListSource(el), &dir, &build_config()).unwrap()
+    };
+
+    // Kill a build of A after its spill phase, then build B into the
+    // same directory: A's staged degrees and spills must be discarded,
+    // not committed under B's name.
+    let tmp = tempfile::tempdir().unwrap();
+    let code = run_child("recovery_child_ext_build", "ext_build", tmp.path(), "ext.spill");
+    assert_eq!(code, Some(CRASH_EXIT_CODE));
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    assert_eq!(dir.staging_siblings().len(), 1, "crash left a staging sibling");
+    let source = CountingSource::new(&b);
+    let meta = build_external(&source, &dir, &build_config()).unwrap();
+    assert_eq!(meta.num_edges, b.num_edges() as u64, "committed graph is not the input's");
+    assert_eq!(meta, reference(&b, "b"));
+    assert_eq!(source.scans.get(), 2, "stale staging discarded: full two-pass build");
+    assert!(dir.staging_siblings().is_empty(), "stale staging sibling swept");
+    assert!(fsck(&dir, false).unwrap().is_clean());
+
+    // The same crash followed by the *same* input still resumes: the
+    // spill pass is not repeated.
+    let tmp = tempfile::tempdir().unwrap();
+    let code = run_child("recovery_child_ext_build", "ext_build", tmp.path(), "ext.spill");
+    assert_eq!(code, Some(CRASH_EXIT_CODE));
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    let source = CountingSource::new(&a);
+    let meta = build_external(&source, &dir, &build_config()).unwrap();
+    assert_eq!(source.scans.get(), 1, "resume re-derives the input identity, nothing more");
+    assert_eq!(meta, reference(&a, "a"));
+    assert!(fsck(&dir, false).unwrap().is_clean());
 }
 
 #[test]

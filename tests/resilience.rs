@@ -37,11 +37,11 @@ fn reopen(path: &Path, faults: Option<FaultSpec>, verify: bool) -> HusGraph {
     g
 }
 
-/// Serial config: one thread, no row parallelism, no readahead overlap.
+/// Serial config: one thread (rows run inline, in order), no readahead
+/// overlap.
 fn serial(verify: bool) -> RunConfig {
     RunConfig {
         threads: 1,
-        parallel_rows: false,
         readahead_blocks: 1,
         max_iterations: 5,
         verify_checksums: verify,
@@ -53,7 +53,6 @@ fn serial(verify: bool) -> RunConfig {
 fn parallel(verify: bool) -> RunConfig {
     RunConfig {
         threads: 4,
-        parallel_rows: true,
         readahead_blocks: 4,
         max_iterations: 5,
         verify_checksums: verify,
