@@ -1,7 +1,5 @@
 //! Shared configuration and helpers for the baseline engines.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Run configuration shared by both baseline engines.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
@@ -12,8 +10,9 @@ pub struct BaselineConfig {
     /// Iteration cap.
     pub max_iterations: usize,
     /// Scratch directory name for per-run state (edge values / vertex
-    /// values), created under the store directory. `None` derives a
-    /// unique name.
+    /// values), created under the store directory and kept after the
+    /// run. `None` derives a unique name; that directory is removed when
+    /// the run ends.
     pub scratch_name: Option<String>,
 }
 
@@ -24,35 +23,5 @@ impl Default for BaselineConfig {
             max_iterations: 1_000,
             scratch_name: None,
         }
-    }
-}
-
-static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Unique scratch directory name for a run.
-pub fn scratch_name(config: &BaselineConfig, prefix: &str) -> String {
-    config.scratch_name.clone().unwrap_or_else(|| {
-        format!(
-            "{prefix}_scratch_{}_{}",
-            std::process::id(),
-            SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed)
-        )
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn derived_scratch_names_are_unique() {
-        let cfg = BaselineConfig::default();
-        assert_ne!(scratch_name(&cfg, "x"), scratch_name(&cfg, "x"));
-    }
-
-    #[test]
-    fn explicit_scratch_name_wins() {
-        let cfg = BaselineConfig { scratch_name: Some("fixed".into()), ..Default::default() };
-        assert_eq!(scratch_name(&cfg, "x"), "fixed");
     }
 }

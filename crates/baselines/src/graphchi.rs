@@ -18,11 +18,11 @@
 //! synchronous engines; PageRank reaches the same fixpoint along a
 //! slightly different trajectory (the tests compare converged ranks).
 
-use crate::common::{scratch_name, BaselineConfig};
+use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
-use hus_core::predict::UpdateModel;
+use hus_core::predict::{Decision, UpdateModel};
 use hus_core::program::EdgeCtx;
-use hus_core::stats::{IterationStats, RunStats};
+use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::VertexProgram;
 use hus_gen::EdgeList;
 use hus_obs::span;
@@ -30,7 +30,6 @@ use hus_storage::file::TrackedFile;
 use hus_storage::{pod, Access, ReadBackend, Result, StorageDir, StorageError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// PSW manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -224,14 +223,8 @@ impl<'a, Pr: VertexProgram> GraphChiEngine<'a, Pr> {
         let v = meta.num_vertices;
         let p = meta.p as usize;
         let m = meta.record_bytes() as usize;
-        hus_obs::init_from_env();
-        let tracker = self.store.dir.tracker();
-        let resilience = self.store.dir.resilience();
-        let run_io_start = tracker.snapshot();
-        let run_res_start = resilience.snapshot();
-        let run_start = Instant::now();
-
-        let scratch = self.store.dir.subdir(&scratch_name(&self.config, "psw"))?;
+        let mut rec = RunRecorder::start("graphchi", &self.store.dir, self.config.threads);
+        let scratch = rec.scratch(self.config.scratch_name.as_deref())?;
         // Per-shard edge-value state, zero-initialized (invalid).
         let shard_values: Vec<ShardValues<Pr::Value>> = (0..p)
             .map(|k| ShardValues::create(&scratch, k, meta.shard_count(k)))
@@ -244,15 +237,7 @@ impl<'a, Pr: VertexProgram> GraphChiEngine<'a, Pr> {
             vertex_vals.write_at(0, pod::as_bytes(&init))?;
         }
 
-        let always = self.program.always_active();
-        let mut active = if always {
-            ActiveSet::all(v)
-        } else {
-            ActiveSet::from_fn(v, |x| self.program.initially_active(x))
-        };
-
-        let mut iterations = Vec::new();
-        let mut total_edges = 0u64;
+        let mut active = ActiveSet::initial(self.program, v);
         let mut converged = false;
 
         for iteration in 0..self.config.max_iterations {
@@ -262,9 +247,8 @@ impl<'a, Pr: VertexProgram> GraphChiEngine<'a, Pr> {
                 break;
             }
             let active_edges = active.active_degree_sum(0, v, &self.store.out_degrees);
-            let io_start = tracker.snapshot();
-            let t_start = Instant::now();
-            let next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
+            rec.begin_iteration(iteration, active_vertices, active_edges);
+            let next_active = ActiveSet::next(self.program, v);
             let mut edges_this_iter = 0u64;
 
             for j in 0..p {
@@ -279,51 +263,18 @@ impl<'a, Pr: VertexProgram> GraphChiEngine<'a, Pr> {
                 )?;
             }
 
-            total_edges += edges_this_iter;
-            let it = IterationStats {
-                iteration,
-                // Vertex-centric gather — the pull side of the paper's
-                // classification (§2.2).
-                model: UpdateModel::Cop,
-                gated: false,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-                plan: None,
-                rop_units: 0,
-                cop_units: p as u32,
-                active_vertices,
-                active_edges,
-                edges_processed: edges_this_iter,
-                io: tracker.snapshot().since(&io_start),
-                wall_seconds: t_start.elapsed().as_secs_f64(),
-                phases: hus_obs::finish_iteration("graphchi", iteration),
-            };
-            if let Some(sink) = hus_obs::sink::trace() {
-                sink.emit_iteration("graphchi", &it);
-            }
-            iterations.push(it);
+            // Vertex-centric gather — the pull side of the paper's
+            // classification (§2.2).
+            let pull = Decision::forced(UpdateModel::Cop, false);
+            rec.end_iteration(pull, None, (0, p as u32), edges_this_iter);
             active = next_active;
-            if always && iteration + 1 == self.config.max_iterations {
-                break;
-            }
         }
 
+        // PSW keeps the vertex values on disk like any other state: the
+        // final read is part of the run's I/O.
         let values: Vec<Pr::Value> =
             hus_storage::read_pod_vec(&vertex_vals, 0, v as usize, Access::Sequential)?;
-        let stats = RunStats {
-            iterations,
-            total_io: tracker.snapshot().since(&run_io_start),
-            wall_seconds: run_start.elapsed().as_secs_f64(),
-            edges_processed: total_edges,
-            converged,
-            threads: self.config.threads,
-            resilience: resilience.snapshot().since(&run_res_start),
-            checkpoints: Default::default(),
-        };
-        if let Some(sink) = hus_obs::sink::trace() {
-            sink.emit_run("graphchi", &stats);
-        }
-        Ok((values, stats))
+        rec.finish(converged, Default::default(), || Ok(values))
     }
 
     /// One PSW execution interval: memory shard + sliding windows,

@@ -13,11 +13,11 @@
 //! vertex is streamed whole — there is no per-vertex selective load,
 //! which is exactly the I/O HUS-Graph's ROP saves.
 
-use crate::common::{scratch_name, BaselineConfig};
+use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
-use hus_core::predict::UpdateModel;
+use hus_core::predict::{Decision, UpdateModel};
 use hus_core::program::EdgeCtx;
-use hus_core::stats::{IterationStats, RunStats};
+use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::vertex_store::VertexStore;
 use hus_core::VertexProgram;
 use hus_gen::EdgeList;
@@ -25,7 +25,6 @@ use hus_obs::span;
 use hus_storage::{Access, ReadBackend, Result, StorageDir, StorageError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Grid manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,26 +172,11 @@ impl<'a, Pr: VertexProgram> GridGraphEngine<'a, Pr> {
         let v = meta.num_vertices;
         let p = meta.p as usize;
         let m = meta.record_bytes() as usize;
-        hus_obs::init_from_env();
-        let tracker = self.store.dir.tracker();
-        let resilience = self.store.dir.resilience();
-        let run_io_start = tracker.snapshot();
-        let run_res_start = resilience.snapshot();
-        let run_start = Instant::now();
-
-        let scratch = self.store.dir.subdir(&scratch_name(&self.config, "grid"))?;
+        let mut rec = RunRecorder::start("gridgraph", &self.store.dir, self.config.threads);
+        let scratch = rec.scratch(self.config.scratch_name.as_deref())?;
         let mut values: VertexStore<Pr::Value> =
             VertexStore::create(&scratch, "vals", &meta.interval_starts, |x| self.program.init(x))?;
-
-        let always = self.program.always_active();
-        let mut active = if always {
-            ActiveSet::all(v)
-        } else {
-            ActiveSet::from_fn(v, |x| self.program.initially_active(x))
-        };
-
-        let mut iterations = Vec::new();
-        let mut total_edges = 0u64;
+        let mut active = ActiveSet::initial(self.program, v);
         let mut converged = false;
 
         for iteration in 0..self.config.max_iterations {
@@ -202,9 +186,8 @@ impl<'a, Pr: VertexProgram> GridGraphEngine<'a, Pr> {
                 break;
             }
             let active_edges = active.active_degree_sum(0, v, &self.store.out_degrees);
-            let io_start = tracker.snapshot();
-            let t_start = Instant::now();
-            let next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
+            rec.begin_iteration(iteration, active_vertices, active_edges);
+            let next_active = ActiveSet::next(self.program, v);
             let mut edges_this_iter = 0u64;
 
             // Which source intervals have any active vertex (block-level
@@ -278,48 +261,12 @@ impl<'a, Pr: VertexProgram> GridGraphEngine<'a, Pr> {
                 }
             }
 
-            total_edges += edges_this_iter;
-            let it = IterationStats {
-                iteration,
-                // GridGraph is a pure push system (paper §2.2).
-                model: UpdateModel::Rop,
-                gated: false,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-                plan: None,
-                rop_units: p as u32,
-                cop_units: 0,
-                active_vertices,
-                active_edges,
-                edges_processed: edges_this_iter,
-                io: tracker.snapshot().since(&io_start),
-                wall_seconds: t_start.elapsed().as_secs_f64(),
-                phases: hus_obs::finish_iteration("gridgraph", iteration),
-            };
-            if let Some(sink) = hus_obs::sink::trace() {
-                sink.emit_iteration("gridgraph", &it);
-            }
-            iterations.push(it);
+            // GridGraph is a pure push system (paper §2.2).
+            let push = Decision::forced(UpdateModel::Rop, false);
+            rec.end_iteration(push, None, (p as u32, 0), edges_this_iter);
             active = next_active;
-            if always && iteration + 1 == self.config.max_iterations {
-                break;
-            }
         }
-
-        let stats = RunStats {
-            iterations,
-            total_io: tracker.snapshot().since(&run_io_start),
-            wall_seconds: run_start.elapsed().as_secs_f64(),
-            edges_processed: total_edges,
-            converged,
-            threads: self.config.threads,
-            resilience: resilience.snapshot().since(&run_res_start),
-            checkpoints: Default::default(),
-        };
-        if let Some(sink) = hus_obs::sink::trace() {
-            sink.emit_run("gridgraph", &stats);
-        }
-        Ok((values.read_all_current()?, stats))
+        rec.finish(converged, Default::default(), || values.read_all_current())
     }
 }
 

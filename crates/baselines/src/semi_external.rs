@@ -12,13 +12,12 @@
 
 use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
-use hus_core::predict::UpdateModel;
+use hus_core::predict::{Decision, UpdateModel};
 use hus_core::program::EdgeCtx;
-use hus_core::stats::{IterationStats, RunStats};
+use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::{HusGraph, VertexProgram};
 use hus_obs::span;
 use hus_storage::{Access, Result};
-use std::time::Instant;
 
 /// The semi-external engine (in-memory vertex state, on-disk edges).
 pub struct SemiExternalEngine<'a, Pr: VertexProgram> {
@@ -38,25 +37,12 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
         let meta = self.graph.meta();
         let v = meta.num_vertices;
         let p = self.graph.p();
-        hus_obs::init_from_env();
-        let tracker = self.graph.dir().tracker();
-        let resilience = self.graph.dir().resilience();
-        let run_io_start = tracker.snapshot();
-        let run_res_start = resilience.snapshot();
-        let run_start = Instant::now();
+        let mut rec = RunRecorder::start("semi-external", self.graph.dir(), self.config.threads);
 
-        // All vertex state pinned in memory: the semi-external premise.
+        // All vertex state pinned in memory: the semi-external premise
+        // (so there is no scratch directory either).
         let mut current: Vec<Pr::Value> = (0..v).map(|x| self.program.init(x)).collect();
-
-        let always = self.program.always_active();
-        let mut active = if always {
-            ActiveSet::all(v)
-        } else {
-            ActiveSet::from_fn(v, |x| self.program.initially_active(x))
-        };
-
-        let mut iterations = Vec::new();
-        let mut total_edges = 0u64;
+        let mut active = ActiveSet::initial(self.program, v);
         let mut converged = false;
 
         for iteration in 0..self.config.max_iterations {
@@ -66,9 +52,8 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
                 break;
             }
             let active_edges = active.active_degree_sum(0, v, self.graph.out_degrees());
-            let io_start = tracker.snapshot();
-            let t_start = Instant::now();
-            let next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
+            rec.begin_iteration(iteration, active_vertices, active_edges);
+            let next_active = ActiveSet::next(self.program, v);
             let mut edges_this_iter = 0u64;
 
             // Next values start from reset(current) — synchronous.
@@ -141,47 +126,11 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
             }
 
             current = next;
-            total_edges += edges_this_iter;
-            let it = IterationStats {
-                iteration,
-                model: UpdateModel::Rop,
-                gated: false,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-                plan: None,
-                rop_units: p as u32,
-                cop_units: 0,
-                active_vertices,
-                active_edges,
-                edges_processed: edges_this_iter,
-                io: tracker.snapshot().since(&io_start),
-                wall_seconds: t_start.elapsed().as_secs_f64(),
-                phases: hus_obs::finish_iteration("semi-external", iteration),
-            };
-            if let Some(sink) = hus_obs::sink::trace() {
-                sink.emit_iteration("semi-external", &it);
-            }
-            iterations.push(it);
+            let push = Decision::forced(UpdateModel::Rop, false);
+            rec.end_iteration(push, None, (p as u32, 0), edges_this_iter);
             active = next_active;
-            if always && iteration + 1 == self.config.max_iterations {
-                break;
-            }
         }
-
-        let stats = RunStats {
-            iterations,
-            total_io: tracker.snapshot().since(&run_io_start),
-            wall_seconds: run_start.elapsed().as_secs_f64(),
-            edges_processed: total_edges,
-            converged,
-            threads: self.config.threads,
-            resilience: resilience.snapshot().since(&run_res_start),
-            checkpoints: Default::default(),
-        };
-        if let Some(sink) = hus_obs::sink::trace() {
-            sink.emit_run("semi-external", &stats);
-        }
-        Ok((current, stats))
+        rec.finish(converged, Default::default(), || Ok(current))
     }
 }
 

@@ -22,11 +22,11 @@
 //! Synchronous semantics via the shared double-buffered vertex store, so
 //! results are bit-comparable with the other synchronous engines.
 
-use crate::common::{scratch_name, BaselineConfig};
+use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
-use hus_core::predict::UpdateModel;
+use hus_core::predict::{Decision, UpdateModel};
 use hus_core::program::EdgeCtx;
-use hus_core::stats::{IterationStats, RunStats};
+use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::vertex_store::VertexStore;
 use hus_core::VertexProgram;
 use hus_gen::EdgeList;
@@ -34,7 +34,6 @@ use hus_obs::span;
 use hus_storage::{pod, Access, ReadBackend, Result, StorageDir, StorageError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// X-Stream manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,26 +166,11 @@ impl<'a, Pr: VertexProgram> XStreamEngine<'a, Pr> {
         let m = meta.record_bytes() as usize;
         let value_size = std::mem::size_of::<Pr::Value>();
         let update_size = 4 + value_size; // dst id + message
-        hus_obs::init_from_env();
-        let tracker = self.store.dir.tracker();
-        let resilience = self.store.dir.resilience();
-        let run_io_start = tracker.snapshot();
-        let run_res_start = resilience.snapshot();
-        let run_start = Instant::now();
-
-        let scratch = self.store.dir.subdir(&scratch_name(&self.config, "xs"))?;
+        let mut rec = RunRecorder::start("xstream", &self.store.dir, self.config.threads);
+        let scratch = rec.scratch(self.config.scratch_name.as_deref())?;
         let mut values: VertexStore<Pr::Value> =
             VertexStore::create(&scratch, "vals", &meta.interval_starts, |x| self.program.init(x))?;
-
-        let always = self.program.always_active();
-        let mut active = if always {
-            ActiveSet::all(v)
-        } else {
-            ActiveSet::from_fn(v, |x| self.program.initially_active(x))
-        };
-
-        let mut iterations = Vec::new();
-        let mut total_edges = 0u64;
+        let mut active = ActiveSet::initial(self.program, v);
         let mut converged = false;
 
         for iteration in 0..self.config.max_iterations {
@@ -196,9 +180,8 @@ impl<'a, Pr: VertexProgram> XStreamEngine<'a, Pr> {
                 break;
             }
             let active_edges = active.active_degree_sum(0, v, &self.store.out_degrees);
-            let io_start = tracker.snapshot();
-            let t_start = Instant::now();
-            let next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
+            rec.begin_iteration(iteration, active_vertices, active_edges);
+            let next_active = ActiveSet::next(self.program, v);
             let mut edges_this_iter = 0u64;
 
             // --- Scatter phase: stream every edge, emit updates. --------
@@ -277,48 +260,12 @@ impl<'a, Pr: VertexProgram> XStreamEngine<'a, Pr> {
                 }
             }
 
-            total_edges += edges_this_iter;
-            let it = IterationStats {
-                iteration,
-                // Edge-centric scatter = push classification (§2.2).
-                model: UpdateModel::Rop,
-                gated: false,
-                c_rop: f64::NAN,
-                c_cop: f64::NAN,
-                plan: None,
-                rop_units: k as u32,
-                cop_units: 0,
-                active_vertices,
-                active_edges,
-                edges_processed: edges_this_iter,
-                io: tracker.snapshot().since(&io_start),
-                wall_seconds: t_start.elapsed().as_secs_f64(),
-                phases: hus_obs::finish_iteration("xstream", iteration),
-            };
-            if let Some(sink) = hus_obs::sink::trace() {
-                sink.emit_iteration("xstream", &it);
-            }
-            iterations.push(it);
+            // Edge-centric scatter = push classification (§2.2).
+            let push = Decision::forced(UpdateModel::Rop, false);
+            rec.end_iteration(push, None, (k as u32, 0), edges_this_iter);
             active = next_active;
-            if always && iteration + 1 == self.config.max_iterations {
-                break;
-            }
         }
-
-        let stats = RunStats {
-            iterations,
-            total_io: tracker.snapshot().since(&run_io_start),
-            wall_seconds: run_start.elapsed().as_secs_f64(),
-            edges_processed: total_edges,
-            converged,
-            threads: self.config.threads,
-            resilience: resilience.snapshot().since(&run_res_start),
-            checkpoints: Default::default(),
-        };
-        if let Some(sink) = hus_obs::sink::trace() {
-            sink.emit_run("xstream", &stats);
-        }
-        Ok((values.read_all_current()?, stats))
+        rec.finish(converged, Default::default(), || values.read_all_current())
     }
 }
 

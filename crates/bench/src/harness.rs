@@ -6,7 +6,7 @@ use hus_baselines::{
     BaselineConfig, GraphChiEngine, GridGraphEngine, GridStore, PswStore, SemiExternalEngine,
     XStreamEngine, XStreamStore,
 };
-use hus_core::{BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode};
+use hus_core::{BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode, VertexProgram};
 use hus_gen::{Dataset, EdgeList};
 use hus_storage::{CostModel, DeviceProfile, Result, StorageDir, Throughput};
 use std::path::Path;
@@ -163,6 +163,38 @@ pub fn build_stores(el: &EdgeList, p: u32, root: &Path) -> Result<Stores> {
 /// PageRank iteration count used throughout (paper: "five iterations").
 pub const PAGERANK_ITERS: usize = 5;
 
+/// A system and its configuration, ready to run any program: adding a
+/// system is one arm of [`Target::run`], adding an algorithm one arm of
+/// [`Target::run_workload`].
+enum Target<'a> {
+    Hus(&'a HusGraph, RunConfig),
+    Grid(&'a GridStore, BaselineConfig),
+    Psw(&'a PswStore, BaselineConfig),
+    Xs(&'a XStreamStore, BaselineConfig),
+    SemiExt(&'a HusGraph, BaselineConfig),
+}
+
+impl Target<'_> {
+    fn run<Pr: VertexProgram>(self, program: &Pr) -> Result<RunStats> {
+        Ok(match self {
+            Target::Hus(graph, cfg) => Engine::new(graph, program, cfg).run()?.1,
+            Target::Grid(store, cfg) => GridGraphEngine::new(store, program, cfg).run()?.1,
+            Target::Psw(store, cfg) => GraphChiEngine::new(store, program, cfg).run()?.1,
+            Target::Xs(store, cfg) => XStreamEngine::new(store, program, cfg).run()?.1,
+            Target::SemiExt(graph, cfg) => SemiExternalEngine::new(graph, program, cfg).run()?.1,
+        })
+    }
+
+    fn run_workload(self, w: &Workload) -> Result<RunStats> {
+        match w.algo {
+            AlgoKind::PageRank => self.run(&PageRank::new(w.el.num_vertices)),
+            AlgoKind::Bfs => self.run(&Bfs::new(w.source)),
+            AlgoKind::Wcc => self.run(&Wcc),
+            AlgoKind::Sssp => self.run(&Sssp::new(w.source)),
+        }
+    }
+}
+
 /// Run `workload` on the HUS engine with an explicit configuration.
 pub fn run_hus(graph: &HusGraph, w: &Workload, mut config: RunConfig) -> Result<RunStats> {
     if w.algo == AlgoKind::PageRank {
@@ -171,15 +203,7 @@ pub fn run_hus(graph: &HusGraph, w: &Workload, mut config: RunConfig) -> Result<
     if let Some(tp) = env_probe_throughput() {
         config.throughput = tp;
     }
-    let stats = match w.algo {
-        AlgoKind::PageRank => {
-            Engine::new(graph, &PageRank::new(w.el.num_vertices), config).run()?.1
-        }
-        AlgoKind::Bfs => Engine::new(graph, &Bfs::new(w.source), config).run()?.1,
-        AlgoKind::Wcc => Engine::new(graph, &Wcc, config).run()?.1,
-        AlgoKind::Sssp => Engine::new(graph, &Sssp::new(w.source), config).run()?.1,
-    };
-    Ok(stats)
+    Target::Hus(graph, config).run_workload(w)
 }
 
 /// Run `workload` on any system with `threads` workers.
@@ -189,7 +213,9 @@ pub fn run_system(
     w: &Workload,
     threads: usize,
 ) -> Result<RunStats> {
-    match system {
+    let cfg =
+        BaselineConfig { threads, max_iterations: baseline_iters(w.algo), ..Default::default() };
+    let (dir, target) = match system {
         SystemKind::Hus | SystemKind::HusRop | SystemKind::HusCop => {
             let mode = match system {
                 SystemKind::HusRop => UpdateMode::ForceRop,
@@ -197,97 +223,15 @@ pub fn run_system(
                 _ => UpdateMode::Hybrid,
             };
             stores.hus.dir().tracker().reset();
-            run_hus(&stores.hus, w, RunConfig { mode, threads, ..Default::default() })
+            return run_hus(&stores.hus, w, RunConfig { mode, threads, ..Default::default() });
         }
-        SystemKind::GridGraph => {
-            stores.grid.dir().tracker().reset();
-            let cfg = BaselineConfig {
-                threads,
-                max_iterations: baseline_iters(w.algo),
-                ..Default::default()
-            };
-            let stats = match w.algo {
-                AlgoKind::PageRank => {
-                    GridGraphEngine::new(&stores.grid, &PageRank::new(w.el.num_vertices), cfg)
-                        .run()?
-                        .1
-                }
-                AlgoKind::Bfs => {
-                    GridGraphEngine::new(&stores.grid, &Bfs::new(w.source), cfg).run()?.1
-                }
-                AlgoKind::Wcc => GridGraphEngine::new(&stores.grid, &Wcc, cfg).run()?.1,
-                AlgoKind::Sssp => {
-                    GridGraphEngine::new(&stores.grid, &Sssp::new(w.source), cfg).run()?.1
-                }
-            };
-            Ok(stats)
-        }
-        SystemKind::XStream => {
-            stores.xs.dir().tracker().reset();
-            let cfg = BaselineConfig {
-                threads,
-                max_iterations: baseline_iters(w.algo),
-                ..Default::default()
-            };
-            let stats = match w.algo {
-                AlgoKind::PageRank => {
-                    XStreamEngine::new(&stores.xs, &PageRank::new(w.el.num_vertices), cfg).run()?.1
-                }
-                AlgoKind::Bfs => XStreamEngine::new(&stores.xs, &Bfs::new(w.source), cfg).run()?.1,
-                AlgoKind::Wcc => XStreamEngine::new(&stores.xs, &Wcc, cfg).run()?.1,
-                AlgoKind::Sssp => {
-                    XStreamEngine::new(&stores.xs, &Sssp::new(w.source), cfg).run()?.1
-                }
-            };
-            Ok(stats)
-        }
-        SystemKind::SemiExternal => {
-            stores.hus.dir().tracker().reset();
-            let cfg = BaselineConfig {
-                threads,
-                max_iterations: baseline_iters(w.algo),
-                ..Default::default()
-            };
-            let stats = match w.algo {
-                AlgoKind::PageRank => {
-                    SemiExternalEngine::new(&stores.hus, &PageRank::new(w.el.num_vertices), cfg)
-                        .run()?
-                        .1
-                }
-                AlgoKind::Bfs => {
-                    SemiExternalEngine::new(&stores.hus, &Bfs::new(w.source), cfg).run()?.1
-                }
-                AlgoKind::Wcc => SemiExternalEngine::new(&stores.hus, &Wcc, cfg).run()?.1,
-                AlgoKind::Sssp => {
-                    SemiExternalEngine::new(&stores.hus, &Sssp::new(w.source), cfg).run()?.1
-                }
-            };
-            Ok(stats)
-        }
-        SystemKind::GraphChi => {
-            stores.psw.dir().tracker().reset();
-            let cfg = BaselineConfig {
-                threads,
-                max_iterations: baseline_iters(w.algo),
-                ..Default::default()
-            };
-            let stats = match w.algo {
-                AlgoKind::PageRank => {
-                    GraphChiEngine::new(&stores.psw, &PageRank::new(w.el.num_vertices), cfg)
-                        .run()?
-                        .1
-                }
-                AlgoKind::Bfs => {
-                    GraphChiEngine::new(&stores.psw, &Bfs::new(w.source), cfg).run()?.1
-                }
-                AlgoKind::Wcc => GraphChiEngine::new(&stores.psw, &Wcc, cfg).run()?.1,
-                AlgoKind::Sssp => {
-                    GraphChiEngine::new(&stores.psw, &Sssp::new(w.source), cfg).run()?.1
-                }
-            };
-            Ok(stats)
-        }
-    }
+        SystemKind::GridGraph => (stores.grid.dir(), Target::Grid(&stores.grid, cfg)),
+        SystemKind::GraphChi => (stores.psw.dir(), Target::Psw(&stores.psw, cfg)),
+        SystemKind::XStream => (stores.xs.dir(), Target::Xs(&stores.xs, cfg)),
+        SystemKind::SemiExternal => (stores.hus.dir(), Target::SemiExt(&stores.hus, cfg)),
+    };
+    dir.tracker().reset();
+    target.run_workload(w)
 }
 
 fn baseline_iters(algo: AlgoKind) -> usize {

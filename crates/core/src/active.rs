@@ -5,6 +5,7 @@
 //! is a fixed-size atomic bitmap: readers scan it per interval, and the
 //! ROP/COP workers mark newly-activated vertices concurrently.
 
+use crate::program::VertexProgram;
 use crate::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,6 +55,26 @@ impl ActiveSet {
             }
         }
         set
+    }
+
+    /// The frontier `program` starts from: every vertex if it is always
+    /// active, otherwise the initially active ones.
+    pub fn initial<Pr: VertexProgram>(program: &Pr, num_vertices: u32) -> Self {
+        if program.always_active() {
+            Self::all(num_vertices)
+        } else {
+            Self::from_fn(num_vertices, |v| program.initially_active(v))
+        }
+    }
+
+    /// The frontier an iteration of `program` fills for the next one:
+    /// empty — or, if it is always active, already full.
+    pub fn next<Pr: VertexProgram>(program: &Pr, num_vertices: u32) -> Self {
+        if program.always_active() {
+            Self::all(num_vertices)
+        } else {
+            Self::new(num_vertices)
+        }
     }
 
     /// Number of vertices the set ranges over.

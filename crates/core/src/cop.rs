@@ -11,20 +11,20 @@
 //! Disk I/O and CPU are overlapped as the paper describes (§3.5: "the
 //! out-edges of the next out-block can be loaded before the processing
 //! of current out-block is finished if the memory is sufficient"): a
-//! small pool of producer threads fetches up to
-//! [`readahead`](crate::engine::RunConfig::readahead_blocks) blocks ahead
-//! of the consumer — each block's `S_j`, in-index and edge records —
-//! while the workers process the current block. Blocks are delivered
+//! small pool of producer threads fetches a window of blocks (the run's
+//! thread budget, clamped to 2..=8) ahead of the consumer — each block's
+//! `S_j`, in-index and edge records — while the workers process the
+//! current block. Blocks are delivered
 //! strictly in column order regardless of which producer finishes first,
 //! so the result is bit-identical to a serial fetch loop; a fetch error
 //! cancels the remaining producers eagerly and surfaces to the caller,
 //! with the bytes of any already-prefetched-but-unconsumed blocks
 //! reported via the `cop.readahead_unused_bytes` counter.
 //!
-//! Across columns of a synchronous iteration, [`run_columns`] also
-//! overlaps each column's `D` write-back with the next column's first
-//! fetches (the write happens on a helper thread while the next column
-//! starts streaming).
+//! Across the columns of one unit, [`run_columns`] also overlaps each
+//! column's `D` write-back with the next column's first fetches (the
+//! write happens on a helper thread while the next column starts
+//! streaming).
 
 use crate::graph::{EdgeRecords, HusGraph};
 use crate::meta::INDEX_ENTRY_BYTES;
@@ -104,13 +104,18 @@ struct PipelineState<V> {
     cancelled: bool,
 }
 
-/// Process column `col` under COP with a readahead window of
-/// `readahead` blocks and at most [`DEFAULT_QUEUE_DEPTH`] concurrent
-/// producer fetches.
-/// `touched_col` says whether `D_col` was already
-/// initialized this iteration. Returns the updated `D_col` (not yet
-/// written back) and the number of edge records streamed (COP pays for
-/// every in-edge of the column, active or not — that is its trade).
+/// How many in-blocks the producer pool may fetch ahead of the
+/// consumer: the run's thread budget, clamped to 2..=8 — each resident
+/// block costs one in-block plus one `S` interval of memory.
+fn readahead_window() -> usize {
+    rayon::current_num_threads().clamp(2, 8)
+}
+
+/// Process column `col` under COP with a [`readahead_window`] of blocks
+/// and at most [`DEFAULT_QUEUE_DEPTH`] concurrent producer fetches.
+/// Returns the updated `D_col` (not yet written back) and the number of
+/// edge records streamed (COP pays for every in-edge of the column,
+/// active or not — that is its trade).
 ///
 /// If the readahead pipeline fails with a non-corruption error (a
 /// transient fault that survived the retry policy, a thread-pool
@@ -123,14 +128,12 @@ fn process_column<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     col: usize,
-    touched_col: bool,
-    readahead: usize,
 ) -> Result<(Vec<Pr::Value>, u64)> {
-    match process_column_inner(ctx, store, col, touched_col, readahead) {
+    match process_column_inner(ctx, store, col, true) {
         // A crossed deadline is a final verdict on the query, not a
         // pipeline fault — re-running the column synchronously would
         // only overshoot the budget further.
-        Err(e) if readahead > 1 && !e.is_corruption() && !e.is_deadline() => {
+        Err(e) if !e.is_corruption() && !e.is_deadline() => {
             hus_storage::retry::warn_once(
                 &SYNC_FALLBACK_ONCE,
                 "COP readahead pipeline failed; degrading to synchronous block fetches",
@@ -151,23 +154,22 @@ fn process_column<Pr: VertexProgram>(
                     }
                 }
             }
-            process_column_inner(ctx, store, col, touched_col, 0)
+            process_column_inner(ctx, store, col, false)
         }
         other => other,
     }
 }
 
-/// The actual column walk; `readahead == 0` forces the fully
-/// synchronous fetch loop (degraded mode), `>= 1` sizes the pipeline.
+/// The actual column walk; without `pipelined` it is the fully
+/// synchronous fetch loop (degraded mode).
 fn process_column_inner<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     col: usize,
-    touched_col: bool,
-    readahead: usize,
+    pipelined: bool,
 ) -> Result<(Vec<Pr::Value>, u64)> {
     let meta = ctx.graph.meta();
-    let mut d_col = load_d(ctx.program, store, col, touched_col, Access::Sequential)?;
+    let mut d_col = load_d(ctx.program, store, col, Access::Sequential)?;
     let dst_base = meta.interval_start(col);
     let mut streamed = 0u64;
 
@@ -186,9 +188,9 @@ fn process_column_inner<Pr: VertexProgram>(
     let blocks: Vec<usize> =
         (0..ctx.graph.p()).filter(|&i| ctx.graph.in_block_len(i, col) > 0).collect();
 
-    let depth = readahead.max(1).min(blocks.len());
+    let depth = if pipelined { readahead_window().min(blocks.len()) } else { 1 };
     READAHEAD_DEPTH.set(depth as u64);
-    if readahead == 0 || blocks.len() <= 1 {
+    if depth <= 1 {
         // Nothing to overlap (or degraded mode): fetch inline.
         for &i in &blocks {
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
@@ -310,7 +312,7 @@ fn process_column_inner<Pr: VertexProgram>(
 }
 
 /// The I/O plan of pulling column `col`: exactly the bytes
-/// [`run_column`] bills. `D_col` is read and written back once; every
+/// [`run_columns`] bills for it. `D_col` is read and written back once; every
 /// non-empty in-block `(i, col)` costs its `S_i`, its in-index and its
 /// encoded payload, all sequential (an overlay-resident block is
 /// served from memory; the stream bypasses the decoded-block cache, so
@@ -336,30 +338,15 @@ pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
     (0..graph.p()).map(|col| column_plan(graph, col, value_bytes)).sum()
 }
 
-/// Process column `col` under COP and write `D_col` back synchronously.
-/// Used by the Gauss-Seidel and per-column schedules, whose visibility
-/// rules need the write (and commit) to happen before the next unit.
-pub fn run_column<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    store: &VertexStore<Pr::Value>,
-    col: usize,
-    touched_col: bool,
-    readahead: usize,
-) -> Result<u64> {
-    let (d_col, streamed) = process_column(ctx, store, col, touched_col, readahead)?;
-    store.write_next(col, &d_col)?;
-    Ok(streamed)
-}
-
-/// Process all `P` columns of a synchronous COP iteration, overlapping
-/// each column's `D` write-back with the next column's fetches: the
-/// write runs on a helper thread while the next column starts streaming
-/// (commits still happen together afterwards, so visibility is
-/// unchanged). Returns the total edge records streamed.
+/// Pull the columns `cols`, overlapping each column's `D` write-back
+/// with the next column's fetches: the write runs on a helper thread
+/// while the next column starts streaming (the caller commits them
+/// together afterwards, so visibility is unchanged). Returns the total
+/// edge records streamed.
 pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
-    readahead: usize,
+    cols: &[usize],
 ) -> Result<u64> {
     fn join_write(pending: Option<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
         match pending {
@@ -373,10 +360,10 @@ pub fn run_columns<Pr: VertexProgram>(
     let mut streamed = 0u64;
     std::thread::scope(|scope| -> Result<()> {
         let mut pending = None;
-        for col in 0..ctx.graph.p() {
+        for &col in cols {
             let processed = {
                 let _s = span!("cop.column", interval = col);
-                process_column(ctx, store, col, false, readahead)
+                process_column(ctx, store, col)
             };
             // The previous column's write-back overlapped this column's
             // processing; collect it before publishing the next one.
@@ -432,7 +419,7 @@ fn pull_block<Pr: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use crate::builder::BuildConfig;
-    use crate::engine::{Engine, RunConfig, UpdateMode};
+    use crate::engine::{Engine, RunConfig, Synchrony, UpdateMode};
     use crate::graph::HusGraph;
     use crate::meta::GraphMeta;
     use crate::predict::IoPlan;
@@ -482,12 +469,7 @@ mod tests {
         f.set_len(4).unwrap();
         drop(f);
 
-        let cfg = RunConfig {
-            mode: UpdateMode::ForceCop,
-            threads: 2,
-            readahead_blocks: 4,
-            ..Default::default()
-        };
+        let cfg = RunConfig { mode: UpdateMode::ForceCop, threads: 4, ..Default::default() };
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
             let result = Engine::new(&g, &MinLabel, cfg).run();
@@ -504,7 +486,8 @@ mod tests {
 
     /// [`super::sweep_plan`] is the bill of a COP iteration, to the byte
     /// — also with a delta overlay attached, whose touched blocks are
-    /// served from memory.
+    /// served from memory, and also under Gauss-Seidel, whose `P`
+    /// one-column units together bill the one sweep.
     #[test]
     fn sweep_plan_is_what_a_cop_iteration_bills() {
         let el = hus_gen::rmat(300, 3000, 9, Default::default());
@@ -517,33 +500,32 @@ mod tests {
         dynamic.insert_edge(150, 2, 1.0).unwrap();
         let overlaid = dynamic.snapshot().unwrap();
         let plans = [&base, overlaid].map(|g| {
-            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads: 1, ..Default::default() };
-            let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
             let plan = super::sweep_plan(g, 4);
-            for it in &stats.iterations {
-                assert_eq!(IoPlan::billed(&it.io), plan, "iteration {}", it.iteration);
+            for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
+                let mode = UpdateMode::ForceCop;
+                let cfg = RunConfig { mode, synchrony, threads: 1, ..Default::default() };
+                let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
+                for it in &stats.iterations {
+                    assert_eq!(IoPlan::billed(&it.io), plan, "iteration {}", it.iteration);
+                }
             }
             plan
         });
         assert!(plans[1].sequential < plans[0].sequential, "overlay blocks cost no device I/O");
     }
 
-    /// Readahead depth must not change results or modeled I/O bytes on
-    /// the success path: every prefetched block is consumed.
+    /// Readahead depth (sized from the thread budget) must not change
+    /// results or modeled I/O bytes on the success path: every
+    /// prefetched block is consumed.
     #[test]
     fn deep_readahead_matches_shallow_bit_for_bit() {
         let el = hus_gen::rmat(400, 4000, 21, Default::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(6)).unwrap();
-        let run = |readahead: usize| {
+        let run = |threads: usize| {
             g.dir().tracker().reset();
-            let cfg = RunConfig {
-                mode: UpdateMode::ForceCop,
-                threads: 4,
-                readahead_blocks: readahead,
-                ..Default::default()
-            };
+            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
             let (values, stats) = Engine::new(&g, &MinLabel, cfg).run().unwrap();
             (values, stats.total_io.total_bytes())
         };

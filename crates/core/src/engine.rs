@@ -11,12 +11,11 @@ use crate::graph::HusGraph;
 use crate::predict::{Decision, IoPlan, Predictor, UpdateModel};
 use crate::program::VertexProgram;
 use crate::rop::{self, Frontier, IterCtx};
-use crate::stats::{IterationStats, RunStats};
+use crate::stats::{CheckpointStats, RunRecorder, RunStats};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
-use hus_storage::{Access, IoSnapshot, IoTracker, Result, StorageError, Throughput};
+use hus_storage::{Access, Result, StorageError, Throughput};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Frontier size at each iteration start (log₂ buckets).
@@ -40,40 +39,6 @@ static CKPT_SAVE_FAILURES: hus_obs::LazyCounter =
 /// hybrid iterations only; see [`crate::audit`]).
 static MISPREDICTION_PCT: hus_obs::LazyHistogram =
     hus_obs::LazyHistogram::new("predict.misprediction_pct");
-
-/// Laps the run's `IoTracker` at phase boundaries, attributing each
-/// delta's bytes to the phase that just ended; merged into the
-/// span-derived [`hus_obs::PhaseStat`]s at iteration end. Inert (no
-/// snapshots) while collection is disabled.
-struct PhaseIoMeter {
-    enabled: bool,
-    last: IoSnapshot,
-    acc: hus_obs::PhaseIo,
-}
-
-impl PhaseIoMeter {
-    fn start(tracker: &IoTracker) -> Self {
-        let enabled = hus_obs::enabled();
-        PhaseIoMeter {
-            enabled,
-            last: if enabled { tracker.snapshot() } else { IoSnapshot::default() },
-            acc: hus_obs::PhaseIo::new(),
-        }
-    }
-
-    fn lap(&mut self, tracker: &IoTracker, phase: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let now = tracker.snapshot();
-        self.acc.add(phase, now.since(&self.last).total_bytes());
-        self.last = now;
-    }
-
-    fn merge_into(&self, phases: &mut [hus_obs::PhaseStat]) {
-        self.acc.merge_into(phases);
-    }
-}
 
 /// Which update strategy the run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,17 +81,18 @@ pub enum Synchrony {
     /// earlier updates. Converges to the same fixpoint in (usually)
     /// fewer iterations for idempotent propagation programs; rejected
     /// for programs with non-identity `reset` (PageRank-family), whose
-    /// per-unit re-resets would double-count. The
-    /// [`SelectionGranularity::PerColumn`] schedule always commits
-    /// synchronously regardless of this setting.
+    /// per-unit re-resets would double-count. An iteration for which
+    /// [`SelectionGranularity::PerColumn`] selects a mix of pushed and
+    /// pulled columns always commits synchronously regardless of this
+    /// setting.
     GaussSeidel,
 }
 
 /// Run-time configuration.
 ///
 /// [`Default`] resolves every knob from the environment where an
-/// override exists (`HUS_READAHEAD`, `HUS_VERIFY`, `HUS_CKPT`; see the
-/// README's knob table).
+/// override exists (`HUS_VERIFY`, `HUS_CKPT`; see the README's knob
+/// table).
 /// Struct-update syntax pins just the fields a caller cares about:
 ///
 /// ```
@@ -139,7 +105,6 @@ pub enum Synchrony {
 ///     ..RunConfig::with_mode(UpdateMode::ForceCop)
 /// };
 /// assert_eq!(cfg.mode, UpdateMode::ForceCop);
-/// assert!(cfg.effective_readahead() >= 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -163,14 +128,9 @@ pub struct RunConfig {
     /// `T_random`).
     pub throughput: Throughput,
     /// Scratch directory name for the vertex store, created under the
-    /// graph directory. `None` derives a unique name per run.
+    /// graph directory and kept after the run. `None` derives a unique
+    /// name per run; that directory is removed when the run ends.
     pub scratch_name: Option<String>,
-    /// COP readahead window in blocks: how many in-blocks the producer
-    /// pool may fetch ahead of the consumer. `0` (the default) sizes the
-    /// window from the thread budget (`threads` clamped to 2..=8 — each
-    /// resident block costs one in-block plus one `S` interval of
-    /// memory). Env override: `HUS_READAHEAD`.
-    pub readahead_blocks: usize,
     /// Verify per-block CRC-32C checksums (stored in the shard footers by
     /// the builder) on every full-block read. Detects on-disk corruption
     /// at the exact `(i, j)` block; costs one pass over each block read.
@@ -257,7 +217,6 @@ impl Default for RunConfig {
             max_iterations: 1_000,
             throughput: hus_storage::DeviceProfile::hdd().read,
             scratch_name: None,
-            readahead_blocks: env_parse("HUS_READAHEAD", 0),
             verify_checksums: env_flag("HUS_VERIFY", false),
             checkpoint_every: env_parse("HUS_CKPT", 0),
             deadline: None,
@@ -270,28 +229,29 @@ impl RunConfig {
     pub fn with_mode(mode: UpdateMode) -> Self {
         RunConfig { mode, ..Default::default() }
     }
-
-    /// The COP readahead depth this config resolves to (`0` = auto-sized
-    /// from the thread budget).
-    pub fn effective_readahead(&self) -> usize {
-        if self.readahead_blocks == 0 {
-            self.threads.clamp(2, 8)
-        } else {
-            self.readahead_blocks
-        }
-    }
 }
 
 /// What [`Engine::plan_iteration`] decided for one iteration.
 struct IterationPlan {
-    /// The decision; under per-column selection its costs are summed
-    /// over the columns and its model is left to the executed majority.
+    /// The decision; priced column by column, its costs are summed over
+    /// the columns. The recorded model is the executed majority.
     decision: Decision,
     /// The I/O plan of the selected model(s) — what the iteration is
     /// predicted to bill; `None` when forced or gated.
     predicted: Option<IoPlan>,
-    /// Per destination column, when selection is per column.
-    columns: Option<Vec<UpdateModel>>,
+    /// The model of each destination column: uniform when forced, gated
+    /// or decided for the whole iteration.
+    columns: Vec<UpdateModel>,
+}
+
+/// One step of an iteration, followed by one commit: the `pull` columns
+/// are pulled whole, then the active `rows` push their edges into the
+/// `push` columns. Edge class `(i, j)` is covered exactly once — by
+/// column `j`'s model.
+struct Unit {
+    pull: Vec<usize>,
+    rows: Vec<usize>,
+    push: Vec<usize>,
 }
 
 /// A configured run of a program over a graph.
@@ -300,8 +260,6 @@ pub struct Engine<'a, Pr: VertexProgram> {
     program: &'a Pr,
     config: RunConfig,
 }
-
-static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     /// Create an engine for `program` over `graph`.
@@ -345,7 +303,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     /// assert_eq!(stats.resilience.giveups, 0);
     /// ```
     pub fn run(&self) -> Result<(Vec<Pr::Value>, RunStats)> {
-        hus_obs::init_from_env();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.config.threads.max(1))
             .build()
@@ -353,21 +310,10 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         pool.install(|| self.run_inner())
     }
 
-    fn scratch_dir(&self) -> Result<hus_storage::StorageDir> {
-        let name = self.config.scratch_name.clone().unwrap_or_else(|| {
-            format!(
-                "scratch_{}_{}",
-                std::process::id(),
-                SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed)
-            )
-        });
-        self.graph.dir().subdir(&name)
-    }
-
-    /// Choose this iteration's update model(s): forced or α-gated when
-    /// there is no `frontier` summary, otherwise by pricing both
-    /// executors' I/O plans over it — once for the whole iteration, or
-    /// once per destination column.
+    /// Choose this iteration's update model per destination column:
+    /// forced or α-gated when there is no `frontier` summary, otherwise
+    /// by pricing both executors' I/O plans over it — once for the whole
+    /// iteration, or once per destination column.
     fn plan_iteration(
         &self,
         predictor: &Predictor,
@@ -375,6 +321,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         cop_plans: &[IoPlan],
         frontier: Option<&Frontier>,
     ) -> IterationPlan {
+        let p = self.graph.p();
         let Some(frontier) = frontier else {
             let decision = match self.config.mode {
                 UpdateMode::ForceRop => Decision::forced(UpdateModel::Rop, false),
@@ -384,32 +331,40 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             if decision.gated {
                 crate::predict::count_decision(&decision);
             }
-            return IterationPlan { decision, predicted: None, columns: None };
+            return IterationPlan { decision, predicted: None, columns: vec![decision.model; p] };
         };
-        let p = self.graph.p();
-        let per_column = self.config.granularity == SelectionGranularity::PerColumn;
-        let width = if per_column { 1 } else { p };
+        let width = match self.config.granularity {
+            SelectionGranularity::PerIteration => p,
+            SelectionGranularity::PerColumn => 1,
+        };
         let mut decision =
             Decision { c_rop: 0.0, c_cop: 0.0, ..Decision::forced(UpdateModel::Cop, false) };
         let mut predicted = IoPlan::default();
-        let mut models = Vec::with_capacity(p / width);
-        for cols in (0..p).step_by(width).map(|col| col..col + width) {
-            let (rop_plan, cop_plan) = self.unit_plans(predictor, ctx, frontier, cols, cop_plans);
+        let mut pushes: Vec<(Vec<usize>, IoPlan)> = Vec::new();
+        let mut columns = Vec::with_capacity(p);
+        for cols in (0..p).step_by(width).map(|col| (col..col + width).collect::<Vec<_>>()) {
+            let (rop_plan, cop_plan) = self.unit_plans(predictor, ctx, frontier, &cols, cop_plans);
             let d = predictor.compare(&rop_plan, &cop_plan);
             crate::predict::count_decision(&d);
             decision.c_rop += d.c_rop;
             decision.c_cop += d.c_cop;
-            predicted += if d.model == UpdateModel::Rop { rop_plan } else { cop_plan };
-            models.push(d.model);
+            columns.extend(cols.iter().map(|_| d.model));
+            match d.model {
+                UpdateModel::Rop => pushes.push((cols, rop_plan)),
+                UpdateModel::Cop => predicted += cop_plan,
+            }
         }
-        if !per_column {
-            decision.model = models[0];
-        }
-        IterationPlan {
-            decision,
-            predicted: Some(predicted),
-            columns: per_column.then_some(models),
-        }
+        predicted += match pushes.as_slice() {
+            [] => IoPlan::default(),
+            [(_, plan)] => *plan,
+            // One push into several columns loads each `S_i` once, not
+            // once per column: price them together, as billed.
+            _ => {
+                let push: Vec<usize> = pushes.into_iter().flat_map(|(cols, _)| cols).collect();
+                self.unit_plans(predictor, ctx, frontier, &push, cop_plans).0
+            }
+        };
+        IterationPlan { decision, predicted: Some(predicted), columns }
     }
 
     /// The `(C_rop, C_cop)` plans of pushing into vs. pulling the
@@ -419,12 +374,12 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         predictor: &Predictor,
         ctx: &IterCtx<'_, Pr>,
         frontier: &Frontier,
-        cols: std::ops::Range<usize>,
+        cols: &[usize],
         cop_plans: &[IoPlan],
     ) -> (IoPlan, IoPlan) {
         if !predictor.paper_literal {
             let per_row_d = self.config.synchrony == Synchrony::GaussSeidel;
-            let cop_plan = cop_plans[cols.clone()].iter().copied().sum();
+            let cop_plan = cols.iter().map(|&j| cop_plans[j]).sum();
             return (rop::plan(ctx, frontier, cols, per_row_d), cop_plan);
         }
         // Verbatim formulas: the columns' active edges are each row's,
@@ -436,7 +391,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             .enumerate()
             .filter(|(_, (_, &row_edges))| row_edges > 0)
             .map(|(i, (row, &row_edges))| {
-                let in_cols: u64 = cols.clone().map(|j| self.graph.out_block_len(i, j)).sum();
+                let in_cols: u64 = cols.iter().map(|&j| self.graph.out_block_len(i, j)).sum();
                 row.degree_sum as f64 * in_cols as f64 / row_edges as f64
             })
             .sum();
@@ -448,21 +403,122 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         )
     }
 
-    /// End-of-iteration swap: commit the intervals whose `D` was
-    /// written. Under a non-identity reset (PageRank-style) the others
-    /// must still be re-derived for this iteration, pushed into or not.
-    fn commit_written(&self, store: &mut VertexStore<Pr::Value>, written: &[bool]) -> Result<()> {
-        for (i, &wrote) in written.iter().enumerate() {
-            if !wrote {
-                if !self.program.needs_reset() {
-                    continue;
-                }
-                let d = rop::load_d(self.program, store, i, false, Access::Sequential)?;
-                store.write_next(i, &d)?;
-            }
-            store.commit(i);
+    /// The iteration as a list of units. Synchronously it is one unit:
+    /// every update becomes visible together at its end. Gauss-Seidel
+    /// (the paper's literal `Swap(S, D)` after every processed row of
+    /// Algorithm 2 and column of Algorithm 3) makes every active row and
+    /// every pulled column a unit of its own, so later ones observe
+    /// earlier updates; a mix of pushed and pulled columns, for which the
+    /// paper defines no such order, always commits synchronously.
+    fn units(&self, columns: &[UpdateModel], active: &ActiveSet) -> Vec<Unit> {
+        let meta = self.graph.meta();
+        let assigned = |model| (0..columns.len()).filter(|&j| columns[j] == model).collect();
+        let (pull, push): (Vec<usize>, Vec<usize>) =
+            (assigned(UpdateModel::Cop), assigned(UpdateModel::Rop));
+        let is_active = |row: &usize| {
+            active.count_range(meta.interval_start(*row), meta.interval_starts[row + 1]) > 0
+        };
+        let rows: Vec<usize> = if push.is_empty() {
+            Vec::new()
+        } else {
+            (0..columns.len()).filter(is_active).collect()
+        };
+        let mixed = !pull.is_empty() && !push.is_empty();
+        if self.config.synchrony == Synchrony::GaussSeidel && !mixed {
+            let pushes = rows.into_iter().map(|row| Unit {
+                pull: Vec::new(),
+                rows: vec![row],
+                push: push.clone(),
+            });
+            let pulls =
+                pull.into_iter().map(|col| Unit { pull: vec![col], rows: vec![], push: vec![] });
+            return pushes.chain(pulls).collect();
         }
-        Ok(())
+        vec![Unit { pull, rows, push }]
+    }
+
+    /// Run one unit and commit what it wrote; returns the edge records
+    /// it processed.
+    ///
+    /// The pulled columns write disjoint next buffers, so each column's
+    /// write-back overlaps the next column's fetches. The pushing rows
+    /// are independent (§3.5: per-`D_j` locks serialize pushes into a
+    /// shared destination), so they fan out over the run's pool — inline
+    /// when it has one thread or there is one row; the first error in
+    /// row order wins. They hold the destination intervals they touch in
+    /// memory for the whole unit (the paper's per-row parallelism has
+    /// them all resident anyway), loading each lazily on first push and
+    /// writing it back once.
+    fn execute_unit(
+        &self,
+        ctx: &IterCtx<'_, Pr>,
+        store: &mut VertexStore<Pr::Value>,
+        unit: &Unit,
+        rec: &mut RunRecorder,
+    ) -> Result<u64> {
+        let mut edges = 0u64;
+        if !unit.pull.is_empty() {
+            edges += cop::run_columns(ctx, store, &unit.pull)?;
+            rec.lap("cop");
+        }
+        let mut touched = vec![false; store.num_intervals()];
+        if !unit.rows.is_empty() {
+            let d_all = rop::d_buffers::<Pr>(store);
+            let row_edges: Vec<u64> = unit
+                .rows
+                .clone()
+                .into_par_iter()
+                .map(|row| {
+                    let _s = span!("rop.row", interval = row);
+                    rop::run_row(ctx, store, row, &d_all, &unit.push)
+                })
+                .collect::<Result<Vec<u64>>>()?;
+            edges += row_edges.iter().sum::<u64>();
+            rec.lap("rop");
+            touched = {
+                let _s = span!("gather");
+                rop::store_touched::<Pr>(store, d_all)?
+            };
+            rec.lap("gather");
+        }
+        {
+            // Swap the intervals whose `D` was written: every pulled
+            // column, and the push columns some row pushed into. Under a
+            // non-identity reset (PageRank-style) the others must still
+            // be re-derived for this iteration.
+            let _s = span!("sync");
+            let pulled = unit.pull.iter().map(|&j| (j, true));
+            for (j, wrote) in pulled.chain(unit.push.iter().map(|&j| (j, touched[j]))) {
+                if !wrote {
+                    if !self.program.needs_reset() {
+                        continue;
+                    }
+                    let d = rop::load_d(self.program, store, j, Access::Sequential)?;
+                    store.write_next(j, &d)?;
+                }
+                store.commit(j);
+            }
+        }
+        rec.lap("sync");
+        Ok(edges)
+    }
+
+    /// With checkpointing on, adopt the freshest valid snapshot left in
+    /// the scratch directory by an interrupted earlier run of the same
+    /// `scratch_name` (DESIGN.md §10): the store and frontier are
+    /// rebuilt from it bit-identically and the loop re-enters where it
+    /// left off.
+    fn restore(
+        &self,
+        mgr: &mut crate::checkpoint::CheckpointManager,
+    ) -> Option<(u64, Vec<Pr::Value>, ActiveSet)> {
+        let snap = mgr.load_latest::<Pr::Value>()?;
+        let frontier = ActiveSet::from_words(self.graph.meta().num_vertices, &snap.active_words)?;
+        ((snap.iteration as usize) < self.config.max_iterations).then_some((
+            snap.iteration,
+            snap.values,
+            frontier,
+        ))
     }
 
     fn run_inner(&self) -> Result<(Vec<Pr::Value>, RunStats)> {
@@ -478,56 +534,28 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         let v = meta.num_vertices;
         let p = self.graph.p();
         self.graph.set_verify(self.config.verify_checksums);
-        let tracker = self.graph.dir().tracker();
-        let resilience = self.graph.dir().resilience();
-        let run_start_io = tracker.snapshot();
-        let run_start_res = resilience.snapshot();
-        let run_start = Instant::now();
+        let mut rec = RunRecorder::start("hus", self.graph.dir(), self.config.threads);
+        let scratch = rec.scratch(self.config.scratch_name.as_deref())?;
 
-        let scratch = self.scratch_dir()?;
-        let always = self.program.always_active();
-
-        // Checkpoint/restore (DESIGN.md §10): with checkpointing on,
-        // adopt the freshest valid snapshot left in the scratch
-        // directory by an interrupted earlier run of the same
-        // `scratch_name` — the store and frontier are rebuilt from it
-        // bit-identically and the loop re-enters where it left off.
         let mut ckpt_mgr = (self.config.checkpoint_every > 0)
             .then(|| crate::checkpoint::CheckpointManager::new(scratch.clone(), v));
-        let mut ckpt_stats = crate::stats::CheckpointStats::default();
+        let mut ckpt_stats = CheckpointStats::default();
         let mut start_iteration = 0usize;
-        let mut restored: Option<(Vec<Pr::Value>, ActiveSet)> = None;
-        if let Some(mgr) = &mut ckpt_mgr {
-            if let Some(snap) = mgr.load_latest::<Pr::Value>() {
-                match ActiveSet::from_words(v, &snap.active_words) {
-                    Some(frontier) if (snap.iteration as usize) < self.config.max_iterations => {
-                        start_iteration = snap.iteration as usize + 1;
-                        ckpt_stats.resumed_from = Some(snap.iteration);
-                        restored = Some((snap.values, frontier));
-                    }
-                    _ => {}
-                }
-            }
+        let mut active = ActiveSet::initial(self.program, v);
+        let mut restored = None;
+        if let Some((iteration, values, frontier)) =
+            ckpt_mgr.as_mut().and_then(|mgr| self.restore(mgr))
+        {
+            start_iteration = iteration as usize + 1;
+            ckpt_stats.resumed_from = Some(iteration);
+            active = frontier;
+            restored = Some(values);
         }
-
-        let (mut store, mut active): (VertexStore<Pr::Value>, ActiveSet) = match restored {
-            Some((values, frontier)) => (
-                VertexStore::create(&scratch, "vals", &meta.interval_starts, |x| {
-                    values[x as usize]
-                })?,
-                frontier,
-            ),
-            None => (
-                VertexStore::create(&scratch, "vals", &meta.interval_starts, |x| {
-                    self.program.init(x)
-                })?,
-                if always {
-                    ActiveSet::all(v)
-                } else {
-                    ActiveSet::from_fn(v, |x| self.program.initially_active(x))
-                },
-            ),
-        };
+        let mut store: VertexStore<Pr::Value> =
+            VertexStore::create(&scratch, "vals", &meta.interval_starts, |x| match &restored {
+                Some(values) => values[x as usize],
+                None => self.program.init(x),
+            })?;
 
         // `M` is the *on-disk* bytes per edge: the verbatim formulas
         // must reflect the encoded payload that actually travels from
@@ -542,12 +570,9 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         let cop_plans: Vec<IoPlan> =
             (0..p).map(|col| cop::column_plan(self.graph, col, value_bytes)).collect();
         let row_edges = rop::row_edge_totals(self.graph);
-        let gauss_seidel = self.config.synchrony == Synchrony::GaussSeidel;
+        let tput = &self.config.throughput;
 
-        let mut iterations = Vec::new();
-        let mut total_edges = 0u64;
         let mut converged = false;
-
         for iteration in start_iteration..self.config.max_iterations {
             check_deadline(self.config.deadline.as_ref())?;
             let active_vertices = active.count();
@@ -570,218 +595,58 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             ACTIVE_EDGES_HIST.record(active_edges);
             ITERATION_GAUGE.set(iteration as u64);
             ACTIVE_VERTICES_GAUGE.set(active_vertices);
-            let iter_io_start = tracker.snapshot();
-            let iter_start = Instant::now();
-            let mut phase_io = PhaseIoMeter::start(&tracker);
+            rec.begin_iteration(iteration, active_vertices, active_edges);
 
-            // Decide the model(s) for this iteration.
+            // Decide the model of every column, then run the units.
             let (next_active, ctx);
             let IterationPlan { decision, predicted, columns } = {
                 let _s = span!("predict");
-                next_active = if always { ActiveSet::all(v) } else { ActiveSet::new(v) };
+                next_active = ActiveSet::next(self.program, v);
                 ctx = IterCtx {
                     graph: self.graph,
                     program: self.program,
                     active: &active,
                     next_active: &next_active,
-                    coalesce_ratio: self.config.throughput.batched_bps
-                        / self.config.throughput.random_bps,
-                    index_ratio: self.config.throughput.sequential_bps
-                        / self.config.throughput.random_bps,
+                    coalesce_ratio: tput.batched_bps / tput.random_bps,
+                    index_ratio: tput.sequential_bps / tput.random_bps,
                     deadline: self.config.deadline,
                     row_edges: &row_edges,
                 };
                 self.plan_iteration(&predictor, &ctx, &cop_plans, frontier.as_ref())
             };
-            phase_io.lap(&tracker, "predict");
-
-            let readahead = self.config.effective_readahead();
-
-            let mut edges_this_iter = 0u64;
-            let mut rop_units = 0u32;
-            let mut cop_units = 0u32;
-
-            if let Some(columns) = columns {
-                // Fine-grained: each destination column pulls whole or
-                // pushes only its active sources' edges. Edge class
-                // (i, j) is covered exactly once — by column j's mode.
-                let mut written = vec![true; p];
-                for (col, model) in columns.into_iter().enumerate() {
-                    match model {
-                        UpdateModel::Rop => {
-                            {
-                                let _s = span!("rop.column", interval = col);
-                                let (pushed, wrote) = rop::run_push_column(&ctx, &store, col)?;
-                                edges_this_iter += pushed;
-                                written[col] = wrote;
-                            }
-                            phase_io.lap(&tracker, "rop");
-                            rop_units += 1;
-                        }
-                        UpdateModel::Cop => {
-                            {
-                                let _s = span!("cop.column", interval = col);
-                                edges_this_iter +=
-                                    cop::run_column(&ctx, &store, col, false, readahead)?;
-                            }
-                            phase_io.lap(&tracker, "cop");
-                            cop_units += 1;
-                        }
-                    }
-                }
-                {
-                    let _s = span!("sync");
-                    self.commit_written(&mut store, &written)?;
-                }
-                phase_io.lap(&tracker, "sync");
-            } else {
-                match decision.model {
-                    UpdateModel::Rop => {
-                        if gauss_seidel {
-                            // Paper-literal: every processed row loads
-                            // the destination intervals it pushes into,
-                            // writes them back and swaps immediately, so
-                            // later rows observe the updates.
-                            for row in 0..p {
-                                let base = meta.interval_start(row);
-                                let end = meta.interval_starts[row + 1];
-                                if active.count_range(base, end) == 0 {
-                                    continue;
-                                }
-                                {
-                                    let _s = span!("rop.row", interval = row);
-                                    let d_all = rop::d_buffers::<Pr>(&store);
-                                    edges_this_iter += rop::run_row(&ctx, &store, row, &d_all)?;
-                                    let touched = rop::store_touched::<Pr>(&store, d_all)?;
-                                    for (i, t) in touched.into_iter().enumerate() {
-                                        if t {
-                                            store.commit(i);
-                                        }
-                                    }
-                                }
-                                phase_io.lap(&tracker, "rop");
-                                rop_units += 1;
-                            }
-                        } else {
-                            // ROP holds touched destination intervals in
-                            // memory for the whole iteration (the paper's
-                            // per-row parallelism has them all resident
-                            // anyway), loading lazily on first push and
-                            // writing each back once.
-                            let d_all = rop::d_buffers::<Pr>(&store);
-                            let rows: Vec<usize> = (0..p)
-                                .filter(|&row| {
-                                    let base = meta.interval_start(row);
-                                    let end = meta.interval_starts[row + 1];
-                                    active.count_range(base, end) > 0
-                                })
-                                .collect();
-                            rop_units += rows.len() as u32;
-                            // Rows are independent (§3.5: per-D_j locks
-                            // serialize pushes into a shared
-                            // destination), so they fan out over the
-                            // run's pool — inline when it has one
-                            // thread or there is one row. Per-row edge
-                            // counts are aggregated afterwards instead
-                            // of a shared mutable counter; the first
-                            // error in row order wins.
-                            let row_edges: Vec<u64> = rows
-                                .into_par_iter()
-                                .map(|row| {
-                                    let _s = span!("rop.row", interval = row);
-                                    rop::run_row(&ctx, &store, row, &d_all)
-                                })
-                                .collect::<Result<Vec<u64>>>()?;
-                            edges_this_iter += row_edges.iter().sum::<u64>();
-                            phase_io.lap(&tracker, "rop");
-                            let touched = {
-                                let _s = span!("gather");
-                                rop::store_touched::<Pr>(&store, d_all)?
-                            };
-                            phase_io.lap(&tracker, "gather");
-                            {
-                                let _s = span!("sync");
-                                self.commit_written(&mut store, &touched)?;
-                            }
-                            phase_io.lap(&tracker, "sync");
-                        }
-                    }
-                    UpdateModel::Cop => {
-                        if gauss_seidel {
-                            // Paper-literal: Swap(S_i, D_i) right after
-                            // column i (Algorithm 3 line 20). The
-                            // write-back must land before the next
-                            // column starts, so no cross-column overlap.
-                            for col in 0..p {
-                                {
-                                    let _s = span!("cop.column", interval = col);
-                                    edges_this_iter +=
-                                        cop::run_column(&ctx, &store, col, false, readahead)?;
-                                    store.commit(col);
-                                }
-                                phase_io.lap(&tracker, "cop");
-                                cop_units += 1;
-                            }
-                        } else {
-                            // Synchronous: columns write disjoint next
-                            // buffers, so each column's write-back
-                            // overlaps the next column's fetches.
-                            edges_this_iter += cop::run_columns(&ctx, &store, readahead)?;
-                            phase_io.lap(&tracker, "cop");
-                            cop_units += p as u32;
-                            {
-                                let _s = span!("sync");
-                                for i in 0..p {
-                                    store.commit(i);
-                                }
-                            }
-                            phase_io.lap(&tracker, "sync");
-                        }
-                    }
-                }
+            rec.lap("predict");
+            let units = self.units(&columns, &active);
+            let mut edges = 0u64;
+            for unit in &units {
+                edges += self.execute_unit(&ctx, &mut store, unit, &mut rec)?;
             }
+            EDGES_PROCESSED.add(edges);
 
-            total_edges += edges_this_iter;
-            // Capture the clocks before draining spans: emitting trace
-            // records does file I/O that must not count as engine time.
-            let wall_seconds = iter_start.elapsed().as_secs_f64();
-            let iter_io = tracker.snapshot().since(&iter_io_start);
-            EDGES_PROCESSED.add(edges_this_iter);
+            // Units as the stats count them: pulled columns, and pushing
+            // rows — or, beside pulled columns, pushed columns, so that
+            // the two add up to `P`.
+            let cop_units = units.iter().map(|u| u.pull.len()).sum::<usize>();
+            let rop_units = match cop_units {
+                0 => units.iter().map(|u| u.rows.len()).sum(),
+                pulled => p - pulled,
+            };
+            let (rop_units, cop_units) = (rop_units as u32, cop_units as u32);
+            let model = if rop_units > cop_units { UpdateModel::Rop } else { UpdateModel::Cop };
+            let it = rec.end_iteration(
+                Decision { model, ..decision },
+                predicted,
+                (rop_units, cop_units),
+                edges,
+            );
             if let Some(plan) = &predicted {
                 // Audit the committed prediction against what the same
                 // throughput numbers say the moved bytes cost.
-                let tput = &self.config.throughput;
-                let actual = crate::audit::io_seconds(tput, &iter_io);
+                let actual = crate::audit::io_seconds(tput, &it.io);
                 if actual > 0.0 {
                     let err_pct = (plan.seconds(tput) - actual).abs() / actual * 100.0;
                     MISPREDICTION_PCT.record(err_pct as u64);
                 }
             }
-            // Mirror the always-on resilience totals into the registry so
-            // an exporter attached mid-run sees the full history.
-            resilience.publish();
-            let mut phases = hus_obs::finish_iteration("hus", iteration);
-            phase_io.merge_into(&mut phases);
-            let it = IterationStats {
-                iteration,
-                model: if rop_units > cop_units { UpdateModel::Rop } else { decision.model },
-                gated: decision.gated,
-                c_rop: decision.c_rop,
-                c_cop: decision.c_cop,
-                plan: predicted,
-                rop_units,
-                cop_units,
-                active_vertices,
-                active_edges,
-                edges_processed: edges_this_iter,
-                io: iter_io,
-                wall_seconds,
-                phases,
-            };
-            if let Some(sink) = hus_obs::sink::trace() {
-                sink.emit_iteration("hus", &it);
-            }
-            iterations.push(it);
 
             active = next_active;
             if let Some(mgr) = &mut ckpt_mgr {
@@ -807,10 +672,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             // Crash point for the recovery test harness: armed via
             // `HUS_CRASH_AT=engine.iteration_end:<n>`, inert otherwise.
             hus_storage::durable::crash_point("engine.iteration_end");
-            if always && iteration + 1 == self.config.max_iterations {
-                // Fixed-iteration programs never empty the frontier.
-                break;
-            }
         }
 
         // A finished run's checkpoints must not hijack the next run of
@@ -818,23 +679,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         if let Some(mgr) = &ckpt_mgr {
             mgr.clear();
         }
-        let total_io = tracker.snapshot().since(&run_start_io);
-        let wall_seconds = run_start.elapsed().as_secs_f64();
-        let values = store.read_all_current()?;
-        let stats = RunStats {
-            iterations,
-            total_io,
-            wall_seconds,
-            edges_processed: total_edges,
-            converged,
-            threads: self.config.threads,
-            resilience: resilience.snapshot().since(&run_start_res),
-            checkpoints: ckpt_stats,
-        };
-        if let Some(sink) = hus_obs::sink::trace() {
-            sink.emit_run("hus", &stats);
-        }
-        Ok((values, stats))
+        rec.finish(converged, ckpt_stats, || store.read_all_current())
     }
 }
 
@@ -918,9 +763,9 @@ mod tests {
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
         for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop] {
             // A cutoff already in the past: the run must abort at the
-            // first check with the typed error, under both models and
-            // both COP fetch paths (sync and pipelined) — the readahead
-            // fallback must not retry a crossed deadline.
+            // first check with the typed error, under both models — the
+            // readahead pipeline's synchronous fallback must not retry
+            // a crossed deadline.
             let deadline = Some(Deadline {
                 at: Instant::now() - std::time::Duration::from_millis(1),
                 budget_ms: 7,
@@ -1007,6 +852,79 @@ mod tests {
             let (got, stats) = run(UpdateMode::Hybrid, SelectionGranularity::PerColumn);
             assert_eq!(got, want, "reset {reset}");
             assert!(stats.iterations.iter().all(|it| it.rop_units > 0), "some columns push");
+        }
+    }
+
+    /// A genuinely mixed iteration is one unit: the pull columns are
+    /// swept, then the active rows push into the push columns only.
+    #[test]
+    fn mixed_iteration_pulls_some_columns_and_pushes_into_the_rest() {
+        /// Counts the messages received this iteration; intervals 0 and
+        /// 1 of the graph below start active, whole.
+        struct Received {
+            reset: bool,
+        }
+        impl VertexProgram for Received {
+            type Value = u32;
+            fn init(&self, _v: u32) -> u32 {
+                7
+            }
+            fn initially_active(&self, v: u32) -> bool {
+                v < 50
+            }
+            fn scatter(&self, _s: &u32, _c: &EdgeCtx) -> Option<u32> {
+                Some(1)
+            }
+            fn combine(&self, d: &mut u32, m: u32) -> bool {
+                *d += m;
+                true
+            }
+            fn reset(&self, _v: u32, prev: &u32) -> u32 {
+                if self.reset {
+                    0
+                } else {
+                    *prev
+                }
+            }
+            fn needs_reset(&self) -> bool {
+                self.reset
+            }
+        }
+        // A 200-cycle in 8 intervals of 25: row i has 24 edges into
+        // column i and one into column i + 1. Columns 0 and 1 take a
+        // block's worth of pushes, which a pull streams cheaper; column
+        // 2 takes the one edge 49 → 50 and the rest none, so pushing
+        // costs them little more than `S_0` and `S_1`. α = 2 keeps the
+        // gate open so every column is priced.
+        let el = classic::cycle(200);
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(8, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&el, &dir, &config).unwrap();
+        for (reset, threads) in [(false, 1), (true, 1), (false, 2)] {
+            let run = |mode, granularity| {
+                let config = RunConfig {
+                    mode,
+                    granularity,
+                    alpha: 2.0,
+                    max_iterations: 3,
+                    threads,
+                    ..Default::default()
+                };
+                Engine::new(&g, &Received { reset }, config).run().unwrap()
+            };
+            let (want, _) = run(UpdateMode::ForceCop, SelectionGranularity::PerIteration);
+            let (got, stats) = run(UpdateMode::Hybrid, SelectionGranularity::PerColumn);
+            assert_eq!(got, want, "reset {reset}");
+            for it in &stats.iterations {
+                assert_eq!(it.rop_units + it.cop_units, 8, "every column is pushed or pulled");
+            }
+            // The whole-interval frontier makes the first plan exact:
+            // every pull column writes its `D` once, a push column only
+            // when pushed into (or, under a reset, re-derived).
+            let first = &stats.iterations[0];
+            assert_eq!((first.rop_units, first.cop_units), (6, 2), "mixed: {first:?}");
+            assert_eq!(first.io.write_bytes, first.plan.unwrap().write, "reset {reset}");
         }
     }
 
@@ -1326,6 +1244,31 @@ mod edge_case_tests {
         Engine::new(&g, &MinLabel, config).run().unwrap();
         assert!(dir.path("my_scratch").is_dir());
         assert!(dir.exists("my_scratch/vals_a.bin"));
+    }
+
+    /// A derived scratch directory goes with its run — finished or
+    /// aborted — so runs do not pile up vertex stores in the graph
+    /// directory.
+    #[test]
+    fn derived_scratch_directories_do_not_outlive_their_run() {
+        let el = hus_gen::rmat(2000, 12_000, 3, Default::default());
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&el, &dir, &crate::BuildConfig::with_p(4)).unwrap();
+        let footprint = dir.disk_footprint().unwrap();
+        for _ in 0..5 {
+            Engine::new(&g, &MinLabel, RunConfig::default()).run().unwrap();
+        }
+        let expired = Some(Deadline { at: Instant::now(), budget_ms: 1 });
+        let aborted = RunConfig { deadline: expired, ..Default::default() };
+        assert!(Engine::new(&g, &MinLabel, aborted).run().unwrap_err().is_deadline());
+        let left: Vec<_> = std::fs::read_dir(dir.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains("scratch"))
+            .collect();
+        assert!(left.is_empty(), "runs left {left:?} behind");
+        assert_eq!(dir.disk_footprint().unwrap(), footprint);
     }
 
     #[test]

@@ -35,7 +35,11 @@
 //! column** (pull the whole column, or push only the active sources'
 //! edges of that column) is provided as
 //! [`engine::SelectionGranularity::PerColumn`]; it covers every edge
-//! exactly once per iteration under any mixed selection.
+//! exactly once per iteration under any mixed selection. Either way the
+//! planner hands the executor one model per destination column, and an
+//! iteration runs as a list of units — pull these columns, then push the
+//! active rows into those — each followed by one commit: one unit when
+//! synchronous, one per active row or pulled column under Gauss-Seidel.
 
 #![warn(missing_docs)]
 

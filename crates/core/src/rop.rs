@@ -83,30 +83,23 @@ impl<Pr: VertexProgram> IterCtx<'_, Pr> {
     }
 }
 
-/// Load (or initialize) interval `j`'s in-progress `D_j` buffer.
-///
-/// The first touch of an interval in an iteration starts from
-/// `reset(S_j)`; later touches continue from the partially-updated next
-/// buffer. `access` reflects the caller's I/O pattern for billing.
+/// Initialize interval `j`'s in-progress `D_j` buffer: an interval
+/// starts its iteration from `reset(S_j)`. `access` reflects the
+/// caller's I/O pattern for billing.
 pub fn load_d<Pr: VertexProgram>(
     program: &Pr,
     store: &VertexStore<Pr::Value>,
     j: usize,
-    touched: bool,
     access: Access,
 ) -> Result<Vec<Pr::Value>> {
-    if touched {
-        store.load_next(j, access)
-    } else {
-        let base = store.interval_start(j);
-        let s = store.load_current(j, access)?;
-        Ok(s.iter().enumerate().map(|(k, v)| program.reset(base + k as u32, v)).collect())
-    }
+    let base = store.interval_start(j);
+    let s = store.load_current(j, access)?;
+    Ok(s.iter().enumerate().map(|(k, v)| program.reset(base + k as u32, v)).collect())
 }
 
 /// Iteration-resident destination buffers, loaded lazily on first touch.
 ///
-/// A ROP iteration keeps touched `D_j` buffers in memory: the paper's
+/// A unit's push keeps touched `D_j` buffers in memory: the paper's
 /// per-row parallelism has every touched `D_j` resident simultaneously
 /// anyway, so reloading them per row would bill phantom traffic. An
 /// interval is loaded by the first out-block that has edges to push
@@ -116,14 +109,14 @@ pub fn load_d<Pr: VertexProgram>(
 /// couple of intervals per iteration.
 pub type DBuffers<V> = Vec<Mutex<Option<Vec<V>>>>;
 
-/// Empty (unloaded) destination buffers for one iteration.
+/// Empty (unloaded) destination buffers for one unit.
 pub fn d_buffers<Pr: VertexProgram>(store: &VertexStore<Pr::Value>) -> DBuffers<Pr::Value> {
     (0..store.num_intervals()).map(|_| Mutex::new(None)).collect()
 }
 
 /// Write back every *touched* `D_j` buffer (one tracked write per
-/// touched interval) at the end of a ROP iteration; returns which
-/// intervals must be committed.
+/// touched interval) once a unit's rows have pushed; returns which
+/// intervals were written.
 pub fn store_touched<Pr: VertexProgram>(
     store: &VertexStore<Pr::Value>,
     d_all: DBuffers<Pr::Value>,
@@ -138,13 +131,18 @@ pub fn store_touched<Pr: VertexProgram>(
     Ok(touched)
 }
 
-/// Process row `i` under ROP, pushing into the iteration-resident `D`
-/// buffers. Returns the number of edges pushed.
+/// Process row `i` under ROP, pushing its active vertices' edges of the
+/// out-blocks `(row, j)`, `j` in `push`, into the unit-resident `D`
+/// buffers. `push` is every column for a whole ROP iteration, the
+/// push-assigned ones for a mixed one (edge class `(i, j)` is covered
+/// exactly once — by column `j`'s model). Returns the number of edges
+/// pushed.
 pub fn run_row<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     row: usize,
     d_all: &DBuffers<Pr::Value>,
+    push: &[usize],
 ) -> Result<u64> {
     let meta = ctx.graph.meta();
     let base = meta.interval_start(row);
@@ -158,11 +156,12 @@ pub fn run_row<Pr: VertexProgram>(
     // the per-vertex edge-range fetches below are random.
     let s_row = store.load_current(row, Access::Sequential)?;
 
-    // Out-blocks (row, 0..P) in parallel: disjoint destination intervals,
+    // The row's out-blocks in parallel: disjoint destination intervals,
     // so each worker owns its D_j lock without contention. The lock is
     // taken only once the block is known to have edges to push, so rows
     // running concurrently overlap their index reads.
-    let edge_counts: Vec<u64> = (0..ctx.graph.p())
+    let edge_counts: Vec<u64> = push
+        .to_vec()
         .into_par_iter()
         .map(|j| {
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
@@ -185,7 +184,7 @@ fn loaded_d<'d, Pr: VertexProgram>(
     slot: &'d mut Option<Vec<Pr::Value>>,
 ) -> Result<&'d mut [Pr::Value]> {
     if slot.is_none() {
-        *slot = Some(load_d(program, store, j, false, Access::Sequential)?);
+        *slot = Some(load_d(program, store, j, Access::Sequential)?);
     }
     Ok(slot.as_mut().expect("just loaded"))
 }
@@ -387,40 +386,6 @@ fn push_fetch<Pr: VertexProgram>(
     Ok(pushed)
 }
 
-/// Per-column push (the `PerColumn` hybrid schedule): for a column `j`
-/// that the predictor assigned to push, walk every source interval `i`
-/// and push only the active vertices' edges of out-block `(i, j)` into a
-/// single `D_j` buffer, loaded by the first block with edges to push.
-/// Returns the edges pushed and whether `D_j` was written (an untouched
-/// column is neither read nor written, and must not be committed).
-pub fn run_push_column<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    store: &VertexStore<Pr::Value>,
-    col: usize,
-) -> Result<(u64, bool)> {
-    let meta = ctx.graph.meta();
-    let mut d_col = None;
-    let mut pushed = 0u64;
-    for i in 0..ctx.graph.p() {
-        let base = meta.interval_start(i);
-        let end = meta.interval_starts[i + 1];
-        let actives: Vec<VertexId> = ctx.active.iter_range(base, end).collect();
-        if actives.is_empty() {
-            continue;
-        }
-        crate::engine::check_deadline(ctx.deadline.as_ref())?;
-        let s_row = store.load_current(i, Access::Sequential)?;
-        if let Some(fetch) = plan_block_fetch(ctx, i, col, base, &actives)? {
-            let d_j = loaded_d(ctx.program, store, col, &mut d_col)?;
-            pushed += push_fetch(ctx, (i, col), base, fetch, &s_row, d_j)?;
-        }
-    }
-    if let Some(d_col) = &d_col {
-        store.write_next(col, d_col)?;
-    }
-    Ok((pushed, d_col.is_some()))
-}
-
 /// Out-edges per source interval, `Σ_j |out-block (i, j)|` — static for
 /// a run ([`IterCtx::row_edges`]).
 pub fn row_edge_totals(graph: &HusGraph) -> Vec<u64> {
@@ -519,8 +484,8 @@ impl Frontier {
 }
 
 /// The I/O plan of pushing `frontier` into the destination columns
-/// `cols`: `0..P` for a whole ROP iteration ([`run_row`] over every
-/// active row), `j..j + 1` for one [`run_push_column`]. It walks the
+/// `push` ([`run_row`] over every active row): every column for a whole
+/// ROP iteration, the push-assigned ones for a mixed one. It walks the
 /// executor's own choices with the frontier summarized per row:
 ///
 /// * `S_i`, sequential, per active row;
@@ -544,25 +509,24 @@ impl Frontier {
 pub fn plan<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     frontier: &Frontier,
-    cols: std::ops::Range<usize>,
+    push: &[usize],
     per_row_d: bool,
 ) -> IoPlan {
     let meta = ctx.graph.meta();
     let value_bytes = std::mem::size_of::<Pr::Value>() as f64;
     // Estimates are fractional; each class is rounded once at the end.
     let (mut sequential, mut batched, mut random) = (0.0f64, 0.0f64, 0.0f64);
-    let mut d_loads = vec![0.0f64; cols.len()];
+    let mut d_loads = vec![0.0f64; push.len()];
     for (i, row) in frontier.rows.iter().enumerate().filter(|(_, row)| row.actives > 0) {
         let len = meta.interval_len(i) as f64;
         sequential += len * value_bytes;
         let probe = selective_index_probe(row.actives as usize, len as usize, ctx.index_ratio);
-        for j in cols.clone() {
+        for (d, &j) in d_loads.iter_mut().zip(push) {
             let block_edges = ctx.graph.out_block_len(i, j) as f64;
             if block_edges == 0.0 {
                 continue;
             }
             let requested = row.degree_sum as f64 * block_edges / ctx.row_edges[i] as f64;
-            let d = &mut d_loads[j - cols.start];
             *d = if per_row_d { *d + requested.min(1.0) } else { (*d + requested).min(1.0) };
             if ctx.graph.out_block_resident(i, j) {
                 continue;
@@ -601,10 +565,10 @@ pub fn plan<Pr: VertexProgram>(
             }
         }
     }
-    let d_bytes: f64 = cols
-        .clone()
+    let d_bytes: f64 = push
+        .iter()
         .zip(&d_loads)
-        .map(|(j, &loads)| {
+        .map(|(&j, &loads)| {
             let loads = if ctx.program.needs_reset() { 1.0 } else { loads };
             loads * meta.interval_len(j) as f64 * value_bytes
         })
@@ -620,7 +584,7 @@ pub fn plan<Pr: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RunConfig, UpdateMode};
+    use crate::engine::{Engine, RunConfig, Synchrony, UpdateMode};
     use crate::BuildConfig;
     use hus_storage::StorageDir;
 
@@ -659,7 +623,7 @@ mod tests {
 
     /// One push iteration of [`CountFromFive`] over a 64-cycle in four
     /// 16-vertex intervals (raw codec: the byte counts are pinned).
-    fn one_push_from_five(reset: bool) -> (Vec<u32>, crate::RunStats) {
+    fn one_push_from_five(reset: bool, synchrony: Synchrony) -> (Vec<u32>, crate::RunStats) {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
@@ -668,6 +632,7 @@ mod tests {
             max_iterations: 1,
             threads: 1,
             throughput: SLOW_SWEEPS,
+            synchrony,
             ..RunConfig::with_mode(UpdateMode::ForceRop)
         };
         Engine::new(&g, &CountFromFive { reset }, config).run().unwrap()
@@ -683,10 +648,17 @@ mod tests {
     /// only edge (5 → 6) lands in out-block (0, 0) touches `S_0`, row
     /// 0's indices and one `D_0` — not the `D_1` of the row's other
     /// non-empty block (0, 1), which holds 15 → 16 but nothing of
-    /// vertex 5's.
+    /// vertex 5's. Gauss-Seidel makes the one active row a unit of its
+    /// own, which moves the same bytes.
     #[test]
     fn one_vertex_frontier_reads_one_source_and_one_destination_interval() {
-        let (values, stats) = one_push_from_five(false);
+        for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
+            one_vertex_frontier_bill(synchrony);
+        }
+    }
+
+    fn one_vertex_frontier_bill(synchrony: Synchrony) {
+        let (values, stats) = one_push_from_five(false, synchrony);
         assert_eq!(values[6], 107, "one message into 6");
         assert_eq!(values[16], 116, "interval 1 is untouched");
         let io = &stats.iterations[0].io;
@@ -706,7 +678,7 @@ mod tests {
     /// intervals nothing was pushed into are still reset and written.
     #[test]
     fn reset_programs_still_rederive_untouched_intervals() {
-        let (values, stats) = one_push_from_five(true);
+        let (values, stats) = one_push_from_five(true, Synchrony::Synchronous);
         let mut want = vec![0u32; 64];
         want[6] = 1;
         assert_eq!(values, want);
@@ -746,7 +718,7 @@ mod tests {
             // executor moves in the two tests above.
             let d = if reset { 4 * 64 } else { 64 };
             let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
-            assert_eq!(plan(&ctx, &frontier, 0..4, false), want, "reset {reset}");
+            assert_eq!(plan(&ctx, &frontier, &[0, 1, 2, 3], false), want, "reset {reset}");
         }
     }
 

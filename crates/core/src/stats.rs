@@ -1,14 +1,21 @@
 //! Per-run and per-iteration measurements.
 //!
-//! Every engine in the workspace (HUS-Graph and both baselines) reports a
+//! Every engine in the workspace (HUS-Graph and the baselines) reports a
 //! [`RunStats`], so the experiment harness can tabulate wall time, I/O
 //! amount (the paper's Figure 9 metric) and modeled device time (the
 //! Table 3 / Figure 7 / Figure 11 metric) identically across systems.
+//! They all assemble it with one [`RunRecorder`].
 
-use crate::predict::{IoPlan, UpdateModel};
+use crate::predict::{Decision, IoPlan, UpdateModel};
 use hus_obs::PhaseStat;
-use hus_storage::{CostModel, IoSnapshot, ResilienceSnapshot};
+use hus_storage::{
+    CostModel, IoSnapshot, IoTracker, ResilienceSnapshot, ResilienceTracker, Result, StorageDir,
+};
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Measurements for one iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -146,6 +153,195 @@ impl RunStats {
     }
 }
 
+static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A scratch directory with a derived (unique per run) name: removed
+/// with the run. An explicitly named one is the caller's to keep —
+/// checkpoint resume finds its predecessor's state there — and gets no
+/// guard.
+struct DerivedScratch(PathBuf);
+
+impl Drop for DerivedScratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The bookkeeping every engine's run loop shares: run and iteration
+/// I/O, resilience and clock snapshots, per-phase I/O attribution,
+/// [`IterationStats`]/[`RunStats`] assembly, trace emission and the
+/// scratch directory's lifetime. The loop itself — what an iteration
+/// does and how its units are counted — stays with the engine:
+///
+/// ```text
+/// let mut rec = RunRecorder::start("engine", dir, threads);
+/// let scratch = rec.scratch(config.scratch_name.as_deref())?;
+/// loop {
+///     rec.begin_iteration(iteration, active_vertices, active_edges);
+///     ...                                  // rec.lap("phase") at phase ends
+///     rec.end_iteration(decision, plan, (rop_units, cop_units), edges);
+/// }
+/// rec.finish(converged, checkpoints, || read the result)
+/// ```
+pub struct RunRecorder {
+    engine: &'static str,
+    threads: usize,
+    dir: StorageDir,
+    tracker: Arc<IoTracker>,
+    resilience: Arc<ResilienceTracker>,
+    run_io_start: IoSnapshot,
+    run_res_start: ResilienceSnapshot,
+    run_start: Instant,
+    scratch: Option<DerivedScratch>,
+    iterations: Vec<IterationStats>,
+    edges_processed: u64,
+    /// The iteration in flight: its number, frontier size and active
+    /// out-edges, and where its I/O and clock started.
+    current: (usize, u64, u64),
+    iter_io_start: IoSnapshot,
+    iter_start: Instant,
+    /// Tracker state at the last phase boundary, and the bytes lapped
+    /// into each phase since the iteration began. Inert (no snapshots)
+    /// while `hus_obs` collection is disabled.
+    phase_last: Option<IoSnapshot>,
+    phase_io: hus_obs::PhaseIo,
+}
+
+impl RunRecorder {
+    /// Open the run's measurement window over `dir`'s trackers. `engine`
+    /// labels the trace records.
+    pub fn start(engine: &'static str, dir: &StorageDir, threads: usize) -> Self {
+        hus_obs::init_from_env();
+        let (tracker, resilience) = (dir.tracker(), dir.resilience());
+        let now = Instant::now();
+        RunRecorder {
+            engine,
+            threads,
+            dir: dir.clone(),
+            run_io_start: tracker.snapshot(),
+            run_res_start: resilience.snapshot(),
+            run_start: now,
+            tracker,
+            resilience,
+            scratch: None,
+            iterations: Vec::new(),
+            edges_processed: 0,
+            current: (0, 0, 0),
+            iter_io_start: IoSnapshot::default(),
+            iter_start: now,
+            phase_last: None,
+            phase_io: hus_obs::PhaseIo::new(),
+        }
+    }
+
+    /// Create the run's scratch directory under the recorded one:
+    /// `explicit` if given (kept after the run), otherwise a unique
+    /// derived name that is removed when the recorder goes — at
+    /// [`Self::finish`], or on the way out of a failed run.
+    pub fn scratch(&mut self, explicit: Option<&str>) -> Result<StorageDir> {
+        let derived = || {
+            let n = SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
+            format!("scratch_{}_{n}", std::process::id())
+        };
+        let dir = self.dir.subdir(&explicit.map_or_else(derived, str::to_string))?;
+        self.scratch = explicit.is_none().then(|| DerivedScratch(dir.root().to_path_buf()));
+        Ok(dir)
+    }
+
+    /// Start the clock and the I/O window of one iteration.
+    pub fn begin_iteration(&mut self, iteration: usize, active_vertices: u64, active_edges: u64) {
+        self.current = (iteration, active_vertices, active_edges);
+        self.iter_io_start = self.tracker.snapshot();
+        self.iter_start = Instant::now();
+        self.phase_last = hus_obs::enabled().then_some(self.iter_io_start);
+        self.phase_io = hus_obs::PhaseIo::new();
+    }
+
+    /// Attribute the bytes moved since the last phase boundary to the
+    /// `phase` that just ended; merged into the span-derived
+    /// [`PhaseStat`]s at the iteration's end.
+    pub fn lap(&mut self, phase: &'static str) {
+        if let Some(last) = &mut self.phase_last {
+            let now = self.tracker.snapshot();
+            self.phase_io.add(phase, now.since(last).total_bytes());
+            *last = now;
+        }
+    }
+
+    /// Close the iteration in flight and record it. `decision` carries
+    /// the model and the predictor's view (a system without one passes
+    /// [`Decision::forced`]), `plan` the bytes it priced, `units` the
+    /// `(rop_units, cop_units)` the engine counts.
+    pub fn end_iteration(
+        &mut self,
+        decision: Decision,
+        plan: Option<IoPlan>,
+        (rop_units, cop_units): (u32, u32),
+        edges_processed: u64,
+    ) -> &IterationStats {
+        // Capture the clocks before draining spans: emitting trace
+        // records does file I/O that must not count as engine time.
+        let wall_seconds = self.iter_start.elapsed().as_secs_f64();
+        let io = self.tracker.snapshot().since(&self.iter_io_start);
+        // Mirror the always-on resilience totals into the registry so
+        // an exporter attached mid-run sees the full history.
+        self.resilience.publish();
+        let (iteration, active_vertices, active_edges) = self.current;
+        let mut phases = hus_obs::finish_iteration(self.engine, iteration);
+        self.phase_io.merge_into(&mut phases);
+        let it = IterationStats {
+            iteration,
+            model: decision.model,
+            gated: decision.gated,
+            c_rop: decision.c_rop,
+            c_cop: decision.c_cop,
+            plan,
+            rop_units,
+            cop_units,
+            active_vertices,
+            active_edges,
+            edges_processed,
+            io,
+            wall_seconds,
+            phases,
+        };
+        if let Some(sink) = hus_obs::sink::trace() {
+            sink.emit_iteration(self.engine, &it);
+        }
+        self.edges_processed += edges_processed;
+        self.iterations.push(it);
+        self.iterations.last().expect("just pushed")
+    }
+
+    /// Close the run: totals are taken first, then `result` collects
+    /// the answer (its reads are not part of the run's I/O) while the
+    /// scratch directory still exists, then a derived scratch directory
+    /// is removed.
+    pub fn finish<T>(
+        self,
+        converged: bool,
+        checkpoints: CheckpointStats,
+        result: impl FnOnce() -> Result<T>,
+    ) -> Result<(T, RunStats)> {
+        let stats = RunStats {
+            total_io: self.tracker.snapshot().since(&self.run_io_start),
+            wall_seconds: self.run_start.elapsed().as_secs_f64(),
+            edges_processed: self.edges_processed,
+            converged,
+            threads: self.threads,
+            resilience: self.resilience.snapshot().since(&self.run_res_start),
+            checkpoints,
+            iterations: self.iterations,
+        };
+        if let Some(sink) = hus_obs::sink::trace() {
+            sink.emit_run(self.engine, &stats);
+        }
+        let result = result()?;
+        drop(self.scratch);
+        Ok((result, stats))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +369,24 @@ mod tests {
             wall_seconds: 0.5,
             phases: Vec::new(),
         }
+    }
+
+    #[test]
+    fn derived_scratch_goes_with_the_recorder_and_an_explicit_one_stays() {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let (mut a, mut b) = (RunRecorder::start("t", &dir, 1), RunRecorder::start("t", &dir, 1));
+        let (derived_a, derived_b) = (a.scratch(None).unwrap(), b.scratch(None).unwrap());
+        assert_ne!(derived_a.root(), derived_b.root(), "concurrent runs get their own");
+        let mut named = RunRecorder::start("t", &dir, 1);
+        let explicit = named.scratch(Some("fixed")).unwrap();
+        assert_eq!(explicit.root(), dir.path("fixed"));
+        // A finished run and an abandoned one (an error's early return).
+        a.finish(true, Default::default(), || Ok(())).unwrap();
+        drop(b);
+        named.finish(true, Default::default(), || Ok(())).unwrap();
+        assert!(!derived_a.root().exists() && !derived_b.root().exists());
+        assert!(explicit.root().is_dir());
     }
 
     #[test]

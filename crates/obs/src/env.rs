@@ -144,12 +144,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  §12)",
     },
     EnvKnob {
-        name: "HUS_READAHEAD",
-        default: "`0`",
-        effect: "COP readahead window in blocks; `0` auto-sizes from the thread budget \
-                 (threads clamped to 2..=8)",
-    },
-    EnvKnob {
         name: "HUS_RETRIES",
         default: "`4`",
         effect: "max read attempts per storage operation for transient errors \

@@ -37,19 +37,22 @@ fn hus_run<Pr: VertexProgram>(
     arena: &Arena,
     program: &Pr,
     mode: UpdateMode,
-    granularity: SelectionGranularity,
+    (granularity, threads): (SelectionGranularity, usize),
     max_iterations: usize,
 ) -> Vec<Pr::Value> {
-    let config = RunConfig { mode, granularity, max_iterations, threads: 2, ..Default::default() };
+    let config = RunConfig { mode, granularity, max_iterations, threads, ..Default::default() };
     Engine::new(&arena.hus, program, config).run().unwrap().0
 }
 
-fn all_hus_variants() -> Vec<(UpdateMode, SelectionGranularity)> {
+/// Every mode at two threads, and the per-column mix — whose pushing
+/// rows fan out beside pulled columns — serially as well.
+fn all_hus_variants() -> Vec<(UpdateMode, (SelectionGranularity, usize))> {
     vec![
-        (UpdateMode::Hybrid, SelectionGranularity::PerIteration),
-        (UpdateMode::Hybrid, SelectionGranularity::PerColumn),
-        (UpdateMode::ForceRop, SelectionGranularity::PerIteration),
-        (UpdateMode::ForceCop, SelectionGranularity::PerIteration),
+        (UpdateMode::Hybrid, (SelectionGranularity::PerIteration, 2)),
+        (UpdateMode::Hybrid, (SelectionGranularity::PerColumn, 1)),
+        (UpdateMode::Hybrid, (SelectionGranularity::PerColumn, 2)),
+        (UpdateMode::ForceRop, (SelectionGranularity::PerIteration, 2)),
+        (UpdateMode::ForceCop, (SelectionGranularity::PerIteration, 2)),
     ]
 }
 
@@ -172,6 +175,40 @@ fn xstream_and_semi_external_agree_too() {
     assert_eq!(xs_levels, want, "X-Stream");
     let (se_levels, _) = SemiExternalEngine::new(&arena.hus, &Bfs::new(0), cfg).run().unwrap();
     assert_eq!(se_levels, want, "semi-external");
+}
+
+/// No engine's run outlives itself on disk: per-run state (vertex
+/// stores, edge values, update files) lives in a derived scratch
+/// directory that goes with the run. A named one is the caller's.
+#[test]
+fn runs_leave_no_scratch_directory_behind() {
+    use husgraph::baselines::{SemiExternalEngine, XStreamEngine, XStreamStore};
+    let el = husgraph::gen::rmat(300, 2200, 29, Default::default());
+    let arena = build_all(&el, 4);
+    let xs_dir = StorageDir::create(arena._tmp.path().join("xs")).unwrap();
+    let xs = XStreamStore::build_into(&el, &xs_dir, 4).unwrap();
+    let dirs = [arena.hus.dir(), arena.grid.dir(), arena.psw.dir(), xs.dir()];
+    let before = dirs.map(|d| d.disk_footprint().unwrap());
+    let (bfs, cfg) = (Bfs::new(0), BaselineConfig::default());
+    for _ in 0..3 {
+        Engine::new(&arena.hus, &bfs, RunConfig::default()).run().unwrap();
+        SemiExternalEngine::new(&arena.hus, &bfs, cfg.clone()).run().unwrap();
+        GridGraphEngine::new(&arena.grid, &bfs, cfg.clone()).run().unwrap();
+        GraphChiEngine::new(&arena.psw, &bfs, cfg.clone()).run().unwrap();
+        XStreamEngine::new(&xs, &bfs, cfg.clone()).run().unwrap();
+    }
+    for (dir, before) in dirs.iter().zip(before) {
+        let left: Vec<_> = std::fs::read_dir(dir.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains("scratch"))
+            .collect();
+        assert!(left.is_empty(), "{}: runs left {left:?} behind", dir.root().display());
+        assert_eq!(dir.disk_footprint().unwrap(), before, "{}", dir.root().display());
+    }
+    let named = BaselineConfig { scratch_name: Some("keep_scratch".into()), ..cfg };
+    GridGraphEngine::new(&arena.grid, &bfs, named).run().unwrap();
+    assert!(arena.grid.dir().exists("keep_scratch/vals_a.bin"));
 }
 
 #[test]

@@ -143,8 +143,7 @@ fn resilience_counters_tick_in_registry_and_exposition_under_faults() {
     // PageRank (always-active) re-reads the same shard files every
     // iteration, driving each backend's deterministic per-op fault
     // draws deep enough to guarantee injected EIOs.
-    let cfg =
-        RunConfig { threads: 1, readahead_blocks: 1, max_iterations: 5, ..Default::default() };
+    let cfg = RunConfig { threads: 1, max_iterations: 5, ..Default::default() };
     let n = g.meta().num_vertices;
     let (_, stats) = Engine::new(&g, &PageRank::new(n), cfg).run().unwrap();
     assert!(stats.resilience.retries > 0, "fault injection produced no retries: {stats:?}");

@@ -30,22 +30,22 @@ fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
     (tmp, g)
 }
 
-/// Explicit config so ambient `HUS_*` env overrides can't skew the
-/// comparison: everything pinned except the knobs under test.
-/// One thread is the serial walk: rows and columns run inline, in order.
-fn cfg(mode: UpdateMode, threads: usize, readahead: usize) -> RunConfig {
-    RunConfig { mode, threads, readahead_blocks: readahead, ..RunConfig::with_mode(mode) }
+/// One thread is the serial walk: rows run inline, in order, and COP's
+/// readahead window (sized from the thread budget, clamped to 2..=8) is
+/// at its shallowest.
+fn cfg(mode: UpdateMode, threads: usize) -> RunConfig {
+    RunConfig { threads, ..RunConfig::with_mode(mode) }
 }
 
 #[test]
 fn parallel_rop_rows_match_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceRop, 1, 1);
+    let serial_cfg = cfg(UpdateMode::ForceRop, 1);
     let (serial_vals, serial_stats) = Engine::new(&g, &Bfs::new(0), serial_cfg).run().unwrap();
 
     for threads in [4, 8] {
         g.dir().tracker().reset();
-        let par_cfg = cfg(UpdateMode::ForceRop, threads, 1);
+        let par_cfg = cfg(UpdateMode::ForceRop, threads);
         let (par_vals, par_stats) = Engine::new(&g, &Bfs::new(0), par_cfg).run().unwrap();
         assert_eq!(serial_vals, par_vals, "BFS values diverged at {threads} threads");
         assert_eq!(
@@ -65,7 +65,7 @@ fn parallel_rop_repeated_runs_are_stable() {
     let mut baseline: Option<Vec<u32>> = None;
     for round in 0..4 {
         g.dir().tracker().reset();
-        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8, 1)).run().unwrap();
+        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8)).run().unwrap();
         match &baseline {
             None => baseline = Some(vals),
             Some(b) => assert_eq!(b, &vals, "WCC diverged on parallel round {round}"),
@@ -76,18 +76,19 @@ fn parallel_rop_repeated_runs_are_stable() {
 #[test]
 fn deep_cop_readahead_matches_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceCop, 1, 1);
+    let serial_cfg = cfg(UpdateMode::ForceCop, 1);
     let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, serial_cfg).run().unwrap();
 
-    for readahead in [2, 6] {
+    // Windows of 4 and 6 blocks (the whole column at P = 6).
+    for threads in [4, 8] {
         g.dir().tracker().reset();
-        let deep_cfg = cfg(UpdateMode::ForceCop, 4, readahead);
+        let deep_cfg = cfg(UpdateMode::ForceCop, threads);
         let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, deep_cfg).run().unwrap();
-        assert_eq!(serial_vals, deep_vals, "WCC values diverged at readahead {readahead}");
+        assert_eq!(serial_vals, deep_vals, "WCC values diverged at {threads} threads");
         assert_eq!(
             serial_stats.total_io.total_bytes(),
             deep_stats.total_io.total_bytes(),
-            "tracked I/O bytes diverged at readahead {readahead}"
+            "tracked I/O bytes diverged at {threads} threads"
         );
     }
 }
@@ -95,13 +96,14 @@ fn deep_cop_readahead_matches_serial_bit_for_bit() {
 #[test]
 fn hybrid_pipeline_matches_serial_hybrid() {
     // The full hybrid schedule — predictor picking ROP or COP per
-    // iteration — with every pipeline feature on vs everything off.
+    // iteration — fanned out and read ahead as far as it goes vs the
+    // serial walk.
     let (_tmp, g) = build(4);
     let (serial_vals, serial_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1, 1)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1)).run().unwrap();
     g.dir().tracker().reset();
     let (par_vals, par_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8, 4)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8)).run().unwrap();
     assert_eq!(serial_vals, par_vals);
     assert_eq!(serial_stats.total_io.total_bytes(), par_stats.total_io.total_bytes());
 }

@@ -79,13 +79,14 @@ proptest! {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(p)).unwrap();
-        for (mode, gran) in [
-            (UpdateMode::ForceRop, SelectionGranularity::PerIteration),
-            (UpdateMode::ForceCop, SelectionGranularity::PerIteration),
-            (UpdateMode::Hybrid, SelectionGranularity::PerIteration),
-            (UpdateMode::Hybrid, SelectionGranularity::PerColumn),
+        for (mode, gran, threads) in [
+            (UpdateMode::ForceRop, SelectionGranularity::PerIteration, 1),
+            (UpdateMode::ForceCop, SelectionGranularity::PerIteration, 1),
+            (UpdateMode::Hybrid, SelectionGranularity::PerIteration, 1),
+            (UpdateMode::Hybrid, SelectionGranularity::PerColumn, 1),
+            (UpdateMode::Hybrid, SelectionGranularity::PerColumn, 2),
         ] {
-            let config = RunConfig { mode, granularity: gran, threads: 1, ..Default::default() };
+            let config = RunConfig { mode, granularity: gran, threads, ..Default::default() };
             let (got, stats) = Engine::new(&g, &Bfs::new(0), config).run().unwrap();
             prop_assert!(stats.converged);
             prop_assert_eq!(&got, &want);
@@ -161,7 +162,8 @@ proptest! {
                 deadline: None,
                 row_edges: &row_edges,
             };
-            rop::plan(&ctx, &Frontier::scan(&g, &active), 0..g.p(), false)
+            let every_column: Vec<usize> = (0..g.p()).collect();
+            rop::plan(&ctx, &Frontier::scan(&g, &active), &every_column, false)
         };
         let sparse = c_rop(&small);
         let dense = c_rop(&small.union(&extra).copied().collect());

@@ -37,27 +37,15 @@ fn reopen(path: &Path, faults: Option<FaultSpec>, verify: bool) -> HusGraph {
     g
 }
 
-/// Serial config: one thread (rows run inline, in order), no readahead
-/// overlap.
+/// Serial config: one thread (rows run inline, in order), the
+/// shallowest COP readahead.
 fn serial(verify: bool) -> RunConfig {
-    RunConfig {
-        threads: 1,
-        readahead_blocks: 1,
-        max_iterations: 5,
-        verify_checksums: verify,
-        ..Default::default()
-    }
+    RunConfig { threads: 1, max_iterations: 5, verify_checksums: verify, ..Default::default() }
 }
 
 /// Parallel config: threaded pool, row-parallel ROP, deep COP readahead.
 fn parallel(verify: bool) -> RunConfig {
-    RunConfig {
-        threads: 4,
-        readahead_blocks: 4,
-        max_iterations: 5,
-        verify_checksums: verify,
-        ..Default::default()
-    }
+    RunConfig { threads: 4, max_iterations: 5, verify_checksums: verify, ..Default::default() }
 }
 
 fn pagerank(g: &HusGraph, cfg: RunConfig) -> husgraph::storage::Result<(Vec<f32>, RunStats)> {

@@ -191,6 +191,35 @@ fn status_reports_snapshot_and_capacity() {
     server.shutdown();
 }
 
+/// Every analytics query is an engine run with a derived scratch
+/// directory, which must go with the query: a long-lived daemon would
+/// otherwise grow the graph directory by two vertex stores per request.
+#[test]
+fn analytics_queries_leave_no_scratch_behind() {
+    let (el, _) = edge_list();
+    let tmp = tempfile::tempdir().unwrap();
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    HusGraph::build_into(&el, &dir, &BuildConfig::with_p(P)).unwrap();
+    let footprint = dir.disk_footprint().unwrap();
+    let mut server = serve(dir.clone(), test_config()).unwrap();
+    let mut c = Client::connect(&server.addr().to_string()).unwrap();
+    for line in [
+        format!(r#"{{"op":"bfs","source":{SOURCE}}}"#),
+        format!(r#"{{"op":"pagerank","iters":{PR_ITERS}}}"#),
+    ] {
+        let r = c.request(&line).unwrap();
+        assert!(is_ok(&r), "{line}: {r:?}");
+    }
+    server.shutdown();
+    let left: Vec<_> = std::fs::read_dir(dir.root())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.contains("scratch"))
+        .collect();
+    assert!(left.is_empty(), "queries left {left:?} behind");
+    assert_eq!(dir.disk_footprint().unwrap(), footprint);
+}
+
 #[test]
 fn byte_budget_rejects_with_typed_error() {
     let (el, _) = edge_list();
