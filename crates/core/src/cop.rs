@@ -214,9 +214,9 @@ fn process_column_inner<Pr: VertexProgram>(
     let wakeup = Condvar::new();
     let next_fetch = AtomicUsize::new(0);
     // Producer fan-out = the software queue depth presented to the
-    // storage backend (the direct-I/O backend's io_uring ring has the
-    // same size, so one column walk can keep it full), clamped by the
-    // window (more producers than resident slots would just park).
+    // storage backend (the direct-I/O backend's read fan-out has the
+    // same width), clamped by the window (more producers than resident
+    // slots would just park).
     let producers = depth.min(DEFAULT_QUEUE_DEPTH);
     let record_bytes = meta.edge_record_bytes();
 

@@ -24,17 +24,14 @@
 //! order, the merged overlay is byte-identical to what a from-scratch
 //! rebuild of the same final edge set would produce for that block.
 
-use crate::graph::{EdgeRecords, HusGraph};
-use crate::meta::{GraphMeta, Orientation};
+use crate::graph::{load_manifest, EdgeRecords, HusGraph};
+use crate::meta::Orientation;
 use crate::partition::interval_of;
 use hus_storage::delta::{DeltaRecord, DeltaRun, DELTA_RECORD_BYTES};
-use hus_storage::{durable, Access, BuildManifest, Result, StorageDir, StorageError};
+use hus_storage::{durable, Access, Result, StorageDir, StorageError};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 static INSERTS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("ingest.inserts");
 static DELETES: hus_obs::LazyCounter = hus_obs::LazyCounter::new("ingest.deletes");
@@ -43,78 +40,6 @@ static COMPACTIONS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("delta.comp
 static RUNS_GAUGE: hus_obs::LazyGauge = hus_obs::LazyGauge::new("delta.runs");
 static MEMTABLE_GAUGE: hus_obs::LazyGauge = hus_obs::LazyGauge::new("delta.memtable_bytes");
 static DEGRADED_GAUGE: hus_obs::LazyGauge = hus_obs::LazyGauge::new("ingest.degraded");
-
-/// Overlay materializations performed by this process (cache misses and
-/// uncacheable memtable-bearing builds alike). See [`overlay_builds`].
-static OVERLAY_BUILDS: AtomicU64 = AtomicU64::new(0);
-/// Overlay materializations avoided by the process-wide memo cache.
-static OVERLAY_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of delta-overlay materializations. Each overlay
-/// build — the expensive two-pointer merge of every touched block —
-/// increments this exactly once. Concurrent readers of
-/// one `(generation, run set)` should share a single build via the memo
-/// cache; regression tests assert this counter stays flat across
-/// repeated opens of an unchanged directory.
-pub fn overlay_builds() -> u64 {
-    OVERLAY_BUILDS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of overlay-cache hits: snapshots served an
-/// already-materialized overlay for their `(root, generation, run set)`
-/// instead of re-merging every touched block.
-pub fn overlay_cache_hits() -> u64 {
-    OVERLAY_CACHE_HITS.load(Ordering::Relaxed)
-}
-
-/// Identity of a memoizable overlay: the canonicalized directory root,
-/// the `MANIFEST` generation it was built against, and the exact run
-/// set. Memtable-bearing overlays are never cached (the memtable is
-/// per-handle, volatile state with no on-disk identity).
-#[derive(PartialEq, Eq, Hash, Clone)]
-struct OverlayKey {
-    root: PathBuf,
-    generation: u64,
-    runs: Vec<String>,
-}
-
-/// Small process-global overlay memo: one entry per recently snapshotted
-/// `(root, generation, run set)`. Bounded — generations advance and old
-/// entries become garbage, so the cache evicts in insertion order.
-const OVERLAY_CACHE_CAP: usize = 8;
-
-type OverlayCache = parking_lot::Mutex<Vec<(OverlayKey, Arc<DeltaOverlay>)>>;
-
-fn overlay_cache() -> &'static OverlayCache {
-    static CACHE: std::sync::OnceLock<OverlayCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| parking_lot::Mutex::new(Vec::new()))
-}
-
-/// Look up (or build and insert) the overlay for a runs-only snapshot.
-/// The double build under a racing miss is accepted: both builds produce
-/// identical overlays and the second insert wins, which is cheaper than
-/// holding a process-wide lock across block merges.
-fn overlay_cached(
-    graph: &HusGraph,
-    runs: &[DeltaRun],
-    key: OverlayKey,
-) -> Result<Arc<DeltaOverlay>> {
-    if let Some((_, ov)) = overlay_cache().lock().iter().find(|(k, _)| *k == key) {
-        OVERLAY_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(ov));
-    }
-    let built = Arc::new(build_overlay(graph, runs, &Memtable::default())?);
-    let mut cache = overlay_cache().lock();
-    if let Some((_, ov)) = cache.iter().find(|(k, _)| *k == key) {
-        OVERLAY_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(ov));
-    }
-    if cache.len() >= OVERLAY_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push((key, Arc::clone(&built)));
-    Ok(built)
-}
 
 /// Approximate resident cost of one memtable entry: the 8-byte key,
 /// the 8-byte op, and B-tree node overhead. Only used for the spill
@@ -284,7 +209,6 @@ pub(crate) fn build_overlay(
     runs: &[DeltaRun],
     memtable: &Memtable,
 ) -> Result<DeltaOverlay> {
-    OVERLAY_BUILDS.fetch_add(1, Ordering::Relaxed);
     let meta = graph.meta();
     let weighted = meta.weighted;
     let resolved = resolve_ops(runs, memtable);
@@ -361,12 +285,10 @@ pub struct DynamicGraph {
     memtable: Memtable,
     runs: Vec<DeltaRun>,
     memtable_budget: u64,
-    compact_trigger: usize,
     /// Overlay is stale (memtable/runs changed since the last refresh).
     dirty: bool,
-    /// `MANIFEST` generation this handle is pinned to (0 for legacy
-    /// directories without a manifest). Spills and compactions advance
-    /// it in lock-step with the on-disk manifest.
+    /// `MANIFEST` generation this handle is pinned to. Spills and
+    /// compactions advance it in lock-step with the on-disk manifest.
     generation: u64,
     /// Read-only degraded mode: a spill/compaction failed and was
     /// rolled back. Reads keep serving the last committed generation;
@@ -380,29 +302,25 @@ impl DynamicGraph {
     /// Open a built graph directory for streaming updates, loading (and
     /// CRC-verifying) every delta run its `MANIFEST` lists.
     ///
-    /// Budget knobs are read once here: `HUS_MEMTABLE_BYTES` (spill
-    /// threshold, default 64 MiB) and `HUS_COMPACT_TRIGGER` (auto-compact
-    /// once this many runs accumulate; `0` = manual only).
+    /// The spill threshold `HUS_MEMTABLE_BYTES` (default 64 MiB) is
+    /// read once here.
     pub fn open(dir: StorageDir) -> Result<Self> {
         let graph = HusGraph::open(dir.clone())?;
-        let mut runs = Vec::new();
-        let mut generation = 0;
-        if let Some(manifest) = BuildManifest::load_from(dir.root())? {
-            generation = manifest.generation;
-            for entry in &manifest.runs {
-                let run = DeltaRun::load_from(&dir, &entry.name)?;
-                if run.p != graph.meta().p {
-                    return Err(StorageError::Corrupt(format!(
-                        "{}: run partitioned {}-way but the base graph is {}-way",
-                        entry.name,
-                        run.p,
-                        graph.meta().p
-                    )));
-                }
-                runs.push(run);
+        let manifest = load_manifest(dir.root())?;
+        let mut runs = Vec::with_capacity(manifest.runs.len());
+        for entry in &manifest.runs {
+            let run = DeltaRun::load_from(&dir, &entry.name)?;
+            if run.p != graph.meta().p {
+                return Err(StorageError::Corrupt(format!(
+                    "{}: run partitioned {}-way but the base graph is {}-way",
+                    entry.name,
+                    run.p,
+                    graph.meta().p
+                )));
             }
-            runs.sort_by_key(|r| r.seq);
+            runs.push(run);
         }
+        runs.sort_by_key(|r| r.seq);
         let dirty = !runs.is_empty();
         RUNS_GAUGE.set(runs.len() as u64);
         MEMTABLE_GAUGE.set(0);
@@ -413,9 +331,8 @@ impl DynamicGraph {
             runs,
             memtable_budget: crate::engine::env_parse("HUS_MEMTABLE_BYTES", DEFAULT_MEMTABLE_BYTES)
                 .max(MEMTABLE_ENTRY_BYTES),
-            compact_trigger: crate::engine::env_parse("HUS_COMPACT_TRIGGER", 0usize),
             dirty,
-            generation,
+            generation: manifest.generation,
             degraded: false,
         })
     }
@@ -573,30 +490,15 @@ impl DynamicGraph {
         SPILLS.incr();
         RUNS_GAUGE.set(self.runs.len() as u64);
         MEMTABLE_GAUGE.set(0);
-        if self.compact_trigger > 0 && self.runs.len() >= self.compact_trigger {
-            self.compact()?;
-        }
         Ok(Some(name))
     }
 
     /// Re-list the committed run `name` in the manifest under a bumped
-    /// generation. Legacy directories (pre-`MANIFEST`) get one
-    /// synthesized from meta.json first. Mutates no in-memory state, so
-    /// a failure anywhere leaves the prior generation authoritative.
+    /// generation. Mutates no in-memory state, so a failure anywhere
+    /// leaves the prior generation authoritative.
     fn commit_run_manifest(&self, name: &str) -> Result<u64> {
         let root = self.dir.root().to_path_buf();
-        let mut manifest = match BuildManifest::load_from(&root)? {
-            Some(m) => m,
-            None => {
-                let meta = self.graph.meta();
-                let files = GraphMeta::data_files(meta.p);
-                BuildManifest::capture(
-                    &root,
-                    0,
-                    files.iter().map(|(n, f)| (n.as_str(), *f && meta.checksums)),
-                )?
-            }
-        };
+        let mut manifest = load_manifest(&root)?;
         manifest.generation += 1;
         let run_path = self.dir.path(name);
         let run_len =
@@ -684,7 +586,7 @@ impl DynamicGraph {
         let config =
             crate::builder::BuildConfig::with_p_codec(self.graph.meta().p, self.graph.codec());
         // Detach the overlay before the base flips underneath it.
-        self.graph.set_overlay(None);
+        self.graph.overlay = None;
         if let Err(e) = crate::builder::build(&el, &self.dir, &config) {
             // The staged build cleans its own staging directory on drop
             // and the prior generation was never touched — rollback is
@@ -697,8 +599,7 @@ impl DynamicGraph {
             return Err(e);
         }
         self.graph = HusGraph::open(self.dir.clone())?;
-        self.generation = BuildManifest::load_from(self.dir.root())?
-            .map_or(self.generation + 1, |m| m.generation);
+        self.generation = load_manifest(self.dir.root())?.generation;
         self.runs.clear();
         self.memtable = Memtable::default();
         self.dirty = false;
@@ -715,32 +616,13 @@ impl DynamicGraph {
         }
         // Detach first: the refresh must read base blocks, not a stale
         // merged view of them.
-        self.graph.set_overlay(None);
+        self.graph.overlay = None;
         if self.runs.is_empty() && self.memtable.is_empty() {
             self.dirty = false;
             return Ok(());
         }
-        let overlay = if self.memtable.is_empty() {
-            // A runs-only overlay is a pure function of (root,
-            // generation, run set): share one materialization across
-            // every reader of this snapshot identity — `hus serve`
-            // opens the same directory once per refresh, and CLI
-            // queries once per invocation, so per-query rebuilds of an
-            // unchanged overlay are pure waste.
-            let key = OverlayKey {
-                root: self
-                    .dir
-                    .root()
-                    .canonicalize()
-                    .unwrap_or_else(|_| self.dir.root().to_path_buf()),
-                generation: self.generation,
-                runs: self.runs.iter().map(DeltaRun::file_name).collect(),
-            };
-            overlay_cached(&self.graph, &self.runs, key)?
-        } else {
-            Arc::new(build_overlay(&self.graph, &self.runs, &self.memtable)?)
-        };
-        self.graph.set_overlay(Some(overlay));
+        let overlay = build_overlay(&self.graph, &self.runs, &self.memtable)?;
+        self.graph.overlay = Some(overlay);
         self.dirty = false;
         Ok(())
     }
@@ -773,9 +655,8 @@ impl DynamicGraph {
         self.runs.len()
     }
 
-    /// The `MANIFEST` generation this handle is pinned to (0 for a
-    /// legacy directory without a manifest). Together with
-    /// [`run_count`](Self::run_count) this identifies the exact
+    /// The `MANIFEST` generation this handle is pinned to. Together
+    /// with [`run_count`](Self::run_count) this identifies the exact
     /// snapshot a reader sees — `hus stats` and the serve status
     /// response surface both for stale-read diagnosis.
     pub fn generation(&self) -> u64 {
@@ -930,7 +811,7 @@ mod tests {
     fn compaction_folds_runs_into_a_new_generation() {
         let el = rmat(80, 400, 11, RmatConfig::default());
         let (_t, dir) = built(&el, 2);
-        let gen0 = BuildManifest::load_from(dir.root()).unwrap().unwrap().generation;
+        let gen0 = load_manifest(dir.root()).unwrap().generation;
         let mut dg = DynamicGraph::open(dir.clone()).unwrap();
         dg.insert_edge(0, 79, 1.0).unwrap();
         dg.flush().unwrap().unwrap();
@@ -944,7 +825,7 @@ mod tests {
         assert!(dg.compact().unwrap());
         assert_eq!(dg.run_count(), 0);
         assert_eq!(dg.memtable_len(), 0);
-        let manifest = BuildManifest::load_from(dir.root()).unwrap().unwrap();
+        let manifest = load_manifest(dir.root()).unwrap();
         assert!(manifest.generation > gen0, "compaction bumps the generation");
         assert!(manifest.runs.is_empty(), "compaction folds every run away");
         // No run files survive the directory swap.
@@ -1016,21 +897,105 @@ mod tests {
         assert_eq!(g.num_edges(), untouched + keys.len() as u64);
     }
 
+    /// All-active damped sum over in-edges (PageRank's shape): its
+    /// values depend on every merged block, the degree table and the
+    /// float accumulation order.
+    struct Rank;
+
+    impl crate::VertexProgram for Rank {
+        type Value = f32;
+
+        fn init(&self, _v: u32) -> f32 {
+            1.0
+        }
+
+        fn initially_active(&self, _v: u32) -> bool {
+            true
+        }
+
+        fn scatter(&self, src_val: &f32, ctx: &crate::EdgeCtx) -> Option<f32> {
+            Some(0.85 * src_val / ctx.src_out_degree as f32)
+        }
+
+        fn combine(&self, dst_val: &mut f32, msg: f32) -> bool {
+            *dst_val += msg;
+            true
+        }
+
+        fn reset(&self, _v: u32, _prev: &f32) -> f32 {
+            0.15
+        }
+
+        fn needs_reset(&self) -> bool {
+            true
+        }
+
+        fn always_active(&self) -> bool {
+            true
+        }
+    }
+
+    fn rank_bits(g: &HusGraph) -> Vec<u32> {
+        let config = crate::RunConfig { max_iterations: 4, threads: 1, ..Default::default() };
+        let (ranks, _) = crate::Engine::new(g, &Rank, config).run().unwrap();
+        ranks.iter().map(|r| r.to_bits()).collect()
+    }
+
     #[test]
-    fn compact_trigger_auto_folds() {
-        let el = rmat(50, 150, 21, RmatConfig::default());
-        let (_t, dir) = built(&el, 2);
-        let mut dg = DynamicGraph::open(dir).unwrap();
-        dg.compact_trigger = 2;
-        dg.insert_edge(1, 2, 1.0).unwrap();
-        dg.flush().unwrap();
-        assert_eq!(dg.run_count(), 1);
-        dg.insert_edge(3, 4, 1.0).unwrap();
-        dg.flush().unwrap();
-        assert_eq!(dg.run_count(), 0, "second spill hit the trigger and compacted");
-        let untouched =
-            el.edges.iter().filter(|e| !matches!((e.src, e.dst), (1, 2) | (3, 4))).count() as u64;
-        assert_eq!(dg.snapshot().unwrap().num_edges(), untouched + 2);
+    fn two_handles_build_equal_overlays_independently() {
+        let el = rmat(120, 700, 17, RmatConfig::default());
+        let (_t, dir) = built(&el, 3);
+        let mut dg = DynamicGraph::open(dir.clone()).unwrap();
+        for k in 0..25u32 {
+            dg.insert_edge(k * 7 % 120, k * 13 % 120, 1.0).unwrap();
+        }
+        dg.delete_edge(el.edges[5].src, el.edges[5].dst).unwrap();
+        dg.flush().unwrap().unwrap();
+        drop(dg);
+
+        let a = DynamicGraph::open(StorageDir::open(dir.root()).unwrap()).unwrap();
+        let b = DynamicGraph::open(StorageDir::open(dir.root()).unwrap()).unwrap();
+        let (a, b) = (a.into_snapshot().unwrap(), b.into_snapshot().unwrap());
+        assert_ne!(a.num_edges(), el.edges.len() as u64, "the run changed the edge count");
+        assert_eq!(a.num_edges(), b.num_edges());
+        assert_eq!(a.out_degrees(), b.out_degrees());
+        for o in Orientation::BOTH {
+            assert_eq!(edges_via(&a, o), edges_via(&b, o), "{o:?}");
+        }
+        let ranks = rank_bits(&a);
+        // Each handle owns its overlay: one outlives the other.
+        drop(a);
+        assert_eq!(rank_bits(&b), ranks);
+    }
+
+    #[test]
+    fn repeated_snapshot_is_free_and_compaction_matches_a_rebuild() {
+        let el = rmat(120, 700, 19, RmatConfig::default());
+        let (tmp, dir) = built(&el, 3);
+        let mut dg = DynamicGraph::open(dir.clone()).unwrap();
+        for k in 0..20u32 {
+            dg.insert_edge(k * 5 % 120, k * 11 % 120, 1.0).unwrap();
+        }
+        dg.flush().unwrap().unwrap();
+        dg.delete_edge(el.edges[9].src, el.edges[9].dst).unwrap();
+
+        let mut merged = dg.snapshot().unwrap().edge_list(Orientation::Out).unwrap();
+        // The dirty flag alone keeps an unchanged snapshot from rebuilding.
+        let before = dir.tracker().snapshot().total_bytes();
+        dg.snapshot().unwrap();
+        assert_eq!(dir.tracker().snapshot().total_bytes(), before, "second snapshot did I/O");
+
+        assert!(dg.compact().unwrap());
+        merged.edges.reverse();
+        let reference = StorageDir::create(tmp.path().join("ref")).unwrap();
+        build(&merged, &reference, &BuildConfig::with_p_codec(3, Codec::Raw)).unwrap();
+        for (name, _) in crate::meta::GraphMeta::data_files(3) {
+            assert_eq!(
+                std::fs::read(dir.path(&name)).unwrap(),
+                std::fs::read(reference.path(&name)).unwrap(),
+                "{name} differs from a from-scratch rebuild"
+            );
+        }
     }
 
     /// Reopen a built directory with a write-fault spec layered on.

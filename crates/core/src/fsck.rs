@@ -23,7 +23,7 @@
 use crate::checkpoint::CKPT_SLOTS;
 use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
 use hus_storage::checksum::{footer_len, ShardFooter};
-use hus_storage::{crc32c, Access, BuildManifest, Result, StorageDir};
+use hus_storage::{crc32c, Access, Result, StorageDir};
 use std::path::PathBuf;
 
 /// Everything one `fsck` pass found.
@@ -57,7 +57,7 @@ impl FsckReport {
         let mut s = format!("fsck {}\n", self.root.display());
         match self.generation {
             Some(g) => s.push_str(&format!("  manifest: generation {g}\n")),
-            None => s.push_str("  manifest: absent (legacy layout, checked from meta.json)\n"),
+            None => s.push_str("  manifest: missing or unreadable\n"),
         }
         s.push_str(&format!(
             "  checked: {} files, {} blocks\n",
@@ -97,8 +97,8 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
     //    run, fully re-read and CRC-verified.
     let mut listed_runs: Vec<String> = Vec::new();
     let mut run_partitions: Vec<(String, u32)> = Vec::new();
-    match BuildManifest::load_from(dir.root()) {
-        Ok(Some(manifest)) => {
+    match crate::graph::load_manifest(dir.root()) {
+        Ok(manifest) => {
             report.generation = Some(manifest.generation);
             if let Err(e) = manifest.verify_files(dir.root()) {
                 report.issues.push(e.to_string());
@@ -129,7 +129,6 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
                 }
             }
         }
-        Ok(None) => {}
         Err(e) => report.issues.push(e.to_string()),
     }
 
@@ -570,12 +569,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_directory_without_manifest_is_checked_deeply() {
+    fn directory_without_manifest_is_reported_as_an_issue() {
         let (_t, dir) = built(2);
         std::fs::remove_file(dir.path(hus_storage::MANIFEST_FILE)).unwrap();
         let report = fsck(&dir, false).unwrap();
-        assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.generation, None);
-        assert!(report.blocks_checked > 0, "deep checks still run");
+        assert!(
+            report.issues.iter().any(|i| i.contains(hus_storage::MANIFEST_FILE)),
+            "issue names the file: {}",
+            report.render()
+        );
     }
 }

@@ -5,51 +5,28 @@ use crate::delta::{DeltaOverlay, MergedBlock};
 use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
 use hus_codec::Codec;
 use hus_gen::{Edge, EdgeList};
-use hus_storage::checksum::{footer_len, ShardFooter};
+use hus_storage::checksum::ShardFooter;
 use hus_storage::{
     Access, BlockSpan, BuildManifest, CodecBackend, RangeRead, ReadBackend, Result, StorageDir,
-    StorageError,
+    StorageError, MANIFEST_FILE,
 };
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Layout check for pre-`MANIFEST` (legacy) directories: recompute
-/// every data file's expected length from `meta.json` and verify
-/// existence + length, mirroring what
-/// [`BuildManifest::verify_files`] does for manifest-bearing
-/// directories. Deep CRC verification stays the job of `hus fsck`.
-fn verify_legacy_layout(dir: &StorageDir, meta: &GraphMeta) -> Result<()> {
-    let p = meta.p as usize;
-    let foot = if meta.checksums { footer_len(p) } else { 0 };
-    let mut expected: Vec<(String, u64)> = Vec::with_capacity(4 * p + 1);
-    for o in Orientation::BOTH {
-        for k in 0..p {
-            let edges: u64 = meta.shard_blocks(o, k).map(|b| b.encoded_bytes).sum();
-            let index = p as u64 * (meta.interval_len(k) as u64 + 1) * INDEX_ENTRY_BYTES;
-            expected.push((GraphMeta::edges_file(o, k), edges + foot));
-            expected.push((GraphMeta::index_file(o, k), index + foot));
-        }
+/// `file`, which every builder writes, is absent from the built
+/// directory at `root`: an incomplete build naming it (DESIGN.md §10).
+fn missing(root: &Path, file: &str) -> StorageError {
+    StorageError::IncompleteBuild {
+        path: root.to_path_buf(),
+        detail: format!("{file} is missing — interrupted or partially deleted build"),
     }
-    expected.push((DEGREES_FILE.to_string(), 4 * meta.num_vertices as u64));
-    for (name, want) in expected {
-        match std::fs::metadata(dir.path(&name)) {
-            Err(_) => {
-                return Err(StorageError::IncompleteBuild {
-                    path: dir.root().to_path_buf(),
-                    detail: format!("{name} is missing (meta.json expects {want} bytes)"),
-                })
-            }
-            Ok(md) if md.len() != want => {
-                return Err(StorageError::ManifestMismatch {
-                    path: dir.root().to_path_buf(),
-                    file: name,
-                    detail: format!("expected {want} bytes (from meta.json), found {}", md.len()),
-                })
-            }
-            Ok(_) => {}
-        }
-    }
-    Ok(())
+}
+
+/// Load the `MANIFEST` of a built graph directory. It is the last file
+/// a build stages, so a directory without one never finished building.
+pub(crate) fn load_manifest(root: &Path) -> Result<BuildManifest> {
+    BuildManifest::load_from(root)?.ok_or_else(|| missing(root, MANIFEST_FILE))
 }
 
 /// One opened shard: its two files and, on a checksummed graph
@@ -84,13 +61,12 @@ pub struct HusGraph {
     /// one toggle switches graph-level and codec-level verification.
     verify: Arc<AtomicBool>,
     /// Dynamic-graph read overlay (DESIGN.md §11): merged blocks for
-    /// every block touched by buffered edge updates. Attached by
-    /// [`crate::delta::DynamicGraph::snapshot`]; `None` on a plain
-    /// opened graph, in which case every read below goes to the base
-    /// shards unchanged. `Arc`-shared so one materialization serves
-    /// every concurrent reader of the same `(generation, run set)`
-    /// snapshot (see `crate::delta::overlay_builds`).
-    overlay: Option<Arc<DeltaOverlay>>,
+    /// every block touched by buffered edge updates, served from memory
+    /// while untouched blocks keep reading the base shards. Attached and
+    /// detached by the [`crate::delta::DynamicGraph`] that owns this
+    /// handle, which builds it once; it is dropped with the handle.
+    /// `None` on a plain opened graph.
+    pub(crate) overlay: Option<DeltaOverlay>,
 }
 
 impl HusGraph {
@@ -107,30 +83,17 @@ impl HusGraph {
     /// a directory left behind by an interrupted build or partial
     /// deletion is rejected with a typed
     /// [`StorageError::IncompleteBuild`] /
-    /// [`StorageError::ManifestMismatch`] naming the offending file.
-    /// Legacy directories without a `MANIFEST` get an equivalent check
-    /// computed from `meta.json` (DESIGN.md §10).
+    /// [`StorageError::ManifestMismatch`] naming the offending file —
+    /// the `MANIFEST` itself included (DESIGN.md §10).
     pub fn open(dir: StorageDir) -> Result<Self> {
-        let manifest = BuildManifest::load_from(dir.root())?;
+        load_manifest(dir.root())?.verify_files(dir.root())?;
         let meta_text = match dir.get_meta(META_FILE) {
-            Ok(text) => text,
-            Err(e) if !dir.exists(META_FILE) => {
-                return Err(StorageError::IncompleteBuild {
-                    path: dir.root().to_path_buf(),
-                    detail: format!(
-                        "{META_FILE} is missing — interrupted or partially deleted build ({e})"
-                    ),
-                })
-            }
-            Err(e) => return Err(e),
+            Err(_) if !dir.exists(META_FILE) => return Err(missing(dir.root(), META_FILE)),
+            other => other?,
         };
         let meta: GraphMeta = serde_json::from_str(&meta_text)
             .map_err(|e| StorageError::Corrupt(format!("bad meta.json: {e}")))?;
         meta.validate().map_err(StorageError::Corrupt)?;
-        match &manifest {
-            Some(m) => m.verify_files(dir.root())?,
-            None => verify_legacy_layout(&dir, &meta)?,
-        }
         let p = meta.p as usize;
         // Degrees are loaded once at open; like the manifest this is
         // setup, so it is read untracked via std I/O.
@@ -207,13 +170,6 @@ impl HusGraph {
             }
         }
         Ok(HusGraph { dir, meta, codec, out_degrees, shards, verify, overlay: None })
-    }
-
-    /// Attach or detach the dynamic-graph overlay. With an overlay
-    /// attached, reads of touched blocks are served from the merged
-    /// in-memory view; untouched blocks keep reading the base shards.
-    pub(crate) fn set_overlay(&mut self, overlay: Option<Arc<DeltaOverlay>>) {
-        self.overlay = overlay;
     }
 
     /// Resolve `o`-block `(i, j)` to what serves its reads — the one
@@ -868,20 +824,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dir_without_manifest_still_opens_and_is_still_checked() {
+    fn open_rejects_dir_without_manifest_naming_it() {
         let el = rmat(120, 700, 13, RmatConfig::default());
         let (_tmp, dir) = built_dir(&el, 3);
-        std::fs::remove_file(dir.path(hus_storage::MANIFEST_FILE)).unwrap();
-        // Pre-manifest layouts open fine...
-        HusGraph::open(dir.clone()).unwrap();
-        // ...and still get an equivalent completeness check from meta.
-        std::fs::remove_file(dir.path(DEGREES_FILE)).unwrap();
+        std::fs::remove_file(dir.path(MANIFEST_FILE)).unwrap();
         match HusGraph::open(dir) {
             Err(StorageError::IncompleteBuild { detail, .. }) => {
-                assert!(detail.contains(DEGREES_FILE), "names the file: {detail}");
+                assert!(detail.contains(MANIFEST_FILE), "names the file: {detail}");
             }
             Err(other) => panic!("expected IncompleteBuild, got {other:?}"),
-            Ok(_) => panic!("open accepted an incomplete directory"),
+            Ok(_) => panic!("open accepted a directory without a MANIFEST"),
         }
     }
 

@@ -28,9 +28,9 @@ pub const KNOBS: &[EnvKnob] = &[
         default: "`file`",
         effect: "storage read backend for graphs opened without an explicit choice: \
                  `file` (buffered `pread`), `mmap` (shared map copy-out) or `direct` \
-                 (`O_DIRECT` + io_uring when available, pooled aligned buffers; \
-                 degrades to `file` on filesystems that refuse `O_DIRECT`, e.g. \
-                 tmpfs — see `DESIGN.md` §3.5)",
+                 (`O_DIRECT`, pooled aligned buffers; degrades to `file` on \
+                 filesystems that refuse `O_DIRECT`, e.g. tmpfs — see `DESIGN.md` \
+                 §3.5)",
     },
     EnvKnob {
         name: "HUS_CKPT",
@@ -47,21 +47,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  (bit-compatible with pre-codec graphs) or `delta-varint` \
                  (delta + LEB128 varint of the non-indexed endpoint; see \
                  `docs/FORMAT.md`). Readers auto-detect from `meta.json`",
-    },
-    EnvKnob {
-        name: "HUS_CODEC_CACHE",
-        default: "`16777216`",
-        effect: "decoded-block cache budget in bytes per compressed shard file \
-                 (partial reads decode whole blocks once and serve later touches \
-                 from the cache; `0` disables)",
-    },
-    EnvKnob {
-        name: "HUS_COMPACT_TRIGGER",
-        default: "`0`",
-        effect: "auto-compact a dynamic graph once this many delta runs accumulate \
-                 (each spill checks the count; compaction folds memtable + runs into \
-                 a new base build). `0` leaves compaction manual (`hus compact`; see \
-                 `DESIGN.md` §11)",
     },
     EnvKnob {
         name: "HUS_CRASH_AT",
@@ -142,12 +127,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  a crossed deadline aborts the query with a typed `deadline` error \
                  (`0` = unlimited; CLI override `--deadline-ms`; see `DESIGN.md` \
                  §12)",
-    },
-    EnvKnob {
-        name: "HUS_RETRIES",
-        default: "`4`",
-        effect: "max read attempts per storage operation for transient errors \
-                 (exponential backoff with deterministic jitter; `1` disables retries)",
     },
     EnvKnob {
         name: "HUS_SCALE",

@@ -13,10 +13,9 @@
 //! indices, vertex-store scratch) was opened before the swap and POSIX
 //! keeps unlinked-but-open descriptors readable.
 //!
-//! Re-pinning the same generation is cheap: the overlay for a
-//! (root, generation, run-set) triple is memoized process-wide in
-//! `hus_core::delta`, so a refresh that finds nothing new costs one
-//! `MANIFEST` stat + parse, not an overlay rebuild.
+//! An unchanged generation is never re-opened: a refresh that finds
+//! nothing new costs one `MANIFEST` read + parse. Each snapshot owns
+//! its overlay, which is freed when the last query holding it finishes.
 
 use std::sync::Arc;
 
@@ -86,8 +85,11 @@ impl SnapshotManager {
         &self.dir
     }
 
-    /// The on-disk `MANIFEST` generation right now (0 when the
-    /// directory predates generation stamping).
+    /// The on-disk `MANIFEST` generation right now. `0` — never a
+    /// pinned generation — while no `MANIFEST` is visible (between the
+    /// two renames of a compaction's directory swap), so
+    /// [`refresh`](Self::refresh) goes on to the open and reports its
+    /// typed error.
     pub fn disk_generation(&self) -> Result<u64> {
         Ok(BuildManifest::load_from(self.dir.root())?.map_or(0, |m| m.generation))
     }

@@ -18,7 +18,7 @@
 //!   iteration, preserving the out-of-core billing model.
 //! * **Partial reads** (ROP selective loads, batched ranges) fetch and
 //!   decode the whole containing block once, park the decoded block in
-//!   a small per-file LRU cache (budget: `HUS_CODEC_CACHE` bytes), and
+//!   a small per-file LRU cache ([`DEFAULT_DECODED_CACHE_BYTES`]), and
 //!   serve the requested slice. Later touches of the same block are
 //!   cache hits: zero device I/O billed, zero decode time.
 //!
@@ -42,16 +42,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment variable sizing each shard file's decoded-block cache,
-/// in bytes (`0` disables decoded-block caching).
-pub const CODEC_CACHE_ENV: &str = "HUS_CODEC_CACHE";
-
-/// Default decoded-block cache budget per shard file.
+/// Decoded-block cache budget per shard file.
 pub const DEFAULT_DECODED_CACHE_BYTES: usize = 16 << 20;
 
 /// Shards of the decoded-block cache (power of two; keyed by the low
 /// bits of the block index, like [`crate::cache::CachedBackend`]).
 const CACHE_SHARDS: usize = 8;
+
+const PER_SHARD_BUDGET: usize = DEFAULT_DECODED_CACHE_BYTES / CACHE_SHARDS;
 
 /// Encoded bytes fetched from the device by codec backends.
 static ENCODED_BYTES: hus_obs::LazyCounter =
@@ -115,20 +113,9 @@ pub struct CodecBackend {
     path: PathBuf,
     resilience: Arc<ResilienceTracker>,
     cache: Vec<Mutex<CacheShard>>,
-    per_shard_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-}
-
-/// Decoded-block cache budget from `HUS_CODEC_CACHE`, defaulting to
-/// [`DEFAULT_DECODED_CACHE_BYTES`]; unparsable values keep the default
-/// (matching how the engine treats its other knobs).
-pub fn decoded_cache_budget() -> usize {
-    std::env::var(CODEC_CACHE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_DECODED_CACHE_BYTES)
 }
 
 impl CodecBackend {
@@ -157,7 +144,6 @@ impl CodecBackend {
             assert_eq!(crcs.len(), spans.len(), "one footer CRC per block");
         }
         let decoded_total = spans.last().map_or(0, |s| s.decoded_offset + s.decoded_len);
-        let per_shard_budget = decoded_cache_budget() / CACHE_SHARDS;
         CodecBackend {
             inner,
             codec,
@@ -169,7 +155,6 @@ impl CodecBackend {
             path,
             resilience,
             cache: (0..CACHE_SHARDS).map(|_| Mutex::new(CacheShard::default())).collect(),
-            per_shard_budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -205,11 +190,11 @@ impl CodecBackend {
     }
 
     fn insert(&self, block: usize, data: Arc<Vec<u8>>) {
-        if data.len() > self.per_shard_budget {
+        if data.len() > PER_SHARD_BUDGET {
             return; // oversized for the budget; serve uncached
         }
         let mut shard = self.shard_of(block).lock();
-        while shard.bytes + data.len() > self.per_shard_budget {
+        while shard.bytes + data.len() > PER_SHARD_BUDGET {
             let Some((&victim, _)) = shard.blocks.iter().min_by_key(|(_, e)| e.stamp) else {
                 break;
             };

@@ -40,7 +40,7 @@ pub enum BackendKind {
     Mmap,
     /// `O_DIRECT` positioned reads bypassing the OS page cache, served
     /// from pooled 4 KiB-aligned buffers with vectored multi-range
-    /// submission (io_uring or thread fan-out; see [`crate::direct`]).
+    /// submission (thread fan-out; see [`crate::direct`]).
     /// Degrades to [`BackendKind::File`] on filesystems that refuse
     /// `O_DIRECT` (e.g. tmpfs).
     Direct,
@@ -126,7 +126,7 @@ impl StorageDir {
             tracker: Arc::new(IoTracker::new()),
             kind,
             resilience,
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
             faults,
             write_faults,
         }

@@ -12,10 +12,8 @@
 //! requested bytes as [`crate::FileBackend`].
 //!
 //! `read_ranges` is submitted at queue depth instead of as one spanning
-//! `pread`: via an `io_uring` ring when the runtime probe succeeds
-//! ([`crate::uring`]), else via a scoped thread-pool fan-out. Both paths
-//! produce identical bytes and identical billing (requested bytes, one
-//! operation).
+//! `pread`: a scoped-thread fan-out of up to [`DEFAULT_QUEUE_DEPTH`]
+//! aligned bounce reads, billed as the requested bytes in one operation.
 
 use crate::aligned::{align_down, align_up, AlignedBuf, BufPool, DIRECT_ALIGN};
 use crate::error::{Result, StorageError};
@@ -29,13 +27,6 @@ use std::sync::Arc;
 #[cfg(unix)]
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
 
-#[cfg(all(
-    feature = "uring",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-use std::os::unix::io::AsRawFd;
-
 /// `O_DIRECT` differs per architecture; these cover the targets we build.
 #[cfg(any(target_arch = "aarch64", target_arch = "arm", target_arch = "powerpc64"))]
 const O_DIRECT: i32 = 0o200000;
@@ -43,8 +34,8 @@ const O_DIRECT: i32 = 0o200000;
 const O_DIRECT: i32 = 0o40000;
 
 /// I/O queue depth: the in-flight request target of a vectored
-/// submission here (and the io_uring ring size), shared with the COP
-/// pipeline's producer pool in `hus-core`.
+/// submission here, shared with the COP pipeline's producer pool in
+/// `hus-core`.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
 
 /// Per-access-class direct-read latency in nanoseconds (the direct twin of
@@ -89,29 +80,12 @@ pub struct DirectBackend {
     len: u64,
     tracker: Arc<IoTracker>,
     pool: BufPool,
-    queue_depth: usize,
-    #[cfg(all(
-        feature = "uring",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    ring: Option<parking_lot::Mutex<crate::uring::Uring>>,
 }
 
 impl DirectBackend {
     /// Open `path` with `O_DIRECT`, attributing traffic to `tracker`.
-    /// Submission depth is [`DEFAULT_QUEUE_DEPTH`].
-    pub fn open(path: impl AsRef<Path>, tracker: Arc<IoTracker>) -> Result<Self> {
-        Self::open_with_depth(path, tracker, DEFAULT_QUEUE_DEPTH)
-    }
-
-    /// Open with an explicit queue depth (≥1).
     #[cfg(unix)]
-    pub fn open_with_depth(
-        path: impl AsRef<Path>,
-        tracker: Arc<IoTracker>,
-        queue_depth: usize,
-    ) -> Result<Self> {
+    pub fn open(path: impl AsRef<Path>, tracker: Arc<IoTracker>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
@@ -119,7 +93,6 @@ impl DirectBackend {
             .open(&path)
             .map_err(|e| StorageError::io_at(&path, e))?;
         let len = file.metadata().map_err(|e| StorageError::io_at(&path, e))?.len();
-        let queue_depth = queue_depth.max(1);
         let backend = DirectBackend {
             path,
             file,
@@ -127,27 +100,16 @@ impl DirectBackend {
             tracker,
             // Enough idle buffers to serve a full-depth batch without
             // re-allocating, plus slack for concurrent readers.
-            pool: BufPool::new(2 * queue_depth.max(4)),
-            queue_depth,
-            #[cfg(all(
-                feature = "uring",
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            ring: crate::uring::Uring::probe(queue_depth as u32).map(parking_lot::Mutex::new),
+            pool: BufPool::new(2 * DEFAULT_QUEUE_DEPTH),
         };
         backend.probe_read()?;
         Ok(backend)
     }
 
-    /// Open with an explicit queue depth (non-unix stub: always fails, so
-    /// callers degrade to the portable file backend).
+    /// Non-unix stub: always fails, so callers degrade to the portable
+    /// file backend.
     #[cfg(not(unix))]
-    pub fn open_with_depth(
-        path: impl AsRef<Path>,
-        _tracker: Arc<IoTracker>,
-        _queue_depth: usize,
-    ) -> Result<Self> {
+    pub fn open(path: impl AsRef<Path>, _tracker: Arc<IoTracker>) -> Result<Self> {
         Err(StorageError::io_at(
             path.as_ref(),
             std::io::Error::new(std::io::ErrorKind::Unsupported, "O_DIRECT requires unix"),
@@ -157,27 +119,6 @@ impl DirectBackend {
     /// Path of the backing file.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Whether the io_uring submission path is active (false means the
-    /// thread-pool fan-out serves `read_ranges`).
-    pub fn uring_active(&self) -> bool {
-        #[cfg(all(
-            feature = "uring",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            self.ring.is_some()
-        }
-        #[cfg(not(all(
-            feature = "uring",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            false
-        }
     }
 
     /// Verify the filesystem actually honors `O_DIRECT` reads: tmpfs (and
@@ -249,54 +190,12 @@ impl DirectBackend {
         Ok(())
     }
 
-    /// Run a batch of aligned jobs through io_uring if a ring is live.
-    /// Returns `None` when no ring is available or submission failed (the
-    /// caller then uses the thread fan-out; buffers may be partially
-    /// written and are fully re-read).
-    #[cfg(all(
-        feature = "uring",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    fn try_uring(&self, jobs: &mut [AlignedJob]) -> Option<Result<()>> {
-        let ring = self.ring.as_ref()?;
-        let mut ring = ring.lock();
-        let mut reads: Vec<crate::uring::ReadJob<'_>> = jobs
-            .iter_mut()
-            .map(|j| crate::uring::ReadJob { offset: j.lo, buf: &mut j.buf[..j.alen], filled: 0 })
-            .collect();
-        match ring.read_fully(self.file.as_raw_fd(), &mut reads) {
-            Ok(()) => {
-                let filled: Vec<usize> = reads.iter().map(|r| r.filled).collect();
-                drop(reads);
-                for (j, f) in jobs.iter().zip(filled) {
-                    if let Err(e) = self.check_filled(j, f) {
-                        return Some(Err(e));
-                    }
-                }
-                Some(Ok(()))
-            }
-            // Ring-level failure (e.g. opcode rejected): fall back.
-            Err(_) => None,
-        }
-    }
-
-    #[cfg(not(all(
-        feature = "uring",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    fn try_uring(&self, _jobs: &mut [AlignedJob]) -> Option<Result<()>> {
-        None
-    }
-
-    /// Thread-pool fan-out over aligned jobs: up to `queue_depth` scoped
-    /// worker threads claim jobs from a shared counter and `pread` them
-    /// concurrently — the same overlap the ring provides, bought with
-    /// threads instead of a submission queue.
+    /// Thread-pool fan-out over aligned jobs: up to [`DEFAULT_QUEUE_DEPTH`]
+    /// scoped worker threads claim jobs from a shared counter and `pread`
+    /// them concurrently.
     #[cfg(unix)]
     fn fan_out(&self, jobs: &mut [AlignedJob]) -> Result<()> {
-        let workers = self.queue_depth.min(jobs.len());
+        let workers = DEFAULT_QUEUE_DEPTH.min(jobs.len());
         if workers <= 1 {
             for job in jobs.iter_mut() {
                 let filled = self.pread_aligned(job.lo, &mut job.buf[..job.alen])?;
@@ -355,9 +254,9 @@ impl ReadBackend for DirectBackend {
     }
 
     /// Vectored multi-range read: one aligned bounce read per range,
-    /// overlapped at queue depth (io_uring when probed live, scoped thread
-    /// fan-out otherwise). The *requested* bytes are billed once as a
-    /// single tracked operation — byte-for-byte the same model as
+    /// overlapped at queue depth by the scoped-thread fan-out. The
+    /// *requested* bytes are billed once as a single tracked operation —
+    /// byte-for-byte the same model as
     /// [`FileBackend::read_ranges`](crate::FileBackend), only the
     /// submission shape differs.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
@@ -385,10 +284,7 @@ impl ReadBackend for DirectBackend {
         let mut jobs: Vec<AlignedJob> =
             ranges.iter().map(|r| self.job_for(r.offset, r.buf.len())).collect();
         let t0 = hus_obs::latency_timer();
-        match self.try_uring(&mut jobs) {
-            Some(res) => res?,
-            None => self.fan_out(&mut jobs)?,
-        }
+        self.fan_out(&mut jobs)?;
         read_latency_hist(access).record_elapsed(t0);
         for (r, job) in ranges.iter_mut().zip(&jobs) {
             let skip = (r.offset - job.lo) as usize;
@@ -528,18 +424,13 @@ mod tests {
 
     #[test]
     fn many_ranges_exceeding_queue_depth() {
-        let data = patterned(64 * DIRECT_ALIGN);
+        let data = patterned(8 * DEFAULT_QUEUE_DEPTH * DIRECT_ALIGN);
         let (_d, path) = tmp_file(&data);
         let tracker = Arc::new(IoTracker::new());
-        let Some(direct) =
-            DirectBackend::open_with_depth(&path, Arc::clone(&tracker), 4).ok().or_else(|| {
-                eprintln!("O_DIRECT unavailable here; skipping");
-                None
-            })
-        else {
-            return;
-        };
-        let mut bufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; 777]).collect();
+        let Some(direct) = open_or_skip(&path, Arc::clone(&tracker)) else { return };
+        // Four claims per fan-out worker.
+        let n = 4 * DEFAULT_QUEUE_DEPTH;
+        let mut bufs: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; 777]).collect();
         let mut ranges: Vec<RangeRead<'_>> = bufs
             .iter_mut()
             .enumerate()
@@ -552,7 +443,7 @@ mod tests {
             assert_eq!(b[..], data[off..off + 777], "range {i}");
         }
         let s = tracker.snapshot();
-        assert_eq!(s.batched_read_bytes, 32 * 777);
+        assert_eq!(s.batched_read_bytes, n as u64 * 777);
         assert_eq!(s.batched_read_ops, 1);
     }
 

@@ -62,9 +62,8 @@ pub enum StorageError {
         /// What exactly is incomplete (names the missing piece).
         detail: String,
     },
-    /// A file disagrees with what the directory's `MANIFEST` (or, for
-    /// pre-manifest legacy dirs, `meta.json`) says it should be —
-    /// typically a length mismatch from truncation.
+    /// A file disagrees with what the directory's `MANIFEST` says it
+    /// should be — typically a length mismatch from truncation.
     ManifestMismatch {
         /// Root of the offending graph directory.
         path: PathBuf,

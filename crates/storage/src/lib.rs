@@ -59,12 +59,6 @@ pub mod pod;
 pub mod probe;
 pub mod retry;
 pub mod tracker;
-#[cfg(all(
-    feature = "uring",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub mod uring;
 
 pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
 pub use buffer::{BlockStream, TrackedWriter};

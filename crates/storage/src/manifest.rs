@@ -198,8 +198,9 @@ impl BuildManifest {
         Ok(BuildManifest { generation, files, runs })
     }
 
-    /// Load the manifest of a graph directory. `Ok(None)` when the
-    /// directory predates manifests (legacy build);
+    /// Load the manifest of a graph directory. `Ok(None)` when there is
+    /// none — the not-yet-built target a staging build probes; readers
+    /// treat it as an incomplete build.
     /// [`StorageError::IncompleteBuild`] when a manifest exists but is
     /// torn or unparseable — the signature of a build that crashed
     /// mid-write.
@@ -280,7 +281,7 @@ impl BuildManifest {
     }
 
     /// The generation number the next build of `root` should stamp:
-    /// one past the current manifest's, or 1 for a fresh, legacy or
+    /// one past the current manifest's, or 1 for a fresh or
     /// torn-manifest directory.
     pub fn next_generation(root: &Path) -> u64 {
         match Self::load_from(root) {

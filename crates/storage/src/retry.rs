@@ -75,18 +75,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Default policy with `max_attempts` overridden by the `HUS_RETRIES`
-    /// environment variable when set.
-    pub fn from_env() -> Self {
-        let mut p = RetryPolicy::default();
-        if let Some(n) =
-            std::env::var("HUS_RETRIES").ok().and_then(|v| v.trim().parse::<u32>().ok())
-        {
-            p.max_attempts = n.max(1);
-        }
-        p
-    }
-
     /// Backoff before retry number `retry` (0-based), jittered ±25% by a
     /// hash of `salt` so concurrent retries of different offsets spread
     /// out, deterministically.
@@ -218,7 +206,7 @@ impl ResilienceTracker {
 
 /// Point-in-time view of a [`ResilienceTracker`], reported per run in
 /// `RunStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceSnapshot {
     /// Read attempts repeated after a transient error.
     pub retries: u64,
@@ -241,33 +229,6 @@ pub struct ResilienceSnapshot {
     pub spill_rollbacks: u64,
     /// Entries into read-only degraded mode.
     pub degraded_mode_entries: u64,
-}
-
-/// Hand-written so the three write-path counters added after the first
-/// RunStats format default to zero when absent — stats JSON written by
-/// older builds keeps loading.
-impl Deserialize for ResilienceSnapshot {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let opt = |name: &str| -> std::result::Result<u64, serde::DeError> {
-            match v.get(name) {
-                Some(f) => u64::from_value(f)
-                    .map_err(|e| serde::DeError(format!("field `{name}`: {}", e.0))),
-                None => Ok(0),
-            }
-        };
-        Ok(ResilienceSnapshot {
-            retries: serde::from_field(v, "retries")?,
-            giveups: serde::from_field(v, "giveups")?,
-            mmap_fallbacks: serde::from_field(v, "mmap_fallbacks")?,
-            direct_fallbacks: serde::from_field(v, "direct_fallbacks")?,
-            ranged_fallbacks: serde::from_field(v, "ranged_fallbacks")?,
-            sync_fallbacks: serde::from_field(v, "sync_fallbacks")?,
-            checksum_failures: serde::from_field(v, "checksum_failures")?,
-            write_faults: opt("write_faults")?,
-            spill_rollbacks: opt("spill_rollbacks")?,
-            degraded_mode_entries: opt("degraded_mode_entries")?,
-        })
-    }
 }
 
 impl ResilienceSnapshot {

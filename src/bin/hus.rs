@@ -12,7 +12,7 @@
 //! hus diameter <graph-dir> [--sources N]
 //! hus audit  <graph-dir> [--algo bfs|sssp|wcc|pagerank] [--iters N] [--mode ...]
 //! hus top    <graph-dir> [--algo ...] [--refresh-ms N] [--plain]
-//! hus ingest <graph-dir> [--insert s,d[,w]]... [--delete s,d]... [--random N] [--flush]
+//! hus ingest <graph-dir> [--insert s,d[,w]]... [--delete s,d]... [--random N] [--verify]
 //! hus compact <graph-dir>
 //! hus convert <in.{husg,txt}> <out.{husg,txt}>
 //! hus probe  [dir]
@@ -34,6 +34,16 @@ use hus_storage::{CostModel, DeviceProfile, StorageDir};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    // A reader that closes the pipe early (`hus stats | head`) makes
+    // `println!` panic; that is the reader's choice, not a failure.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>();
+        if msg.is_some_and(|m| m.starts_with("failed printing to stdout: Broken pipe")) {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -61,7 +71,7 @@ const USAGE: &str = "usage:
   hus top <graph-dir> [--algo bfs|sssp|wcc|pagerank] [--iters N] [--source S] \
           [--refresh-ms N] [--plain]
   hus ingest <graph-dir> [--insert s,d[,w]]... [--delete s,d]... \
-             [--random N] [--seed S] [--flush] [--verify]
+             [--random N] [--seed S] [--verify]
   hus compact <graph-dir>
   hus convert <in.{husg,txt}> <out.{husg,txt}>
   hus probe [dir]
@@ -233,8 +243,9 @@ fn cmd_fsck(rest: &[&String]) -> CliResult {
 }
 
 /// Apply streaming edge updates to a built graph directory through the
-/// dynamic-graph write path: updates buffer in a memtable and spill to
-/// on-disk delta runs (see `DESIGN.md` §11).
+/// dynamic-graph write path: updates buffer in a memtable and are
+/// committed as an on-disk delta run before the command returns (see
+/// `DESIGN.md` §11).
 fn cmd_ingest(rest: &[&String]) -> CliResult {
     let dir = StorageDir::open(positional(rest, 0)?).map_err(|e| e.to_string())?;
     let mut dg = hus_core::DynamicGraph::open(dir).map_err(|e| e.to_string())?;
@@ -287,11 +298,10 @@ fn cmd_ingest(rest: &[&String]) -> CliResult {
             }
         }
     }
-    if has_flag(rest, "--flush") {
-        match dg.flush().map_err(|e| e.to_string())? {
-            Some(run) => println!("spilled memtable to {run}"),
-            None => println!("memtable empty, nothing to spill"),
-        }
+    // The memtable dies with this process: commit before reporting
+    // (`--flush` is accepted for older invocations and changes nothing).
+    if let Some(run) = dg.flush().map_err(|e| e.to_string())? {
+        println!("spilled memtable to {run}");
     }
     let runs = dg.run_count();
     let buffered = dg.memtable_bytes();

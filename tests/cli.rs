@@ -1,0 +1,64 @@
+//! The `hus` binary driven as a user drives it: what a command reports
+//! must be what the next process finds on disk, and a reader closing
+//! the pipe early is not a crash.
+
+use std::process::{Command, Stdio};
+
+use husgraph::core::{BuildConfig, DynamicGraph, HusGraph};
+use husgraph::storage::StorageDir;
+
+fn hus() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hus"));
+    cmd.env("HUS_NO_FSYNC", "1");
+    cmd
+}
+
+fn built(tmp: &tempfile::TempDir) -> (std::path::PathBuf, u64) {
+    let el = husgraph::gen::rmat(300, 2_000, 5, Default::default());
+    let root = tmp.path().join("g");
+    let dir = StorageDir::create(&root).unwrap();
+    let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(3)).unwrap();
+    (root, g.num_edges())
+}
+
+#[test]
+fn ingest_without_flush_is_durable_when_it_returns() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (root, base_edges) = built(&tmp);
+    let out = hus()
+        .arg("ingest")
+        .arg(&root)
+        .args(["--random", "400", "--seed", "9", "--verify"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("1 delta run(s), 0.0 KB buffered"), "{stdout}");
+
+    // A fresh open sees what the command acked.
+    let mut dg = DynamicGraph::open(StorageDir::open(&root).unwrap()).unwrap();
+    assert_eq!(dg.run_count(), 1, "the acked updates were committed as one run");
+    let edges = dg.snapshot().unwrap().num_edges();
+    assert_ne!(edges, base_edges, "the updates changed the edge count");
+    assert!(stdout.contains(&format!(": {edges} edges,")), "reported == on disk: {stdout}");
+}
+
+#[test]
+fn stats_into_a_closed_pipe_exits_without_a_panic() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (root, _) = built(&tmp);
+    let mut child = hus()
+        .arg("stats")
+        .arg(&root)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Close the read end before the child has opened the graph, let
+    // alone printed: its first `println!` hits EPIPE.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked") && !stderr.contains("Broken pipe"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}

@@ -67,7 +67,7 @@ fn env_registry_is_complete_and_live() {
     );
     // Ratchet: the knob count only moves down, toward ROADMAP's <= 18.
     // A new knob has to retire an old one.
-    assert!(registered.len() <= 23, "{} HUS_* knobs registered; the cap is 23", registered.len());
+    assert!(registered.len() <= 20, "{} HUS_* knobs registered; the cap is 20", registered.len());
 }
 
 /// `docs/FORMAT.md` states byte-level constants; they must equal the
