@@ -101,12 +101,11 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
                         let n = (hi - lo) as usize;
                         let src_val = current[src as usize];
                         let mut push = |records: &hus_core::graph::EdgeRecords, offset: usize| {
-                            for k in 0..n {
-                                let dst = records.neighbor(offset + k);
+                            for (dst, weight) in records.into_iter().skip(offset).take(n) {
                                 let ctx = EdgeCtx {
                                     src,
                                     dst,
-                                    weight: records.weight(offset + k),
+                                    weight,
                                     src_out_degree: self.graph.out_degrees()[src as usize],
                                 };
                                 if let Some(msg) = self.program.scatter(&src_val, &ctx) {

@@ -2,39 +2,43 @@
 //!
 //! Processing column `i`: load `D_i` once; stream in-blocks
 //! `(0, i)..(P-1, i)` sequentially, loading `S_j` and the in-index per
-//! block; every destination vertex of interval `i` locates its own
-//! in-edge range and pulls from active in-neighbors. Blocks of a column
-//! cannot be overlapped (they all write `D_i`), but within a block the
-//! destinations are disjoint, so the pull is parallelized per destination
-//! vertex with no write conflicts (§3.5).
+//! block; every destination vertex of interval `i` walks its own
+//! in-edge range and pulls from active in-neighbors, in one tight
+//! sequential loop per block.
 //!
-//! Disk I/O and CPU are overlapped as the paper describes (§3.5: "the
-//! out-edges of the next out-block can be loaded before the processing
-//! of current out-block is finished if the memory is sufficient"): a
-//! small pool of producer threads fetches a window of blocks (the run's
-//! thread budget, clamped to 2..=8) ahead of the consumer — each block's
-//! `S_j`, in-index and edge records — while the workers process the
-//! current block. Blocks are delivered
-//! strictly in column order regardless of which producer finishes first,
-//! so the result is bit-identical to a serial fetch loop; a fetch error
-//! cancels the remaining producers eagerly and surfaces to the caller,
-//! with the bytes of any already-prefetched-but-unconsumed blocks
-//! reported via the `cop.readahead_unused_bytes` counter.
+//! The unit of parallelism is the column (§3.5 parallelizes per
+//! destination vertex; whole columns are the coarsest such split).
+//! The columns of one unit write disjoint `D` buffers, so
+//! [`run_columns`] pulls them concurrently with no write conflicts, and
+//! every destination keeps its in-edge accumulation order — results are
+//! bit-identical at every thread count. This is GraphMP's one shard per
+//! worker; splitting each block across threads instead costs a fan-out
+//! per block and balances vertices, not edges.
 //!
-//! Across the columns of one unit, [`run_columns`] also overlaps each
-//! column's `D` write-back with the next column's first fetches (the
-//! write happens on a helper thread while the next column starts
-//! streaming).
+//! A unit with a single worker (one thread, Gauss-Seidel's one-column
+//! units, a one-column mixed unit) has no other column to overlap its
+//! I/O with, so it overlaps disk and CPU as the paper describes (§3.5:
+//! "the out-edges of the next out-block can be loaded before the
+//! processing of current out-block is finished if the memory is
+//! sufficient"): a small pool of producer threads fetches a window of
+//! blocks (the run's thread budget, clamped to 2..=8) ahead of the
+//! consumer — each block's `S_j`, in-index and edge records. Blocks are
+//! delivered strictly in column order regardless of which producer
+//! finishes first, so the result is bit-identical to a serial fetch
+//! loop; a fetch error cancels the remaining producers eagerly and
+//! surfaces to the caller, with the bytes of any
+//! already-prefetched-but-unconsumed blocks reported via the
+//! `cop.readahead_unused_bytes` counter.
 
 use crate::graph::{EdgeRecords, HusGraph};
 use crate::meta::INDEX_ENTRY_BYTES;
 use crate::predict::IoPlan;
-use crate::program::VertexProgram;
+use crate::program::{EdgeCtx, VertexProgram};
 use crate::rop::{load_d, IterCtx};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
 use hus_storage::direct::DEFAULT_QUEUE_DEPTH;
-use hus_storage::{Access, Result, StorageError};
+use hus_storage::{Access, Result};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,7 +165,7 @@ fn process_column<Pr: VertexProgram>(
 }
 
 /// The actual column walk; without `pipelined` it is the fully
-/// synchronous fetch loop (degraded mode).
+/// synchronous fetch loop (a column worker's, and the degraded mode).
 fn process_column_inner<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
@@ -191,7 +195,8 @@ fn process_column_inner<Pr: VertexProgram>(
     let depth = if pipelined { readahead_window().min(blocks.len()) } else { 1 };
     READAHEAD_DEPTH.set(depth as u64);
     if depth <= 1 {
-        // Nothing to overlap (or degraded mode): fetch inline.
+        // Nothing to overlap (a column worker, or degraded mode): fetch
+        // inline.
         for &i in &blocks {
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
             let block = fetch(i)?;
@@ -338,48 +343,40 @@ pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
     (0..graph.p()).map(|col| column_plan(graph, col, value_bytes)).sum()
 }
 
-/// Pull the columns `cols`, overlapping each column's `D` write-back
-/// with the next column's fetches: the write runs on a helper thread
-/// while the next column starts streaming (the caller commits them
-/// together afterwards, so visibility is unchanged). Returns the total
-/// edge records streamed.
+/// Pull the columns `cols` and write each one's `D` back (the caller
+/// commits them together afterwards). The columns write disjoint `D`
+/// buffers, so they fan out over the run's pool with no write
+/// conflicts; the first error in column order wins. A unit with one
+/// worker streams its columns through the readahead pipeline, its only
+/// overlap; with more, every worker fetches its own column
+/// synchronously and the other workers' columns are the overlap.
+/// Returns the total edge records streamed.
 pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     cols: &[usize],
 ) -> Result<u64> {
-    fn join_write(pending: Option<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
-        match pending {
-            Some(h) => {
-                h.join().map_err(|_| StorageError::Corrupt("write-back thread panicked".into()))?
-            }
-            None => Ok(()),
-        }
-    }
-
-    let mut streamed = 0u64;
-    std::thread::scope(|scope| -> Result<()> {
-        let mut pending = None;
-        for &col in cols {
-            let processed = {
-                let _s = span!("cop.column", interval = col);
-                process_column(ctx, store, col)
+    let pipelined = rayon::current_num_threads().min(cols.len()) == 1;
+    let streamed = cols
+        .to_vec()
+        .into_par_iter()
+        .map(|col| {
+            let _s = span!("cop.column", interval = col);
+            let (d_col, n) = if pipelined {
+                process_column(ctx, store, col)?
+            } else {
+                process_column_inner(ctx, store, col, false)?
             };
-            // The previous column's write-back overlapped this column's
-            // processing; collect it before publishing the next one.
-            join_write(pending.take())?;
-            let (d_col, n) = processed?;
-            streamed += n;
-            pending = Some(scope.spawn(move || store.write_next(col, &d_col)));
-        }
-        join_write(pending)
-    })?;
-    Ok(streamed)
+            store.write_next(col, &d_col)?;
+            Ok(n)
+        })
+        .collect::<Result<Vec<u64>>>()?;
+    Ok(streamed.iter().sum())
 }
 
-/// The in-memory pull of one fetched block into `D_col`, parallel over
-/// destination vertices (each owns a disjoint slice of `D_col` and a
-/// disjoint record range).
+/// The in-memory pull of one fetched block into `D_col`: every
+/// destination walks its own in-edge range in record order, so its
+/// accumulation order is the same at every thread count.
 fn pull_block<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     block: &FetchedBlock<Pr::Value>,
@@ -387,43 +384,39 @@ fn pull_block<Pr: VertexProgram>(
     d_col: &mut [Pr::Value],
 ) {
     let src_base = ctx.graph.meta().interval_start(block.src_interval);
-    d_col.par_iter_mut().enumerate().for_each(|(local, dst_val)| {
-        let (lo, hi) = (block.index[local] as usize, block.index[local + 1] as usize);
-        if lo == hi {
-            return;
-        }
-        let dst = dst_base + local as u32;
+    let degrees = ctx.graph.out_degrees();
+    // Every source of an always-active program is active, and its next
+    // frontier is already full: no frontier bit to load or set.
+    let all_active = ctx.program.always_active();
+    for ((dst, dst_val), range) in (dst_base..).zip(d_col).zip(block.index.windows(2)) {
         let mut changed = false;
-        for k in lo..hi {
-            let src = block.records.neighbor(k);
-            if !ctx.active.get(src) {
+        for (src, weight) in block.records.walk(range[0] as usize, range[1] as usize) {
+            if !all_active && !ctx.active.get(src) {
                 continue;
             }
-            let src_val = &block.s_block[(src - src_base) as usize];
-            let ectx = crate::program::EdgeCtx {
-                src,
-                dst,
-                weight: block.records.weight(k),
-                src_out_degree: ctx.graph.out_degrees()[src as usize],
-            };
-            if let Some(msg) = ctx.program.scatter(src_val, &ectx) {
+            let ectx = EdgeCtx { src, dst, weight, src_out_degree: degrees[src as usize] };
+            if let Some(msg) = ctx.program.scatter(&block.s_block[(src - src_base) as usize], &ectx)
+            {
                 changed |= ctx.program.combine(dst_val, msg);
             }
         }
-        if changed {
+        if changed && !all_active {
             ctx.next_active.set(dst);
         }
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::active::ActiveSet;
     use crate::builder::BuildConfig;
-    use crate::engine::{Engine, RunConfig, Synchrony, UpdateMode};
+    use crate::engine::{Deadline, Engine, RunConfig, Synchrony, UpdateMode};
     use crate::graph::HusGraph;
     use crate::meta::GraphMeta;
     use crate::predict::IoPlan;
     use crate::program::{EdgeCtx, VertexProgram};
+    use crate::rop::IterCtx;
+    use crate::vertex_store::VertexStore;
     use hus_storage::StorageDir;
 
     struct MinLabel;
@@ -449,45 +442,128 @@ mod tests {
         }
     }
 
-    /// Satellite: a mid-stream fetch failure must surface as an error to
-    /// the caller (not hang the pipeline, not panic a producer). The
-    /// in-edges shard is truncated *after* open, so `FileBackend`'s
-    /// cached length admits the read and the underlying `pread` fails
-    /// mid-column.
+    /// A mid-stream fetch failure must surface as an error to the
+    /// caller (not hang the pipeline, not panic a producer) — through
+    /// the readahead pipeline at one thread and through the column
+    /// workers at four. The in-edges shard is truncated *after* open, so
+    /// `FileBackend`'s cached length admits the read and the underlying
+    /// `pread` fails mid-column.
     #[test]
     fn mid_stream_storage_error_surfaces_not_hangs() {
+        for threads in [1, 4] {
+            let el = hus_gen::rmat(300, 3000, 5, Default::default());
+            let tmp = tempfile::tempdir().unwrap();
+            let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+            let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+
+            // Corrupt column 2's in-edge shard under the open graph.
+            let victim = dir.path(&GraphMeta::in_edges_file(2));
+            let orig_len = std::fs::metadata(&victim).unwrap().len();
+            assert!(orig_len > 8);
+            let f = std::fs::OpenOptions::new().write(true).open(&victim).unwrap();
+            f.set_len(4).unwrap();
+            drop(f);
+
+            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                let result = Engine::new(&g, &MinLabel, cfg).run();
+                done_tx.send(result.is_err()).unwrap();
+            });
+            // The run must finish promptly with an error; a deadlocked
+            // pipeline would leave the channel empty.
+            let failed = done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("COP run hung on a mid-stream storage error");
+            assert!(failed, "{threads} threads: truncated shard must surface a StorageError");
+            handle.join().unwrap();
+        }
+    }
+
+    /// A panic in one column worker reaches the caller once the other
+    /// workers are done; nothing waits forever on the dead one.
+    #[test]
+    fn a_panicking_column_worker_propagates_and_does_not_hang() {
+        /// Min-label that panics on any edge into the last interval.
+        struct Explodes {
+            from: u32,
+        }
+        impl VertexProgram for Explodes {
+            type Value = u32;
+            fn init(&self, v: u32) -> u32 {
+                v
+            }
+            fn initially_active(&self, _v: u32) -> bool {
+                true
+            }
+            fn scatter(&self, s: &u32, c: &EdgeCtx) -> Option<u32> {
+                assert!(c.dst < self.from, "injected panic");
+                Some(*s)
+            }
+            fn combine(&self, d: &mut u32, m: u32) -> bool {
+                MinLabel.combine(d, m)
+            }
+        }
+        let el = hus_gen::rmat(300, 3000, 5, Default::default());
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g =
+            std::sync::Arc::new(HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap());
+        for threads in [1, 2] {
+            let (g, (done_tx, done_rx)) = (g.clone(), std::sync::mpsc::channel::<()>());
+            let handle = std::thread::spawn(move || {
+                let _done = done_tx; // dropped when the run returns or unwinds
+                let program = Explodes { from: g.meta().interval_start(3) };
+                let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
+                Engine::new(&g, &program, cfg).run().map(|_| ())
+            });
+            let outcome = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(
+                matches!(outcome, Err(std::sync::mpsc::RecvTimeoutError::Disconnected)),
+                "{threads} threads: the run hung after a worker panicked"
+            );
+            assert!(handle.join().is_err(), "{threads} threads: the panic must propagate");
+        }
+    }
+
+    /// A crossed deadline stops the unit with the typed error — in the
+    /// column workers (two threads) as in the pipeline (one).
+    #[test]
+    fn expired_deadline_stops_column_workers_with_the_typed_error() {
         let el = hus_gen::rmat(300, 3000, 5, Default::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
-
-        // Corrupt column 2's in-edge shard under the open graph.
-        let victim = dir.path(&GraphMeta::in_edges_file(2));
-        let orig_len = std::fs::metadata(&victim).unwrap().len();
-        assert!(orig_len > 8);
-        let f = std::fs::OpenOptions::new().write(true).open(&victim).unwrap();
-        f.set_len(4).unwrap();
-        drop(f);
-
-        let cfg = RunConfig { mode: UpdateMode::ForceCop, threads: 4, ..Default::default() };
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let result = Engine::new(&g, &MinLabel, cfg).run();
-            done_tx.send(result.is_err()).unwrap();
-        });
-        // The run must finish promptly with an error; a deadlocked
-        // pipeline would leave the channel empty.
-        let failed = done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("COP run hung on a mid-stream storage error");
-        assert!(failed, "truncated shard must surface a StorageError");
-        handle.join().unwrap();
+        let starts = &g.meta().interval_starts;
+        let store = VertexStore::create(&dir.subdir("vals").unwrap(), "v", starts, |v| v).unwrap();
+        let (active, next_active) = (ActiveSet::all(300), ActiveSet::new(300));
+        let row_edges = crate::rop::row_edge_totals(&g);
+        let ctx = IterCtx {
+            graph: &g,
+            program: &MinLabel,
+            active: &active,
+            next_active: &next_active,
+            coalesce_ratio: 1.0,
+            index_ratio: 1.0,
+            deadline: Some(Deadline {
+                at: std::time::Instant::now() - std::time::Duration::from_millis(1),
+                budget_ms: 7,
+            }),
+            row_edges: &row_edges,
+        };
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let err = pool.install(|| super::run_columns(&ctx, &store, &[0, 1, 2, 3]));
+            let err = err.unwrap_err();
+            assert!(err.is_deadline(), "{threads} threads: {err}");
+        }
     }
 
     /// [`super::sweep_plan`] is the bill of a COP iteration, to the byte
-    /// — also with a delta overlay attached, whose touched blocks are
-    /// served from memory, and also under Gauss-Seidel, whose `P`
-    /// one-column units together bill the one sweep.
+    /// — at one thread and with column workers, also with a delta
+    /// overlay attached, whose touched blocks are served from memory,
+    /// and also under Gauss-Seidel, whose `P` one-column units together
+    /// bill the one sweep.
     #[test]
     fn sweep_plan_is_what_a_cop_iteration_bills() {
         let el = hus_gen::rmat(300, 3000, 9, Default::default());
@@ -502,36 +578,18 @@ mod tests {
         let plans = [&base, overlaid].map(|g| {
             let plan = super::sweep_plan(g, 4);
             for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
-                let mode = UpdateMode::ForceCop;
-                let cfg = RunConfig { mode, synchrony, threads: 1, ..Default::default() };
-                let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
-                for it in &stats.iterations {
-                    assert_eq!(IoPlan::billed(&it.io), plan, "iteration {}", it.iteration);
+                for threads in [1, 2] {
+                    let mode = UpdateMode::ForceCop;
+                    let cfg = RunConfig { mode, synchrony, threads, ..Default::default() };
+                    let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
+                    for it in &stats.iterations {
+                        let at = (synchrony, threads, it.iteration);
+                        assert_eq!(IoPlan::billed(&it.io), plan, "{at:?}");
+                    }
                 }
             }
             plan
         });
         assert!(plans[1].sequential < plans[0].sequential, "overlay blocks cost no device I/O");
-    }
-
-    /// Readahead depth (sized from the thread budget) must not change
-    /// results or modeled I/O bytes on the success path: every
-    /// prefetched block is consumed.
-    #[test]
-    fn deep_readahead_matches_shallow_bit_for_bit() {
-        let el = hus_gen::rmat(400, 4000, 21, Default::default());
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(6)).unwrap();
-        let run = |threads: usize| {
-            g.dir().tracker().reset();
-            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
-            let (values, stats) = Engine::new(&g, &MinLabel, cfg).run().unwrap();
-            (values, stats.total_io.total_bytes())
-        };
-        let (shallow_vals, shallow_bytes) = run(1);
-        let (deep_vals, deep_bytes) = run(6);
-        assert_eq!(shallow_vals, deep_vals);
-        assert_eq!(shallow_bytes, deep_bytes, "readahead must not change modeled I/O");
     }
 }

@@ -858,10 +858,9 @@ mod tests {
             let idx = g.load_out_index(i, j, Access::Sequential).unwrap();
             let recs = g.stream_out_block(i, j).unwrap();
             let v = (s - meta.interval_start(i)) as usize;
-            (idx[v]..idx[v + 1])
-                .map(|k| k as usize)
-                .find(|&k| recs.neighbor(k) == d)
-                .map(|k| recs.weight(k))
+            recs.walk(idx[v] as usize, idx[v + 1] as usize)
+                .find(|&(neighbor, _)| neighbor == d)
+                .map(|(_, weight)| weight)
         };
         assert_eq!(find(s, d), Some(7.25));
         assert_eq!(find(5, 6), Some(0.125));

@@ -440,8 +440,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     /// Run one unit and commit what it wrote; returns the edge records
     /// it processed.
     ///
-    /// The pulled columns write disjoint next buffers, so each column's
-    /// write-back overlaps the next column's fetches. The pushing rows
+    /// The pulled columns write disjoint next buffers, so they fan out
+    /// over the run's pool, one column per worker. The pushing rows
     /// are independent (§3.5: per-`D_j` locks serialize pushes into a
     /// shared destination), so they fan out over the run's pool — inline
     /// when it has one thread or there is one row; the first error in

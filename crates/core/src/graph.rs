@@ -495,12 +495,12 @@ impl HusGraph {
                 let (i, j) = o.orient(own, other);
                 let idx = self.index(o, i, j, Access::Sequential)?;
                 let recs = self.records(o, i, j, None, Access::Sequential)?;
-                for v in 0..self.meta.interval_len(own) {
-                    for k in idx[v as usize] as usize..idx[v as usize + 1] as usize {
-                        let (src, dst) = o.orient(base + v, recs.neighbor(k));
+                for (v, range) in (base..).zip(idx.windows(2)) {
+                    for (neighbor, weight) in recs.walk(range[0] as usize, range[1] as usize) {
+                        let (src, dst) = o.orient(v, neighbor);
                         edges.push(Edge::new(src, dst));
                         if let Some(w) = &mut weights {
-                            w.push(recs.weight(k));
+                            w.push(weight);
                         }
                     }
                 }
@@ -643,6 +643,62 @@ impl EdgeRecords {
         let s = k * 8 + 4;
         f32::from_le_bytes(self.data[s..s + 4].try_into().unwrap())
     }
+
+    /// Records `[lo, hi)` in order, as `(neighbor, weight)` pairs.
+    pub(crate) fn walk(&self, lo: usize, hi: usize) -> Walk<'_> {
+        let s = self.stride();
+        Walk { records: self.data[lo * s..hi * s].chunks_exact(s), weighted: self.weighted }
+    }
+}
+
+impl<'a> IntoIterator for &'a EdgeRecords {
+    type Item = (u32, f32);
+    type IntoIter = Walk<'a>;
+
+    /// Every record in order, as `(neighbor, weight)` pairs.
+    fn into_iter(self) -> Walk<'a> {
+        self.walk(0, self.len())
+    }
+}
+
+/// A walk over a run of [`EdgeRecords`], one `(neighbor, weight)` pair
+/// per record (weight 1.0 on unweighted graphs). Records are fixed-width,
+/// so skipping ahead (`nth`, `skip`) costs nothing.
+#[derive(Debug, Clone)]
+pub struct Walk<'a> {
+    records: std::slice::ChunksExact<'a, u8>,
+    weighted: bool,
+}
+
+impl Walk<'_> {
+    #[inline]
+    fn decode(&self, record: &[u8]) -> (u32, f32) {
+        let field = |at: usize| -> [u8; 4] {
+            record[at..at + 4].try_into().expect("a record field is four bytes")
+        };
+        let weight = if self.weighted { f32::from_le_bytes(field(4)) } else { 1.0 };
+        (u32::from_le_bytes(field(0)), weight)
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = (u32, f32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, f32)> {
+        let record = self.records.next()?;
+        Some(self.decode(record))
+    }
+
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<(u32, f32)> {
+        let record = self.records.nth(n)?;
+        Some(self.decode(record))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
 }
 
 #[cfg(test)]
@@ -702,7 +758,7 @@ mod tests {
                 let (lo, hi) = (idx[local], idx[local + 1]);
                 if lo < hi {
                     let recs = g.load_out_records(i, j, lo, hi).unwrap();
-                    got.extend((0..recs.len()).map(|k| recs.neighbor(k)));
+                    got.extend(recs.into_iter().map(|(neighbor, _)| neighbor));
                 }
             }
             let mut want: Vec<u32> = csr.out_neighbors(v).to_vec();
@@ -731,10 +787,7 @@ mod tests {
         assert_eq!(s.rand_read_bytes, 0);
         for (recs, &(lo, hi)) in batched.iter().zip(&ranges) {
             let single = g.load_out_records(0, 1, lo, hi).unwrap();
-            assert_eq!(recs.len(), single.len());
-            for k in 0..recs.len() {
-                assert_eq!(recs.neighbor(k), single.neighbor(k));
-            }
+            assert!(recs.into_iter().eq(&single));
         }
     }
 
@@ -747,9 +800,7 @@ mod tests {
         for j in 0..g.p() {
             for i in 0..g.p() {
                 let recs = g.stream_in_block(i, j).unwrap();
-                for k in 0..recs.len() {
-                    total += recs.weight(k) as f64;
-                }
+                total += recs.into_iter().map(|(_, w)| w as f64).sum::<f64>();
             }
         }
         let want: f64 = el.weights.as_ref().unwrap().iter().map(|&w| w as f64).sum();
@@ -995,5 +1046,23 @@ mod tests {
         assert_eq!(recs.neighbor(0), 1);
         assert_eq!(recs.neighbor(1), 2);
         assert_eq!(recs.weight(0), 1.0);
+        assert_eq!(recs.into_iter().collect::<Vec<_>>(), [(1, 1.0), (2, 1.0)]);
+    }
+
+    #[test]
+    fn walks_agree_with_the_indexed_accessors() {
+        let mut data = Vec::new();
+        for k in 0..5u32 {
+            data.extend(k.to_le_bytes());
+            data.extend((k as f32 * 0.5).to_le_bytes());
+        }
+        let recs = EdgeRecords { data, weighted: true };
+        let indexed: Vec<(u32, f32)> = (1..4).map(|k| (recs.neighbor(k), recs.weight(k))).collect();
+        assert_eq!(recs.walk(1, 4).collect::<Vec<_>>(), indexed);
+        assert_eq!(recs.walk(2, 2).count(), 0);
+        // Skipping ahead lands on the same record as walking there.
+        assert_eq!(recs.into_iter().nth(3), Some((3, 1.5)));
+        assert_eq!(recs.into_iter().skip(1).take(3).collect::<Vec<_>>(), indexed);
+        assert_eq!(recs.into_iter().nth(5), None);
     }
 }

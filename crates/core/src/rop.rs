@@ -337,14 +337,14 @@ fn push_fetch<Pr: VertexProgram>(
     let meta = ctx.graph.meta();
     let dst_base = meta.interval_start(j);
     let mut pushed = 0u64;
+    // An always-active program's next frontier is already full.
+    let all_active = ctx.program.always_active();
 
     let mut push_range = |v: VertexId, recs: &crate::graph::EdgeRecords, lo: usize, hi: usize| {
         let src_val = &s_row[(v - row_base) as usize];
-        for k in lo..hi {
-            let dst = recs.neighbor(k);
-            let ectx = ctx.scatter_ctx(v, dst, recs.weight(k));
-            if let Some(msg) = ctx.program.scatter(src_val, &ectx) {
-                if ctx.program.combine(&mut d_j[(dst - dst_base) as usize], msg) {
+        for (dst, weight) in recs.walk(lo, hi) {
+            if let Some(msg) = ctx.program.scatter(src_val, &ctx.scatter_ctx(v, dst, weight)) {
+                if ctx.program.combine(&mut d_j[(dst - dst_base) as usize], msg) && !all_active {
                     ctx.next_active.set(dst);
                 }
             }

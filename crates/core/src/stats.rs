@@ -200,10 +200,11 @@ pub struct RunRecorder {
     current: (usize, u64, u64),
     iter_io_start: IoSnapshot,
     iter_start: Instant,
-    /// Tracker state at the last phase boundary, and the bytes lapped
-    /// into each phase since the iteration began. Inert (no snapshots)
-    /// while `hus_obs` collection is disabled.
-    phase_last: Option<IoSnapshot>,
+    /// Tracker state and clock at the last phase boundary, and the
+    /// bytes and wall time lapped into each phase since the iteration
+    /// began. Inert (no snapshots) while `hus_obs` collection is
+    /// disabled.
+    phase_last: Option<(IoSnapshot, Instant)>,
     phase_io: hus_obs::PhaseIo,
 }
 
@@ -253,18 +254,21 @@ impl RunRecorder {
         self.current = (iteration, active_vertices, active_edges);
         self.iter_io_start = self.tracker.snapshot();
         self.iter_start = Instant::now();
-        self.phase_last = hus_obs::enabled().then_some(self.iter_io_start);
+        self.phase_last = hus_obs::enabled().then_some((self.iter_io_start, self.iter_start));
         self.phase_io = hus_obs::PhaseIo::new();
     }
 
-    /// Attribute the bytes moved since the last phase boundary to the
-    /// `phase` that just ended; merged into the span-derived
-    /// [`PhaseStat`]s at the iteration's end.
+    /// Attribute the bytes moved and the wall time spent since the last
+    /// phase boundary to the `phase` that just ended; merged into the
+    /// span-derived [`PhaseStat`]s at the iteration's end. Called on the
+    /// engine's own thread, so a phase whose spans ran concurrently on
+    /// workers is still timed once.
     pub fn lap(&mut self, phase: &'static str) {
-        if let Some(last) = &mut self.phase_last {
-            let now = self.tracker.snapshot();
-            self.phase_io.add(phase, now.since(last).total_bytes());
-            *last = now;
+        if let Some((last_io, last_at)) = &mut self.phase_last {
+            let (io, at) = (self.tracker.snapshot(), Instant::now());
+            let wall = at.duration_since(*last_at).as_secs_f64();
+            self.phase_io.add(phase, io.since(last_io).total_bytes(), wall);
+            (*last_io, *last_at) = (io, at);
         }
     }
 

@@ -6,10 +6,12 @@
 //! spans never double-count, and keeps phases in first-appearance
 //! order, which matches execution order within an iteration.
 //!
-//! Wall time comes from spans; bytes come from the caller: engines that
-//! also meter I/O lap an [`PhaseIo`] accumulator at phase boundaries
-//! (diffing their `IoTracker` snapshots) and merge the byte totals into
-//! the aggregated stats.
+//! Spans running concurrently on worker threads overlap in time, so
+//! their sum can exceed the phase's wall time. Engines that lap a
+//! [`PhaseIo`] accumulator at phase boundaries on their own thread
+//! (diffing their `IoTracker` snapshots and clocks) therefore take each
+//! phase's wall time and bytes from the laps; the spans supply the
+//! counts and stay in the trace as per-worker detail.
 
 use crate::span::SpanEvent;
 use serde::{Deserialize, Serialize};
@@ -59,11 +61,11 @@ pub fn total_wall_seconds(phases: &[PhaseStat]) -> f64 {
     phases.iter().map(|p| p.wall_seconds).sum()
 }
 
-/// Per-phase byte accumulator, lapped by the engine at phase
-/// boundaries and merged into the span-derived [`PhaseStat`]s.
+/// Per-phase byte and wall-time accumulator, lapped by the engine at
+/// phase boundaries and merged into the span-derived [`PhaseStat`]s.
 #[derive(Debug, Default)]
 pub struct PhaseIo {
-    entries: Vec<(&'static str, u64)>,
+    entries: Vec<(&'static str, u64, f64)>,
 }
 
 impl PhaseIo {
@@ -72,23 +74,34 @@ impl PhaseIo {
         Self::default()
     }
 
-    /// Attribute `bytes` to `phase` (summing across laps).
-    pub fn add(&mut self, phase: &'static str, bytes: u64) {
-        match self.entries.iter_mut().find(|(n, _)| *n == phase) {
-            Some((_, b)) => *b += bytes,
-            None => self.entries.push((phase, bytes)),
+    /// Attribute `bytes` and `wall_seconds` to `phase` (summing across
+    /// laps).
+    pub fn add(&mut self, phase: &'static str, bytes: u64, wall_seconds: f64) {
+        match self.entries.iter_mut().find(|(n, ..)| *n == phase) {
+            Some((_, b, w)) => {
+                *b += bytes;
+                *w += wall_seconds;
+            }
+            None => self.entries.push((phase, bytes, wall_seconds)),
         }
     }
 
-    /// Fold the accumulated bytes into matching phases (by name).
-    /// Bytes for a phase with no span are dropped — spans and laps are
-    /// expected to bracket the same regions.
-    pub fn merge_into(&self, phases: &mut [PhaseStat]) {
-        for (name, bytes) in &self.entries {
-            if let Some(p) = phases.iter_mut().find(|p| p.name == *name) {
-                p.io_bytes += bytes;
-            }
+    /// Fold the laps into matching phases (by name): a lapped phase
+    /// takes its bytes and wall time from the laps. With no laps the
+    /// span totals stand; otherwise phases without a lap (spans of
+    /// someone else's regions) and laps without a span are dropped —
+    /// spans and laps are expected to bracket the same regions.
+    pub fn merge_into(&self, phases: &mut Vec<PhaseStat>) {
+        if self.entries.is_empty() {
+            return;
         }
+        phases.retain_mut(|p| match self.entries.iter().find(|(n, ..)| *n == p.name) {
+            Some(&(_, bytes, wall_seconds)) => {
+                (p.io_bytes, p.wall_seconds) = (bytes, wall_seconds);
+                true
+            }
+            None => false,
+        });
     }
 }
 
@@ -126,13 +139,39 @@ mod tests {
     fn phase_io_merges_by_name_and_sums_laps() {
         let mut phases = aggregate(&[ev("rop.row", 0, 1_000), ev("sync", 0, 100)]);
         let mut io = PhaseIo::new();
-        io.add("rop", 4096);
-        io.add("rop", 1024);
-        io.add("sync", 64);
-        io.add("ghost", 7); // no matching phase: dropped
+        io.add("rop", 4096, 0.25);
+        io.add("rop", 1024, 0.5);
+        io.add("sync", 64, 0.125);
+        io.add("ghost", 7, 1.0); // no matching phase: dropped
         io.merge_into(&mut phases);
-        assert_eq!(phases[0].io_bytes, 5120);
-        assert_eq!(phases[1].io_bytes, 64);
+        assert_eq!(phases.len(), 2);
+        assert_eq!((phases[0].io_bytes, phases[0].wall_seconds), (5120, 0.75));
+        assert_eq!((phases[1].io_bytes, phases[1].wall_seconds), (64, 0.125));
+    }
+
+    /// Two workers' overlapping depth-0 spans sum to twice the phase's
+    /// wall time; the engine thread's lap is the wall time.
+    #[test]
+    fn laps_not_overlapping_spans_give_the_wall_time() {
+        let mut phases = aggregate(&[
+            ev("predict", 0, 100),
+            ev("rop.row", 0, 1_000),
+            ev("rop.row", 0, 1_000),
+            ev("gather", 0, 50), // a region this engine did not lap
+        ]);
+        assert!((total_wall_seconds(&phases) - 2.15e-6).abs() < 1e-12);
+        let mut io = PhaseIo::new();
+        io.add("predict", 0, 1e-7);
+        io.add("rop", 0, 1e-6);
+        io.merge_into(&mut phases);
+        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["predict", "rop"]);
+        assert_eq!(phases[1].count, 2, "counts still come from the spans");
+        assert!((total_wall_seconds(&phases) - 1.1e-6).abs() < 1e-12);
+        // Without laps the span totals stand.
+        let mut spans_only = aggregate(&[ev("stream.column", 0, 10)]);
+        PhaseIo::new().merge_into(&mut spans_only);
+        assert_eq!(spans_only[0].wall_seconds, 1e-8);
     }
 
     #[test]

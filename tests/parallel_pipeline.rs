@@ -1,16 +1,22 @@
 //! Determinism stress tests for the parallel I/O pipeline: row-parallel
-//! ROP and deep COP readahead must be invisible to the algorithm — the
-//! same vertex values, bit for bit, and the same tracked I/O bytes as
-//! the serial single-threaded walk. (Unused readahead on early abort is
-//! reported via a separate counter, not folded into the run's totals.)
+//! ROP, column-parallel COP and deep COP readahead must be invisible to
+//! the algorithm — the same vertex values, bit for bit, and the same
+//! tracked I/O bytes as the serial single-threaded walk. (Unused
+//! readahead on early abort is reported via a separate counter, not
+//! folded into the run's totals.)
 //!
-//! The programs used here combine with `min`, which is commutative *and*
-//! order-insensitive in its bit pattern, so "bit-identical" is a hard
-//! assertion, not a tolerance check.
+//! `min` is order-insensitive in its bit pattern; the summing programs
+//! are not (float addition), so their bit-identity also pins every
+//! destination's accumulation order.
 
-use husgraph::algos::{Bfs, Wcc};
-use husgraph::core::{BuildConfig, Engine, HusGraph, RunConfig, UpdateMode};
-use husgraph::storage::StorageDir;
+use husgraph::algos::{Bfs, PageRank, Wcc};
+use husgraph::codec::Codec;
+use husgraph::core::{
+    BuildConfig, EdgeCtx, Engine, HusGraph, RunConfig, RunStats, SelectionGranularity, Synchrony,
+    UpdateMode, VertexProgram,
+};
+use husgraph::gen::EdgeList;
+use husgraph::storage::{IoSnapshot, StorageDir};
 
 fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
     let el = husgraph::gen::rmat(800, 8000, 99, Default::default());
@@ -23,16 +29,16 @@ fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
     let g = HusGraph::build_into(
         &el,
         &StorageDir::create(tmp.path()).unwrap(),
-        &BuildConfig::with_p_codec(p, husgraph::codec::Codec::Raw),
+        &BuildConfig::with_p_codec(p, Codec::Raw),
     )
     .unwrap();
     g.dir().tracker().reset();
     (tmp, g)
 }
 
-/// One thread is the serial walk: rows run inline, in order, and COP's
-/// readahead window (sized from the thread budget, clamped to 2..=8) is
-/// at its shallowest.
+/// One thread is the serial walk: rows run inline, in order, and COP
+/// pulls one column at a time through its shallowest readahead window
+/// (the thread budget, clamped to 2..=8).
 fn cfg(mode: UpdateMode, threads: usize) -> RunConfig {
     RunConfig { threads, ..RunConfig::with_mode(mode) }
 }
@@ -73,17 +79,21 @@ fn parallel_rop_repeated_runs_are_stable() {
     }
 }
 
+/// Gauss-Seidel pulls one column per unit, so each column keeps the
+/// whole thread budget for its readahead window: 4 and 6 blocks (the
+/// whole column at P = 6) here, against the one-thread window of 2.
 #[test]
 fn deep_cop_readahead_matches_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceCop, 1);
-    let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, serial_cfg).run().unwrap();
+    let gauss_seidel = |threads| RunConfig {
+        synchrony: Synchrony::GaussSeidel,
+        ..cfg(UpdateMode::ForceCop, threads)
+    };
+    let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, gauss_seidel(1)).run().unwrap();
 
-    // Windows of 4 and 6 blocks (the whole column at P = 6).
     for threads in [4, 8] {
         g.dir().tracker().reset();
-        let deep_cfg = cfg(UpdateMode::ForceCop, threads);
-        let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, deep_cfg).run().unwrap();
+        let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, gauss_seidel(threads)).run().unwrap();
         assert_eq!(serial_vals, deep_vals, "WCC values diverged at {threads} threads");
         assert_eq!(
             serial_stats.total_io.total_bytes(),
@@ -106,4 +116,168 @@ fn hybrid_pipeline_matches_serial_hybrid() {
         Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8)).run().unwrap();
     assert_eq!(serial_vals, par_vals);
     assert_eq!(serial_stats.total_io.total_bytes(), par_stats.total_io.total_bytes());
+}
+
+/// PageRank-shaped: every vertex re-derives `0.15 + 0.85 Σ in-rank /
+/// out-degree` each iteration, in order-sensitive float additions. Only
+/// vertices below `active_below` start active (unlike PageRank, it is
+/// not always active, so the frontier bits are read).
+struct RankSum {
+    active_below: u32,
+}
+
+impl VertexProgram for RankSum {
+    type Value = f32;
+    fn init(&self, v: u32) -> f32 {
+        1.0 / (v + 1) as f32
+    }
+    fn initially_active(&self, v: u32) -> bool {
+        v < self.active_below
+    }
+    fn scatter(&self, src: &f32, ctx: &EdgeCtx) -> Option<f32> {
+        Some(0.85 * src / ctx.src_out_degree as f32)
+    }
+    fn combine(&self, dst: &mut f32, msg: f32) -> bool {
+        *dst += msg;
+        true
+    }
+    fn reset(&self, _v: u32, _prev: &f32) -> f32 {
+        0.15
+    }
+    fn needs_reset(&self) -> bool {
+        true
+    }
+}
+
+/// Min-label propagation from the vertices below `active_below`.
+struct MinLabel {
+    active_below: u32,
+}
+
+impl VertexProgram for MinLabel {
+    type Value = u32;
+    fn init(&self, v: u32) -> u32 {
+        v
+    }
+    fn initially_active(&self, v: u32) -> bool {
+        v < self.active_below
+    }
+    fn scatter(&self, src: &u32, _ctx: &EdgeCtx) -> Option<u32> {
+        Some(*src)
+    }
+    fn combine(&self, dst: &mut u32, msg: u32) -> bool {
+        let smaller = msg < *dst;
+        *dst = (*dst).min(msg);
+        smaller
+    }
+}
+
+/// Run `program` at every thread count on a freshly opened handle of
+/// `el` (built once per codec, so no run inherits another's decoded-
+/// block cache) and require values and every iteration's I/O to equal
+/// the one-thread run. Returns the one-thread stats.
+fn same_at_every_thread_count<Pr>(
+    el: &EdgeList,
+    p: u32,
+    program: &Pr,
+    config: impl Fn(usize) -> RunConfig,
+) -> Vec<RunStats>
+where
+    Pr: VertexProgram,
+    Pr::Value: PartialEq + std::fmt::Debug,
+{
+    let mut serial = Vec::new();
+    for codec in [Codec::Raw, Codec::DeltaVarint] {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        HusGraph::build_into(el, &dir, &BuildConfig::with_p_codec(p, codec)).unwrap();
+        let run = |threads| {
+            let g = HusGraph::open(StorageDir::open(dir.root()).unwrap()).unwrap();
+            Engine::new(&g, program, config(threads)).run().unwrap()
+        };
+        let io = |stats: &RunStats| -> Vec<IoSnapshot> {
+            stats.iterations.iter().map(|it| it.io).collect()
+        };
+        let (want, one) = run(1);
+        for threads in [2, 3, 8] {
+            let (got, stats) = run(threads);
+            assert_eq!(got, want, "{codec:?}, P = {p}, {threads} threads: values");
+            assert_eq!(io(&stats), io(&one), "{codec:?}, P = {p}, {threads} threads: I/O");
+        }
+        serial.push(one);
+    }
+    serial
+}
+
+/// COP's column workers against the one-thread pipeline: a skewed rmat
+/// at P = 8 (more columns than some thread counts, fewer than others)
+/// and a P = 1 graph (one column, so one worker at any thread count),
+/// both codecs, an always-active PageRank and a frontier-reading
+/// min-label.
+#[test]
+fn cop_column_workers_match_one_thread_bit_for_bit() {
+    let el = husgraph::gen::rmat(3000, 30_000, 17, Default::default());
+    for p in [8, 1] {
+        let pagerank = PageRank::new(el.num_vertices);
+        let capped =
+            |threads| RunConfig { max_iterations: 5, ..cfg(UpdateMode::ForceCop, threads) };
+        same_at_every_thread_count(&el, p, &pagerank, capped);
+        let all = u32::MAX;
+        same_at_every_thread_count(&el, p, &MinLabel { active_below: all }, |threads| {
+            cfg(UpdateMode::ForceCop, threads)
+        });
+    }
+}
+
+/// A per-column mixed unit pulls two of eight columns and pushes into
+/// the rest: fewer columns than threads. A 200-cycle in intervals of
+/// 25 whose first two start active sends columns 0 and 1 a block's
+/// worth of pushes, which a pull streams cheaper; α = 2 keeps the gate
+/// open so every column is priced.
+#[test]
+fn mixed_unit_pulling_fewer_columns_than_threads_matches_one_thread() {
+    let el = husgraph::gen::classic::cycle(200);
+    let mixed = |threads| RunConfig {
+        mode: UpdateMode::Hybrid,
+        granularity: SelectionGranularity::PerColumn,
+        alpha: 2.0,
+        max_iterations: 3,
+        threads,
+        ..Default::default()
+    };
+    let sums = same_at_every_thread_count(&el, 8, &RankSum { active_below: 50 }, mixed);
+    let labels = same_at_every_thread_count(&el, 8, &MinLabel { active_below: 50 }, mixed);
+    for stats in sums.iter().chain(&labels) {
+        let first = &stats.iterations[0];
+        assert!(first.rop_units > 0 && (1..3).contains(&first.cop_units), "mixed: {first:?}");
+    }
+}
+
+/// Each phase's wall time is the engine thread's, not the sum of
+/// worker spans that overlap in time (concurrent ROP rows or COP
+/// columns at two threads sum to about twice the phase): the phases of
+/// an iteration fit inside it.
+#[test]
+fn phase_wall_times_fit_inside_their_iteration() {
+    let el = husgraph::gen::rmat(1 << 14, 200_000, 5, Default::default());
+    let tmp = tempfile::tempdir().unwrap();
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(8)).unwrap();
+    husgraph::obs::set_enabled(true);
+    for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop] {
+        let program = MinLabel { active_below: u32::MAX };
+        let (_, stats) = Engine::new(&g, &program, cfg(mode, 2)).run().unwrap();
+        assert!(stats.iterations.iter().any(|it| !it.phases.is_empty()), "{mode:?}: no phases");
+        for it in &stats.iterations {
+            let phases = husgraph::obs::phase::total_wall_seconds(&it.phases);
+            assert!(
+                phases <= it.wall_seconds + 1e-3,
+                "{mode:?} iteration {}: phases {phases} s in {} s: {:?}",
+                it.iteration,
+                it.wall_seconds,
+                it.phases
+            );
+        }
+    }
+    husgraph::obs::set_enabled(false);
 }
