@@ -248,14 +248,14 @@ pub fn modeled_hdd_seconds(stats: &RunStats) -> f64 {
 
 /// Environment knob: partition count (default 8).
 pub fn env_p() -> u32 {
-    std::env::var("HUS_P").ok().and_then(|s| s.parse().ok()).unwrap_or(8)
+    hus_obs::env::parse("HUS_P", 8)
 }
 
 /// Environment knob: worker threads (default 16, the paper machine's
 /// core count — the pool genuinely runs that many workers, and the
 /// modeled CPU term divides by it).
 pub fn env_threads() -> usize {
-    std::env::var("HUS_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(16)
+    hus_obs::env::parse("HUS_THREADS", 16)
 }
 
 /// Environment knob: `HUS_PROBE=1` measures the host's real read
@@ -266,7 +266,7 @@ pub fn env_threads() -> usize {
 pub fn env_probe_throughput() -> Option<Throughput> {
     static PROBED: std::sync::OnceLock<Option<Throughput>> = std::sync::OnceLock::new();
     *PROBED.get_or_init(|| {
-        if std::env::var("HUS_PROBE").as_deref() != Ok("1") {
+        if !hus_obs::env::flag("HUS_PROBE", false) {
             return None;
         }
         let opts = hus_storage::probe::ProbeOptions::default();

@@ -15,20 +15,14 @@
 //! worker; splitting each block across threads instead costs a fan-out
 //! per block and balances vertices, not edges.
 //!
-//! A unit with a single worker (one thread, Gauss-Seidel's one-column
-//! units, a one-column mixed unit) has no other column to overlap its
-//! I/O with, so it overlaps disk and CPU as the paper describes (§3.5:
-//! "the out-edges of the next out-block can be loaded before the
-//! processing of current out-block is finished if the memory is
-//! sufficient"): a small pool of producer threads fetches a window of
-//! blocks (the run's thread budget, clamped to 2..=8) ahead of the
-//! consumer — each block's `S_j`, in-index and edge records. Blocks are
-//! delivered strictly in column order regardless of which producer
-//! finishes first, so the result is bit-identical to a serial fetch
-//! loop; a fetch error cancels the remaining producers eagerly and
-//! surfaces to the caller, with the bytes of any
-//! already-prefetched-but-unconsumed blocks reported via the
-//! `cop.readahead_unused_bytes` counter.
+//! A unit with one worker (one thread, Gauss-Seidel's one-column units,
+//! a one-column mixed unit) runs the same loop on the caller. The
+//! paper's §3.5 overlap of the next block's read with the current
+//! block's pull comes from the other columns' workers in a multi-worker
+//! unit, and from the kernel's sequential prefetch on the column's
+//! `in_<j>.edges` file for a lone worker on the `file` and `mmap`
+//! backends (`direct` bypasses the page cache, so there a lone worker
+//! does not overlap).
 
 use crate::graph::{EdgeRecords, HusGraph};
 use crate::meta::INDEX_ENTRY_BYTES;
@@ -37,32 +31,14 @@ use crate::program::{EdgeCtx, VertexProgram};
 use crate::rop::{load_d, IterCtx};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
-use hus_storage::direct::DEFAULT_QUEUE_DEPTH;
 use hus_storage::{Access, Result};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Sizes (in edge records) of the streamed in-blocks — the distribution
 /// behind COP's sequential-I/O bill.
 static BLOCK_EDGES: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("cop.block_edges");
-/// Readahead window depth currently in effect.
-static READAHEAD_DEPTH: hus_obs::LazyGauge = hus_obs::LazyGauge::new("cop.readahead_depth");
-/// Nanoseconds the consumer waited for its next in-order block — near
-/// zero when the prefetchers keep up, the full fetch latency when not.
-static QUEUE_WAIT_NS: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("cop.queue_wait_ns");
-/// Edge-record bytes fetched ahead but never consumed (error paths).
-static READAHEAD_UNUSED: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("cop.readahead_unused_bytes");
-/// Columns degraded from the readahead pipeline to a synchronous fetch
-/// loop after a non-corruption pipeline failure.
-static OBS_SYNC_FALLBACKS: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("storage.fallback.sync");
-/// Log the pipeline→synchronous degradation once per process.
-static SYNC_FALLBACK_ONCE: std::sync::Once = std::sync::Once::new();
 
-/// One fetched in-block, ready to process.
+/// One fetched in-block, ready to pull.
 struct FetchedBlock<V> {
     /// Source interval of the block.
     src_interval: usize,
@@ -72,248 +48,6 @@ struct FetchedBlock<V> {
     index: Vec<u32>,
     /// The block's edge records.
     records: EdgeRecords,
-}
-
-/// Unwind guard for the prefetch pipeline: if the thread holding it
-/// panics (e.g. the consumer processing damaged-but-unverified bytes,
-/// see DESIGN.md §9), the pipeline is cancelled and every parked
-/// thread woken — otherwise the enclosing `thread::scope` would join
-/// producers that are waiting on a condvar nobody will ever signal,
-/// turning the panic into a deadlock.
-struct CancelOnUnwind<'a, V> {
-    state: &'a Mutex<PipelineState<V>>,
-    wakeup: &'a Condvar,
-}
-
-impl<V> Drop for CancelOnUnwind<'_, V> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Ok(mut st) = self.state.lock() {
-                st.cancelled = true;
-            }
-            self.wakeup.notify_all();
-        }
-    }
-}
-
-/// Shared state of the ordered prefetch pipeline.
-struct PipelineState<V> {
-    /// Blocks fetched but not yet consumed, keyed by sequence number.
-    ready: BTreeMap<usize, Result<FetchedBlock<V>>>,
-    /// Next sequence number the consumer will take; producers stay
-    /// within `next_emit + depth`.
-    next_emit: usize,
-    /// Set by the consumer (on error) or by a failed producer; everyone
-    /// drains out promptly instead of fetching blocks nobody will read.
-    cancelled: bool,
-}
-
-/// How many in-blocks the producer pool may fetch ahead of the
-/// consumer: the run's thread budget, clamped to 2..=8 — each resident
-/// block costs one in-block plus one `S` interval of memory.
-fn readahead_window() -> usize {
-    rayon::current_num_threads().clamp(2, 8)
-}
-
-/// Process column `col` under COP with a [`readahead_window`] of blocks
-/// and at most [`DEFAULT_QUEUE_DEPTH`] concurrent producer fetches.
-/// Returns the updated `D_col` (not yet written back) and the number of
-/// edge records streamed (COP pays for every in-edge of the column,
-/// active or not — that is its trade).
-///
-/// If the readahead pipeline fails with a non-corruption error (a
-/// transient fault that survived the retry policy, a thread-pool
-/// breakage, ...), the column is re-run once with a plain synchronous
-/// fetch loop before the error is surfaced — the degradation is logged
-/// once and counted in `storage.fallback.sync` / the run's
-/// [`ResilienceSnapshot`](hus_storage::ResilienceSnapshot). Corruption
-/// (checksum mismatches, bad casts) is never masked by a retry.
-fn process_column<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    store: &VertexStore<Pr::Value>,
-    col: usize,
-) -> Result<(Vec<Pr::Value>, u64)> {
-    match process_column_inner(ctx, store, col, true) {
-        // A crossed deadline is a final verdict on the query, not a
-        // pipeline fault — re-running the column synchronously would
-        // only overshoot the budget further.
-        Err(e) if !e.is_corruption() && !e.is_deadline() => {
-            hus_storage::retry::warn_once(
-                &SYNC_FALLBACK_ONCE,
-                "COP readahead pipeline failed; degrading to synchronous block fetches",
-            );
-            OBS_SYNC_FALLBACKS.add(1);
-            ctx.graph.dir().resilience().record_sync_fallback();
-            if hus_obs::heatmap_enabled() {
-                // Every non-empty block of the column is re-fetched
-                // synchronously; mark them all degraded on the heatmap.
-                for i in 0..ctx.graph.p() {
-                    if ctx.graph.in_block_len(i, col) > 0 {
-                        hus_obs::attr::record_at(
-                            i as u32,
-                            col as u32,
-                            hus_obs::BlockStat::Degradations,
-                            1,
-                        );
-                    }
-                }
-            }
-            process_column_inner(ctx, store, col, false)
-        }
-        other => other,
-    }
-}
-
-/// The actual column walk; without `pipelined` it is the fully
-/// synchronous fetch loop (a column worker's, and the degraded mode).
-fn process_column_inner<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    store: &VertexStore<Pr::Value>,
-    col: usize,
-    pipelined: bool,
-) -> Result<(Vec<Pr::Value>, u64)> {
-    let meta = ctx.graph.meta();
-    let mut d_col = load_d(ctx.program, store, col, Access::Sequential)?;
-    let dst_base = meta.interval_start(col);
-    let mut streamed = 0u64;
-
-    let fetch = |i: usize| -> Result<FetchedBlock<Pr::Value>> {
-        // The whole fetch (vertex chunk + index + edge stream) runs
-        // under block (i, col)'s attribution scope, so the heatmap sees
-        // the column's vertex-value traffic too, not just edge bytes.
-        hus_obs::attr::with_block(i as u32, col as u32, || {
-            let s_block = store.load_current(i, Access::Sequential)?;
-            let index = ctx.graph.load_in_index(i, col, Access::Sequential)?;
-            let records = ctx.graph.stream_in_block(i, col)?;
-            Ok(FetchedBlock { src_interval: i, s_block, index, records })
-        })
-    };
-
-    let blocks: Vec<usize> =
-        (0..ctx.graph.p()).filter(|&i| ctx.graph.in_block_len(i, col) > 0).collect();
-
-    let depth = if pipelined { readahead_window().min(blocks.len()) } else { 1 };
-    READAHEAD_DEPTH.set(depth as u64);
-    if depth <= 1 {
-        // Nothing to overlap (a column worker, or degraded mode): fetch
-        // inline.
-        for &i in &blocks {
-            crate::engine::check_deadline(ctx.deadline.as_ref())?;
-            let block = fetch(i)?;
-            BLOCK_EDGES.record(block.records.len() as u64);
-            streamed += block.records.len() as u64;
-            pull_block(ctx, &block, dst_base, &mut d_col);
-        }
-        return Ok((d_col, streamed));
-    }
-
-    // N-deep ordered prefetch pipeline (paper §3.5): producers claim
-    // sequence numbers, fetch within the sliding window, and park the
-    // result in the ready map; the consumer takes blocks strictly in
-    // order.
-    let state = Mutex::new(PipelineState::<Pr::Value> {
-        ready: BTreeMap::new(),
-        next_emit: 0,
-        cancelled: false,
-    });
-    let wakeup = Condvar::new();
-    let next_fetch = AtomicUsize::new(0);
-    // Producer fan-out = the software queue depth presented to the
-    // storage backend (the direct-I/O backend's read fan-out has the
-    // same width), clamped by the window (more producers than resident
-    // slots would just park).
-    let producers = depth.min(DEFAULT_QUEUE_DEPTH);
-    let record_bytes = meta.edge_record_bytes();
-
-    let result: Result<()> = std::thread::scope(|scope| {
-        for _ in 0..producers {
-            scope.spawn(|| {
-                let _cancel = CancelOnUnwind { state: &state, wakeup: &wakeup };
-                loop {
-                    let seq = next_fetch.fetch_add(1, Ordering::Relaxed);
-                    if seq >= blocks.len() {
-                        break;
-                    }
-                    {
-                        let mut st = state.lock().expect("pipeline state poisoned");
-                        while !st.cancelled && seq >= st.next_emit + depth {
-                            st = wakeup.wait(st).expect("pipeline state poisoned");
-                        }
-                        if st.cancelled {
-                            break;
-                        }
-                    }
-                    let fetched = fetch(blocks[seq]);
-                    let failed = fetched.is_err();
-                    let mut st = state.lock().expect("pipeline state poisoned");
-                    if failed {
-                        // Stop the pool eagerly; the consumer will hit the
-                        // error when it reaches this sequence number.
-                        st.cancelled = true;
-                    }
-                    st.ready.insert(seq, fetched);
-                    wakeup.notify_all();
-                    if failed {
-                        break;
-                    }
-                }
-            });
-        }
-
-        let _cancel = CancelOnUnwind { state: &state, wakeup: &wakeup };
-        for seq in 0..blocks.len() {
-            if let Err(e) = crate::engine::check_deadline(ctx.deadline.as_ref()) {
-                // Same teardown as a fetch error: cancel the producer
-                // pool so no thread keeps reading past the deadline.
-                let mut st = state.lock().expect("pipeline state poisoned");
-                st.cancelled = true;
-                st.ready.clear();
-                wakeup.notify_all();
-                return Err(e);
-            }
-            let t0 = hus_obs::latency_timer();
-            let fetched = {
-                let mut st = state.lock().expect("pipeline state poisoned");
-                loop {
-                    if let Some(b) = st.ready.remove(&seq) {
-                        st.next_emit = seq + 1;
-                        wakeup.notify_all();
-                        break b;
-                    }
-                    st = wakeup.wait(st).expect("pipeline state poisoned");
-                }
-            };
-            QUEUE_WAIT_NS.record_elapsed(t0);
-            let block = match fetched {
-                Ok(b) => b,
-                Err(e) => {
-                    // Cancel the pool and account for blocks that were
-                    // fetched ahead but will never be consumed.
-                    let mut st = state.lock().expect("pipeline state poisoned");
-                    st.cancelled = true;
-                    let unused: u64 = st
-                        .ready
-                        .values()
-                        .filter_map(|r| r.as_ref().ok())
-                        .map(|b| b.records.len() as u64 * record_bytes)
-                        .sum();
-                    if unused > 0 {
-                        READAHEAD_UNUSED.add(unused);
-                    }
-                    st.ready.clear();
-                    wakeup.notify_all();
-                    return Err(e);
-                }
-            };
-            BLOCK_EDGES.record(block.records.len() as u64);
-            streamed += block.records.len() as u64;
-            pull_block(ctx, &block, dst_base, &mut d_col);
-        }
-        Ok(())
-    });
-    result?;
-
-    Ok((d_col, streamed))
 }
 
 /// The I/O plan of pulling column `col`: exactly the bytes
@@ -346,32 +80,54 @@ pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
 /// Pull the columns `cols` and write each one's `D` back (the caller
 /// commits them together afterwards). The columns write disjoint `D`
 /// buffers, so they fan out over the run's pool with no write
-/// conflicts; the first error in column order wins. A unit with one
-/// worker streams its columns through the readahead pipeline, its only
-/// overlap; with more, every worker fetches its own column
-/// synchronously and the other workers' columns are the overlap.
-/// Returns the total edge records streamed.
+/// conflicts; the first error in column order wins. Returns the total
+/// edge records streamed.
 pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     cols: &[usize],
 ) -> Result<u64> {
-    let pipelined = rayon::current_num_threads().min(cols.len()) == 1;
     let streamed = cols
         .to_vec()
         .into_par_iter()
         .map(|col| {
             let _s = span!("cop.column", interval = col);
-            let (d_col, n) = if pipelined {
-                process_column(ctx, store, col)?
-            } else {
-                process_column_inner(ctx, store, col, false)?
-            };
+            let (d_col, n) = pull_column(ctx, store, col)?;
             store.write_next(col, &d_col)?;
             Ok(n)
         })
         .collect::<Result<Vec<u64>>>()?;
     Ok(streamed.iter().sum())
+}
+
+/// Pull column `col`: load `D_col`, then fetch and pull its non-empty
+/// in-blocks in source order. Returns the updated `D_col` (not yet
+/// written back) and the number of edge records streamed (COP pays for
+/// every in-edge of the column, active or not — that is its trade).
+fn pull_column<Pr: VertexProgram>(
+    ctx: &IterCtx<'_, Pr>,
+    store: &VertexStore<Pr::Value>,
+    col: usize,
+) -> Result<(Vec<Pr::Value>, u64)> {
+    let mut d_col = load_d(ctx.program, store, col, Access::Sequential)?;
+    let dst_base = ctx.graph.meta().interval_start(col);
+    let mut streamed = 0u64;
+    for i in (0..ctx.graph.p()).filter(|&i| ctx.graph.in_block_len(i, col) > 0) {
+        crate::engine::check_deadline(ctx.deadline.as_ref())?;
+        // The whole fetch (vertex chunk + index + edge stream) runs
+        // under block (i, col)'s attribution scope, so the heatmap sees
+        // the column's vertex-value traffic too, not just edge bytes.
+        let block = hus_obs::attr::with_block(i as u32, col as u32, || -> Result<_> {
+            let s_block = store.load_current(i, Access::Sequential)?;
+            let index = ctx.graph.load_in_index(i, col, Access::Sequential)?;
+            let records = ctx.graph.stream_in_block(i, col)?;
+            Ok(FetchedBlock { src_interval: i, s_block, index, records })
+        })?;
+        BLOCK_EDGES.record(block.records.len() as u64);
+        streamed += block.records.len() as u64;
+        pull_block(ctx, &block, dst_base, &mut d_col);
+    }
+    Ok((d_col, streamed))
 }
 
 /// The in-memory pull of one fetched block into `D_col`: every
@@ -443,9 +199,9 @@ mod tests {
     }
 
     /// A mid-stream fetch failure must surface as an error to the
-    /// caller (not hang the pipeline, not panic a producer) — through
-    /// the readahead pipeline at one thread and through the column
-    /// workers at four. The in-edges shard is truncated *after* open, so
+    /// caller (not hang, not panic a worker) — from the caller's own loop
+    /// at one thread and from the column workers at four. The in-edges
+    /// shard is truncated *after* open, so
     /// `FileBackend`'s cached length admits the read and the underlying
     /// `pread` fails mid-column.
     #[test]
@@ -471,7 +227,7 @@ mod tests {
                 done_tx.send(result.is_err()).unwrap();
             });
             // The run must finish promptly with an error; a deadlocked
-            // pipeline would leave the channel empty.
+            // run would leave the channel empty.
             let failed = done_rx
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .expect("COP run hung on a mid-stream storage error");
@@ -527,7 +283,7 @@ mod tests {
     }
 
     /// A crossed deadline stops the unit with the typed error — in the
-    /// column workers (two threads) as in the pipeline (one).
+    /// column workers (two threads) as on the caller (one).
     #[test]
     fn expired_deadline_stops_column_workers_with_the_typed_error() {
         let el = hus_gen::rmat(300, 3000, 5, Default::default());

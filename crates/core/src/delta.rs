@@ -329,7 +329,7 @@ impl DynamicGraph {
             graph,
             memtable: Memtable::default(),
             runs,
-            memtable_budget: crate::engine::env_parse("HUS_MEMTABLE_BYTES", DEFAULT_MEMTABLE_BYTES)
+            memtable_budget: hus_obs::env::parse("HUS_MEMTABLE_BYTES", DEFAULT_MEMTABLE_BYTES)
                 .max(MEMTABLE_ENTRY_BYTES),
             dirty,
             generation: manifest.generation,

@@ -194,17 +194,6 @@ pub fn check_deadline(d: Option<&Deadline>) -> Result<()> {
     }
 }
 
-pub(crate) fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-pub(crate) fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")),
-        Err(_) => default,
-    }
-}
-
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
@@ -217,8 +206,8 @@ impl Default for RunConfig {
             max_iterations: 1_000,
             throughput: hus_storage::DeviceProfile::hdd().read,
             scratch_name: None,
-            verify_checksums: env_flag("HUS_VERIFY", false),
-            checkpoint_every: env_parse("HUS_CKPT", 0),
+            verify_checksums: hus_obs::env::flag("HUS_VERIFY", false),
+            checkpoint_every: hus_obs::env::parse("HUS_CKPT", 0),
             deadline: None,
         }
     }
@@ -763,9 +752,7 @@ mod tests {
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
         for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop] {
             // A cutoff already in the past: the run must abort at the
-            // first check with the typed error, under both models — the
-            // readahead pipeline's synchronous fallback must not retry
-            // a crossed deadline.
+            // first check with the typed error, under both models.
             let deadline = Some(Deadline {
                 at: Instant::now() - std::time::Duration::from_millis(1),
                 budget_ms: 7,

@@ -108,7 +108,7 @@ impl HusGraph {
             )));
         }
         let codec = meta.codec().map_err(StorageError::Corrupt)?;
-        let verify = Arc::new(AtomicBool::new(crate::engine::env_flag("HUS_VERIFY", false)));
+        let verify = Arc::new(AtomicBool::new(hus_obs::env::flag("HUS_VERIFY", false)));
         // Footers are integrity metadata, loaded untracked at open like
         // the manifest (and before the readers: compressed shards hand
         // their CRCs to the decoding backends). A graph that claims

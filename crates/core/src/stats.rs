@@ -80,8 +80,8 @@ pub struct RunStats {
     /// Worker threads used.
     pub threads: usize,
     /// Storage resilience events during the run: retries of transient
-    /// read errors, giveups, degradations (mmap→file, batched→per-range,
-    /// readahead→sync) and checksum failures. All zero on a healthy run;
+    /// read errors, giveups, degradations (mmap→file, direct→file,
+    /// batched→per-range) and checksum failures. All zero on a healthy run;
     /// see DESIGN.md §9.
     pub resilience: ResilienceSnapshot,
     /// Checkpoint/restore activity (`RunConfig::checkpoint_every` /

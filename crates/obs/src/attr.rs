@@ -66,7 +66,7 @@ pub enum BlockStat {
     DecodeNs,
     /// Read retries (transient I/O errors and checksum re-verifies).
     Retries,
-    /// Degraded paths taken (ranged→per-range, readahead→sync, mmap→file).
+    /// Degraded paths taken (batched→per-range reads).
     Degradations,
 }
 

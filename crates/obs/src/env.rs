@@ -7,6 +7,10 @@
 //! `docs_sync` integration test — edit this file, then paste the
 //! regenerated table between the README's `env-table` markers (the test
 //! prints the expected text on mismatch).
+//!
+//! Knobs are read through [`flag`] and [`parse`], so every knob accepts
+//! the same spellings and a malformed value is reported, not silently
+//! read as something else.
 
 /// One documented environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +34,7 @@ pub const KNOBS: &[EnvKnob] = &[
                  `file` (buffered `pread`), `mmap` (shared map copy-out) or `direct` \
                  (`O_DIRECT`, pooled aligned buffers; degrades to `file` on \
                  filesystems that refuse `O_DIRECT`, e.g. tmpfs — see `DESIGN.md` \
-                 §3.5)",
+                 §6, piece 6)",
     },
     EnvKnob {
         name: "HUS_CKPT",
@@ -60,7 +64,7 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HUS_FAULT",
         default: "unset",
         effect: "storage fault injection for resilience testing, e.g. \
-                 `seed=7,eio=0.01,short=0.005,flip=0.001,delay=0.01,delay_ms=2` \
+                 `seed=7,eio=0.01,short=0.005,flip=0.001,delay_p=0.01,delay_ms=2` \
                  (probabilities per read op) plus the write-path kinds \
                  `enospc`, `shortw`, `torn` and `fsync_fail` (probabilities per \
                  durable write; a fired write fault rolls the store back to the \
@@ -180,6 +184,54 @@ pub fn knob(name: &str) -> Option<&'static EnvKnob> {
     KNOBS.iter().find(|k| k.name == name)
 }
 
+/// Read the boolean knob `name`: `1`/`true`/`yes`/`on` enable it,
+/// `0`/`false`/`no`/`off` and the empty string disable it (any case),
+/// and unset means `default`. Any other value is reported on stderr and
+/// means `default`.
+pub fn flag(name: &'static str, default: bool) -> bool {
+    match std::env::var(name) {
+        Ok(raw) => flag_value(name, &raw, default),
+        Err(_) => default,
+    }
+}
+
+/// Read the knob `name` as a `T`; unset or empty means `default`. A
+/// value that does not parse is reported on stderr and means `default`.
+pub fn parse<T: std::str::FromStr + std::fmt::Display>(name: &'static str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(raw) if !raw.is_empty() => parse_value(name, &raw, default),
+        _ => default,
+    }
+}
+
+fn flag_value(name: &'static str, raw: &str, default: bool) -> bool {
+    match raw.to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" | "on" => true,
+        "0" | "false" | "no" | "off" | "" => false,
+        _ => malformed(name, raw, default),
+    }
+}
+
+fn parse_value<T: std::str::FromStr + std::fmt::Display>(
+    name: &'static str,
+    raw: &str,
+    default: T,
+) -> T {
+    raw.parse().unwrap_or_else(|_| malformed(name, raw, default))
+}
+
+/// Report a malformed value — once per knob, since some knobs are read
+/// per run — and fall back to `default`.
+fn malformed<T: std::fmt::Display>(name: &'static str, raw: &str, default: T) -> T {
+    static WARNED: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+    let mut warned = WARNED.lock().unwrap_or_else(|e| e.into_inner());
+    if !warned.contains(&name) {
+        warned.push(name);
+        eprintln!("warning: ignoring malformed {name}={raw:?}; using {default}");
+    }
+    default
+}
+
 /// Render the registry as the README's markdown table (header + one row
 /// per knob, sorted by name).
 pub fn markdown_table() -> String {
@@ -214,6 +266,39 @@ mod tests {
     fn lookup_finds_registered_names() {
         assert!(knob("HUS_TRACE").is_some());
         assert!(knob("NOT_A_REGISTERED_KNOB").is_none());
+    }
+
+    #[test]
+    fn flags_accept_the_usual_spellings_in_any_case() {
+        for raw in ["1", "true", "TRUE", "Yes", "on", "ON"] {
+            assert!(flag_value("TEST_FLAG", raw, false), "{raw:?}");
+        }
+        for raw in ["0", "false", "False", "no", "NO", "off", ""] {
+            assert!(!flag_value("TEST_FLAG", raw, true), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_values_fall_back_to_the_default() {
+        for default in [false, true] {
+            for raw in ["2", "enable", "y", " 1"] {
+                assert_eq!(flag_value("TEST_FLAG", raw, default), default, "{raw:?}");
+            }
+        }
+        assert_eq!(parse_value("TEST_NUM", "5s", 7u64), 7);
+        assert_eq!(parse_value("TEST_NUM", "abc", 0usize), 0);
+        assert_eq!(parse_value("TEST_NUM", "-1", 3u64), 3);
+        assert_eq!(parse_value("TEST_NUM", "250", 0u64), 250);
+        assert_eq!(parse_value("TEST_NUM", "2.5", 1.0f64), 2.5);
+    }
+
+    #[test]
+    fn unset_knobs_read_as_the_default() {
+        let unset = "TEST_KNOB_NEVER_SET";
+        assert!(std::env::var(unset).is_err());
+        assert!(flag(unset, true));
+        assert!(!flag(unset, false));
+        assert_eq!(parse(unset, 42u32), 42);
     }
 
     #[test]

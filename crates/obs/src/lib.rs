@@ -77,8 +77,9 @@ pub fn set_enabled(on: bool) {
 /// One-time environment wiring: if `HUS_TRACE` names a file, install a
 /// JSONL sink writing there and enable collection; if
 /// `HUS_METRICS_ADDR` is set, start the OpenMetrics exporter (which
-/// also enables collection); if `HUS_HEATMAP=1`, enable per-block
-/// attribution. Idempotent and cheap to call at every engine run.
+/// also enables collection); if the `HUS_HEATMAP` flag is on, enable
+/// per-block attribution. Idempotent and cheap to call at every engine
+/// run.
 pub fn init_from_env() {
     ENV_INIT.get_or_init(|| {
         if let Ok(path) = std::env::var(TRACE_ENV) {
@@ -92,7 +93,7 @@ pub fn init_from_env() {
                 }
             }
         }
-        if std::env::var(attr::HEATMAP_ENV).is_ok_and(|v| v == "1") {
+        if env::flag(attr::HEATMAP_ENV, false) {
             attr::set_heatmap_enabled(true);
         }
     });

@@ -179,26 +179,23 @@ pub struct ServeConfig {
     pub chaos_ops: bool,
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 impl ServeConfig {
     /// Defaults with the environment knobs applied.
     pub fn from_env() -> Self {
-        let max_inflight = env_parse(MAX_INFLIGHT_ENV, DEFAULT_MAX_INFLIGHT).max(1);
+        use hus_obs::env::parse;
+        let max_inflight = parse(MAX_INFLIGHT_ENV, DEFAULT_MAX_INFLIGHT).max(1);
         ServeConfig {
             addr: std::env::var(SERVE_ADDR_ENV)
                 .ok()
                 .filter(|a| !a.is_empty())
                 .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
             max_inflight,
-            byte_budget: env_parse(BYTE_BUDGET_ENV, 0u64),
+            byte_budget: parse(BYTE_BUDGET_ENV, 0u64),
             accept_queue: (max_inflight * 4).max(16),
             query_threads: 1,
             refresh_interval_ms: 200,
-            deadline_ms: env_parse(QUERY_DEADLINE_ENV, 0u64),
-            idle_ms: env_parse(IDLE_MS_ENV, DEFAULT_IDLE_MS),
+            deadline_ms: parse(QUERY_DEADLINE_ENV, 0u64),
+            idle_ms: parse(IDLE_MS_ENV, DEFAULT_IDLE_MS),
             chaos_ops: false,
         }
     }

@@ -97,12 +97,21 @@ impl SnapshotManager {
     /// Re-pin if the on-disk generation moved past the current pin.
     /// Returns `true` when a new snapshot was swapped in. In-flight
     /// queries keep their old `Arc` untouched (MVCC).
+    ///
+    /// A compaction's directory swap that lands while the new snapshot
+    /// is being opened would mix two generations' files in one view, so
+    /// only a generation that held still across the whole open is
+    /// pinned; otherwise the refresh is retried on the next tick.
     pub fn refresh(&self) -> Result<bool> {
         let pinned = self.current.read().unwrap().generation;
-        if self.disk_generation()? == pinned {
+        let on_disk = self.disk_generation()?;
+        if on_disk == pinned {
             return Ok(false);
         }
         let snap = Arc::new(Self::load(&self.dir)?);
+        if snap.generation != on_disk || self.disk_generation()? != on_disk {
+            return Ok(false);
+        }
         GENERATION_GAUGE.set(snap.generation);
         *self.current.write().unwrap() = snap;
         Ok(true)

@@ -90,7 +90,7 @@ impl Drop for AlignedBuf {
 /// capacity (reusing a pooled one when large enough, allocating
 /// otherwise); [`give`](BufPool::give) returns it. The pool keeps at most
 /// `max_pooled` buffers and drops the smallest first when over budget, so
-/// a burst of large readahead buffers does not pin memory forever.
+/// a burst of large bounce buffers does not pin memory forever.
 pub struct BufPool {
     free: Mutex<Vec<AlignedBuf>>,
     max_pooled: usize,

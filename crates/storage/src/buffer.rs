@@ -10,8 +10,8 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Default chunk size for streaming scans (matches a typical readahead
-/// window; large enough that per-chunk tracker updates are negligible).
+/// Default chunk size for streaming scans (large enough that per-chunk
+/// tracker updates are negligible).
 pub const DEFAULT_CHUNK: usize = 4 << 20;
 
 /// Buffered writer that bills every byte to the shared tracker.

@@ -15,8 +15,8 @@
 //!
 //! The page map is split into power-of-two **shards**, each with its own
 //! LRU clock, page table and stats, selected by the low bits of the page
-//! number. Concurrent readers (parallel ROP rows, the COP prefetcher
-//! pool) therefore contend only when they touch the same shard; the
+//! number. Concurrent readers (parallel ROP rows, COP column workers)
+//! therefore contend only when they touch the same shard; the
 //! `storage.cache.shard_contention` counter records how often a reader
 //! found its shard lock held.
 
@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default page size (64 KiB — readahead-window sized).
+/// Default page size (64 KiB — one large sequential read request).
 pub const DEFAULT_PAGE_BYTES: usize = 64 << 10;
 
 /// Upper bound on the default shard count (per-cache; explicit

@@ -12,7 +12,7 @@
 //! requested bytes as [`crate::FileBackend`].
 //!
 //! `read_ranges` is submitted at queue depth instead of as one spanning
-//! `pread`: a scoped-thread fan-out of up to [`DEFAULT_QUEUE_DEPTH`]
+//! `pread`: a scoped-thread fan-out of up to `DEFAULT_QUEUE_DEPTH` (8)
 //! aligned bounce reads, billed as the requested bytes in one operation.
 
 use crate::aligned::{align_down, align_up, AlignedBuf, BufPool, DIRECT_ALIGN};
@@ -34,9 +34,8 @@ const O_DIRECT: i32 = 0o200000;
 const O_DIRECT: i32 = 0o40000;
 
 /// I/O queue depth: the in-flight request target of a vectored
-/// submission here, shared with the COP pipeline's producer pool in
-/// `hus-core`.
-pub const DEFAULT_QUEUE_DEPTH: usize = 8;
+/// submission.
+const DEFAULT_QUEUE_DEPTH: usize = 8;
 
 /// Per-access-class direct-read latency in nanoseconds (the direct twin of
 /// `storage.file.read_ns.*`).

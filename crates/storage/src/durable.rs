@@ -29,15 +29,12 @@ use std::sync::OnceLock;
 /// recovery harness can assert the crash actually fired.
 pub const CRASH_EXIT_CODE: i32 = 86;
 
-/// Whether fsync calls are live (`true` unless `HUS_NO_FSYNC` is set to
-/// a truthy value). Cached on first use: the knob is a process-level
-/// test accommodation, not a runtime toggle.
+/// Whether fsync calls are live (`true` unless the `HUS_NO_FSYNC` flag
+/// is on). Cached on first use: the knob is a process-level test
+/// accommodation, not a runtime toggle.
 pub fn fsync_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("HUS_NO_FSYNC") {
-        Ok(v) => v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false"),
-        Err(_) => true,
-    })
+    *ENABLED.get_or_init(|| !hus_obs::env::flag("HUS_NO_FSYNC", false))
 }
 
 /// Flush a regular file's data and metadata to stable storage

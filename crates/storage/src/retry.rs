@@ -38,7 +38,6 @@ static GAUGE_GIVEUPS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.g
 static GAUGE_MMAP_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.mmap_fallbacks");
 static GAUGE_DIRECT_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.direct_fallbacks");
 static GAUGE_RANGED_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.ranged_fallbacks");
-static GAUGE_SYNC_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.sync_fallbacks");
 static GAUGE_CRC_FAIL: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.checksum_failures");
 static GAUGE_WRITE_FAULTS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.write_faults");
 static GAUGE_SPILL_ROLLBACKS: hus_obs::LazyGauge =
@@ -100,7 +99,6 @@ pub struct ResilienceTracker {
     mmap_fallbacks: AtomicU64,
     direct_fallbacks: AtomicU64,
     ranged_fallbacks: AtomicU64,
-    sync_fallbacks: AtomicU64,
     checksum_failures: AtomicU64,
     write_faults: AtomicU64,
     spill_rollbacks: AtomicU64,
@@ -139,11 +137,6 @@ impl ResilienceTracker {
         self.ranged_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one readahead→synchronous column degradation.
-    pub fn record_sync_fallback(&self) {
-        self.sync_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one checksum verification failure.
     pub fn record_checksum_failure(&self) {
         self.checksum_failures.fetch_add(1, Ordering::Relaxed);
@@ -180,7 +173,6 @@ impl ResilienceTracker {
         GAUGE_MMAP_FB.set(s.mmap_fallbacks);
         GAUGE_DIRECT_FB.set(s.direct_fallbacks);
         GAUGE_RANGED_FB.set(s.ranged_fallbacks);
-        GAUGE_SYNC_FB.set(s.sync_fallbacks);
         GAUGE_CRC_FAIL.set(s.checksum_failures);
         GAUGE_WRITE_FAULTS.set(s.write_faults);
         GAUGE_SPILL_ROLLBACKS.set(s.spill_rollbacks);
@@ -195,7 +187,6 @@ impl ResilienceTracker {
             mmap_fallbacks: self.mmap_fallbacks.load(Ordering::Relaxed),
             direct_fallbacks: self.direct_fallbacks.load(Ordering::Relaxed),
             ranged_fallbacks: self.ranged_fallbacks.load(Ordering::Relaxed),
-            sync_fallbacks: self.sync_fallbacks.load(Ordering::Relaxed),
             checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
             write_faults: self.write_faults.load(Ordering::Relaxed),
             spill_rollbacks: self.spill_rollbacks.load(Ordering::Relaxed),
@@ -218,8 +209,6 @@ pub struct ResilienceSnapshot {
     pub direct_fallbacks: u64,
     /// Batched→per-range read degradations.
     pub ranged_fallbacks: u64,
-    /// Readahead→synchronous column degradations.
-    pub sync_fallbacks: u64,
     /// Block reads whose CRC-32C did not match the shard footer.
     pub checksum_failures: u64,
     /// Write-path faults (injected or real) on durable writes.
@@ -240,7 +229,6 @@ impl ResilienceSnapshot {
             mmap_fallbacks: self.mmap_fallbacks.saturating_sub(earlier.mmap_fallbacks),
             direct_fallbacks: self.direct_fallbacks.saturating_sub(earlier.direct_fallbacks),
             ranged_fallbacks: self.ranged_fallbacks.saturating_sub(earlier.ranged_fallbacks),
-            sync_fallbacks: self.sync_fallbacks.saturating_sub(earlier.sync_fallbacks),
             checksum_failures: self.checksum_failures.saturating_sub(earlier.checksum_failures),
             write_faults: self.write_faults.saturating_sub(earlier.write_faults),
             spill_rollbacks: self.spill_rollbacks.saturating_sub(earlier.spill_rollbacks),
@@ -252,7 +240,7 @@ impl ResilienceSnapshot {
 
     /// Total degradation events of any kind.
     pub fn total_fallbacks(&self) -> u64 {
-        self.mmap_fallbacks + self.direct_fallbacks + self.ranged_fallbacks + self.sync_fallbacks
+        self.mmap_fallbacks + self.direct_fallbacks + self.ranged_fallbacks
     }
 
     /// Whether any resilience event occurred at all.

@@ -707,14 +707,13 @@ fn draw_top_frame(
     );
     println!(
         "resilience: {} retries, {} giveups, {} checksum failures, \
-         fallbacks {} mmap / {} direct / {} ranged / {} sync",
+         fallbacks {} mmap / {} direct / {} ranged",
         resilience.retries,
         resilience.giveups,
         resilience.checksum_failures,
         resilience.mmap_fallbacks,
         resilience.direct_fallbacks,
         resilience.ranged_fallbacks,
-        resilience.sync_fallbacks,
     );
     let heat = hus_obs::attr::render_heatmap(&hus_obs::attr::snapshot());
     if !heat.is_empty() {

@@ -1,8 +1,9 @@
-//! Documentation-vs-code synchronization tests (satellite of the
-//! storage-resilience PR): the README's environment-knob table is
-//! generated from `hus_obs::env::KNOBS`, and `docs/FORMAT.md`'s byte
-//! offsets mirror the source constants. These tests fail — printing
-//! the expected text — whenever either side drifts.
+//! Documentation-vs-code synchronization tests: the README's
+//! environment-knob table is generated from `hus_obs::env::KNOBS`,
+//! `docs/OBSERVABILITY.md`'s metric catalog names exactly the registered
+//! metrics, and `docs/FORMAT.md`'s byte offsets mirror the source
+//! constants. These tests fail — printing the expected text — whenever
+//! either side drifts.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -68,6 +69,79 @@ fn env_registry_is_complete_and_live() {
     // Ratchet: the knob count only moves down, toward ROADMAP's <= 18.
     // A new knob has to retire an old one.
     assert!(registered.len() <= 20, "{} HUS_* knobs registered; the cap is 20", registered.len());
+}
+
+/// The `HUS_FAULT` example in the knob registry (and so the README)
+/// must be a spec `FaultSpec::parse` accepts and that injects faults —
+/// `from_env` drops a spec it rejects as a whole.
+#[test]
+fn documented_fault_example_parses() {
+    let effect = husgraph::obs::env::knob("HUS_FAULT").unwrap().effect;
+    let example = effect
+        .split('`')
+        .find(|s| s.starts_with("seed="))
+        .expect("the HUS_FAULT entry lost its `seed=...` example");
+    let spec = husgraph::storage::FaultSpec::parse(example)
+        .unwrap_or_else(|e| panic!("documented HUS_FAULT example `{example}`: {e}"));
+    assert!(spec.injects_faults(), "`{example}` injects nothing");
+    assert!(spec.delay_p > 0.0, "`{example}` lost its latency spike");
+}
+
+/// The metric names in `docs/OBSERVABILITY.md`'s catalog tables (first
+/// column, `{a,b}` groups expanded) are exactly the names registered
+/// through `Lazy{Counter,Gauge,Histogram}::new("…")` in the source tree,
+/// `test.*` names aside.
+#[test]
+fn observability_catalog_matches_registered_metrics() {
+    let doc = read("docs/OBSERVABILITY.md");
+    let start = doc.find("## Metric catalog").expect("OBSERVABILITY.md lost its catalog");
+    let end = start + doc[start..].find("\n## ").expect("catalog is the last section");
+    let mut documented = BTreeSet::new();
+    for row in doc[start..end].lines().filter(|l| l.starts_with("| `")) {
+        let first_cell = row.split(" | ").next().unwrap();
+        for name in first_cell.split('`').skip(1).step_by(2) {
+            documented.extend(expand_braces(name));
+        }
+    }
+
+    let mut sources = Vec::new();
+    collect_rs(&repo_root().join("crates"), &mut sources);
+    collect_rs(&repo_root().join("src"), &mut sources);
+    let mut registered = BTreeSet::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).unwrap();
+        for kind in ["LazyCounter", "LazyGauge", "LazyHistogram"] {
+            let call = format!("{kind}::new(\"");
+            for (at, _) in text.match_indices(&call) {
+                let rest = &text[at + call.len()..];
+                let name = &rest[..rest.find('"').unwrap()];
+                if !name.starts_with("test.") {
+                    registered.insert(name.to_string());
+                }
+            }
+        }
+    }
+    assert!(registered.len() > 50, "metric scan looks broken: {registered:?}");
+
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "docs/OBSERVABILITY.md's metric catalog is out of sync with the source.\n\
+         registered but undocumented: {undocumented:?}\n\
+         documented but never registered: {stale:?}"
+    );
+}
+
+/// `a.{b,c}.d` → `a.b.d`, `a.c.d` (groups may repeat, not nest).
+fn expand_braces(name: &str) -> Vec<String> {
+    let Some(open) = name.find('{') else { return vec![name.to_string()] };
+    let close = open + name[open..].find('}').expect("unclosed brace group");
+    let (head, tail) = (&name[..open], &name[close + 1..]);
+    name[open + 1..close]
+        .split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
 }
 
 /// `docs/FORMAT.md` states byte-level constants; they must equal the

@@ -1,9 +1,7 @@
 //! Determinism stress tests for the parallel I/O pipeline: row-parallel
-//! ROP, column-parallel COP and deep COP readahead must be invisible to
-//! the algorithm — the same vertex values, bit for bit, and the same
-//! tracked I/O bytes as the serial single-threaded walk. (Unused
-//! readahead on early abort is reported via a separate counter, not
-//! folded into the run's totals.)
+//! ROP and column-parallel COP must be invisible to the algorithm — the
+//! same vertex values, bit for bit, and the same tracked I/O bytes as
+//! the serial single-threaded walk.
 //!
 //! `min` is order-insensitive in its bit pattern; the summing programs
 //! are not (float addition), so their bit-identity also pins every
@@ -37,8 +35,7 @@ fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
 }
 
 /// One thread is the serial walk: rows run inline, in order, and COP
-/// pulls one column at a time through its shallowest readahead window
-/// (the thread budget, clamped to 2..=8).
+/// pulls one column at a time, fetching its blocks in order.
 fn cfg(mode: UpdateMode, threads: usize) -> RunConfig {
     RunConfig { threads, ..RunConfig::with_mode(mode) }
 }
@@ -79,11 +76,11 @@ fn parallel_rop_repeated_runs_are_stable() {
     }
 }
 
-/// Gauss-Seidel pulls one column per unit, so each column keeps the
-/// whole thread budget for its readahead window: 4 and 6 blocks (the
-/// whole column at P = 6) here, against the one-thread window of 2.
+/// Gauss-Seidel pulls one column per unit, so every unit has one worker
+/// whatever the thread budget: at 4 and 8 threads each column runs on
+/// the caller with the whole pool, and must match the one-thread run.
 #[test]
-fn deep_cop_readahead_matches_serial_bit_for_bit() {
+fn gauss_seidel_one_column_units_match_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
     let gauss_seidel = |threads| RunConfig {
         synchrony: Synchrony::GaussSeidel,
@@ -93,11 +90,11 @@ fn deep_cop_readahead_matches_serial_bit_for_bit() {
 
     for threads in [4, 8] {
         g.dir().tracker().reset();
-        let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, gauss_seidel(threads)).run().unwrap();
-        assert_eq!(serial_vals, deep_vals, "WCC values diverged at {threads} threads");
+        let (vals, stats) = Engine::new(&g, &Wcc, gauss_seidel(threads)).run().unwrap();
+        assert_eq!(serial_vals, vals, "WCC values diverged at {threads} threads");
         assert_eq!(
             serial_stats.total_io.total_bytes(),
-            deep_stats.total_io.total_bytes(),
+            stats.total_io.total_bytes(),
             "tracked I/O bytes diverged at {threads} threads"
         );
     }
@@ -106,8 +103,7 @@ fn deep_cop_readahead_matches_serial_bit_for_bit() {
 #[test]
 fn hybrid_pipeline_matches_serial_hybrid() {
     // The full hybrid schedule — predictor picking ROP or COP per
-    // iteration — fanned out and read ahead as far as it goes vs the
-    // serial walk.
+    // iteration — fanned out over eight threads vs the serial walk.
     let (_tmp, g) = build(4);
     let (serial_vals, serial_stats) =
         Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1)).run().unwrap();
@@ -209,7 +205,7 @@ where
     serial
 }
 
-/// COP's column workers against the one-thread pipeline: a skewed rmat
+/// COP's column workers against the one-thread walk: a skewed rmat
 /// at P = 8 (more columns than some thread counts, fewer than others)
 /// and a P = 1 graph (one column, so one worker at any thread count),
 /// both codecs, an always-active PageRank and a frontier-reading

@@ -37,13 +37,14 @@ fn reopen(path: &Path, faults: Option<FaultSpec>, verify: bool) -> HusGraph {
     g
 }
 
-/// Serial config: one thread (rows run inline, in order), the
-/// shallowest COP readahead.
+/// Serial config: one thread — ROP rows and COP columns run inline on
+/// the caller, in order.
 fn serial(verify: bool) -> RunConfig {
     RunConfig { threads: 1, max_iterations: 5, verify_checksums: verify, ..Default::default() }
 }
 
-/// Parallel config: threaded pool, row-parallel ROP, deep COP readahead.
+/// Parallel config: four threads — ROP rows and COP columns fan out over
+/// the pool, one column per worker.
 fn parallel(verify: bool) -> RunConfig {
     RunConfig { threads: 4, max_iterations: 5, verify_checksums: verify, ..Default::default() }
 }
@@ -238,13 +239,13 @@ fn on_disk_flip_names_the_exact_block_through_the_engine() {
 }
 
 /// Damage that drives a vertex id out of its interval panics the COP
-/// consumer mid-pipeline when verification is off (garbage in, panic
-/// out) — but it must be a prompt panic, never a deadlock: the unwind
-/// guard has to wake the parked readahead producers so the pipeline's
-/// thread scope can join. With verification on, the same damage is a
-/// clean typed corruption error instead.
+/// column worker pulling that block when verification is off (garbage
+/// in, panic out) — but it must be a prompt panic, never a deadlock: the
+/// panic reaches the caller once the other column workers are done.
+/// With verification on, the same damage is a clean typed corruption
+/// error instead.
 #[test]
-fn wild_corruption_panics_promptly_instead_of_hanging_the_pipeline() {
+fn wild_corruption_panics_promptly_instead_of_hanging_the_column_workers() {
     let tmp = tempfile::tempdir().unwrap();
     let path = tmp.path().join("g");
     let g = build_graph(&path);
@@ -282,7 +283,7 @@ fn wild_corruption_panics_promptly_instead_of_hanging_the_pipeline() {
     });
     let timeout = Duration::from_secs(30);
     assert!(
-        done_rx.recv_timeout(timeout).expect("COP pipeline hung on wild corruption"),
+        done_rx.recv_timeout(timeout).expect("COP column workers hung on wild corruption"),
         "wild corruption must not produce a silent success"
     );
     assert!(
