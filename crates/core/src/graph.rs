@@ -2,7 +2,11 @@
 
 use crate::builder::{build, BuildConfig};
 use crate::delta::{DeltaOverlay, MergedBlock};
-use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
+use crate::meta::{
+    BlockMeta, GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES,
+    META_FILE,
+};
+use crate::rop::DEFAULT_MERGE_SLACK;
 use hus_codec::Codec;
 use hus_gen::{Edge, EdgeList};
 use hus_storage::checksum::ShardFooter;
@@ -376,24 +380,6 @@ impl HusGraph {
         Ok(idx)
     }
 
-    /// Randomly load the two CSR offsets delimiting local vertex
-    /// `local`'s edge range in `o`-block `(i, j)`.
-    fn index_entry(&self, o: Orientation, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
-        let (shard, block) = match self.source(o, i, j) {
-            Source::Overlay(m) => return Ok((m.index[local], m.index[local + 1])),
-            Source::Base(shard, block) => (shard, block),
-        };
-        let mut buf = [0u8; 8];
-        hus_obs::attr::with_block(i as u32, j as u32, || {
-            let at = block.index_offset + local as u64 * INDEX_ENTRY_BYTES;
-            shard.index.read_at(at, &mut buf, Access::Random)
-        })?;
-        Ok((
-            u32::from_le_bytes(buf[0..4].try_into().unwrap()),
-            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-        ))
-    }
-
     /// Load records `[lo, hi)` of `o`-block `(i, j)`, or the whole block
     /// when `range` is `None`, as one read billed under `access`. On a
     /// raw-codec graph with verification on, a read that spans the whole
@@ -527,7 +513,58 @@ impl HusGraph {
     /// per-vertex beats loading the whole `len+1`-entry index array
     /// (the engine chooses by predicted cost).
     pub fn load_out_index_entry(&self, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
-        self.index_entry(Orientation::Out, i, j, local)
+        Ok(self.load_out_index_entries(i, j, &[local])?[0])
+    }
+
+    /// [`Self::load_out_index_entry`] for several local vertices of
+    /// out-block `(i, j)` at once, `locals` ascending: the probe loader
+    /// of ROP's selective branch and of `hus serve`'s lookups. Probes
+    /// whose byte gap is at most [`DEFAULT_MERGE_SLACK`] share one
+    /// `read_ranges` call, in which adjacent vertices' probes overlap by
+    /// one offset. Each probe still bills [`INDEX_PROBE_BYTES`] random
+    /// bytes — those of one `load_out_index_entry` per vertex — so only
+    /// the operation count falls.
+    pub fn load_out_index_entries(
+        &self,
+        i: usize,
+        j: usize,
+        locals: &[usize],
+    ) -> Result<Vec<(u32, u32)>> {
+        let (shard, block) = match self.source(Orientation::Out, i, j) {
+            Source::Overlay(m) => {
+                return Ok(locals.iter().map(|&l| (m.index[l], m.index[l + 1])).collect())
+            }
+            Source::Base(shard, block) => (shard, block),
+        };
+        debug_assert!(locals.windows(2).all(|w| w[0] <= w[1]), "probes must be ascending");
+        let probe = INDEX_PROBE_BYTES as usize;
+        let mut bytes = vec![0u8; locals.len() * probe];
+        let mut reqs: Vec<RangeRead<'_>> = bytes
+            .chunks_exact_mut(probe)
+            .zip(locals)
+            .map(|(buf, &l)| RangeRead {
+                offset: block.index_offset + l as u64 * INDEX_ENTRY_BYTES,
+                buf,
+            })
+            .collect();
+        hus_obs::attr::with_block(i as u32, j as u32, || -> Result<()> {
+            let mut rest = reqs.as_mut_slice();
+            while !rest.is_empty() {
+                let reach = |w: &[RangeRead<'_>]| {
+                    w[1].offset <= w[0].offset + INDEX_PROBE_BYTES + DEFAULT_MERGE_SLACK
+                };
+                let len = 1 + rest.windows(2).take_while(|w| reach(w)).count();
+                let (run, tail) = rest.split_at_mut(len);
+                shard.index.read_ranges(run, Access::Random)?;
+                rest = tail;
+            }
+            Ok(())
+        })?;
+        drop(reqs);
+        let offset = |e: &[u8], at: usize| {
+            u32::from_le_bytes(e[at..at + 4].try_into().expect("a CSR offset is four bytes"))
+        };
+        Ok(bytes.chunks_exact(probe).map(|e| (offset(e, 0), offset(e, 4))).collect())
     }
 
     /// Randomly load records `[lo, hi)` of out-block `(i, j)` — ROP's
@@ -706,6 +743,7 @@ mod tests {
     use super::*;
     use hus_gen::rmat::{rmat, RmatConfig};
     use hus_gen::Csr;
+    use hus_storage::BackendKind;
 
     fn open_graph(el: &EdgeList, p: u32) -> (tempfile::TempDir, HusGraph) {
         let tmp = tempfile::tempdir().unwrap();
@@ -788,6 +826,88 @@ mod tests {
         for (recs, &(lo, hi)) in batched.iter().zip(&ranges) {
             let single = g.load_out_records(0, 1, lo, hi).unwrap();
             assert!(recs.into_iter().eq(&single));
+        }
+    }
+
+    /// `locals` ascending in an interval of `len` vertices: its first
+    /// three and last two vertices (adjacent probes overlap by one
+    /// offset), its middle one, and a seeded random sprinkle over its
+    /// first tenth.
+    fn probe_locals(len: usize, seed: u64) -> Vec<usize> {
+        let mut locals = vec![0, 1, 2, len / 2, len - 2, len - 1];
+        let tenth = len as u64 / 10;
+        locals.extend((0..40).map(|k| (hus_gen::types::splitmix64(seed + k) % tenth) as usize));
+        locals.sort_unstable();
+        locals.dedup();
+        locals
+    }
+
+    /// Every probe of `locals` in out-block `(i, j)`: the batched loader
+    /// answers what one `load_out_index_entry` each and the whole offset
+    /// array do, and bills the random bytes of the per-entry probes.
+    /// Returns the loader's random-read op count.
+    fn batched_probes_match(g: &HusGraph, (i, j): (usize, usize), locals: &[usize]) -> u64 {
+        let index = g.load_out_index(i, j, Access::Sequential).unwrap();
+        let want: Vec<(u32, u32)> = locals.iter().map(|&l| (index[l], index[l + 1])).collect();
+        let tracker = g.dir().tracker();
+        tracker.reset();
+        let one_by_one: Vec<(u32, u32)> =
+            locals.iter().map(|&l| g.load_out_index_entry(i, j, l).unwrap()).collect();
+        let per_entry = tracker.snapshot();
+        tracker.reset();
+        let batched = g.load_out_index_entries(i, j, locals).unwrap();
+        let s = tracker.snapshot();
+        assert_eq!(one_by_one, want, "block ({i}, {j})");
+        assert_eq!(batched, want, "block ({i}, {j})");
+        assert_eq!(s.rand_read_bytes, per_entry.rand_read_bytes, "block ({i}, {j})");
+        assert_eq!(s.total_bytes(), s.rand_read_bytes, "probes bill only random bytes");
+        s.rand_read_ops
+    }
+
+    #[test]
+    fn batched_index_probes_equal_per_entry_probes() {
+        // Uniform degrees (~3 edges per vertex and block) make neighbouring
+        // vertices' entries differ, so a misplaced probe cannot hide.
+        let el = hus_gen::erdos_renyi(9000, 90_000, 29);
+        for kind in [BackendKind::File, BackendKind::Mmap, BackendKind::Direct] {
+            let tmp = tempfile::tempdir().unwrap();
+            // Filesystems that refuse O_DIRECT degrade `Direct` to `File`.
+            let dir = StorageDir::create(tmp.path().join("g")).unwrap().with_backend(kind);
+            build(&el, &dir, &BuildConfig::with_p(3)).unwrap();
+            let g = HusGraph::open(dir.clone()).unwrap();
+            let len = g.meta().interval_len(1) as usize;
+            let (src, dst) = (g.meta().interval_start(1), g.meta().interval_start(2));
+            assert_eq!(len, 3000);
+            for j in 0..3 {
+                // Three runs: the first tenth, the middle vertex and the
+                // last two are over a slack (1 026 vertices) apart.
+                let locals = probe_locals(len, j as u64);
+                assert_eq!(batched_probes_match(&g, (1, j), &locals), 3, "{kind:?}");
+                // Base blocks bill exactly one probe's bytes per vertex.
+                let s = g.dir().tracker().snapshot();
+                assert_eq!(s.rand_read_bytes, 8 * locals.len() as u64, "{kind:?}");
+                // A clustered list is one run.
+                let clustered: Vec<usize> = (100..164).collect();
+                assert_eq!(batched_probes_match(&g, (1, j), &clustered), 1, "{kind:?}");
+                // Probes 1 026 entries apart leave a gap of exactly the
+                // slack (4 096 bytes) after the first probe's 8; one more
+                // entry splits them.
+                assert_eq!(batched_probes_match(&g, (1, j), &[7, 7 + 1026]), 1);
+                assert_eq!(batched_probes_match(&g, (1, j), &[7, 7 + 1027]), 2);
+            }
+            drop(g);
+
+            // Buffered updates put out-block (1, 2) in the overlay: its
+            // probes are answered from memory and bill nothing.
+            let mut dg = crate::delta::DynamicGraph::open(dir).unwrap();
+            dg.insert_edge(src, dst, 1.0).unwrap();
+            dg.insert_edge(src + 3, dst + 7, 1.0).unwrap();
+            let e = el.edges.iter().find(|e| e.src >= src && e.src < src + len as u32).unwrap();
+            dg.delete_edge(e.src, e.dst).unwrap();
+            let g = dg.snapshot().unwrap();
+            assert!(g.out_block_resident(1, 2));
+            assert_eq!(batched_probes_match(g, (1, 2), &probe_locals(len, 9)), 0, "{kind:?}");
+            assert_eq!(g.dir().tracker().snapshot().total_bytes(), 0);
         }
     }
 

@@ -14,7 +14,7 @@
 //! the hybrid predictor ([`crate::predict`]).
 
 use crate::active::ActiveSet;
-use crate::graph::HusGraph;
+use crate::graph::{EdgeRecords, HusGraph};
 use crate::meta::{INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
 use crate::predict::IoPlan;
 use crate::program::{EdgeCtx, VertexProgram};
@@ -284,9 +284,10 @@ fn plan_block_fetch<Pr: VertexProgram>(
     // fetches of `push_fetch`.
     hus_obs::attr::with_block(row as u32, j as u32, || {
         let mut sweep = !ctx.graph.codec().is_raw() && !ctx.graph.out_records_cached(row, j);
-        // Tiny frontiers fetch each vertex's two CSR offsets individually
-        // instead of streaming the block's whole offset array — the same
-        // cost logic as every other fetch choice here.
+        // Tiny frontiers probe each vertex's two CSR offsets (nearby
+        // probes batched into one read, billed per probe) instead of
+        // streaming the block's whole offset array — the same cost logic
+        // as every other fetch choice here.
         let mut ranges = Vec::with_capacity(actives.len());
         let mut want = |v: VertexId, lo: u32, hi: u32| {
             if lo < hi {
@@ -294,8 +295,9 @@ fn plan_block_fetch<Pr: VertexProgram>(
             }
         };
         if selective_index_probe(actives.len(), len, ctx.index_ratio) {
-            for &v in actives {
-                let (lo, hi) = ctx.graph.load_out_index_entry(row, j, (v - row_base) as usize)?;
+            let locals: Vec<usize> = actives.iter().map(|&v| (v - row_base) as usize).collect();
+            let entries = ctx.graph.load_out_index_entries(row, j, &locals)?;
+            for (&v, (lo, hi)) in actives.iter().zip(entries) {
                 want(v, lo, hi);
             }
         } else {
@@ -323,9 +325,8 @@ fn plan_block_fetch<Pr: VertexProgram>(
 }
 
 /// Fetch the edges `fetch` names and push them into the loaded `D_j`;
-/// returns the number of edges pushed. Within the selective plan,
-/// ranges whose gaps fit under [`IterCtx::merge_slack`] are merged into
-/// batched multi-range runs (fewer operations, identical bytes).
+/// returns the number of edges pushed. The selective plan goes through
+/// [`fetch_selective`] under [`IterCtx::merge_slack`].
 fn push_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     (row, j): (usize, usize),
@@ -340,7 +341,7 @@ fn push_fetch<Pr: VertexProgram>(
     // An always-active program's next frontier is already full.
     let all_active = ctx.program.always_active();
 
-    let mut push_range = |v: VertexId, recs: &crate::graph::EdgeRecords, lo: usize, hi: usize| {
+    let mut push_range = |v: VertexId, recs: &EdgeRecords, lo: usize, hi: usize| {
         let src_val = &s_row[(v - row_base) as usize];
         for (dst, weight) in recs.walk(lo, hi) {
             if let Some(msg) = ctx.program.scatter(src_val, &ctx.scatter_ctx(v, dst, weight)) {
@@ -361,29 +362,44 @@ fn push_fetch<Pr: VertexProgram>(
             }
             return Ok(());
         }
-        // Ranges arrive sorted by vertex, which is ascending file order
-        // in a CSR block, so nearby actives form mergeable runs: each
-        // multi-range run is one batched operation billing exactly the
-        // requested bytes, singletons stay random reads.
-        for run_at in merge_runs(&ranges, meta.edge_record_bytes(), ctx.merge_slack()) {
-            let run = &ranges[run_at];
-            if let [(v, lo, hi)] = *run {
-                RANGE_EDGES.record((hi - lo) as u64);
-                let recs = ctx.graph.load_out_records(row, j, lo, hi)?;
-                push_range(v, &recs, 0, recs.len());
-            } else {
-                MERGED_RUN_RANGES.record(run.len() as u64);
-                let wanted: Vec<(u32, u32)> = run.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
-                let fetched = ctx.graph.load_out_record_ranges(row, j, &wanted)?;
-                for (recs, &(v, lo, hi)) in fetched.iter().zip(run) {
-                    RANGE_EDGES.record((hi - lo) as u64);
-                    push_range(v, recs, 0, recs.len());
-                }
-            }
-        }
-        Ok(())
+        fetch_selective(ctx.graph, (row, j), &ranges, ctx.merge_slack(), |v, recs| {
+            push_range(v, recs, 0, recs.len())
+        })
     })?;
     Ok(pushed)
+}
+
+/// Selectively fetch the non-empty `(vertex, lo, hi)` record ranges of
+/// out-block `(i, j)`, sorted by vertex, handing each vertex's records
+/// to `each` in order. Ranges arrive in ascending file order, so
+/// ranges at most `slack_bytes` apart form one run (`None`: no
+/// merging): each multi-range run is one batched operation billing
+/// exactly the requested bytes, singletons stay random reads. ROP's
+/// non-sweep fetch and `hus serve`'s lookups both read records through
+/// here.
+pub fn fetch_selective(
+    graph: &HusGraph,
+    (i, j): (usize, usize),
+    ranges: &[(VertexId, u32, u32)],
+    slack_bytes: Option<u64>,
+    mut each: impl FnMut(VertexId, &EdgeRecords),
+) -> Result<()> {
+    for run_at in merge_runs(ranges, graph.meta().edge_record_bytes(), slack_bytes) {
+        let run = &ranges[run_at];
+        if let [(v, lo, hi)] = *run {
+            RANGE_EDGES.record((hi - lo) as u64);
+            each(v, &graph.load_out_records(i, j, lo, hi)?);
+        } else {
+            MERGED_RUN_RANGES.record(run.len() as u64);
+            let wanted: Vec<(u32, u32)> = run.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
+            let fetched = graph.load_out_record_ranges(i, j, &wanted)?;
+            for (recs, &(v, lo, hi)) in fetched.iter().zip(run) {
+                RANGE_EDGES.record((hi - lo) as u64);
+                each(v, recs);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Out-edges per source interval, `Σ_j |out-block (i, j)|` — static for
@@ -720,6 +736,71 @@ mod tests {
             let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
             assert_eq!(plan(&ctx, &frontier, &[0, 1, 2, 3], false), want, "reset {reset}");
         }
+    }
+
+    /// Sends one message along every edge of a frontier of 16
+    /// consecutive vertices.
+    struct CountFromCluster;
+
+    const CLUSTER: std::ops::Range<u32> = 100..116;
+
+    impl VertexProgram for CountFromCluster {
+        type Value = u32;
+        fn init(&self, _v: u32) -> u32 {
+            0
+        }
+        fn initially_active(&self, v: u32) -> bool {
+            CLUSTER.contains(&v)
+        }
+        fn scatter(&self, _src: &u32, _ctx: &EdgeCtx) -> Option<u32> {
+            Some(1)
+        }
+        fn combine(&self, dst: &mut u32, msg: u32) -> bool {
+            *dst += msg;
+            true
+        }
+    }
+
+    /// A small clustered frontier on the HDD profile takes the
+    /// selective-probe branch: its probes bill the random bytes of one
+    /// `load_out_index_entry` per (active vertex, non-empty block), but
+    /// as one batched read per block.
+    #[test]
+    fn clustered_probes_bill_per_entry_bytes_in_fewer_ops() {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(2, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&hus_gen::classic::cycle(1 << 14), &dir, &config).unwrap();
+        let hdd = hus_storage::DeviceProfile::hdd().read;
+        let ratio = hdd.sequential_bps / hdd.random_bps;
+        assert!(selective_index_probe(CLUSTER.len(), 1 << 13, ratio));
+
+        // The per-entry bill: one 8-byte random read per probe, in the
+        // two non-empty out-blocks of row 0 ((0, 1) holds 8191 → 8192).
+        g.dir().tracker().reset();
+        let mut probes = 0u64;
+        for j in 0..2 {
+            for v in CLUSTER {
+                g.load_out_index_entry(0, j, v as usize).unwrap();
+                probes += 1;
+            }
+        }
+        let per_entry = g.dir().tracker().snapshot();
+        assert_eq!((per_entry.rand_read_bytes, per_entry.rand_read_ops), (8 * probes, probes));
+
+        let config = RunConfig {
+            max_iterations: 1,
+            threads: 1,
+            ..RunConfig::with_mode(UpdateMode::ForceRop)
+        };
+        let (values, stats) = Engine::new(&g, &CountFromCluster, config).run().unwrap();
+        assert!(CLUSTER.into_iter().all(|v| values[v as usize + 1] == 1));
+        assert_eq!(values.iter().sum::<u32>(), 16);
+        let io = &stats.iterations[0].io;
+        // The cluster's 16 adjacent records are one merged run.
+        assert_eq!((io.batched_read_bytes, io.batched_read_ops), (4 * 16, 1));
+        assert_eq!(io.rand_read_bytes, per_entry.rand_read_bytes);
+        assert_eq!(io.rand_read_ops, 2, "one probe run per block, not {probes}");
     }
 
     #[test]

@@ -1,18 +1,28 @@
 //! Query execution against one pinned [`GraphSnapshot`].
 //!
-//! Point lookups (`degree`, `neighbors`, `khop`) use the engine's own
-//! selective read shape — per-vertex index entries (8-byte random
-//! reads) plus exact edge-record ranges — so a lookup touches only the
-//! blocks its vertex lives in, whatever codec or backend the graph was
-//! built with. Full analytics instantiate an [`Engine`] run on the
-//! shared snapshot, exactly the code path the CLI uses, which is what
-//! makes serve results bit-identical to single-threaded CLI runs.
+//! Point lookups (`degree`, `neighbors`, `khop`) read the way ROP does
+//! (paper §3.3, `LoadOutEdges`): one hop of a sorted frontier walks its
+//! source interval's out-blocks in order, probes the index entries of
+//! the vertices still owed edges in one batched read per block
+//! ([`HusGraph::load_out_index_entries`]), and fetches the found record
+//! ranges through [`rop::fetch_selective`] — nearby ranges merged into
+//! one batched read. A vertex stops probing once its fetched records
+//! reach its out-degree, so a degree-0 vertex never probes. A lookup
+//! touches only the blocks its frontier lives in, whatever codec or
+//! backend the graph was built with. Full analytics instantiate an
+//! [`Engine`] run on the shared snapshot, exactly the code path the CLI
+//! uses, which is what makes serve results bit-identical to
+//! single-threaded CLI runs.
 //!
-//! Every fetch is charged to the query's [`ByteMeter`]; analytics are
-//! charged a pre-flight whole-scan estimate instead so an over-budget
-//! scan is rejected before it starts, not after it finished.
+//! Every fetch is charged to the query's [`ByteMeter`] before it is
+//! made; analytics are charged a pre-flight whole-scan estimate instead
+//! so an over-budget scan is rejected before it starts, not after it
+//! finished.
 
 use hus_algos::{Bfs, PageRank, PersonalizedPageRank, Sssp, Wcc};
+use hus_core::meta::INDEX_PROBE_BYTES;
+use hus_core::partition::interval_of;
+use hus_core::rop::{self, DEFAULT_MERGE_SLACK};
 use hus_core::{check_deadline, Deadline, Engine, HusGraph, RunConfig, VertexProgram};
 use hus_storage::pod;
 
@@ -21,54 +31,92 @@ use crate::protocol::{Op, ResponseBuilder};
 use crate::snapshot::GraphSnapshot;
 use crate::{fnv1a64, ServeError};
 
-/// Interval owning vertex `v` (the `i` of out-blocks `(i, *)`).
-fn interval_of(graph: &HusGraph, v: u32) -> Result<usize, ServeError> {
-    let meta = graph.meta();
-    if v >= meta.num_vertices {
-        return Err(ServeError::BadRequest(format!(
-            "vertex {v} out of range (|V| = {})",
-            meta.num_vertices
-        )));
+/// Reject a vertex id outside the graph as a bad request.
+fn check_vertex(graph: &HusGraph, v: u32) -> Result<(), ServeError> {
+    let n = graph.meta().num_vertices;
+    if v >= n {
+        return Err(ServeError::BadRequest(format!("vertex {v} out of range (|V| = {n})")));
     }
-    // p is small (the paper sizes blocks to memory, not vertices), so a
-    // linear scan of the interval boundaries is cheaper than bisecting.
-    let i = (0..graph.p()).find(|&i| v < meta.interval_starts[i + 1]).expect("v < num_vertices");
-    Ok(i)
+    Ok(())
 }
 
-/// Sorted out-neighbors of `v`, fetched selectively and charged to the
-/// meter (8 bytes per consulted index entry + the exact record bytes).
-fn fetch_neighbors(
+/// One hop from `frontier` (sorted, duplicate-free, in range): `emit`
+/// receives every out-neighbor, block by block. Per source interval the
+/// out-blocks are walked in ascending order; each probes, in one batched
+/// read, the vertices whose fetched records have not yet reached their
+/// (overlay-aware) out-degree, then fetches the non-empty ranges. The
+/// meter is charged [`INDEX_PROBE_BYTES`] per probe and the record bytes
+/// before each read; the deadline is checked per block. A frontier of
+/// one vertex yields its neighbors in ascending order.
+fn expand(
+    graph: &HusGraph,
+    frontier: &[u32],
+    meter: &mut ByteMeter,
+    deadline: Option<&Deadline>,
+    mut emit: impl FnMut(u32),
+) -> Result<(), ServeError> {
+    let meta = graph.meta();
+    let degrees = graph.out_degrees();
+    let rec_bytes = meta.edge_record_bytes();
+    let (mut locals, mut ranges) = (Vec::new(), Vec::new());
+    let mut rest = frontier;
+    while let Some(&first) = rest.first() {
+        let i = interval_of(&meta.interval_starts, first);
+        let base = meta.interval_start(i);
+        let end = rest.partition_point(|&u| u < meta.interval_starts[i + 1]);
+        // (local vertex, out-edges not yet fetched) of the still-owed.
+        let mut owed: Vec<(usize, u32)> = rest[..end]
+            .iter()
+            .map(|&u| ((u - base) as usize, degrees[u as usize]))
+            .filter(|&(_, degree)| degree > 0)
+            .collect();
+        rest = &rest[end..];
+        for j in 0..graph.p() {
+            if owed.is_empty() {
+                break;
+            }
+            if graph.out_block_len(i, j) == 0 {
+                continue;
+            }
+            check_deadline(deadline)?;
+            meter.charge(owed.len() as u64 * INDEX_PROBE_BYTES)?;
+            locals.clear();
+            locals.extend(owed.iter().map(|&(local, _)| local));
+            let entries = graph.load_out_index_entries(i, j, &locals)?;
+            ranges.clear();
+            for ((local, left), (lo, hi)) in owed.iter_mut().zip(entries) {
+                if hi > lo {
+                    ranges.push((base + *local as u32, lo, hi));
+                    *left = left.saturating_sub(hi - lo);
+                }
+            }
+            let records: u64 = ranges.iter().map(|&(_, lo, hi)| u64::from(hi - lo)).sum();
+            meter.charge(records * rec_bytes)?;
+            rop::fetch_selective(graph, (i, j), &ranges, Some(DEFAULT_MERGE_SLACK), |_, recs| {
+                recs.into_iter().for_each(|(w, _)| emit(w))
+            })?;
+            owed.retain(|&(_, left)| left > 0);
+        }
+    }
+    Ok(())
+}
+
+/// Sorted out-neighbors of `v`: [`expand`] from `[v]`.
+fn neighbors(
     graph: &HusGraph,
     v: u32,
     meter: &mut ByteMeter,
     deadline: Option<&Deadline>,
 ) -> Result<Vec<u32>, ServeError> {
-    let i = interval_of(graph, v)?;
-    let meta = graph.meta();
-    let local = (v - meta.interval_start(i)) as usize;
-    let rec_bytes = meta.edge_record_bytes();
+    check_vertex(graph, v)?;
     let mut out = Vec::with_capacity(graph.out_degrees()[v as usize] as usize);
-    for j in 0..graph.p() {
-        if graph.out_block_len(i, j) == 0 {
-            continue;
-        }
-        check_deadline(deadline)?;
-        meter.charge(8)?;
-        let (lo, hi) = graph.load_out_index_entry(i, j, local)?;
-        if hi > lo {
-            meter.charge(u64::from(hi - lo) * rec_bytes)?;
-            let recs = graph.load_out_records(i, j, lo, hi)?;
-            for k in 0..recs.len() {
-                out.push(recs.neighbor(k));
-            }
-        }
-    }
+    expand(graph, &[v], meter, deadline, |w| out.push(w))?;
     Ok(out)
 }
 
-/// Breadth-first expansion from `v` for at most `depth` hops. Returns
-/// the sorted visited set (root included) and the frontier size per
+/// Breadth-first expansion from `v` for at most `depth` hops, one
+/// [`expand`] per hop. Returns the sorted visited set (root included),
+/// read off a `|V|`-bit visited bitset, and the frontier size per
 /// completed hop.
 fn khop(
     graph: &HusGraph,
@@ -77,29 +125,39 @@ fn khop(
     meter: &mut ByteMeter,
     deadline: Option<&Deadline>,
 ) -> Result<(Vec<u32>, Vec<u64>), ServeError> {
-    interval_of(graph, v)?;
-    let n = graph.meta().num_vertices as usize;
-    let mut visited = vec![false; n];
-    visited[v as usize] = true;
+    check_vertex(graph, v)?;
+    let mut visited = vec![0u64; (graph.meta().num_vertices as usize).div_ceil(64)];
+    visited[v as usize / 64] |= 1 << (v % 64);
     let mut frontier = vec![v];
     let mut frontier_sizes = Vec::new();
-    for _ in 0..depth {
+    for hop in 1..=depth {
         let mut next = Vec::new();
-        for &u in &frontier {
-            for w in fetch_neighbors(graph, u, meter, deadline)? {
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    next.push(w);
-                }
+        expand(graph, &frontier, meter, deadline, |w| {
+            let (word, bit) = (&mut visited[w as usize / 64], 1u64 << (w % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                next.push(w);
             }
-        }
+        })?;
         if next.is_empty() {
             break;
         }
         frontier_sizes.push(next.len() as u64);
+        // Only a frontier that is expanded again needs [`expand`]'s order.
+        if hop < depth {
+            next.sort_unstable();
+        }
         frontier = next;
     }
-    let all: Vec<u32> = (0..n as u32).filter(|&u| visited[u as usize]).collect();
+    let count = 1 + frontier_sizes.iter().sum::<u64>() as usize;
+    let mut all = Vec::with_capacity(count);
+    for (k, &word) in visited.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            all.push(k as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
     Ok((all, frontier_sizes))
 }
 
@@ -141,12 +199,12 @@ pub fn execute(
     let threads = threads.max(1);
     match *op {
         Op::Degree { v } => {
-            interval_of(graph, v)?;
+            check_vertex(graph, v)?;
             meter.charge(4)?;
             Ok(resp.u64("degree", u64::from(graph.out_degrees()[v as usize])))
         }
         Op::Neighbors { v } => {
-            let nbrs = fetch_neighbors(graph, v, meter, deadline)?;
+            let nbrs = neighbors(graph, v, meter, deadline)?;
             let hash = fnv1a64(pod::as_bytes(&nbrs));
             Ok(resp
                 .u64("count", nbrs.len() as u64)
@@ -162,14 +220,14 @@ pub fn execute(
                 .u64("hash", hash))
         }
         Op::Bfs { source } => {
-            interval_of(graph, source)?;
+            check_vertex(graph, source)?;
             preflight(graph, 1, meter)?;
             let levels = run_program(graph, &Bfs::new(source), threads, 1_000, deadline)?;
             let reached = levels.iter().filter(|&&l| l != hus_algos::UNREACHED).count();
             Ok(resp.u64("reached", reached as u64).u64("hash", fnv1a64(pod::as_bytes(&levels))))
         }
         Op::Sssp { source } => {
-            interval_of(graph, source)?;
+            check_vertex(graph, source)?;
             preflight(graph, 1, meter)?;
             let dist = run_program(graph, &Sssp::new(source), threads, 1_000, deadline)?;
             let reached = dist.iter().filter(|d| d.is_finite()).count();
@@ -192,7 +250,7 @@ pub fn execute(
             Ok(finish_ranks(resp, &ranks))
         }
         Op::Ppr { source, iters } => {
-            interval_of(graph, source)?;
+            check_vertex(graph, source)?;
             preflight(graph, u64::from(iters), meter)?;
             let ranks = run_program(
                 graph,
@@ -229,8 +287,10 @@ fn finish_ranks(resp: ResponseBuilder, ranks: &[f32]) -> ResponseBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hus_core::{BuildConfig, HusGraph};
+    use hus_core::{BuildConfig, DynamicGraph, HusGraph};
+    use hus_gen::{Csr, Edge, EdgeList};
     use hus_storage::StorageDir;
+    use std::collections::BTreeSet;
 
     fn snapshot() -> (tempfile::TempDir, crate::SnapshotManager) {
         let tmp = tempfile::tempdir().unwrap();
@@ -248,7 +308,7 @@ mod tests {
         let g = snap.graph();
         let mut meter = ByteMeter::new(0);
         for v in 0..g.meta().num_vertices {
-            let nbrs = fetch_neighbors(g, v, &mut meter, None).unwrap();
+            let nbrs = neighbors(g, v, &mut meter, None).unwrap();
             assert_eq!(nbrs.len() as u32, g.out_degrees()[v as usize], "vertex {v}");
             assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "vertex {v} not sorted");
         }
@@ -266,6 +326,136 @@ mod tests {
         let expected: Vec<u32> =
             (0..g.meta().num_vertices).filter(|&v| levels[v as usize] <= depth).collect();
         assert_eq!(visited, expected);
+    }
+
+    const N: u32 = 300;
+
+    fn edge_list(edges: &BTreeSet<(u32, u32)>) -> EdgeList {
+        EdgeList {
+            num_vertices: N,
+            edges: edges.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
+            weights: None,
+        }
+    }
+
+    /// `khop` from first principles: the visited set (root included) and
+    /// the size of every non-empty hop.
+    fn khop_truth(csr: &Csr, v: u32, depth: u32) -> (Vec<u32>, Vec<u64>) {
+        let mut seen = BTreeSet::from([v]);
+        let (mut frontier, mut sizes) = (vec![v], Vec::new());
+        for _ in 0..depth {
+            let next: Vec<u32> = frontier
+                .iter()
+                .flat_map(|&u| csr.out_neighbors(u))
+                .copied()
+                .filter(|&w| seen.insert(w))
+                .collect();
+            if next.is_empty() {
+                break;
+            }
+            sizes.push(next.len() as u64);
+            frontier = next;
+        }
+        (seen.into_iter().collect(), sizes)
+    }
+
+    /// Every vertex's `neighbors` (list, so count, order and hash) and
+    /// `khop` at depths 0–3 (visited set, so count and hash, and the
+    /// frontier sizes) against the CSR of `edges`. A vertex without
+    /// out-edges is answered without charging a byte.
+    fn assert_lookups_match_csr(g: &HusGraph, edges: &BTreeSet<(u32, u32)>, what: &str) {
+        let csr = Csr::from_edge_list(&edge_list(edges));
+        for v in 0..N {
+            let mut want = csr.out_neighbors(v).to_vec();
+            want.sort_unstable();
+            let mut meter = ByteMeter::new(0);
+            assert_eq!(neighbors(g, v, &mut meter, None).unwrap(), want, "{what}: vertex {v}");
+            if want.is_empty() {
+                assert_eq!(meter.spent(), 0, "{what}: degree-0 vertex {v}");
+            }
+            for depth in 0..=3 {
+                let got = khop(g, v, depth, &mut ByteMeter::new(0), None).unwrap();
+                assert_eq!(got, khop_truth(&csr, v, depth), "{what}: vertex {v} depth {depth}");
+            }
+        }
+    }
+
+    fn build(edges: &BTreeSet<(u32, u32)>, codec: &str) -> (tempfile::TempDir, StorageDir) {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config =
+            BuildConfig { p: Some(4), codec: codec.parse().unwrap(), ..Default::default() };
+        hus_core::build(&edge_list(edges), &dir, &config).unwrap();
+        (tmp, dir)
+    }
+
+    fn base_edges() -> BTreeSet<(u32, u32)> {
+        hus_gen::rmat(N, 2400, 5, Default::default()).edges.iter().map(|e| (e.src, e.dst)).collect()
+    }
+
+    #[test]
+    fn lookups_match_csr_on_raw_and_delta_varint_graphs() {
+        let edges = base_edges();
+        for codec in ["raw", "delta-varint"] {
+            let (_tmp, dir) = build(&edges, codec);
+            assert_lookups_match_csr(&HusGraph::open(dir).unwrap(), &edges, codec);
+        }
+    }
+
+    /// Buffered (unflushed) inserts and deletes: the overlay's degrees
+    /// decide when a vertex stops probing, so a vertex that lost every
+    /// out-edge must not probe and one that gained its first must.
+    #[test]
+    fn lookups_match_csr_through_buffered_updates() {
+        let mut edges = base_edges();
+        let (_tmp, dir) = build(&edges, "raw");
+        let mut dg = DynamicGraph::open(dir).unwrap();
+        let mut degrees = vec![0u32; N as usize];
+        edges.iter().for_each(|&(s, _)| degrees[s as usize] += 1);
+        let hub = (0..N).max_by_key(|&v| degrees[v as usize]).unwrap();
+        let lonely = (0..N).rev().find(|&v| degrees[v as usize] == 0).expect("a degree-0 vertex");
+        let mut delete: Vec<(u32, u32)> = edges.range((hub, 0)..(hub + 1, 0)).copied().collect();
+        delete.extend(edges.iter().step_by(37).copied());
+        for (s, d) in delete {
+            dg.delete_edge(s, d).unwrap();
+            edges.remove(&(s, d));
+        }
+        let mut insert = vec![(lonely, 0), (lonely, N - 1), (lonely, lonely)];
+        insert.extend((0..60u64).map(|k| {
+            let r = hus_gen::types::splitmix64(k);
+            ((r % u64::from(N)) as u32, (r >> 32) as u32 % N)
+        }));
+        for (s, d) in insert {
+            dg.insert_edge(s, d, 1.0).unwrap();
+            edges.insert((s, d));
+        }
+        let g = dg.snapshot().unwrap();
+        assert_eq!(g.out_degrees()[hub as usize], 0);
+        assert_lookups_match_csr(g, &edges, "buffered updates");
+    }
+
+    /// Half the bill of the costliest depth-3 `khop` is crossed after its
+    /// first fetches were charged and surfaces as the typed `budget`
+    /// error; an expired deadline surfaces as `deadline`.
+    #[test]
+    fn budget_and_deadline_stay_typed_mid_expansion() {
+        let (_tmp, mgr) = snapshot();
+        let snap = mgr.current();
+        let g = snap.graph();
+        let cost = |v: u32| {
+            let mut meter = ByteMeter::new(0);
+            khop(g, v, 3, &mut meter, None).unwrap();
+            meter.spent()
+        };
+        let v = (0..g.meta().num_vertices).max_by_key(|&v| cost(v)).unwrap();
+        let err = khop(g, v, 3, &mut ByteMeter::new(cost(v) / 2), None).unwrap_err();
+        assert_eq!(err.code(), "budget", "{err}");
+        let past = Deadline {
+            at: std::time::Instant::now() - std::time::Duration::from_millis(1),
+            budget_ms: 3,
+        };
+        let err = khop(g, v, 3, &mut ByteMeter::new(0), Some(&past)).unwrap_err();
+        assert_eq!(err.code(), "deadline", "{err}");
     }
 
     #[test]

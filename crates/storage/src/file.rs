@@ -253,6 +253,21 @@ mod tests {
     }
 
     #[test]
+    fn read_ranges_fills_overlapping_ranges() {
+        let data: Vec<u8> = (0..64u8).collect();
+        let (_d, path) = tmp_file(&data);
+        let tracker = Arc::new(IoTracker::new());
+        let b = FileBackend::open(&path, Arc::clone(&tracker)).unwrap();
+        let (mut a, mut m) = ([0u8; 8], [0u8; 8]);
+        let mut ranges =
+            [RangeRead { offset: 4, buf: &mut a }, RangeRead { offset: 8, buf: &mut m }];
+        b.read_ranges(&mut ranges, Access::Random).unwrap();
+        assert_eq!((a, m), (data[4..12].try_into().unwrap(), data[8..16].try_into().unwrap()));
+        let s = tracker.snapshot();
+        assert_eq!((s.rand_read_bytes, s.rand_read_ops), (16, 1));
+    }
+
+    #[test]
     fn read_ranges_rejects_out_of_bounds_before_reading() {
         let (_d, path) = tmp_file(&[0u8; 64]);
         let tracker = Arc::new(IoTracker::new());

@@ -117,7 +117,9 @@ pub trait ReadBackend: Send + Sync {
     /// count shrinks. Callers pass ranges sorted by offset — vectored
     /// submission ([`direct::DirectBackend`]) and the spanning-read
     /// optimization both rely on it, and every implementation
-    /// debug-asserts it.
+    /// debug-asserts it. Sorted ranges may overlap (adjacent vertices'
+    /// 8-byte index probes share an offset); each is filled and billed
+    /// in full.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
         debug_assert_ranges_sorted(ranges);
         for r in ranges {
