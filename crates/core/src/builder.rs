@@ -8,13 +8,14 @@
 //! selective loads and COP's per-destination parallelism).
 
 use crate::external::write_shard;
+use crate::graph::HusGraph;
 use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, META_FILE};
 pub use crate::partition::PartitionStrategy;
 use crate::partition::{interval_of, interval_starts};
 use hus_codec::Codec;
 use hus_gen::EdgeList;
 use hus_storage::durable::crash_point;
-use hus_storage::{BuildManifest, Result, StagingDir, StorageDir, StorageError};
+use hus_storage::{Access, BuildManifest, Result, StagingDir, StorageDir, StorageError};
 
 /// Build-time configuration.
 #[derive(Debug, Clone)]
@@ -71,11 +72,12 @@ impl BuildConfig {
     }
 }
 
-/// Finish a staged build: persist `meta.json`, capture and write the
-/// generation-stamped `MANIFEST` over the staged files, and atomically
-/// commit the staging directory into place (DESIGN.md §10). Shared by
-/// the in-memory and external builders.
+/// Finish a staged build: validate the manifest, persist `meta.json`,
+/// capture and write the generation-stamped `MANIFEST` over the staged
+/// files, and atomically commit the staging directory into place
+/// (DESIGN.md §10). Shared by every builder.
 pub(crate) fn finalize_build(staging: StagingDir, meta: &GraphMeta) -> Result<()> {
+    meta.validate().map_err(StorageError::Corrupt)?;
     let out = staging.dir();
     out.put_meta(META_FILE, &serde_json::to_string_pretty(meta).expect("meta serializes"))?;
     crash_point("build.meta");
@@ -90,6 +92,18 @@ pub(crate) fn finalize_build(staging: StagingDir, meta: &GraphMeta) -> Result<()
     staging.commit()
 }
 
+/// Write the out-degree table (used by scatter contexts and the
+/// predictor), then [`finalize_build`]: the tail of the in-memory build
+/// and of compaction. The external builder writes its degrees first, as
+/// its resume checkpoint.
+fn finish_build(staging: StagingDir, meta: &GraphMeta, out_degrees: &[u32]) -> Result<()> {
+    let mut deg_w = staging.dir().writer(DEGREES_FILE)?;
+    deg_w.write_pod_slice(out_degrees)?;
+    deg_w.finish()?;
+    crash_point("build.degrees");
+    finalize_build(staging, meta)
+}
+
 /// Build the dual-block representation of `el` inside `dir`, returning
 /// the manifest (also persisted as `meta.json`).
 ///
@@ -100,13 +114,26 @@ pub(crate) fn finalize_build(staging: StagingDir, meta: &GraphMeta) -> Result<()
 /// written (see DESIGN.md §10).
 pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<GraphMeta> {
     el.validate().map_err(StorageError::Corrupt)?;
-    let weighted = el.is_weighted();
+    let p = config.resolve_p(
+        el.num_vertices,
+        el.num_edges() as u64,
+        if el.is_weighted() { 8 } else { 4 },
+    );
     let out_degrees = el.out_degrees();
-    let num_edges = el.num_edges() as u64;
-    let p = config.resolve_p(el.num_vertices, num_edges, if weighted { 8 } else { 4 });
     let starts = interval_starts(el.num_vertices, p, config.partition, &out_degrees);
-    let p = p as usize;
+    build_partitioned(el, &out_degrees, dir, starts, config.codec)
+}
 
+/// [`build`] over fixed interval boundaries `starts` (`P + 1` vertex
+/// ids), given `el`'s out-degree table.
+pub(crate) fn build_partitioned(
+    el: &EdgeList,
+    out_degrees: &[u32],
+    dir: &StorageDir,
+    starts: Vec<u32>,
+    codec: Codec,
+) -> Result<GraphMeta> {
+    let p = starts.len() - 1;
     let staging = dir.staging()?;
     let out = staging.dir().clone();
 
@@ -118,7 +145,8 @@ pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<Gr
 
     // Out-shards (blocks `(i, 0..P)` of each source interval `i`), then
     // in-shards (blocks `(0..P, j)` of each destination interval `j`).
-    let mut meta = GraphMeta::unbuilt(el.num_vertices, num_edges, starts, weighted, config.codec);
+    let num_edges = el.num_edges() as u64;
+    let mut meta = GraphMeta::unbuilt(el.num_vertices, num_edges, starts, el.is_weighted(), codec);
     // One shard's records as `(own vertex, neighbor, edge index)`, its
     // blocks back to back, and where each block ends.
     let mut shard: Vec<(u32, u32, u32)> = Vec::new();
@@ -154,15 +182,54 @@ pub fn build(el: &EdgeList, dir: &StorageDir, config: &BuildConfig) -> Result<Gr
             crash_point("build.shard");
         }
     }
+    finish_build(staging, &meta, out_degrees)?;
+    Ok(meta)
+}
 
-    // Out-degrees (used by scatter contexts and the predictor).
-    let mut deg_w = out.writer(DEGREES_FILE)?;
-    deg_w.write_pod_slice(&out_degrees)?;
-    deg_w.finish()?;
-    crash_point("build.degrees");
-
-    meta.validate().map_err(StorageError::Corrupt)?;
-    finalize_build(staging, &meta)?;
+/// Re-encode `graph` as read through its overlay-aware block loaders —
+/// base blocks with every attached delta merged in — as a new build of
+/// its own directory: the write half of compaction (DESIGN.md §11.3).
+///
+/// Every block is already in canonical order, so each `o`-shard goes
+/// straight from [`HusGraph::index`] + [`HusGraph::records`] to
+/// [`write_shard`]: no edge list, no bucketing, no sort. The new build
+/// keeps the base's interval boundaries, `P`, codec and weightedness,
+/// and commits through the same staged, crash-pointed tail as
+/// [`build`]. Overlay blocks cost no I/O; every other block is read
+/// once per orientation.
+pub(crate) fn build_from(graph: &HusGraph) -> Result<GraphMeta> {
+    let base = graph.meta();
+    let p = base.p as usize;
+    let staging = graph.dir().staging()?;
+    let out = staging.dir().clone();
+    let mut meta = GraphMeta::unbuilt(
+        base.num_vertices,
+        graph.num_edges(),
+        base.interval_starts.clone(),
+        base.weighted,
+        graph.codec(),
+    );
+    for o in Orientation::BOTH {
+        for own in 0..p {
+            let first = base.interval_start(own);
+            let blocks = (0..p)
+                .map(|other| {
+                    let (i, j) = o.orient(own, other);
+                    let index = graph.index(o, i, j, Access::Sequential)?;
+                    Ok((index, graph.records(o, i, j, None, Access::Sequential)?))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let runs = blocks.iter().map(|(index, records)| {
+                (first..).zip(index.windows(2)).flat_map(move |(v, range)| {
+                    let walk = records.walk(range[0] as usize, range[1] as usize);
+                    walk.map(move |(neighbor, weight)| (v, neighbor, weight))
+                })
+            });
+            write_shard(&out, &mut meta, o, own, runs)?;
+            crash_point("build.shard");
+        }
+    }
+    finish_build(staging, &meta, graph.out_degrees())?;
     Ok(meta)
 }
 

@@ -10,11 +10,17 @@
 //! ([`hus_storage::delta::DeltaRun`]) and the run is recorded in the
 //! directory's `MANIFEST` under a bumped generation. Reads go through
 //! [`DynamicGraph::snapshot`], which materializes a merged *overlay*
-//! for every touched block — base records and newest-wins deltas
-//! two-pointer-merged into fresh CSR blocks — and attaches it to the
-//! graph handle, so PageRank/WCC/BFS see the updated edge set with no
-//! rebuild. [`DynamicGraph::compact`] folds memtable and runs into a
-//! full re-encoded base build (the crash-consistent staged build of
+//! for every touched block and attaches it to the graph handle, so
+//! PageRank/WCC/BFS see the updated edge set with no rebuild. Every run
+//! section and memtable block is sorted by key, so the overlay is built
+//! by merging, never by sorting out-blocks: the layers resolve into one
+//! sorted newest-wins op list per block by successive two-way merges
+//! (oldest run → newest run → memtable), and each op list is
+//! two-pointer-merged with the block's base records into a fresh CSR
+//! block (in-blocks re-key their ops to `(dst, src)` and sort them
+//! first). [`DynamicGraph::compact`] writes the overlay-aware blocks
+//! shard by shard through the builders' shard writer into a new base
+//! build with the same partition (the crash-consistent staged build of
 //! DESIGN.md §10), dropping every run in the same atomic rename.
 //!
 //! Ordering semantics: within one key `(src, dst)` the newest write
@@ -122,17 +128,22 @@ pub(crate) struct DeltaOverlay {
     pub(crate) delta_bytes: u64,
 }
 
+/// One block's resolved updates: newest-wins ops, sorted by key and
+/// unique.
+type BlockOps = Vec<((u32, u32), DeltaOp)>;
+
 /// Two-pointer merge of one block orientation: `base_index`/`base` are
 /// the block's on-disk CSR, `ops` the resolved newest-wins deltas for
 /// the block sorted by `(own vertex, neighbor)` — `(src, dst)` for
 /// out-blocks, `(dst, src)` for in-blocks. Relies on the canonical
-/// neighbor-sorted base order the builders guarantee.
-fn merge_block<'a>(
+/// neighbor-sorted base order the builders guarantee. Base records
+/// between two ops pass through as one copied span.
+fn merge_block(
     n_local: usize,
     start: u32,
     base_index: &[u32],
     base: &EdgeRecords,
-    ops: impl Iterator<Item = ((u32, u32), &'a DeltaOp)>,
+    ops: impl Iterator<Item = ((u32, u32), DeltaOp)>,
     weighted: bool,
 ) -> MergedBlock {
     debug_assert_eq!(base_index.len(), n_local + 1);
@@ -141,6 +152,8 @@ fn merge_block<'a>(
     let mut data: Vec<u8> = Vec::with_capacity(base.len() * stride);
     let mut index = Vec::with_capacity(n_local + 1);
     index.push(0u32);
+    // Base records `[0, copied)` are either in `data` or superseded.
+    let mut copied = 0;
     for v in 0..n_local {
         let own = start + v as u32;
         let mut k = base_index[v] as usize;
@@ -152,13 +165,14 @@ fn merge_block<'a>(
             }
             // Base records strictly before the op's neighbor pass through.
             while k < end && base.neighbor(k) < nb {
-                data.extend_from_slice(base.raw_record(k));
                 k += 1;
             }
+            data.extend_from_slice(base.raw(copied, k));
             // Records equal to the key are superseded (replaced or erased).
             while k < end && base.neighbor(k) == nb {
                 k += 1;
             }
+            copied = k;
             if let DeltaOp::Put(w) = op {
                 data.extend_from_slice(&nb.to_le_bytes());
                 if weighted {
@@ -167,36 +181,53 @@ fn merge_block<'a>(
             }
             ops.next();
         }
-        while k < end {
-            data.extend_from_slice(base.raw_record(k));
-            k += 1;
-        }
-        index.push((data.len() / stride) as u32);
+        index.push((data.len() / stride + end - copied) as u32);
     }
+    debug_assert!(ops.next().is_none(), "every op belongs to a vertex of the block");
+    data.extend_from_slice(base.raw(copied, base.len()));
     MergedBlock { index, records: EdgeRecords::from_raw(data, weighted) }
 }
 
+/// Merge two sorted, key-unique op lists into one; on a shared key the
+/// `newer` op wins.
+fn merge_newest_wins(
+    older: BlockOps,
+    newer: impl Iterator<Item = ((u32, u32), DeltaOp)>,
+) -> BlockOps {
+    let (lo, hi) = newer.size_hint();
+    let mut out = Vec::with_capacity(older.len() + hi.unwrap_or(lo));
+    let mut older = older.into_iter().peekable();
+    for (key, op) in newer {
+        while let Some(old) = older.next_if(|&(k, _)| k <= key) {
+            if old.0 < key {
+                out.push(old);
+            }
+        }
+        out.push((key, op));
+    }
+    out.extend(older);
+    out
+}
+
 /// Resolve runs (oldest → newest) then the memtable into one
-/// newest-wins op map per touched block, keyed `(src, dst)`.
-fn resolve_ops(
-    runs: &[DeltaRun],
-    memtable: &Memtable,
-) -> BTreeMap<(u32, u32), BTreeMap<(u32, u32), DeltaOp>> {
-    let mut resolved: BTreeMap<(u32, u32), BTreeMap<(u32, u32), DeltaOp>> = BTreeMap::new();
+/// newest-wins op list per touched block, keyed and sorted `(src, dst)`.
+/// Every run section and memtable block is already sorted and unique by
+/// key, so each layer is one two-way merge into the older result.
+fn resolve_ops(runs: &[DeltaRun], memtable: &Memtable) -> BTreeMap<(u32, u32), BlockOps> {
+    let mut resolved: BTreeMap<(u32, u32), BlockOps> = BTreeMap::new();
     for run in runs {
         for (&block, recs) in &run.blocks {
-            let map = resolved.entry(block).or_default();
-            for r in recs {
+            let slot = resolved.entry(block).or_default();
+            let newer = recs.iter().map(|r| {
                 let op = if r.tombstone { DeltaOp::Delete } else { DeltaOp::Put(r.weight) };
-                map.insert((r.src, r.dst), op);
-            }
+                ((r.src, r.dst), op)
+            });
+            *slot = merge_newest_wins(std::mem::take(slot), newer);
         }
     }
     for (&block, map) in &memtable.blocks {
-        let target = resolved.entry(block).or_default();
-        for (&key, &op) in map {
-            target.insert(key, op);
-        }
+        let slot = resolved.entry(block).or_default();
+        *slot = merge_newest_wins(std::mem::take(slot), map.iter().map(|(&key, &op)| (key, op)));
     }
     resolved
 }
@@ -220,6 +251,7 @@ pub(crate) fn build_overlay(
         num_edges: meta.num_edges,
         delta_bytes: delta_records * DELTA_RECORD_BYTES,
     };
+    let mut rekeyed: BlockOps = Vec::new();
     for (&(i, j), ops) in &resolved {
         let (i, j) = (i as usize, j as usize);
         for o in Orientation::BOTH {
@@ -229,10 +261,19 @@ pub(crate) fn build_overlay(
             let (n_own, start) = (meta.interval_len(own) as usize, meta.interval_start(own));
             let base_idx = graph.index(o, i, j, Access::Sequential)?;
             let base = graph.records(o, i, j, None, Access::Sequential)?;
-            let mut keyed: Vec<((u32, u32), &DeltaOp)> =
-                ops.iter().map(|(&(src, dst), op)| (o.orient(src, dst), op)).collect();
-            keyed.sort_unstable_by_key(|&(key, _)| key);
-            let merged = merge_block(n_own, start, &base_idx, &base, keyed.into_iter(), weighted);
+            // Ops are sorted `(src, dst)`: out-blocks take them as they
+            // are, in-blocks re-key to `(dst, src)` and sort.
+            let keyed = match o {
+                Orientation::Out => ops,
+                Orientation::In => {
+                    rekeyed.clear();
+                    rekeyed.extend(ops.iter().map(|&((src, dst), op)| ((dst, src), op)));
+                    rekeyed.sort_unstable_by_key(|&(key, _)| key);
+                    &rekeyed
+                }
+            };
+            let merged =
+                merge_block(n_own, start, &base_idx, &base, keyed.iter().copied(), weighted);
             if o == Orientation::Out {
                 for v in 0..n_own {
                     let before = base_idx[v + 1] - base_idx[v];
@@ -575,25 +616,23 @@ impl DynamicGraph {
     /// old run file, so a crash anywhere leaves either the old
     /// generation (runs intact) or the new one (runs folded) — never a
     /// mix. Returns `false` if there was nothing to fold.
+    ///
+    /// The refreshed overlay already holds every touched block merged
+    /// in canonical order, so the new build writes it shard by shard as
+    /// it stands (reading each untouched block once per orientation)
+    /// and keeps the base's partition, codec and weightedness. A failed
+    /// compaction leaves the overlay attached and valid: the next
+    /// snapshot is free.
     pub fn compact(&mut self) -> Result<bool> {
         if self.runs.is_empty() && self.memtable.is_empty() {
             return Ok(false);
         }
         self.refresh_overlay()?;
-        // Materialize the merged edge set through the overlay-aware
-        // out-block walk.
-        let el = self.graph.edge_list(Orientation::Out)?;
-        let config =
-            crate::builder::BuildConfig::with_p_codec(self.graph.meta().p, self.graph.codec());
-        // Detach the overlay before the base flips underneath it.
-        self.graph.overlay = None;
-        if let Err(e) = crate::builder::build(&el, &self.dir, &config) {
+        if let Err(e) = crate::builder::build_from(&self.graph) {
             // The staged build cleans its own staging directory on drop
             // and the prior generation was never touched — rollback is
-            // the default. The overlay was detached above, so force a
-            // rebuild on the next snapshot, then degrade until a later
-            // spill (or compaction retry) succeeds.
-            self.dirty = true;
+            // the default. Degrade until a later spill (or compaction
+            // retry) succeeds.
             self.dir.resilience().record_spill_rollback();
             self.enter_degraded();
             return Err(e);
@@ -730,7 +769,23 @@ mod tests {
 
     /// Reconstruct the edge set via the overlay-aware `o`-blocks.
     fn edges_via(g: &HusGraph, o: Orientation) -> Vec<(u32, u32)> {
-        g.edge_list(o).unwrap().edges.iter().map(|e| (e.src, e.dst)).collect()
+        crate::graph::tests::edges_via(g, o).into_iter().map(|(s, d, _)| (s, d)).collect()
+    }
+
+    /// `(src, dst, weight)` triples as an edge list, in order.
+    fn to_edge_list(num_vertices: u32, edges: &[(u32, u32, f32)], weighted: bool) -> EdgeList {
+        EdgeList {
+            num_vertices,
+            edges: edges.iter().map(|&(s, d, _)| hus_gen::Edge::new(s, d)).collect(),
+            weights: weighted.then(|| edges.iter().map(|&(_, _, w)| w).collect()),
+        }
+    }
+
+    /// The merged edge list (weights included on a weighted graph), in
+    /// out-block walk order.
+    fn merged_edge_list(g: &HusGraph) -> EdgeList {
+        let walked = crate::graph::tests::edges_via(g, Orientation::Out);
+        to_edge_list(g.meta().num_vertices, &walked, g.meta().weighted)
     }
 
     #[test]
@@ -978,7 +1033,7 @@ mod tests {
         dg.flush().unwrap().unwrap();
         dg.delete_edge(el.edges[9].src, el.edges[9].dst).unwrap();
 
-        let mut merged = dg.snapshot().unwrap().edge_list(Orientation::Out).unwrap();
+        let mut merged = merged_edge_list(dg.snapshot().unwrap());
         // The dirty flag alone keeps an unchanged snapshot from rebuilding.
         let before = dir.tracker().snapshot().total_bytes();
         dg.snapshot().unwrap();
@@ -1096,12 +1151,229 @@ mod tests {
         let dir =
             faulty(&root, hus_storage::FaultSpec { seed: 3, enospc: 1.0, ..Default::default() });
         let resilience = dir.resilience();
+        let tracker = dir.tracker();
         let mut dg = DynamicGraph::open(dir).unwrap();
+        let before: Vec<_> = Orientation::BOTH.map(|o| edges_via(dg.snapshot().unwrap(), o)).into();
         assert!(dg.compact().is_err());
         assert!(dg.is_degraded());
         assert_eq!(dg.run_count(), 1, "prior generation (base + run) intact");
         assert!(resilience.snapshot().spill_rollbacks >= 1);
-        // Reads still serve the committed run through a fresh overlay.
-        assert!(edges_via(dg.snapshot().unwrap(), Orientation::Out).contains(&(1, 2)));
+        // The overlay stays attached and valid: the next snapshot reads
+        // nothing and serves the same edge set.
+        let billed = tracker.snapshot().total_bytes();
+        let g = dg.snapshot().unwrap();
+        assert_eq!(tracker.snapshot().total_bytes(), billed, "snapshot after a rollback did I/O");
+        let after: Vec<_> = Orientation::BOTH.map(|o| edges_via(g, o)).into();
+        assert_eq!(after, before);
+        assert!(after[0].contains(&(1, 2)));
+    }
+
+    /// One generated update: `(src, dst, Some(weight))` inserts,
+    /// `(src, dst, None)` deletes.
+    type Update = (u32, u32, Option<f32>);
+
+    /// The in-memory model of the merged edge list: an insert replaces
+    /// every copy of its key (so base duplicates collapse to one record),
+    /// a delete erases them all. Untouched records keep their order.
+    fn apply_to_model(model: &mut Vec<(u32, u32, f32)>, &(src, dst, op): &Update) {
+        model.retain(|&(s, d, _)| (s, d) != (src, dst));
+        if let Some(w) = op {
+            model.push((src, dst, w));
+        }
+    }
+
+    /// The model's starting point: `el` as triples, weight 1.0 when
+    /// unweighted.
+    fn model_of(el: &EdgeList) -> Vec<(u32, u32, f32)> {
+        let weight = |k: usize| el.weights.as_ref().map_or(1.0, |w| w[k]);
+        el.edges.iter().enumerate().map(|(k, e)| (e.src, e.dst, weight(k))).collect()
+    }
+
+    /// Build `el` under `config`, spill `updates` as three runs with the
+    /// last quarter left in the memtable, compact, and require every
+    /// data file and the manifest to equal a from-scratch build of the
+    /// model's edge list over the base's interval boundaries.
+    fn assert_compaction_matches_rebuild(
+        case: &str,
+        el: &EdgeList,
+        config: &BuildConfig,
+        updates: &[Update],
+    ) {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let base = build(el, &dir, config).unwrap();
+        let mut dg = DynamicGraph::open(dir.clone()).unwrap();
+        let mut model = model_of(el);
+        let quarter = updates.len().div_ceil(4);
+        for (k, batch) in updates.chunks(quarter.max(1)).enumerate() {
+            for u in batch {
+                match u.2 {
+                    Some(w) => dg.insert_edge(u.0, u.1, w).unwrap(),
+                    None => dg.delete_edge(u.0, u.1).unwrap(),
+                }
+                apply_to_model(&mut model, u);
+            }
+            if k < 3 {
+                dg.flush().unwrap();
+            }
+        }
+        assert!(dg.compact().unwrap(), "{case}");
+        let meta = dg.snapshot().unwrap().meta().clone();
+        assert_eq!(meta.interval_starts, base.interval_starts, "{case}: partition kept");
+
+        let want = to_edge_list(el.num_vertices, &model, el.is_weighted());
+        let reference = StorageDir::create(tmp.path().join("ref")).unwrap();
+        let ref_meta = crate::builder::build_partitioned(
+            &want,
+            &want.out_degrees(),
+            &reference,
+            base.interval_starts.clone(),
+            config.codec,
+        )
+        .unwrap();
+        assert_eq!(meta, ref_meta, "{case}: manifest");
+        for (name, _) in crate::meta::GraphMeta::data_files(meta.p) {
+            assert_eq!(
+                std::fs::read(dir.path(&name)).unwrap(),
+                std::fs::read(reference.path(&name)).unwrap(),
+                "{case}: {name} differs from a from-scratch build with the same partition"
+            );
+        }
+    }
+
+    /// `n` seeded updates over `num_vertices`: inserts with distinct
+    /// weights, deletes of base edges and of random keys.
+    fn random_updates(el: &EdgeList, n: usize, seed: u64) -> Vec<Update> {
+        (0..n)
+            .map(|k| {
+                let r = hus_gen::types::splitmix64(seed << 32 | k as u64);
+                if r.is_multiple_of(3) {
+                    let e = el.edges[(r >> 8) as usize % el.edges.len()];
+                    (e.src, e.dst, None)
+                } else {
+                    let v = el.num_vertices as u64;
+                    (((r >> 8) % v) as u32, ((r >> 32) % v) as u32, Some(k as f32 + 0.25))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compaction_keeps_a_degree_balanced_partition() {
+        // Degree-balanced intervals of a skewed graph are far from equal
+        // vertex counts; compaction must not re-partition them.
+        let el = rmat(1000, 8000, 41, RmatConfig::default());
+        let config = BuildConfig {
+            p: Some(4),
+            partition: crate::PartitionStrategy::BalancedOutDegree,
+            ..BuildConfig::with_p_codec(4, Codec::Raw)
+        };
+        let updates = random_updates(&el, 600, 5);
+        assert_compaction_matches_rebuild("degree-balanced", &el, &config, &updates);
+    }
+
+    #[test]
+    fn compaction_matches_a_same_partition_rebuild_across_codecs_and_weights() {
+        let el = rmat(300, 2500, 23, RmatConfig::default());
+        // Weighted, with duplicate base edges carrying distinct weights:
+        // some duplicate keys are overwritten or deleted, others are
+        // copied through in input order.
+        let mut dup = el.clone();
+        for k in 0..40 {
+            dup.edges.push(el.edges[k * 7]);
+        }
+        dup.weights = Some((0..dup.edges.len()).map(|k| k as f32 * 0.5 + 1.0).collect());
+        let mut dup_updates = random_updates(&dup, 200, 9);
+        for k in (0..40).step_by(4) {
+            let e = el.edges[k * 7];
+            dup_updates.push((e.src, e.dst, if k % 8 == 0 { None } else { Some(99.5) }));
+        }
+        // Updates confined to blocks (0, 0) and (2, 3) of a 4 × 4 grid;
+        // every other block is copied through from the base.
+        let confined: Vec<Update> = (0..60u32)
+            .map(|k| {
+                let (src, dst) = if k % 2 == 0 { (k % 75, k * 7 % 75) } else { (150 + k, 225 + k) };
+                (src, dst, if k % 5 == 0 { None } else { Some(1.0) })
+            })
+            .collect();
+        for codec in [Codec::Raw, Codec::DeltaVarint] {
+            let config = BuildConfig::with_p_codec(4, codec);
+            let name = codec.name();
+            assert_compaction_matches_rebuild(
+                &format!("{name} unweighted"),
+                &el,
+                &config,
+                &random_updates(&el, 300, 3),
+            );
+            assert_compaction_matches_rebuild(
+                &format!("{name} weighted duplicates"),
+                &dup,
+                &config,
+                &dup_updates,
+            );
+            assert_compaction_matches_rebuild(&format!("{name} confined"), &el, &config, &confined);
+        }
+    }
+
+    #[test]
+    fn resolve_and_snapshot_match_a_newest_wins_model() {
+        let el = rmat(64, 400, 29, RmatConfig::default()).with_hash_weights(1.0, 2.0);
+        let (_t, dir) = built(&el, 3);
+        let mut dg = DynamicGraph::open(dir).unwrap();
+        let mut model = model_of(&el);
+        let mut reference: BTreeMap<(u32, u32), BTreeMap<(u32, u32), DeltaOp>> = BTreeMap::new();
+        let mut apply = |dg: &mut DynamicGraph, u: Update| {
+            let op = match u.2 {
+                Some(w) => {
+                    dg.insert_edge(u.0, u.1, w).unwrap();
+                    DeltaOp::Put(w)
+                }
+                None => {
+                    dg.delete_edge(u.0, u.1).unwrap();
+                    DeltaOp::Delete
+                }
+            };
+            let (i, j) = dg.locate(u.0, u.1).unwrap();
+            reference.entry((i, j)).or_default().insert((u.0, u.1), op);
+            apply_to_model(&mut model, &u);
+        };
+        // A base edge deleted, resurrected, deleted and resurrected again
+        // across three runs and the memtable.
+        let e = el.edges[0];
+        for layer in 0..4u64 {
+            let op = if layer % 2 == 0 { None } else { Some(10.0 + layer as f32) };
+            apply(&mut dg, (e.src, e.dst, op));
+            // Keys drawn from a 16 × 64 corner repeat within and across
+            // layers and land in several blocks.
+            for k in 0..150 {
+                let r = hus_gen::types::splitmix64(layer << 32 | k);
+                let (src, dst) = ((r % 16) as u32 * 4, ((r >> 16) % 64) as u32);
+                let op = !(r >> 40).is_multiple_of(3);
+                apply(&mut dg, (src, dst, op.then_some(k as f32 + 0.5)));
+            }
+            if layer < 3 {
+                dg.flush().unwrap().unwrap();
+            }
+        }
+        assert_eq!(dg.run_count(), 3);
+        assert!(dg.memtable_len() > 0);
+
+        let resolved = resolve_ops(&dg.runs, &dg.memtable);
+        let want: BTreeMap<(u32, u32), BlockOps> =
+            reference.into_iter().map(|(b, ops)| (b, ops.into_iter().collect())).collect();
+        assert_eq!(resolved, want);
+
+        let g = dg.snapshot().unwrap();
+        let bits = |v: Vec<(u32, u32, f32)>| {
+            let mut v: Vec<(u32, u32, u32)> =
+                v.into_iter().map(|(s, d, w)| (s, d, w.to_bits())).collect();
+            v.sort_unstable();
+            v
+        };
+        let want = bits(model);
+        for o in Orientation::BOTH {
+            assert_eq!(bits(crate::graph::tests::edges_via(g, o)), want, "{o:?}");
+        }
+        assert_eq!(g.num_edges(), want.len() as u64);
     }
 }

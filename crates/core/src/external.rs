@@ -315,7 +315,6 @@ pub fn build_external<S: EdgeSource>(
         std::fs::remove_file(out.path(&spill_file(o, own))).ok();
     }
     let meta = prog.meta.expect("recorded by the degree phase");
-    meta.validate().map_err(StorageError::Corrupt)?;
 
     // Sweep build-time scratch so it never ships in the committed
     // directory (a crash after a shard's progress record can leave its

@@ -8,7 +8,7 @@ use crate::meta::{
 };
 use crate::rop::DEFAULT_MERGE_SLACK;
 use hus_codec::Codec;
-use hus_gen::{Edge, EdgeList};
+use hus_gen::EdgeList;
 use hus_storage::checksum::ShardFooter;
 use hus_storage::{
     Access, BlockSpan, BuildManifest, CodecBackend, RangeRead, ReadBackend, Result, StorageDir,
@@ -469,32 +469,6 @@ impl HusGraph {
             .collect())
     }
 
-    /// Every edge (and weight, on a weighted graph) recovered by walking
-    /// the `o`-shards block by block through their CSR indices —
-    /// overlay-aware, so it is the merged edge set compaction folds.
-    pub(crate) fn edge_list(&self, o: Orientation) -> Result<EdgeList> {
-        let mut edges = Vec::with_capacity(self.num_edges() as usize);
-        let mut weights = self.meta.weighted.then(|| Vec::with_capacity(edges.capacity()));
-        for own in 0..self.p() {
-            let base = self.meta.interval_start(own);
-            for other in 0..self.p() {
-                let (i, j) = o.orient(own, other);
-                let idx = self.index(o, i, j, Access::Sequential)?;
-                let recs = self.records(o, i, j, None, Access::Sequential)?;
-                for (v, range) in (base..).zip(idx.windows(2)) {
-                    for (neighbor, weight) in recs.walk(range[0] as usize, range[1] as usize) {
-                        let (src, dst) = o.orient(v, neighbor);
-                        edges.push(Edge::new(src, dst));
-                        if let Some(w) = &mut weights {
-                            w.push(weight);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(EdgeList { num_vertices: self.meta.num_vertices, edges, weights })
-    }
-
     /// Load out-index `(i, j)`: `interval_len(i) + 1` CSR offsets local
     /// to out-block `(i, j)`.
     pub fn load_out_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
@@ -630,11 +604,9 @@ impl EdgeRecords {
         EdgeRecords { data, weighted }
     }
 
-    /// The raw bytes of record `k` (one stride), for copy-through
-    /// merging.
-    pub(crate) fn raw_record(&self, k: usize) -> &[u8] {
-        let s = k * self.stride();
-        &self.data[s..s + self.stride()]
+    /// The raw bytes of records `[lo, hi)`, for copy-through merging.
+    pub(crate) fn raw(&self, lo: usize, hi: usize) -> &[u8] {
+        &self.data[lo * self.stride()..hi * self.stride()]
     }
 
     /// Copy out records `[lo, hi)` as a standalone buffer.
@@ -739,10 +711,10 @@ impl Iterator for Walk<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hus_gen::rmat::{rmat, RmatConfig};
-    use hus_gen::Csr;
+    use hus_gen::{Csr, Edge};
     use hus_storage::BackendKind;
 
     fn open_graph(el: &EdgeList, p: u32) -> (tempfile::TempDir, HusGraph) {
@@ -761,10 +733,41 @@ mod tests {
         (tmp, g)
     }
 
+    /// Every `(src, dst, weight)` reconstructed through the public
+    /// `o`-orientation loaders — whole index, whole block — walked shard
+    /// by shard, block by block; overlay-aware.
+    pub(crate) fn edges_via(g: &HusGraph, o: Orientation) -> Vec<(u32, u32, f32)> {
+        let mut edges = Vec::new();
+        for own in 0..g.p() {
+            let first = g.meta().interval_start(own);
+            for other in 0..g.p() {
+                let (i, j) = o.orient(own, other);
+                let (idx, recs) = match o {
+                    Orientation::Out => (
+                        g.load_out_index(i, j, Access::Sequential).unwrap(),
+                        g.stream_out_block(i, j).unwrap(),
+                    ),
+                    Orientation::In => (
+                        g.load_in_index(i, j, Access::Sequential).unwrap(),
+                        g.stream_in_block(i, j).unwrap(),
+                    ),
+                };
+                for (v, range) in (first..).zip(idx.windows(2)) {
+                    for (neighbor, weight) in recs.walk(range[0] as usize, range[1] as usize) {
+                        let (src, dst) = o.orient(v, neighbor);
+                        edges.push((src, dst, weight));
+                    }
+                }
+            }
+        }
+        edges
+    }
+
     /// The edge set reconstructed through the `o`-blocks + `o`-indices,
     /// sorted.
     fn edges_via_blocks(g: &HusGraph, o: Orientation) -> Vec<Edge> {
-        let mut edges = g.edge_list(o).unwrap().edges;
+        let mut edges: Vec<Edge> =
+            edges_via(g, o).into_iter().map(|(src, dst, _)| Edge::new(src, dst)).collect();
         edges.sort_unstable();
         edges
     }
