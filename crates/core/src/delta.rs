@@ -37,7 +37,6 @@ use hus_storage::delta::{DeltaRecord, DeltaRun, DELTA_RECORD_BYTES};
 use hus_storage::{durable, Access, Result, StorageDir, StorageError};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom};
 
 static INSERTS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("ingest.inserts");
 static DELETES: hus_obs::LazyCounter = hus_obs::LazyCounter::new("ingest.deletes");
@@ -544,7 +543,7 @@ impl DynamicGraph {
         let run_path = self.dir.path(name);
         let run_len =
             std::fs::metadata(&run_path).map_err(|e| StorageError::io_at(&run_path, e))?.len();
-        manifest.push_run(name, run_len, read_trailing_crc(&run_path)?);
+        manifest.push_run(name, run_len, hus_storage::manifest::read_trailing_crc(&run_path)?);
         // The manifest is rewritten via tmp + rename (through the
         // write-fault-aware durable path, so injected faults surface as
         // errors here instead of tearing the MANIFEST in place): an
@@ -716,17 +715,6 @@ impl DynamicGraph {
     pub fn dir(&self) -> &StorageDir {
         &self.dir
     }
-}
-
-/// Read a file's last four bytes as a little-endian CRC (the run's
-/// trailer, recorded in `MANIFEST` `run` lines).
-fn read_trailing_crc(path: &std::path::Path) -> Result<u32> {
-    let at = |e| StorageError::io_at(path, e);
-    let mut f = std::fs::File::open(path).map_err(at)?;
-    f.seek(SeekFrom::End(-4)).map_err(at)?;
-    let mut buf = [0u8; 4];
-    f.read_exact(&mut buf).map_err(at)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 /// Best-effort move of `victims` into `<root>/quarantine/` — the same

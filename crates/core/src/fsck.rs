@@ -113,8 +113,10 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
                         // The manifest's fingerprint is the run's trailing
                         // self-CRC; a mismatch means the file was swapped
                         // or rewritten after the spill committed.
-                        match read_trailing_crc(&dir.path(&entry.name)) {
-                            Some(tail) if Some(tail) != entry.footer_crc => {
+                        // `load_from` read the whole run, so an error here
+                        // adds nothing to report.
+                        match hus_storage::manifest::read_trailing_crc(&dir.path(&entry.name)) {
+                            Ok(tail) if Some(tail) != entry.footer_crc => {
                                 report.issues.push(format!(
                                     "{}: trailer CRC {tail:08X} disagrees with MANIFEST \
                                      ({:08X})",
@@ -216,17 +218,6 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
 
     scan_stale(dir, repair, &mut report, &listed_runs);
     Ok(report)
-}
-
-/// Read a file's last four bytes as a little-endian CRC; `None` when
-/// unreadable or too short.
-fn read_trailing_crc(path: &std::path::Path) -> Option<u32> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path).ok()?;
-    f.seek(SeekFrom::End(-4)).ok()?;
-    let mut buf = [0u8; 4];
-    f.read_exact(&mut buf).ok()?;
-    Some(u32::from_le_bytes(buf))
 }
 
 /// Length + footer + per-block CRC checks for one shard file.

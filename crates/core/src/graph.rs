@@ -11,9 +11,11 @@ use hus_codec::Codec;
 use hus_gen::EdgeList;
 use hus_storage::checksum::ShardFooter;
 use hus_storage::{
-    Access, BlockSpan, BuildManifest, CodecBackend, RangeRead, ReadBackend, Result, StorageDir,
-    StorageError, MANIFEST_FILE,
+    Access, BuildManifest, RangeRead, ReadBackend, Result, StorageDir, StorageError, MANIFEST_FILE,
 };
+use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,14 +35,105 @@ pub(crate) fn load_manifest(root: &Path) -> Result<BuildManifest> {
     BuildManifest::load_from(root)?.ok_or_else(|| missing(root, MANIFEST_FILE))
 }
 
-/// One opened shard: its two files and, on a checksummed graph
-/// (`GraphMeta::checksums`), the per-block CRC-32C rows of their
-/// footers, indexed by the block's position within the shard.
+/// One opened shard: its two files, on a checksummed graph
+/// (`GraphMeta::checksums`) the per-block CRC-32C rows of their
+/// footers, and on a compressed graph the decoded-block cache of its
+/// `.edges` file — each indexed by the block's position within the
+/// shard.
 struct Shard {
     edges: Arc<dyn ReadBackend>,
     index: Arc<dyn ReadBackend>,
     edge_crcs: Option<Vec<u32>>,
     index_crcs: Option<Vec<u32>>,
+    /// `None` under the raw codec.
+    decoded: Option<DecodedCache>,
+}
+
+/// Decoded-block cache budget per `.edges` file.
+const DECODED_CACHE_BYTES: usize = 16 << 20;
+
+/// Lock shards of a [`DecodedCache`] (a power of two; a block picks one
+/// by the low bits of its position within the shard file).
+const DECODED_CACHE_SHARDS: usize = 8;
+
+/// Encoded bytes fetched from the device for compressed blocks.
+static ENCODED_BYTES: hus_obs::LazyCounter =
+    hus_obs::LazyCounter::new("storage.codec.encoded_bytes_read");
+/// Decoded bytes produced from compressed blocks.
+static DECODED_BYTES: hus_obs::LazyCounter =
+    hus_obs::LazyCounter::new("storage.codec.decoded_bytes");
+/// Nanoseconds spent decoding one block.
+static DECODE_NS: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("storage.codec.decode_ns");
+/// Compressed-block reads served from the decoded-block cache.
+static CACHE_HITS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("storage.codec.cache_hits");
+/// Compressed-block reads that fetched, decoded and cached their block.
+static CACHE_MISSES: hus_obs::LazyCounter = hus_obs::LazyCounter::new("storage.codec.cache_misses");
+
+thread_local! {
+    /// Reusable scratch buffer for a block's encoded bytes.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// LRU of one compressed `.edges` file's decoded blocks, keyed by the
+/// block's position within the shard. Partial reads park their whole
+/// decoded block here, so later reads of it bill no I/O and no decode;
+/// COP's whole-block streams bypass it (DESIGN.md §9.2).
+#[derive(Default)]
+struct DecodedCache(Box<[Mutex<DecodedShard>; DECODED_CACHE_SHARDS]>);
+
+#[derive(Default)]
+struct DecodedShard {
+    /// Block position → (decoded bytes, LRU stamp).
+    blocks: HashMap<usize, (Arc<Vec<u8>>, u64)>,
+    bytes: usize,
+    clock: u64,
+}
+
+impl DecodedCache {
+    /// A lock shard's budget: a block decoding to more is never cached.
+    const SHARD_BUDGET: usize = DECODED_CACHE_BYTES / DECODED_CACHE_SHARDS;
+
+    fn shard(&self, pos: usize) -> &Mutex<DecodedShard> {
+        &self.0[pos & (DECODED_CACHE_SHARDS - 1)]
+    }
+
+    /// The cached block at `pos`, refreshing its LRU stamp.
+    fn get(&self, pos: usize) -> Option<Arc<Vec<u8>>> {
+        let mut shard = self.shard(pos).lock();
+        let stamp = shard.clock;
+        shard.clock += 1;
+        shard.blocks.get_mut(&pos).map(|(data, s)| {
+            *s = stamp;
+            Arc::clone(data)
+        })
+    }
+
+    /// Whether the block at `pos` is cached — a peek that leaves its
+    /// LRU stamp alone.
+    fn contains(&self, pos: usize) -> bool {
+        self.shard(pos).lock().blocks.contains_key(&pos)
+    }
+
+    /// Park the block at `pos`, evicting least recently used blocks of
+    /// its lock shard to fit.
+    fn insert(&self, pos: usize, data: Arc<Vec<u8>>) {
+        if data.len() > Self::SHARD_BUDGET {
+            return;
+        }
+        let mut shard = self.shard(pos).lock();
+        while shard.bytes + data.len() > Self::SHARD_BUDGET {
+            let Some(victim) = shard.blocks.iter().min_by_key(|(_, e)| e.1).map(|(&k, _)| k) else {
+                break;
+            };
+            if let Some((evicted, _)) = shard.blocks.remove(&victim) {
+                shard.bytes -= evicted.len();
+            }
+        }
+        let stamp = shard.clock;
+        shard.clock += 1;
+        shard.bytes += data.len();
+        shard.blocks.insert(pos, (data, stamp));
+    }
 }
 
 /// Where reads of one block are served from.
@@ -61,9 +154,7 @@ pub struct HusGraph {
     out_degrees: Vec<u32>,
     /// `shards[o as usize][k]` is interval `k`'s `o`-shard.
     shards: [Vec<Shard>; 2],
-    /// Shared with the [`CodecBackend`]s wrapping compressed shards, so
-    /// one toggle switches graph-level and codec-level verification.
-    verify: Arc<AtomicBool>,
+    verify: AtomicBool,
     /// Dynamic-graph read overlay (DESIGN.md §11): merged blocks for
     /// every block touched by buffered edge updates, served from memory
     /// while untouched blocks keep reading the base shards. Attached and
@@ -112,10 +203,9 @@ impl HusGraph {
             )));
         }
         let codec = meta.codec().map_err(StorageError::Corrupt)?;
-        let verify = Arc::new(AtomicBool::new(hus_obs::env::flag("HUS_VERIFY", false)));
+        let verify = AtomicBool::new(hus_obs::env::flag("HUS_VERIFY", false));
         // Footers are integrity metadata, loaded untracked at open like
-        // the manifest (and before the readers: compressed shards hand
-        // their CRCs to the decoding backends). A graph that claims
+        // the manifest. A graph that claims
         // checksums but lacks a valid footer on any shard file — or
         // whose footer names a different codec than the manifest — is
         // rejected as corrupt.
@@ -132,40 +222,19 @@ impl HusGraph {
             }
             Ok(Some(f.crcs))
         };
-        let m = meta.edge_record_bytes();
         let open_shard = |o: Orientation, own: usize| -> Result<Shard> {
             let (edges_name, index_name) =
                 (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
             let edge_crcs = footer_crcs(&edges_name, codec.id())?;
+            // Index files are never compressed.
             let index_crcs = footer_crcs(&index_name, hus_codec::CODEC_RAW)?;
-            // Compressed shard readers are wrapped in a decoding backend
-            // so all the offset math below keeps addressing decoded
-            // records; raw shards read the stack directly (bit-identical
-            // to the pre-codec layout). Index files are never compressed.
-            let mut edges = dir.reader(&edges_name)?;
-            if !codec.is_raw() {
-                let spans = meta.shard_blocks(o, own).enumerate().map(|(other, b)| {
-                    let (i, j) = o.orient(own, other);
-                    BlockSpan {
-                        id: (i as u32, j as u32),
-                        decoded_offset: b.edge_offset,
-                        decoded_len: b.edge_count * m,
-                        encoded_offset: b.encoded_offset,
-                        encoded_len: b.encoded_bytes,
-                    }
-                });
-                edges = Arc::new(CodecBackend::new(
-                    edges,
-                    codec.as_dyn(),
-                    m as usize,
-                    spans.collect(),
-                    edge_crcs.clone(),
-                    Arc::clone(&verify),
-                    dir.path(&edges_name),
-                    dir.resilience(),
-                ));
-            }
-            Ok(Shard { edges, index: dir.reader(&index_name)?, edge_crcs, index_crcs })
+            Ok(Shard {
+                edges: dir.reader(&edges_name)?,
+                index: dir.reader(&index_name)?,
+                edge_crcs,
+                index_crcs,
+                decoded: (!codec.is_raw()).then(DecodedCache::default),
+            })
         };
         let mut shards = [Vec::with_capacity(p), Vec::with_capacity(p)];
         for o in Orientation::BOTH {
@@ -202,8 +271,11 @@ impl HusGraph {
     }
 
     /// With verification on, check freshly read bytes of `o`-block
-    /// `(i, j)` — its whole edge payload (`edges`) or its whole CSR
-    /// offset array — against the CRC stored in its shard's footer.
+    /// `(i, j)` — its whole edge payload (`edges`; encoded on a
+    /// compressed graph) or its whole CSR offset array — against the
+    /// CRC stored in its shard's footer. Under the raw codec, CRCs cover
+    /// whole blocks, so strictly partial record reads pass through
+    /// unchecked — see DESIGN.md §9.
     fn verify_block(
         &self,
         o: Orientation,
@@ -234,27 +306,6 @@ impl HusGraph {
             expected: stored,
             actual,
         })
-    }
-
-    /// Raw-codec verification of a whole block payload, shared by the
-    /// full-block loaders and the selective paths that happen to span an
-    /// entire block. No-op for compressed graphs: the [`CodecBackend`]
-    /// checks the footer CRC against the *encoded* payload on every
-    /// fetch (any read shape), so a graph-level check of the decoded
-    /// bytes would be both redundant and wrong. Under raw, CRCs cover
-    /// whole blocks, so smaller partial reads pass through unchecked —
-    /// see DESIGN.md §9.
-    fn verify_raw_block(
-        &self,
-        o: Orientation,
-        block: (usize, usize),
-        data: &[u8],
-        offset: u64,
-    ) -> Result<()> {
-        if !self.codec.is_raw() {
-            return Ok(());
-        }
-        self.verify_block(o, block, true, data, offset)
     }
 
     /// The manifest.
@@ -335,7 +386,9 @@ impl HusGraph {
     pub fn out_records_cached(&self, i: usize, j: usize) -> bool {
         match self.source(Orientation::Out, i, j) {
             Source::Overlay(_) => true,
-            Source::Base(shard, block) => shard.edges.is_resident(block.edge_offset),
+            Source::Base(shard, _) => {
+                shard.decoded.as_ref().is_some_and(|c| c.contains(Orientation::Out.orient(i, j).1))
+            }
         }
     }
 
@@ -383,8 +436,8 @@ impl HusGraph {
     /// Load records `[lo, hi)` of `o`-block `(i, j)`, or the whole block
     /// when `range` is `None`, as one read billed under `access`. On a
     /// raw-codec graph with verification on, a read that spans the whole
-    /// block is checked against the footer CRC (compressed graphs verify
-    /// every shape inside the codec backend).
+    /// block is checked against the footer CRC; a compressed block is
+    /// read by [`Self::decoded_records`], which verifies every shape.
     pub(crate) fn records(
         &self,
         o: Orientation,
@@ -402,6 +455,9 @@ impl HusGraph {
         };
         let (lo, hi) = range.map_or((0, block.edge_count), |(lo, hi)| (lo as u64, hi as u64));
         debug_assert!(lo <= hi && hi <= block.edge_count);
+        if let Some(cache) = &shard.decoded {
+            return self.decoded_records(o, (i, j), shard, cache, block, (lo, hi), access);
+        }
         let m = self.meta.edge_record_bytes();
         let mut data = vec![0u8; ((hi - lo) * m) as usize];
         // An empty block is never fetched; an explicit empty range still
@@ -412,14 +468,100 @@ impl HusGraph {
             })?;
         }
         if lo == 0 && hi == block.edge_count {
-            self.verify_raw_block(o, (i, j), &data, block.edge_offset)?;
+            self.verify_block(o, (i, j), true, &data, block.edge_offset)?;
         }
         Ok(EdgeRecords { data, weighted: self.meta.weighted })
     }
 
+    /// Records `[lo, hi)` of compressed base `o`-block `(i, j)`. A block
+    /// in the shard's decoded-block cache is sliced at no I/O; otherwise
+    /// its whole encoded payload is fetched under `access` and decoded.
+    /// A whole-block sequential read (a COP stream) is returned
+    /// uncached; any other read parks the decoded block in the cache.
+    #[allow(clippy::too_many_arguments)]
+    fn decoded_records(
+        &self,
+        o: Orientation,
+        (i, j): (usize, usize),
+        shard: &Shard,
+        cache: &DecodedCache,
+        block: &BlockMeta,
+        (lo, hi): (u64, u64),
+        access: Access,
+    ) -> Result<EdgeRecords> {
+        let m = self.meta.edge_record_bytes() as usize;
+        let weighted = self.meta.weighted;
+        if lo == hi {
+            return Ok(EdgeRecords { data: Vec::new(), weighted });
+        }
+        let (lo, hi) = (lo as usize * m, hi as usize * m);
+        let pos = o.orient(i, j).1;
+        let cell = (i as u32, j as u32);
+        if let Some(data) = cache.get(pos) {
+            CACHE_HITS.incr();
+            hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::CacheHits, 1);
+            return Ok(EdgeRecords { data: data[lo..hi].to_vec(), weighted });
+        }
+        let data = self.fetch_decode(o, (i, j), shard, block, access)?;
+        if hi - lo == data.len() && access == Access::Sequential {
+            return Ok(EdgeRecords { data, weighted });
+        }
+        CACHE_MISSES.incr();
+        hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::CacheMisses, 1);
+        let records = EdgeRecords { data: data[lo..hi].to_vec(), weighted };
+        cache.insert(pos, Arc::new(data));
+        Ok(records)
+    }
+
+    /// Fetch compressed base `o`-block `(i, j)`'s encoded payload, billed
+    /// to `access`, check it against the footer CRC (with verification
+    /// on) and decode it.
+    fn fetch_decode(
+        &self,
+        o: Orientation,
+        (i, j): (usize, usize),
+        shard: &Shard,
+        block: &BlockMeta,
+        access: Access,
+    ) -> Result<Vec<u8>> {
+        let cell = (i as u32, j as u32);
+        let m = self.meta.edge_record_bytes();
+        SCRATCH.with(|scratch| {
+            let mut enc = scratch.borrow_mut();
+            enc.resize(block.encoded_bytes as usize, 0);
+            hus_obs::attr::with_block(cell.0, cell.1, || {
+                shard.edges.read_at(block.encoded_offset, &mut enc, access)
+            })?;
+            let encoded = block.encoded_bytes;
+            ENCODED_BYTES.add(encoded);
+            hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::EncodedBytes, encoded);
+            self.verify_block(o, (i, j), true, &enc, block.encoded_offset)?;
+            let t0 =
+                (hus_obs::enabled() || hus_obs::heatmap_enabled()).then(std::time::Instant::now);
+            let mut data = vec![0u8; (block.edge_count * m) as usize];
+            self.codec.decode(&enc, m as usize, &mut data).map_err(|e| {
+                StorageError::Corrupt(format!(
+                    "{}: block ({i}, {j}): {} decode failed: {e}",
+                    self.dir.path(&GraphMeta::edges_file(o, o.orient(i, j).0)).display(),
+                    self.codec.name(),
+                ))
+            })?;
+            if let Some(t0) = t0 {
+                let ns = t0.elapsed().as_nanos() as u64;
+                DECODE_NS.record(ns);
+                hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::DecodeNs, ns);
+            }
+            let decoded = data.len() as u64;
+            DECODED_BYTES.add(decoded);
+            hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::DecodedBytes, decoded);
+            Ok(data)
+        })
+    }
+
     /// Load several record ranges `[lo, hi)` of `o`-block `(i, j)` as
-    /// one batched multi-range request. Ranges must be sorted ascending
-    /// and non-overlapping.
+    /// one batched multi-range request (on a compressed block, one
+    /// cached read per range). Ranges must be sorted ascending and
+    /// non-overlapping.
     fn record_ranges(
         &self,
         o: Orientation,
@@ -436,6 +578,13 @@ impl HusGraph {
             }
             Source::Base(shard, block) => (shard, block),
         };
+        if shard.decoded.is_some() {
+            // The first range fetches and caches the block; the rest hit.
+            return ranges
+                .iter()
+                .map(|&r| self.records(o, i, j, Some(r), Access::Batched))
+                .collect();
+        }
         let m = self.meta.edge_record_bytes();
         let mut bufs: Vec<Vec<u8>> = ranges
             .iter()
@@ -458,9 +607,9 @@ impl HusGraph {
         drop(reqs);
         if let [(0, hi)] = ranges {
             // A single merged range that swallowed the whole block is a
-            // full-block read in disguise; verify it as one (raw codec).
+            // full-block read in disguise; verify it as one.
             if *hi as u64 == block.edge_count {
-                self.verify_raw_block(o, (i, j), &bufs[0], block.edge_offset)?;
+                self.verify_block(o, (i, j), true, &bufs[0], block.edge_offset)?;
             }
         }
         Ok(bufs
@@ -1098,7 +1247,7 @@ pub(crate) mod tests {
         let (_t, g) = open_graph_codec(&el, 3, Codec::DeltaVarint);
         assert_eq!(g.codec(), Codec::DeltaVarint);
         // Both traversal directions reconstruct the graph through the
-        // decoding backends, weights intact.
+        // block decoder, weights intact.
         let mut want = el.edges.clone();
         want.sort_unstable();
         for o in Orientation::BOTH {
@@ -1143,6 +1292,140 @@ pub(crate) mod tests {
         let err = g.load_out_records(i, j, 0, 1).unwrap_err();
         assert!(err.is_corruption(), "{err}");
         assert_eq!(g.dir().resilience().snapshot().checksum_failures, 1);
+    }
+
+    /// The first out-block of `g` holding at least `min_edges` records.
+    fn out_block_with(g: &HusGraph, min_edges: u64) -> (usize, usize) {
+        let p = g.p();
+        (0..p)
+            .flat_map(|i| (0..p).map(move |j| (i, j)))
+            .find(|&(i, j)| g.meta().out_block(i, j).edge_count >= min_edges)
+            .expect("a block that large")
+    }
+
+    #[test]
+    fn compressed_partial_reads_bill_encoded_bytes_once_then_hit() {
+        let el = rmat(200, 1400, 17, RmatConfig::default());
+        let (_t, g) = open_graph_codec(&el, 3, Codec::DeltaVarint);
+        let (i, j) = out_block_with(&g, 4);
+        let block = *g.meta().out_block(i, j);
+        let n = block.edge_count as u32;
+        assert!(block.encoded_bytes < block.edge_count * 4, "payload actually compressed");
+        let whole: Vec<(u32, f32)> = g.stream_out_block(i, j).unwrap().into_iter().collect();
+        assert!(!g.out_records_cached(i, j));
+        let tracker = g.dir().tracker();
+        tracker.reset();
+        // A miss fetches the whole encoded block, whatever range was asked.
+        let one = g.load_out_records(i, j, 1, 2).unwrap();
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), whole[1..2]);
+        assert_eq!(tracker.snapshot().rand_read_bytes, block.encoded_bytes);
+        assert!(g.out_records_cached(i, j));
+        // Every later read of the block, of any shape, is a free hit.
+        let ranges = g.load_out_record_ranges(i, j, &[(0, 1), (n - 2, n)]).unwrap();
+        assert_eq!(ranges[1].into_iter().collect::<Vec<_>>(), whole[n as usize - 2..]);
+        let batch = g.load_out_block_batch(i, j).unwrap();
+        assert_eq!(batch.into_iter().collect::<Vec<_>>(), whole);
+        g.stream_out_block(i, j).unwrap();
+        assert_eq!(tracker.snapshot().total_bytes(), block.encoded_bytes);
+
+        // A batched multi-range read of another block: the first range
+        // misses and bills the block once; the rest hit.
+        let (i2, j2) = (0..3)
+            .flat_map(|i| (0..3).map(move |j| (i, j)))
+            .find(|&b| b != (i, j) && g.meta().out_block(b.0, b.1).edge_count >= 3)
+            .expect("a second block");
+        let n2 = g.meta().out_block(i2, j2).edge_count as u32;
+        tracker.reset();
+        g.load_out_record_ranges(i2, j2, &[(0, 1), (1, 2), (n2 - 1, n2)]).unwrap();
+        let s = tracker.snapshot();
+        assert_eq!(s.batched_read_bytes, g.meta().out_block(i2, j2).encoded_bytes);
+        assert_eq!(s.total_bytes(), s.batched_read_bytes);
+    }
+
+    #[test]
+    fn compressed_streams_bill_every_pass_and_stay_uncached() {
+        let el = rmat(200, 1400, 17, RmatConfig::default());
+        let (_t, g) = open_graph_codec(&el, 3, Codec::DeltaVarint);
+        let (i, j) = out_block_with(&g, 1);
+        g.dir().tracker().reset();
+        g.stream_out_block(i, j).unwrap();
+        g.stream_out_block(i, j).unwrap();
+        // A stream pays its encoded bytes every pass and does not fill
+        // the decoded-block cache.
+        let s = g.dir().tracker().snapshot();
+        assert_eq!(s.seq_read_bytes, 2 * g.meta().out_block(i, j).encoded_bytes);
+        assert_eq!(s.total_bytes(), s.seq_read_bytes);
+        assert!(!g.out_records_cached(i, j));
+    }
+
+    #[test]
+    fn compressed_checksum_mismatch_names_block_and_encoded_offset() {
+        let el = rmat(150, 900, 19, RmatConfig::default());
+        let (_t, g) = open_graph_codec(&el, 3, Codec::DeltaVarint);
+        let (i, j) = out_block_with(&g, 2);
+        let block = *g.meta().out_block(i, j);
+        let dir = g.dir().clone();
+        drop(g);
+        let path = dir.path(&GraphMeta::out_edges_file(i));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[block.encoded_offset as usize + 1] ^= 0x20;
+        std::fs::write(&path, bytes).unwrap();
+
+        let g = HusGraph::open(dir).unwrap();
+        g.set_verify(true);
+        match g.load_out_records(i, j, 0, 1).unwrap_err() {
+            StorageError::ChecksumMismatch { path, block: b, offset, .. } => {
+                assert!(path.ends_with(GraphMeta::out_edges_file(i)));
+                assert_eq!(b, (i as u32, j as u32));
+                assert_eq!(offset, block.encoded_offset);
+            }
+            other => panic!("expected ChecksumMismatch, got {other}"),
+        }
+        assert_eq!(g.dir().resilience().snapshot().checksum_failures, 1);
+        // The undamaged blocks of the same file still read.
+        for jj in (0..3).filter(|&jj| jj != j) {
+            if g.meta().out_block(i, jj).edge_count > 0 {
+                g.load_out_records(i, jj, 0, 1).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_decode_failure_is_corruption() {
+        let el = rmat(150, 900, 19, RmatConfig::default());
+        let (_t, g) = open_graph_codec(&el, 3, Codec::DeltaVarint);
+        let (i, j) = out_block_with(&g, 2);
+        let block = *g.meta().out_block(i, j);
+        let dir = g.dir().clone();
+        drop(g);
+        // Every byte a varint continuation byte: the stream never ends.
+        let path = dir.path(&GraphMeta::out_edges_file(i));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = block.encoded_offset as usize;
+        bytes[at..at + block.encoded_bytes as usize].fill(0x80);
+        std::fs::write(&path, bytes).unwrap();
+
+        let g = HusGraph::open(dir).unwrap();
+        g.set_verify(false);
+        let err = g.stream_out_block(i, j).unwrap_err();
+        let want = format!("block ({i}, {j}): delta-varint decode failed");
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.contains(&want)), "{err}");
+        assert!(err.to_string().contains(&GraphMeta::out_edges_file(i)), "{err}");
+        assert!(err.is_corruption());
+    }
+
+    #[test]
+    fn compressed_block_over_a_cache_shard_budget_is_never_cached() {
+        let el = hus_gen::erdos_renyi(4000, 300_000, 31).with_hash_weights(0.5, 4.5);
+        let (_t, g) = open_graph_codec(&el, 1, Codec::DeltaVarint);
+        let block = *g.meta().out_block(0, 0);
+        assert!(block.edge_count * 8 > 2 << 20, "decodes to more than 2 MiB");
+        g.dir().tracker().reset();
+        for k in 1..=3 {
+            g.load_out_records(0, 0, 0, 1).unwrap();
+            assert_eq!(g.dir().tracker().snapshot().rand_read_bytes, k * block.encoded_bytes);
+            assert!(!g.out_records_cached(0, 0));
+        }
     }
 
     #[test]

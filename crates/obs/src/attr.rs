@@ -14,8 +14,8 @@
 //! instrumentation site is one relaxed load and a branch — measured in
 //! the `telemetry_overhead` bench to keep the disabled path free.
 //!
-//! Layers that know their block (the per-block readers in
-//! `hus-core::graph`, the codec backend's spans) record directly with
+//! Layers that know their block (the per-block readers and the block
+//! decoder in `hus-core::graph`) record directly with
 //! [`record_at`]. Layers that see only file offsets (the page cache,
 //! the retry wrapper, the byte tracker) attribute to the *current
 //! block*: a thread-local set by [`with_block`] around each per-block

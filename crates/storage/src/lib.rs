@@ -11,7 +11,10 @@
 //!   or [`Access::Random`], mirroring the distinction at the heart of the
 //!   HUS-Graph paper (§2.1, §3.4).
 //! * [`ReadBackend`] implementations backed by positioned file reads
-//!   ([`file::FileBackend`]) or memory maps ([`mmap::MmapBackend`]).
+//!   ([`file::FileBackend`]), memory maps ([`mmap::MmapBackend`]) or
+//!   `O_DIRECT` ([`direct::DirectBackend`]). They serve the bytes on
+//!   disk: a codec-compressed block (see the `hus-codec` crate) travels
+//!   and is billed encoded, and its reader decodes it.
 //! * [`DeviceProfile`] / [`CostModel`] — the paper's I/O time model
 //!   (`bytes / throughput + seeks`), with HDD and SSD presets used by the
 //!   experiment harness to reproduce Figure 11.
@@ -22,9 +25,6 @@
 //!   the on-disk formats of all engines.
 //! * [`cache`] — an LRU page cache over any backend, modeling an explicit
 //!   memory budget (cache hits are not billed as device I/O).
-//! * [`codec_backend`] — a decoding view over codec-compressed shard
-//!   files (see the `hus-codec` crate); readers address decoded record
-//!   offsets while the tracker bills the encoded on-disk bytes.
 //! * [`checksum`] / [`fault`] / [`retry`] — the storage resilience layer:
 //!   CRC-32C shard footers, deterministic fault injection (`HUS_FAULT`),
 //!   and transparent retry with bounded backoff plus degradation paths
@@ -44,7 +44,6 @@ pub mod aligned;
 pub mod buffer;
 pub mod cache;
 pub mod checksum;
-pub mod codec_backend;
 pub mod delta;
 pub mod device;
 pub mod dir;
@@ -64,7 +63,6 @@ pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
 pub use buffer::{BlockStream, TrackedWriter};
 pub use cache::{CacheStats, CachedBackend};
 pub use checksum::{crc32c, Crc32c, ShardFooter};
-pub use codec_backend::{BlockSpan, CodecBackend};
 pub use delta::{DeltaRecord, DeltaRun};
 pub use device::{CostModel, DeviceProfile, Throughput};
 pub use dir::{BackendKind, StagingDir, StorageDir};
@@ -135,16 +133,6 @@ pub trait ReadBackend: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether a read at byte `offset` would currently be served from an
-    /// in-memory copy and bill no device I/O. Advisory — the answer can
-    /// be stale by the time of the read — and `false` for every backend
-    /// that keeps no such copies; [`CodecBackend`] answers for its
-    /// decoded-block cache, which is what lets the ROP/COP cost plans
-    /// price a cached compressed block at zero.
-    fn is_resident(&self, _offset: u64) -> bool {
-        false
-    }
 }
 
 /// One destination range of a [`ReadBackend::read_ranges`] request: fill
@@ -177,10 +165,6 @@ impl<T: ReadBackend + ?Sized> ReadBackend for std::sync::Arc<T> {
 
     fn len(&self) -> u64 {
         (**self).len()
-    }
-
-    fn is_resident(&self, offset: u64) -> bool {
-        (**self).is_resident(offset)
     }
 }
 

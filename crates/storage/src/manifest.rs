@@ -273,8 +273,7 @@ impl BuildManifest {
         for (name, has_footer) in files {
             let path = root.join(name);
             let md = std::fs::metadata(&path).map_err(|e| StorageError::io_at(&path, e))?;
-            let footer_crc =
-                if has_footer { Some(read_trailing_crc(&path, md.len())?) } else { None };
+            let footer_crc = if has_footer { Some(read_trailing_crc(&path)?) } else { None };
             m.push(name, md.len(), footer_crc);
         }
         Ok(m)
@@ -291,16 +290,19 @@ impl BuildManifest {
     }
 }
 
-/// Read the last four bytes of a file as a little-endian CRC value.
-fn read_trailing_crc(path: &Path, len: u64) -> Result<u32> {
+/// Read the last four bytes of a file as a little-endian CRC value: a
+/// checksum footer's or a delta run's trailing self-CRC. A file shorter
+/// than four bytes is [`StorageError::Corrupt`].
+pub fn read_trailing_crc(path: &Path) -> Result<u32> {
     let at = |e| StorageError::io_at(path, e);
+    let mut f = std::fs::File::open(path).map_err(at)?;
+    let len = f.metadata().map_err(at)?.len();
     if len < 4 {
         return Err(StorageError::Corrupt(format!(
             "{}: too short ({len} bytes) to carry a checksum footer",
             path.display()
         )));
     }
-    let mut f = std::fs::File::open(path).map_err(at)?;
     f.seek(SeekFrom::End(-4)).map_err(at)?;
     let mut buf = [0u8; 4];
     f.read_exact(&mut buf).map_err(at)?;
@@ -435,5 +437,19 @@ mod tests {
         m.write_to(tmp.path()).unwrap();
         assert_eq!(BuildManifest::load_from(tmp.path()).unwrap().unwrap(), m);
         assert_eq!(BuildManifest::next_generation(tmp.path()), 3);
+    }
+
+    #[test]
+    fn trailing_crc_of_a_short_file_is_corrupt() {
+        let tmp = tempfile::tempdir().unwrap();
+        let path = tmp.path().join("short.run");
+        std::fs::write(&path, [1u8, 2, 3]).unwrap();
+        let err = read_trailing_crc(&path).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("short.run") && m.contains("3 bytes")),
+            "{err}"
+        );
+        std::fs::write(&path, 0x0153_CF10u32.to_le_bytes()).unwrap();
+        assert_eq!(read_trailing_crc(&path).unwrap(), 0x0153_CF10);
     }
 }
