@@ -10,6 +10,8 @@ use serde::Value;
 pub struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The outgoing request line and its `\n`, sent in one write.
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -18,22 +20,29 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader })
+        Ok(Client { stream, reader, out: Vec::new() })
     }
 
-    /// Send one raw request line and return the raw response line.
+    /// Send one raw request line and return the raw response line. A
+    /// reply cut off by the daemon closing the connection is an
+    /// `UnexpectedEof` error, never a (partial) answer.
     pub fn request_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        // One write per request: with `TCP_NODELAY` each write is its
+        // own segment, and a separate `\n` would wake the daemon twice.
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.stream.write_all(&self.out)?;
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
+        self.reader.read_line(&mut response)?;
+        if !response.ends_with('\n') {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
+                "server closed the connection before a complete reply",
             ));
         }
-        Ok(response.trim_end().to_string())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 
     /// Send one request line and parse the response as a JSON value.
@@ -62,5 +71,26 @@ pub fn error_code(v: &Value) -> Option<&str> {
     match v.get("code") {
         Some(Value::Str(s)) => Some(s.as_str()),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_reply_cut_off_by_close_is_unexpected_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            BufReader::new(&s).read_line(&mut String::new()).unwrap();
+            s.write_all(b"{\"ok\":tr").unwrap();
+        });
+        let mut c = Client::connect(&addr).unwrap();
+        let err = c.request_raw(r#"{"op":"status"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        peer.join().unwrap();
     }
 }

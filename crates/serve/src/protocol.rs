@@ -9,6 +9,14 @@
 //! {"id":1,"ok":true,"generation":3,"degree":7}
 //! ```
 //!
+//! Framing: a client may pipeline — write several request lines
+//! without waiting — and the replies come back in request order. Each
+//! reply and its `\n` go out in one write as soon as the reply is
+//! rendered, so a pipelined lookup waits only for the requests ahead
+//! of it on its connection. A request line may be at most 64 KiB
+//! ([`MAX_LINE_BYTES`]); a longer one gets one `bad_request` reply and
+//! the connection is closed.
+//!
 //! Failures come back as `{"ok":false,"code":"busy",...}` with the
 //! stable codes from [`ServeError::code`]. The op vocabulary:
 //!
@@ -29,9 +37,17 @@
 //! full per-vertex value vector, so a client can assert bit-identity
 //! against a locally computed run without shipping `|V|` values.
 
+use std::fmt::Write;
+
 use serde::Value;
 
 use crate::ServeError;
+
+/// The longest request line the daemon buffers, in bytes. A client
+/// that sends more without a newline is answered `bad_request` and
+/// disconnected, so it can neither grow the daemon's buffer without
+/// bound nor keep an idle connection alive by trickling bytes.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// A query or admin operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,47 +188,73 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     Ok(Request { id, op })
 }
 
-/// Accumulates the fields of one success response.
+/// One success response line, rendered as its fields are attached.
+///
+/// The line is written straight into a `String` — no `Value` tree and
+/// no allocation per number — and is byte-for-byte what the
+/// `serde_json` renderer makes of the same fields in the same order.
 #[derive(Debug)]
 pub struct ResponseBuilder {
-    fields: Vec<(String, Value)>,
+    line: String,
 }
 
 impl ResponseBuilder {
     /// A success response for request `id` answered at snapshot
     /// `generation`.
     pub fn ok(id: Option<u64>, generation: u64) -> Self {
-        let mut fields = Vec::new();
+        let mut line = String::with_capacity(64);
+        line.push('{');
         if let Some(id) = id {
-            fields.push(("id".to_string(), Value::U64(id)));
+            line.push_str("\"id\":");
+            push_u64(&mut line, id);
+            line.push(',');
         }
-        fields.push(("ok".to_string(), Value::Bool(true)));
-        fields.push(("generation".to_string(), Value::U64(generation)));
-        ResponseBuilder { fields }
+        line.push_str("\"ok\":true,\"generation\":");
+        push_u64(&mut line, generation);
+        ResponseBuilder { line }
+    }
+
+    fn key(&mut self, key: &'static str) {
+        debug_assert!(
+            key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'),
+            "response key `{key}` must be a plain identifier: keys are written unescaped"
+        );
+        self.line.push_str(",\"");
+        self.line.push_str(key);
+        self.line.push_str("\":");
     }
 
     /// Attach an unsigned-integer field.
-    pub fn u64(mut self, key: &str, v: u64) -> Self {
-        self.fields.push((key.to_string(), Value::U64(v)));
-        self
-    }
-
-    /// Attach a float field.
-    pub fn f64(mut self, key: &str, v: f64) -> Self {
-        self.fields.push((key.to_string(), Value::F64(v)));
+    pub fn u64(mut self, key: &'static str, v: u64) -> Self {
+        self.key(key);
+        push_u64(&mut self.line, v);
         self
     }
 
     /// Attach an array of unsigned integers.
-    pub fn u64_array(mut self, key: &str, vs: impl IntoIterator<Item = u64>) -> Self {
-        self.fields.push((key.to_string(), Value::Array(vs.into_iter().map(Value::U64).collect())));
+    pub fn u64_array(mut self, key: &'static str, vs: impl IntoIterator<Item = u64>) -> Self {
+        self.key(key);
+        self.line.push('[');
+        for (i, v) in vs.into_iter().enumerate() {
+            if i > 0 {
+                self.line.push(',');
+            }
+            push_u64(&mut self.line, v);
+        }
+        self.line.push(']');
         self
     }
 
     /// Render the response as one JSON line (no trailing newline).
-    pub fn render(self) -> String {
-        serde_json::to_string(&Value::Object(self.fields)).expect("value rendering is total")
+    pub fn render(mut self) -> String {
+        self.line.push('}');
+        self.line
     }
+}
+
+/// Append `v` in decimal.
+fn push_u64(out: &mut String, v: u64) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 /// Render an error response line for request `id` (no trailing
@@ -284,5 +326,77 @@ mod tests {
         assert!(err.contains(r#""ok":false"#));
         assert!(err.contains(r#""code":"budget""#));
         assert!(err.contains(r#""needed":10"#));
+    }
+
+    /// The direct renderer against the `Value` renderer it replaced.
+    fn value_line(id: Option<u64>, generation: u64, fields: Vec<(&str, Value)>) -> String {
+        let mut all = Vec::new();
+        if let Some(id) = id {
+            all.push(("id".to_string(), Value::U64(id)));
+        }
+        all.push(("ok".to_string(), Value::Bool(true)));
+        all.push(("generation".to_string(), Value::U64(generation)));
+        all.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        serde_json::to_string(&Value::Object(all)).unwrap()
+    }
+
+    #[test]
+    fn direct_rendering_matches_the_value_renderer_byte_for_byte() {
+        let array = |vs: &[u64]| Value::Array(vs.iter().map(|&v| Value::U64(v)).collect());
+        let cases = [
+            (ResponseBuilder::ok(Some(5), 2).render(), value_line(Some(5), 2, vec![])),
+            (ResponseBuilder::ok(None, 0).render(), value_line(None, 0, vec![])),
+            (
+                ResponseBuilder::ok(Some(0), 9).u64("degree", 7).u64("bytes", 0).render(),
+                value_line(Some(0), 9, vec![("degree", Value::U64(7)), ("bytes", Value::U64(0))]),
+            ),
+            (
+                ResponseBuilder::ok(None, 1)
+                    .u64("count", 0)
+                    .u64_array("neighbors", std::iter::empty())
+                    .render(),
+                value_line(None, 1, vec![("count", Value::U64(0)), ("neighbors", array(&[]))]),
+            ),
+            (
+                ResponseBuilder::ok(Some(3), 4)
+                    .u64_array("frontier", [1, 10, 100, 1_000_000])
+                    .u64("hash", 0xcbf2_9ce4_8422_2325)
+                    .render(),
+                value_line(
+                    Some(3),
+                    4,
+                    vec![
+                        ("frontier", array(&[1, 10, 100, 1_000_000])),
+                        ("hash", Value::U64(0xcbf2_9ce4_8422_2325)),
+                    ],
+                ),
+            ),
+            (
+                ResponseBuilder::ok(Some(u64::MAX), u64::MAX)
+                    .u64("top", u64::MAX)
+                    .u64_array("xs", [u64::MAX, 0])
+                    .render(),
+                value_line(
+                    Some(u64::MAX),
+                    u64::MAX,
+                    vec![("top", Value::U64(u64::MAX)), ("xs", array(&[u64::MAX, 0]))],
+                ),
+            ),
+        ];
+        for (direct, tree) in cases {
+            assert_eq!(direct, tree);
+        }
+    }
+
+    #[test]
+    fn error_lines_escape_echoed_client_text() {
+        let err = parse_request("{\"op\":\"x\\\"y\\\\z\\u0001\"}").unwrap_err();
+        let line = error_response(Some(4), &err);
+        assert!(!line.contains('\n') && !line.contains('\u{1}'), "{line}");
+        let v = serde_json::parse_value_str(&line).unwrap();
+        assert_eq!(v.get("id"), Some(&Value::U64(4)));
+        assert_eq!(v.get("code"), Some(&Value::Str("bad_request".into())));
+        assert_eq!(v.get("error"), Some(&Value::Str(err.to_string())));
+        assert!(err.to_string().contains("x\"y\\z\u{1}"), "{err}");
     }
 }

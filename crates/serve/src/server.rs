@@ -20,7 +20,7 @@
 //! [`hus_obs::export::shutdown_exporter`] so nothing is leaked.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,7 +29,7 @@ use std::time::Duration;
 use hus_storage::{Result, StorageDir};
 
 use crate::admission::{Admission, BoundedQueue, ByteMeter};
-use crate::protocol::{error_response, parse_request, Op, ResponseBuilder};
+use crate::protocol::{error_response, parse_request, Op, ResponseBuilder, MAX_LINE_BYTES};
 use crate::snapshot::SnapshotManager;
 use crate::{exec, ServeConfig, ServeError};
 
@@ -140,10 +140,9 @@ pub fn serve(dir: StorageDir, config: ServeConfig) -> Result<Server> {
                             // Accept queue full: shed the connection
                             // with a busy line instead of queueing
                             // latency we can't serve.
-                            let _ = shed.write_all(
-                                error_response(None, &ServeError::Overloaded).as_bytes(),
-                            );
-                            let _ = shed.write_all(b"\n");
+                            let mut busy = error_response(None, &ServeError::Overloaded);
+                            busy.push('\n');
+                            let _ = shed.write_all(busy.as_bytes());
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -236,6 +235,10 @@ impl Drop for Server {
 
 /// Serve one connection: read request lines until EOF, stop, or a
 /// fatal stream error; answer each with exactly one response line.
+///
+/// Every complete line buffered is answered in order, each reply and
+/// its `\n` in one write, so a request costs one segment each way. The
+/// input buffer lives as long as the connection.
 fn handle_connection(
     mut stream: TcpStream,
     mgr: &SnapshotManager,
@@ -248,22 +251,35 @@ fn handle_connection(
     // a response write may block before the connection is dropped.
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_nodelay(true);
-    let mut buf = Vec::new();
+    let mut input = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut last_activity = std::time::Instant::now();
+    // `input[..scanned]` holds no `\n` past the last served line.
+    let mut scanned = 0;
     loop {
-        // Serve every complete line currently buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
+        let mut served = 0;
+        while let Some(at) = input[scanned..].iter().position(|&b| b == b'\n') {
+            let (start, end) = (served, scanned + at);
+            served = end + 1;
+            scanned = served;
+            if end - start > MAX_LINE_BYTES {
+                return reject_overlong(stream, stop);
+            }
+            let line = String::from_utf8_lossy(&input[start..end]);
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            let response = handle_line(line, mgr, admission, stop, config);
-            if stream.write_all(response.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+            let mut response = handle_line(line, mgr, admission, stop, config);
+            response.push('\n');
+            if stream.write_all(response.as_bytes()).is_err() {
                 return;
             }
+        }
+        input.drain(..served);
+        scanned = input.len();
+        if input.len() > MAX_LINE_BYTES {
+            return reject_overlong(stream, stop);
         }
         if stop.load(Ordering::SeqCst) {
             // Drain policy: finish answering what was already buffered
@@ -273,7 +289,7 @@ fn handle_connection(
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
+                input.extend_from_slice(&chunk[..n]);
                 last_activity = std::time::Instant::now();
             }
             Err(e)
@@ -292,6 +308,34 @@ fn handle_connection(
                 }
             }
             Err(_) => return,
+        }
+    }
+}
+
+/// Answer a request line longer than [`MAX_LINE_BYTES`] with one
+/// `bad_request` line and close.
+///
+/// The write half is shut first and what the client is still sending
+/// is read and dropped for at most 500 ms in all, or until `stop`:
+/// closing with unread input would reset the connection and could
+/// destroy the reply in flight.
+fn reject_overlong(mut stream: TcpStream, stop: &AtomicBool) {
+    let err = ServeError::BadRequest(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    let mut reply = error_response(None, &err);
+    reply.push('\n');
+    if stream.write_all(reply.as_bytes()).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let until = std::time::Instant::now() + Duration::from_millis(500);
+    let mut sink = [0u8; 4096];
+    while !stop.load(Ordering::SeqCst) {
+        let left = until.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero()
+            || stream.set_read_timeout(Some(left)).is_err()
+            || !matches!(stream.read(&mut sink), Ok(n) if n > 0)
+        {
+            return;
         }
     }
 }
@@ -371,5 +415,87 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hus_core::{BuildConfig, HusGraph};
+    use serde::Value;
+
+    fn value_line(fields: Vec<(&str, u64)>) -> String {
+        let mut all: Vec<(String, Value)> =
+            fields.into_iter().map(|(k, v)| (k.to_string(), Value::U64(v))).collect();
+        all.insert(1, ("ok".to_string(), Value::Bool(true)));
+        serde_json::to_string(&Value::Object(all)).unwrap()
+    }
+
+    /// The admin replies, rendered directly, equal what the `Value`
+    /// renderer makes of the same fields.
+    #[test]
+    fn status_and_shutdown_lines_match_the_value_renderer() {
+        let tmp = tempfile::tempdir().unwrap();
+        let el = hus_gen::rmat(100, 600, 11, Default::default());
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+        let mgr = SnapshotManager::open(dir).unwrap();
+        let snap = mgr.current();
+        let admission = Admission::new(3);
+        let stop = Arc::new(AtomicBool::new(false));
+        let config =
+            ServeConfig { max_inflight: 3, byte_budget: 1 << 40, ..ServeConfig::default() };
+        let answer = |line: &str| handle_line(line, &mgr, &admission, &stop, &config);
+
+        let status = value_line(vec![
+            ("id", u64::MAX),
+            ("generation", snap.generation()),
+            ("runs", 0),
+            ("active", 0),
+            ("capacity", 3),
+            ("max_inflight", 3),
+            ("byte_budget", 1 << 40),
+            ("num_vertices", 100),
+            ("num_edges", snap.graph().num_edges()),
+        ]);
+        assert_eq!(answer(&format!(r#"{{"id":{},"op":"status"}}"#, u64::MAX)), status);
+        assert!(!stop.load(Ordering::SeqCst));
+
+        let shutdown =
+            value_line(vec![("id", 0), ("generation", snap.generation()), ("draining", 1)]);
+        assert_eq!(answer(r#"{"id":0,"op":"shutdown"}"#), shutdown);
+        assert!(stop.load(Ordering::SeqCst));
+    }
+
+    /// A drain does not wait out the linger of an overlong-line
+    /// rejection, even while the client keeps sending.
+    #[test]
+    fn a_drain_cuts_a_lingering_rejection_short() {
+        use std::io::{BufRead, BufReader};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let lingering = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || reject_overlong(server_side, &stop))
+        };
+        // The reply is written before the linger starts.
+        let mut reply = String::new();
+        BufReader::new(client.try_clone().unwrap()).read_line(&mut reply).unwrap();
+        assert!(reply.contains("request line exceeds 65536 bytes"), "{reply}");
+        let mut sender = client;
+        let streaming = std::thread::spawn(move || {
+            while sender.write_all(&[b'x'; 1024]).is_ok() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        // Left alone, the linger would run its full 500 ms.
+        stop.store(true, Ordering::SeqCst);
+        let drained = std::time::Instant::now();
+        lingering.join().unwrap();
+        let took = drained.elapsed();
+        streaming.join().unwrap();
+        assert!(took < Duration::from_millis(400), "linger outlived the drain by {took:?}");
     }
 }

@@ -11,6 +11,8 @@
 //!   queries see the new generation once the refresher re-pins.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::Path;
 
 use husgraph::algos::{Bfs, PageRank, PersonalizedPageRank, Sssp, Wcc};
@@ -366,5 +368,89 @@ fn snapshot_isolation_across_ingest_and_compaction() {
     assert!(is_ok(&r), "{r:?}");
     assert_eq!(field_u64(&r, "generation"), Some(new_gen));
     assert_eq!(field_u64(&r, "hash"), Some(post_hash), "new reader sees post-update data");
+    server.shutdown();
+}
+
+fn small_server() -> (tempfile::TempDir, husgraph::serve::Server) {
+    let (el, _) = edge_list();
+    let tmp = tempfile::tempdir().unwrap();
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    HusGraph::build_into(&el, &dir, &BuildConfig::with_p(P)).unwrap();
+    let server = serve(dir, test_config()).unwrap();
+    (tmp, server)
+}
+
+/// Read one `\n`-terminated line; `None` at EOF.
+fn read_reply(reader: &mut impl BufRead) -> Option<String> {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    line.strip_suffix('\n').map(str::to_string)
+}
+
+/// Pipelined requests written at once are answered in order, each with
+/// exactly the bytes it gets when sent alone.
+#[test]
+fn pipelined_requests_are_answered_in_order_byte_for_byte() {
+    let (_tmp, mut server) = small_server();
+    let addr = server.addr().to_string();
+    let requests: Vec<String> = (0..64u32)
+        .map(|id| {
+            let v = id * 3 % NV;
+            match id % 3 {
+                0 => format!(r#"{{"id":{id},"op":"degree","v":{v}}}"#),
+                1 => format!(r#"{{"id":{id},"op":"neighbors","v":{v}}}"#),
+                _ => format!(r#"{{"id":{id},"op":"khop","v":{v},"depth":2}}"#),
+            }
+        })
+        .collect();
+    let mut c = Client::connect(&addr).unwrap();
+    let alone: Vec<String> = requests.iter().map(|r| c.request_raw(r).unwrap()).collect();
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let batch: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    stream.write_all(batch.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    for (id, want) in alone.iter().enumerate() {
+        assert!(want.starts_with(&format!(r#"{{"id":{id},"ok":true,"#)), "{want}");
+        assert_eq!(read_reply(&mut reader).as_ref(), Some(want), "reply {id}");
+    }
+    server.shutdown();
+}
+
+/// A request trickled in one byte per segment is reassembled.
+#[test]
+fn a_request_sent_one_byte_at_a_time_is_answered() {
+    let (_tmp, mut server) = small_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for b in b"{\"id\":5,\"op\":\"degree\",\"v\":3}\n" {
+        stream.write_all(&[*b]).unwrap();
+    }
+    let reply = read_reply(&mut BufReader::new(stream)).unwrap();
+    assert!(reply.starts_with(r#"{"id":5,"ok":true,"#), "{reply}");
+    assert!(reply.contains(r#""degree":"#), "{reply}");
+    server.shutdown();
+}
+
+/// A client streaming bytes with no newline is cut off at the line cap
+/// with one typed reply, and the daemon keeps serving others.
+#[test]
+fn an_overlong_request_line_is_rejected_and_closed() {
+    let (_tmp, mut server) = small_server();
+    let addr = server.addr().to_string();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    // The daemon stops reading at the cap, so the tail may be refused.
+    let _ = stream.write_all(&vec![b'x'; 100 << 10]);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reader = BufReader::new(stream);
+    let reply = read_reply(&mut reader).unwrap();
+    assert_eq!(
+        reply,
+        r#"{"ok":false,"code":"bad_request","error":"bad request: request line exceeds 65536 bytes"}"#
+    );
+    assert_eq!(read_reply(&mut reader), None, "connection closed after the reply");
+
+    let r = Client::connect(&addr).unwrap().request(r#"{"op":"degree","v":1}"#).unwrap();
+    assert!(is_ok(&r), "{r:?}");
     server.shutdown();
 }
