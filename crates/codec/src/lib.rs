@@ -2,14 +2,13 @@
 //!
 //! Every edge block in a shard (`out_<i>.edges` / `in_<j>.edges`) is a
 //! run of fixed-width records: a little-endian `u32` neighbor id,
-//! optionally followed by an `f32` weight. This crate defines the
-//! [`EdgeBlockCodec`] trait that maps such a *decoded* record run to
-//! the *encoded* bytes actually stored on disk, plus the two built-in
-//! implementations:
+//! optionally followed by an `f32` weight. A [`Codec`] maps such a
+//! *decoded* record run to the *encoded* bytes actually stored on disk;
+//! there are two:
 //!
-//! * [`RawCodec`] — the identity transform; bit-compatible with the
+//! * [`Codec::Raw`] — the identity transform; bit-compatible with the
 //!   pre-codec on-disk format.
-//! * [`DeltaVarintCodec`] — delta + LEB128 varint compression of the
+//! * [`Codec::DeltaVarint`] — delta + LEB128 varint compression of the
 //!   neighbor column. Blocks are written from per-source (per-dest)
 //!   CSR runs of sorted neighbor ids confined to one destination
 //!   (source) interval, so consecutive deltas are small; zigzag
@@ -31,10 +30,10 @@ use std::fmt;
 /// `delta-varint`).
 pub const CODEC_ENV: &str = "HUS_CODEC";
 
-/// Wire id of [`RawCodec`], stored in `meta.json` and shard footers.
+/// Wire id of [`Codec::Raw`], stored in `meta.json` and shard footers.
 pub const CODEC_RAW: u16 = 0;
 
-/// Wire id of [`DeltaVarintCodec`].
+/// Wire id of [`Codec::DeltaVarint`].
 pub const CODEC_DELTA_VARINT: u16 = 1;
 
 /// Decode-side failure: the encoded bytes do not describe a block of
@@ -91,169 +90,93 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A reversible transform between a block's decoded record run and its
-/// on-disk bytes.
-///
-/// Implementations must be pure functions of their inputs: the same
-/// decoded bytes always encode to the same payload (builders rely on
-/// this for reproducible shards), and `decode(encode(x)) == x` for
-/// every well-formed record run.
-pub trait EdgeBlockCodec: Send + Sync {
-    /// Wire id recorded in `meta.json` and shard footers.
-    fn id(&self) -> u16;
-    /// Stable human-readable name (`raw`, `delta-varint`).
-    fn name(&self) -> &'static str;
-    /// Encode `raw` (a whole block of `record_bytes`-wide records)
-    /// into `out`. `out` is cleared first; on return it holds exactly
-    /// the on-disk payload.
-    fn encode(&self, raw: &[u8], record_bytes: usize, out: &mut Vec<u8>);
-    /// Decode `encoded` into `out`, which the caller sizes to the
-    /// block's exact decoded length. Fails if the payload does not
-    /// describe exactly `out.len() / record_bytes` records.
-    fn decode(&self, encoded: &[u8], record_bytes: usize, out: &mut [u8])
-        -> Result<(), CodecError>;
+/// [`Codec::Raw`] decode: the payload must be exactly the decoded run.
+fn decode_raw(encoded: &[u8], record_bytes: usize, out: &mut [u8]) -> Result<(), CodecError> {
+    if !out.len().is_multiple_of(record_bytes) {
+        return Err(CodecError::BadDecodedLen { decoded_len: out.len(), record_bytes });
+    }
+    if encoded.len() < out.len() {
+        return Err(CodecError::Truncated {
+            decoded_records: encoded.len() / record_bytes,
+            expected_records: out.len() / record_bytes,
+        });
+    }
+    if encoded.len() > out.len() {
+        return Err(CodecError::TrailingBytes { extra: encoded.len() - out.len() });
+    }
+    out.copy_from_slice(encoded);
+    Ok(())
 }
 
-/// The identity codec: encoded bytes are the decoded record run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RawCodec;
-
-impl EdgeBlockCodec for RawCodec {
-    fn id(&self) -> u16 {
-        CODEC_RAW
+/// [`Codec::DeltaVarint`] encode (payload layout on the variant).
+fn encode_delta_varint(raw: &[u8], record_bytes: usize, out: &mut Vec<u8>) {
+    debug_assert!(record_bytes == 4 || record_bytes == 8);
+    debug_assert_eq!(raw.len() % record_bytes, 0);
+    out.clear();
+    let n = raw.len() / record_bytes;
+    if n == 0 {
+        return;
     }
-
-    fn name(&self) -> &'static str {
-        "raw"
+    let neighbor = |k: usize| {
+        let at = k * record_bytes;
+        u32::from_le_bytes(raw[at..at + 4].try_into().unwrap())
+    };
+    let base = (0..n).map(neighbor).min().unwrap();
+    write_varint(out, base as u64);
+    let mut prev = base as i64;
+    for k in 0..n {
+        let v = neighbor(k) as i64;
+        write_varint(out, zigzag(v - prev));
+        prev = v;
     }
-
-    fn encode(&self, raw: &[u8], _record_bytes: usize, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(raw);
-    }
-
-    fn decode(
-        &self,
-        encoded: &[u8],
-        record_bytes: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodecError> {
-        if !out.len().is_multiple_of(record_bytes) {
-            return Err(CodecError::BadDecodedLen { decoded_len: out.len(), record_bytes });
-        }
-        if encoded.len() < out.len() {
-            return Err(CodecError::Truncated {
-                decoded_records: encoded.len() / record_bytes,
-                expected_records: out.len() / record_bytes,
-            });
-        }
-        if encoded.len() > out.len() {
-            return Err(CodecError::TrailingBytes { extra: encoded.len() - out.len() });
-        }
-        out.copy_from_slice(encoded);
-        Ok(())
-    }
-}
-
-/// Delta + LEB128 varint codec for the neighbor column.
-///
-/// Payload layout for a block of `n > 0` records (empty blocks encode
-/// to zero bytes):
-///
-/// 1. `varint(base)` where `base` is the smallest neighbor id in the
-///    block;
-/// 2. `n` varints, the `k`-th being `zigzag(neighbor[k] - prev)` with
-///    `prev` starting at `base` and then tracking `neighbor[k-1]`;
-/// 3. for weighted graphs, `n` raw little-endian `f32` weights in
-///    record order.
-///
-/// Record order is preserved exactly — decoding reproduces the input
-/// bit for bit, so engine results (including float accumulation
-/// order) are identical across codecs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeltaVarintCodec;
-
-impl EdgeBlockCodec for DeltaVarintCodec {
-    fn id(&self) -> u16 {
-        CODEC_DELTA_VARINT
-    }
-
-    fn name(&self) -> &'static str {
-        "delta-varint"
-    }
-
-    fn encode(&self, raw: &[u8], record_bytes: usize, out: &mut Vec<u8>) {
-        debug_assert!(record_bytes == 4 || record_bytes == 8);
-        debug_assert_eq!(raw.len() % record_bytes, 0);
-        out.clear();
-        let n = raw.len() / record_bytes;
-        if n == 0 {
-            return;
-        }
-        let neighbor = |k: usize| {
-            let at = k * record_bytes;
-            u32::from_le_bytes(raw[at..at + 4].try_into().unwrap())
-        };
-        let base = (0..n).map(neighbor).min().unwrap();
-        write_varint(out, base as u64);
-        let mut prev = base as i64;
+    if record_bytes == 8 {
         for k in 0..n {
-            let v = neighbor(k) as i64;
-            write_varint(out, zigzag(v - prev));
-            prev = v;
-        }
-        if record_bytes == 8 {
-            for k in 0..n {
-                let at = k * record_bytes + 4;
-                out.extend_from_slice(&raw[at..at + 4]);
-            }
+            let at = k * record_bytes + 4;
+            out.extend_from_slice(&raw[at..at + 4]);
         }
     }
+}
 
-    fn decode(
-        &self,
-        encoded: &[u8],
-        record_bytes: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodecError> {
-        if !out.len().is_multiple_of(record_bytes) {
-            return Err(CodecError::BadDecodedLen { decoded_len: out.len(), record_bytes });
-        }
-        let n = out.len() / record_bytes;
-        if n == 0 {
-            return if encoded.is_empty() {
-                Ok(())
-            } else {
-                Err(CodecError::TrailingBytes { extra: encoded.len() })
-            };
-        }
-        let mut pos = 0usize;
-        let base = read_varint(encoded, &mut pos)
-            .map_err(|_| CodecError::Truncated { decoded_records: 0, expected_records: n })?;
-        if base > u32::MAX as u64 {
-            return Err(CodecError::ValueOutOfRange);
-        }
-        decode_deltas(encoded, record_bytes, out, n, &mut pos, base as i64)?;
-        if record_bytes == 8 {
-            let want = 4 * n;
-            let have = encoded.len() - pos;
-            if have < want {
-                return Err(CodecError::Truncated {
-                    decoded_records: have / 4,
-                    expected_records: n,
-                });
-            }
-            for k in 0..n {
-                let at = k * record_bytes + 4;
-                out[at..at + 4].copy_from_slice(&encoded[pos..pos + 4]);
-                pos += 4;
-            }
-        }
-        if pos != encoded.len() {
-            return Err(CodecError::TrailingBytes { extra: encoded.len() - pos });
-        }
-        Ok(())
+/// [`Codec::DeltaVarint`] decode.
+fn decode_delta_varint(
+    encoded: &[u8],
+    record_bytes: usize,
+    out: &mut [u8],
+) -> Result<(), CodecError> {
+    if !out.len().is_multiple_of(record_bytes) {
+        return Err(CodecError::BadDecodedLen { decoded_len: out.len(), record_bytes });
     }
+    let n = out.len() / record_bytes;
+    if n == 0 {
+        return if encoded.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::TrailingBytes { extra: encoded.len() })
+        };
+    }
+    let mut pos = 0usize;
+    let base = read_varint(encoded, &mut pos)
+        .map_err(|_| CodecError::Truncated { decoded_records: 0, expected_records: n })?;
+    if base > u32::MAX as u64 {
+        return Err(CodecError::ValueOutOfRange);
+    }
+    decode_deltas(encoded, record_bytes, out, n, &mut pos, base as i64)?;
+    if record_bytes == 8 {
+        let want = 4 * n;
+        let have = encoded.len() - pos;
+        if have < want {
+            return Err(CodecError::Truncated { decoded_records: have / 4, expected_records: n });
+        }
+        for k in 0..n {
+            let at = k * record_bytes + 4;
+            out[at..at + 4].copy_from_slice(&encoded[pos..pos + 4]);
+            pos += 4;
+        }
+    }
+    if pos != encoded.len() {
+        return Err(CodecError::TrailingBytes { extra: encoded.len() - pos });
+    }
+    Ok(())
 }
 
 /// Decode the `n` zigzag delta varints of a block into the neighbor
@@ -556,14 +479,36 @@ fn decode_deltas_impl(
     Ok(())
 }
 
-/// The set of built-in codecs, as a copyable selector used in build
-/// configs, `meta.json`, and footers.
+/// A reversible transform between a block's decoded record run and its
+/// on-disk bytes — a copyable selector used in build configs,
+/// `meta.json`, and footers.
+///
+/// Both codecs are pure functions of their inputs: the same decoded
+/// bytes always encode to the same payload (builders rely on this for
+/// reproducible shards), and `decode(encode(x)) == x` for every
+/// well-formed record run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Codec {
-    /// Identity codec; bit-compatible with the pre-codec format.
+    /// Identity codec: encoded bytes are the decoded record run;
+    /// bit-compatible with the pre-codec format.
     #[default]
     Raw,
-    /// Delta + varint compression of the neighbor column.
+    /// Delta + LEB128 varint compression of the neighbor column.
+    ///
+    /// Payload layout for a block of `n > 0` records (empty blocks
+    /// encode to zero bytes):
+    ///
+    /// 1. `varint(base)` where `base` is the smallest neighbor id in
+    ///    the block;
+    /// 2. `n` varints, the `k`-th being `zigzag(neighbor[k] - prev)`
+    ///    with `prev` starting at `base` and then tracking
+    ///    `neighbor[k-1]`;
+    /// 3. for weighted graphs, `n` raw little-endian `f32` weights in
+    ///    record order.
+    ///
+    /// Record order is preserved exactly — decoding reproduces the
+    /// input bit for bit, so engine results (including float
+    /// accumulation order) are identical across codecs.
     DeltaVarint,
 }
 
@@ -582,7 +527,10 @@ impl Codec {
     /// Canonical name, as written to `meta.json` and accepted by
     /// `hus build --codec` / `HUS_CODEC`.
     pub fn name(self) -> &'static str {
-        self.as_dyn().name()
+        match self {
+            Codec::Raw => "raw",
+            Codec::DeltaVarint => "delta-varint",
+        }
     }
 
     /// Look a codec up by wire id.
@@ -610,33 +558,38 @@ impl Codec {
         }
     }
 
-    /// The codec as a trait object, for storage-layer plumbing.
-    pub fn as_dyn(self) -> &'static dyn EdgeBlockCodec {
-        match self {
-            Codec::Raw => &RawCodec,
-            Codec::DeltaVarint => &DeltaVarintCodec,
-        }
-    }
-
     /// True for the identity codec, whose encoded bytes equal the
     /// decoded record run.
     pub fn is_raw(self) -> bool {
         self == Codec::Raw
     }
 
-    /// Encode a whole block (see [`EdgeBlockCodec::encode`]).
+    /// Encode `raw` (a whole block of `record_bytes`-wide records)
+    /// into `out`. `out` is cleared first; on return it holds exactly
+    /// the on-disk payload.
     pub fn encode(self, raw: &[u8], record_bytes: usize, out: &mut Vec<u8>) {
-        self.as_dyn().encode(raw, record_bytes, out)
+        match self {
+            Codec::Raw => {
+                out.clear();
+                out.extend_from_slice(raw);
+            }
+            Codec::DeltaVarint => encode_delta_varint(raw, record_bytes, out),
+        }
     }
 
-    /// Decode a whole block (see [`EdgeBlockCodec::decode`]).
+    /// Decode `encoded` into `out`, which the caller sizes to the
+    /// block's exact decoded length. Fails if the payload does not
+    /// describe exactly `out.len() / record_bytes` records.
     pub fn decode(
         self,
         encoded: &[u8],
         record_bytes: usize,
         out: &mut [u8],
     ) -> Result<(), CodecError> {
-        self.as_dyn().decode(encoded, record_bytes, out)
+        match self {
+            Codec::Raw => decode_raw(encoded, record_bytes, out),
+            Codec::DeltaVarint => decode_delta_varint(encoded, record_bytes, out),
+        }
     }
 }
 
@@ -856,7 +809,6 @@ mod tests {
             assert_eq!(Codec::from_id(codec.id()), Some(codec));
             assert_eq!(Codec::from_name(codec.name()), Some(codec));
             assert_eq!(codec.name().parse::<Codec>().unwrap(), codec);
-            assert_eq!(codec.as_dyn().id(), codec.id());
         }
         assert_eq!(Codec::from_name("DELTA_VARINT"), Some(Codec::DeltaVarint));
         assert_eq!(Codec::from_name("lz77"), None);

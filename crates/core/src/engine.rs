@@ -965,8 +965,18 @@ mod tests {
         assert!(cop_stats.edges_processed > 0);
     }
 
+    /// Serializes the two tests that depend on the process-global obs
+    /// flag: one turns it on and off again, the other asserts that a run
+    /// made while it is off records no phases. Poison is tolerated — a
+    /// failed holder has already reset the flag.
+    fn obs_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+        static OBS_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        OBS_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn phases_populate_when_collection_enabled() {
+        let _flag = obs_flag_lock();
         let el = hus_gen::rmat(300, 2000, 9, hus_gen::RmatConfig::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
@@ -995,6 +1005,7 @@ mod tests {
 
     #[test]
     fn phases_stay_empty_when_collection_disabled() {
+        let _flag = obs_flag_lock();
         let el = classic::cycle(12);
         let values = run_on(&el, 2, UpdateMode::Hybrid);
         assert_eq!(values, vec![0; 12]);
@@ -1003,8 +1014,8 @@ mod tests {
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(2)).unwrap();
         let (_, stats) = Engine::new(&g, &MinLabel, RunConfig::default()).run().unwrap();
-        // Unless another test concurrently enabled the global flag,
-        // disabled runs carry no phase data.
+        // Disabled runs carry no phase data (`HUS_TRACE` in the test
+        // environment turns collection on for the whole process).
         if !hus_obs::enabled() {
             assert!(stats.iterations.iter().all(|it| it.phases.is_empty()));
         }

@@ -5,8 +5,8 @@
 //! concentrates traffic in a few hub blocks, and the hybrid's ROP/COP
 //! choice changes which blocks are touched at all. This module keeps a
 //! sharded map from block `(i, j)` to a bundle of relaxed atomic
-//! counters (raw/encoded/decoded bytes, cache hits/misses, decode
-//! nanoseconds, retries, degradations) that the storage and engine
+//! counters (raw/encoded/decoded bytes, decoded-block cache hits/misses,
+//! decode nanoseconds, retries, degradations) that the storage and engine
 //! layers feed.
 //!
 //! Attribution is gated by its own flag (env knob `HUS_HEATMAP`),
@@ -16,11 +16,11 @@
 //!
 //! Layers that know their block (the per-block readers and the block
 //! decoder in `hus-core::graph`) record directly with
-//! [`record_at`]. Layers that see only file offsets (the page cache,
-//! the retry wrapper, the byte tracker) attribute to the *current
-//! block*: a thread-local set by [`with_block`] around each per-block
-//! operation, so a cache hit deep inside the backend stack still lands
-//! on the right cell of the heatmap.
+//! [`record_at`]. Layers that see only file offsets (the retry wrapper,
+//! the byte tracker) attribute to the *current block*: a thread-local
+//! set by [`with_block`] around each per-block operation, so a retry
+//! deep inside the backend stack still lands on the right cell of the
+//! heatmap.
 
 use serde::Serialize;
 use std::cell::Cell;
@@ -58,9 +58,9 @@ pub enum BlockStat {
     EncodedBytes,
     /// Decoded bytes produced for this block.
     DecodedBytes,
-    /// Reads served from a cache (page cache or decoded-block cache).
+    /// Reads served from the decoded-block cache.
     CacheHits,
-    /// Reads that missed every cache and went to the device.
+    /// Reads that missed the decoded-block cache and went to the device.
     CacheMisses,
     /// Nanoseconds spent decoding this block's shard payload.
     DecodeNs,

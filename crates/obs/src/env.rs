@@ -34,7 +34,7 @@ pub const KNOBS: &[EnvKnob] = &[
                  `file` (buffered `pread`), `mmap` (shared map copy-out) or `direct` \
                  (`O_DIRECT`, pooled aligned buffers; degrades to `file` on \
                  filesystems that refuse `O_DIRECT`, e.g. tmpfs — see `DESIGN.md` \
-                 §6, piece 6)",
+                 §6, piece 5)",
     },
     EnvKnob {
         name: "HUS_CKPT",

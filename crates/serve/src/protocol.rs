@@ -120,11 +120,6 @@ impl Op {
             Op::Bfs { .. } | Op::Sssp { .. } | Op::Wcc | Op::PageRank { .. } | Op::Ppr { .. }
         )
     }
-
-    /// Whether this op is served without an admission slot.
-    pub fn is_admin(&self) -> bool {
-        matches!(self, Op::Status | Op::Shutdown)
-    }
 }
 
 /// One parsed request line.

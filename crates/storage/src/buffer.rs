@@ -153,13 +153,6 @@ impl<'a> BlockStream<'a> {
     }
 }
 
-/// Read an entire byte range as one sequential load.
-pub fn read_range(backend: &dyn ReadBackend, start: u64, len: usize) -> Result<Vec<u8>> {
-    let mut buf = vec![0u8; len];
-    backend.read_at(start, &mut buf, Access::Sequential)?;
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,12 +229,5 @@ mod tests {
         assert_eq!(snap.seq_read_bytes, 64);
         assert_eq!(snap.rand_read_bytes, 0);
         assert_eq!(snap.seq_read_ops, 4);
-    }
-
-    #[test]
-    fn read_range_helper() {
-        let (_t, dir) = store_with("d.bin", b"hello world");
-        let r = dir.reader("d.bin").unwrap();
-        assert_eq!(read_range(&*r, 6, 5).unwrap(), b"world");
     }
 }

@@ -70,17 +70,6 @@ impl DeviceProfile {
         }
     }
 
-    /// An NVMe-class device (extension beyond the paper, used by the
-    /// device-sweep ablation).
-    pub fn nvme() -> Self {
-        DeviceProfile {
-            name: "nvme".into(),
-            read: Throughput { sequential_bps: 3.0e9, random_bps: 2.0e9, batched_bps: 2.8e9 },
-            write_bps: 2.5e9,
-            seek_seconds: 10e-6,
-        }
-    }
-
     /// Page-cache / in-memory speeds: for graphs that fit in RAM, where
     /// the paper observes thread count dominates performance (§4.5,
     /// LiveJournal).

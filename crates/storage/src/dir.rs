@@ -2,11 +2,10 @@
 //!
 //! Each engine's on-disk representation (dual-block shards, PSW shards,
 //! grid blocks, vertex stores) lives inside a `StorageDir`. The directory
-//! decides which read backend to use (positioned file reads or mmap) and
-//! hands out tracked readers/writers.
+//! decides which read backend to use (positioned file reads, mmap or
+//! `O_DIRECT`) and hands out tracked readers/writers.
 
 use crate::buffer::TrackedWriter;
-use crate::cache::CachedBackend;
 use crate::direct::DirectBackend;
 use crate::durable;
 use crate::error::{Result, StorageError};
@@ -44,13 +43,6 @@ pub enum BackendKind {
     /// Degrades to [`BackendKind::File`] on filesystems that refuse
     /// `O_DIRECT` (e.g. tmpfs).
     Direct,
-    /// File reads behind a per-file LRU page cache of the given byte
-    /// budget — models an explicit memory budget: cache hits are not
-    /// billed as device I/O (see [`crate::cache`]).
-    Cached {
-        /// Cache budget per opened file, in bytes.
-        budget_bytes: u64,
-    },
 }
 
 impl BackendKind {
@@ -171,15 +163,7 @@ impl StorageDir {
     pub fn subdir(&self, name: &str) -> Result<StorageDir> {
         let root = self.root.join(name);
         std::fs::create_dir_all(&root).map_err(|e| StorageError::io_at(&root, e))?;
-        Ok(StorageDir {
-            root,
-            tracker: Arc::clone(&self.tracker),
-            kind: self.kind,
-            resilience: Arc::clone(&self.resilience),
-            retry: self.retry,
-            faults: self.faults,
-            write_faults: self.write_faults.clone(),
-        })
+        Ok(self.rerooted(root))
     }
 
     /// The shared tracker for this directory.
@@ -218,10 +202,9 @@ impl StorageDir {
     /// Open a named file for tracked reading with the configured backend.
     ///
     /// The handed-out backend is composed as
-    /// `Cached?( Retry( FaultInject?( File | Mmap | Direct ) ) )`:
-    /// retries sit below the page cache (hits never consult the device)
-    /// and above fault injection (injected transient faults exercise the
-    /// real retry path). If an mmap cannot be established, or the
+    /// `Retry( FaultInject?( File | Mmap | Direct ) )`: retries sit above
+    /// fault injection, so injected transient faults exercise the real
+    /// retry path. If an mmap cannot be established, or the
     /// filesystem refuses `O_DIRECT` (tmpfs, some network mounts), the
     /// reader degrades to the positioned-read file backend — logged once
     /// and counted in [`ResilienceTracker::snapshot`] as an
@@ -231,7 +214,6 @@ impl StorageDir {
         if !p.is_file() {
             return Err(StorageError::MissingFile(p));
         }
-        let mut cache_budget = None;
         let base: Arc<dyn ReadBackend> = match self.kind {
             BackendKind::File => Arc::new(FileBackend::open(p, self.tracker())?),
             BackendKind::Mmap => match MmapBackend::open(&p, self.tracker()) {
@@ -263,22 +245,13 @@ impl StorageDir {
                     Arc::new(FileBackend::open(p, self.tracker())?)
                 }
             },
-            BackendKind::Cached { budget_bytes } => {
-                cache_budget = Some(budget_bytes as usize);
-                Arc::new(FileBackend::open(p, self.tracker())?)
-            }
         };
         let faulty: Arc<dyn ReadBackend> = match self.faults.filter(FaultSpec::injects_read_faults)
         {
             Some(spec) => Arc::new(FaultInjectBackend::new(base, spec)),
             None => base,
         };
-        let retried: Arc<dyn ReadBackend> =
-            Arc::new(RetryBackend::new(faulty, self.retry, Arc::clone(&self.resilience)));
-        Ok(match cache_budget {
-            Some(budget) => Arc::new(CachedBackend::with_budget(retried, budget)),
-            None => retried,
-        })
+        Ok(Arc::new(RetryBackend::new(faulty, self.retry, Arc::clone(&self.resilience))))
     }
 
     /// Create (truncate) a named file and return a buffered tracked
@@ -296,12 +269,6 @@ impl StorageDir {
             Some(inj) => w.with_faults(Arc::clone(inj)),
             None => w,
         })
-    }
-
-    /// The shared write-fault injector, when this directory tree
-    /// carries a write-fault spec.
-    pub fn write_injector(&self) -> Option<Arc<FaultInjectWriter>> {
-        self.write_faults.clone()
     }
 
     /// Durably write a whole named file: write + fsync, routed through
@@ -725,33 +692,5 @@ mod tests {
     fn open_missing_dir_fails() {
         let tmp = tempfile::tempdir().unwrap();
         assert!(StorageDir::open(tmp.path().join("absent")).is_err());
-    }
-}
-
-#[cfg(test)]
-mod cached_backend_tests {
-    use super::*;
-    use crate::tracker::Access;
-
-    #[test]
-    fn cached_kind_serves_hits_unbilled() {
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create_with(
-            tmp.path().join("c"),
-            BackendKind::Cached { budget_bytes: 1 << 20 },
-        )
-        .unwrap();
-        let mut w = dir.writer("x.bin").unwrap();
-        w.write_all(&[5u8; 4096]).unwrap();
-        w.finish().unwrap();
-        dir.tracker().reset();
-        let r = dir.reader("x.bin").unwrap();
-        let mut buf = [0u8; 64];
-        r.read_at(0, &mut buf, Access::Random).unwrap();
-        let first = dir.tracker().snapshot().total_bytes();
-        r.read_at(0, &mut buf, Access::Random).unwrap();
-        r.read_at(8, &mut buf, Access::Random).unwrap();
-        assert_eq!(dir.tracker().snapshot().total_bytes(), first, "hits unbilled");
-        assert_eq!(buf, [5u8; 64]);
     }
 }

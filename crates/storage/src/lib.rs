@@ -23,8 +23,6 @@
 //!   predictor instead of a preset profile.
 //! * [`pod`] — safe-by-construction byte ⇄ typed-slice conversions used by
 //!   the on-disk formats of all engines.
-//! * [`cache`] — an LRU page cache over any backend, modeling an explicit
-//!   memory budget (cache hits are not billed as device I/O).
 //! * [`checksum`] / [`fault`] / [`retry`] — the storage resilience layer:
 //!   CRC-32C shard footers, deterministic fault injection (`HUS_FAULT`),
 //!   and transparent retry with bounded backoff plus degradation paths
@@ -42,7 +40,6 @@
 
 pub mod aligned;
 pub mod buffer;
-pub mod cache;
 pub mod checksum;
 pub mod delta;
 pub mod device;
@@ -61,7 +58,6 @@ pub mod tracker;
 
 pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
 pub use buffer::{BlockStream, TrackedWriter};
-pub use cache::{CacheStats, CachedBackend};
 pub use checksum::{crc32c, Crc32c, ShardFooter};
 pub use delta::{DeltaRecord, DeltaRun};
 pub use device::{CostModel, DeviceProfile, Throughput};
@@ -83,7 +79,7 @@ pub use tracker::{Access, IoSnapshot, IoTracker};
 /// traffic to the sequential or random bucket.
 ///
 /// Backends are normally obtained from [`StorageDir::reader`], which
-/// composes tracking, fault injection, retry and caching:
+/// composes tracking, fault injection and retry:
 ///
 /// ```
 /// use hus_storage::{Access, ReadBackend, StorageDir};

@@ -3,7 +3,7 @@
 //! Every engine in the workspace stores fixed-width records (edges, CSR
 //! offsets, vertex values) as raw little-endian bytes. This module
 //! centralizes the `&[u8]` ⇄ `&[T]` conversions so the `unsafe` surface is
-//! small, audited, and alignment-checked.
+//! small and audited.
 
 use crate::error::{Result, StorageError};
 
@@ -62,35 +62,6 @@ pub fn as_bytes_mut<T: Pod>(slice: &mut [T]) -> &mut [u8] {
     }
 }
 
-/// Reinterpret a byte slice as a typed slice without copying.
-///
-/// Fails if the byte length is not a multiple of `size_of::<T>()` or the
-/// pointer is not suitably aligned (mmap'd regions are page-aligned, so
-/// aligned offsets within a file stay aligned).
-pub fn cast_slice<T: Pod>(bytes: &[u8]) -> Result<&[T]> {
-    let size = std::mem::size_of::<T>();
-    if size == 0 {
-        return Err(StorageError::BadCast { detail: "zero-sized type".into() });
-    }
-    if !bytes.len().is_multiple_of(size) {
-        return Err(StorageError::BadCast {
-            detail: format!("{} bytes is not a multiple of item size {}", bytes.len(), size),
-        });
-    }
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
-        return Err(StorageError::BadCast {
-            detail: format!(
-                "pointer {:p} not aligned to {}",
-                bytes.as_ptr(),
-                std::mem::align_of::<T>()
-            ),
-        });
-    }
-    // SAFETY: length and alignment verified above; Pod allows any bit
-    // pattern.
-    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / size) })
-}
-
 /// Copy a byte slice into an owned `Vec<T>` (works for any alignment).
 pub fn to_vec<T: Pod>(bytes: &[u8]) -> Result<Vec<T>> {
     let size = std::mem::size_of::<T>();
@@ -114,27 +85,22 @@ mod tests {
         let values: Vec<u32> = vec![1, 2, 0xdead_beef, u32::MAX];
         let bytes = as_bytes(&values);
         assert_eq!(bytes.len(), 16);
-        let back: &[u32] = cast_slice(bytes).unwrap();
-        assert_eq!(back, values.as_slice());
         let owned: Vec<u32> = to_vec(bytes).unwrap();
         assert_eq!(owned, values);
     }
 
     #[test]
-    fn cast_rejects_bad_length() {
+    fn to_vec_rejects_bad_length() {
         let bytes = [0u8; 7];
-        assert!(cast_slice::<u32>(&bytes).is_err());
         assert!(to_vec::<u32>(&bytes).is_err());
     }
 
     #[test]
-    fn cast_rejects_misaligned() {
+    fn to_vec_accepts_misaligned() {
         let bytes = [0u8; 12];
         // Find a deliberately misaligned start within the buffer.
         let start = if (bytes.as_ptr() as usize).is_multiple_of(4) { 1 } else { 0 };
         let sub = &bytes[start..start + 8];
-        assert!(cast_slice::<u32>(sub).is_err());
-        // The copying variant accepts any alignment.
         assert!(to_vec::<u32>(sub).is_ok());
     }
 

@@ -260,9 +260,8 @@ impl ResilienceSnapshot {
 /// [`RetryPolicy`] and degrades failing batched reads to per-range reads.
 ///
 /// [`crate::StorageDir::reader`] composes every backend it hands out as
-/// `Cached?(Retry(FaultInject?(File|Mmap)))`, so retries sit below the
-/// page cache (hits never retry) and above fault injection (injected
-/// transient faults exercise this exact code path).
+/// `Retry(FaultInject?(File|Mmap|Direct))`, so retries sit above fault
+/// injection and injected transient faults exercise this exact code path.
 pub struct RetryBackend {
     inner: Arc<dyn ReadBackend>,
     policy: RetryPolicy,

@@ -691,14 +691,12 @@ fn draw_top_frame(
         io_now.batched_read_bytes as f64 / 1e6,
         io_now.write_bytes as f64 / 1e6,
     );
-    let (hits, misses) = (
-        counter("storage.cache.hits") + counter("storage.codec.cache_hits"),
-        counter("storage.cache.misses") + counter("storage.codec.cache_misses"),
-    );
+    let (hits, misses) =
+        (counter("storage.codec.cache_hits"), counter("storage.codec.cache_misses"));
     let hit_pct =
         if hits + misses > 0 { hits as f64 / (hits + misses) as f64 * 100.0 } else { 0.0 };
     println!(
-        "cache: {hit_pct:.1}% hit ({hits} hits / {misses} misses)  \
+        "decoded-block cache: {hit_pct:.1}% hit ({hits} hits / {misses} misses)  \
          predict: {} gated / {} rop / {} cop  edges {}",
         counter("predict.gated"),
         counter("predict.rop_selected"),

@@ -1,8 +1,9 @@
 //! Documentation-vs-code synchronization tests: the README's
 //! environment-knob table is generated from `hus_obs::env::KNOBS`,
 //! `docs/OBSERVABILITY.md`'s metric catalog names exactly the registered
-//! metrics, and `docs/FORMAT.md`'s byte offsets mirror the source
-//! constants. These tests fail — printing the expected text — whenever
+//! metrics, `docs/FORMAT.md`'s byte offsets mirror the source
+//! constants, and the experiment script and docs name only existing
+//! binaries. These tests fail — printing the expected text — whenever
 //! either side drifts.
 
 use std::collections::BTreeSet;
@@ -290,6 +291,48 @@ fn format_md_delta_constants_match_source() {
     // MANIFEST `run` lines are documented with the keyword the parser
     // accepts.
     assert!(fmt.contains("run delta_000001.run 96 crc32c:0153CF10"));
+}
+
+/// `run_experiments.sh` regenerates every experiment binary (all of
+/// `crates/bench/src/bin` except the interactive `debug_profile`), and
+/// every `--bin <name>` the docs tell a reader to run names a binary that
+/// exists (`src/bin` or `crates/bench/src/bin`).
+#[test]
+fn experiment_binaries_match_script_and_docs() {
+    let experiments = bin_names("crates/bench/src/bin");
+    let script = read("run_experiments.sh");
+    let line = script
+        .lines()
+        .find_map(|l| l.strip_prefix("BINS="))
+        .expect("run_experiments.sh lost its BINS= line");
+    let listed: BTreeSet<String> =
+        line.trim_matches('"').split_whitespace().map(String::from).collect();
+    let mut expected = experiments.clone();
+    expected.remove("debug_profile");
+    assert_eq!(listed, expected, "run_experiments.sh BINS differs from crates/bench/src/bin");
+
+    let mut known = experiments;
+    known.extend(bin_names("src/bin"));
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = read(doc);
+        for (at, flag) in text.match_indices("--bin ") {
+            let name: String = text[at + flag.len()..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            assert!(known.contains(&name), "{doc} runs `--bin {name}`, which is not a binary");
+        }
+    }
+}
+
+/// File stems of the `.rs` files directly under a binary directory.
+fn bin_names(rel: &str) -> BTreeSet<String> {
+    std::fs::read_dir(repo_root().join(rel))
+        .unwrap_or_else(|e| panic!("reading {rel}: {e}"))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect()
 }
 
 fn sample_meta() -> husgraph::core::GraphMeta {

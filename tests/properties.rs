@@ -230,33 +230,6 @@ proptest! {
     }
 
     #[test]
-    fn cached_backend_is_transparent(
-        data in proptest::collection::vec(any::<u8>(), 1..4000),
-        reads in proptest::collection::vec((0usize..4000, 1usize..128), 1..40),
-        budget in 128usize..2048,
-        page in 16usize..256,
-    ) {
-        use husgraph::storage::{CachedBackend, ReadBackend};
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("s")).unwrap();
-        let mut w = dir.writer("f.bin").unwrap();
-        w.write_all(&data).unwrap();
-        w.finish().unwrap();
-        let plain = dir.reader("f.bin").unwrap();
-        let cached = CachedBackend::new(dir.reader("f.bin").unwrap(), budget, page);
-        for &(start, len) in &reads {
-            let start = start % data.len();
-            let len = len.min(data.len() - start);
-            if len == 0 { continue; }
-            let mut a = vec![0u8; len];
-            let mut b = vec![0u8; len];
-            plain.read_at(start as u64, &mut a, Access::Random).unwrap();
-            cached.read_at(start as u64, &mut b, Access::Random).unwrap();
-            prop_assert_eq!(&a, &b);
-        }
-    }
-
-    #[test]
     fn relabel_preserves_bfs_reachability_count(
         el in arb_edge_list(60, 250),
         seed in any::<u64>(),
