@@ -7,11 +7,11 @@
 //! `out-index(i,j)` / `in-index(i,j)` structures that enable ROP's
 //! selective loads and COP's per-destination parallelism).
 
-use crate::external::write_shard;
+use crate::external::{write_blocks, write_shard, OrderScratch, Record};
 use crate::graph::HusGraph;
 use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, META_FILE};
 pub use crate::partition::PartitionStrategy;
-use crate::partition::{interval_of, interval_starts};
+use crate::partition::{interval_starts, interval_table};
 use hus_codec::Codec;
 use hus_gen::EdgeList;
 use hus_storage::durable::crash_point;
@@ -134,51 +134,48 @@ pub(crate) fn build_partitioned(
     codec: Codec,
 ) -> Result<GraphMeta> {
     let p = starts.len() - 1;
+    // Bucket positions are `u32`.
+    if el.num_edges() as u64 > u32::MAX as u64 {
+        return Err(StorageError::CapacityExceeded {
+            what: "edges in an in-memory build".into(),
+            count: el.num_edges() as u64,
+            limit: u32::MAX as u64,
+        });
+    }
     let staging = dir.staging()?;
     let out = staging.dir().clone();
 
-    // Bucket edge indices into the P×P grid.
+    // Bucket edge positions into the P×P grid, in input order.
+    let interval = interval_table(&starts);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); p * p];
     for (k, e) in el.edges.iter().enumerate() {
-        buckets[interval_of(&starts, e.src) * p + interval_of(&starts, e.dst)].push(k as u32);
+        let (i, j) = (interval[e.src as usize] as usize, interval[e.dst as usize] as usize);
+        buckets[i * p + j].push(k as u32);
     }
 
     // Out-shards (blocks `(i, 0..P)` of each source interval `i`), then
     // in-shards (blocks `(0..P, j)` of each destination interval `j`).
     let num_edges = el.num_edges() as u64;
     let mut meta = GraphMeta::unbuilt(el.num_vertices, num_edges, starts, el.is_weighted(), codec);
-    // One shard's records as `(own vertex, neighbor, edge index)`, its
-    // blocks back to back, and where each block ends.
-    let mut shard: Vec<(u32, u32, u32)> = Vec::new();
+    // One shard's records, its blocks back to back in input order, and
+    // where each block ends.
+    let mut shard: Vec<Record> = Vec::new();
     let mut ends: Vec<usize> = Vec::with_capacity(p);
+    let mut scratch = OrderScratch::default();
     for o in Orientation::BOTH {
         for own in 0..p {
             shard.clear();
             ends.clear();
             for other in 0..p {
                 let (i, j) = o.orient(own, other);
-                let start = shard.len();
                 shard.extend(buckets[i * p + j].iter().map(|&k| {
                     let e = el.edges[k as usize];
                     let (v, neighbor) = o.orient(e.src, e.dst);
-                    (v, neighbor, k)
+                    (v, neighbor, el.weights.as_ref().map_or(1.0, |w| w[k as usize]))
                 }));
-                // Canonical order: (own vertex, neighbor), duplicate
-                // edges in input order. Neighbor-sorted adjacency makes
-                // shard bytes a function of the edge *set* (not input
-                // order) and lets the delta overlay merge runs with an
-                // exact two-pointer walk.
-                shard[start..].sort_unstable();
                 ends.push(shard.len());
             }
-            let mut start = 0;
-            let runs = ends.iter().map(|&end| {
-                let run = &shard[std::mem::replace(&mut start, end)..end];
-                run.iter().map(|&(v, neighbor, k)| {
-                    (v, neighbor, el.weights.as_ref().map_or(1.0, |w| w[k as usize]))
-                })
-            });
-            write_shard(&out, &mut meta, o, own, runs)?;
+            write_blocks(&out, &mut meta, o, own, &mut shard, &ends, &mut scratch)?;
             crash_point("build.shard");
         }
     }

@@ -7,15 +7,21 @@
 //! `O(|V| + max_shard_edges)`:
 //!
 //! 1. **Degree pass** — count out-degrees (one `u32` per vertex) and fix
-//!    the interval boundaries.
+//!    the interval boundaries. The degrees then make way for a table of
+//!    as many words that maps each vertex to its interval.
 //! 2. **Spill pass** — append every edge to one *out-spill* (keyed by
 //!    its source interval) and one *in-spill* (destination interval),
 //!    all writes buffered and tracked.
 //! 3. **Per-shard finish** — each spill (≈ `|E|/P` edges, in memory by
-//!    the choice of `P`, exactly the paper's block-sizing rule) is
-//!    sorted, cut at the interval boundaries and handed to
-//!    `write_shard` — the one function that writes a shard's blocks,
-//!    CSR indices and footers, for this builder and for [`crate::build`].
+//!    the choice of `P`, exactly the paper's block-sizing rule) is read
+//!    back straight into its `P` blocks by one stable counting pass on
+//!    the neighbor's interval; `order_block` then puts each block in
+//!    canonical order with two more counting passes, and `write_shard`
+//!    — the one function that writes a shard's blocks, CSR indices and
+//!    footers — emits them. The in-memory builder ([`crate::build`])
+//!    orders and emits its blocks through the same two functions. At
+//!    most one spill's records plus one block of scratch are held (the
+//!    spill's raw bytes only while they are split).
 //!
 //! The output is therefore **byte-identical** to the in-memory
 //! builder's (the tests assert it), so either path can build a graph
@@ -35,13 +41,14 @@
 
 use crate::builder::{finalize_build, BuildConfig};
 use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE};
-use crate::partition::{interval_of, interval_starts};
+use crate::partition::{interval_starts, interval_table};
 use hus_gen::Edge;
 use hus_storage::checksum::{Crc32c, ShardFooter};
 use hus_storage::durable::crash_point;
 use hus_storage::manifest::{seal_text, unseal_text};
 use hus_storage::{pod, Access, Result, StagingDir, StorageDir, StorageError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A re-scannable stream of `(edge, weight)` pairs (weight ignored when
 /// `weighted` is false). Each call must yield the same sequence.
@@ -257,9 +264,10 @@ pub fn build_external<S: EdgeSource>(
         save_progress(&out, &prog)?;
         crash_point("ext.degrees");
     }
-    drop(out_degrees); // |V| words the sort phase should not hold
+    drop(out_degrees); // makes way for the interval table below
     let starts = prog.meta.as_ref().expect("recorded by the degree phase").interval_starts.clone();
     let p = starts.len() - 1;
+    let interval = interval_table(&starts);
 
     if !prog.spilled {
         // Pass 2: spill every edge into its source-interval and
@@ -272,7 +280,7 @@ pub fn build_external<S: EdgeSource>(
             }
         }
         for (e, w) in source.scan()? {
-            let grid = (interval_of(&starts, e.src), interval_of(&starts, e.dst));
+            let grid = (interval[e.src as usize] as usize, interval[e.dst as usize] as usize);
             for o in Orientation::BOTH {
                 let writer = &mut spills[o as usize * p + o.orient(grid.0, grid.1).0];
                 writer.write_pod(&e.src)?;
@@ -290,25 +298,16 @@ pub fn build_external<S: EdgeSource>(
         crash_point("ext.spill");
     }
 
-    // Per-shard finish: sort one spill at a time and emit blocks+index.
-    // Each completed shard advances the durable progress cursor, so a
-    // resume re-does at most one shard.
+    // Per-shard finish: split one spill at a time into its blocks, then
+    // order and emit them. Each completed shard advances the durable
+    // progress cursor, so a resume re-does at most one shard.
+    let mut scratch = OrderScratch::default();
     for k in prog.shards_done as usize..2 * p {
         let (o, own) = (Orientation::BOTH[k / p], k % p);
-        let mut records = read_spill(&out, &spill_file(o, own), o, weighted)?;
-        // Canonical (other-interval, own vertex, neighbor) order —
-        // matching the in-memory builder's per-block sort exactly,
-        // stable for duplicate edges.
-        records.sort_by_key(|&(v, neighbor, _)| (interval_of(&starts, neighbor), v, neighbor));
-        // Block `other` is the run of neighbors below its interval's end.
-        let mut rest = records.as_slice();
-        let runs = starts[1..].iter().map(|&end| {
-            let (run, tail) = rest.split_at(rest.partition_point(|r| r.1 < end));
-            rest = tail;
-            run.iter().copied()
-        });
+        let (mut records, ends) =
+            split_spill(&out, &spill_file(o, own), o, weighted, &interval, p)?;
         let meta = prog.meta.as_mut().expect("recorded by the degree phase");
-        write_shard(&out, meta, o, own, runs)?;
+        write_blocks(&out, meta, o, own, &mut records, &ends, &mut scratch)?;
         prog.shards_done = k as u32 + 1;
         save_progress(&out, &prog)?;
         crash_point("ext.shard");
@@ -330,27 +329,123 @@ pub fn build_external<S: EdgeSource>(
 }
 
 /// Read one spill back as `(own vertex, neighbor, weight)` records of
-/// orientation `o` (weight 1.0 when unweighted).
-fn read_spill(
+/// orientation `o` (weight 1.0 when unweighted), split into the shard's
+/// `P` blocks by one stable counting pass on the neighbor's interval:
+/// block `other` is `records[ends[other - 1]..ends[other]]`, in spill
+/// (input) order.
+fn split_spill(
     dir: &StorageDir,
     name: &str,
     o: Orientation,
     weighted: bool,
-) -> Result<Vec<(u32, u32, f32)>> {
+    interval: &[u32],
+    p: usize,
+) -> Result<(Vec<Record>, Vec<usize>)> {
     let reader = dir.reader(name)?;
     let mut bytes = vec![0u8; reader.len() as usize];
     if !bytes.is_empty() {
         reader.read_at(0, &mut bytes, Access::Sequential)?;
     }
-    let field = |rec: &[u8], at: usize| rec[at..at + 4].try_into().expect("4-byte field");
-    Ok(bytes
-        .chunks_exact(if weighted { 12 } else { 8 })
-        .map(|rec| {
-            let (v, neighbor) =
-                o.orient(u32::from_le_bytes(field(rec, 0)), u32::from_le_bytes(field(rec, 4)));
-            (v, neighbor, if weighted { f32::from_le_bytes(field(rec, 8)) } else { 1.0 })
-        })
-        .collect())
+    let field = |rec: &[u8], at: usize| {
+        u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte field"))
+    };
+    let record_bytes = if weighted { 12 } else { 8 };
+    let spilled = bytes.chunks_exact(record_bytes).map(|rec| {
+        let (v, neighbor) = o.orient(field(rec, 0), field(rec, 4));
+        (v, neighbor, if weighted { f32::from_bits(field(rec, 8)) } else { 1.0 })
+    });
+    let mut records = vec![(0, 0, 0.0); bytes.len() / record_bytes];
+    let mut ends = Vec::with_capacity(p);
+    counting_pass(spilled, &mut records, &mut ends, p, |r| interval[r.1 as usize]);
+    Ok((records, ends))
+}
+
+/// One block's records as the builders carry them: `(own vertex,
+/// neighbor, weight)`, the weight 1.0 in an unweighted graph.
+pub(crate) type Record = (u32, u32, f32);
+
+/// Reusable buffers of [`order_block`]: the records between its two
+/// passes and one histogram, both grown to the largest block seen.
+#[derive(Default)]
+pub(crate) struct OrderScratch {
+    records: Vec<Record>,
+    counts: Vec<usize>,
+}
+
+/// Put one block's records, given in input order, into the canonical
+/// order [`write_shard`] takes: by own vertex, then by neighbor,
+/// duplicate edges in input order. Neighbor-sorted adjacency makes
+/// shard bytes a function of the edge *set* and lets the delta overlay
+/// merge runs with an exact two-pointer walk.
+///
+/// Two stable counting passes — by neighbor into the scratch, then by
+/// own vertex back into `block` — with histograms over the block's own
+/// (`own`) and neighbor (`other`) vertex ranges: O(records + interval
+/// lengths), the order of the CSR array the block gets anyway.
+fn order_block(
+    block: &mut [Record],
+    own: Range<u32>,
+    other: Range<u32>,
+    scratch: &mut OrderScratch,
+) {
+    if block.len() < 2 {
+        return;
+    }
+    let OrderScratch { records, counts } = scratch;
+    records.clear();
+    records.resize(block.len(), block[0]);
+    counting_pass(block.iter().copied(), records, counts, other.len(), |r| r.1 - other.start);
+    counting_pass(records.iter().copied(), block, counts, own.len(), |r| r.0 - own.start);
+}
+
+/// Write `o`-shard `own` from its records in input order, block
+/// `other` being `shard[ends[other - 1]..ends[other]]`: [`order_block`]
+/// each block, then [`write_shard`] them. Both builders end here.
+pub(crate) fn write_blocks(
+    dir: &StorageDir,
+    meta: &mut GraphMeta,
+    o: Orientation,
+    own: usize,
+    shard: &mut [Record],
+    ends: &[usize],
+    scratch: &mut OrderScratch,
+) -> Result<()> {
+    let range = |k: usize| meta.interval_start(k)..meta.interval_start(k + 1);
+    let mut start = 0;
+    for (other, &end) in ends.iter().enumerate() {
+        let block = &mut shard[std::mem::replace(&mut start, end)..end];
+        order_block(block, range(own), range(other), scratch);
+    }
+    let mut start = 0;
+    let runs =
+        ends.iter().map(|&end| shard[std::mem::replace(&mut start, end)..end].iter().copied());
+    write_shard(dir, meta, o, own, runs)
+}
+
+/// Stable counting sort of `src` into `dst` by `key` in `0..keys`;
+/// leaves `counts[k]` at the end of key `k`'s records in `dst`.
+fn counting_pass(
+    src: impl Iterator<Item = Record> + Clone,
+    dst: &mut [Record],
+    counts: &mut Vec<usize>,
+    keys: usize,
+    key: impl Fn(&Record) -> u32,
+) {
+    counts.clear();
+    counts.resize(keys, 0);
+    for r in src.clone() {
+        counts[key(&r) as usize] += 1;
+    }
+    // Exclusive prefix sums: where each key's first record goes.
+    let mut next = 0;
+    for c in counts.iter_mut() {
+        next += std::mem::replace(c, next);
+    }
+    for r in src {
+        let at = &mut counts[key(&r) as usize];
+        dst[*at] = r;
+        *at += 1;
+    }
 }
 
 /// Write `o`-shard `own` — `P` codec-encoded blocks, each with its
@@ -396,14 +491,25 @@ pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
                 raw_buf.extend_from_slice(&weight.to_le_bytes());
             }
         }
+        let (i, j) = o.orient(own, other);
+        // Index entries are `u32` (docs/FORMAT.md): a larger block's
+        // offsets would wrap, so it is refused before a byte of it is
+        // written.
+        let records = (raw_buf.len() / record_bytes) as u64;
+        if records > u32::MAX as u64 {
+            return Err(StorageError::CapacityExceeded {
+                what: format!("records in {}-block ({i}, {j})", o.name()),
+                count: records,
+                limit: u32::MAX as u64,
+            });
+        }
         for v in 1..offsets.len() {
             offsets[v] += offsets[v - 1];
         }
         codec.encode(&raw_buf, record_bytes, &mut enc_buf);
-        let (i, j) = o.orient(own, other);
         *meta.block_mut(o, i, j) = BlockMeta {
             edge_offset: decoded_pos,
-            edge_count: (raw_buf.len() / record_bytes) as u64,
+            edge_count: records,
             index_offset: index_w.position(),
             encoded_offset: edges_w.position(),
             encoded_bytes: enc_buf.len() as u64,
@@ -491,7 +597,7 @@ mod tests {
             &BuildConfig::with_p_codec(3, Codec::DeltaVarint),
         );
         // Duplicate edges carrying different weights: both builders must
-        // keep them in input order (the sorts are stable).
+        // keep them in input order (the ordering passes are stable).
         let mut dup = sparse_with_duplicates();
         dup.weights = Some((0..dup.edges.len()).map(|k| k as f32 + 0.5).collect());
         for codec in [Codec::Raw, Codec::DeltaVarint] {
@@ -575,6 +681,82 @@ mod tests {
         build_external(&ListSource(&el), &dir, &BuildConfig::with_p(3)).unwrap();
         assert!(!dir.exists(PROGRESS_FILE));
         assert!(dir.exists(hus_storage::MANIFEST_FILE));
+    }
+
+    /// Check [`order_block`] on every block of `el` under `starts`
+    /// against the comparison order the builders used before it:
+    /// `sort_unstable` on `(own vertex, neighbor, input position)`. Each
+    /// record's weight is its input position, so a misplaced duplicate
+    /// shows.
+    fn assert_order_matches_reference(case: &str, el: &hus_gen::EdgeList, starts: &[u32]) {
+        use crate::partition::interval_of;
+        let p = starts.len() - 1;
+        let mut scratch = OrderScratch::default();
+        for o in Orientation::BOTH {
+            let mut blocks: Vec<Vec<Record>> = vec![Vec::new(); p * p];
+            for (k, e) in el.edges.iter().enumerate() {
+                let (v, neighbor) = o.orient(e.src, e.dst);
+                let (own, other) = (interval_of(starts, v), interval_of(starts, neighbor));
+                blocks[own * p + other].push((v, neighbor, k as f32));
+            }
+            for (b, block) in blocks.iter_mut().enumerate() {
+                let (own, other) = (b / p, b % p);
+                let mut expected = block.clone();
+                expected.sort_unstable_by_key(|&(v, neighbor, k)| (v, neighbor, k as u32));
+                let ranges = (starts[own]..starts[own + 1], starts[other]..starts[other + 1]);
+                order_block(block, ranges.0, ranges.1, &mut scratch);
+                let (i, j) = o.orient(own, other);
+                assert_eq!(*block, expected, "{case}: {}-block ({i}, {j})", o.name());
+            }
+        }
+    }
+
+    /// `el` with every third edge repeated after the original edges, so
+    /// duplicates are spread over the blocks with distinct positions.
+    fn with_duplicates(mut el: hus_gen::EdgeList) -> hus_gen::EdgeList {
+        let repeats: Vec<_> = el.edges.iter().step_by(3).copied().collect();
+        el.edges.extend(repeats);
+        el
+    }
+
+    #[test]
+    fn order_block_matches_the_comparison_order() {
+        use crate::partition::{interval_starts, PartitionStrategy};
+        for seed in 0..4 {
+            let el = with_duplicates(rmat(200, 3000, seed, Default::default()));
+            let degrees = el.out_degrees();
+            for strategy in [PartitionStrategy::EqualVertices, PartitionStrategy::BalancedOutDegree]
+            {
+                for p in [1, 4, 200] {
+                    let starts = interval_starts(el.num_vertices, p, strategy, &degrees);
+                    assert_order_matches_reference(
+                        &format!("rmat seed {seed} {strategy:?} P = {p}"),
+                        &el,
+                        &starts,
+                    );
+                }
+            }
+        }
+        // A hub holding most out-edges leaves degree-balanced intervals
+        // empty.
+        let hub = hus_gen::EdgeList::from_pairs((0..400u32).map(|k| {
+            if k % 10 == 0 {
+                (k % 30, (k * 7) % 30)
+            } else {
+                (0, k % 30)
+            }
+        }));
+        let starts =
+            interval_starts(30, 8, PartitionStrategy::BalancedOutDegree, &hub.out_degrees());
+        assert!(starts.windows(2).any(|w| w[0] == w[1]), "an empty interval: {starts:?}");
+        assert_order_matches_reference("hub, empty intervals", &hub, &starts);
+        let starts = interval_starts(12, 3, PartitionStrategy::EqualVertices, &[]);
+        assert_order_matches_reference("sparse duplicates", &sparse_with_duplicates(), &starts);
+        let edgeless = hus_gen::EdgeList::empty(10);
+        for p in [1, 3, 10] {
+            let starts = interval_starts(10, p, PartitionStrategy::EqualVertices, &[]);
+            assert_order_matches_reference(&format!("edgeless P = {p}"), &edgeless, &starts);
+        }
     }
 
     #[test]

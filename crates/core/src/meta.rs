@@ -348,6 +348,16 @@ impl GraphMeta {
                 self.num_edges, out_total, in_total
             ));
         }
+        for o in Orientation::BOTH {
+            // Index entries are `u32` (docs/FORMAT.md).
+            if let Some(k) = self.blocks(o).iter().position(|b| b.edge_count > u32::MAX as u64) {
+                return Err(format!(
+                    "{}-block {k} holds {} records, more than its u32 index can address",
+                    o.name(),
+                    self.blocks(o)[k].edge_count
+                ));
+            }
+        }
         for i in 0..p {
             for j in 0..p {
                 if self.out_block(i, j).edge_count != self.in_block(i, j).edge_count {
@@ -441,6 +451,26 @@ mod tests {
         m.out_blocks[0].edge_count = 0;
         m.out_blocks[1].edge_count = 2;
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_blocks_beyond_u32_index_entries() {
+        // A block of u32::MAX records is addressable; one more would wrap
+        // its u32 CSR offsets.
+        let mut m = sample();
+        let fits = u32::MAX as u64;
+        m.num_edges = fits;
+        for blocks in [&mut m.out_blocks, &mut m.in_blocks] {
+            blocks.fill(BlockMeta::default());
+            blocks[0] = raw_block(0, fits, 0);
+        }
+        m.validate().unwrap();
+        m.num_edges += 1;
+        for blocks in [&mut m.out_blocks, &mut m.in_blocks] {
+            blocks[0] = raw_block(0, fits + 1, 0);
+        }
+        let err = m.validate().unwrap_err();
+        assert!(err.contains("out-block 0") && err.contains("u32 index"), "{err}");
     }
 
     #[test]

@@ -69,9 +69,40 @@ pub fn interval_of(starts: &[VertexId], v: VertexId) -> usize {
     starts.partition_point(|&s| s <= v) - 1
 }
 
+/// The interval of every vertex: `table[v] == interval_of(starts, v)`,
+/// one word per vertex, for per-edge loops that would otherwise binary
+/// search twice per edge.
+pub(crate) fn interval_table(starts: &[VertexId]) -> Vec<u32> {
+    let mut table = vec![0u32; *starts.last().expect("P + 1 boundaries") as usize];
+    for (i, w) in starts.windows(2).enumerate() {
+        table[w[0] as usize..w[1] as usize].fill(i as u32);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interval_table_agrees_with_interval_of() {
+        let degrees: Vec<u32> = (0..50).map(|v| if v % 7 == 0 { 40 } else { v % 3 }).collect();
+        for strategy in [PartitionStrategy::EqualVertices, PartitionStrategy::BalancedOutDegree] {
+            for p in [1, 3, 8, 50] {
+                let starts = interval_starts(50, p, strategy, &degrees);
+                let table = interval_table(&starts);
+                assert_eq!(table.len(), 50);
+                for v in 0..50 {
+                    assert_eq!(
+                        table[v as usize] as usize,
+                        interval_of(&starts, v),
+                        "{strategy:?} P={p}"
+                    );
+                }
+            }
+        }
+        assert!(interval_table(&[0, 0, 0]).is_empty());
+    }
 
     #[test]
     fn equal_split_covers_everything() {

@@ -81,6 +81,18 @@ pub enum StorageError {
         /// Milliseconds the operation had been granted.
         budget_ms: u64,
     },
+    /// Input larger than the on-disk format can address — a block of
+    /// more than `u32::MAX` records, whose `u32` CSR index entries
+    /// (`docs/FORMAT.md`) would wrap. Raised before anything of the
+    /// offending unit is written; permanent and not corruption.
+    CapacityExceeded {
+        /// What overflowed (e.g. "records in out-block (0, 3)").
+        what: String,
+        /// How many there are.
+        count: u64,
+        /// The most the format can hold.
+        limit: u64,
+    },
 }
 
 impl StorageError {
@@ -170,6 +182,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::DeadlineExceeded { budget_ms } => {
                 write!(f, "query deadline of {budget_ms} ms exceeded")
+            }
+            StorageError::CapacityExceeded { what, count, limit } => {
+                write!(f, "{what}: {count} exceeds the format limit of {limit}")
             }
         }
     }
@@ -290,5 +305,18 @@ mod tests {
         assert!(!deadline.is_no_space());
         let msg = deadline.to_string();
         assert!(msg.contains("250 ms"), "{msg}");
+    }
+
+    #[test]
+    fn capacity_exceeded_is_permanent_and_names_the_limit() {
+        let err = StorageError::CapacityExceeded {
+            what: "records in out-block (0, 0)".into(),
+            count: 1 << 32,
+            limit: u32::MAX as u64,
+        };
+        assert!(!err.is_transient());
+        assert!(!err.is_corruption());
+        let msg = err.to_string();
+        assert!(msg.contains("out-block (0, 0)") && msg.contains("4294967295"), "{msg}");
     }
 }

@@ -135,11 +135,28 @@ fn cmd_gen(rest: &[&String]) -> CliResult {
     let m: usize = parse(positional(rest, 2)?, "edge count / parameter")?;
     let out = positional(rest, 3)?;
     let seed: u64 = flag_value(rest, "--seed").map(|s| parse(s, "seed")).transpose()?.unwrap_or(42);
+    // Each generator asserts its own bounds; check them here so a bad
+    // argument is a usage error, not a panic.
+    let check =
+        |ok: bool, bound: &str| if ok { Ok(()) } else { Err(format!("gen {family}: {bound}")) };
     let mut el: EdgeList = match family {
-        "rmat" => hus_gen::rmat(n, m, seed, Default::default()),
-        "er" => hus_gen::erdos_renyi(n, m, seed),
-        "ws" => hus_gen::watts_strogatz(n, (m as u32).max(1), 0.05, seed),
-        "ba" => hus_gen::barabasi_albert(n, (m as u32).max(1), seed),
+        "rmat" => {
+            check(n >= 1, "needs at least 1 vertex")?;
+            hus_gen::rmat(n, m, seed, Default::default())
+        }
+        "er" => {
+            check(n >= 2, "needs at least 2 vertices")?;
+            hus_gen::erdos_renyi(n, m, seed)
+        }
+        "ws" => {
+            check(n >= 4, "needs at least 4 vertices")?;
+            check(m >= 1 && m < (n / 2) as usize, "the neighbor count k must be in [1, n/2)")?;
+            hus_gen::watts_strogatz(n, m as u32, 0.05, seed)
+        }
+        "ba" => {
+            check(m >= 1 && m < n as usize, "the attachment count m must be in [1, n)")?;
+            hus_gen::barabasi_albert(n, m as u32, seed)
+        }
         other => return Err(format!("unknown family {other:?} (rmat|er|ws|ba)")),
     };
     if has_flag(rest, "--weighted") {
@@ -155,7 +172,11 @@ fn cmd_build(rest: &[&String]) -> CliResult {
     let out = positional(rest, 1)?;
     let mut config = BuildConfig::default();
     if let Some(p) = flag_value(rest, "--p") {
-        config.p = Some(parse(p, "partition count")?);
+        let p: u32 = parse(p, "partition count")?;
+        if p == 0 {
+            return Err("--p: the partition count must be at least 1".into());
+        }
+        config.p = Some(p);
     }
     if let Some(codec) = flag_value(rest, "--codec") {
         // Explicit flag beats the HUS_CODEC default; a typo'd name is a

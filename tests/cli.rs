@@ -62,3 +62,44 @@ fn stats_into_a_closed_pipe_exits_without_a_panic() {
     assert!(!stderr.contains("panicked") && !stderr.contains("Broken pipe"), "{stderr}");
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
+
+/// Run `hus` with `args` and require a usage error: exit 1, an
+/// `error:` line containing `bound`, and no panic.
+fn assert_usage_error(args: &[&str], bound: &str) {
+    let out = hus().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let error = stderr.lines().find(|l| l.starts_with("error:")).unwrap_or_default();
+    assert!(error.contains(bound), "{args:?} should name {bound:?}: {stderr}");
+}
+
+#[test]
+fn gen_rejects_parameters_outside_each_family_bounds() {
+    let tmp = tempfile::tempdir().unwrap();
+    let out = tmp.path().join("out.husg");
+    let out = out.to_str().unwrap();
+    assert_usage_error(&["gen", "ws", "100", "60", out], "[1, n/2)");
+    assert_usage_error(&["gen", "ws", "3", "1", out], "at least 4 vertices");
+    assert_usage_error(&["gen", "ba", "10", "20", out], "[1, n)");
+    assert_usage_error(&["gen", "rmat", "0", "10", out], "at least 1 vertex");
+    assert_usage_error(&["gen", "er", "1", "10", out], "at least 2 vertices");
+    assert!(!tmp.path().join("out.husg").exists(), "nothing written");
+    // The bounds themselves are accepted.
+    let ok = hus().args(["gen", "ws", "100", "49", out]).output().unwrap();
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+}
+
+#[test]
+fn build_rejects_zero_partitions() {
+    let tmp = tempfile::tempdir().unwrap();
+    let input = tmp.path().join("g.husg");
+    let input = input.to_str().unwrap();
+    let gen = hus().args(["gen", "rmat", "100", "500", input]).output().unwrap();
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let graph = tmp.path().join("g");
+    let graph = graph.to_str().unwrap();
+    assert_usage_error(&["build", input, graph, "--p", "0"], "at least 1");
+    assert_usage_error(&["build", input, graph, "--p", "0", "--external"], "at least 1");
+    assert!(!tmp.path().join("g").exists(), "nothing built");
+}
