@@ -15,8 +15,8 @@
 //! worker; splitting each block across threads instead costs a fan-out
 //! per block and balances vertices, not edges.
 //!
-//! A unit with one worker (one thread, Gauss-Seidel's one-column units,
-//! a one-column mixed unit) runs the same loop on the caller. The
+//! A unit with one worker (one thread, or Gauss-Seidel's one-column
+//! units) runs the same loop on the caller. The
 //! paper's §3.5 overlap of the next block's read with the current
 //! block's pull comes from the other columns' workers in a multi-worker
 //! unit, and from the kernel's sequential prefetch on the column's
@@ -50,31 +50,30 @@ struct FetchedBlock<V> {
     records: EdgeRecords,
 }
 
-/// The I/O plan of pulling column `col`: exactly the bytes
-/// [`run_columns`] bills for it. `D_col` is read and written back once; every
-/// non-empty in-block `(i, col)` costs its `S_i`, its in-index and its
-/// encoded payload, all sequential (an overlay-resident block is
+/// The I/O plan of a whole COP sweep: exactly the bytes [`run_columns`]
+/// bills for all `P` columns. Each `D_j` is read and written back once;
+/// every non-empty in-block `(i, j)` costs its `S_i`, its in-index and
+/// its encoded payload, all sequential (an overlay-resident block is
 /// served from memory; the stream bypasses the decoded-block cache, so
 /// a compressed block bills its payload every sweep). Nothing here
-/// depends on the frontier — COP pays for every in-edge, active or not.
-pub fn column_plan(graph: &HusGraph, col: usize, value_bytes: u64) -> IoPlan {
+/// depends on the frontier — COP pays for every in-edge, active or not
+/// — so the engine computes it once per run.
+pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
     let meta = graph.meta();
-    let d_bytes = meta.interval_len(col) as u64 * value_bytes;
-    let mut plan = IoPlan { sequential: d_bytes, write: d_bytes, ..Default::default() };
-    for i in (0..graph.p()).filter(|&i| graph.in_block_len(i, col) > 0) {
-        plan.sequential += meta.interval_len(i) as u64 * value_bytes;
-        if !graph.in_block_resident(i, col) {
-            plan.sequential += (meta.interval_len(col) as u64 + 1) * INDEX_ENTRY_BYTES
-                + meta.in_block(i, col).encoded_bytes;
+    let mut plan = IoPlan::default();
+    for col in 0..graph.p() {
+        let d_bytes = meta.interval_len(col) as u64 * value_bytes;
+        plan.sequential += d_bytes;
+        plan.write += d_bytes;
+        for i in (0..graph.p()).filter(|&i| graph.in_block_len(i, col) > 0) {
+            plan.sequential += meta.interval_len(i) as u64 * value_bytes;
+            if !graph.in_block_resident(i, col) {
+                plan.sequential += (meta.interval_len(col) as u64 + 1) * INDEX_ENTRY_BYTES
+                    + meta.in_block(i, col).encoded_bytes;
+            }
         }
     }
     plan
-}
-
-/// The I/O plan of a whole COP sweep (all `P` columns); static for a
-/// run, so the engine computes it once.
-pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
-    (0..graph.p()).map(|col| column_plan(graph, col, value_bytes)).sum()
 }
 
 /// Pull the columns `cols` and write each one's `D` back (the caller

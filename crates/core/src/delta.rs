@@ -579,7 +579,12 @@ impl DynamicGraph {
                 }
             }
         }
-        quarantine(&root, &victims);
+        // Best effort, into the directory `hus fsck --repair` uses, so
+        // a subsequent `fsck` finds the root clean. A missing victim is
+        // fine: an injected `ENOSPC` that wrote nothing leaves no file.
+        for path in victims.iter().filter(|path| path.exists()) {
+            let _ = self.dir.quarantine(path);
+        }
         self.dir.resilience().record_spill_rollback();
         self.enter_degraded();
         err
@@ -714,29 +719,6 @@ impl DynamicGraph {
     /// The underlying storage directory.
     pub fn dir(&self) -> &StorageDir {
         &self.dir
-    }
-}
-
-/// Best-effort move of `victims` into `<root>/quarantine/` — the same
-/// destination `hus fsck --repair` uses, so a rolled-back spill leaves
-/// the directory clean under a subsequent `fsck`. Missing victims are
-/// fine (an injected `ENOSPC` that wrote nothing leaves no tmp file);
-/// name collisions get a numeric suffix.
-fn quarantine(root: &std::path::Path, victims: &[std::path::PathBuf]) {
-    let qdir = root.join("quarantine");
-    for path in victims {
-        if !path.exists() {
-            continue;
-        }
-        let _ = std::fs::create_dir_all(&qdir);
-        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        let mut target = qdir.join(&name);
-        let mut n = 1u32;
-        while target.exists() {
-            target = qdir.join(format!("{name}.{n}"));
-            n += 1;
-        }
-        let _ = std::fs::rename(path, &target);
     }
 }
 

@@ -53,20 +53,6 @@ pub enum UpdateMode {
     ForceCop,
 }
 
-/// Granularity at which the hybrid decision is made (see the crate docs
-/// for why per-interval selection as literally written in Algorithm 1
-/// can drop updates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionGranularity {
-    /// One decision per iteration (aggregated per-interval costs).
-    #[default]
-    PerIteration,
-    /// One decision per destination column: pull the whole column, or
-    /// push only the active sources' edges of that column. Covers every
-    /// edge exactly once per iteration under any mixed selection.
-    PerColumn,
-}
-
 /// When updates made earlier in an iteration become visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Synchrony {
@@ -81,10 +67,7 @@ pub enum Synchrony {
     /// earlier updates. Converges to the same fixpoint in (usually)
     /// fewer iterations for idempotent propagation programs; rejected
     /// for programs with non-identity `reset` (PageRank-family), whose
-    /// per-unit re-resets would double-count. An iteration for which
-    /// [`SelectionGranularity::PerColumn`] selects a mix of pushed and
-    /// pulled columns always commits synchronously regardless of this
-    /// setting.
+    /// per-unit re-resets would double-count.
     GaussSeidel,
 }
 
@@ -112,8 +95,6 @@ pub struct RunConfig {
     pub mode: UpdateMode,
     /// Update visibility schedule.
     pub synchrony: Synchrony,
-    /// Hybrid decision granularity (ignored under `Force*`).
-    pub granularity: SelectionGranularity,
     /// Worker threads (a dedicated rayon pool is built per run).
     pub threads: usize,
     /// Predictor α gate (paper: 0.05).
@@ -199,7 +180,6 @@ impl Default for RunConfig {
         RunConfig {
             mode: UpdateMode::Hybrid,
             synchrony: Synchrony::Synchronous,
-            granularity: SelectionGranularity::PerIteration,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             alpha: 0.05,
             paper_literal_predictor: false,
@@ -218,29 +198,6 @@ impl RunConfig {
     pub fn with_mode(mode: UpdateMode) -> Self {
         RunConfig { mode, ..Default::default() }
     }
-}
-
-/// What [`Engine::plan_iteration`] decided for one iteration.
-struct IterationPlan {
-    /// The decision; priced column by column, its costs are summed over
-    /// the columns. The recorded model is the executed majority.
-    decision: Decision,
-    /// The I/O plan of the selected model(s) — what the iteration is
-    /// predicted to bill; `None` when forced or gated.
-    predicted: Option<IoPlan>,
-    /// The model of each destination column: uniform when forced, gated
-    /// or decided for the whole iteration.
-    columns: Vec<UpdateModel>,
-}
-
-/// One step of an iteration, followed by one commit: the `pull` columns
-/// are pulled whole, then the active `rows` push their edges into the
-/// `push` columns. Edge class `(i, j)` is covered exactly once — by
-/// column `j`'s model.
-struct Unit {
-    pull: Vec<usize>,
-    rows: Vec<usize>,
-    push: Vec<usize>,
 }
 
 /// A configured run of a program over a graph.
@@ -299,18 +256,17 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         pool.install(|| self.run_inner())
     }
 
-    /// Choose this iteration's update model per destination column:
-    /// forced or α-gated when there is no `frontier` summary, otherwise
-    /// by pricing both executors' I/O plans over it — once for the whole
-    /// iteration, or once per destination column.
+    /// Choose this iteration's update model, and the I/O plan it is
+    /// predicted to bill: forced or α-gated (no plan) when there is no
+    /// `frontier` summary, otherwise by pricing one ROP plan over it
+    /// against the run's static COP sweep plan.
     fn plan_iteration(
         &self,
         predictor: &Predictor,
         ctx: &IterCtx<'_, Pr>,
-        cop_plans: &[IoPlan],
+        sweep: IoPlan,
         frontier: Option<&Frontier>,
-    ) -> IterationPlan {
-        let p = self.graph.p();
+    ) -> (Decision, Option<IoPlan>) {
         let Some(frontier) = frontier else {
             let decision = match self.config.mode {
                 UpdateMode::ForceRop => Decision::forced(UpdateModel::Rop, false),
@@ -320,119 +276,60 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             if decision.gated {
                 crate::predict::count_decision(&decision);
             }
-            return IterationPlan { decision, predicted: None, columns: vec![decision.model; p] };
+            return (decision, None);
         };
-        let width = match self.config.granularity {
-            SelectionGranularity::PerIteration => p,
-            SelectionGranularity::PerColumn => 1,
-        };
-        let mut decision =
-            Decision { c_rop: 0.0, c_cop: 0.0, ..Decision::forced(UpdateModel::Cop, false) };
-        let mut predicted = IoPlan::default();
-        let mut pushes: Vec<(Vec<usize>, IoPlan)> = Vec::new();
-        let mut columns = Vec::with_capacity(p);
-        for cols in (0..p).step_by(width).map(|col| (col..col + width).collect::<Vec<_>>()) {
-            let (rop_plan, cop_plan) = self.unit_plans(predictor, ctx, frontier, &cols, cop_plans);
-            let d = predictor.compare(&rop_plan, &cop_plan);
-            crate::predict::count_decision(&d);
-            decision.c_rop += d.c_rop;
-            decision.c_cop += d.c_cop;
-            columns.extend(cols.iter().map(|_| d.model));
-            match d.model {
-                UpdateModel::Rop => pushes.push((cols, rop_plan)),
-                UpdateModel::Cop => predicted += cop_plan,
-            }
-        }
-        predicted += match pushes.as_slice() {
-            [] => IoPlan::default(),
-            [(_, plan)] => *plan,
-            // One push into several columns loads each `S_i` once, not
-            // once per column: price them together, as billed.
-            _ => {
-                let push: Vec<usize> = pushes.into_iter().flat_map(|(cols, _)| cols).collect();
-                self.unit_plans(predictor, ctx, frontier, &push, cop_plans).0
-            }
-        };
-        IterationPlan { decision, predicted: Some(predicted), columns }
-    }
-
-    /// The `(C_rop, C_cop)` plans of pushing into vs. pulling the
-    /// destination columns `cols`.
-    fn unit_plans(
-        &self,
-        predictor: &Predictor,
-        ctx: &IterCtx<'_, Pr>,
-        frontier: &Frontier,
-        cols: &[usize],
-        cop_plans: &[IoPlan],
-    ) -> (IoPlan, IoPlan) {
-        if !predictor.paper_literal {
-            let per_row_d = self.config.synchrony == Synchrony::GaussSeidel;
-            let cop_plan = cols.iter().map(|&j| cop_plans[j]).sum();
-            return (rop::plan(ctx, frontier, cols, per_row_d), cop_plan);
-        }
-        // Verbatim formulas: the columns' active edges are each row's,
-        // split by the static share of its out-blocks that lie in `cols`.
-        let active_edges: f64 = frontier
-            .rows
-            .iter()
-            .zip(ctx.row_edges)
-            .enumerate()
-            .filter(|(_, (_, &row_edges))| row_edges > 0)
-            .map(|(i, (row, &row_edges))| {
-                let in_cols: u64 = cols.iter().map(|&j| self.graph.out_block_len(i, j)).sum();
-                row.degree_sum as f64 * in_cols as f64 / row_edges as f64
-            })
-            .sum();
-        let (p, n) = (self.graph.p() as u64, cols.len() as u64);
-        predictor.literal_plans(
-            active_edges.ceil() as u64,
-            self.graph.num_edges() * n / p,
-            predictor.vertex_bytes(self.graph.meta().num_vertices as u64, p) * n,
-        )
-    }
-
-    /// The iteration as a list of units. Synchronously it is one unit:
-    /// every update becomes visible together at its end. Gauss-Seidel
-    /// (the paper's literal `Swap(S, D)` after every processed row of
-    /// Algorithm 2 and column of Algorithm 3) makes every active row and
-    /// every pulled column a unit of its own, so later ones observe
-    /// earlier updates; a mix of pushed and pulled columns, for which the
-    /// paper defines no such order, always commits synchronously.
-    fn units(&self, columns: &[UpdateModel], active: &ActiveSet) -> Vec<Unit> {
-        let meta = self.graph.meta();
-        let assigned = |model| (0..columns.len()).filter(|&j| columns[j] == model).collect();
-        let (pull, push): (Vec<usize>, Vec<usize>) =
-            (assigned(UpdateModel::Cop), assigned(UpdateModel::Rop));
-        let is_active = |row: &usize| {
-            active.count_range(meta.interval_start(*row), meta.interval_starts[row + 1]) > 0
-        };
-        let rows: Vec<usize> = if push.is_empty() {
-            Vec::new()
+        let (rop_plan, cop_plan) = if predictor.paper_literal {
+            let p = self.graph.p() as u64;
+            predictor.literal_plans(
+                frontier.active_edges(),
+                self.graph.num_edges(),
+                predictor.vertex_bytes(self.graph.meta().num_vertices as u64, p) * p,
+            )
         } else {
-            (0..columns.len()).filter(is_active).collect()
+            let per_row_d = self.config.synchrony == Synchrony::GaussSeidel;
+            (rop::plan(ctx, frontier, per_row_d), sweep)
         };
-        let mixed = !pull.is_empty() && !push.is_empty();
-        if self.config.synchrony == Synchrony::GaussSeidel && !mixed {
-            let pushes = rows.into_iter().map(|row| Unit {
-                pull: Vec::new(),
-                rows: vec![row],
-                push: push.clone(),
-            });
-            let pulls =
-                pull.into_iter().map(|col| Unit { pull: vec![col], rows: vec![], push: vec![] });
-            return pushes.chain(pulls).collect();
-        }
-        vec![Unit { pull, rows, push }]
+        let decision = predictor.compare(&rop_plan, &cop_plan);
+        crate::predict::count_decision(&decision);
+        let predicted = match decision.model {
+            UpdateModel::Rop => rop_plan,
+            UpdateModel::Cop => cop_plan,
+        };
+        (decision, Some(predicted))
     }
 
-    /// Run one unit and commit what it wrote; returns the edge records
-    /// it processed.
+    /// The iteration as a list of units, each the intervals one step
+    /// processes before one commit: the columns a pull streams, or the
+    /// active rows a push reads (into every column). Synchronously it is
+    /// one unit: every update becomes visible together at its end.
+    /// Gauss-Seidel (the paper's literal `Swap(S, D)` after every
+    /// processed row of Algorithm 2 and column of Algorithm 3) makes
+    /// every active row or column a unit of its own, so later ones
+    /// observe earlier updates.
+    fn units(&self, model: UpdateModel, active: &ActiveSet) -> Vec<Vec<usize>> {
+        let meta = self.graph.meta();
+        let all = 0..self.graph.p();
+        let intervals: Vec<usize> = match model {
+            UpdateModel::Cop => all.collect(),
+            UpdateModel::Rop => all
+                .filter(|&row| {
+                    active.count_range(meta.interval_start(row), meta.interval_starts[row + 1]) > 0
+                })
+                .collect(),
+        };
+        if self.config.synchrony == Synchrony::GaussSeidel {
+            return intervals.into_iter().map(|k| vec![k]).collect();
+        }
+        vec![intervals]
+    }
+
+    /// Run one unit under `model` and commit what it wrote; returns the
+    /// edge records it processed.
     ///
-    /// The pulled columns write disjoint next buffers, so they fan out
-    /// over the run's pool, one column per worker. The pushing rows
-    /// are independent (§3.5: per-`D_j` locks serialize pushes into a
-    /// shared destination), so they fan out over the run's pool — inline
+    /// Pulled columns write disjoint next buffers, so they fan out over
+    /// the run's pool, one column per worker. Pushing rows are
+    /// independent (§3.5: per-`D_j` locks serialize pushes into a shared
+    /// destination), so they fan out over the run's pool too — inline
     /// when it has one thread or there is one row; the first error in
     /// row order wins. They hold the destination intervals they touch in
     /// memory for the whole unit (the paper's per-row parallelism has
@@ -442,44 +339,45 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         &self,
         ctx: &IterCtx<'_, Pr>,
         store: &mut VertexStore<Pr::Value>,
-        unit: &Unit,
+        model: UpdateModel,
+        unit: &[usize],
         rec: &mut RunRecorder,
     ) -> Result<u64> {
-        let mut edges = 0u64;
-        if !unit.pull.is_empty() {
-            edges += cop::run_columns(ctx, store, &unit.pull)?;
-            rec.lap("cop");
-        }
-        let mut touched = vec![false; store.num_intervals()];
-        if !unit.rows.is_empty() {
-            let d_all = rop::d_buffers::<Pr>(store);
-            let row_edges: Vec<u64> = unit
-                .rows
-                .clone()
-                .into_par_iter()
-                .map(|row| {
-                    let _s = span!("rop.row", interval = row);
-                    rop::run_row(ctx, store, row, &d_all, &unit.push)
-                })
-                .collect::<Result<Vec<u64>>>()?;
-            edges += row_edges.iter().sum::<u64>();
-            rec.lap("rop");
-            touched = {
-                let _s = span!("gather");
-                rop::store_touched::<Pr>(store, d_all)?
-            };
-            rec.lap("gather");
-        }
+        let (edges, written) = match model {
+            UpdateModel::Cop => {
+                let edges = cop::run_columns(ctx, store, unit)?;
+                rec.lap("cop");
+                (edges, (0..store.num_intervals()).map(|j| unit.contains(&j)).collect())
+            }
+            UpdateModel::Rop => {
+                let d_all = rop::d_buffers::<Pr>(store);
+                let row_edges: Vec<u64> = unit
+                    .to_vec()
+                    .into_par_iter()
+                    .map(|row| {
+                        let _s = span!("rop.row", interval = row);
+                        rop::run_row(ctx, store, row, &d_all)
+                    })
+                    .collect::<Result<Vec<u64>>>()?;
+                rec.lap("rop");
+                let touched = {
+                    let _s = span!("gather");
+                    rop::store_touched::<Pr>(store, d_all)?
+                };
+                rec.lap("gather");
+                (row_edges.iter().sum(), touched)
+            }
+        };
         {
             // Swap the intervals whose `D` was written: every pulled
-            // column, and the push columns some row pushed into. Under a
-            // non-identity reset (PageRank-style) the others must still
-            // be re-derived for this iteration.
+            // column, and the columns some row pushed into. Under a
+            // non-identity reset (PageRank-style) a push must still
+            // re-derive the others for this iteration.
             let _s = span!("sync");
-            let pulled = unit.pull.iter().map(|&j| (j, true));
-            for (j, wrote) in pulled.chain(unit.push.iter().map(|&j| (j, touched[j]))) {
+            let rederive = model == UpdateModel::Rop && self.program.needs_reset();
+            for (j, wrote) in written.into_iter().enumerate() {
                 if !wrote {
-                    if !self.program.needs_reset() {
+                    if !rederive {
                         continue;
                     }
                     let d = rop::load_d(self.program, store, j, Access::Sequential)?;
@@ -521,7 +419,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         }
         let meta = self.graph.meta();
         let v = meta.num_vertices;
-        let p = self.graph.p();
         self.graph.set_verify(self.config.verify_checksums);
         let mut rec = RunRecorder::start("hus", self.graph.dir(), self.config.threads);
         let scratch = rec.scratch(self.config.scratch_name.as_deref())?;
@@ -554,10 +451,9 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             Predictor::new(self.config.throughput, self.graph.disk_edge_bytes(), value_bytes);
         predictor.alpha = self.config.alpha;
         predictor.paper_literal = self.config.paper_literal_predictor;
-        // Static for the run: COP's plan per column (its sweep is their
-        // sum) and the per-row edge totals ROP's plan shares blocks by.
-        let cop_plans: Vec<IoPlan> =
-            (0..p).map(|col| cop::column_plan(self.graph, col, value_bytes)).collect();
+        // Static for the run: COP's sweep plan and the per-row edge
+        // totals ROP's plan shares blocks by.
+        let sweep = cop::sweep_plan(self.graph, value_bytes);
         let row_edges = rop::row_edge_totals(self.graph);
         let tput = &self.config.throughput;
 
@@ -586,9 +482,9 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             ACTIVE_VERTICES_GAUGE.set(active_vertices);
             rec.begin_iteration(iteration, active_vertices, active_edges);
 
-            // Decide the model of every column, then run the units.
+            // Decide the iteration's model, then run its units.
             let (next_active, ctx);
-            let IterationPlan { decision, predicted, columns } = {
+            let (decision, predicted) = {
                 let _s = span!("predict");
                 next_active = ActiveSet::next(self.program, v);
                 ctx = IterCtx {
@@ -601,32 +497,23 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                     deadline: self.config.deadline,
                     row_edges: &row_edges,
                 };
-                self.plan_iteration(&predictor, &ctx, &cop_plans, frontier.as_ref())
+                self.plan_iteration(&predictor, &ctx, sweep, frontier.as_ref())
             };
             rec.lap("predict");
-            let units = self.units(&columns, &active);
+            let units = self.units(decision.model, &active);
             let mut edges = 0u64;
             for unit in &units {
-                edges += self.execute_unit(&ctx, &mut store, unit, &mut rec)?;
+                edges += self.execute_unit(&ctx, &mut store, decision.model, unit, &mut rec)?;
             }
             EDGES_PROCESSED.add(edges);
 
-            // Units as the stats count them: pulled columns, and pushing
-            // rows — or, beside pulled columns, pushed columns, so that
-            // the two add up to `P`.
-            let cop_units = units.iter().map(|u| u.pull.len()).sum::<usize>();
-            let rop_units = match cop_units {
-                0 => units.iter().map(|u| u.rows.len()).sum(),
-                pulled => p - pulled,
+            // Units as the stats count them: pushed rows or pulled columns.
+            let width = units.iter().map(Vec::len).sum::<usize>() as u32;
+            let counts = match decision.model {
+                UpdateModel::Rop => (width, 0),
+                UpdateModel::Cop => (0, width),
             };
-            let (rop_units, cop_units) = (rop_units as u32, cop_units as u32);
-            let model = if rop_units > cop_units { UpdateModel::Rop } else { UpdateModel::Cop };
-            let it = rec.end_iteration(
-                Decision { model, ..decision },
-                predicted,
-                (rop_units, cop_units),
-                edges,
-            );
+            let it = rec.end_iteration(decision, predicted, counts, edges);
             if let Some(plan) = &predicted {
                 // Audit the committed prediction against what the same
                 // throughput numbers say the moved bytes cost.
@@ -767,152 +654,6 @@ mod tests {
         let config = RunConfig { threads: 2, deadline, ..Default::default() };
         let (_, stats) = Engine::new(&g, &MinLabel, config).run().unwrap();
         assert!(stats.converged);
-    }
-
-    #[test]
-    fn per_column_granularity_matches_per_iteration() {
-        let el = hus_gen::rmat(150, 900, 5, hus_gen::RmatConfig::default());
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
-        let run = |granularity| {
-            let config = RunConfig { granularity, threads: 1, ..Default::default() };
-            Engine::new(&g, &MinLabel, config).run().unwrap().0
-        };
-        assert_eq!(run(SelectionGranularity::PerIteration), run(SelectionGranularity::PerColumn));
-    }
-
-    /// Per-column push loads `D_j` lazily: a column nothing is pushed
-    /// into is not written, so it must not be swapped — and under a
-    /// non-identity reset it must still be re-derived.
-    #[test]
-    fn per_column_push_handles_untouched_columns() {
-        /// Counts the messages received this iteration.
-        struct Received {
-            reset: bool,
-        }
-        impl VertexProgram for Received {
-            type Value = u32;
-            fn init(&self, _v: u32) -> u32 {
-                7
-            }
-            fn initially_active(&self, v: u32) -> bool {
-                v < 2
-            }
-            fn scatter(&self, _s: &u32, _c: &EdgeCtx) -> Option<u32> {
-                Some(1)
-            }
-            fn combine(&self, d: &mut u32, m: u32) -> bool {
-                *d += m;
-                true
-            }
-            fn reset(&self, _v: u32, prev: &u32) -> u32 {
-                if self.reset {
-                    0
-                } else {
-                    *prev
-                }
-            }
-            fn needs_reset(&self) -> bool {
-                self.reset
-            }
-        }
-        // Two sources of a 200-cycle in 8 intervals push into column 0
-        // only; α = 2 keeps the gate open so every column is priced.
-        let el = classic::cycle(200);
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(8)).unwrap();
-        for reset in [false, true] {
-            let run = |mode, granularity| {
-                let config = RunConfig {
-                    mode,
-                    granularity,
-                    alpha: 2.0,
-                    max_iterations: 3,
-                    threads: 1,
-                    ..Default::default()
-                };
-                Engine::new(&g, &Received { reset }, config).run().unwrap()
-            };
-            let (want, _) = run(UpdateMode::ForceCop, SelectionGranularity::PerIteration);
-            let (got, stats) = run(UpdateMode::Hybrid, SelectionGranularity::PerColumn);
-            assert_eq!(got, want, "reset {reset}");
-            assert!(stats.iterations.iter().all(|it| it.rop_units > 0), "some columns push");
-        }
-    }
-
-    /// A genuinely mixed iteration is one unit: the pull columns are
-    /// swept, then the active rows push into the push columns only.
-    #[test]
-    fn mixed_iteration_pulls_some_columns_and_pushes_into_the_rest() {
-        /// Counts the messages received this iteration; intervals 0 and
-        /// 1 of the graph below start active, whole.
-        struct Received {
-            reset: bool,
-        }
-        impl VertexProgram for Received {
-            type Value = u32;
-            fn init(&self, _v: u32) -> u32 {
-                7
-            }
-            fn initially_active(&self, v: u32) -> bool {
-                v < 50
-            }
-            fn scatter(&self, _s: &u32, _c: &EdgeCtx) -> Option<u32> {
-                Some(1)
-            }
-            fn combine(&self, d: &mut u32, m: u32) -> bool {
-                *d += m;
-                true
-            }
-            fn reset(&self, _v: u32, prev: &u32) -> u32 {
-                if self.reset {
-                    0
-                } else {
-                    *prev
-                }
-            }
-            fn needs_reset(&self) -> bool {
-                self.reset
-            }
-        }
-        // A 200-cycle in 8 intervals of 25: row i has 24 edges into
-        // column i and one into column i + 1. Columns 0 and 1 take a
-        // block's worth of pushes, which a pull streams cheaper; column
-        // 2 takes the one edge 49 → 50 and the rest none, so pushing
-        // costs them little more than `S_0` and `S_1`. α = 2 keeps the
-        // gate open so every column is priced.
-        let el = classic::cycle(200);
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let config = BuildConfig::with_p_codec(8, hus_codec::Codec::Raw);
-        let g = HusGraph::build_into(&el, &dir, &config).unwrap();
-        for (reset, threads) in [(false, 1), (true, 1), (false, 2)] {
-            let run = |mode, granularity| {
-                let config = RunConfig {
-                    mode,
-                    granularity,
-                    alpha: 2.0,
-                    max_iterations: 3,
-                    threads,
-                    ..Default::default()
-                };
-                Engine::new(&g, &Received { reset }, config).run().unwrap()
-            };
-            let (want, _) = run(UpdateMode::ForceCop, SelectionGranularity::PerIteration);
-            let (got, stats) = run(UpdateMode::Hybrid, SelectionGranularity::PerColumn);
-            assert_eq!(got, want, "reset {reset}");
-            for it in &stats.iterations {
-                assert_eq!(it.rop_units + it.cop_units, 8, "every column is pushed or pulled");
-            }
-            // The whole-interval frontier makes the first plan exact:
-            // every pull column writes its `D` once, a push column only
-            // when pushed into (or, under a reset, re-derived).
-            let first = &stats.iterations[0];
-            assert_eq!((first.rop_units, first.cop_units), (6, 2), "mixed: {first:?}");
-            assert_eq!(first.io.write_bytes, first.plan.unwrap().write, "reset {reset}");
-        }
     }
 
     #[test]

@@ -358,10 +358,11 @@ fn scan_stale(dir: &StorageDir, repair: bool, report: &mut FsckReport, listed_ru
     for path in targets {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string();
         if repair {
-            let qdir = dir.root().join("quarantine");
-            let dest = qdir.join(&name);
-            match std::fs::create_dir_all(&qdir).and_then(|_| std::fs::rename(&path, &dest)) {
-                Ok(()) => report.repairs.push(format!("{name} -> quarantine/{name}")),
+            match dir.quarantine(&path) {
+                Ok(dest) => {
+                    let landed = dest.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+                    report.repairs.push(format!("{name} -> quarantine/{landed}"));
+                }
                 Err(e) => report.issues.push(format!("quarantine of {name} failed: {e}")),
             }
         } else {
@@ -451,6 +452,30 @@ mod tests {
         let after = fsck(&dir, false).unwrap();
         assert!(after.is_clean());
         assert!(after.stale.is_empty());
+    }
+
+    /// A second repair of a leftover under the same name keeps the
+    /// first one's copy, and the report names where each landed.
+    #[test]
+    fn repeated_repairs_keep_every_quarantined_copy() {
+        let (_t, dir) = built(2);
+        let manifest_tmp = format!("{}.tmp", hus_storage::MANIFEST_FILE);
+        let mut repairs = Vec::new();
+        for contents in ["A", "B"] {
+            dir.put_meta(&manifest_tmp, contents).unwrap();
+            repairs.extend(fsck(&dir, true).unwrap().repairs);
+        }
+        assert_eq!(
+            repairs,
+            [
+                format!("{manifest_tmp} -> quarantine/{manifest_tmp}"),
+                format!("{manifest_tmp} -> quarantine/{manifest_tmp}.1"),
+            ]
+        );
+        let qdir = dir.root().join("quarantine");
+        let read = |name: String| std::fs::read_to_string(qdir.join(name)).unwrap();
+        assert_eq!(read(manifest_tmp.clone()), "A");
+        assert_eq!(read(format!("{manifest_tmp}.1")), "B");
     }
 
     #[test]

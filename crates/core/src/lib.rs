@@ -27,19 +27,13 @@
 //! ROP-selected interval `j` are traversed by neither `row i` (not
 //! pushed — interval `i` chose COP) nor `column j` (not pulled — interval
 //! `j` chose ROP), so updates can be silently dropped. This crate
-//! therefore makes the hybrid decision **globally per iteration** by
-//! default ([`engine::SelectionGranularity::PerIteration`]), pricing a
-//! whole iteration under either model — this matches how the paper
+//! therefore makes the hybrid decision **once per iteration**, pricing
+//! the whole iteration under either model — which matches how the paper
 //! itself reports model choices (Figure 8 labels whole iterations ROP or
-//! COP). A correct finer-grained variant that decides **per destination
-//! column** (pull the whole column, or push only the active sources'
-//! edges of that column) is provided as
-//! [`engine::SelectionGranularity::PerColumn`]; it covers every edge
-//! exactly once per iteration under any mixed selection. Either way the
-//! planner hands the executor one model per destination column, and an
-//! iteration runs as a list of units — pull these columns, then push the
-//! active rows into those — each followed by one commit: one unit when
-//! synchronous, one per active row or pulled column under Gauss-Seidel.
+//! COP). An iteration then runs as a list of units — pull these columns,
+//! or push these active rows into every column — each followed by one
+//! commit: one unit when synchronous, one per active row or column under
+//! Gauss-Seidel.
 
 #![warn(missing_docs)]
 
@@ -64,9 +58,7 @@ pub mod vertex_store;
 pub use active::ActiveSet;
 pub use builder::{build, BuildConfig, PartitionStrategy};
 pub use delta::{DeltaOp, DynamicGraph};
-pub use engine::{
-    check_deadline, Deadline, Engine, RunConfig, SelectionGranularity, Synchrony, UpdateMode,
-};
+pub use engine::{check_deadline, Deadline, Engine, RunConfig, Synchrony, UpdateMode};
 pub use external::{build_external, BinaryFileSource, EdgeSource, ListSource};
 pub use fsck::{fsck, FsckReport};
 pub use graph::HusGraph;

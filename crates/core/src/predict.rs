@@ -43,7 +43,7 @@
 use hus_storage::{IoSnapshot, Throughput};
 use serde::{Deserialize, Serialize};
 
-/// Bytes an iteration (or one column of it) moves, per access class —
+/// Bytes an iteration moves, per access class —
 /// the unit both cost estimates and the audit of billed I/O share.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoPlan {
@@ -77,7 +77,9 @@ impl IoPlan {
     /// whole vertex intervals and are billed sequentially. This is
     /// deliberately the predictor's view of the device, not the richer
     /// [`hus_storage::CostModel`]: predicted and billed bytes priced
-    /// here differ only by the *prediction* error.
+    /// here differ only by the *prediction* error. It differs from
+    /// [`hus_storage::DeviceProfile::io_seconds`] only in the write rate
+    /// (the device's `write_bps` there).
     pub fn seconds(&self, t: &Throughput) -> f64 {
         (self.sequential + self.write) as f64 / t.sequential_bps
             + self.batched as f64 / t.batched_bps
@@ -204,10 +206,10 @@ impl Predictor {
         Decision { model, gated: false, c_rop, c_cop }
     }
 
-    /// The hybrid decision (Algorithm 1, line 6) for one iteration or
-    /// one column of it: COP outright above the α gate, otherwise
-    /// [`Self::compare`]. (The engine tests the gate first, so that a
-    /// gated iteration never builds the plans.)
+    /// The hybrid decision (Algorithm 1, line 6) for one iteration:
+    /// COP outright above the α gate, otherwise [`Self::compare`]. (The
+    /// engine tests the gate first, so that a gated iteration never
+    /// builds the plans.)
     pub fn select(
         &self,
         active_vertices: u64,

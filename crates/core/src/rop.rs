@@ -131,18 +131,14 @@ pub fn store_touched<Pr: VertexProgram>(
     Ok(touched)
 }
 
-/// Process row `i` under ROP, pushing its active vertices' edges of the
-/// out-blocks `(row, j)`, `j` in `push`, into the unit-resident `D`
-/// buffers. `push` is every column for a whole ROP iteration, the
-/// push-assigned ones for a mixed one (edge class `(i, j)` is covered
-/// exactly once — by column `j`'s model). Returns the number of edges
-/// pushed.
+/// Process row `i` under ROP, pushing its active vertices' edges of
+/// every out-block `(row, j)` into the unit-resident `D` buffers.
+/// Returns the number of edges pushed.
 pub fn run_row<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     row: usize,
     d_all: &DBuffers<Pr::Value>,
-    push: &[usize],
 ) -> Result<u64> {
     let meta = ctx.graph.meta();
     let base = meta.interval_start(row);
@@ -160,8 +156,7 @@ pub fn run_row<Pr: VertexProgram>(
     // so each worker owns its D_j lock without contention. The lock is
     // taken only once the block is known to have edges to push, so rows
     // running concurrently overlap their index reads.
-    let edge_counts: Vec<u64> = push
-        .to_vec()
+    let edge_counts: Vec<u64> = (0..ctx.graph.p())
         .into_par_iter()
         .map(|j| {
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
@@ -499,10 +494,9 @@ impl Frontier {
     }
 }
 
-/// The I/O plan of pushing `frontier` into the destination columns
-/// `push` ([`run_row`] over every active row): every column for a whole
-/// ROP iteration, the push-assigned ones for a mixed one. It walks the
-/// executor's own choices with the frontier summarized per row:
+/// The I/O plan of pushing `frontier` ([`run_row`] over every active
+/// row). It walks the executor's own choices with the frontier
+/// summarized per row:
 ///
 /// * `S_i`, sequential, per active row;
 /// * per non-empty out-block `(i, j)`: index probes (random) or the
@@ -525,19 +519,18 @@ impl Frontier {
 pub fn plan<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     frontier: &Frontier,
-    push: &[usize],
     per_row_d: bool,
 ) -> IoPlan {
     let meta = ctx.graph.meta();
     let value_bytes = std::mem::size_of::<Pr::Value>() as f64;
     // Estimates are fractional; each class is rounded once at the end.
     let (mut sequential, mut batched, mut random) = (0.0f64, 0.0f64, 0.0f64);
-    let mut d_loads = vec![0.0f64; push.len()];
+    let mut d_loads = vec![0.0f64; ctx.graph.p()];
     for (i, row) in frontier.rows.iter().enumerate().filter(|(_, row)| row.actives > 0) {
         let len = meta.interval_len(i) as f64;
         sequential += len * value_bytes;
         let probe = selective_index_probe(row.actives as usize, len as usize, ctx.index_ratio);
-        for (d, &j) in d_loads.iter_mut().zip(push) {
+        for (j, d) in d_loads.iter_mut().enumerate() {
             let block_edges = ctx.graph.out_block_len(i, j) as f64;
             if block_edges == 0.0 {
                 continue;
@@ -581,10 +574,10 @@ pub fn plan<Pr: VertexProgram>(
             }
         }
     }
-    let d_bytes: f64 = push
+    let d_bytes: f64 = d_loads
         .iter()
-        .zip(&d_loads)
-        .map(|(&j, &loads)| {
+        .enumerate()
+        .map(|(j, &loads)| {
             let loads = if ctx.program.needs_reset() { 1.0 } else { loads };
             loads * meta.interval_len(j) as f64 * value_bytes
         })
@@ -734,7 +727,7 @@ mod tests {
             // executor moves in the two tests above.
             let d = if reset { 4 * 64 } else { 64 };
             let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
-            assert_eq!(plan(&ctx, &frontier, &[0, 1, 2, 3], false), want, "reset {reset}");
+            assert_eq!(plan(&ctx, &frontier, false), want, "reset {reset}");
         }
     }
 

@@ -22,8 +22,7 @@ use std::time::Instant;
 pub struct IterationStats {
     /// Iteration number (0-based).
     pub iteration: usize,
-    /// Model selected for the iteration (for per-column scheduling: the
-    /// majority choice; see `rop_units` / `cop_units`).
+    /// Model selected for the iteration.
     pub model: UpdateModel,
     /// Whether the α gate short-circuited the predictor.
     pub gated: bool,
@@ -31,14 +30,16 @@ pub struct IterationStats {
     pub c_rop: f64,
     /// Predicted `C_cop` (NaN when gated or forced).
     pub c_cop: f64,
-    /// The I/O plan the predictor priced for the selected model(s) —
+    /// The I/O plan the predictor priced for the selected model —
     /// the bytes per access class this iteration was expected to bill,
     /// to be held against `io` ([`crate::audit`]). `None` when gated or
     /// forced, and for engines without a predictor.
     pub plan: Option<IoPlan>,
-    /// Columns/intervals processed with push this iteration.
+    /// Intervals processed with push this iteration (the active rows,
+    /// in a HUS run).
     pub rop_units: u32,
-    /// Columns/intervals processed with pull this iteration.
+    /// Intervals processed with pull this iteration (every column, in a
+    /// HUS run).
     pub cop_units: u32,
     /// Frontier size at the start of the iteration.
     pub active_vertices: u64,

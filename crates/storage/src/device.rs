@@ -4,8 +4,7 @@
 //! as `bytes / throughput`, with distinct sequential and random
 //! throughputs measured up front with a tool like `fio`. We reuse exactly
 //! that model to convert measured [`IoSnapshot`]s into modeled wall time,
-//! adding (a) an explicit per-seek latency for random reads, and (b) a
-//! CPU term (`edges / (rate × threads)`) so the thread-scaling experiment
+//! adding a CPU term (`edges / (rate × threads)`) so the thread-scaling experiment
 //! (Figure 10) has a compute axis. See DESIGN.md §3 for why modeled time
 //! is the right substitute for wall time on a page-cached container.
 
@@ -17,8 +16,8 @@ use serde::{Deserialize, Serialize};
 pub struct Throughput {
     /// Sequential throughput, bytes/second.
     pub sequential_bps: f64,
-    /// Random-access throughput, bytes/second (effective, excluding the
-    /// per-operation seek charged separately).
+    /// Random-access throughput, bytes/second (effective: the seek of a
+    /// small request is folded in).
     pub random_bps: f64,
     /// Throughput of a coalesced ascending sweep over scattered ranges
     /// (elevator order): between random and sequential on spinning
@@ -36,8 +35,6 @@ pub struct DeviceProfile {
     /// Write throughput (writes are modeled as sequential; all engines
     /// here write whole chunks/shards).
     pub write_bps: f64,
-    /// Latency charged per random read operation, seconds.
-    pub seek_seconds: f64,
 }
 
 impl DeviceProfile {
@@ -48,14 +45,12 @@ impl DeviceProfile {
     /// Following the paper's cost model (§3.4), time is pure
     /// `bytes / throughput`: the seek latency is folded into the
     /// *effective* random throughput (1 MB/s ≈ one 8 ms seek per ~8 KB
-    /// request) rather than charged per operation, so `seek_seconds` is
-    /// zero here. Custom profiles may still set a per-op seek.
+    /// request) rather than charged per operation.
     pub fn hdd() -> Self {
         DeviceProfile {
             name: "hdd-7200rpm".into(),
             read: Throughput { sequential_bps: 120e6, random_bps: 1.0e6, batched_bps: 40e6 },
             write_bps: 110e6,
-            seek_seconds: 0.0,
         }
     }
 
@@ -66,7 +61,6 @@ impl DeviceProfile {
             name: "sata-ssd".into(),
             read: Throughput { sequential_bps: 450e6, random_bps: 250e6, batched_bps: 400e6 },
             write_bps: 400e6,
-            seek_seconds: 0.0,
         }
     }
 
@@ -78,21 +72,23 @@ impl DeviceProfile {
             name: "memory".into(),
             read: Throughput { sequential_bps: 10e9, random_bps: 8e9, batched_bps: 10e9 },
             write_bps: 8e9,
-            seek_seconds: 0.0,
         }
     }
 
     /// Build a profile from measured throughputs (see [`crate::probe`]).
     pub fn from_measured(name: impl Into<String>, read: Throughput, write_bps: f64) -> Self {
-        DeviceProfile { name: name.into(), read, write_bps, seek_seconds: 0.0 }
+        DeviceProfile { name: name.into(), read, write_bps }
     }
 
-    /// Modeled seconds to perform the I/O recorded in `io` on this device.
+    /// Modeled seconds to perform the I/O recorded in `io` on this
+    /// device: bytes over each class's throughput. It differs from the
+    /// predictor's `hus_core::predict::IoPlan::seconds` only in the write
+    /// rate: writes are priced at `write_bps` here, at the sequential
+    /// read rate there.
     pub fn io_seconds(&self, io: &IoSnapshot) -> f64 {
         io.seq_read_bytes as f64 / self.read.sequential_bps
             + io.rand_read_bytes as f64 / self.read.random_bps
             + io.batched_read_bytes as f64 / self.read.batched_bps
-            + io.rand_read_ops as f64 * self.seek_seconds
             + io.write_bytes as f64 / self.write_bps
     }
 }
@@ -191,17 +187,6 @@ mod tests {
         let hdd_ratio = hdd.io_seconds(&rand) / hdd.io_seconds(&snap(100_000_000, 0, 0, 0));
         let ssd_ratio = ssd.io_seconds(&rand) / ssd.io_seconds(&snap(100_000_000, 0, 0, 0));
         assert!(ssd_ratio < hdd_ratio / 10.0, "hdd {hdd_ratio} ssd {ssd_ratio}");
-    }
-
-    #[test]
-    fn seek_latency_counts_when_configured() {
-        let mut custom = DeviceProfile::hdd();
-        custom.seek_seconds = 8e-3;
-        let one_op = snap(0, 4096, 1, 0);
-        assert!(custom.io_seconds(&one_op) >= 8e-3);
-        // The presets fold seeks into effective random throughput.
-        assert_eq!(DeviceProfile::hdd().seek_seconds, 0.0);
-        assert_eq!(DeviceProfile::ssd().seek_seconds, 0.0);
     }
 
     #[test]

@@ -333,6 +333,24 @@ impl StorageDir {
         staging_siblings_of(&self.root)
     }
 
+    /// Move `path` into `<root>/quarantine/` and return where it landed.
+    /// A name already taken there gets a numeric suffix (`.1`, `.2`, …),
+    /// so a later quarantine never overwrites earlier evidence.
+    /// `hus fsck --repair` and a rolled-back delta spill both move their
+    /// leftovers through here.
+    pub fn quarantine(&self, path: &Path) -> Result<PathBuf> {
+        let qdir = self.root.join("quarantine");
+        std::fs::create_dir_all(&qdir).map_err(|e| StorageError::io_at(&qdir, e))?;
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let (mut dest, mut n) = (qdir.join(&name), 0u32);
+        while dest.exists() {
+            n += 1;
+            dest = qdir.join(format!("{name}.{n}"));
+        }
+        std::fs::rename(path, &dest).map_err(|e| StorageError::io_at(path, e))?;
+        Ok(dest)
+    }
+
     /// Clone of this handle rooted elsewhere, sharing the tracker,
     /// backend, resilience counters, retry policy and fault spec.
     fn rerooted(&self, root: PathBuf) -> StorageDir {

@@ -16,7 +16,7 @@
 //!   disk: a codec-compressed block (see the `hus-codec` crate) travels
 //!   and is billed encoded, and its reader decodes it.
 //! * [`DeviceProfile`] / [`CostModel`] — the paper's I/O time model
-//!   (`bytes / throughput + seeks`), with HDD and SSD presets used by the
+//!   (`bytes / throughput`), with HDD and SSD presets used by the
 //!   experiment harness to reproduce Figure 11.
 //! * [`probe`] — a small `fio`-like throughput measurement of the host,
 //!   which can feed measured `T_sequential` / `T_random` into the

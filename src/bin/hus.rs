@@ -82,6 +82,32 @@ graph-reading commands also accept --backend file|mmap|direct
 (default: $HUS_BACKEND, else file; direct degrades to file where
 O_DIRECT is unsupported, e.g. tmpfs)";
 
+/// Every flag, across all commands, that takes the next argument as its
+/// value; [`positional`] skips such a flag together with its value.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--algo",
+    "--backend",
+    "--blocks",
+    "--byte-budget",
+    "--codec",
+    "--deadline-ms",
+    "--delete",
+    "--idle-ms",
+    "--insert",
+    "--iters",
+    "--max-inflight",
+    "--mode",
+    "--p",
+    "--random",
+    "--refresh-ms",
+    "--seed",
+    "--source",
+    "--sources",
+    "--threads",
+    "--top",
+];
+
 type CliResult = Result<(), String>;
 
 fn run(args: &[String]) -> CliResult {
@@ -110,6 +136,7 @@ fn run(args: &[String]) -> CliResult {
 }
 
 fn flag_value<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
+    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is missing from VALUE_FLAGS");
     rest.iter().position(|a| *a == name).and_then(|i| rest.get(i + 1)).map(|s| s.as_str())
 }
 
@@ -117,12 +144,18 @@ fn has_flag(rest: &[&String], name: &str) -> bool {
     rest.iter().any(|a| *a == name)
 }
 
+/// The `k`-th argument that is neither a flag nor a flag's value.
 fn positional<'a>(rest: &'a [&String], k: usize) -> Result<&'a str, String> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(k)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("missing argument #{}", k + 1))
+    let mut positionals = Vec::new();
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !arg.starts_with("--") {
+            positionals.push(arg.as_str());
+        }
+    }
+    positionals.get(k).copied().ok_or_else(|| format!("missing argument #{}", k + 1))
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {

@@ -103,3 +103,50 @@ fn build_rejects_zero_partitions() {
     assert_usage_error(&["build", input, graph, "--p", "0", "--external"], "at least 1");
     assert!(!tmp.path().join("g").exists(), "nothing built");
 }
+
+/// A flag's value is not an argument: each flag may come before or
+/// after the arguments, and both spellings do the same.
+#[test]
+fn flags_before_or_after_the_arguments_do_the_same() {
+    let (first, last) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+    // What `hus args` prints in `cwd`, wall-clock figures cut.
+    let run = |cwd: &tempfile::TempDir, args: &[&str]| {
+        let out = hus().current_dir(cwd.path()).args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{args:?}: {stdout}{}", String::from_utf8_lossy(&out.stderr));
+        let untimed = |l: &str| match l.strip_prefix("built ") {
+            Some(_) => l.rsplit_once(", ").map_or(l, |(head, _)| head).to_string(),
+            None => l.to_string(),
+        };
+        stdout.lines().filter(|l| !l.starts_with("wall ")).map(untimed).collect::<Vec<_>>()
+    };
+    let spellings = [
+        (
+            ["gen", "--seed", "5", "rmat", "300", "2000", "g.husg"],
+            ["gen", "rmat", "300", "2000", "g.husg", "--seed", "5"],
+        ),
+        (
+            ["build", "--p", "4", "--codec", "raw", "g.husg", "g"],
+            ["build", "g.husg", "g", "--p", "4", "--codec", "raw"],
+        ),
+    ];
+    for (flags_first, flags_last) in spellings {
+        assert_eq!(run(&first, &flags_first), run(&last, &flags_last), "{flags_first:?}");
+    }
+    let files = |cwd: &tempfile::TempDir| {
+        let mut files: Vec<_> = std::fs::read_dir(cwd.path().join("g"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.file_name().unwrap().to_owned(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    assert_eq!(files(&first), files(&last), "both builds write the same graph");
+    let built = run(&first, &["stats", "--backend", "mmap", "g"]);
+    assert!(built.iter().any(|l| l == "intervals: 4"), "{built:?}");
+    assert_eq!(built, run(&last, &["stats", "g", "--backend", "mmap"]));
+    let bfs = run(&first, &["bfs", "--mode", "rop", "g", "0"]);
+    assert!(bfs.iter().any(|l| l.contains(" ROP ")), "{bfs:?}");
+    assert_eq!(bfs, run(&last, &["bfs", "g", "0", "--mode", "rop"]));
+}

@@ -7,8 +7,7 @@
 use husgraph::algos::{PageRank, Wcc};
 use husgraph::codec::Codec;
 use husgraph::core::{
-    BuildConfig, Engine, HusGraph, RunConfig, RunStats, SelectionGranularity, UpdateMode,
-    VertexProgram,
+    BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode, VertexProgram,
 };
 use husgraph::gen::{Edge, EdgeList, RmatConfig};
 use husgraph::storage::{Access, StorageDir};
@@ -114,13 +113,7 @@ fn run<Pr: VertexProgram>(
     mode: UpdateMode,
     max_iterations: usize,
 ) -> (Vec<Pr::Value>, RunStats) {
-    let config = RunConfig {
-        mode,
-        granularity: SelectionGranularity::PerIteration,
-        max_iterations,
-        threads: 2,
-        ..Default::default()
-    };
+    let config = RunConfig { mode, max_iterations, threads: 2, ..Default::default() };
     Engine::new(g, program, config).run().unwrap()
 }
 

@@ -1,13 +1,11 @@
-//! Cross-engine equivalence: HUS-Graph (all modes and granularities),
+//! Cross-engine equivalence: HUS-Graph (all modes, serial and parallel),
 //! the GraphChi-style baseline and the GridGraph-style baseline must all
 //! agree with the in-memory reference implementations on every benchmark
 //! algorithm.
 
 use husgraph::algos::{reference, Bfs, PageRank, Sssp, Wcc, UNREACHED};
 use husgraph::baselines::{BaselineConfig, GraphChiEngine, GridGraphEngine, GridStore, PswStore};
-use husgraph::core::{
-    BuildConfig, Engine, HusGraph, RunConfig, SelectionGranularity, UpdateMode, VertexProgram,
-};
+use husgraph::core::{BuildConfig, Engine, HusGraph, RunConfig, UpdateMode, VertexProgram};
 use husgraph::gen::{Csr, EdgeList};
 use husgraph::storage::StorageDir;
 
@@ -37,22 +35,20 @@ fn hus_run<Pr: VertexProgram>(
     arena: &Arena,
     program: &Pr,
     mode: UpdateMode,
-    (granularity, threads): (SelectionGranularity, usize),
+    threads: usize,
     max_iterations: usize,
 ) -> Vec<Pr::Value> {
-    let config = RunConfig { mode, granularity, max_iterations, threads, ..Default::default() };
+    let config = RunConfig { mode, max_iterations, threads, ..Default::default() };
     Engine::new(&arena.hus, program, config).run().unwrap().0
 }
 
-/// Every mode at two threads, and the per-column mix — whose pushing
-/// rows fan out beside pulled columns — serially as well.
-fn all_hus_variants() -> Vec<(UpdateMode, (SelectionGranularity, usize))> {
+/// Every mode at two threads, and the hybrid one serially as well.
+fn all_hus_variants() -> Vec<(UpdateMode, usize)> {
     vec![
-        (UpdateMode::Hybrid, (SelectionGranularity::PerIteration, 2)),
-        (UpdateMode::Hybrid, (SelectionGranularity::PerColumn, 1)),
-        (UpdateMode::Hybrid, (SelectionGranularity::PerColumn, 2)),
-        (UpdateMode::ForceRop, (SelectionGranularity::PerIteration, 2)),
-        (UpdateMode::ForceCop, (SelectionGranularity::PerIteration, 2)),
+        (UpdateMode::Hybrid, 1),
+        (UpdateMode::Hybrid, 2),
+        (UpdateMode::ForceRop, 2),
+        (UpdateMode::ForceCop, 2),
     ]
 }
 
@@ -61,8 +57,8 @@ fn bfs_agrees_across_all_engines() {
     let el = husgraph::gen::rmat(400, 3000, 7, Default::default());
     let want = reference::bfs_levels(&Csr::from_edge_list(&el), 0);
     let arena = build_all(&el, 4);
-    for (mode, gran) in all_hus_variants() {
-        assert_eq!(hus_run(&arena, &Bfs::new(0), mode, gran, 1000), want, "{mode:?}/{gran:?}");
+    for (mode, threads) in all_hus_variants() {
+        assert_eq!(hus_run(&arena, &Bfs::new(0), mode, threads, 1000), want, "{mode:?}/{threads}");
     }
     let cfg = BaselineConfig { threads: 2, ..Default::default() };
     let (grid_levels, _) =
@@ -77,8 +73,8 @@ fn wcc_agrees_across_all_engines() {
     let el = husgraph::gen::chung_lu(300, 900, 2.3, 11).symmetrize();
     let want = reference::wcc_labels(&Csr::from_edge_list(&el));
     let arena = build_all(&el, 3);
-    for (mode, gran) in all_hus_variants() {
-        assert_eq!(hus_run(&arena, &Wcc, mode, gran, 1000), want, "{mode:?}/{gran:?}");
+    for (mode, threads) in all_hus_variants() {
+        assert_eq!(hus_run(&arena, &Wcc, mode, threads, 1000), want, "{mode:?}/{threads}");
     }
     let cfg = BaselineConfig { threads: 2, ..Default::default() };
     assert_eq!(GridGraphEngine::new(&arena.grid, &Wcc, cfg.clone()).run().unwrap().0, want);
@@ -97,8 +93,8 @@ fn sssp_agrees_across_all_engines() {
         }
     };
     let arena = build_all(&el, 4);
-    for (mode, gran) in all_hus_variants() {
-        close(&hus_run(&arena, &Sssp::new(0), mode, gran, 1000), &format!("{mode:?}/{gran:?}"));
+    for (mode, threads) in all_hus_variants() {
+        close(&hus_run(&arena, &Sssp::new(0), mode, threads, 1000), &format!("{mode:?}/{threads}"));
     }
     let cfg = BaselineConfig { threads: 2, ..Default::default() };
     close(&GridGraphEngine::new(&arena.grid, &Sssp::new(0), cfg.clone()).run().unwrap().0, "grid");
@@ -120,8 +116,8 @@ fn pagerank_synchronous_engines_match_reference_exactly() {
             assert!((g - w).abs() <= 1e-3 * w.max(1e-6), "{label} v{v}: {g} vs {w}");
         }
     };
-    for (mode, gran) in all_hus_variants() {
-        close(&hus_run(&arena, &pr, mode, gran, 5), &format!("{mode:?}/{gran:?}"));
+    for (mode, threads) in all_hus_variants() {
+        close(&hus_run(&arena, &pr, mode, threads, 5), &format!("{mode:?}/{threads}"));
     }
     let cfg = BaselineConfig { threads: 2, max_iterations: 5, ..Default::default() };
     close(&GridGraphEngine::new(&arena.grid, &pr, cfg).run().unwrap().0, "grid");
@@ -136,8 +132,8 @@ fn disconnected_and_isolated_vertices_survive_everywhere() {
     assert_eq!(want[5], UNREACHED);
     assert_eq!(want[8], UNREACHED);
     let arena = build_all(&el, 3);
-    for (mode, gran) in all_hus_variants() {
-        assert_eq!(hus_run(&arena, &Bfs::new(0), mode, gran, 100), want);
+    for (mode, threads) in all_hus_variants() {
+        assert_eq!(hus_run(&arena, &Bfs::new(0), mode, threads, 100), want);
     }
     let cfg = BaselineConfig::default();
     assert_eq!(GridGraphEngine::new(&arena.grid, &Bfs::new(0), cfg.clone()).run().unwrap().0, want);
@@ -151,11 +147,11 @@ fn extreme_partition_counts_agree() {
     let want = reference::bfs_levels(&Csr::from_edge_list(&el), 0);
     for p in [1u32, 2, 7, 59] {
         let arena = build_all(&el, p);
-        for (mode, gran) in all_hus_variants() {
+        for (mode, threads) in all_hus_variants() {
             assert_eq!(
-                hus_run(&arena, &Bfs::new(0), mode, gran, 1000),
+                hus_run(&arena, &Bfs::new(0), mode, threads, 1000),
                 want,
-                "P={p} {mode:?}/{gran:?}"
+                "P={p} {mode:?}/{threads}"
             );
         }
     }

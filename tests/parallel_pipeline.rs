@@ -10,8 +10,8 @@
 use husgraph::algos::{Bfs, PageRank, Wcc};
 use husgraph::codec::Codec;
 use husgraph::core::{
-    BuildConfig, EdgeCtx, Engine, HusGraph, RunConfig, RunStats, SelectionGranularity, Synchrony,
-    UpdateMode, VertexProgram,
+    BuildConfig, EdgeCtx, Engine, HusGraph, RunConfig, RunStats, Synchrony, UpdateMode,
+    VertexProgram,
 };
 use husgraph::gen::EdgeList;
 use husgraph::storage::{IoSnapshot, StorageDir};
@@ -114,37 +114,6 @@ fn hybrid_pipeline_matches_serial_hybrid() {
     assert_eq!(serial_stats.total_io.total_bytes(), par_stats.total_io.total_bytes());
 }
 
-/// PageRank-shaped: every vertex re-derives `0.15 + 0.85 Σ in-rank /
-/// out-degree` each iteration, in order-sensitive float additions. Only
-/// vertices below `active_below` start active (unlike PageRank, it is
-/// not always active, so the frontier bits are read).
-struct RankSum {
-    active_below: u32,
-}
-
-impl VertexProgram for RankSum {
-    type Value = f32;
-    fn init(&self, v: u32) -> f32 {
-        1.0 / (v + 1) as f32
-    }
-    fn initially_active(&self, v: u32) -> bool {
-        v < self.active_below
-    }
-    fn scatter(&self, src: &f32, ctx: &EdgeCtx) -> Option<f32> {
-        Some(0.85 * src / ctx.src_out_degree as f32)
-    }
-    fn combine(&self, dst: &mut f32, msg: f32) -> bool {
-        *dst += msg;
-        true
-    }
-    fn reset(&self, _v: u32, _prev: &f32) -> f32 {
-        0.15
-    }
-    fn needs_reset(&self) -> bool {
-        true
-    }
-}
-
 /// Min-label propagation from the vertices below `active_below`.
 struct MinLabel {
     active_below: u32,
@@ -222,30 +191,6 @@ fn cop_column_workers_match_one_thread_bit_for_bit() {
         same_at_every_thread_count(&el, p, &MinLabel { active_below: all }, |threads| {
             cfg(UpdateMode::ForceCop, threads)
         });
-    }
-}
-
-/// A per-column mixed unit pulls two of eight columns and pushes into
-/// the rest: fewer columns than threads. A 200-cycle in intervals of
-/// 25 whose first two start active sends columns 0 and 1 a block's
-/// worth of pushes, which a pull streams cheaper; α = 2 keeps the gate
-/// open so every column is priced.
-#[test]
-fn mixed_unit_pulling_fewer_columns_than_threads_matches_one_thread() {
-    let el = husgraph::gen::classic::cycle(200);
-    let mixed = |threads| RunConfig {
-        mode: UpdateMode::Hybrid,
-        granularity: SelectionGranularity::PerColumn,
-        alpha: 2.0,
-        max_iterations: 3,
-        threads,
-        ..Default::default()
-    };
-    let sums = same_at_every_thread_count(&el, 8, &RankSum { active_below: 50 }, mixed);
-    let labels = same_at_every_thread_count(&el, 8, &MinLabel { active_below: 50 }, mixed);
-    for stats in sums.iter().chain(&labels) {
-        let first = &stats.iterations[0];
-        assert!(first.rop_units > 0 && (1..3).contains(&first.cop_units), "mixed: {first:?}");
     }
 }
 

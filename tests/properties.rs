@@ -12,7 +12,7 @@
 use husgraph::algos::{reference, Bfs, Wcc};
 use husgraph::core::partition::{interval_of, interval_starts, PartitionStrategy};
 use husgraph::core::predict::Predictor;
-use husgraph::core::{BuildConfig, Engine, HusGraph, RunConfig, SelectionGranularity, UpdateMode};
+use husgraph::core::{BuildConfig, Engine, HusGraph, RunConfig, UpdateMode};
 use husgraph::gen::{Csr, Edge, EdgeList};
 use husgraph::storage::{Access, StorageDir, Throughput};
 use proptest::prelude::*;
@@ -79,17 +79,20 @@ proptest! {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(p)).unwrap();
-        for (mode, gran, threads) in [
-            (UpdateMode::ForceRop, SelectionGranularity::PerIteration, 1),
-            (UpdateMode::ForceCop, SelectionGranularity::PerIteration, 1),
-            (UpdateMode::Hybrid, SelectionGranularity::PerIteration, 1),
-            (UpdateMode::Hybrid, SelectionGranularity::PerColumn, 1),
-            (UpdateMode::Hybrid, SelectionGranularity::PerColumn, 2),
+        for (mode, threads) in [
+            (UpdateMode::ForceRop, 1),
+            (UpdateMode::ForceCop, 1),
+            (UpdateMode::Hybrid, 1),
+            (UpdateMode::Hybrid, 2),
         ] {
-            let config = RunConfig { mode, granularity: gran, threads, ..Default::default() };
+            let config = RunConfig { mode, threads, ..Default::default() };
             let (got, stats) = Engine::new(&g, &Bfs::new(0), config).run().unwrap();
             prop_assert!(stats.converged);
             prop_assert_eq!(&got, &want);
+            // One model per iteration: every unit pushes, or every unit pulls.
+            for it in &stats.iterations {
+                prop_assert!(it.rop_units == 0 || it.cop_units == 0, "{mode:?}: {it:?}");
+            }
         }
     }
 
@@ -162,19 +165,16 @@ proptest! {
                 deadline: None,
                 row_edges: &row_edges,
             };
-            let every_column: Vec<usize> = (0..g.p()).collect();
-            rop::plan(&ctx, &Frontier::scan(&g, &active), &every_column, false)
+            rop::plan(&ctx, &Frontier::scan(&g, &active), false)
         };
         let sparse = c_rop(&small);
         let dense = c_rop(&small.union(&extra).copied().collect());
         // C_rop is non-decreasing in the frontier, in bytes and seconds.
         prop_assert!(dense.total_bytes() >= sparse.total_bytes(), "{sparse:?} vs {dense:?}");
         prop_assert!(dense.seconds(&tput) >= sparse.seconds(&tput), "{sparse:?} vs {dense:?}");
-        // C_cop never sees the frontier: one plan per run, the sum of
-        // its columns. So decisions flip at most once along the density
-        // axis.
+        // C_cop never sees the frontier: one plan per run. So decisions
+        // flip at most once along the density axis.
         let sweep = cop::sweep_plan(&g, 4);
-        prop_assert_eq!(sweep, (0..g.p()).map(|col| cop::column_plan(&g, col, 4)).sum());
         let pred = Predictor::new(tput, 4.0, 4);
         if pred.select(1, u64::MAX, &sparse, &sweep).model == UpdateModel::Cop {
             prop_assert_eq!(pred.select(1, u64::MAX, &dense, &sweep).model, UpdateModel::Cop);
