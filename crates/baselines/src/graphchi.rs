@@ -26,7 +26,7 @@ use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::VertexProgram;
 use hus_gen::EdgeList;
 use hus_obs::span;
-use hus_storage::file::TrackedFile;
+use hus_storage::TrackedFile;
 use hus_storage::{pod, Access, ReadBackend, Result, StorageDir, StorageError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;

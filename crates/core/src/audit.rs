@@ -13,7 +13,7 @@
 
 use crate::predict::{IoPlan, UpdateModel};
 use crate::stats::RunStats;
-use hus_storage::{IoSnapshot, Throughput};
+use hus_storage::Throughput;
 
 /// One iteration's predicted-vs-actual record.
 #[derive(Debug, Clone, Copy)]
@@ -54,15 +54,6 @@ impl AuditRow {
         }
         Some((self.predicted - self.actual).abs() / self.actual * 100.0)
     }
-}
-
-/// Modeled seconds to move `io`'s bytes at the given read throughputs:
-/// the billed bytes priced exactly like a predicted plan
-/// ([`IoPlan::seconds`]), so "actual" is in the same units as
-/// `C_rop`/`C_cop` and the comparison isolates the *prediction* error
-/// rather than differences between time models.
-pub fn io_seconds(tput: &Throughput, io: &IoSnapshot) -> f64 {
-    IoPlan::billed(io).seconds(tput)
 }
 
 /// Pair every iteration of `stats` with its modeled actual cost.
@@ -160,6 +151,7 @@ pub fn render_table(rows: &[AuditRow]) -> String {
 mod tests {
     use super::*;
     use crate::stats::IterationStats;
+    use hus_storage::IoSnapshot;
 
     fn tput() -> Throughput {
         Throughput { sequential_bps: 100e6, random_bps: 1e6, batched_bps: 40e6 }
@@ -209,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn io_seconds_bills_each_class_at_its_rate() {
+    fn billed_bytes_are_priced_at_each_class_rate() {
         let io = IoSnapshot {
             seq_read_bytes: 100_000_000,    // 1s sequential
             rand_read_bytes: 1_000_000,     // 1s random
@@ -217,7 +209,7 @@ mod tests {
             write_bytes: 200_000_000,       // 2s at sequential
             ..Default::default()
         };
-        assert!((io_seconds(&tput(), &io) - 5.0).abs() < 1e-9);
+        assert!((IoPlan::billed(&io).seconds(&tput()) - 5.0).abs() < 1e-9);
     }
 
     #[test]

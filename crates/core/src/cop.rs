@@ -172,7 +172,7 @@ mod tests {
     use crate::program::{EdgeCtx, VertexProgram};
     use crate::rop::IterCtx;
     use crate::vertex_store::VertexStore;
-    use hus_storage::StorageDir;
+    use hus_storage::{BackendKind, StorageDir};
 
     struct MinLabel;
 
@@ -200,15 +200,19 @@ mod tests {
     /// A mid-stream fetch failure must surface as an error to the
     /// caller (not hang, not panic a worker) — from the caller's own loop
     /// at one thread and from the column workers at four. The in-edges
-    /// shard is truncated *after* open, so
-    /// `FileBackend`'s cached length admits the read and the underlying
-    /// `pread` fails mid-column.
+    /// shard is truncated *after* open, so the device's cached length
+    /// admits the read and the underlying `pread` fails mid-column. That
+    /// premise holds for the `file` and `direct` devices, which read the
+    /// file at read time, so the test runs on both; `mmap` is left out by
+    /// design: the vendored `memmap2` stand-in copies the whole file at
+    /// open, so a truncation after open cannot be seen through it.
     #[test]
     fn mid_stream_storage_error_surfaces_not_hangs() {
-        for threads in [1, 4] {
+        let (file, direct) = (BackendKind::File, BackendKind::Direct);
+        for (kind, threads) in [(file, 1), (file, 4), (direct, 1), (direct, 4)] {
             let el = hus_gen::rmat(300, 3000, 5, Default::default());
             let tmp = tempfile::tempdir().unwrap();
-            let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+            let dir = StorageDir::create_with(tmp.path().join("g"), kind).unwrap();
             let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
 
             // Corrupt column 2's in-edge shard under the open graph.
@@ -230,7 +234,7 @@ mod tests {
             let failed = done_rx
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .expect("COP run hung on a mid-stream storage error");
-            assert!(failed, "{threads} threads: truncated shard must surface a StorageError");
+            assert!(failed, "{kind:?}, {threads} threads: truncated shard must surface an error");
             handle.join().unwrap();
         }
     }

@@ -517,7 +517,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             if let Some(plan) = &predicted {
                 // Audit the committed prediction against what the same
                 // throughput numbers say the moved bytes cost.
-                let actual = crate::audit::io_seconds(tput, &it.io);
+                let actual = IoPlan::billed(&it.io).seconds(tput);
                 if actual > 0.0 {
                     let err_pct = (plan.seconds(tput) - actual).abs() / actual * 100.0;
                     MISPREDICTION_PCT.record(err_pct as u64);

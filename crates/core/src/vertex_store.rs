@@ -12,8 +12,8 @@
 //! (exactly as the paper's `C_rop`/`C_cop` formulas do).
 
 use crate::VertexId;
-use hus_storage::file::TrackedFile;
 use hus_storage::pod::{self, Pod};
+use hus_storage::TrackedFile;
 use hus_storage::{Access, Result, StorageDir};
 
 /// Nanosecond latency of interval value loads (`S_i`/`D_i` reads).

@@ -31,10 +31,11 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HUS_BACKEND",
         default: "`file`",
         effect: "storage read backend for graphs opened without an explicit choice: \
-                 `file` (buffered `pread`), `mmap` (shared map copy-out) or `direct` \
-                 (`O_DIRECT`, pooled aligned buffers; degrades to `file` on \
-                 filesystems that refuse `O_DIRECT`, e.g. tmpfs — see `DESIGN.md` \
-                 §6, piece 5)",
+                 `file` (buffered `pread`), `mmap` (copies out of a whole-file heap \
+                 copy made at open: contents frozen at open, every opened shard \
+                 resident) or `direct` (`O_DIRECT`, pooled aligned buffers; degrades \
+                 to `file` on filesystems that refuse `O_DIRECT`, e.g. tmpfs — see \
+                 `DESIGN.md` §6, piece 5)",
     },
     EnvKnob {
         name: "HUS_CKPT",

@@ -2,17 +2,18 @@
 //!
 //! Each engine's on-disk representation (dual-block shards, PSW shards,
 //! grid blocks, vertex stores) lives inside a `StorageDir`. The directory
-//! decides which read backend to use (positioned file reads, mmap or
-//! `O_DIRECT`) and hands out tracked readers/writers.
+//! decides which device serves reads (positioned file reads, mmap or
+//! `O_DIRECT`) and hands out metered readers and tracked writers.
 
 use crate::buffer::TrackedWriter;
-use crate::direct::DirectBackend;
+use crate::direct::DirectDevice;
 use crate::durable;
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultInjectBackend, FaultInjectWriter, FaultSpec};
-use crate::file::{FileBackend, TrackedFile};
+use crate::file::FileDevice;
 use crate::manifest::BuildManifest;
-use crate::mmap::MmapBackend;
+use crate::metered::{Device, Metered, TrackedFile};
+use crate::mmap::MmapDevice;
 use crate::retry::{warn_once, ResilienceTracker, RetryBackend, RetryPolicy};
 use crate::tracker::IoTracker;
 use crate::ReadBackend;
@@ -35,11 +36,13 @@ pub enum BackendKind {
     /// Positioned `pread` calls on a shared file descriptor.
     #[default]
     File,
-    /// Shared read-only memory map (zero-copy block access).
+    /// Copies out of a read-only memory map. The vendored `memmap2`
+    /// stand-in reads the whole file into memory at open: contents are
+    /// frozen at open and every opened file stays resident.
     Mmap,
     /// `O_DIRECT` positioned reads bypassing the OS page cache, served
     /// from pooled 4 KiB-aligned buffers with vectored multi-range
-    /// submission (thread fan-out; see [`crate::direct`]).
+    /// submission (a thread fan-out at queue depth).
     /// Degrades to [`BackendKind::File`] on filesystems that refuse
     /// `O_DIRECT` (e.g. tmpfs).
     Direct,
@@ -201,50 +204,46 @@ impl StorageDir {
 
     /// Open a named file for tracked reading with the configured backend.
     ///
-    /// The handed-out backend is composed as
-    /// `Retry( FaultInject?( File | Mmap | Direct ) )`: retries sit above
-    /// fault injection, so injected transient faults exercise the real
-    /// retry path. If an mmap cannot be established, or the
-    /// filesystem refuses `O_DIRECT` (tmpfs, some network mounts), the
-    /// reader degrades to the positioned-read file backend — logged once
-    /// and counted in [`ResilienceTracker::snapshot`] as an
-    /// `mmap_fallback` / `direct_fallback`.
+    /// The handed-out reader is composed as
+    /// `Retry( FaultInject?( Metered( File | Mmap | Direct ) ) )`: the
+    /// device only moves bytes, the metered layer bounds-checks, times and
+    /// bills every read, and retries sit above fault injection, so
+    /// injected transient faults exercise the real retry path. If an mmap
+    /// cannot be established, or the filesystem refuses `O_DIRECT`
+    /// (tmpfs, some network mounts), the reader degrades to the
+    /// positioned-read file device — logged once and counted in
+    /// [`ResilienceTracker::snapshot`] as an `mmap_fallback` /
+    /// `direct_fallback`.
     pub fn reader(&self, name: &str) -> Result<Arc<dyn ReadBackend>> {
         let p = self.path(name);
         if !p.is_file() {
             return Err(StorageError::MissingFile(p));
         }
-        let base: Arc<dyn ReadBackend> = match self.kind {
-            BackendKind::File => Arc::new(FileBackend::open(p, self.tracker())?),
-            BackendKind::Mmap => match MmapBackend::open(&p, self.tracker()) {
-                Ok(m) => Arc::new(m),
-                Err(e) => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    warn_once(
-                        &WARNED,
-                        &format!("mmap of {} failed ({e}); degrading to file backend", p.display()),
-                    );
-                    self.resilience.record_mmap_fallback();
-                    OBS_MMAP_FALLBACKS.add(1);
-                    Arc::new(FileBackend::open(p, self.tracker())?)
-                }
-            },
-            BackendKind::Direct => match DirectBackend::open(&p, self.tracker()) {
-                Ok(d) => Arc::new(d),
-                Err(e) => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    warn_once(
-                        &WARNED,
-                        &format!(
-                            "O_DIRECT open of {} failed ({e}); degrading to file backend",
-                            p.display()
-                        ),
-                    );
+        let opened = match self.kind {
+            BackendKind::File => Ok(self.metered(FileDevice::open(&p)?)),
+            BackendKind::Mmap => MmapDevice::open(&p).map(|d| self.metered(d)),
+            BackendKind::Direct => DirectDevice::open(&p).map(|d| self.metered(d)),
+        };
+        let base = match opened {
+            Ok(base) => base,
+            Err(e) => {
+                static WARNED: [std::sync::Once; 2] =
+                    [std::sync::Once::new(), std::sync::Once::new()];
+                let direct = self.kind == BackendKind::Direct;
+                let what = if direct { "O_DIRECT open" } else { "mmap" };
+                warn_once(
+                    &WARNED[direct as usize],
+                    &format!("{what} of {} failed ({e}); degrading to file backend", p.display()),
+                );
+                if direct {
                     self.resilience.record_direct_fallback();
                     OBS_DIRECT_FALLBACKS.add(1);
-                    Arc::new(FileBackend::open(p, self.tracker())?)
+                } else {
+                    self.resilience.record_mmap_fallback();
+                    OBS_MMAP_FALLBACKS.add(1);
                 }
-            },
+                self.metered(FileDevice::open(&p)?)
+            }
         };
         let faulty: Arc<dyn ReadBackend> = match self.faults.filter(FaultSpec::injects_read_faults)
         {
@@ -252,6 +251,10 @@ impl StorageDir {
             None => base,
         };
         Ok(Arc::new(RetryBackend::new(faulty, self.retry, Arc::clone(&self.resilience))))
+    }
+
+    fn metered<D: Device + 'static>(&self, device: D) -> Arc<dyn ReadBackend> {
+        Arc::new(Metered::new(device, self.tracker()))
     }
 
     /// Create (truncate) a named file and return a buffered tracked
@@ -615,6 +618,7 @@ mod staging_tests {
 mod tests {
     use super::*;
     use crate::tracker::Access;
+    use crate::RangeRead;
 
     #[test]
     fn write_then_read_roundtrip() {
@@ -663,6 +667,31 @@ mod tests {
         let s = dir.tracker().snapshot();
         assert_eq!(s.rand_read_bytes, 5000, "requested bytes billed, not aligned transfer");
         assert_eq!(s.rand_read_ops, 1);
+    }
+
+    /// Zero-length reads of an empty file are `Ok` on every backend and
+    /// billed alike: one 0-byte op for `read_at`, nothing for a
+    /// `read_ranges` whose ranges are all empty.
+    #[test]
+    fn empty_file_zero_length_reads_bill_alike_on_every_backend() {
+        let tmp = tempfile::tempdir().unwrap();
+        let mut bills = Vec::new();
+        for kind in [BackendKind::File, BackendKind::Mmap, BackendKind::Direct] {
+            let dir = StorageDir::create_with(tmp.path().join(format!("{kind:?}")), kind).unwrap();
+            dir.writer("empty.bin").unwrap().finish().unwrap();
+            dir.tracker().reset();
+            let r = dir.reader("empty.bin").unwrap();
+            assert_eq!(r.len(), 0);
+            r.read_at(0, &mut [], Access::Random).unwrap();
+            let (mut a, mut b) = ([0u8; 0], [0u8; 0]);
+            let mut ranges =
+                [RangeRead { offset: 0, buf: &mut a }, RangeRead { offset: 0, buf: &mut b }];
+            r.read_ranges(&mut ranges, Access::Batched).unwrap();
+            bills.push(dir.tracker().snapshot());
+        }
+        assert_eq!((bills[0].rand_read_ops, bills[0].total_bytes()), (1, 0));
+        assert_eq!(bills[0].batched_read_ops, 0);
+        assert!(bills.iter().all(|b| *b == bills[0]), "{bills:?}");
     }
 
     #[test]

@@ -418,7 +418,8 @@ impl ReadBackend for FaultInjectBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::file::FileBackend;
+    use crate::file::FileDevice;
+    use crate::metered::Metered;
     use crate::tracker::IoTracker;
     use std::io::Write;
 
@@ -428,7 +429,7 @@ mod tests {
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content).unwrap();
         drop(f);
-        let b = FileBackend::open(&path, Arc::new(IoTracker::new())).unwrap();
+        let b = Metered::new(FileDevice::open(&path).unwrap(), Arc::new(IoTracker::new()));
         (dir, Arc::new(b))
     }
 

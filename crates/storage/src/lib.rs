@@ -10,11 +10,12 @@
 //!   [`IoTracker`]; readers classify every access as [`Access::Sequential`]
 //!   or [`Access::Random`], mirroring the distinction at the heart of the
 //!   HUS-Graph paper (§2.1, §3.4).
-//! * [`ReadBackend`] implementations backed by positioned file reads
-//!   ([`file::FileBackend`]), memory maps ([`mmap::MmapBackend`]) or
-//!   `O_DIRECT` ([`direct::DirectBackend`]). They serve the bytes on
-//!   disk: a codec-compressed block (see the `hus-codec` crate) travels
-//!   and is billed encoded, and its reader decodes it.
+//! * [`ReadBackend`] readers over three devices — positioned file reads,
+//!   a memory map, or `O_DIRECT` ([`BackendKind`]) — that differ only in
+//!   how they move bytes: bounds, billing and read latency are done once,
+//!   by one metered layer above them. They serve the bytes on disk: a
+//!   codec-compressed block (see the `hus-codec` crate) travels and is
+//!   billed encoded, and its reader decodes it.
 //! * [`DeviceProfile`] / [`CostModel`] — the paper's I/O time model
 //!   (`bytes / throughput`), with HDD and SSD presets used by the
 //!   experiment harness to reproduce Figure 11.
@@ -44,42 +45,41 @@ pub mod checksum;
 pub mod delta;
 pub mod device;
 pub mod dir;
-pub mod direct;
+mod direct;
 pub mod durable;
 pub mod error;
 pub mod fault;
-pub mod file;
+mod file;
 pub mod manifest;
-pub mod mmap;
+mod metered;
+mod mmap;
 pub mod pod;
 pub mod probe;
 pub mod retry;
 pub mod tracker;
 
 pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
-pub use buffer::{BlockStream, TrackedWriter};
+pub use buffer::TrackedWriter;
 pub use checksum::{crc32c, Crc32c, ShardFooter};
 pub use delta::{DeltaRecord, DeltaRun};
 pub use device::{CostModel, DeviceProfile, Throughput};
 pub use dir::{BackendKind, StagingDir, StorageDir};
-pub use direct::DirectBackend;
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjectBackend, FaultInjectWriter, FaultSpec, WriteFault};
-pub use file::FileBackend;
 pub use manifest::{BuildManifest, ManifestEntry, MANIFEST_FILE};
-pub use mmap::MmapBackend;
+pub use metered::TrackedFile;
 pub use pod::Pod;
 pub use retry::{ResilienceSnapshot, ResilienceTracker, RetryBackend, RetryPolicy};
 pub use tracker::{Access, IoSnapshot, IoTracker};
 
-/// Object-safe read interface shared by the file and mmap backends.
+/// Object-safe read interface of every reader in the storage stack.
 ///
 /// Offsets are absolute byte offsets within the backing file. Callers must
 /// classify each access so that the shared [`IoTracker`] can attribute the
 /// traffic to the sequential or random bucket.
 ///
-/// Backends are normally obtained from [`StorageDir::reader`], which
-/// composes tracking, fault injection and retry:
+/// Readers are normally obtained from [`StorageDir::reader`], which
+/// composes metering, fault injection and retry:
 ///
 /// ```
 /// use hus_storage::{Access, ReadBackend, StorageDir};
@@ -104,16 +104,15 @@ pub trait ReadBackend: Send + Sync {
     /// Fill several disjoint ranges in one logical request.
     ///
     /// The default implementation loops [`ReadBackend::read_at`] (one
-    /// tracked access per range); backends with a cheaper multi-range
-    /// path — notably [`FileBackend`], which issues a single spanning
-    /// `pread` — override it and bill the *requested* bytes once, so the
-    /// modeled byte count is identical either way and only the operation
-    /// count shrinks. Callers pass ranges sorted by offset — vectored
-    /// submission ([`direct::DirectBackend`]) and the spanning-read
-    /// optimization both rely on it, and every implementation
-    /// debug-asserts it. Sorted ranges may overlap (adjacent vertices'
-    /// 8-byte index probes share an offset); each is filled and billed
-    /// in full.
+    /// tracked access per range). A device reader overrides it with the
+    /// device's own multi-range shape — one spanning `pread` on `file`,
+    /// queue-depth fan-out on `direct` — and bills the *requested* bytes
+    /// once, so the modeled byte count is identical either way and only
+    /// the operation count shrinks. Callers pass ranges sorted by offset —
+    /// vectored submission and the spanning read both rely on it, and the
+    /// metered layer debug-asserts it. Sorted ranges may overlap (adjacent
+    /// vertices' 8-byte index probes share an offset); each is filled and
+    /// billed in full.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
         debug_assert_ranges_sorted(ranges);
         for r in ranges {
@@ -142,8 +141,8 @@ pub struct RangeRead<'a> {
 
 /// Debug-assert the [`ReadBackend::read_ranges`] calling convention:
 /// ranges sorted by offset. Vectored submission orders its queue by this,
-/// and the spanning-read backends compute their span from first/last.
-pub fn debug_assert_ranges_sorted(ranges: &[RangeRead<'_>]) {
+/// and the spanning read computes its span from it.
+pub(crate) fn debug_assert_ranges_sorted(ranges: &[RangeRead<'_>]) {
     debug_assert!(
         ranges.windows(2).all(|w| w[0].offset <= w[1].offset),
         "read_ranges requires ranges sorted by offset"

@@ -1,49 +1,31 @@
-//! Memory-mapped read backend.
+//! Memory-map device: reads are copies out of the map.
 //!
-//! Functionally identical to [`crate::FileBackend`] but serves reads by
-//! copying out of a shared memory map. Access classification and byte
-//! accounting are unchanged — the tracker measures *logical* out-of-core
-//! traffic, which is what the paper's I/O-amount figures report,
-//! independent of whether the OS satisfies a read from the page cache.
+//! In this build `memmap2` is the offline stand-in under `vendor/`, which
+//! reads the whole file into a heap buffer at open. Two consequences
+//! follow: the contents are frozen at open (a later change to the file is
+//! not seen), and every opened file stays resident for as long as its
+//! reader lives, which counts toward the process's peak RSS. Billing is
+//! the metered layer's and therefore the same as on every other device:
+//! the tracker measures *logical* out-of-core traffic, which is what the
+//! paper's I/O-amount figures report.
 
 use crate::error::{Result, StorageError};
-use crate::tracker::{Access, IoTracker};
-use crate::{RangeRead, ReadBackend};
+use crate::metered::Device;
+use crate::RangeRead;
 use memmap2::Mmap;
 use std::fs::File;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
-/// Per-access-class mmap copy-out latency in nanoseconds (page faults on
-/// a cold map show up as slow outliers here).
-static READ_NS_SEQ: hus_obs::LazyHistogram =
-    hus_obs::LazyHistogram::new("storage.mmap.read_ns.seq");
-static READ_NS_RAND: hus_obs::LazyHistogram =
-    hus_obs::LazyHistogram::new("storage.mmap.read_ns.rand");
-static READ_NS_BATCHED: hus_obs::LazyHistogram =
-    hus_obs::LazyHistogram::new("storage.mmap.read_ns.batched");
-
-fn read_latency_hist(access: Access) -> &'static hus_obs::LazyHistogram {
-    match access {
-        Access::Sequential => &READ_NS_SEQ,
-        Access::Random => &READ_NS_RAND,
-        Access::Batched => &READ_NS_BATCHED,
-    }
-}
-
-/// Read-only mmap-backed storage backend.
-pub struct MmapBackend {
-    path: PathBuf,
+/// A read-only map of one file; `None` for an empty file.
+pub(crate) struct MmapDevice {
     map: Option<Mmap>,
-    tracker: Arc<IoTracker>,
 }
 
-impl MmapBackend {
-    /// Map `path` read-only, attributing traffic to `tracker`.
-    pub fn open(path: impl AsRef<Path>, tracker: Arc<IoTracker>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path).map_err(|e| StorageError::io_at(&path, e))?;
-        let len = file.metadata().map_err(|e| StorageError::io_at(&path, e))?.len();
+impl MmapDevice {
+    /// Map `path` read-only.
+    pub(crate) fn open(path: &Path) -> Result<Self> {
+        let file = File::open(path).map_err(|e| StorageError::io_at(path, e))?;
+        let len = file.metadata().map_err(|e| StorageError::io_at(path, e))?.len();
         // mmap of an empty file fails on some platforms; model it as None.
         let map = if len == 0 {
             None
@@ -51,132 +33,60 @@ impl MmapBackend {
             // SAFETY: we map read-only and the engines in this workspace
             // never modify a data file after it has been published by its
             // builder (builders write to a temp name and rename).
-            Some(unsafe { Mmap::map(&file) }.map_err(|e| StorageError::io_at(&path, e))?)
+            Some(unsafe { Mmap::map(&file) }.map_err(|e| StorageError::io_at(path, e))?)
         };
-        Ok(MmapBackend { path, map, tracker })
+        Ok(MmapDevice { map })
     }
 
-    /// Borrow a byte range directly from the map (zero-copy). Traffic is
-    /// still recorded against the tracker.
-    pub fn slice(&self, offset: u64, len: usize, access: Access) -> Result<&[u8]> {
-        let total = self.len();
-        if offset + len as u64 > total {
-            return Err(StorageError::OutOfBounds { offset, len: len as u64, file_len: total });
-        }
-        self.tracker.record_read(access, len as u64);
-        let map = self.map.as_ref().expect("non-empty checked above");
-        Ok(&map[offset as usize..offset as usize + len])
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn bytes(&self) -> &[u8] {
+        self.map.as_deref().unwrap_or(&[])
     }
 }
 
-impl ReadBackend for MmapBackend {
-    fn read_at(&self, offset: u64, buf: &mut [u8], access: Access) -> Result<()> {
-        let want = buf.len();
-        let t0 = hus_obs::latency_timer();
-        let slice = self.slice(offset, want, access)?;
-        buf.copy_from_slice(slice);
-        read_latency_hist(access).record_elapsed(t0);
-        Ok(())
-    }
-
-    /// Multi-range copy-out billed as one tracked operation, matching
-    /// [`crate::FileBackend`]'s spanning read: a memory map has no
-    /// syscall to save, but the op-count accounting must agree between
-    /// backends.
-    fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
-        crate::debug_assert_ranges_sorted(ranges);
-        match ranges {
-            [] => return Ok(()),
-            [only] => return self.read_at(only.offset, only.buf, access),
-            _ => {}
-        }
-        let total = self.len();
-        let mut requested = 0u64;
-        for r in ranges.iter() {
-            if r.offset + r.buf.len() as u64 > total {
-                return Err(StorageError::OutOfBounds {
-                    offset: r.offset,
-                    len: r.buf.len() as u64,
-                    file_len: total,
-                });
-            }
-            requested += r.buf.len() as u64;
-        }
-        if requested == 0 {
-            return Ok(());
-        }
-        let t0 = hus_obs::latency_timer();
-        let map = self.map.as_ref().expect("non-empty checked above");
-        for r in ranges.iter_mut() {
-            let s = r.offset as usize;
-            r.buf.copy_from_slice(&map[s..s + r.buf.len()]);
-        }
-        read_latency_hist(access).record_elapsed(t0);
-        self.tracker.record_read(access, requested);
-        Ok(())
-    }
-
+impl Device for MmapDevice {
     fn len(&self) -> u64 {
-        self.map.as_ref().map_or(0, |m| m.len() as u64)
+        self.bytes().len() as u64
+    }
+
+    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let s = offset as usize;
+        buf.copy_from_slice(&self.bytes()[s..s + buf.len()]);
+        Ok(())
+    }
+
+    /// One copy per range: a map has no syscall to save.
+    fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()> {
+        for r in ranges.iter_mut() {
+            self.read_exact_at(r.offset, r.buf)?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::file::FileDevice;
 
-    fn tmp_file(content: &[u8]) -> (tempfile::TempDir, PathBuf) {
+    #[test]
+    fn copies_match_the_file_device() {
+        let data: Vec<u8> = (0..=255).collect();
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("data.bin");
-        let mut f = File::create(&path).unwrap();
-        f.write_all(content).unwrap();
-        (dir, path)
-    }
-
-    #[test]
-    fn mmap_reads_match_file() {
-        let data: Vec<u8> = (0..=255).collect();
-        let (_d, path) = tmp_file(&data);
-        let tracker = Arc::new(IoTracker::new());
-        let b = MmapBackend::open(&path, Arc::clone(&tracker)).unwrap();
-        assert_eq!(b.len(), 256);
-        let mut buf = [0u8; 16];
-        b.read_at(100, &mut buf, Access::Sequential).unwrap();
-        assert_eq!(&buf[..], &data[100..116]);
-        assert_eq!(tracker.snapshot().seq_read_bytes, 16);
-    }
-
-    #[test]
-    fn zero_copy_slice() {
-        let (_d, path) = tmp_file(&[7u8; 64]);
-        let tracker = Arc::new(IoTracker::new());
-        let b = MmapBackend::open(&path, Arc::clone(&tracker)).unwrap();
-        let s = b.slice(8, 8, Access::Random).unwrap();
-        assert_eq!(s, &[7u8; 8]);
-        assert_eq!(tracker.snapshot().rand_read_bytes, 8);
-        assert_eq!(tracker.snapshot().rand_read_ops, 1);
+        std::fs::write(&path, &data).unwrap();
+        let (m, f) = (MmapDevice::open(&path).unwrap(), FileDevice::open(&path).unwrap());
+        assert_eq!((m.len(), f.len()), (256, 256));
+        let (mut a, mut b) = ([0u8; 16], [0u8; 16]);
+        m.read_exact_at(100, &mut a).unwrap();
+        f.read_exact_at(100, &mut b).unwrap();
+        assert_eq!((&a[..], &b[..]), (&data[100..116], &data[100..116]));
     }
 
     #[test]
     fn empty_file_maps_as_empty() {
-        let (_d, path) = tmp_file(&[]);
-        let b = MmapBackend::open(&path, Arc::new(IoTracker::new())).unwrap();
-        assert!(b.is_empty());
-        let mut buf = [0u8; 1];
-        assert!(b.read_at(0, &mut buf, Access::Sequential).is_err());
-    }
-
-    #[test]
-    fn out_of_bounds_rejected() {
-        let (_d, path) = tmp_file(&[0u8; 10]);
-        let b = MmapBackend::open(&path, Arc::new(IoTracker::new())).unwrap();
-        assert!(b.slice(5, 6, Access::Random).is_err());
-        assert!(b.slice(5, 5, Access::Random).is_ok());
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("empty.bin");
+        std::fs::write(&path, []).unwrap();
+        assert_eq!(MmapDevice::open(&path).unwrap().len(), 0);
     }
 }

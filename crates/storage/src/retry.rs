@@ -260,7 +260,7 @@ impl ResilienceSnapshot {
 /// [`RetryPolicy`] and degrades failing batched reads to per-range reads.
 ///
 /// [`crate::StorageDir::reader`] composes every backend it hands out as
-/// `Retry(FaultInject?(File|Mmap|Direct))`, so retries sit above fault
+/// `Retry(FaultInject?(Metered(File|Mmap|Direct)))`, so retries sit above fault
 /// injection and injected transient faults exercise this exact code path.
 pub struct RetryBackend {
     inner: Arc<dyn ReadBackend>,

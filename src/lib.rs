@@ -26,7 +26,7 @@
 //!
 //! The full API lives in the member crates:
 //!
-//! * [`storage`] — tracked file/mmap backends, device cost models
+//! * [`storage`] — file/mmap/`O_DIRECT` readers under one metered layer, device cost models
 //! * [`codec`] — per-block edge codecs (raw, delta-varint)
 //! * [`gen`] — synthetic graph generators and dataset presets
 //! * [`core`] — the dual-block representation, ROP/COP, the hybrid engine

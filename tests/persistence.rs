@@ -89,18 +89,19 @@ fn mmap_backend_produces_identical_results() {
     let el = husgraph::gen::rmat(250, 2000, 77, Default::default());
     let tmp = tempfile::tempdir().unwrap();
     let path = tmp.path().join("g");
-    let file_dir = StorageDir::create(&path).unwrap();
-    let g_file = HusGraph::build_into(&el, &file_dir, &BuildConfig::with_p(4)).unwrap();
-    let (want, _) =
-        Engine::new(&g_file, &husgraph::algos::Bfs::new(0), RunConfig::default()).run().unwrap();
-    // Re-open the same directory with the mmap read backend.
-    let mmap_dir = StorageDir::open(&path).unwrap().with_backend(BackendKind::Mmap);
-    let g_mmap = HusGraph::open(mmap_dir).unwrap();
-    let (got, stats) =
-        Engine::new(&g_mmap, &husgraph::algos::Bfs::new(0), RunConfig::default()).run().unwrap();
+    HusGraph::build_into(&el, &StorageDir::create(&path).unwrap(), &BuildConfig::with_p(4))
+        .unwrap();
+    // Read the same directory once through each read backend.
+    let run = |kind| {
+        let g = HusGraph::open(StorageDir::open(&path).unwrap().with_backend(kind)).unwrap();
+        Engine::new(&g, &husgraph::algos::Bfs::new(0), RunConfig::default()).run().unwrap()
+    };
+    let (want, file_stats) = run(BackendKind::File);
+    let (got, stats) = run(BackendKind::Mmap);
     assert_eq!(got, want);
     // Accounting is identical regardless of the backend serving reads.
     assert!(stats.total_io.total_bytes() > 0);
+    assert_eq!(stats.total_io, file_stats.total_io);
 }
 
 #[test]
@@ -120,18 +121,26 @@ fn all_backends_and_codecs_agree_bit_for_bit() {
         let path = tmp.path().join(format!("g{ci}"));
         let dir = StorageDir::create(&path).unwrap();
         HusGraph::build_into(&el, &dir, &BuildConfig::with_p_codec(4, codec)).unwrap();
+        // Billing is the same under every backend: bytes and ops per
+        // access class, for both algorithms.
+        let mut want_io = None;
         for kind in [BackendKind::File, BackendKind::Mmap, BackendKind::Direct] {
             let g = HusGraph::open(StorageDir::open(&path).unwrap().with_backend(kind)).unwrap();
             let cfg = RunConfig { max_iterations: 5, ..RunConfig::default() };
-            let (ranks, _) =
+            let (ranks, rank_stats) =
                 Engine::new(&g, &PageRank::new(el.num_vertices), cfg.clone()).run().unwrap();
-            let (comps, _) = Engine::new(&g, &Wcc, cfg).run().unwrap();
+            let (comps, wcc_stats) = Engine::new(&g, &Wcc, cfg).run().unwrap();
             match &want {
                 None => want = Some((ranks, comps)),
                 Some((wr, wc)) => {
                     assert_eq!(&ranks, wr, "PageRank diverged under {kind:?}/{codec}");
                     assert_eq!(&comps, wc, "WCC diverged under {kind:?}/{codec}");
                 }
+            }
+            let io = (rank_stats.total_io, wcc_stats.total_io);
+            match &want_io {
+                None => want_io = Some(io),
+                Some(w) => assert_eq!(&io, w, "billing diverged under {kind:?}/{codec}"),
             }
         }
     }
