@@ -215,8 +215,7 @@ fn main() {
     // time (per-block attribution registry).
     let hot_blocks = hus_obs::attr::top_k(10);
     if !hot_blocks.is_empty() {
-        let mut t =
-            Table::new(&["block", "raw", "encoded", "cache hit%", "decode", "retries", "degraded"]);
+        let mut t = Table::new(&["block", "raw", "encoded", "cache hit%", "decode", "retries"]);
         for b in &hot_blocks {
             t.row(vec![
                 format!("({}, {})", b.i, b.j),
@@ -225,7 +224,6 @@ fn main() {
                 format!("{:.1}", b.hit_rate() * 100.0),
                 hus_obs::fmt_secs(b.decode_ns as f64 * 1e-9),
                 b.retries.to_string(),
-                b.degradations.to_string(),
             ]);
         }
         println!("hottest blocks (attribution registry):");

@@ -21,14 +21,26 @@
 //! in every shard footer, and auto-detected by readers. Encoding is
 //! strictly per block: a block can always be decoded knowing only its
 //! encoded bytes, its decoded length, and the record width.
+//!
+//! Delta-varint decoding is one word loop: it loads 8 payload bytes,
+//! finds every varint terminator in them with one bit scan, and pulls
+//! each complete varint's payload bits out with one of two extractors:
+//! BMI2 `pext` where the host has it (checked once at run time), a
+//! portable shift-and-mask cascade everywhere else. On the 64 in-blocks
+//! of husbench's `pr_dv` graph (rmat, 2^19 vertices, 8 M edges, P 8;
+//! one pinned CPU of a 2-vCPU Xeon guest, 41 rounds) `pext` decodes at
+//! about 690 MB/s and the cascade at about 370 MB/s. Kernels for words
+//! of four 2-byte or eight 1-byte varints (16 % of those blocks' words)
+//! made no measurable difference next to `pext` (688 → 692 MB/s) and
+//! were removed. Without BMI2 (every non-x86_64 build) they were worth
+//! about 11 % of decode throughput (419 → 371 MB/s; 17 % on the denser
+//! out-blocks, 470 → 389 MB/s); every host this repo's numbers come
+//! from has BMI2. On AMD Zen 1 and 2, whose `pext` is microcoded, the
+//! cascade may be the faster extractor; nothing here measures that.
 
 #![warn(missing_docs)]
 
 use std::fmt;
-
-/// Environment variable naming the build-time codec (`raw` or
-/// `delta-varint`).
-pub const CODEC_ENV: &str = "HUS_CODEC";
 
 /// Wire id of [`Codec::Raw`], stored in `meta.json` and shard footers.
 pub const CODEC_RAW: u16 = 0;
@@ -180,10 +192,11 @@ fn decode_delta_varint(
 }
 
 /// Decode the `n` zigzag delta varints of a block into the neighbor
-/// column of `out`, dispatching to the BMI2 (`pext`) hot loop when the
-/// host supports it. Error semantics are bit-identical to a plain
-/// [`read_varint`] loop — the round-trip and malformed-payload tests
-/// pin this.
+/// column of `out`: the one word loop, [`decode_deltas_impl`], run with
+/// BMI2 `pext` as its extractor when the host has BMI2 and with
+/// [`varint_bits_portable`] otherwise (the crate doc gives the cost).
+/// Results and errors are bit-identical to a plain [`read_varint`]
+/// chain with either extractor — the differential test pins this.
 fn decode_deltas(
     encoded: &[u8],
     record_bytes: usize,
@@ -209,6 +222,9 @@ fn bmi2_available() -> bool {
 /// BMI2 flavor: `pext` gathers the varint's payload bits (the low 7 of
 /// each byte between its start bit `lo` and terminator bit `t`) in one
 /// instruction, with no per-varint shifts.
+///
+/// # Safety
+/// The host must support BMI2 ([`bmi2_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "bmi2")]
 unsafe fn decode_deltas_bmi2(
@@ -256,62 +272,19 @@ fn varint_bits_portable(w: u64, lo: u64, t: u64) -> u64 {
         | ((w >> 7) & (0x7f << 49))
 }
 
-/// Vector decode of one uniform four-×-2-byte-varint word (the dominant
-/// word shape in real delta streams): splices each varint's 14 payload
-/// bits in 16-bit lanes, widens to 32-bit lanes, undoes zigzag, runs a
-/// lane-shift prefix sum, adds the broadcast running value and stores
-/// all four ids with one 16-byte write. Returns the new running value
-/// and the lanes' sign-bit mask.
-///
-/// Lane arithmetic is mod 2³², so the caller must rule out true i64
-/// values outside `0..=u32::MAX`: each delta here is at most ±8191, so
-/// `prev <= u32::MAX - 4 * 8191` rules out positive overflow, and when
-/// `prev < 2³¹ - 4 * 8191` a dip below zero wraps to a value with its
-/// sign bit set while every legal id keeps it clear — the returned
-/// mask being non-zero is then exactly `ValueOutOfRange`. For larger
-/// `prev` no dip is possible and the mask is meaningless.
-///
-/// # Safety
-/// `dst` must have room for 16 bytes. (SSE2 itself is baseline x86_64.)
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn decode4_2byte_sse2(w: u64, prev: u32, dst: *mut u8) -> (u32, u32) {
-    use std::arch::x86_64::*;
-    let v = _mm_cvtsi64_si128(w as i64);
-    // Per 16-bit lane [payload0, payload1|0x80]: value = low 7 bits of
-    // byte 0, then the next 7 bits from byte 1 shifted down past the
-    // continuation bit.
-    let z16 = _mm_or_si128(
-        _mm_and_si128(v, _mm_set1_epi16(0x7f)),
-        _mm_and_si128(_mm_srli_epi16(v, 1), _mm_set1_epi16(0x3f80)),
-    );
-    let z = _mm_unpacklo_epi16(z16, _mm_setzero_si128());
-    // unzigzag in lanes: (z >> 1) ^ sign-extend(z & 1).
-    let half = _mm_srli_epi32(z, 1);
-    let sign = _mm_srai_epi32(_mm_slli_epi32(z, 31), 31);
-    let d = _mm_xor_si128(half, sign);
-    // Inclusive prefix sum across the four lanes.
-    let d = _mm_add_epi32(d, _mm_slli_si128(d, 4));
-    let d = _mm_add_epi32(d, _mm_slli_si128(d, 8));
-    let ids = _mm_add_epi32(d, _mm_set1_epi32(prev as i32));
-    _mm_storeu_si128(dst as *mut __m128i, ids);
-    (
-        _mm_cvtsi128_si32(_mm_shuffle_epi32(ids, 0xFF)) as u32,
-        _mm_movemask_ps(_mm_castsi128_ps(ids)) as u32,
-    )
-}
-
-/// The shared delta-decode hot loop: while at least a whole `u64` of
-/// payload remains, load it once, locate **every** varint terminator in
-/// it with one bit-scan pass, and decode all complete varints of the
-/// word before advancing — so the serial position chain (load → find
-/// terminator → advance) is amortised over the ~4 varints a word
-/// typically holds, and the per-varint extraction (`extract` is the
-/// portable shift-mask cascade or BMI2 `pext`) runs with instruction
-/// parallelism against the same register. The last few records — and
-/// any varint longer than 8 bytes, which no well-formed delta produces
-/// — fall back to the byte-at-a-time [`read_varint`] so malformed
-/// payloads surface the same errors as the original scalar decoder.
+/// The delta-decode word loop. While at least a whole `u64` of payload
+/// remains, load it once, locate **every** varint terminator in it with
+/// one bit scan, and decode all complete varints of the word before
+/// advancing — so the serial position chain (load → find terminator →
+/// advance) is amortised over the ~4 varints a word typically holds,
+/// and the per-varint extraction runs with instruction parallelism
+/// against the same register. `extract(w, lo, t)` returns the payload
+/// bits of the varint between start bit `lo` and terminator bit `t`:
+/// BMI2 `pext` or [`varint_bits_portable`]. Every word takes the same
+/// path, whatever its varint widths. The last few records — and any
+/// varint longer than 8 bytes, which no well-formed delta produces —
+/// fall back to the byte-at-a-time [`read_varint`] so malformed
+/// payloads surface the same errors as the scalar chain.
 #[inline(always)]
 fn decode_deltas_impl(
     extract: impl Fn(u64, u64, u64) -> u64,
@@ -368,68 +341,8 @@ fn decode_deltas_impl(
                 term &= term - 1;
             }};
         }
-        // Uniform-width fast words: real delta streams are dominated by
-        // words that are exactly four 2-byte varints (gaps of 64..8191)
-        // or eight 1-byte ones (dense runs), and for those the payload
-        // extraction collapses to a constant shift/mask — no per-varint
-        // bit isolation at all.
-        if term == 0x8000_8000_8000_8000 && n - k >= 4 {
-            p += 8;
-            k += 4;
-            #[cfg(target_arch = "x86_64")]
-            {
-                // Take the SSE2 lane decode unless `prev` sits within
-                // one word's worst-case positive swing of `u32::MAX`
-                // (where only the i64 chain can judge overflow) or
-                // records carry weights (strided stores).
-                const SWING: i64 = 4 * 8191;
-                if record_bytes == 4 && prev <= u32::MAX as i64 - SWING {
-                    // SAFETY: k + 4 <= n and record_bytes == 4, so 16
-                    // bytes of `out` remain.
-                    let (next, signs) = unsafe { decode4_2byte_sse2(w, prev as u32, dst) };
-                    // Below 2³¹ every legal id this word keeps its sign
-                    // bit clear, so a set one is a mod-2³² wrap: the
-                    // true chain went negative.
-                    if signs != 0 && prev < (1i64 << 31) - SWING {
-                        return Err(CodecError::ValueOutOfRange);
-                    }
-                    prev = next as i64;
-                    // SAFETY: stays in lockstep with `k += 4` above.
-                    unsafe { dst = dst.add(16) };
-                    continue;
-                }
-            }
-            // Each 16-bit lane holds one varint: low 7 payload bits in
-            // byte 0, next 7 in byte 1 (its top bit is the terminator).
-            let mut zs = (w & 0x007f_007f_007f_007f) | ((w >> 1) & 0x3f80_3f80_3f80_3f80);
-            for _ in 0..4 {
-                let v = prev.wrapping_add(unzigzag(zs & 0xffff));
-                acc |= v as u64;
-                // SAFETY: as in `rec!` — at most `n` records stored.
-                unsafe {
-                    (dst as *mut [u8; 4]).write_unaligned((v as u32).to_le_bytes());
-                    dst = dst.add(record_bytes);
-                }
-                prev = v;
-                zs >>= 16;
-            }
-        } else if term == 0x8080_8080_8080_8080 && n - k >= 8 {
-            p += 8;
-            k += 8;
-            let mut zs = w & 0x7f7f_7f7f_7f7f_7f7f;
-            for _ in 0..8 {
-                let v = prev.wrapping_add(unzigzag(zs & 0x7f));
-                acc |= v as u64;
-                // SAFETY: as in `rec!` — at most `n` records stored.
-                unsafe {
-                    (dst as *mut [u8; 4]).write_unaligned((v as u32).to_le_bytes());
-                    dst = dst.add(record_bytes);
-                }
-                prev = v;
-                zs >>= 8;
-            }
-        } else if term.count_ones() as usize <= n - k {
-            let nvar = term.count_ones() as usize;
+        let nvar = term.count_ones() as usize;
+        if nvar <= n - k {
             // Every complete varint of this word is wanted. Advance `p`
             // NOW, from the highest terminator alone, so the next
             // word's load does not wait for this word's decode loop.
@@ -545,16 +458,6 @@ impl Codec {
             "raw" => Some(Codec::Raw),
             "delta-varint" | "delta_varint" | "deltavarint" | "dv" => Some(Codec::DeltaVarint),
             _ => None,
-        }
-    }
-
-    /// Read `HUS_CODEC` from the environment; unset, empty, or
-    /// unparsable values fall back to [`Codec::Raw`], matching how the
-    /// engine treats its other knobs.
-    pub fn from_env() -> Codec {
-        match std::env::var(CODEC_ENV) {
-            Ok(v) => Codec::from_name(v.trim()).unwrap_or_default(),
-            Err(_) => Codec::Raw,
         }
     }
 
@@ -726,35 +629,269 @@ mod tests {
         }
     }
 
-    #[test]
-    fn delta_varint_word_paths_cover_u32_boundaries() {
-        // Sequences chosen so the decoder's whole-word fast paths (all
-        // 1-byte, all 2-byte / SSE2 lanes, mixed widths) hit every range
-        // guard: small ids near zero, ids straddling 2^31 (lane sign
-        // bits set on legal data), and ids within one word's swing of
-        // u32::MAX (forced off the lane path).
-        let two_byte_steps: Vec<u32> = (0..64).map(|k| 100 + k * 500).collect();
-        let sawtooth: Vec<u32> =
-            (0..64).map(|k| 40_000 + (k % 7) * 4000 - 2000 * (k % 2)).collect();
-        let straddle: Vec<u32> = (0..64).map(|k| (1u32 << 31) - 8_000 + k * 300).collect();
-        let near_max: Vec<u32> = (0..64).map(|k| u32::MAX - 40_000 + k * 600).collect();
-        let one_byte: Vec<u32> = (0..64).map(|k| 5_000 + k * 31).collect();
-        let weights: Vec<f32> = (0..64).map(|k| k as f32 * 0.25).collect();
-        for seq in [&two_byte_steps, &sawtooth, &straddle, &near_max, &one_byte] {
-            roundtrip(Codec::DeltaVarint, seq, None);
-            roundtrip(Codec::DeltaVarint, seq, Some(&weights));
+    /// The delta section of a block decoded by one of the decoders under
+    /// test (same contract as [`decode_deltas`]).
+    type Deltas = fn(&[u8], usize, &mut [u8], usize, &mut usize, i64) -> Result<(), CodecError>;
+
+    /// The reference chain: one [`read_varint`] per record, range-checked
+    /// as it goes.
+    fn reference_deltas(
+        encoded: &[u8],
+        record_bytes: usize,
+        out: &mut [u8],
+        n: usize,
+        pos: &mut usize,
+        mut prev: i64,
+    ) -> Result<(), CodecError> {
+        for k in 0..n {
+            let z = read_varint(encoded, pos)
+                .map_err(|_| CodecError::Truncated { decoded_records: k, expected_records: n })?;
+            prev += unzigzag(z);
+            if !(0..=u32::MAX as i64).contains(&prev) {
+                return Err(CodecError::ValueOutOfRange);
+            }
+            out[k * record_bytes..k * record_bytes + 4]
+                .copy_from_slice(&(prev as u32).to_le_bytes());
+        }
+        Ok(())
+    }
+
+    fn portable_deltas(
+        e: &[u8],
+        rb: usize,
+        out: &mut [u8],
+        n: usize,
+        pos: &mut usize,
+        prev: i64,
+    ) -> Result<(), CodecError> {
+        decode_deltas_impl(varint_bits_portable, e, rb, out, n, pos, prev)
+    }
+
+    /// A whole delta-varint block (base, deltas, weights, trailing
+    /// check, as the variant doc lays it out) with `deltas` decoding
+    /// the delta section.
+    fn decode_with(
+        deltas: Deltas,
+        encoded: &[u8],
+        record_bytes: usize,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        if !out.len().is_multiple_of(record_bytes) {
+            return Err(CodecError::BadDecodedLen { decoded_len: out.len(), record_bytes });
+        }
+        let n = out.len() / record_bytes;
+        if n == 0 {
+            return match encoded.len() {
+                0 => Ok(()),
+                extra => Err(CodecError::TrailingBytes { extra }),
+            };
+        }
+        let mut pos = 0;
+        let base = read_varint(encoded, &mut pos)
+            .map_err(|_| CodecError::Truncated { decoded_records: 0, expected_records: n })?;
+        if base > u32::MAX as u64 {
+            return Err(CodecError::ValueOutOfRange);
+        }
+        deltas(encoded, record_bytes, out, n, &mut pos, base as i64)?;
+        if record_bytes == 8 {
+            let have = encoded.len() - pos;
+            if have < 4 * n {
+                return Err(CodecError::Truncated {
+                    decoded_records: have / 4,
+                    expected_records: n,
+                });
+            }
+            for k in 0..n {
+                out[8 * k + 4..8 * k + 8].copy_from_slice(&encoded[pos..pos + 4]);
+                pos += 4;
+            }
+        }
+        match encoded.len() - pos {
+            0 => Ok(()),
+            extra => Err(CodecError::TrailingBytes { extra }),
+        }
+    }
+
+    /// Every decoder must return exactly what the reference chain
+    /// returns for `encoded` decoded to `decoded_len` bytes: the same
+    /// bytes on `Ok`, the same error otherwise.
+    fn assert_decoders_agree(encoded: &[u8], record_bytes: usize, decoded_len: usize, ctx: &str) {
+        let run = |decode: &dyn Fn(&mut [u8]) -> Result<(), CodecError>| {
+            let mut out = vec![0u8; decoded_len];
+            decode(&mut out).map(|()| out)
+        };
+        let want = run(&|out| decode_with(reference_deltas, encoded, record_bytes, out));
+        let mut decoders: Vec<(&str, Deltas)> = vec![("portable", portable_deltas)];
+        // On a BMI2 host the dispatcher runs the word loop with `pext`.
+        #[cfg(target_arch = "x86_64")]
+        if bmi2_available() {
+            decoders.push(("pext", decode_deltas));
+        }
+        for (name, deltas) in decoders {
+            let got = run(&|out| decode_with(deltas, encoded, record_bytes, out));
+            assert_eq!(got, want, "{name} decoder diverged: {ctx}, payload {encoded:02x?}");
+        }
+        let got = run(&|out| Codec::DeltaVarint.decode(encoded, record_bytes, out));
+        assert_eq!(got, want, "Codec::decode diverged: {ctx}, payload {encoded:02x?}");
+    }
+
+    /// splitmix64, the differential driver's generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
         }
 
-        // A whole word of 2-byte deltas whose chain dips below zero:
-        // the lane path must report it as out of range, exactly like
-        // the scalar chain.
-        let mut bad = Vec::new();
-        write_varint(&mut bad, 1000); // base
-        for _ in 0..4 {
-            write_varint(&mut bad, zigzag(-2000)); // 2 bytes each
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
         }
-        let mut out = vec![0u8; 16];
-        assert_eq!(Codec::DeltaVarint.decode(&bad, 4, &mut out), Err(CodecError::ValueOutOfRange));
+    }
+
+    /// A neighbor run of up to 40 ids starting near 0, straddling 2^31 or
+    /// within 40 k of `u32::MAX`, whose deltas encode to 1, 2, 3 or 5
+    /// varint bytes (one width for the run, or mixed per record).
+    fn neighbor_run(rng: &mut SplitMix) -> Vec<u32> {
+        // Delta magnitudes by varint width: zigzag doubles them, so
+        // [64, 8192) takes 2 bytes, [2^27, 2^31) takes 5.
+        const MAGNITUDES: [(u64, u64); 4] =
+            [(0, 64), (64, 8192), (8192, 1 << 20), (1 << 27, 1 << 31)];
+        let mut id = match rng.below(3) {
+            0 => rng.below(1000) as i64,
+            1 => (1i64 << 31) - 20_000 + rng.below(40_000) as i64,
+            _ => u32::MAX as i64 - rng.below(40_000) as i64,
+        };
+        let fixed = rng.below(5) as usize;
+        (0..rng.below(41))
+            .map(|_| {
+                let cur = id as u32;
+                let (lo, hi) = MAGNITUDES[if fixed < 4 { fixed } else { rng.below(4) as usize }];
+                let d = (lo + rng.below(hi - lo)) as i64;
+                let d = if rng.below(2) == 0 { d } else { -d };
+                // At most one direction leaves u32 range; take the other.
+                id = if (0..=u32::MAX as i64).contains(&(id + d)) { id + d } else { id - d };
+                cur
+            })
+            .collect()
+    }
+
+    /// Damage an encoded block one of five ways (or not at all) and pick
+    /// the decoded length to ask for.
+    fn mutate(rng: &mut SplitMix, enc: &mut Vec<u8>, decoded_len: usize, rb: usize) -> usize {
+        match rng.below(6) {
+            1 if !enc.is_empty() => {
+                for _ in 0..=rng.below(3) {
+                    let bit = rng.below(8 * enc.len() as u64) as usize;
+                    enc[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            2 => enc.truncate(rng.below(enc.len() as u64 + 1) as usize),
+            3 => enc.extend((0..=rng.below(9)).map(|_| rng.next() as u8)),
+            4 => {
+                let at = rng.below(enc.len() as u64 + 1) as usize;
+                let len = rng.below(17) as usize;
+                enc.truncate(at);
+                enc.extend((0..len).map(|_| rng.next() as u8));
+            }
+            5 => {
+                let records = (decoded_len / rb) as u64;
+                return match rng.below(3) {
+                    0 => (records + 1 + rng.below(3)) as usize * rb,
+                    1 => rng.below(records + 1) as usize * rb,
+                    _ => decoded_len + 1 + rng.below(rb as u64 - 1) as usize,
+                };
+            }
+            _ => {}
+        }
+        decoded_len
+    }
+
+    #[test]
+    fn delta_varint_decoders_match_the_reference_chain() {
+        // Replay a failure by putting its logged seed here.
+        const REPLAY: Option<u64> = None;
+        let seed = REPLAY.unwrap_or_else(|| {
+            let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+            now.map_or(0, |d| d.as_nanos() as u64)
+        });
+        eprintln!("delta-varint differential seed: {seed:#x}");
+        let mut rng = SplitMix(seed);
+        let check = |ids: &[u32], weights: &[u32], rng: &mut SplitMix, ctx: &str| {
+            for rb in [4, 8] {
+                let mut raw = Vec::new();
+                for (id, w) in ids.iter().zip(weights) {
+                    raw.extend_from_slice(&id.to_le_bytes());
+                    if rb == 8 {
+                        raw.extend_from_slice(&w.to_le_bytes());
+                    }
+                }
+                let mut enc = Vec::new();
+                Codec::DeltaVarint.encode(&raw, rb, &mut enc);
+                assert_decoders_agree(&enc, rb, raw.len(), ctx);
+                let len = mutate(rng, &mut enc, raw.len(), rb);
+                assert_decoders_agree(&enc, rb, len, &format!("{ctx} (mutated)"));
+            }
+        };
+
+        // Fixed sequences: whole words of 2-byte and 1-byte varints, ids
+        // near zero, straddling 2^31 and within a word's swing of
+        // u32::MAX.
+        let fixed: [Vec<u32>; 5] = [
+            (0..64).map(|k| 100 + k * 500).collect(),
+            (0..64).map(|k| 40_000 + (k % 7) * 4000 - 2000 * (k % 2)).collect(),
+            (0..64).map(|k| (1u32 << 31) - 8_000 + k * 300).collect(),
+            (0..64).map(|k| u32::MAX - 40_000 + k * 600).collect(),
+            (0..64).map(|k| 5_000 + k * 31).collect(),
+        ];
+        let weights: Vec<u32> = (0..64).map(|k| (k as f32 * 0.25).to_bits()).collect();
+        for (s, seq) in fixed.iter().enumerate() {
+            check(seq, &weights, &mut rng, &format!("seed {seed:#x} fixed sequence {s}"));
+        }
+        // A whole word of 2-byte deltas whose chain dips below zero.
+        let mut dip = Vec::new();
+        write_varint(&mut dip, 1000); // base
+        for _ in 0..4 {
+            write_varint(&mut dip, zigzag(-2000)); // 2 bytes each
+        }
+        let mut out = [0u8; 16];
+        assert_eq!(
+            decode_with(reference_deltas, &dip, 4, &mut out),
+            Err(CodecError::ValueOutOfRange)
+        );
+        assert_decoders_agree(&dip, 4, 16, "dip below zero");
+        // Varints of every length 1..=10 at every byte offset of a word:
+        // zero-padded (overlong, a small legal delta) or with their top
+        // group set (out of range from 6 bytes on). No encoder writes
+        // them; a corrupt payload can.
+        for len in 1..=10 {
+            for shift in 0..8 {
+                for top in [false, true] {
+                    let mut enc = Vec::new();
+                    write_varint(&mut enc, 1000); // base
+                    enc.resize(enc.len() + shift, 0); // zero deltas
+                    let z: u64 = if top { 1 << (7 * (len - 1)) } else { 2 };
+                    enc.extend((0..len).map(|g| {
+                        let group = z.checked_shr(7 * g as u32).unwrap_or(0) as u8 & 0x7f;
+                        group | if g + 1 < len { 0x80 } else { 0 }
+                    }));
+                    enc.resize(enc.len() + 12, 2); // +1 deltas
+                    let n = shift + 13;
+                    assert_decoders_agree(&enc, 4, 4 * n, &format!("{len}-byte varint"));
+                    enc.resize(enc.len() + 4 * n, 0x3f); // weights
+                    assert_decoders_agree(&enc, 8, 8 * n, &format!("{len}-byte varint"));
+                }
+            }
+        }
+
+        // 50 000 random runs, each weighted and unweighted.
+        for case in 0..50_000 {
+            let ids = neighbor_run(&mut rng);
+            let weights: Vec<u32> = ids.iter().map(|_| rng.next() as u32).collect();
+            check(&ids, &weights, &mut rng, &format!("seed {seed:#x} case {case}"));
+        }
     }
 
     #[test]
@@ -814,16 +951,5 @@ mod tests {
         assert_eq!(Codec::from_name("lz77"), None);
         assert!("lz77".parse::<Codec>().is_err());
         assert_eq!(Codec::from_id(99), None);
-    }
-
-    #[test]
-    fn env_selection_defaults_to_raw() {
-        // `from_env` reads HUS_CODEC; in the test environment the
-        // variable is either unset (raw) or set by a CI matrix leg.
-        let got = Codec::from_env();
-        match std::env::var(CODEC_ENV) {
-            Ok(v) => assert_eq!(got, Codec::from_name(&v).unwrap_or_default()),
-            Err(_) => assert_eq!(got, Codec::Raw),
-        }
     }
 }

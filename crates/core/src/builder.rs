@@ -29,8 +29,9 @@ pub struct BuildConfig {
     /// Memory budget used by automatic `P` selection.
     pub memory_budget_bytes: u64,
     /// Per-block edge codec for the `.edges` payloads (defaults to the
-    /// `HUS_CODEC` environment variable, falling back to raw). Recorded
-    /// in `meta.json` and every shard footer so readers auto-detect.
+    /// `HUS_CODEC` knob, falling back to raw; a malformed value is
+    /// reported once). Recorded in `meta.json` and every shard footer
+    /// so readers auto-detect.
     pub codec: Codec,
 }
 
@@ -40,7 +41,7 @@ impl Default for BuildConfig {
             p: None,
             partition: PartitionStrategy::EqualVertices,
             memory_budget_bytes: 64 << 20,
-            codec: Codec::from_env(),
+            codec: hus_obs::env::parse("HUS_CODEC", Codec::Raw),
         }
     }
 }
@@ -241,6 +242,17 @@ mod tests {
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let meta = build(el, &dir, &BuildConfig::with_p(p)).unwrap();
         (tmp, dir, meta)
+    }
+
+    #[test]
+    fn env_selection_defaults_to_raw() {
+        // The default config reads HUS_CODEC; in the test environment the
+        // variable is either unset (raw) or set by a CI matrix leg.
+        let got = BuildConfig::default().codec;
+        match std::env::var("HUS_CODEC") {
+            Ok(v) => assert_eq!(got, v.parse().unwrap_or_default()),
+            Err(_) => assert_eq!(got, Codec::Raw),
+        }
     }
 
     #[test]

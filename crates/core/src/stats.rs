@@ -81,9 +81,8 @@ pub struct RunStats {
     /// Worker threads used.
     pub threads: usize,
     /// Storage resilience events during the run: retries of transient
-    /// read errors, giveups, degradations (mmap→file, direct→file,
-    /// batched→per-range) and checksum failures. All zero on a healthy run;
-    /// see DESIGN.md §9.
+    /// read errors, giveups, degradations (mmap→file, direct→file) and
+    /// checksum failures. All zero on a healthy run; see DESIGN.md §9.
     pub resilience: ResilienceSnapshot,
     /// Checkpoint/restore activity (`RunConfig::checkpoint_every` /
     /// `HUS_CKPT`); all zero when checkpointing is off. See DESIGN.md

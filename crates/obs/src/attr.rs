@@ -6,8 +6,7 @@
 //! choice changes which blocks are touched at all. This module keeps a
 //! sharded map from block `(i, j)` to a bundle of relaxed atomic
 //! counters (raw/encoded/decoded bytes, decoded-block cache hits/misses,
-//! decode nanoseconds, retries, degradations) that the storage and engine
-//! layers feed.
+//! decode nanoseconds, retries) that the storage and engine layers feed.
 //!
 //! Attribution is gated by its own flag (env knob `HUS_HEATMAP`),
 //! independent of the main metrics switch: when disabled every
@@ -66,8 +65,6 @@ pub enum BlockStat {
     DecodeNs,
     /// Read retries (transient I/O errors and checksum re-verifies).
     Retries,
-    /// Degraded paths taken (batched→per-range reads).
-    Degradations,
 }
 
 /// One block's counters (relaxed atomics; cheap to share via `Arc`).
@@ -80,7 +77,6 @@ struct BlockCounters {
     cache_misses: AtomicU64,
     decode_ns: AtomicU64,
     retries: AtomicU64,
-    degradations: AtomicU64,
 }
 
 impl BlockCounters {
@@ -93,7 +89,6 @@ impl BlockCounters {
             BlockStat::CacheMisses => &self.cache_misses,
             BlockStat::DecodeNs => &self.decode_ns,
             BlockStat::Retries => &self.retries,
-            BlockStat::Degradations => &self.degradations,
         };
         cell.fetch_add(n, Ordering::Relaxed);
     }
@@ -109,7 +104,6 @@ impl BlockCounters {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             decode_ns: self.decode_ns.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
         }
     }
 }
@@ -135,8 +129,6 @@ pub struct BlockIo {
     pub decode_ns: u64,
     /// Read retries.
     pub retries: u64,
-    /// Degraded-path events.
-    pub degradations: u64,
 }
 
 impl BlockIo {
@@ -359,13 +351,13 @@ mod tests {
         });
         assert_eq!(current_block(), None);
         // Outside any scope the sample is dropped, not misattributed.
-        record(BlockStat::Degradations, 9);
+        record(BlockStat::Retries, 9);
         let snap = snapshot();
         set_heatmap_enabled(false);
         assert_eq!(snap.len(), 2);
         let outer = snap.iter().find(|b| (b.i, b.j) == (3, 4)).unwrap();
         let inner = snap.iter().find(|b| (b.i, b.j) == (5, 6)).unwrap();
-        assert_eq!((outer.cache_misses, outer.retries, outer.degradations), (1, 1, 0));
+        assert_eq!((outer.cache_misses, outer.retries), (1, 1));
         assert_eq!(inner.cache_hits, 2);
     }
 

@@ -76,8 +76,8 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HUS_HEATMAP",
         default: "unset",
         effect: "`1` enables per-block I/O attribution: raw/encoded/decoded bytes, \
-                 cache hits/misses, decode time, retries and degradations per \
-                 `(i, j)` edge block, rendered by `hus audit`, `hus top`, \
+                 cache hits/misses, decode time and retries per `(i, j)` edge \
+                 block, rendered by `hus audit`, `hus top`, \
                  `debug_profile` and the `/metrics` exporter (see \
                  `docs/OBSERVABILITY.md`)",
     },

@@ -23,9 +23,8 @@
 //! Two further telemetry surfaces build on the registry:
 //!
 //! * **Per-block attribution** ([`attr`]) — a heatmap of raw/encoded/
-//!   decoded bytes, cache hits/misses, decode time, retries, and
-//!   degradations keyed by edge block `(i, j)`, gated separately by
-//!   `HUS_HEATMAP`.
+//!   decoded bytes, cache hits/misses, decode time and retries keyed
+//!   by edge block `(i, j)`, gated separately by `HUS_HEATMAP`.
 //! * **OpenMetrics export** ([`export`]) — a dependency-free
 //!   `/metrics` + `/healthz` HTTP endpoint over the registry, enabled
 //!   by `HUS_METRICS_ADDR`.

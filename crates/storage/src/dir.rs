@@ -617,7 +617,7 @@ mod staging_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::Access;
+    use crate::tracker::{Access, IoSnapshot};
     use crate::RangeRead;
 
     #[test]
@@ -692,6 +692,27 @@ mod tests {
         assert_eq!((bills[0].rand_read_ops, bills[0].total_bytes()), (1, 0));
         assert_eq!(bills[0].batched_read_ops, 0);
         assert!(bills.iter().all(|b| *b == bills[0]), "{bills:?}");
+    }
+
+    /// A batch with one range past the end fails as a whole, before
+    /// any device read: nothing billed, nothing retried, no range split
+    /// off and served alone.
+    #[test]
+    fn out_of_bounds_batch_fails_whole_and_bills_nothing() {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("s")).unwrap();
+        let mut w = dir.writer("x.bin").unwrap();
+        w.write_all(&[7; 64]).unwrap();
+        w.finish().unwrap();
+        dir.tracker().reset();
+        let r = dir.reader("x.bin").unwrap();
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        let mut ranges =
+            [RangeRead { offset: 0, buf: &mut a }, RangeRead { offset: 60, buf: &mut b }];
+        let err = r.read_ranges(&mut ranges, Access::Batched).unwrap_err();
+        assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err:?}");
+        assert_eq!(dir.tracker().snapshot(), IoSnapshot::default());
+        assert_eq!(dir.resilience().snapshot(), Default::default());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`checksum`] / [`fault`] / [`retry`] — the storage resilience layer:
 //!   CRC-32C shard footers, deterministic fault injection (`HUS_FAULT`),
 //!   and transparent retry with bounded backoff plus degradation paths
-//!   (mmap→file, batched→per-range). See DESIGN.md §9.
+//!   (mmap→file, direct→file). See DESIGN.md §9.
 //! * [`delta`] — on-disk delta runs: the spilled, CRC-sealed form of the
 //!   dynamic-graph write buffer, merged newest-first into reads and
 //!   folded away by compaction. See DESIGN.md §11.

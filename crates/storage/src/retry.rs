@@ -3,14 +3,14 @@
 //! Transient storage errors (see
 //! [`StorageError::is_transient`](crate::error::StorageError::is_transient)) are
 //! retried with bounded exponential backoff and deterministic jitter;
-//! permanent errors propagate immediately. A batched multi-range read that
-//! keeps failing degrades to per-range single reads before giving up —
-//! one step of the degradation ladder described in DESIGN.md §9.
+//! every other error propagates immediately. Single and batched reads
+//! share one retry loop: no device fails a batch that its single reads
+//! would serve, so a batch that keeps failing is not split.
 //!
 //! Every retry-layer event is counted twice: in the always-on per-directory
 //! [`ResilienceTracker`] (surfaced through `RunStats`), and in the
-//! trace-gated obs counters `storage.retries` / `storage.giveups` /
-//! `storage.fallback.ranged` for `HUS_TRACE` sessions.
+//! trace-gated obs counters `storage.retries` / `storage.giveups` for
+//! `HUS_TRACE` sessions.
 
 use crate::error::Result;
 #[cfg(test)]
@@ -24,8 +24,6 @@ use std::time::Duration;
 
 static OBS_RETRIES: hus_obs::LazyCounter = hus_obs::LazyCounter::new("storage.retries");
 static OBS_GIVEUPS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("storage.giveups");
-static OBS_RANGED_FALLBACKS: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("storage.fallback.ranged");
 
 /// Registry gauges mirroring the always-on [`ResilienceTracker`] totals
 /// (see [`ResilienceTracker::publish`]). Unlike the event counters
@@ -37,7 +35,6 @@ static GAUGE_RETRIES: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.r
 static GAUGE_GIVEUPS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.giveups");
 static GAUGE_MMAP_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.mmap_fallbacks");
 static GAUGE_DIRECT_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.direct_fallbacks");
-static GAUGE_RANGED_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.ranged_fallbacks");
 static GAUGE_CRC_FAIL: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.checksum_failures");
 static GAUGE_WRITE_FAULTS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.write_faults");
 static GAUGE_SPILL_ROLLBACKS: hus_obs::LazyGauge =
@@ -98,7 +95,6 @@ pub struct ResilienceTracker {
     giveups: AtomicU64,
     mmap_fallbacks: AtomicU64,
     direct_fallbacks: AtomicU64,
-    ranged_fallbacks: AtomicU64,
     checksum_failures: AtomicU64,
     write_faults: AtomicU64,
     spill_rollbacks: AtomicU64,
@@ -130,11 +126,6 @@ impl ResilienceTracker {
     /// the filesystem or kernel).
     pub fn record_direct_fallback(&self) {
         self.direct_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one batched→per-range read degradation.
-    pub fn record_ranged_fallback(&self) {
-        self.ranged_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one checksum verification failure.
@@ -172,7 +163,6 @@ impl ResilienceTracker {
         GAUGE_GIVEUPS.set(s.giveups);
         GAUGE_MMAP_FB.set(s.mmap_fallbacks);
         GAUGE_DIRECT_FB.set(s.direct_fallbacks);
-        GAUGE_RANGED_FB.set(s.ranged_fallbacks);
         GAUGE_CRC_FAIL.set(s.checksum_failures);
         GAUGE_WRITE_FAULTS.set(s.write_faults);
         GAUGE_SPILL_ROLLBACKS.set(s.spill_rollbacks);
@@ -186,7 +176,6 @@ impl ResilienceTracker {
             giveups: self.giveups.load(Ordering::Relaxed),
             mmap_fallbacks: self.mmap_fallbacks.load(Ordering::Relaxed),
             direct_fallbacks: self.direct_fallbacks.load(Ordering::Relaxed),
-            ranged_fallbacks: self.ranged_fallbacks.load(Ordering::Relaxed),
             checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
             write_faults: self.write_faults.load(Ordering::Relaxed),
             spill_rollbacks: self.spill_rollbacks.load(Ordering::Relaxed),
@@ -207,8 +196,6 @@ pub struct ResilienceSnapshot {
     pub mmap_fallbacks: u64,
     /// direct→file backend degradations (`O_DIRECT` refused).
     pub direct_fallbacks: u64,
-    /// Batched→per-range read degradations.
-    pub ranged_fallbacks: u64,
     /// Block reads whose CRC-32C did not match the shard footer.
     pub checksum_failures: u64,
     /// Write-path faults (injected or real) on durable writes.
@@ -228,7 +215,6 @@ impl ResilienceSnapshot {
             giveups: self.giveups.saturating_sub(earlier.giveups),
             mmap_fallbacks: self.mmap_fallbacks.saturating_sub(earlier.mmap_fallbacks),
             direct_fallbacks: self.direct_fallbacks.saturating_sub(earlier.direct_fallbacks),
-            ranged_fallbacks: self.ranged_fallbacks.saturating_sub(earlier.ranged_fallbacks),
             checksum_failures: self.checksum_failures.saturating_sub(earlier.checksum_failures),
             write_faults: self.write_faults.saturating_sub(earlier.write_faults),
             spill_rollbacks: self.spill_rollbacks.saturating_sub(earlier.spill_rollbacks),
@@ -240,7 +226,7 @@ impl ResilienceSnapshot {
 
     /// Total degradation events of any kind.
     pub fn total_fallbacks(&self) -> u64 {
-        self.mmap_fallbacks + self.direct_fallbacks + self.ranged_fallbacks
+        self.mmap_fallbacks + self.direct_fallbacks
     }
 
     /// Whether any resilience event occurred at all.
@@ -257,7 +243,7 @@ impl ResilienceSnapshot {
 }
 
 /// A [`ReadBackend`] wrapper that retries transient errors per a
-/// [`RetryPolicy`] and degrades failing batched reads to per-range reads.
+/// [`RetryPolicy`] and returns every other error at once.
 ///
 /// [`crate::StorageDir::reader`] composes every backend it hands out as
 /// `Retry(FaultInject?(Metered(File|Mmap|Direct)))`, so retries sit above fault
@@ -278,70 +264,40 @@ impl RetryBackend {
         RetryBackend { inner, policy, resilience }
     }
 
-    fn note_retry(&self) {
-        self.resilience.record_retry();
-        OBS_RETRIES.add(1);
-        hus_obs::attr::record(hus_obs::BlockStat::Retries, 1);
-    }
-
-    fn note_giveup(&self) {
-        self.resilience.record_giveup();
-        OBS_GIVEUPS.add(1);
-    }
-}
-
-impl ReadBackend for RetryBackend {
-    fn read_at(&self, offset: u64, buf: &mut [u8], access: Access) -> Result<()> {
+    /// Run `op` until it succeeds, fails with a non-transient error, or
+    /// exhausts the policy's attempts; `salt` jitters the backoff.
+    fn retrying(&self, salt: u64, mut op: impl FnMut() -> Result<()>) -> Result<()> {
         let mut retry = 0;
         loop {
-            match self.inner.read_at(offset, buf, access) {
+            match op() {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && retry + 1 < self.policy.max_attempts => {
-                    self.note_retry();
-                    std::thread::sleep(self.policy.backoff(retry, offset));
+                    self.resilience.record_retry();
+                    OBS_RETRIES.add(1);
+                    hus_obs::attr::record(hus_obs::BlockStat::Retries, 1);
+                    std::thread::sleep(self.policy.backoff(retry, salt));
                     retry += 1;
                 }
                 Err(e) => {
                     if e.is_transient() {
-                        self.note_giveup();
+                        self.resilience.record_giveup();
+                        OBS_GIVEUPS.add(1);
                     }
                     return Err(e);
                 }
             }
         }
     }
+}
+
+impl ReadBackend for RetryBackend {
+    fn read_at(&self, offset: u64, buf: &mut [u8], access: Access) -> Result<()> {
+        self.retrying(offset, || self.inner.read_at(offset, buf, access))
+    }
 
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
-        let mut retry = 0;
-        let batch_err = loop {
-            match self.inner.read_ranges(ranges, access) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && retry + 1 < self.policy.max_attempts => {
-                    self.note_retry();
-                    let salt = ranges.first().map_or(0, |r| r.offset);
-                    std::thread::sleep(self.policy.backoff(retry, salt));
-                    retry += 1;
-                }
-                Err(e) => break e,
-            }
-        };
-        if batch_err.is_corruption() {
-            return Err(batch_err);
-        }
-        // Degrade: the batched path keeps failing — serve each range with
-        // its own (retried) single read before giving up on the request.
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        warn_once(
-            &WARNED,
-            "batched read_ranges failed repeatedly; falling back to per-range reads",
-        );
-        self.resilience.record_ranged_fallback();
-        OBS_RANGED_FALLBACKS.add(1);
-        hus_obs::attr::record(hus_obs::BlockStat::Degradations, 1);
-        for r in ranges {
-            self.read_at(r.offset, r.buf, access)?;
-        }
-        Ok(())
+        let salt = ranges.first().map_or(0, |r| r.offset);
+        self.retrying(salt, || self.inner.read_ranges(ranges, access))
     }
 
     fn len(&self) -> u64 {
@@ -432,41 +388,6 @@ mod tests {
         assert_eq!(flaky.attempts.load(Ordering::SeqCst), 1, "single attempt");
         assert_eq!(res.snapshot().retries, 0);
         assert_eq!(res.snapshot().giveups, 0, "permanent failures are not giveups");
-    }
-
-    /// Backend whose batched path always fails but whose single-read path
-    /// works — exercises the batched→ranged degradation.
-    struct BatchBroken;
-
-    impl ReadBackend for BatchBroken {
-        fn read_at(&self, offset: u64, buf: &mut [u8], _access: Access) -> Result<()> {
-            buf.fill(offset as u8);
-            Ok(())
-        }
-
-        fn read_ranges(&self, _ranges: &mut [RangeRead<'_>], _access: Access) -> Result<()> {
-            Err(StorageError::Io { path: None, source: std::io::Error::from_raw_os_error(5) })
-        }
-
-        fn len(&self) -> u64 {
-            1 << 20
-        }
-    }
-
-    #[test]
-    fn failing_batch_degrades_to_per_range_reads() {
-        let res = Arc::new(ResilienceTracker::new());
-        let b = RetryBackend::new(Arc::new(BatchBroken), fast_policy(2), res.clone());
-        let (mut x, mut y) = ([9u8; 2], [9u8; 2]);
-        let mut ranges =
-            [RangeRead { offset: 3, buf: &mut x }, RangeRead { offset: 7, buf: &mut y }];
-        b.read_ranges(&mut ranges, Access::Batched).unwrap();
-        assert_eq!(x, [3, 3]);
-        assert_eq!(y, [7, 7]);
-        let s = res.snapshot();
-        assert_eq!(s.ranged_fallbacks, 1);
-        assert_eq!(s.giveups, 0, "the request was ultimately served");
-        assert_eq!(s.total_fallbacks(), 1);
     }
 
     #[test]

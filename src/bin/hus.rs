@@ -657,7 +657,6 @@ fn print_hot_blocks(k: usize) {
         "cache hit%",
         "decode ms",
         "retries",
-        "degraded",
     ]);
     for b in &hot {
         t.row(vec![
@@ -667,7 +666,6 @@ fn print_hot_blocks(k: usize) {
             format!("{:.1}", b.hit_rate() * 100.0),
             format!("{:.2}", b.decode_ns as f64 / 1e6),
             b.retries.to_string(),
-            b.degradations.to_string(),
         ]);
     }
     t.print(&format!("hottest {} blocks by device bytes", hot.len()));
@@ -759,13 +757,12 @@ fn draw_top_frame(
     );
     println!(
         "resilience: {} retries, {} giveups, {} checksum failures, \
-         fallbacks {} mmap / {} direct / {} ranged",
+         fallbacks {} mmap / {} direct",
         resilience.retries,
         resilience.giveups,
         resilience.checksum_failures,
         resilience.mmap_fallbacks,
         resilience.direct_fallbacks,
-        resilience.ranged_fallbacks,
     );
     let heat = hus_obs::attr::render_heatmap(&hus_obs::attr::snapshot());
     if !heat.is_empty() {
