@@ -2,8 +2,8 @@
 //!
 //! The paper's representative "sparse matrix multiplication" workload:
 //! every vertex is active in every iteration (footnote 1), so the hybrid
-//! engine's α gate always selects COP — the same behavior as the paper's
-//! Table 3 / Figure 9 PageRank rows. Run for a fixed number of
+//! engine always selects COP without pricing — the same behavior as the
+//! paper's Table 3 / Figure 9 PageRank rows. Run for a fixed number of
 //! iterations (`max_iterations` in the run config; the paper uses 5).
 //!
 //! Dangling vertices (out-degree 0) simply leak their rank mass, the
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn hybrid_selects_cop_for_pagerank() {
-        // All vertices active ⇒ the α gate forces COP, as in the paper.
+        // All vertices active ⇒ COP without pricing, as in the paper.
         let el = hus_gen::rmat(100, 800, 51, hus_gen::RmatConfig::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();

@@ -22,7 +22,8 @@ pub struct AuditRow {
     pub iteration: usize,
     /// Model the engine executed.
     pub model: UpdateModel,
-    /// Whether the α gate short-circuited the cost comparison.
+    /// Whether the hybrid chose COP without pricing (every vertex
+    /// active; see [`crate::predict::Predictor::gates`]).
     pub gated: bool,
     /// Predicted ROP cost in seconds (NaN when gated or forced).
     pub c_rop: f64,
@@ -142,7 +143,7 @@ pub fn render_table(rows: &[AuditRow]) -> String {
     }
     let summary = match misprediction_ratio(rows) {
         Some(pct) => format!("misprediction ratio (mean |pred-actual|/actual): {pct:.1}%"),
-        None => "misprediction ratio: n/a (all iterations gated or forced)".into(),
+        None => "misprediction ratio: n/a (no priced iteration: all-active or forced mode)".into(),
     };
     format!("{}\n{}\n", t.render(), summary)
 }

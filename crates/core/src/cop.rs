@@ -8,21 +8,19 @@
 //!
 //! The unit of parallelism is the column (§3.5 parallelizes per
 //! destination vertex; whole columns are the coarsest such split).
-//! The columns of one unit write disjoint `D` buffers, so
-//! [`run_columns`] pulls them concurrently with no write conflicts, and
-//! every destination keeps its in-edge accumulation order — results are
-//! bit-identical at every thread count. This is GraphMP's one shard per
-//! worker; splitting each block across threads instead costs a fan-out
-//! per block and balances vertices, not edges.
+//! The columns write disjoint `D` buffers, so [`run_columns`] pulls
+//! them concurrently with no write conflicts, and every destination
+//! keeps its in-edge accumulation order — results are bit-identical at
+//! every thread count. This is GraphMP's one shard per worker;
+//! splitting each block across threads instead costs a fan-out per
+//! block and balances vertices, not edges.
 //!
-//! A unit with one worker (one thread, or Gauss-Seidel's one-column
-//! units) runs the same loop on the caller. The
-//! paper's §3.5 overlap of the next block's read with the current
-//! block's pull comes from the other columns' workers in a multi-worker
-//! unit, and from the kernel's sequential prefetch on the column's
-//! `in_<j>.edges` file for a lone worker on the `file` and `mmap`
-//! backends (`direct` bypasses the page cache, so there a lone worker
-//! does not overlap).
+//! With one thread the same loop runs on the caller. The paper's §3.5
+//! overlap of the next block's read with the current block's pull
+//! comes from the other columns' workers, and from the kernel's
+//! sequential prefetch on the column's `in_<j>.edges` file for a lone
+//! worker on the `file` and `mmap` backends (`direct` bypasses the page
+//! cache, so there a lone worker does not overlap).
 
 use crate::graph::{EdgeRecords, HusGraph};
 use crate::meta::INDEX_ENTRY_BYTES;
@@ -76,18 +74,16 @@ pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
     plan
 }
 
-/// Pull the columns `cols` and write each one's `D` back (the caller
-/// commits them together afterwards). The columns write disjoint `D`
-/// buffers, so they fan out over the run's pool with no write
-/// conflicts; the first error in column order wins. Returns the total
-/// edge records streamed.
+/// Pull every column and write each one's `D` back (the caller commits
+/// them together afterwards). The columns write disjoint `D` buffers,
+/// so they fan out over the run's pool with no write conflicts; the
+/// first error in column order wins. Returns the total edge records
+/// streamed.
 pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
-    cols: &[usize],
 ) -> Result<u64> {
-    let streamed = cols
-        .to_vec()
+    let streamed = (0..ctx.graph.p())
         .into_par_iter()
         .map(|col| {
             let _s = span!("cop.column", interval = col);
@@ -165,7 +161,7 @@ fn pull_block<Pr: VertexProgram>(
 mod tests {
     use crate::active::ActiveSet;
     use crate::builder::BuildConfig;
-    use crate::engine::{Deadline, Engine, RunConfig, Synchrony, UpdateMode};
+    use crate::engine::{Deadline, Engine, RunConfig, UpdateMode};
     use crate::graph::HusGraph;
     use crate::meta::GraphMeta;
     use crate::predict::IoPlan;
@@ -285,7 +281,7 @@ mod tests {
         }
     }
 
-    /// A crossed deadline stops the unit with the typed error — in the
+    /// A crossed deadline stops the sweep with the typed error — in the
     /// column workers (two threads) as on the caller (one).
     #[test]
     fn expired_deadline_stops_column_workers_with_the_typed_error() {
@@ -312,7 +308,7 @@ mod tests {
         };
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let err = pool.install(|| super::run_columns(&ctx, &store, &[0, 1, 2, 3]));
+            let err = pool.install(|| super::run_columns(&ctx, &store));
             let err = err.unwrap_err();
             assert!(err.is_deadline(), "{threads} threads: {err}");
         }
@@ -320,9 +316,7 @@ mod tests {
 
     /// [`super::sweep_plan`] is the bill of a COP iteration, to the byte
     /// — at one thread and with column workers, also with a delta
-    /// overlay attached, whose touched blocks are served from memory,
-    /// and also under Gauss-Seidel, whose `P` one-column units together
-    /// bill the one sweep.
+    /// overlay attached, whose touched blocks are served from memory.
     #[test]
     fn sweep_plan_is_what_a_cop_iteration_bills() {
         let el = hus_gen::rmat(300, 3000, 9, Default::default());
@@ -336,15 +330,12 @@ mod tests {
         let overlaid = dynamic.snapshot().unwrap();
         let plans = [&base, overlaid].map(|g| {
             let plan = super::sweep_plan(g, 4);
-            for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
-                for threads in [1, 2] {
-                    let mode = UpdateMode::ForceCop;
-                    let cfg = RunConfig { mode, synchrony, threads, ..Default::default() };
-                    let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
-                    for it in &stats.iterations {
-                        let at = (synchrony, threads, it.iteration);
-                        assert_eq!(IoPlan::billed(&it.io), plan, "{at:?}");
-                    }
+            for threads in [1, 2] {
+                let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
+                let (_, stats) = Engine::new(g, &MinLabel, cfg).run().unwrap();
+                for it in &stats.iterations {
+                    let at = (threads, it.iteration);
+                    assert_eq!(IoPlan::billed(&it.io), plan, "{at:?}");
                 }
             }
             plan

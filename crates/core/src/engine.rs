@@ -53,24 +53,6 @@ pub enum UpdateMode {
     ForceCop,
 }
 
-/// When updates made earlier in an iteration become visible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Synchrony {
-    /// Jacobi: all of an iteration's updates become visible together at
-    /// its end (one commit per iteration). Every execution strategy is
-    /// observationally equivalent under this default.
-    #[default]
-    Synchronous,
-    /// The paper's literal schedule: `Swap(S, D)` after every processed
-    /// row (ROP, Algorithm 2 lines 17–19) or column (COP, Algorithm 3
-    /// line 20), so later rows/columns of the same iteration observe
-    /// earlier updates. Converges to the same fixpoint in (usually)
-    /// fewer iterations for idempotent propagation programs; rejected
-    /// for programs with non-identity `reset` (PageRank-family), whose
-    /// per-unit re-resets would double-count.
-    GaussSeidel,
-}
-
 /// Run-time configuration.
 ///
 /// [`Default`] resolves every knob from the environment where an
@@ -93,12 +75,8 @@ pub enum Synchrony {
 pub struct RunConfig {
     /// Update strategy.
     pub mode: UpdateMode,
-    /// Update visibility schedule.
-    pub synchrony: Synchrony,
     /// Worker threads (a dedicated rayon pool is built per run).
     pub threads: usize,
-    /// Predictor α gate (paper: 0.05).
-    pub alpha: f64,
     /// Use the paper's verbatim `C_rop` formula instead of the refined
     /// one (see [`crate::predict`] module docs); ablation knob.
     pub paper_literal_predictor: bool,
@@ -179,9 +157,7 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             mode: UpdateMode::Hybrid,
-            synchrony: Synchrony::Synchronous,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            alpha: 0.05,
             paper_literal_predictor: false,
             max_iterations: 1_000,
             throughput: hus_storage::DeviceProfile::hdd().read,
@@ -257,7 +233,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     }
 
     /// Choose this iteration's update model, and the I/O plan it is
-    /// predicted to bill: forced or α-gated (no plan) when there is no
+    /// predicted to bill: forced or gated (no plan) when there is no
     /// `frontier` summary, otherwise by pricing one ROP plan over it
     /// against the run's static COP sweep plan.
     fn plan_iteration(
@@ -286,8 +262,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 predictor.vertex_bytes(self.graph.meta().num_vertices as u64, p) * p,
             )
         } else {
-            let per_row_d = self.config.synchrony == Synchrony::GaussSeidel;
-            (rop::plan(ctx, frontier, per_row_d), sweep)
+            (rop::plan(ctx, frontier), sweep)
         };
         let decision = predictor.compare(&rop_plan, &cop_plan);
         crate::predict::count_decision(&decision);
@@ -298,61 +273,45 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         (decision, Some(predicted))
     }
 
-    /// The iteration as a list of units, each the intervals one step
-    /// processes before one commit: the columns a pull streams, or the
-    /// active rows a push reads (into every column). Synchronously it is
-    /// one unit: every update becomes visible together at its end.
-    /// Gauss-Seidel (the paper's literal `Swap(S, D)` after every
-    /// processed row of Algorithm 2 and column of Algorithm 3) makes
-    /// every active row or column a unit of its own, so later ones
-    /// observe earlier updates.
-    fn units(&self, model: UpdateModel, active: &ActiveSet) -> Vec<Vec<usize>> {
-        let meta = self.graph.meta();
-        let all = 0..self.graph.p();
-        let intervals: Vec<usize> = match model {
-            UpdateModel::Cop => all.collect(),
-            UpdateModel::Rop => all
-                .filter(|&row| {
-                    active.count_range(meta.interval_start(row), meta.interval_starts[row + 1]) > 0
-                })
-                .collect(),
-        };
-        if self.config.synchrony == Synchrony::GaussSeidel {
-            return intervals.into_iter().map(|k| vec![k]).collect();
-        }
-        vec![intervals]
-    }
-
-    /// Run one unit under `model` and commit what it wrote; returns the
-    /// edge records it processed.
+    /// Run the iteration under `model` and commit what it wrote; returns
+    /// the edge records it processed and the `(pushed rows, pulled
+    /// columns)` counts the stats record.
     ///
-    /// Pulled columns write disjoint next buffers, so they fan out over
-    /// the run's pool, one column per worker. Pushing rows are
-    /// independent (§3.5: per-`D_j` locks serialize pushes into a shared
+    /// A pull streams every column; the columns write disjoint next
+    /// buffers, so they fan out over the run's pool, one column per
+    /// worker. A push reads every active row; rows are independent
+    /// (§3.5: per-`D_j` locks serialize pushes into a shared
     /// destination), so they fan out over the run's pool too — inline
     /// when it has one thread or there is one row; the first error in
     /// row order wins. They hold the destination intervals they touch in
-    /// memory for the whole unit (the paper's per-row parallelism has
-    /// them all resident anyway), loading each lazily on first push and
-    /// writing it back once.
-    fn execute_unit(
+    /// memory for the whole iteration (the paper's per-row parallelism
+    /// has them all resident anyway), loading each lazily on first push
+    /// and writing it back once.
+    fn execute(
         &self,
         ctx: &IterCtx<'_, Pr>,
         store: &mut VertexStore<Pr::Value>,
         model: UpdateModel,
-        unit: &[usize],
         rec: &mut RunRecorder,
-    ) -> Result<u64> {
-        let (edges, written) = match model {
+    ) -> Result<(u64, (u32, u32))> {
+        let p = self.graph.p();
+        let (edges, counts, written) = match model {
             UpdateModel::Cop => {
-                let edges = cop::run_columns(ctx, store, unit)?;
+                let edges = cop::run_columns(ctx, store)?;
                 rec.lap("cop");
-                (edges, (0..store.num_intervals()).map(|j| unit.contains(&j)).collect())
+                (edges, (0, p as u32), vec![true; p])
             }
             UpdateModel::Rop => {
+                let meta = self.graph.meta();
+                let rows: Vec<usize> = (0..p)
+                    .filter(|&row| {
+                        let end = meta.interval_starts[row + 1];
+                        ctx.active.count_range(meta.interval_start(row), end) > 0
+                    })
+                    .collect();
+                let counts = (rows.len() as u32, 0);
                 let d_all = rop::d_buffers::<Pr>(store);
-                let row_edges: Vec<u64> = unit
-                    .to_vec()
+                let row_edges: Vec<u64> = rows
                     .into_par_iter()
                     .map(|row| {
                         let _s = span!("rop.row", interval = row);
@@ -365,7 +324,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                     rop::store_touched::<Pr>(store, d_all)?
                 };
                 rec.lap("gather");
-                (row_edges.iter().sum(), touched)
+                (row_edges.iter().sum(), counts, touched)
             }
         };
         {
@@ -387,7 +346,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             }
         }
         rec.lap("sync");
-        Ok(edges)
+        Ok((edges, counts))
     }
 
     /// With checkpointing on, adopt the freshest valid snapshot left in
@@ -409,14 +368,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     }
 
     fn run_inner(&self) -> Result<(Vec<Pr::Value>, RunStats)> {
-        if self.config.synchrony == Synchrony::GaussSeidel && self.program.needs_reset() {
-            return Err(StorageError::Corrupt(
-                "Gauss-Seidel scheduling requires identity-reset programs \
-                 (BFS/WCC/SSSP-style); PageRank-family programs re-derive \
-                 every vertex per iteration and must run synchronously"
-                    .into(),
-            ));
-        }
         let meta = self.graph.meta();
         let v = meta.num_vertices;
         self.graph.set_verify(self.config.verify_checksums);
@@ -449,7 +400,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         let value_bytes = std::mem::size_of::<Pr::Value>() as u64;
         let mut predictor =
             Predictor::new(self.config.throughput, self.graph.disk_edge_bytes(), value_bytes);
-        predictor.alpha = self.config.alpha;
         predictor.paper_literal = self.config.paper_literal_predictor;
         // Static for the run: COP's sweep plan and the per-row edge
         // totals ROP's plan shares blocks by.
@@ -466,11 +416,11 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 break;
             }
             // One pass over the frontier sums its active out-edges and,
-            // when the hybrid gate is open, summarizes it per row for
-            // the ROP plan. It runs ahead of the iteration clock: the
+            // when a hybrid iteration is priced, summarizes it per row
+            // for the ROP plan. It runs ahead of the iteration clock: the
             // `predict` span times the pricing alone.
             let frontier = (self.config.mode == UpdateMode::Hybrid
-                && !predictor.gate_forces_cop(active_vertices, v as u64))
+                && !predictor.gates(active_vertices, v as u64))
             .then(|| Frontier::scan(self.graph, &active));
             let active_edges = match &frontier {
                 Some(frontier) => frontier.active_edges(),
@@ -482,7 +432,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             ACTIVE_VERTICES_GAUGE.set(active_vertices);
             rec.begin_iteration(iteration, active_vertices, active_edges);
 
-            // Decide the iteration's model, then run its units.
+            // Decide the iteration's model, then run it.
             let (next_active, ctx);
             let (decision, predicted) = {
                 let _s = span!("predict");
@@ -500,19 +450,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 self.plan_iteration(&predictor, &ctx, sweep, frontier.as_ref())
             };
             rec.lap("predict");
-            let units = self.units(decision.model, &active);
-            let mut edges = 0u64;
-            for unit in &units {
-                edges += self.execute_unit(&ctx, &mut store, decision.model, unit, &mut rec)?;
-            }
+            let (edges, counts) = self.execute(&ctx, &mut store, decision.model, &mut rec)?;
             EDGES_PROCESSED.add(edges);
-
-            // Units as the stats count them: pushed rows or pulled columns.
-            let width = units.iter().map(Vec::len).sum::<usize>() as u32;
-            let counts = match decision.model {
-                UpdateModel::Rop => (width, 0),
-                UpdateModel::Cop => (0, width),
-            };
             let it = rec.end_iteration(decision, predicted, counts, edges);
             if let Some(plan) = &predicted {
                 // Audit the committed prediction against what the same
@@ -792,101 +731,6 @@ mod tests {
         let (_, stats) = Engine::new(&g, &Idle, config).run().unwrap();
         assert_eq!(stats.num_iterations(), 3);
         assert!(!stats.converged);
-    }
-}
-
-#[cfg(test)]
-mod gauss_seidel_tests {
-    use super::*;
-    use crate::program::EdgeCtx;
-    use hus_storage::StorageDir;
-
-    struct MinLabel;
-
-    impl VertexProgram for MinLabel {
-        type Value = u32;
-        fn init(&self, v: u32) -> u32 {
-            v
-        }
-        fn initially_active(&self, _v: u32) -> bool {
-            true
-        }
-        fn scatter(&self, s: &u32, _c: &EdgeCtx) -> Option<u32> {
-            Some(*s)
-        }
-        fn combine(&self, d: &mut u32, m: u32) -> bool {
-            if m < *d {
-                *d = m;
-                true
-            } else {
-                false
-            }
-        }
-    }
-
-    fn run(el: &hus_gen::EdgeList, mode: UpdateMode, synchrony: Synchrony) -> (Vec<u32>, RunStats) {
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(el, &dir, &crate::BuildConfig::with_p(4)).unwrap();
-        let config = RunConfig { mode, synchrony, threads: 1, ..Default::default() };
-        Engine::new(&g, &MinLabel, config).run().unwrap()
-    }
-
-    #[test]
-    fn gauss_seidel_reaches_same_fixpoint() {
-        let el = hus_gen::rmat(200, 1200, 13, Default::default()).symmetrize();
-        for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop, UpdateMode::Hybrid] {
-            let (sync_vals, _) = run(&el, mode, Synchrony::Synchronous);
-            let (gs_vals, gs_stats) = run(&el, mode, Synchrony::GaussSeidel);
-            assert_eq!(sync_vals, gs_vals, "{mode:?}");
-            assert!(gs_stats.converged);
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_converges_in_fewer_iterations() {
-        // GS visibility is at interval granularity: within a unit the
-        // pull still reads previous values, so the gain on a path is the
-        // interval-boundary crossings — a strict but modest improvement.
-        let el = hus_gen::classic::path(64);
-        let (_, sync_stats) = run(&el, UpdateMode::ForceCop, Synchrony::Synchronous);
-        let (_, gs_stats) = run(&el, UpdateMode::ForceCop, Synchrony::GaussSeidel);
-        assert!(
-            gs_stats.num_iterations() < sync_stats.num_iterations(),
-            "GS {} vs sync {}",
-            gs_stats.num_iterations(),
-            sync_stats.num_iterations()
-        );
-    }
-
-    #[test]
-    fn gauss_seidel_rejects_reset_programs() {
-        struct Reset;
-        impl VertexProgram for Reset {
-            type Value = f32;
-            fn init(&self, _v: u32) -> f32 {
-                0.0
-            }
-            fn initially_active(&self, _v: u32) -> bool {
-                true
-            }
-            fn scatter(&self, s: &f32, _c: &EdgeCtx) -> Option<f32> {
-                Some(*s)
-            }
-            fn combine(&self, d: &mut f32, m: f32) -> bool {
-                *d += m;
-                true
-            }
-            fn needs_reset(&self) -> bool {
-                true
-            }
-        }
-        let el = hus_gen::classic::cycle(8);
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(&el, &dir, &crate::BuildConfig::with_p(2)).unwrap();
-        let config = RunConfig { synchrony: Synchrony::GaussSeidel, ..Default::default() };
-        assert!(Engine::new(&g, &Reset, config).run().is_err());
     }
 }
 

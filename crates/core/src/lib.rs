@@ -13,9 +13,9 @@
 //!   sequentially, destinations pull from active sources in parallel
 //!   within a block (paper §3.3, Algorithm 3; §3.5).
 //! * **I/O-based performance prediction** ([`predict`]) — the `C_rop` /
-//!   `C_cop` comparison with the α active-fraction gate (paper §3.4,
-//!   Table 1), over the I/O plans [`rop::plan`] and [`cop::sweep_plan`]
-//!   build of the bytes each executor would bill.
+//!   `C_cop` comparison (paper §3.4, Table 1), over the I/O plans
+//!   [`rop::plan`] and [`cop::sweep_plan`] build of the bytes each
+//!   executor would bill; an all-active iteration pulls unpriced.
 //! * **The hybrid engine** ([`engine`]) — per-iteration model selection,
 //!   double-buffered vertex stores ([`vertex_store`]), frontier tracking
 //!   ([`active`]), and per-iteration statistics ([`stats`]).
@@ -30,10 +30,12 @@
 //! therefore makes the hybrid decision **once per iteration**, pricing
 //! the whole iteration under either model — which matches how the paper
 //! itself reports model choices (Figure 8 labels whole iterations ROP or
-//! COP). An iteration then runs as a list of units — pull these columns,
-//! or push these active rows into every column — each followed by one
-//! commit: one unit when synchronous, one per active row or column under
-//! Gauss-Seidel.
+//! COP). An iteration is then one step — pull every column, or push
+//! every active row into every column — followed by one commit, so all
+//! of its updates become visible together (Jacobi). The paper's
+//! `Swap(S, D)` after every row or column (Algorithms 2 and 3) is not
+//! implemented: under the hybrid it moved more bytes for no gain in
+//! modeled time.
 
 #![warn(missing_docs)]
 
@@ -58,7 +60,7 @@ pub mod vertex_store;
 pub use active::ActiveSet;
 pub use builder::{build, BuildConfig, PartitionStrategy};
 pub use delta::{DeltaOp, DynamicGraph};
-pub use engine::{check_deadline, Deadline, Engine, RunConfig, Synchrony, UpdateMode};
+pub use engine::{check_deadline, Deadline, Engine, RunConfig, UpdateMode};
 pub use external::{build_external, BinaryFileSource, EdgeSource, ListSource};
 pub use fsck::{fsck, FsckReport};
 pub use graph::HusGraph;

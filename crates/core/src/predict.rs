@@ -21,10 +21,16 @@
 //!
 //! Both plans are priced by [`IoPlan::seconds`] — the same function
 //! [`crate::audit`] prices the billed bytes with — and ROP is selected
-//! iff `C_rop ≤ C_cop`. To bound prediction overhead the comparison is
-//! only evaluated when the active-vertex count is below `α·|V|` (α = 5%
-//! in the paper); above the gate COP is chosen outright and no plan is
-//! built.
+//! iff `C_rop ≤ C_cop`, on every iteration that has an inactive vertex.
+//! When every vertex is active (the PageRank family) COP is chosen
+//! without pricing ([`Predictor::gates`]): a push would then read every
+//! edge as well, in coalesced sweeps no faster than COP's stream.
+//!
+//! The paper prices only below an active fraction `α·|V|` (α = 5 %)
+//! and picks COP above it. That gate is kept for the verbatim predictor
+//! alone ([`PAPER_ALPHA`]), as the paper's reference: above it the
+//! priced comparison still picks ROP on many BFS and WCC iterations and
+//! moves fewer bytes (EXPERIMENTS.md, "Ablations").
 //!
 //! ## The paper's verbatim formulas
 //!
@@ -123,8 +129,13 @@ impl std::fmt::Display for UpdateModel {
     }
 }
 
-/// The cost predictor: the α gate plus a comparison of two priced
-/// [`IoPlan`]s.
+/// The paper's active-fraction gate α (§3.4): the verbatim predictor
+/// ([`Predictor::paper_literal`]) prices an iteration only while fewer
+/// than `α·|V|` vertices are active.
+pub const PAPER_ALPHA: f64 = 0.05;
+
+/// The cost predictor: a comparison of two priced [`IoPlan`]s, skipped
+/// when every vertex is active.
 ///
 /// ```
 /// use hus_core::predict::{IoPlan, Predictor, UpdateModel};
@@ -134,11 +145,14 @@ impl std::fmt::Display for UpdateModel {
 /// let cop = IoPlan { sequential: 200_000_000, write: 4_000_000, ..Default::default() };
 /// // A tiny frontier reads a few scattered ranges: selective pushes win...
 /// let sparse = IoPlan { sequential: 500_000, random: 4_000, write: 500_000, ..Default::default() };
-/// assert_eq!(p.select(100, 1_000_000, &sparse, &cop).model, UpdateModel::Rop);
-/// // ...a dense one is gated straight to streaming pulls, plans unread.
-/// let dense = p.select(900_000, 1_000_000, &sparse, &cop);
-/// assert_eq!(dense.model, UpdateModel::Cop);
-/// assert!(dense.gated);
+/// assert!(!p.gates(100, 1_000_000));
+/// assert_eq!(p.compare(&sparse, &cop).model, UpdateModel::Rop);
+/// // ...a dense one is priced too, and loses to streaming pulls...
+/// let dense = IoPlan { sequential: 500_000, random: 90_000_000, write: 4_000_000, ..Default::default() };
+/// assert!(!p.gates(900_000, 1_000_000));
+/// assert_eq!(p.compare(&dense, &cop).model, UpdateModel::Cop);
+/// // ...and an all-active one goes to COP with no plan built.
+/// assert!(p.gates(1_000_000, 1_000_000));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Predictor {
@@ -151,9 +165,6 @@ pub struct Predictor {
     pub edge_bytes: f64,
     /// Vertex value size `N` in bytes.
     pub value_bytes: u64,
-    /// Active-fraction gate α: when `|active| ≥ α·|V|` COP is selected
-    /// without evaluating the costs (paper: 5%).
-    pub alpha: f64,
     /// Price the paper's verbatim closed-form costs
     /// ([`Predictor::literal_plans`]) instead of the executors' plans
     /// (see module docs). Default `false`.
@@ -164,7 +175,7 @@ impl Predictor {
     /// Predictor with the paper's defaults on the given device
     /// throughputs.
     pub fn new(throughput: Throughput, edge_bytes: f64, value_bytes: u64) -> Self {
-        Predictor { throughput, edge_bytes, value_bytes, alpha: 0.05, paper_literal: false }
+        Predictor { throughput, edge_bytes, value_bytes, paper_literal: false }
     }
 
     /// The verbatim formulas' vertex-value transfer bytes per interval:
@@ -192,9 +203,16 @@ impl Predictor {
         )
     }
 
-    /// Whether the α gate forces COP (`|active| ≥ α·|V|`).
-    pub fn gate_forces_cop(&self, active_vertices: u64, num_vertices: u64) -> bool {
-        active_vertices as f64 >= self.alpha * num_vertices as f64
+    /// Whether the hybrid decision is COP without pricing: every vertex
+    /// is active, or, for the verbatim predictor, at least
+    /// [`PAPER_ALPHA`]`·|V|` are. The engine asks first, so that a
+    /// gated iteration never builds the plans.
+    pub fn gates(&self, active_vertices: u64, num_vertices: u64) -> bool {
+        if self.paper_literal {
+            active_vertices as f64 >= PAPER_ALPHA * num_vertices as f64
+        } else {
+            active_vertices >= num_vertices
+        }
     }
 
     /// The cheaper of the two plans at this predictor's throughputs
@@ -205,23 +223,6 @@ impl Predictor {
         let model = if c_rop <= c_cop { UpdateModel::Rop } else { UpdateModel::Cop };
         Decision { model, gated: false, c_rop, c_cop }
     }
-
-    /// The hybrid decision (Algorithm 1, line 6) for one iteration:
-    /// COP outright above the α gate, otherwise [`Self::compare`]. (The
-    /// engine tests the gate first, so that a gated iteration never
-    /// builds the plans.)
-    pub fn select(
-        &self,
-        active_vertices: u64,
-        num_vertices: u64,
-        rop: &IoPlan,
-        cop: &IoPlan,
-    ) -> Decision {
-        if self.gate_forces_cop(active_vertices, num_vertices) {
-            return Decision::forced(UpdateModel::Cop, true);
-        }
-        self.compare(rop, cop)
-    }
 }
 
 static GATED: hus_obs::LazyCounter = hus_obs::LazyCounter::new("predict.gated");
@@ -229,8 +230,8 @@ static ROP_SELECTED: hus_obs::LazyCounter = hus_obs::LazyCounter::new("predict.r
 static COP_SELECTED: hus_obs::LazyCounter = hus_obs::LazyCounter::new("predict.cop_selected");
 
 /// Count a committed decision in the metric registry. The engine calls
-/// this for decisions it acts on — not from inside `select_*`, which
-/// ablations and benchmarks evaluate speculatively in tight sweeps.
+/// this for decisions it acts on — not from inside [`Predictor::compare`],
+/// which tests and benchmarks may evaluate speculatively.
 pub fn count_decision(d: &Decision) {
     if !hus_obs::enabled() {
         return;
@@ -249,7 +250,8 @@ pub fn count_decision(d: &Decision) {
 pub struct Decision {
     /// Selected model.
     pub model: UpdateModel,
-    /// Whether the α gate short-circuited the cost comparison.
+    /// Whether the hybrid chose COP without pricing
+    /// ([`Predictor::gates`]: every vertex active).
     pub gated: bool,
     /// Predicted ROP cost in seconds (NaN when gated).
     pub c_rop: f64,
@@ -259,7 +261,7 @@ pub struct Decision {
 
 impl Decision {
     /// A decision made without pricing any plan: a forced update mode,
-    /// or (`gated`) the α gate.
+    /// or (`gated`) the hybrid's all-active rule.
     pub fn forced(model: UpdateModel, gated: bool) -> Self {
         Decision { model, gated, c_rop: f64::NAN, c_cop: f64::NAN }
     }
@@ -309,27 +311,36 @@ mod tests {
         let cheap = IoPlan { random: 999_999, ..Default::default() };
         let tie = IoPlan { random: 1_000_000, ..Default::default() };
         let dear = IoPlan { random: 1_000_001, ..Default::default() };
-        assert_eq!(p.select(1, 1_000_000, &cheap, &cop).model, UpdateModel::Rop);
-        assert_eq!(p.select(1, 1_000_000, &tie, &cop).model, UpdateModel::Rop);
-        let d = p.select(1, 1_000_000, &dear, &cop);
+        assert_eq!(p.compare(&cheap, &cop).model, UpdateModel::Rop);
+        assert_eq!(p.compare(&tie, &cop).model, UpdateModel::Rop);
+        let d = p.compare(&dear, &cop);
         assert_eq!(d.model, UpdateModel::Cop);
         assert!(!d.gated && d.c_rop > d.c_cop);
     }
 
     #[test]
-    fn dense_frontier_is_gated_to_cop_without_pricing() {
+    fn dense_frontier_is_priced_and_all_active_is_gated() {
         let p = hdd_predictor();
+        // A frontier of all but one vertex is still priced: a free push
+        // beats the sweep.
+        assert!(!p.gates(999_999, 1_000_000));
         let free = IoPlan::default();
-        let d = p.select(100_000, 1_000_000, &free, &free);
-        assert_eq!(d.model, UpdateModel::Cop);
+        let sweep = IoPlan { sequential: 120_000_000, ..Default::default() };
+        let d = p.compare(&free, &sweep);
+        assert!(d.model == UpdateModel::Rop && !d.gated);
+        assert!(p.gates(1_000_000, 1_000_000));
+        let d = Decision::forced(UpdateModel::Cop, true);
         assert!(d.gated && d.c_rop.is_nan() && d.c_cop.is_nan());
     }
 
     #[test]
-    fn gate_threshold_is_alpha_fraction() {
-        let p = hdd_predictor();
-        assert!(!p.gate_forces_cop(49_999, 1_000_000));
-        assert!(p.gate_forces_cop(50_000, 1_000_000));
+    fn paper_literal_gate_is_the_papers_alpha_fraction() {
+        let mut p = hdd_predictor();
+        p.paper_literal = true;
+        assert!(!p.gates(49_999, 1_000_000));
+        assert!(p.gates(50_000, 1_000_000));
+        p.paper_literal = false;
+        assert!(!p.gates(50_000, 1_000_000));
     }
 
     #[test]
@@ -345,7 +356,7 @@ mod tests {
         // C_cop: the verbatim formula never picks ROP on this device,
         // even with an empty frontier (why it is not the default).
         let (idle, _) = p.literal_plans(0, e / parts, vb);
-        assert_eq!(p.select(0, v, &idle, &cop).model, UpdateModel::Cop);
+        assert_eq!(p.compare(&idle, &cop).model, UpdateModel::Cop);
     }
 
     #[test]
@@ -369,7 +380,7 @@ mod tests {
         // whose random reads are nearly free, the selective reads.
         let rop = IoPlan { random: 4_000_000, ..Default::default() };
         let cop = IoPlan { sequential: 400_000_000, ..Default::default() };
-        assert_eq!(hdd_predictor().select(1, 10_000_000, &rop, &cop).model, UpdateModel::Cop);
-        assert_eq!(ssd.select(1, 10_000_000, &rop, &cop).model, UpdateModel::Rop);
+        assert_eq!(hdd_predictor().compare(&rop, &cop).model, UpdateModel::Cop);
+        assert_eq!(ssd.compare(&rop, &cop).model, UpdateModel::Rop);
     }
 }

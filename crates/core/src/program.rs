@@ -14,8 +14,9 @@
 //! `combine` must be **commutative and associative** in its messages —
 //! push applies messages in block order, pull in in-edge order, and the
 //! engines are free to parallelize — and for correct operation under
-//! Gauss-Seidel schedules it should be **idempotent** per (source
-//! value, edge), as min/or-style propagation algorithms are.
+//! asynchronous schedules (the GraphChi baseline) it should be
+//! **idempotent** per (source value, edge), as min/or-style
+//! propagation algorithms are.
 //! Sum-style programs (PageRank) are non-idempotent but run with all
 //! vertices active, where every edge is applied exactly once per
 //! iteration under every engine here.

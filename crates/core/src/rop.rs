@@ -510,17 +510,11 @@ impl Frontier {
 ///   cache holds it;
 /// * `D_j` read + write-back once per destination interval that some
 ///   block has edges to push into — the expected number of pushed edges
-///   capped at one stands in for "some". With `per_row_d` (Gauss-Seidel:
-///   every row loads, writes and commits its own `D` buffers) that is
-///   counted per block instead; programs with a non-identity `reset`
-///   re-derive every interval, pushed into or not.
+///   capped at one stands in for "some"; programs with a non-identity
+///   `reset` re-derive every interval, pushed into or not.
 ///
 /// Overlay-resident blocks are read from memory and cost nothing.
-pub fn plan<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    frontier: &Frontier,
-    per_row_d: bool,
-) -> IoPlan {
+pub fn plan<Pr: VertexProgram>(ctx: &IterCtx<'_, Pr>, frontier: &Frontier) -> IoPlan {
     let meta = ctx.graph.meta();
     let value_bytes = std::mem::size_of::<Pr::Value>() as f64;
     // Estimates are fractional; each class is rounded once at the end.
@@ -536,7 +530,7 @@ pub fn plan<Pr: VertexProgram>(
                 continue;
             }
             let requested = row.degree_sum as f64 * block_edges / ctx.row_edges[i] as f64;
-            *d = if per_row_d { *d + requested.min(1.0) } else { (*d + requested).min(1.0) };
+            *d = (*d + requested).min(1.0);
             if ctx.graph.out_block_resident(i, j) {
                 continue;
             }
@@ -593,7 +587,7 @@ pub fn plan<Pr: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RunConfig, Synchrony, UpdateMode};
+    use crate::engine::{Engine, RunConfig, UpdateMode};
     use crate::BuildConfig;
     use hus_storage::StorageDir;
 
@@ -632,7 +626,7 @@ mod tests {
 
     /// One push iteration of [`CountFromFive`] over a 64-cycle in four
     /// 16-vertex intervals (raw codec: the byte counts are pinned).
-    fn one_push_from_five(reset: bool, synchrony: Synchrony) -> (Vec<u32>, crate::RunStats) {
+    fn one_push_from_five(reset: bool) -> (Vec<u32>, crate::RunStats) {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
@@ -641,7 +635,6 @@ mod tests {
             max_iterations: 1,
             threads: 1,
             throughput: SLOW_SWEEPS,
-            synchrony,
             ..RunConfig::with_mode(UpdateMode::ForceRop)
         };
         Engine::new(&g, &CountFromFive { reset }, config).run().unwrap()
@@ -657,17 +650,10 @@ mod tests {
     /// only edge (5 → 6) lands in out-block (0, 0) touches `S_0`, row
     /// 0's indices and one `D_0` — not the `D_1` of the row's other
     /// non-empty block (0, 1), which holds 15 → 16 but nothing of
-    /// vertex 5's. Gauss-Seidel makes the one active row a unit of its
-    /// own, which moves the same bytes.
+    /// vertex 5's.
     #[test]
     fn one_vertex_frontier_reads_one_source_and_one_destination_interval() {
-        for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
-            one_vertex_frontier_bill(synchrony);
-        }
-    }
-
-    fn one_vertex_frontier_bill(synchrony: Synchrony) {
-        let (values, stats) = one_push_from_five(false, synchrony);
+        let (values, stats) = one_push_from_five(false);
         assert_eq!(values[6], 107, "one message into 6");
         assert_eq!(values[16], 116, "interval 1 is untouched");
         let io = &stats.iterations[0].io;
@@ -687,7 +673,7 @@ mod tests {
     /// intervals nothing was pushed into are still reset and written.
     #[test]
     fn reset_programs_still_rederive_untouched_intervals() {
-        let (values, stats) = one_push_from_five(true, Synchrony::Synchronous);
+        let (values, stats) = one_push_from_five(true);
         let mut want = vec![0u32; 64];
         want[6] = 1;
         assert_eq!(values, want);
@@ -727,7 +713,7 @@ mod tests {
             // executor moves in the two tests above.
             let d = if reset { 4 * 64 } else { 64 };
             let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
-            assert_eq!(plan(&ctx, &frontier, false), want, "reset {reset}");
+            assert_eq!(plan(&ctx, &frontier), want, "reset {reset}");
         }
     }
 

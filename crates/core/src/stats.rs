@@ -24,7 +24,9 @@ pub struct IterationStats {
     pub iteration: usize,
     /// Model selected for the iteration.
     pub model: UpdateModel,
-    /// Whether the α gate short-circuited the predictor.
+    /// Whether the hybrid chose COP without pricing because every
+    /// vertex was active (or, for the paper-literal predictor, at least
+    /// 5 % were).
     pub gated: bool,
     /// Predicted `C_rop` (NaN when gated or forced).
     pub c_rop: f64,

@@ -124,8 +124,10 @@ impl StorageError {
     }
 
     /// Whether this error indicates damaged on-disk data (as opposed to a
-    /// failed access). Degradation paths must *not* mask corruption by
-    /// falling back to a different read strategy.
+    /// failed access): a bad checksum, an undecodable or mis-sized
+    /// block, or a build or manifest that does not match the files.
+    /// Retrying cannot cure it ([`Self::is_transient`] is `false`), so a
+    /// caller that sees it should report the damage, not try again.
     pub fn is_corruption(&self) -> bool {
         matches!(
             self,

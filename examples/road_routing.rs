@@ -60,9 +60,10 @@ fn main() -> hus_storage::Result<()> {
         println!("  to ({r:3},{c:3}): {:7.1} minutes", travel_times[v as usize]);
     }
     println!(
-        "\nOn a high-diameter mesh the wavefront never exceeds the α gate: the \
-         hybrid runs ROP throughout and matches it, while COP pays a full map \
-         rescan for every one of the hundreds of wavefront steps."
+        "\nOn a high-diameter mesh the wavefront stays a thin ring: the \
+         predictor prices ROP cheaper at every step, so the hybrid runs ROP \
+         throughout and matches it, while COP pays a full map rescan for every \
+         one of the hundreds of wavefront steps."
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -4,7 +4,7 @@
 # that every binary still runs; the script exits 1 if any binary fails.
 set -u
 cd "$(dirname "$0")"
-BINS="table2_datasets fig1_active_edges fig7_hybrid fig8_prediction table3_runtime fig9_io fig10_threads fig11_devices ablation_alpha ablation_partitions ablation_synchrony exp_semi_external exp_high_diameter"
+BINS="table2_datasets fig1_active_edges fig7_hybrid fig8_prediction table3_runtime fig9_io fig10_threads fig11_devices ablation_predictor ablation_partitions exp_semi_external exp_high_diameter"
 failed=0
 for b in $BINS; do
   echo "=== $b (start $(date +%H:%M:%S)) ==="

@@ -206,18 +206,3 @@ fn runs_leave_no_scratch_directory_behind() {
     GridGraphEngine::new(&arena.grid, &bfs, named).run().unwrap();
     assert!(arena.grid.dir().exists("keep_scratch/vals_a.bin"));
 }
-
-#[test]
-fn gauss_seidel_engines_reach_reference_fixpoints() {
-    use husgraph::core::Synchrony;
-    let el = husgraph::gen::rmat(250, 1500, 31, Default::default()).symmetrize();
-    let want = reference::wcc_labels(&Csr::from_edge_list(&el));
-    let arena = build_all(&el, 4);
-    for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop, UpdateMode::Hybrid] {
-        let config =
-            RunConfig { mode, synchrony: Synchrony::GaussSeidel, threads: 2, ..Default::default() };
-        let (got, stats) = Engine::new(&arena.hus, &Wcc, config).run().unwrap();
-        assert!(stats.converged);
-        assert_eq!(got, want, "{mode:?}");
-    }
-}

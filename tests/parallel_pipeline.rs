@@ -10,8 +10,7 @@
 use husgraph::algos::{Bfs, PageRank, Wcc};
 use husgraph::codec::Codec;
 use husgraph::core::{
-    BuildConfig, EdgeCtx, Engine, HusGraph, RunConfig, RunStats, Synchrony, UpdateMode,
-    VertexProgram,
+    BuildConfig, EdgeCtx, Engine, HusGraph, RunConfig, RunStats, UpdateMode, VertexProgram,
 };
 use husgraph::gen::EdgeList;
 use husgraph::storage::{IoSnapshot, StorageDir};
@@ -73,30 +72,6 @@ fn parallel_rop_repeated_runs_are_stable() {
             None => baseline = Some(vals),
             Some(b) => assert_eq!(b, &vals, "WCC diverged on parallel round {round}"),
         }
-    }
-}
-
-/// Gauss-Seidel pulls one column per unit, so every unit has one worker
-/// whatever the thread budget: at 4 and 8 threads each column runs on
-/// the caller with the whole pool, and must match the one-thread run.
-#[test]
-fn gauss_seidel_one_column_units_match_serial_bit_for_bit() {
-    let (_tmp, g) = build(6);
-    let gauss_seidel = |threads| RunConfig {
-        synchrony: Synchrony::GaussSeidel,
-        ..cfg(UpdateMode::ForceCop, threads)
-    };
-    let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, gauss_seidel(1)).run().unwrap();
-
-    for threads in [4, 8] {
-        g.dir().tracker().reset();
-        let (vals, stats) = Engine::new(&g, &Wcc, gauss_seidel(threads)).run().unwrap();
-        assert_eq!(serial_vals, vals, "WCC values diverged at {threads} threads");
-        assert_eq!(
-            serial_stats.total_io.total_bytes(),
-            stats.total_io.total_bytes(),
-            "tracked I/O bytes diverged at {threads} threads"
-        );
     }
 }
 

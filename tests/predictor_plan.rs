@@ -5,13 +5,17 @@
 //! few thousand vertices for over a hundred iterations — the plans of
 //! `hus_core::{rop, cop}` must be close enough to the billed bytes that
 //! the hybrid never loses to a constant policy, for both edge codecs.
+//! On an rmat graph, whose BFS frontier grows past any fixed active
+//! fraction and shrinks again, every iteration that leaves a vertex
+//! inactive must be priced, and pricing must keep the hybrid level with
+//! the better constant policy.
 
 use husgraph::algos::Bfs;
 use husgraph::codec::Codec;
 use husgraph::core::audit::{audit_rows, misprediction_ratio};
 use husgraph::core::predict::IoPlan;
 use husgraph::core::{cop, BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode};
-use husgraph::gen::watts_strogatz;
+use husgraph::gen::{rmat, watts_strogatz};
 use husgraph::storage::{CostModel, DeviceProfile, StorageDir};
 
 const P: u32 = 8;
@@ -51,7 +55,7 @@ fn hybrid_on_the_mesh_crossover_never_loses_to_a_constant_policy() {
                 assert_eq!(IoPlan::billed(&it.io), sweep, "{what}: iteration {}", it.iteration);
             }
 
-            // Every iteration here is below the α gate, so every one is
+            // No iteration here has every vertex active, so every one is
             // a priced decision; the hybrid's total on the paper's HDD
             // is within 2 % of the better constant policy's.
             assert!(hybrid.iterations.iter().all(|it| !it.gated && it.plan.is_some()), "{what}");
@@ -72,5 +76,50 @@ fn hybrid_on_the_mesh_crossover_never_loses_to_a_constant_policy() {
             let error_pct = misprediction_ratio(&rows).expect("priced iterations");
             assert!(error_pct <= 30.0, "{what}: misprediction {error_pct:.1} %");
         }
+    }
+}
+
+/// A 32-vertex rmat graph (16 edges per vertex, P 8), searched from its
+/// lowest out-degree vertex: a one-vertex frontier twice, then three
+/// quarters of the graph, then a few vertices. The dense middle
+/// iteration is priced like the others, so the hybrid is level with the
+/// better constant policy. A 5 % active-fraction gate, which sends every
+/// frontier of two or more vertices here to COP unpriced, makes the
+/// hybrid 1.17 × the better policy on the raw codec and 1.70 × on
+/// delta-varint.
+#[test]
+fn hybrid_prices_every_rmat_iteration_with_an_inactive_vertex() {
+    let hdd = CostModel::new(DeviceProfile::hdd());
+    let el = rmat(1 << 5, 16 << 5, 1, Default::default());
+    for codec in [Codec::Raw, Codec::DeltaVarint] {
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let graph = HusGraph::build_into(&el, &dir, &BuildConfig::with_p_codec(P, codec)).unwrap();
+        let degrees = graph.out_degrees();
+        let source = (0..el.num_vertices)
+            .filter(|&v| degrees[v as usize] > 0)
+            .min_by_key(|&v| degrees[v as usize])
+            .unwrap();
+
+        let (rop_levels, rop) = bfs(&dir, source, UpdateMode::ForceRop);
+        let (cop_levels, cop) = bfs(&dir, source, UpdateMode::ForceCop);
+        let (hybrid_levels, hybrid) = bfs(&dir, source, UpdateMode::Hybrid);
+        assert_eq!(rop_levels, cop_levels, "{codec:?}");
+        assert_eq!(rop_levels, hybrid_levels, "{codec:?}");
+
+        let v = el.num_vertices as u64;
+        for it in hybrid.iterations.iter().filter(|it| it.active_vertices < v) {
+            let at = (codec, it.iteration, it.active_vertices);
+            assert!(it.plan.is_some() && !it.gated, "{at:?}: an unpriced iteration");
+        }
+        let modeled = |stats: &RunStats| stats.modeled_seconds(&hdd);
+        let best = modeled(&rop).min(modeled(&cop));
+        assert!(
+            modeled(&hybrid) <= 1.05 * best,
+            "{codec:?}: hybrid {:.6} s vs ROP {:.6} s / COP {:.6} s",
+            modeled(&hybrid),
+            modeled(&rop),
+            modeled(&cop),
+        );
     }
 }

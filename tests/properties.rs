@@ -165,7 +165,7 @@ proptest! {
                 deadline: None,
                 row_edges: &row_edges,
             };
-            rop::plan(&ctx, &Frontier::scan(&g, &active), false)
+            rop::plan(&ctx, &Frontier::scan(&g, &active))
         };
         let sparse = c_rop(&small);
         let dense = c_rop(&small.union(&extra).copied().collect());
@@ -176,8 +176,8 @@ proptest! {
         // flip at most once along the density axis.
         let sweep = cop::sweep_plan(&g, 4);
         let pred = Predictor::new(tput, 4.0, 4);
-        if pred.select(1, u64::MAX, &sparse, &sweep).model == UpdateModel::Cop {
-            prop_assert_eq!(pred.select(1, u64::MAX, &dense, &sweep).model, UpdateModel::Cop);
+        if pred.compare(&sparse, &sweep).model == UpdateModel::Cop {
+            prop_assert_eq!(pred.compare(&dense, &sweep).model, UpdateModel::Cop);
         }
     }
 
