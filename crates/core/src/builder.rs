@@ -3,7 +3,7 @@
 //! Mirrors the paper's §3.2: vertices are split into `P` intervals; each
 //! interval's out-edges and in-edges are written as an out-shard and an
 //! in-shard, each internally partitioned into `P` blocks by the other
-//! endpoint's interval, with a per-vertex CSR index per block (the
+//! endpoint's interval, with a sparse per-vertex index per block (the
 //! `out-index(i,j)` / `in-index(i,j)` structures that enable ROP's
 //! selective loads and COP's per-destination parallelism).
 
@@ -273,17 +273,31 @@ mod tests {
     #[test]
     fn shard_files_have_expected_sizes() {
         // Codec-generic: every `.edges` file is exactly its blocks'
-        // encoded payloads plus the footer, whatever HUS_CODEC is set to.
-        let el = rmat(64, 300, 2, RmatConfig::default());
+        // encoded payloads plus the footer, whatever HUS_CODEC is set to;
+        // every `.index` file one offset per source with edges in a
+        // block plus a terminal one per block, then one bitmap word per
+        // 64 vertices per block, then the footer.
+        let el = rmat(100, 300, 2, RmatConfig::default());
         let (_t, dir, meta) = build_tmp(&el, 2);
         let footer = hus_storage::checksum::footer_len(2);
         for i in 0..2usize {
             let payload: u64 = (0..2).map(|j| meta.out_block(i, j).encoded_bytes).sum();
             assert_eq!(dir.file_len(&GraphMeta::out_edges_file(i)).unwrap(), payload + footer);
-            let len = meta.interval_len(i) as u64;
+            let mut offsets = 0;
+            for j in 0..2usize {
+                let range = |k: usize| meta.interval_start(k)..meta.interval_start(k + 1);
+                let sources: std::collections::BTreeSet<u32> = (el.edges.iter())
+                    .filter(|e| range(i).contains(&e.src) && range(j).contains(&e.dst))
+                    .map(|e| e.src)
+                    .collect();
+                assert_eq!(meta.out_block(i, j).occupied, sources.len() as u64, "({i}, {j})");
+                offsets += (sources.len() as u64 + 1) * 4;
+            }
+            // Intervals of 50 vertices: one bitmap word per block.
+            assert_eq!(meta.interval_len(i), 50);
             assert_eq!(
                 dir.file_len(&GraphMeta::out_index_file(i)).unwrap(),
-                2 * (len + 1) * 4 + footer
+                offsets + 2 * 8 + footer
             );
         }
     }

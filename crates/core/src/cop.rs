@@ -2,9 +2,9 @@
 //!
 //! Processing column `i`: load `D_i` once; stream in-blocks
 //! `(0, i)..(P-1, i)` sequentially, loading `S_j` and the in-index per
-//! block; every destination vertex of interval `i` walks its own
-//! in-edge range and pulls from active in-neighbors, in one tight
-//! sequential loop per block.
+//! block; every destination vertex of interval `i` with in-edges in the
+//! block walks its own range and pulls from active in-neighbors, in one
+//! tight sequential loop per block.
 //!
 //! The unit of parallelism is the column (§3.5 parallelizes per
 //! destination vertex; whole columns are the coarsest such split).
@@ -23,7 +23,8 @@
 //! cache, so there a lone worker does not overlap).
 
 use crate::graph::{EdgeRecords, HusGraph};
-use crate::meta::INDEX_ENTRY_BYTES;
+use crate::index::BlockIndex;
+use crate::meta::Orientation;
 use crate::predict::IoPlan;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::rop::{load_d, IterCtx};
@@ -37,21 +38,22 @@ use rayon::prelude::*;
 static BLOCK_EDGES: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("cop.block_edges");
 
 /// One fetched in-block, ready to pull.
-struct FetchedBlock<V> {
+struct FetchedBlock<'g, V> {
     /// Source interval of the block.
     src_interval: usize,
     /// `S_j`: the source interval's current values.
     s_block: Vec<V>,
-    /// Per-destination CSR offsets.
-    index: Vec<u32>,
+    /// Where each destination's in-edges are.
+    index: BlockIndex<'g>,
     /// The block's edge records.
     records: EdgeRecords,
 }
 
 /// The I/O plan of a whole COP sweep: exactly the bytes [`run_columns`]
 /// bills for all `P` columns. Each `D_j` is read and written back once;
-/// every non-empty in-block `(i, j)` costs its `S_i`, its in-index and
-/// its encoded payload, all sequential (an overlay-resident block is
+/// every non-empty in-block `(i, j)` costs its `S_i`, its in-index's
+/// `occupied + 1` offsets and its encoded payload, all sequential (the
+/// occupancy bitmaps are resident; an overlay-resident block is
 /// served from memory; the stream bypasses the decoded-block cache, so
 /// a compressed block bills its payload every sweep). Nothing here
 /// depends on the frontier — COP pays for every in-edge, active or not
@@ -66,8 +68,8 @@ pub fn sweep_plan(graph: &HusGraph, value_bytes: u64) -> IoPlan {
         for i in (0..graph.p()).filter(|&i| graph.in_block_len(i, col) > 0) {
             plan.sequential += meta.interval_len(i) as u64 * value_bytes;
             if !graph.in_block_resident(i, col) {
-                plan.sequential += (meta.interval_len(col) as u64 + 1) * INDEX_ENTRY_BYTES
-                    + meta.in_block(i, col).encoded_bytes;
+                let block = meta.in_block(i, col);
+                plan.sequential += block.offsets_bytes() + block.encoded_bytes;
             }
         }
     }
@@ -114,7 +116,7 @@ fn pull_column<Pr: VertexProgram>(
         // the column's vertex-value traffic too, not just edge bytes.
         let block = hus_obs::attr::with_block(i as u32, col as u32, || -> Result<_> {
             let s_block = store.load_current(i, Access::Sequential)?;
-            let index = ctx.graph.load_in_index(i, col, Access::Sequential)?;
+            let index = ctx.graph.block_index(Orientation::In, i, col, Access::Sequential)?;
             let records = ctx.graph.stream_in_block(i, col)?;
             Ok(FetchedBlock { src_interval: i, s_block, index, records })
         })?;
@@ -126,11 +128,11 @@ fn pull_column<Pr: VertexProgram>(
 }
 
 /// The in-memory pull of one fetched block into `D_col`: every
-/// destination walks its own in-edge range in record order, so its
-/// accumulation order is the same at every thread count.
+/// destination with in-edges in the block walks its own range in record
+/// order, so its accumulation order is the same at every thread count.
 fn pull_block<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
-    block: &FetchedBlock<Pr::Value>,
+    block: &FetchedBlock<'_, Pr::Value>,
     dst_base: u32,
     d_col: &mut [Pr::Value],
 ) {
@@ -139,9 +141,10 @@ fn pull_block<Pr: VertexProgram>(
     // Every source of an always-active program is active, and its next
     // frontier is already full: no frontier bit to load or set.
     let all_active = ctx.program.always_active();
-    for ((dst, dst_val), range) in (dst_base..).zip(d_col).zip(block.index.windows(2)) {
+    block.index.for_each_range(|local, lo, hi| {
+        let (dst, dst_val) = (dst_base + local as u32, &mut d_col[local]);
         let mut changed = false;
-        for (src, weight) in block.records.walk(range[0] as usize, range[1] as usize) {
+        for (src, weight) in block.records.walk(lo as usize, hi as usize) {
             if !all_active && !ctx.active.get(src) {
                 continue;
             }
@@ -154,7 +157,7 @@ fn pull_block<Pr: VertexProgram>(
         if changed && !all_active {
             ctx.next_active.set(dst);
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -292,7 +295,6 @@ mod tests {
         let starts = &g.meta().interval_starts;
         let store = VertexStore::create(&dir.subdir("vals").unwrap(), "v", starts, |v| v).unwrap();
         let (active, next_active) = (ActiveSet::all(300), ActiveSet::new(300));
-        let row_edges = crate::rop::row_edge_totals(&g);
         let ctx = IterCtx {
             graph: &g,
             program: &MinLabel,
@@ -304,7 +306,6 @@ mod tests {
                 at: std::time::Instant::now() - std::time::Duration::from_millis(1),
                 budget_ms: 7,
             }),
-            row_edges: &row_edges,
         };
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();

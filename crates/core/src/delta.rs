@@ -96,7 +96,8 @@ impl Memtable {
 /// of a touched block are served from here without device I/O.
 #[derive(Debug)]
 pub(crate) struct MergedBlock {
-    /// `interval_len + 1` local CSR offsets, like the on-disk index.
+    /// `interval_len + 1` local offsets: the dense view of an on-disk
+    /// index.
     pub(crate) index: Vec<u32>,
     /// Merged records in canonical order for the orientation.
     pub(crate) records: EdgeRecords,
@@ -131,8 +132,8 @@ pub(crate) struct DeltaOverlay {
 /// unique.
 type BlockOps = Vec<((u32, u32), DeltaOp)>;
 
-/// Two-pointer merge of one block orientation: `base_index`/`base` are
-/// the block's on-disk CSR, `ops` the resolved newest-wins deltas for
+/// Two-pointer merge of one block orientation: `base_index` (the dense
+/// view of the block's on-disk index) and `base` are its base CSR, `ops` the resolved newest-wins deltas for
 /// the block sorted by `(own vertex, neighbor)` — `(src, dst)` for
 /// out-blocks, `(dst, src)` for in-blocks. Relies on the canonical
 /// neighbor-sorted base order the builders guarantee. Base records

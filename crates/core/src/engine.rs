@@ -401,10 +401,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         let mut predictor =
             Predictor::new(self.config.throughput, self.graph.disk_edge_bytes(), value_bytes);
         predictor.paper_literal = self.config.paper_literal_predictor;
-        // Static for the run: COP's sweep plan and the per-row edge
-        // totals ROP's plan shares blocks by.
+        // Static for the run: COP's sweep plan.
         let sweep = cop::sweep_plan(self.graph, value_bytes);
-        let row_edges = rop::row_edge_totals(self.graph);
         let tput = &self.config.throughput;
 
         let mut converged = false;
@@ -445,7 +443,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                     coalesce_ratio: tput.batched_bps / tput.random_bps,
                     index_ratio: tput.sequential_bps / tput.random_bps,
                     deadline: self.config.deadline,
-                    row_edges: &row_edges,
                 };
                 self.plan_iteration(&predictor, &ctx, sweep, frontier.as_ref())
             };

@@ -17,8 +17,8 @@
 //!    back straight into its `P` blocks by one stable counting pass on
 //!    the neighbor's interval; `order_block` then puts each block in
 //!    canonical order with two more counting passes, and `write_shard`
-//!    — the one function that writes a shard's blocks, CSR indices and
-//!    footers — emits them. The in-memory builder ([`crate::build`])
+//!    — the one function that writes a shard's blocks, sparse indices
+//!    and footers — emits them. The in-memory builder ([`crate::build`])
 //!    orders and emits its blocks through the same two functions. At
 //!    most one spill's records plus one block of scratch are held (the
 //!    spill's raw bytes only while they are split).
@@ -381,7 +381,7 @@ pub(crate) struct OrderScratch {
 /// Two stable counting passes — by neighbor into the scratch, then by
 /// own vertex back into `block` — with histograms over the block's own
 /// (`own`) and neighbor (`other`) vertex ranges: O(records + interval
-/// lengths), the order of the CSR array the block gets anyway.
+/// lengths).
 fn order_block(
     block: &mut [Record],
     own: Range<u32>,
@@ -449,16 +449,21 @@ fn counting_pass(
 }
 
 /// Write `o`-shard `own` — `P` codec-encoded blocks, each with its
-/// per-vertex CSR offset array, and the two CRC footers. This is the one
-/// place that spells out the shard format of `docs/FORMAT.md`; both
-/// builders end here, which is what makes their output byte-identical.
+/// sparse index, and the two CRC footers. This is the one place that
+/// spells out the shard format of `docs/FORMAT.md`; both builders and
+/// compaction end here, which is what makes their output
+/// byte-identical.
 ///
 /// `runs` yields the shard's `P` blocks in file order, each as
 /// `(own vertex, neighbor, weight)` records in canonical
-/// `(own vertex, neighbor)` order. The block descriptors are recorded
-/// into `meta`. The per-block CRC-32C covers the *encoded* bytes;
-/// footers are appended untracked (integrity metadata, not modeled data
-/// I/O).
+/// `(own vertex, neighbor)` order. The `.index` file gets each block's
+/// offset array — one offset per own vertex with records in the block,
+/// plus the terminal one — and then the `P` occupancy bitmaps, which
+/// are held until the last block is written (`P · len / 8` bytes). The
+/// block descriptors are recorded into `meta`. The per-block CRC-32C
+/// covers the *encoded* bytes of an `.edges` block, and the bitmap
+/// followed by the offsets of an `.index` block; footers are appended
+/// untracked (integrity metadata, not modeled data I/O).
 pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
     dir: &StorageDir,
     meta: &mut GraphMeta,
@@ -475,17 +480,29 @@ pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
     let mut index_w = dir.writer(&index_name)?;
     let mut edge_crcs = Vec::with_capacity(p);
     let mut index_crcs = Vec::with_capacity(p);
-    // Reusable per-block scratch: CSR offsets over this interval's
-    // vertices, the decoded record run and its encoded payload.
-    let mut offsets = vec![0u32; meta.interval_len(own) as usize + 1];
+    let words = meta.bitmap_words(own) as usize;
+    let mut bitmaps = vec![0u64; p * words];
+    // Reusable per-block scratch: the offsets of the occupied vertices,
+    // the decoded record run and its encoded payload.
+    let mut offsets: Vec<u32> = Vec::new();
     let mut raw_buf: Vec<u8> = Vec::new();
     let mut enc_buf: Vec<u8> = Vec::new();
     let mut decoded_pos = 0u64;
     for (other, run) in runs.enumerate() {
-        offsets.fill(0);
+        offsets.clear();
         raw_buf.clear();
+        let bitmap = &mut bitmaps[other * words..(other + 1) * words];
+        let mut records = 0u64;
+        let mut last = None;
         for (v, neighbor, weight) in run {
-            offsets[(v - base) as usize + 1] += 1;
+            let local = (v - base) as usize;
+            if last != Some(local) {
+                debug_assert!(last < Some(local), "records must arrive by own vertex");
+                bitmap[local / 64] |= 1 << (local % 64);
+                offsets.push(records as u32);
+                last = Some(local);
+            }
+            records += 1;
             raw_buf.extend_from_slice(&neighbor.to_le_bytes());
             if weighted {
                 raw_buf.extend_from_slice(&weight.to_le_bytes());
@@ -495,7 +512,6 @@ pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
         // Index entries are `u32` (docs/FORMAT.md): a larger block's
         // offsets would wrap, so it is refused before a byte of it is
         // written.
-        let records = (raw_buf.len() / record_bytes) as u64;
         if records > u32::MAX as u64 {
             return Err(StorageError::CapacityExceeded {
                 what: format!("records in {}-block ({i}, {j})", o.name()),
@@ -503,24 +519,27 @@ pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
                 limit: u32::MAX as u64,
             });
         }
-        for v in 1..offsets.len() {
-            offsets[v] += offsets[v - 1];
-        }
+        offsets.push(records as u32);
         codec.encode(&raw_buf, record_bytes, &mut enc_buf);
         *meta.block_mut(o, i, j) = BlockMeta {
             edge_offset: decoded_pos,
             edge_count: records,
             index_offset: index_w.position(),
+            occupied: offsets.len() as u64 - 1,
             encoded_offset: edges_w.position(),
             encoded_bytes: enc_buf.len() as u64,
         };
         decoded_pos += raw_buf.len() as u64;
-        index_crcs.push(hus_storage::crc32c(pod::as_bytes(&offsets)));
+        let mut crc = Crc32c::new();
+        crc.update(pod::as_bytes(bitmap));
+        crc.update(pod::as_bytes(&offsets));
+        index_crcs.push(crc.finish());
         index_w.write_pod_slice(&offsets)?;
         edge_crcs.push(hus_storage::crc32c(&enc_buf));
         edges_w.write_all(&enc_buf)?;
     }
     assert_eq!(edge_crcs.len(), p, "a shard has exactly P blocks");
+    index_w.write_pod_slice(&bitmaps)?;
     crash_point("build.shard_mid"); // torn: buffered writes lost
     edges_w.finish()?;
     index_w.finish()?;

@@ -3,10 +3,13 @@
 //! Open-time validation ([`crate::HusGraph::open`]) is deliberately
 //! shallow — manifest presence plus per-file lengths. This module is
 //! the thorough counterpart: it walks the `MANIFEST`, re-verifies every
-//! block payload and CSR index segment against the shard footers'
-//! CRC-32C tables, cross-checks the footer codec ids against
-//! `meta.json`, and validates index monotonicity — reporting every
-//! problem it finds instead of stopping at the first (DESIGN.md §10).
+//! block payload and sparse index (bitmap and offsets) against the shard
+//! footers' CRC-32C tables, cross-checks the footer codec ids against
+//! `meta.json`, and validates each index — bitmap population against
+//! offset count, no set bit past the interval, every occupied vertex's
+//! range non-empty, the terminal offset at the block's edge count —
+//! reporting every problem it finds instead of stopping at the first
+//! (DESIGN.md §10).
 //!
 //! Delta runs (DESIGN.md §11) are covered too: every run the
 //! `MANIFEST` lists is fully re-read and CRC-verified, its trailer is
@@ -21,7 +24,8 @@
 //! remnants of interrupted spills.
 
 use crate::checkpoint::CKPT_SLOTS;
-use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, META_FILE};
+use crate::index::Occupancy;
+use crate::meta::{GraphMeta, Orientation, DEGREES_FILE, META_FILE};
 use hus_storage::checksum::{footer_len, ShardFooter};
 use hus_storage::{crc32c, Access, Result, StorageDir};
 use std::path::PathBuf;
@@ -136,12 +140,10 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
 
     // 2. meta.json: without it no deep checks are possible.
     let meta: GraphMeta =
-        match dir.get_meta(META_FILE).map_err(|e| e.to_string()).and_then(|text| {
-            serde_json::from_str(&text).map_err(|e| format!("bad {META_FILE}: {e}"))
-        }) {
+        match dir.get_meta(META_FILE).and_then(|text| GraphMeta::parse(&text, dir.root())) {
             Ok(meta) => meta,
             Err(e) => {
-                report.issues.push(e);
+                report.issues.push(e.to_string());
                 scan_stale(dir, repair, &mut report, &listed_runs);
                 return Ok(report);
             }
@@ -170,38 +172,23 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
         }
     };
 
-    // 3. Every shard file: length, footer, per-block payload CRCs,
-    //    index monotonicity.
+    // 3. Every shard file: length, footer, per-block payload CRCs, and
+    //    the sparse index's invariants.
     for own in 0..p {
         for o in Orientation::BOTH {
-            let (edges_name, index_name) =
-                (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
-            check_file(
+            let edges_name = GraphMeta::edges_file(o, own);
+            let blocks = meta.shard_blocks(o, own).map(|b| (b.encoded_offset, b.encoded_bytes));
+            if let Ok(Some(crcs)) = check_file(
                 dir,
                 &edges_name,
                 &mut report,
                 meta.checksums.then_some(codec.id()),
                 p,
-                meta.shard_blocks(o, own).map(|b| (b.encoded_offset, b.encoded_bytes)).collect(),
-            );
-            let seg = (meta.interval_len(own) as u64 + 1) * INDEX_ENTRY_BYTES;
-            check_file(
-                dir,
-                &index_name,
-                &mut report,
-                meta.checksums.then_some(hus_codec::CODEC_RAW),
-                p,
-                meta.shard_blocks(o, own).map(|b| (b.index_offset, seg)).collect(),
-            );
-            // CSR invariants per index block: offsets start at 0, are
-            // non-decreasing, and end at the block's edge count.
-            for (other, b) in meta.shard_blocks(o, own).enumerate() {
-                if let Err(issue) =
-                    check_index_block(dir, &index_name, b.index_offset, seg, b.edge_count)
-                {
-                    report.issues.push(format!("{index_name}: block {other}: {issue}"));
-                }
+                meta.shard_blocks(o, own).map(|b| b.encoded_bytes).sum(),
+            ) {
+                check_crcs(dir, &edges_name, &mut report, &crcs, blocks);
             }
+            check_index_file(dir, &meta, o, own, &mut report);
         }
     }
 
@@ -220,58 +207,51 @@ pub fn fsck(dir: &StorageDir, repair: bool) -> Result<FsckReport> {
     Ok(report)
 }
 
-/// Length + footer + per-block CRC checks for one shard file.
-/// `blocks` holds each block's `(offset, byte length)` within the
-/// file's payload region.
+/// Length and footer checks for one shard file of `payload` bytes plus,
+/// on a checksummed graph (`footer_codec` set), its footer naming
+/// `footer_codec`. `Err` when the file failed them (the issue is
+/// reported); otherwise the footer's CRC table, `None` on an
+/// un-checksummed graph.
 fn check_file(
     dir: &StorageDir,
     name: &str,
     report: &mut FsckReport,
     footer_codec: Option<u16>,
     p: usize,
-    blocks: Vec<(u64, u64)>,
-) {
+    payload: u64,
+) -> std::result::Result<Option<Vec<u32>>, ()> {
     report.files_checked += 1;
-    let payload: u64 = blocks.iter().map(|&(_, len)| len).sum();
-    let Some(expect_codec) = footer_codec else {
-        // Un-checksummed graph: only the length is checkable.
-        match std::fs::metadata(dir.path(name)) {
-            Err(_) => report.issues.push(format!("{name} is missing")),
-            Ok(md) if md.len() != payload => {
-                report.issues.push(format!("{name}: expected {payload} bytes, found {}", md.len()))
+    let want = payload + footer_codec.map_or(0, |_| footer_len(p));
+    let issue = match std::fs::metadata(dir.path(name)) {
+        Err(_) => format!("{name} is missing"),
+        Ok(md) if md.len() != want => format!("{name}: expected {want} bytes, found {}", md.len()),
+        Ok(_) => {
+            let Some(expect_codec) = footer_codec else { return Ok(None) };
+            match ShardFooter::read_from(&dir.path(name), p) {
+                Ok(footer) if footer.codec == expect_codec => return Ok(Some(footer.crcs)),
+                Ok(footer) => format!(
+                    "{name}: footer codec id {} disagrees with {META_FILE} (id {expect_codec})",
+                    footer.codec
+                ),
+                Err(e) => format!("{name}: bad footer: {e}"),
             }
-            Ok(_) => {}
-        }
-        return;
-    };
-    let want = payload + footer_len(p);
-    match std::fs::metadata(dir.path(name)) {
-        Err(_) => {
-            report.issues.push(format!("{name} is missing"));
-            return;
-        }
-        Ok(md) if md.len() != want => {
-            report.issues.push(format!("{name}: expected {want} bytes, found {}", md.len()));
-            return;
-        }
-        Ok(_) => {}
-    }
-    let footer = match ShardFooter::read_from(&dir.path(name), p) {
-        Ok(f) => f,
-        Err(e) => {
-            report.issues.push(format!("{name}: bad footer: {e}"));
-            return;
         }
     };
-    if footer.codec != expect_codec {
-        report.issues.push(format!(
-            "{name}: footer codec id {} disagrees with {META_FILE} (id {expect_codec})",
-            footer.codec
-        ));
-        return;
-    }
-    // Re-verify every block payload against the footer CRC table,
-    // reading through the tracked/fault-injected reader stack.
+    report.issues.push(issue);
+    Err(())
+}
+
+/// Re-verify every block of shard file `name` against its footer CRC
+/// table `crcs`, reading through the tracked/fault-injected reader
+/// stack. `blocks` holds each block's `(offset, byte length)` within the
+/// file's payload region.
+fn check_crcs(
+    dir: &StorageDir,
+    name: &str,
+    report: &mut FsckReport,
+    crcs: &[u32],
+    blocks: impl Iterator<Item = (u64, u64)>,
+) {
     let reader = match dir.reader(name) {
         Ok(r) => r,
         Err(e) => {
@@ -279,7 +259,7 @@ fn check_file(
             return;
         }
     };
-    for (b, &(offset, len)) in blocks.iter().enumerate() {
+    for (b, (offset, len)) in blocks.enumerate() {
         let mut buf = vec![0u8; len as usize];
         if let Err(e) = reader.read_at(offset, &mut buf, Access::Sequential) {
             report.issues.push(format!("{name}: block {b}: read failed: {e}"));
@@ -287,41 +267,118 @@ fn check_file(
         }
         report.blocks_checked += 1;
         let got = crc32c(&buf);
-        if got != footer.crcs[b] {
+        if got != crcs[b] {
             report.issues.push(format!(
                 "{name}: block {b}: payload CRC mismatch (footer {:08X}, found {got:08X})",
-                footer.crcs[b]
+                crcs[b]
             ));
         }
     }
 }
 
-/// CSR offset-array invariants for one index block.
-fn check_index_block(
+/// Check interval `own`'s `o`-shard `.index` file: its length and
+/// footer, then per block the CRC of its bitmap and offsets and the
+/// sparse-index invariants of [`check_index_block`].
+fn check_index_file(
     dir: &StorageDir,
-    name: &str,
-    offset: u64,
-    len: u64,
+    meta: &GraphMeta,
+    o: Orientation,
+    own: usize,
+    report: &mut FsckReport,
+) {
+    let name = GraphMeta::index_file(o, own);
+    let p = meta.p as usize;
+    let footer_codec = meta.checksums.then_some(hus_codec::CODEC_RAW);
+    let payload = meta.index_file_bytes(o, own);
+    let Ok(crcs) = check_file(dir, &name, report, footer_codec, p, payload) else {
+        return;
+    };
+    let reader = match dir.reader(&name) {
+        Ok(r) => r,
+        Err(e) => {
+            report.issues.push(format!("{name}: unreadable: {e}"));
+            return;
+        }
+    };
+    let words = meta.bitmap_words(own) as usize;
+    let len = meta.interval_len(own) as usize;
+    for (other, block) in meta.shard_blocks(o, own).enumerate() {
+        let (i, j) = o.orient(own, other);
+        let at = format!("{name}: block {other} ({}-block ({i}, {j}))", o.name());
+        let read = hus_storage::read_pod_vec::<u64, _>(
+            &*reader,
+            meta.bitmap_offset(o, own, other),
+            words,
+            Access::Sequential,
+        )
+        .and_then(|bitmap| {
+            let count = block.occupied as usize + 1;
+            let offsets = hus_storage::read_pod_vec::<u32, _>(
+                &*reader,
+                block.index_offset,
+                count,
+                Access::Sequential,
+            )?;
+            Ok((bitmap, offsets))
+        });
+        let (bitmap, offsets) = match read {
+            Ok(read) => read,
+            Err(e) => {
+                report.issues.push(format!("{at}: read failed: {e}"));
+                continue;
+            }
+        };
+        report.blocks_checked += 1;
+        if let Some(&stored) = crcs.as_ref().and_then(|crcs| crcs.get(other)) {
+            let mut crc = hus_storage::checksum::Crc32c::new();
+            crc.update(hus_storage::pod::as_bytes(&bitmap));
+            crc.update(hus_storage::pod::as_bytes(&offsets));
+            let got = crc.finish();
+            if got != stored {
+                report.issues.push(format!(
+                    "{at}: index CRC mismatch (footer {stored:08X}, found {got:08X})"
+                ));
+            }
+        }
+        if let Err(issue) = check_index_block(bitmap, len, &offsets, block.edge_count) {
+            report.issues.push(format!("{at}: {issue}"));
+        }
+    }
+}
+
+/// Sparse-index invariants of one block over an interval of `len`
+/// vertices: no bitmap bit set past the interval, one offset per set
+/// bit plus the terminal one, offsets that start at 0 and strictly
+/// increase (an occupied vertex owns at least one record), and a
+/// terminal offset equal to the block's edge count.
+fn check_index_block(
+    bitmap: Vec<u64>,
+    len: usize,
+    offsets: &[u32],
     edge_count: u64,
 ) -> std::result::Result<(), String> {
-    let reader = dir.reader(name).map_err(|e| format!("unreadable: {e}"))?;
-    let offsets: Vec<u32> = hus_storage::read_pod_vec(
-        &*reader,
-        offset,
-        (len / INDEX_ENTRY_BYTES) as usize,
-        Access::Sequential,
-    )
-    .map_err(|e| format!("read failed: {e}"))?;
-    if offsets.first() != Some(&0) {
-        return Err(format!("CSR offsets start at {:?}, not 0", offsets.first()));
-    }
-    if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-        return Err(format!("CSR offsets decrease at entry {w}"));
-    }
-    if offsets.last().copied().unwrap_or(0) as u64 != edge_count {
+    let occupancy = Occupancy::new(bitmap, len)?;
+    if occupancy.count() + 1 != offsets.len() {
         return Err(format!(
-            "CSR offsets end at {}, but the block holds {edge_count} edges",
-            offsets.last().copied().unwrap_or(0)
+            "bitmap marks {} occupied vertices, but the block has {} offsets",
+            occupancy.count(),
+            offsets.len()
+        ));
+    }
+    if offsets.first() != Some(&0) {
+        return Err(format!("offsets start at {:?}, not 0", offsets.first()));
+    }
+    if let Some(k) = offsets.windows(2).position(|w| w[0] >= w[1]) {
+        return Err(format!(
+            "the occupied vertex at offset entry {k} has an empty range ({} .. {})",
+            offsets[k],
+            offsets[k + 1]
+        ));
+    }
+    let terminal = offsets.last().copied().unwrap_or(0);
+    if terminal as u64 != edge_count {
+        return Err(format!(
+            "terminal offset is {terminal}, but the block holds {edge_count} edges"
         ));
     }
     Ok(())
@@ -412,6 +469,122 @@ mod tests {
             report.issues.iter().any(|i| i.contains(&name) && i.contains("block 0")),
             "issue names file and block: {:?}",
             report.issues
+        );
+    }
+
+    /// The manifest of the directory `built` made.
+    fn meta_of(dir: &StorageDir) -> GraphMeta {
+        GraphMeta::parse(&dir.get_meta(META_FILE).unwrap(), dir.root()).unwrap()
+    }
+
+    /// Overwrite the bytes at `at` of file `name` with `bytes`.
+    fn patch(dir: &StorageDir, name: &str, at: u64, bytes: &[u8]) {
+        let path = dir.path(name);
+        let mut file = std::fs::read(&path).unwrap();
+        file[at as usize..at as usize + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(&path, file).unwrap();
+    }
+
+    /// Damage one block of `out_1.index` — the first whose occupancy
+    /// `pick` accepts — with `damage(meta, block position)`, then
+    /// require fsck to name that block with an issue containing `want`.
+    fn index_damage_is_named(
+        pick: impl Fn(&crate::BlockMeta, u64) -> bool,
+        damage: impl Fn(&StorageDir, &GraphMeta, usize),
+        want: &str,
+    ) {
+        let (_t, dir) = built(3);
+        let meta = meta_of(&dir);
+        let len = meta.interval_len(1) as u64;
+        assert_eq!(len % 64, 50, "the interval ends inside a bitmap word");
+        let other = (meta.shard_blocks(Orientation::Out, 1).position(|b| pick(b, len)))
+            .expect("a block to damage");
+        damage(&dir, &meta, other);
+        let report = fsck(&dir, false).unwrap();
+        let block = format!("out_1.index: block {other}");
+        assert!(
+            report.issues.iter().any(|i| i.contains(&block) && i.contains(want)),
+            "want an issue naming `{block}` with `{want}`: {}",
+            report.render()
+        );
+    }
+
+    /// The offset entry `k` of out-shard 1's block at position `other`.
+    fn offset_at(meta: &GraphMeta, other: usize, k: u64) -> u64 {
+        meta.shard_blocks(Orientation::Out, 1).nth(other).unwrap().index_offset + 4 * k
+    }
+
+    #[test]
+    fn bitmap_population_disagreeing_with_the_offsets_is_named() {
+        // Mark one more vertex occupied than the block has offsets for.
+        index_damage_is_named(
+            |b, len| b.occupied < len,
+            |dir, meta, other| {
+                let at = meta.bitmap_offset(Orientation::Out, 1, other);
+                let word = u64::from_le_bytes(
+                    std::fs::read(dir.path("out_1.index")).unwrap()[at as usize..at as usize + 8]
+                        .try_into()
+                        .unwrap(),
+                );
+                let free = (!word).trailing_zeros();
+                assert!(free < 50);
+                patch(dir, "out_1.index", at, &(word | 1 << free).to_le_bytes());
+            },
+            "occupied vertices, but the block has",
+        );
+    }
+
+    #[test]
+    fn occupied_vertex_with_an_empty_range_is_named() {
+        // The second occupied vertex's range starts where the first's
+        // does: the first owns no record.
+        index_damage_is_named(
+            |b, _| b.occupied >= 2,
+            |dir, meta, other| patch(dir, "out_1.index", offset_at(meta, other, 1), &[0; 4]),
+            "has an empty range",
+        );
+    }
+
+    #[test]
+    fn terminal_offset_off_the_edge_count_is_named() {
+        index_damage_is_named(
+            |b, _| b.occupied >= 1,
+            |dir, meta, other| {
+                let b = meta.shard_blocks(Orientation::Out, 1).nth(other).unwrap();
+                let terminal = (b.edge_count as u32 + 1).to_le_bytes();
+                patch(dir, "out_1.index", offset_at(meta, other, b.occupied), &terminal);
+            },
+            "terminal offset",
+        );
+    }
+
+    #[test]
+    fn padding_bits_past_the_interval_are_named() {
+        // Bit 63 of the only bitmap word lies past the interval's 50
+        // vertices.
+        index_damage_is_named(
+            |_, _| true,
+            |dir, meta, other| {
+                let at = meta.bitmap_offset(Orientation::Out, 1, other) + 7;
+                let top = std::fs::read(dir.path("out_1.index")).unwrap()[at as usize] | 0x80;
+                patch(dir, "out_1.index", at, &[top]);
+            },
+            "past the interval",
+        );
+    }
+
+    #[test]
+    fn dense_index_directory_is_reported_as_an_older_format() {
+        let (_t, dir) = built(2);
+        let text = dir.get_meta(META_FILE).unwrap();
+        let version = format!("\"format\": {}", crate::meta::FORMAT_VERSION);
+        assert!(text.contains(&version), "{text}");
+        dir.put_meta(META_FILE, &text.replacen(&version, "\"format\": 1", 1)).unwrap();
+        let report = fsck(&dir, false).unwrap();
+        assert!(
+            report.issues.iter().any(|i| i.contains("format 1") && i.contains("rebuild")),
+            "{}",
+            report.render()
         );
     }
 

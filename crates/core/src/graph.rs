@@ -2,9 +2,10 @@
 
 use crate::builder::{build, BuildConfig};
 use crate::delta::{DeltaOverlay, MergedBlock};
+use crate::index::{BlockIndex, Occupancy, Occupied};
 use crate::meta::{
-    BlockMeta, GraphMeta, Orientation, DEGREES_FILE, INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES,
-    META_FILE,
+    BlockMeta, GraphMeta, Orientation, BITMAP_WORD_BYTES, DEGREES_FILE, INDEX_ENTRY_BYTES,
+    INDEX_PROBE_BYTES, META_FILE,
 };
 use crate::rop::DEFAULT_MERGE_SLACK;
 use hus_codec::Codec;
@@ -35,14 +36,15 @@ pub(crate) fn load_manifest(root: &Path) -> Result<BuildManifest> {
     BuildManifest::load_from(root)?.ok_or_else(|| missing(root, MANIFEST_FILE))
 }
 
-/// One opened shard: its two files, on a checksummed graph
-/// (`GraphMeta::checksums`) the per-block CRC-32C rows of their
-/// footers, and on a compressed graph the decoded-block cache of its
-/// `.edges` file — each indexed by the block's position within the
-/// shard.
+/// One opened shard: its two files, its blocks' resident occupancy
+/// bitmaps, on a checksummed graph (`GraphMeta::checksums`) the
+/// per-block CRC-32C rows of their footers, and on a compressed graph
+/// the decoded-block cache of its `.edges` file — each indexed by the
+/// block's position within the shard.
 struct Shard {
     edges: Arc<dyn ReadBackend>,
     index: Arc<dyn ReadBackend>,
+    occupancy: Vec<Occupancy>,
     edge_crcs: Option<Vec<u32>>,
     index_crcs: Option<Vec<u32>>,
     /// `None` under the raw codec.
@@ -136,6 +138,51 @@ impl DecodedCache {
     }
 }
 
+/// Read the occupancy bitmaps of interval `own`'s `o`-shard, which
+/// follow its blocks' offset arrays in the `.index` file, and build
+/// their rank directories. Like the degree table they are loaded once
+/// at open and read untracked; a bitmap whose padding bits are set, or
+/// whose population disagrees with the block's `occupied` count, makes
+/// the directory corrupt.
+fn load_occupancy(
+    dir: &StorageDir,
+    meta: &GraphMeta,
+    o: Orientation,
+    own: usize,
+) -> Result<Vec<Occupancy>> {
+    use std::io::{Read, Seek, SeekFrom};
+    let name = GraphMeta::index_file(o, own);
+    let path = dir.path(&name);
+    let words = meta.bitmap_words(own) as usize;
+    let mut bytes = vec![0u8; meta.p as usize * words * BITMAP_WORD_BYTES as usize];
+    let mut file = std::fs::File::open(&path).map_err(|e| StorageError::io_at(&path, e))?;
+    file.seek(SeekFrom::Start(meta.bitmaps_offset(o, own)))
+        .and_then(|_| file.read_exact(&mut bytes))
+        .map_err(|e| StorageError::io_at(&path, e))?;
+    let bits = hus_storage::pod::to_vec::<u64>(&bytes)?;
+    let len = meta.interval_len(own) as usize;
+    meta.shard_blocks(o, own)
+        .enumerate()
+        .map(|(other, block)| {
+            let (i, j) = o.orient(own, other);
+            let bitmap = bits[other * words..(other + 1) * words].to_vec();
+            let occupancy = Occupancy::new(bitmap, len)
+                .and_then(|occ| match occ.count() as u64 == block.occupied {
+                    true => Ok(occ),
+                    false => Err(format!(
+                        "{} occupied vertices where meta.json says {}",
+                        occ.count(),
+                        block.occupied
+                    )),
+                })
+                .map_err(|e| {
+                    StorageError::Corrupt(format!("{name}: bitmap of block ({i}, {j}): {e}"))
+                })?;
+            Ok(occupancy)
+        })
+        .collect()
+}
+
 /// Where reads of one block are served from.
 enum Source<'a> {
     /// The block was touched by buffered updates: its merged in-memory
@@ -186,8 +233,7 @@ impl HusGraph {
             Err(_) if !dir.exists(META_FILE) => return Err(missing(dir.root(), META_FILE)),
             other => other?,
         };
-        let meta: GraphMeta = serde_json::from_str(&meta_text)
-            .map_err(|e| StorageError::Corrupt(format!("bad meta.json: {e}")))?;
+        let meta = GraphMeta::parse(&meta_text, dir.root())?;
         meta.validate().map_err(StorageError::Corrupt)?;
         let p = meta.p as usize;
         // Degrees are loaded once at open; like the manifest this is
@@ -231,6 +277,7 @@ impl HusGraph {
             Ok(Shard {
                 edges: dir.reader(&edges_name)?,
                 index: dir.reader(&index_name)?,
+                occupancy: load_occupancy(&dir, &meta, o, own)?,
                 edge_crcs,
                 index_crcs,
                 decoded: (!codec.is_raw()).then(DecodedCache::default),
@@ -243,6 +290,45 @@ impl HusGraph {
             }
         }
         Ok(HusGraph { dir, meta, codec, out_degrees, shards, verify, overlay: None })
+    }
+
+    /// The resident occupancy of base `o`-block `(i, j)`.
+    fn base_occupancy(&self, o: Orientation, i: usize, j: usize) -> &Occupancy {
+        let (own, other) = o.orient(i, j);
+        &self.shards[o as usize][own].occupancy[other]
+    }
+
+    /// Which vertices of the owning interval have records in `o`-block
+    /// `(i, j)`, reflecting any overlay; resident, so asking costs no
+    /// I/O.
+    pub(crate) fn occupied(&self, o: Orientation, i: usize, j: usize) -> Occupied<'_> {
+        match self.source(o, i, j) {
+            Source::Overlay(m) => Occupied::Dense(&m.index),
+            Source::Base(..) => Occupied::Bitmap(self.base_occupancy(o, i, j)),
+        }
+    }
+
+    /// Keep the local vertices of `locals` (of interval `i`) that have
+    /// edges in out-block `(i, j)`, reflecting any overlay. Answered from
+    /// memory: only such a vertex is worth an index probe.
+    pub fn retain_out_occupied(&self, i: usize, j: usize, locals: &mut Vec<usize>) {
+        let occupied = self.occupied(Orientation::Out, i, j);
+        locals.retain(|&local| occupied.contains(local));
+    }
+
+    /// Vertices with records in `o`-block `(i, j)`, reflecting any
+    /// overlay: the entries of its offset array but the terminal one.
+    pub(crate) fn index_entries(&self, o: Orientation, i: usize, j: usize) -> u64 {
+        match self.source(o, i, j) {
+            Source::Overlay(m) => m.index.windows(2).filter(|w| w[0] < w[1]).count() as u64,
+            Source::Base(_, block) => block.occupied,
+        }
+    }
+
+    /// Bytes the resident occupancy bitmaps and their rank directories
+    /// hold in memory.
+    pub fn resident_index_bytes(&self) -> u64 {
+        self.shards.iter().flatten().flat_map(|s| &s.occupancy).map(Occupancy::resident_bytes).sum()
     }
 
     /// Resolve `o`-block `(i, j)` to what serves its reads — the one
@@ -272,16 +358,17 @@ impl HusGraph {
 
     /// With verification on, check freshly read bytes of `o`-block
     /// `(i, j)` — its whole edge payload (`edges`; encoded on a
-    /// compressed graph) or its whole CSR offset array — against the
-    /// CRC stored in its shard's footer. Under the raw codec, CRCs cover
-    /// whole blocks, so strictly partial record reads pass through
-    /// unchecked — see DESIGN.md §9.
+    /// compressed graph) or its whole index, the resident bitmap
+    /// followed by the offsets just read — against the CRC stored in its
+    /// shard's footer. Under the raw codec, CRCs cover whole blocks, so
+    /// strictly partial record reads pass through unchecked — see
+    /// DESIGN.md §9.
     fn verify_block(
         &self,
         o: Orientation,
         (i, j): (usize, usize),
         edges: bool,
-        data: &[u8],
+        parts: &[&[u8]],
         offset: u64,
     ) -> Result<()> {
         if !self.verify_enabled() {
@@ -291,7 +378,9 @@ impl HusGraph {
         let shard = &self.shards[o as usize][own];
         let crcs = if edges { &shard.edge_crcs } else { &shard.index_crcs };
         let Some(stored) = crcs.as_ref().map(|row| row[other]) else { return Ok(()) };
-        let actual = hus_storage::crc32c(data);
+        let mut crc = hus_storage::checksum::Crc32c::new();
+        parts.iter().for_each(|part| crc.update(part));
+        let actual = crc.finish();
         if actual == stored {
             return Ok(());
         }
@@ -411,9 +500,34 @@ impl HusGraph {
         self.meta.p as usize
     }
 
-    /// Load the CSR offsets of `o`-block `(i, j)`: one per vertex of the
-    /// interval that owns the shard, plus the end sentinel, local to the
-    /// block.
+    /// Load the index of `o`-block `(i, j)`. A base block reads its
+    /// `occupied + 1` offsets, billed under `access`, beside its resident
+    /// bitmap; an overlay block lends its in-memory dense offsets.
+    pub(crate) fn block_index(
+        &self,
+        o: Orientation,
+        i: usize,
+        j: usize,
+        access: Access,
+    ) -> Result<BlockIndex<'_>> {
+        let (shard, block) = match self.source(o, i, j) {
+            Source::Overlay(m) => return Ok(BlockIndex::Dense(&m.index)),
+            Source::Base(shard, block) => (shard, block),
+        };
+        let occupancy = self.base_occupancy(o, i, j);
+        let count = block.occupied as usize + 1;
+        let offsets: Vec<u32> = hus_obs::attr::with_block(i as u32, j as u32, || {
+            hus_storage::read_pod_vec(&shard.index, block.index_offset, count, access)
+        })?;
+        let parts = [occupancy.as_bytes(), hus_storage::pod::as_bytes(&offsets)];
+        self.verify_block(o, (i, j), false, &parts, block.index_offset)?;
+        Ok(BlockIndex::Sparse(occupancy, offsets))
+    }
+
+    /// The dense view of `o`-block `(i, j)`'s index: one offset per
+    /// vertex of the interval that owns the shard, plus the end
+    /// sentinel, local to the block — expanded in memory from what
+    /// [`Self::block_index`] reads.
     pub(crate) fn index(
         &self,
         o: Orientation,
@@ -421,16 +535,8 @@ impl HusGraph {
         j: usize,
         access: Access,
     ) -> Result<Vec<u32>> {
-        let (shard, block) = match self.source(o, i, j) {
-            Source::Overlay(m) => return Ok(m.index.clone()),
-            Source::Base(shard, block) => (shard, block),
-        };
-        let count = self.meta.interval_len(o.orient(i, j).0) as usize + 1;
-        let idx: Vec<u32> = hus_obs::attr::with_block(i as u32, j as u32, || {
-            hus_storage::read_pod_vec(&shard.index, block.index_offset, count, access)
-        })?;
-        self.verify_block(o, (i, j), false, hus_storage::pod::as_bytes(&idx), block.index_offset)?;
-        Ok(idx)
+        let len = self.meta.interval_len(o.orient(i, j).0) as usize;
+        Ok(self.block_index(o, i, j, access)?.to_dense(len))
     }
 
     /// Load records `[lo, hi)` of `o`-block `(i, j)`, or the whole block
@@ -468,7 +574,7 @@ impl HusGraph {
             })?;
         }
         if lo == 0 && hi == block.edge_count {
-            self.verify_block(o, (i, j), true, &data, block.edge_offset)?;
+            self.verify_block(o, (i, j), true, &[&data], block.edge_offset)?;
         }
         Ok(EdgeRecords { data, weighted: self.meta.weighted })
     }
@@ -535,7 +641,7 @@ impl HusGraph {
             let encoded = block.encoded_bytes;
             ENCODED_BYTES.add(encoded);
             hus_obs::attr::record_at(cell.0, cell.1, hus_obs::BlockStat::EncodedBytes, encoded);
-            self.verify_block(o, (i, j), true, &enc, block.encoded_offset)?;
+            self.verify_block(o, (i, j), true, &[&enc], block.encoded_offset)?;
             let t0 =
                 (hus_obs::enabled() || hus_obs::heatmap_enabled()).then(std::time::Instant::now);
             let mut data = vec![0u8; (block.edge_count * m) as usize];
@@ -609,7 +715,7 @@ impl HusGraph {
             // A single merged range that swallowed the whole block is a
             // full-block read in disguise; verify it as one.
             if *hi as u64 == block.edge_count {
-                self.verify_block(o, (i, j), true, &bufs[0], block.edge_offset)?;
+                self.verify_block(o, (i, j), true, &[&bufs[0]], block.edge_offset)?;
             }
         }
         Ok(bufs
@@ -618,35 +724,40 @@ impl HusGraph {
             .collect())
     }
 
-    /// Load out-index `(i, j)`: `interval_len(i) + 1` CSR offsets local
-    /// to out-block `(i, j)`.
+    /// Load out-index `(i, j)` as its dense view: `interval_len(i) + 1`
+    /// offsets local to out-block `(i, j)`, expanded in memory from the
+    /// `occupied + 1` entries read.
     pub fn load_out_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
         self.index(Orientation::Out, i, j, access)
     }
 
-    /// Load in-index `(i, j)`: `interval_len(j) + 1` CSR offsets local to
-    /// in-block `(i, j)`.
+    /// Load in-index `(i, j)` as its dense view: `interval_len(j) + 1`
+    /// offsets local to in-block `(i, j)`.
     pub fn load_in_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
         self.index(Orientation::In, i, j, access)
     }
 
-    /// Randomly load the two CSR offsets delimiting one vertex's edge
-    /// range in out-block `(i, j)` — an 8-byte random read. When the
-    /// frontier is far smaller than the interval, fetching entries
-    /// per-vertex beats loading the whole `len+1`-entry index array
-    /// (the engine chooses by predicted cost).
+    /// Randomly load the two offsets delimiting one vertex's edge range
+    /// in out-block `(i, j)` — an 8-byte random read when the vertex has
+    /// edges in the block, none when its resident occupancy bit says it
+    /// has not (the range is then empty). When the frontier is far
+    /// smaller than the block's occupied vertices, fetching entries
+    /// per-vertex beats loading the whole offset array (the engine
+    /// chooses by predicted cost).
     pub fn load_out_index_entry(&self, i: usize, j: usize, local: usize) -> Result<(u32, u32)> {
         Ok(self.load_out_index_entries(i, j, &[local])?[0])
     }
 
     /// [`Self::load_out_index_entry`] for several local vertices of
     /// out-block `(i, j)` at once, `locals` ascending: the probe loader
-    /// of ROP's selective branch and of `hus serve`'s lookups. Probes
-    /// whose byte gap is at most [`DEFAULT_MERGE_SLACK`] share one
-    /// `read_ranges` call, in which adjacent vertices' probes overlap by
+    /// of ROP's selective branch and of `hus serve`'s lookups. A vertex
+    /// with no edge in the block gets an empty range from memory. The
+    /// others are probed at their rank in the block's offset array;
+    /// probes whose byte gap is at most [`DEFAULT_MERGE_SLACK`] share one
+    /// `read_ranges` call, in which vertices adjacent in rank overlap by
     /// one offset. Each probe still bills [`INDEX_PROBE_BYTES`] random
-    /// bytes — those of one `load_out_index_entry` per vertex — so only
-    /// the operation count falls.
+    /// bytes — those of one `load_out_index_entry` — so only the
+    /// operation count falls.
     pub fn load_out_index_entries(
         &self,
         i: usize,
@@ -660,13 +771,23 @@ impl HusGraph {
             Source::Base(shard, block) => (shard, block),
         };
         debug_assert!(locals.windows(2).all(|w| w[0] <= w[1]), "probes must be ascending");
+        let occupancy = self.base_occupancy(Orientation::Out, i, j);
+        // (position in `locals`, rank) of every vertex worth a probe.
+        let probes: Vec<(usize, usize)> = (locals.iter().enumerate())
+            .filter(|&(_, &l)| occupancy.contains(l))
+            .map(|(k, &l)| (k, occupancy.rank(l)))
+            .collect();
+        let mut entries = vec![(0, 0); locals.len()];
+        if probes.is_empty() {
+            return Ok(entries);
+        }
         let probe = INDEX_PROBE_BYTES as usize;
-        let mut bytes = vec![0u8; locals.len() * probe];
+        let mut bytes = vec![0u8; probes.len() * probe];
         let mut reqs: Vec<RangeRead<'_>> = bytes
             .chunks_exact_mut(probe)
-            .zip(locals)
-            .map(|(buf, &l)| RangeRead {
-                offset: block.index_offset + l as u64 * INDEX_ENTRY_BYTES,
+            .zip(&probes)
+            .map(|(buf, &(_, rank))| RangeRead {
+                offset: block.index_offset + rank as u64 * INDEX_ENTRY_BYTES,
                 buf,
             })
             .collect();
@@ -685,9 +806,12 @@ impl HusGraph {
         })?;
         drop(reqs);
         let offset = |e: &[u8], at: usize| {
-            u32::from_le_bytes(e[at..at + 4].try_into().expect("a CSR offset is four bytes"))
+            u32::from_le_bytes(e[at..at + 4].try_into().expect("an offset is four bytes"))
         };
-        Ok(bytes.chunks_exact(probe).map(|e| (offset(e, 0), offset(e, 4))).collect())
+        for (e, &(k, _)) in bytes.chunks_exact(probe).zip(&probes) {
+            entries[k] = (offset(e, 0), offset(e, 4));
+        }
+        Ok(entries)
     }
 
     /// Randomly load records `[lo, hi)` of out-block `(i, j)` — ROP's
@@ -994,26 +1118,61 @@ pub(crate) mod tests {
         locals
     }
 
+    /// A record range with every empty range written `(0, 0)`: an
+    /// unoccupied vertex's probe names no position.
+    fn records_named((lo, hi): (u32, u32)) -> (u32, u32) {
+        if lo < hi {
+            (lo, hi)
+        } else {
+            (0, 0)
+        }
+    }
+
     /// Every probe of `locals` in out-block `(i, j)`: the batched loader
-    /// answers what one `load_out_index_entry` each and the whole offset
-    /// array do, and bills the random bytes of the per-entry probes.
-    /// Returns the loader's random-read op count.
+    /// answers what one `load_out_index_entry` each and the dense view
+    /// do, and bills the random bytes of the per-entry probes — 8 per
+    /// vertex with edges in a base block, none for the others. Returns
+    /// the loader's random-read op count.
     fn batched_probes_match(g: &HusGraph, (i, j): (usize, usize), locals: &[usize]) -> u64 {
         let index = g.load_out_index(i, j, Access::Sequential).unwrap();
-        let want: Vec<(u32, u32)> = locals.iter().map(|&l| (index[l], index[l + 1])).collect();
+        let want: Vec<(u32, u32)> =
+            locals.iter().map(|&l| records_named((index[l], index[l + 1]))).collect();
         let tracker = g.dir().tracker();
         tracker.reset();
-        let one_by_one: Vec<(u32, u32)> =
-            locals.iter().map(|&l| g.load_out_index_entry(i, j, l).unwrap()).collect();
+        let one_by_one: Vec<(u32, u32)> = (locals.iter())
+            .map(|&l| records_named(g.load_out_index_entry(i, j, l).unwrap()))
+            .collect();
         let per_entry = tracker.snapshot();
         tracker.reset();
         let batched = g.load_out_index_entries(i, j, locals).unwrap();
         let s = tracker.snapshot();
         assert_eq!(one_by_one, want, "block ({i}, {j})");
-        assert_eq!(batched, want, "block ({i}, {j})");
+        assert_eq!(batched.into_iter().map(records_named).collect::<Vec<_>>(), want);
         assert_eq!(s.rand_read_bytes, per_entry.rand_read_bytes, "block ({i}, {j})");
         assert_eq!(s.total_bytes(), s.rand_read_bytes, "probes bill only random bytes");
+        if !g.out_block_resident(i, j) {
+            let occupied = g.occupied(Orientation::Out, i, j);
+            let probed = locals.iter().filter(|&&l| occupied.contains(l)).count() as u64;
+            assert_eq!(s.rand_read_bytes, 8 * probed, "block ({i}, {j})");
+        }
         s.rand_read_ops
+    }
+
+    /// The occupied vertex of base `o`-block `(i, j)` at rank `rank`.
+    fn occupied_at_rank(
+        g: &HusGraph,
+        o: Orientation,
+        (i, j): (usize, usize),
+        rank: usize,
+    ) -> usize {
+        let occupancy = g.base_occupancy(o, i, j);
+        let mut found = None;
+        occupancy.for_each(|l| {
+            if found.is_none() && occupancy.rank(l) == rank {
+                found = Some(l);
+            }
+        });
+        found.expect("rank within the block's occupied vertices")
     }
 
     #[test]
@@ -1035,17 +1194,21 @@ pub(crate) mod tests {
                 // last two are over a slack (1 026 vertices) apart.
                 let locals = probe_locals(len, j as u64);
                 assert_eq!(batched_probes_match(&g, (1, j), &locals), 3, "{kind:?}");
-                // Base blocks bill exactly one probe's bytes per vertex.
-                let s = g.dir().tracker().snapshot();
-                assert_eq!(s.rand_read_bytes, 8 * locals.len() as u64, "{kind:?}");
                 // A clustered list is one run.
                 let clustered: Vec<usize> = (100..164).collect();
                 assert_eq!(batched_probes_match(&g, (1, j), &clustered), 1, "{kind:?}");
-                // Probes 1 026 entries apart leave a gap of exactly the
-                // slack (4 096 bytes) after the first probe's 8; one more
-                // entry splits them.
-                assert_eq!(batched_probes_match(&g, (1, j), &[7, 7 + 1026]), 1);
-                assert_eq!(batched_probes_match(&g, (1, j), &[7, 7 + 1027]), 2);
+                // Probes 1 026 offset entries (ranks) apart leave a gap
+                // of exactly the slack (4 096 bytes) after the first
+                // probe's 8; one more entry splits them.
+                let at = |rank| occupied_at_rank(&g, Orientation::Out, (1, j), rank);
+                assert_eq!(batched_probes_match(&g, (1, j), &[at(7), at(7 + 1026)]), 1);
+                assert_eq!(batched_probes_match(&g, (1, j), &[at(7), at(7 + 1027)]), 2);
+                // Vertices without edges in the block cost nothing.
+                let len_j = g.meta().interval_len(1) as usize;
+                let occupied = g.occupied(Orientation::Out, 1, j);
+                let empty: Vec<usize> = (0..len_j).filter(|&l| !occupied.contains(l)).collect();
+                assert!(!empty.is_empty(), "{kind:?}: block (1, {j}) is fully occupied");
+                assert_eq!(batched_probes_match(&g, (1, j), &empty), 0, "{kind:?}");
             }
             drop(g);
 
@@ -1158,6 +1321,43 @@ pub(crate) mod tests {
             Err(other) => panic!("expected IncompleteBuild, got {other:?}"),
             Ok(_) => panic!("open accepted a directory without a MANIFEST"),
         }
+    }
+
+    /// A directory of the dense-index layout (no `format` in its
+    /// `meta.json`) is refused with a typed error, not misread.
+    #[test]
+    fn open_refuses_a_dense_index_directory_with_a_typed_error() {
+        let el = rmat(120, 700, 13, RmatConfig::default());
+        let (_tmp, dir) = built_dir(&el, 3);
+        let text = dir.get_meta(META_FILE).unwrap();
+        let field = format!("\"format\": {},", crate::meta::FORMAT_VERSION);
+        let dense = text.lines().filter(|l| l.trim() != field).collect::<Vec<_>>();
+        assert_eq!(dense.len() + 1, text.lines().count(), "one line dropped");
+        dir.put_meta(META_FILE, &dense.join("\n")).unwrap();
+        match HusGraph::open(dir.clone()) {
+            Err(StorageError::UnsupportedFormat { found: 1, expected, path }) => {
+                assert_eq!((expected, path.as_path()), (crate::meta::FORMAT_VERSION, dir.root()));
+            }
+            Err(other) => panic!("expected UnsupportedFormat, got {other:?}"),
+            Ok(_) => panic!("open accepted a dense-index directory"),
+        }
+    }
+
+    /// A bitmap whose population disagrees with `meta.json` makes open
+    /// fail, naming the file and the block.
+    #[test]
+    fn open_rejects_a_bitmap_that_disagrees_with_the_manifest() {
+        let el = rmat(120, 700, 13, RmatConfig::default());
+        let (_tmp, dir) = built_dir(&el, 3);
+        let meta = GraphMeta::parse(&dir.get_meta(META_FILE).unwrap(), dir.root()).unwrap();
+        let name = GraphMeta::in_index_file(2);
+        let at = meta.bitmap_offset(Orientation::In, 2, 1) as usize;
+        let mut bytes = std::fs::read(dir.path(&name)).unwrap();
+        bytes[at] ^= 1; // local vertex 0 of in-block (1, 2)
+        std::fs::write(dir.path(&name), bytes).unwrap();
+        let err = HusGraph::open(dir).err().expect("a corrupt bitmap");
+        let msg = err.to_string();
+        assert!(msg.contains("in_2.index") && msg.contains("block (1, 2)"), "{msg}");
     }
 
     #[test]

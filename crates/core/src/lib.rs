@@ -4,8 +4,8 @@
 //!
 //! * **Dual-block representation** ([`builder`], [`meta`], [`graph`]) —
 //!   `P` vertex intervals, each owning an out-shard and an in-shard that
-//!   are further split into `P` blocks with per-vertex CSR indices
-//!   (paper §3.2, Figure 4).
+//!   are further split into `P` blocks, each indexed by an occupancy
+//!   bitmap and one offset per occupied vertex (paper §3.2, Figure 4).
 //! * **Row-oriented Push** ([`rop`]) — selective random loads of active
 //!   vertices' out-edge ranges, pushed to destination values; out-blocks
 //!   of a row processed in parallel (paper §3.3, Algorithm 2; §3.5).
@@ -49,6 +49,7 @@ pub mod engine;
 pub mod external;
 pub mod fsck;
 pub mod graph;
+mod index;
 pub mod meta;
 pub mod partition;
 pub mod predict;

@@ -6,9 +6,9 @@
 //! |---|---|
 //! | `meta.json` | the [`GraphMeta`] manifest |
 //! | `out_<i>.edges` | out-shard of interval `i`: out-blocks `(i,0)..(i,P-1)` concatenated; records sorted by source within each block |
-//! | `out_<i>.index` | per-block CSR offsets over interval `i`'s sources (`len_i + 1` u32 each) |
+//! | `out_<i>.index` | per-block sparse index over interval `i`'s sources: one u32 offset per source with edges in the block plus the terminal offset, then every block's occupancy bitmap |
 //! | `in_<j>.edges` | in-shard of interval `j`: in-blocks `(0,j)..(P-1,j)` concatenated; records grouped by destination within each block |
-//! | `in_<j>.index` | per-block CSR offsets over interval `j`'s destinations |
+//! | `in_<j>.index` | the same sparse index over interval `j`'s destinations |
 //! | `degrees.bin` | out-degree of every vertex (u32), used by scatter contexts and the predictor |
 //!
 //! Edge records are compact: an out-block stores only each edge's
@@ -22,27 +22,41 @@
 //! CRC-32C footer ([`hus_storage::checksum`]). The byte-authoritative
 //! spec of all of the above lives in `docs/FORMAT.md`.
 
+use hus_storage::StorageError;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// Manifest name inside a graph directory.
 pub const META_FILE: &str = "meta.json";
 /// Out-degree file name.
 pub const DEGREES_FILE: &str = "degrees.bin";
 
-/// Bytes of one CSR offset entry in a shard `.index` file (little-endian
+/// The on-disk layout this build reads and writes, recorded as
+/// `meta.json`'s `format`. Version 2 is the sparse block index
+/// (`docs/FORMAT.md`); a directory without the field is version 1, the
+/// dense `len + 1` offset arrays, and is refused at open with
+/// [`StorageError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes of one offset entry in a shard `.index` file (little-endian
 /// `u32`). ROP's cost comparisons are phrased in these units; changing
 /// the on-disk offset width must update this constant (and the crossover
 /// regression test in [`crate::rop`]) in the same commit.
 pub const INDEX_ENTRY_BYTES: u64 = 4;
 /// Bytes fetched when probing a single vertex's edge range: its two
-/// delimiting CSR offsets, read as one 8-byte random access
-/// ([`crate::graph::HusGraph::load_out_index_entry`]).
+/// delimiting offsets, read as one 8-byte random access
+/// ([`crate::graph::HusGraph::load_out_index_entry`]). Only a vertex
+/// with edges in the block is probed; the resident occupancy bitmap
+/// answers for the others.
 pub const INDEX_PROBE_BYTES: u64 = 2 * INDEX_ENTRY_BYTES;
+/// Bytes of one occupancy bitmap word (little-endian `u64`, bit `k % 64`
+/// of word `k / 64` set when local vertex `k` has edges in the block).
+pub const BITMAP_WORD_BYTES: u64 = 8;
 
 /// Which endpoint owns a shard — the one place that knows how the two
 /// halves of the dual-block representation differ. An out-shard and an
-/// in-shard are the same structure (`P` blocks, a per-vertex CSR index
-/// per block, a CRC footer) with source and destination swapped.
+/// in-shard are the same structure (`P` blocks, a sparse per-vertex
+/// index per block, a CRC footer) with source and destination swapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Orientation {
     /// Out-shard of a source interval: indexed by source, blocked by
@@ -95,9 +109,13 @@ pub struct BlockMeta {
     pub edge_offset: u64,
     /// Number of edge records in the block.
     pub edge_count: u64,
-    /// Byte offset of the block's CSR offset array in the shard `.index`
+    /// Byte offset of the block's offset array in the shard `.index`
     /// file (index files are never compressed).
     pub index_offset: u64,
+    /// Vertices of the owning interval with at least one record in the
+    /// block: the bits set in its occupancy bitmap, one less than the
+    /// entries of its offset array.
+    pub occupied: u64,
     /// Byte offset of the block's encoded payload in the `.edges` file.
     pub encoded_offset: u64,
     /// Encoded payload length in bytes (on-disk size of the block).
@@ -109,11 +127,19 @@ impl BlockMeta {
     pub fn decoded_bytes(&self, record_bytes: u64) -> u64 {
         self.edge_count * record_bytes
     }
+
+    /// On-disk bytes of the block's offset array: one entry per occupied
+    /// vertex plus the terminal one.
+    pub fn offsets_bytes(&self) -> u64 {
+        (self.occupied + 1) * INDEX_ENTRY_BYTES
+    }
 }
 
 /// Manifest describing a built dual-block graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphMeta {
+    /// On-disk layout version, [`FORMAT_VERSION`].
+    pub format: u32,
     /// Number of vertices.
     pub num_vertices: u32,
     /// Number of directed edges.
@@ -157,6 +183,7 @@ impl GraphMeta {
     ) -> Self {
         let p = interval_starts.len() - 1;
         GraphMeta {
+            format: FORMAT_VERSION,
             num_vertices,
             num_edges,
             p: p as u32,
@@ -167,6 +194,27 @@ impl GraphMeta {
             out_blocks: vec![BlockMeta::default(); p * p],
             in_blocks: vec![BlockMeta::default(); p * p],
         }
+    }
+
+    /// Parse the text of `meta.json` in the graph directory at `root`.
+    /// A directory in another on-disk layout — one without a `format`
+    /// field predates it — is refused with
+    /// [`StorageError::UnsupportedFormat`] before its fields are read.
+    pub fn parse(text: &str, root: &Path) -> hus_storage::Result<GraphMeta> {
+        let bad = |e: serde_json::Error| StorageError::Corrupt(format!("bad meta.json: {e}"));
+        let value = serde_json::parse_value_str(text).map_err(bad)?;
+        let found = match value.get("format") {
+            None => 1,
+            Some(v) => u32::from_value(v).map_err(|e| bad(e.into()))?,
+        };
+        if found != FORMAT_VERSION {
+            return Err(StorageError::UnsupportedFormat {
+                path: root.to_path_buf(),
+                found,
+                expected: FORMAT_VERSION,
+            });
+        }
+        GraphMeta::from_value(&value).map_err(|e| bad(e.into()))
     }
 
     /// Size in bytes of one *decoded* edge record.
@@ -256,6 +304,42 @@ impl GraphMeta {
             let (i, j) = o.orient(own, other);
             self.block(o, i, j)
         })
+    }
+
+    /// Words of one occupancy bitmap over interval `own`.
+    pub fn bitmap_words(&self, own: usize) -> u64 {
+        (self.interval_len(own) as u64).div_ceil(64)
+    }
+
+    /// Byte offset of the occupancy bitmaps in interval `own`'s
+    /// `o`-shard `.index` file: they follow every block's offset array.
+    pub fn bitmaps_offset(&self, o: Orientation, own: usize) -> u64 {
+        self.shard_blocks(o, own).map(BlockMeta::offsets_bytes).sum()
+    }
+
+    /// Byte offset of the occupancy bitmap of the block at position
+    /// `other` of interval `own`'s `o`-shard, in its `.index` file.
+    pub fn bitmap_offset(&self, o: Orientation, own: usize, other: usize) -> u64 {
+        self.bitmaps_offset(o, own) + other as u64 * self.bitmap_words(own) * BITMAP_WORD_BYTES
+    }
+
+    /// Payload bytes of interval `own`'s `o`-shard `.index` file (its
+    /// offset arrays and bitmaps, without the footer).
+    pub fn index_file_bytes(&self, o: Orientation, own: usize) -> u64 {
+        self.bitmap_offset(o, own, self.p as usize)
+    }
+
+    /// Occupancy bitmap bytes of every block of both orientations: what
+    /// [`crate::HusGraph::open`] reads and keeps resident (its rank
+    /// directory adds one `u32` per 512 bits).
+    pub fn bitmap_bytes(&self) -> u64 {
+        let p = self.p as u64;
+        2 * p * (0..self.p as usize).map(|k| self.bitmap_words(k)).sum::<u64>() * BITMAP_WORD_BYTES
+    }
+
+    /// Offset-array bytes of every block of both orientations.
+    pub fn offsets_bytes(&self) -> u64 {
+        self.out_blocks.iter().chain(&self.in_blocks).map(BlockMeta::offsets_bytes).sum()
     }
 
     /// Name of interval `k`'s `o`-shard edge file.
@@ -358,6 +442,31 @@ impl GraphMeta {
                 ));
             }
         }
+        for o in Orientation::BOTH {
+            for own in 0..p {
+                let len = self.interval_len(own) as u64;
+                let mut at = 0;
+                for (other, b) in self.shard_blocks(o, own).enumerate() {
+                    let (i, j) = o.orient(own, other);
+                    let name = format!("{}-block ({i}, {j})", o.name());
+                    if b.occupied > len.min(b.edge_count)
+                        || (b.occupied == 0) != (b.edge_count == 0)
+                    {
+                        return Err(format!(
+                            "{name}: {} occupied vertices for {} records over {len} vertices",
+                            b.occupied, b.edge_count
+                        ));
+                    }
+                    if b.index_offset != at {
+                        return Err(format!(
+                            "{name}: index offset {} where its offsets begin at {at}",
+                            b.index_offset
+                        ));
+                    }
+                    at += b.offsets_bytes();
+                }
+            }
+        }
         for i in 0..p {
             for j in 0..p {
                 if self.out_block(i, j).edge_count != self.in_block(i, j).edge_count {
@@ -389,11 +498,12 @@ mod tests {
     use super::*;
 
     /// A raw-layout block descriptor: encoded space == decoded space.
-    fn raw_block(edge_offset: u64, edge_count: u64, index_offset: u64) -> BlockMeta {
+    fn raw_block(edge_offset: u64, edge_count: u64, index_offset: u64, occupied: u64) -> BlockMeta {
         BlockMeta {
             edge_offset,
             edge_count,
             index_offset,
+            occupied,
             encoded_offset: edge_offset,
             encoded_bytes: edge_count * 4,
         }
@@ -401,6 +511,7 @@ mod tests {
 
     fn sample() -> GraphMeta {
         GraphMeta {
+            format: FORMAT_VERSION,
             num_vertices: 10,
             num_edges: 4,
             p: 2,
@@ -409,16 +520,16 @@ mod tests {
             codec: "raw".into(),
             interval_starts: vec![0, 5, 10],
             out_blocks: vec![
-                raw_block(0, 1, 0),
-                raw_block(4, 1, 24),
-                raw_block(0, 2, 0),
-                raw_block(8, 0, 24),
+                raw_block(0, 1, 0, 1),
+                raw_block(4, 1, 8, 1),
+                raw_block(0, 2, 0, 2),
+                raw_block(8, 0, 12, 0),
             ],
             in_blocks: vec![
-                raw_block(0, 1, 0),
-                raw_block(0, 1, 0),
-                raw_block(4, 2, 24),
-                raw_block(4, 0, 24),
+                raw_block(0, 1, 0, 1),
+                raw_block(0, 1, 0, 1),
+                raw_block(4, 2, 8, 1),
+                raw_block(4, 0, 8, 0),
             ],
         }
     }
@@ -456,21 +567,78 @@ mod tests {
     #[test]
     fn validate_rejects_blocks_beyond_u32_index_entries() {
         // A block of u32::MAX records is addressable; one more would wrap
-        // its u32 CSR offsets.
+        // its u32 offsets.
         let mut m = sample();
         let fits = u32::MAX as u64;
         m.num_edges = fits;
         for blocks in [&mut m.out_blocks, &mut m.in_blocks] {
-            blocks.fill(BlockMeta::default());
-            blocks[0] = raw_block(0, fits, 0);
+            blocks.fill(raw_block(0, 0, 4, 0));
+            blocks[0] = raw_block(0, fits, 0, 0);
         }
+        // Block 0 leads its shard; with no occupied vertex its offsets
+        // take 4 bytes, so its shard successor's index starts there.
+        m.out_blocks[2].index_offset = 0;
+        m.in_blocks[1].index_offset = 0;
+        m.out_blocks[0].occupied = 1;
+        m.in_blocks[0].occupied = 1;
+        m.out_blocks[1].index_offset = 8;
+        m.in_blocks[2].index_offset = 8;
         m.validate().unwrap();
         m.num_edges += 1;
         for blocks in [&mut m.out_blocks, &mut m.in_blocks] {
-            blocks[0] = raw_block(0, fits + 1, 0);
+            blocks[0] = raw_block(0, fits + 1, 0, 1);
         }
         let err = m.validate().unwrap_err();
         assert!(err.contains("out-block 0") && err.contains("u32 index"), "{err}");
+    }
+
+    #[test]
+    fn validate_checks_the_sparse_index_layout() {
+        // More occupied vertices than the interval holds.
+        let mut m = sample();
+        m.out_blocks[2].occupied = 6;
+        assert!(m.validate().unwrap_err().contains("occupied"));
+        // A non-empty block with no occupied vertex.
+        let mut m = sample();
+        m.in_blocks[0].occupied = 0;
+        assert!(m.validate().unwrap_err().contains("occupied"));
+        // An offset array that does not start where its predecessor's ends.
+        let mut m = sample();
+        m.out_blocks[1].index_offset = 12;
+        assert!(m.validate().unwrap_err().contains("index offset"));
+    }
+
+    #[test]
+    fn sparse_index_file_layout() {
+        let m = sample();
+        // Out-shard 1: offsets of 2 + 1 and 0 + 1 entries, then two
+        // one-word bitmaps (5 vertices each).
+        assert_eq!(m.bitmap_words(1), 1);
+        assert_eq!(m.bitmaps_offset(Orientation::Out, 1), 16);
+        assert_eq!(m.bitmap_offset(Orientation::Out, 1, 1), 24);
+        assert_eq!(m.index_file_bytes(Orientation::Out, 1), 32);
+        assert_eq!(m.bitmap_bytes(), 2 * 2 * 2 * 8);
+        assert_eq!(m.offsets_bytes(), 4 * (2 + 2 + 3 + 1 + 2 + 2 + 2 + 1));
+    }
+
+    #[test]
+    fn parse_refuses_other_formats_with_a_typed_error() {
+        let root = Path::new("/g");
+        let text = serde_json::to_string(&sample()).unwrap();
+        assert_eq!(GraphMeta::parse(&text, root).unwrap(), sample());
+        // A dense-index directory has no `format` field at all.
+        let dense = text.replacen(&format!("\"format\":{FORMAT_VERSION},"), "", 1);
+        assert_ne!(dense, text);
+        let later = text.replacen(&format!("\"format\":{FORMAT_VERSION}"), "\"format\":9", 1);
+        for (text, found) in [(dense, 1), (later, 9)] {
+            match GraphMeta::parse(&text, root) {
+                Err(StorageError::UnsupportedFormat { found: f, expected, path }) => {
+                    assert_eq!((f, expected, path.as_path()), (found, FORMAT_VERSION, root));
+                }
+                other => panic!("format {found}: {other:?}"),
+            }
+        }
+        assert!(matches!(GraphMeta::parse("{", root), Err(StorageError::Corrupt(_))));
     }
 
     #[test]

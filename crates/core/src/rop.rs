@@ -15,7 +15,7 @@
 
 use crate::active::ActiveSet;
 use crate::graph::{EdgeRecords, HusGraph};
-use crate::meta::{INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
+use crate::meta::{Orientation, INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
 use crate::predict::IoPlan;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::vertex_store::VertexStore;
@@ -52,15 +52,12 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     pub coalesce_ratio: f64,
     /// `T_sequential / T_random` of the device: per-vertex index *entry*
     /// fetches are used only while they are predicted cheaper than
-    /// loading the block's whole CSR offset array.
+    /// loading the block's whole offset array.
     pub index_ratio: f64,
     /// Cooperative deadline
     /// ([`RunConfig::deadline`](crate::engine::RunConfig)), checked at
     /// every block boundary of the ROP/COP loops.
     pub deadline: Option<crate::engine::Deadline>,
-    /// Out-edges per row ([`row_edge_totals`], static for a run): the
-    /// denominator of each out-block's share of its row in [`plan`].
-    pub row_edges: &'a [u64],
 }
 
 /// Maximum byte gap between two selective edge ranges that are still
@@ -184,18 +181,20 @@ fn loaded_d<'d, Pr: VertexProgram>(
     Ok(slot.as_mut().expect("just loaded"))
 }
 
-/// Whether a frontier of `active_count` sources in an interval of
-/// `interval_len` vertices should probe each vertex's two delimiting CSR
-/// offsets individually ([`INDEX_PROBE_BYTES`] random bytes each) rather
-/// than stream the block's whole `interval_len + 1`-entry offset array.
+/// Whether `active_count` active sources with edges in a block whose
+/// index holds `entries` occupied vertices should probe each one's two
+/// delimiting offsets individually ([`INDEX_PROBE_BYTES`] random bytes
+/// each) rather than read the block's whole `entries + 1`-entry offset
+/// array. Actives without an edge in the block are neither: the
+/// resident occupancy bitmap rules them out without I/O.
 ///
 /// The crossover is a byte-cost comparison at the device's
 /// `T_sequential / T_random` ratio (`index_ratio`):
 /// `active_count * INDEX_PROBE_BYTES * index_ratio <
-///  (interval_len + 1) * INDEX_ENTRY_BYTES`.
-pub fn selective_index_probe(active_count: usize, interval_len: usize, index_ratio: f64) -> bool {
+///  (entries + 1) * INDEX_ENTRY_BYTES`.
+pub fn selective_index_probe(active_count: usize, entries: usize, index_ratio: f64) -> bool {
     active_count as f64 * INDEX_PROBE_BYTES as f64 * index_ratio
-        < (interval_len + 1) as f64 * INDEX_ENTRY_BYTES as f64
+        < (entries + 1) as f64 * INDEX_ENTRY_BYTES as f64
 }
 
 /// Group sorted disjoint `(vertex, lo, hi)` edge ranges into coalesced
@@ -251,17 +250,20 @@ struct BlockFetch {
 /// its fetch plan; `None` when no active vertex has an edge in the
 /// block, so the caller never loads `D_j` for it.
 ///
-/// Per block, ROP chooses between two fetch plans with the same cost
-/// model the predictor uses: fetching the active vertices' ranges
-/// selectively costs `bytes / T_random` for isolated ranges and
-/// `bytes / T_batched` for ranges [`merge_runs`] coalesces; one
-/// ascending sweep of the whole block costs `block_bytes / T_batched`.
-/// The cheaper plan is taken, so a dense scattered frontier gracefully
-/// degrades to an elevator sweep instead of a seek storm, while a
-/// clustered one keeps reading only its runs. On a compressed graph a
-/// block that is not in the decoded-block cache is always swept: any
-/// read of it fetches the whole encoded payload, so the selective plan
-/// would move the same bytes at the random rate.
+/// The block's resident occupancy bitmap first drops the actives with
+/// no edge in it, at no I/O; only the rest are looked up, by probes or
+/// one read of the offset array ([`selective_index_probe`]). Then ROP
+/// chooses between two fetch plans with the same cost model the
+/// predictor uses: fetching the active vertices' ranges selectively
+/// costs `bytes / T_random` for isolated ranges and `bytes / T_batched`
+/// for ranges [`merge_runs`] coalesces; one ascending sweep of the whole
+/// block costs `block_bytes / T_batched`. The cheaper plan is taken, so
+/// a dense scattered frontier gracefully degrades to an elevator sweep
+/// instead of a seek storm, while a clustered one keeps reading only its
+/// runs. On a compressed graph a block that is not in the decoded-block
+/// cache is always swept: any read of it fetches the whole encoded
+/// payload, so the selective plan would move the same bytes at the
+/// random rate.
 fn plan_block_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     row: usize,
@@ -273,47 +275,48 @@ fn plan_block_fetch<Pr: VertexProgram>(
     if block_edges == 0 {
         return Ok(None);
     }
-    let len = ctx.graph.meta().interval_len(row) as usize;
+    let mut locals: Vec<usize> = actives.iter().map(|&v| (v - row_base) as usize).collect();
+    ctx.graph.retain_out_occupied(row, j, &mut locals);
+    if locals.is_empty() {
+        return Ok(None);
+    }
+    let entries = ctx.graph.index_entries(Orientation::Out, row, j) as usize;
     let record_bytes = ctx.graph.meta().edge_record_bytes();
     // Index probes land on (row, j)'s attribution cell, like the edge
     // fetches of `push_fetch`.
     hus_obs::attr::with_block(row as u32, j as u32, || {
         let mut sweep = !ctx.graph.codec().is_raw() && !ctx.graph.out_records_cached(row, j);
-        // Tiny frontiers probe each vertex's two CSR offsets (nearby
-        // probes batched into one read, billed per probe) instead of
-        // streaming the block's whole offset array — the same cost logic
-        // as every other fetch choice here.
-        let mut ranges = Vec::with_capacity(actives.len());
-        let mut want = |v: VertexId, lo: u32, hi: u32| {
-            if lo < hi {
-                ranges.push((v, lo, hi));
-            }
-        };
-        if selective_index_probe(actives.len(), len, ctx.index_ratio) {
-            let locals: Vec<usize> = actives.iter().map(|&v| (v - row_base) as usize).collect();
-            let entries = ctx.graph.load_out_index_entries(row, j, &locals)?;
-            for (&v, (lo, hi)) in actives.iter().zip(entries) {
-                want(v, lo, hi);
-            }
-        } else {
-            let index = ctx.graph.load_out_index(row, j, Access::Sequential)?;
-            for &v in actives {
-                let local = (v - row_base) as usize;
-                want(v, index[local], index[local + 1]);
-            }
-            // Records in singleton runs are fetched at the random rate,
-            // those in merged runs at the batched rate the sweep pays.
-            let (mut single, mut merged) = (0u64, 0u64);
-            for run in merge_runs(&ranges, record_bytes, ctx.merge_slack()) {
-                let isolated = run.len() == 1;
-                let records: u64 = ranges[run].iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
-                *if isolated { &mut single } else { &mut merged } += records;
-            }
-            sweep |= single as f64 * ctx.coalesce_ratio + merged as f64 >= block_edges as f64;
-        }
-        if ranges.is_empty() {
-            return Ok(None);
-        }
+        let vertex = |local: usize| row_base + local as VertexId;
+        // Every looked-up vertex has a non-empty range.
+        let ranges: Vec<(VertexId, u32, u32)> =
+            if selective_index_probe(locals.len(), entries, ctx.index_ratio) {
+                // Tiny frontiers probe each vertex's two offsets (nearby
+                // probes batched into one read, billed per probe) instead
+                // of reading the block's whole offset array — the same
+                // cost logic as every other fetch choice here.
+                let found = ctx.graph.load_out_index_entries(row, j, &locals)?;
+                locals.iter().zip(found).map(|(&l, (lo, hi))| (vertex(l), lo, hi)).collect()
+            } else {
+                let index = ctx.graph.block_index(Orientation::Out, row, j, Access::Sequential)?;
+                let ranges: Vec<_> = (locals.iter())
+                    .map(|&l| {
+                        let (lo, hi) = index.range(l);
+                        (vertex(l), lo, hi)
+                    })
+                    .collect();
+                // Records in singleton runs are fetched at the random
+                // rate, those in merged runs at the batched rate the
+                // sweep pays.
+                let (mut single, mut merged) = (0u64, 0u64);
+                for run in merge_runs(&ranges, record_bytes, ctx.merge_slack()) {
+                    let isolated = run.len() == 1;
+                    let records: u64 =
+                        ranges[run].iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
+                    *if isolated { &mut single } else { &mut merged } += records;
+                }
+                sweep |= single as f64 * ctx.coalesce_ratio + merged as f64 >= block_edges as f64;
+                ranges
+            };
         if sweep { &COALESCED_SWEEPS } else { &SELECTIVE_BLOCKS }.incr();
         Ok(Some(BlockFetch { ranges, sweep }))
     })
@@ -397,13 +400,6 @@ pub fn fetch_selective(
     Ok(())
 }
 
-/// Out-edges per source interval, `Σ_j |out-block (i, j)|` — static for
-/// a run ([`IterCtx::row_edges`]).
-pub fn row_edge_totals(graph: &HusGraph) -> Vec<u64> {
-    let p = graph.p();
-    (0..p).map(|i| (0..p).map(|j| graph.out_block_len(i, j)).sum()).collect()
-}
-
 /// Log₂ buckets of [`RowFrontier`]'s nearest-neighbour distances;
 /// vertices farther than `2^NEAR_BUCKETS` ids from any other active
 /// vertex count as isolated.
@@ -416,6 +412,10 @@ pub struct RowFrontier {
     pub actives: u64,
     /// Their out-degrees summed (`Σ_{v∈A_i} d_v`).
     pub degree_sum: u64,
+    /// Per out-block `(i, j)`: the active vertices with edges in it, read
+    /// off its resident occupancy — exactly the vertices [`run_row`]
+    /// looks up there.
+    pub occupied: Vec<u64>,
     /// `near[b]`: summed out-degree of the active vertices whose nearest
     /// active neighbour in the interval is fewer than `2^(b+1)` vertex
     /// ids away — how much of the row's edge traffic sits in clusters
@@ -464,11 +464,19 @@ impl Frontier {
         let degrees = graph.out_degrees();
         let rows = (0..graph.p())
             .map(|i| {
-                let mut row = RowFrontier::default();
+                let occupancy: Vec<_> =
+                    (0..graph.p()).map(|j| graph.occupied(Orientation::Out, i, j)).collect();
+                let mut row =
+                    RowFrontier { occupied: vec![0; graph.p()], ..RowFrontier::default() };
                 // A vertex is recorded once its successor is known: its
                 // nearest active neighbour is the closer of the two.
+                let base = meta.interval_start(i);
                 let mut prev: Option<(VertexId, u32)> = None;
-                for v in active.iter_range(meta.interval_start(i), meta.interval_starts[i + 1]) {
+                for v in active.iter_range(base, meta.interval_starts[i + 1]) {
+                    let local = (v - base) as usize;
+                    for (count, occupied) in row.occupied.iter_mut().zip(&occupancy) {
+                        *count += occupied.contains(local) as u64;
+                    }
                     let mut gap = u32::MAX;
                     if let Some((u, before)) = prev {
                         gap = v - u;
@@ -499,18 +507,18 @@ impl Frontier {
 /// summarized per row:
 ///
 /// * `S_i`, sequential, per active row;
-/// * per non-empty out-block `(i, j)`: index probes (random) or the
-///   whole offset array (sequential), by [`selective_index_probe`];
-///   then the requested edges — the row's active out-degree times the
-///   block's static share of the row — either as one coalesced sweep of
-///   the block (batched) or selectively, the share of them that sits in
-///   mergeable clusters (gaps within the merge slack) batched and the
-///   rest random; on a compressed graph, the whole encoded block swept
-///   once if some edge is requested, or nothing while the decoded-block
-///   cache holds it;
+/// * per out-block `(i, j)` in which some active vertex has edges (the
+///   frontier counts them off the resident occupancy, as the executor
+///   does): index probes (random) or the whole `occupied + 1`-entry
+///   offset array (sequential), by [`selective_index_probe`]; then the
+///   requested edges — each such vertex bringing the block's mean range
+///   — either as one coalesced sweep of the block (batched) or
+///   selectively, the share of them that sits in mergeable clusters
+///   (gaps within the merge slack) batched and the rest random; on a
+///   compressed graph, the whole encoded block swept once, or nothing
+///   while the decoded-block cache holds it;
 /// * `D_j` read + write-back once per destination interval that some
-///   block has edges to push into — the expected number of pushed edges
-///   capped at one stands in for "some"; programs with a non-identity
+///   block has edges to push into; programs with a non-identity
 ///   `reset` re-derive every interval, pushed into or not.
 ///
 /// Overlay-resident blocks are read from memory and cost nothing.
@@ -519,38 +527,40 @@ pub fn plan<Pr: VertexProgram>(ctx: &IterCtx<'_, Pr>, frontier: &Frontier) -> Io
     let value_bytes = std::mem::size_of::<Pr::Value>() as f64;
     // Estimates are fractional; each class is rounded once at the end.
     let (mut sequential, mut batched, mut random) = (0.0f64, 0.0f64, 0.0f64);
-    let mut d_loads = vec![0.0f64; ctx.graph.p()];
+    let mut pushed_into = vec![false; ctx.graph.p()];
     for (i, row) in frontier.rows.iter().enumerate().filter(|(_, row)| row.actives > 0) {
         let len = meta.interval_len(i) as f64;
         sequential += len * value_bytes;
-        let probe = selective_index_probe(row.actives as usize, len as usize, ctx.index_ratio);
-        for (j, d) in d_loads.iter_mut().enumerate() {
-            let block_edges = ctx.graph.out_block_len(i, j) as f64;
-            if block_edges == 0.0 {
+        for (j, touched) in pushed_into.iter_mut().enumerate() {
+            let looked_up = row.occupied[j];
+            if looked_up == 0 {
                 continue;
             }
-            let requested = row.degree_sum as f64 * block_edges / ctx.row_edges[i] as f64;
-            *d = (*d + requested).min(1.0);
+            *touched = true;
             if ctx.graph.out_block_resident(i, j) {
                 continue;
             }
+            let block = meta.out_block(i, j);
+            let probe =
+                selective_index_probe(looked_up as usize, block.occupied as usize, ctx.index_ratio);
             if probe {
-                random += (row.actives * INDEX_PROBE_BYTES) as f64;
+                random += (looked_up * INDEX_PROBE_BYTES) as f64;
             } else {
-                sequential += (len + 1.0) * INDEX_ENTRY_BYTES as f64;
+                sequential += block.offsets_bytes() as f64;
             }
-            let block_bytes = meta.out_block(i, j).encoded_bytes as f64;
+            let block_bytes = block.encoded_bytes as f64;
+            let ranges = looked_up as f64;
             if ctx.graph.out_records_cached(i, j) {
                 // Decoded-block cache hit: the records cost nothing.
             } else if !ctx.graph.codec().is_raw() {
-                batched += requested.min(1.0) * block_bytes;
+                batched += block_bytes;
             } else {
-                // Of the row's actives about `ranges` have edges in this
-                // block. Two of them merge when the records between them
-                // fit the slack: at the block's mean density that is
-                // `reach` vertex ids, shrunk by how much sparser the
-                // block's ranges are than the row's actives.
-                let ranges = requested.min(row.actives as f64);
+                let block_edges = block.edge_count as f64;
+                let requested = ranges * block_edges / block.occupied as f64;
+                // Two ranges merge when the records between them fit the
+                // slack: at the block's mean density that is `reach`
+                // vertex ids, shrunk by how much sparser the block's
+                // ranges are than the row's actives.
                 let merged = if ctx.merge_slack().is_some() && ranges >= 2.0 {
                     let reach = DEFAULT_MERGE_SLACK as f64 * len / block_bytes + 1.0;
                     row.share_within(reach * ranges / row.actives as f64)
@@ -568,13 +578,9 @@ pub fn plan<Pr: VertexProgram>(ctx: &IterCtx<'_, Pr>, frontier: &Frontier) -> Io
             }
         }
     }
-    let d_bytes: f64 = d_loads
-        .iter()
-        .enumerate()
-        .map(|(j, &loads)| {
-            let loads = if ctx.program.needs_reset() { 1.0 } else { loads };
-            loads * meta.interval_len(j) as f64 * value_bytes
-        })
+    let d_bytes: f64 = (pushed_into.iter().enumerate())
+        .filter(|&(_, &touched)| touched || ctx.program.needs_reset())
+        .map(|(j, _)| meta.interval_len(j) as f64 * value_bytes)
         .sum();
     IoPlan {
         sequential: (sequential + d_bytes).round() as u64,
@@ -647,21 +653,21 @@ mod tests {
         hus_storage::Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 2e6 };
 
     /// The executor's side of the plan: a frontier of one vertex whose
-    /// only edge (5 → 6) lands in out-block (0, 0) touches `S_0`, row
-    /// 0's indices and one `D_0` — not the `D_1` of the row's other
-    /// non-empty block (0, 1), which holds 15 → 16 but nothing of
-    /// vertex 5's.
+    /// only edge (5 → 6) lands in out-block (0, 0) touches `S_0`, that
+    /// block's index and one `D_0` — neither the index nor the `D_1` of
+    /// the row's other non-empty block (0, 1), whose resident bitmap
+    /// says it holds 15 → 16 but nothing of vertex 5's.
     #[test]
     fn one_vertex_frontier_reads_one_source_and_one_destination_interval() {
         let (values, stats) = one_push_from_five(false);
         assert_eq!(values[6], 107, "one message into 6");
         assert_eq!(values[16], 116, "interval 1 is untouched");
         let io = &stats.iterations[0].io;
-        // S_0: 16 values × 4 B. Index: with 17-entry offset arrays the
-        // whole array (68 B sequential) beats one 8-byte probe at the
-        // HDD's 120:1 ratio, for each of the row's 2 non-empty blocks.
-        // D_0: 64 B, read once...
-        assert_eq!(io.seq_read_bytes, 64 + 2 * 68 + 64);
+        // S_0: 16 values × 4 B. Index: block (0, 0)'s 15 occupied
+        // vertices make a 16-entry offset array, and reading it whole
+        // (64 B sequential) beats one 8-byte probe at the HDD's 120:1
+        // ratio. D_0: 64 B, read once...
+        assert_eq!(io.seq_read_bytes, 64 + 64 + 64);
         // ...and written back once; no other interval is.
         assert_eq!((io.write_bytes, io.write_ops), (64, 1));
         // The one requested record, a singleton run.
@@ -679,8 +685,8 @@ mod tests {
         assert_eq!(values, want);
         let io = &stats.iterations[0].io;
         assert_eq!((io.write_bytes, io.write_ops), (4 * 64, 4));
-        // S_0, two indices, and all four intervals read for their reset.
-        assert_eq!(io.seq_read_bytes, 64 + 2 * 68 + 4 * 64);
+        // S_0, one index, and all four intervals read for their reset.
+        assert_eq!(io.seq_read_bytes, 64 + 64 + 4 * 64);
     }
 
     /// The planner's side: [`plan`] prices exactly those bytes.
@@ -691,10 +697,9 @@ mod tests {
         let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
         let g = HusGraph::build_into(&hus_gen::classic::cycle(64), &dir, &config).unwrap();
         let active = ActiveSet::from_fn(64, |v| v == 5);
-        let row_edges = row_edge_totals(&g);
-        assert_eq!(row_edges, vec![16; 4]);
         let frontier = Frontier::scan(&g, &active);
         assert_eq!((frontier.rows[0].actives, frontier.active_edges()), (1, 1));
+        assert_eq!(frontier.rows[0].occupied, [1, 0, 0, 0], "vertex 5 has edges in (0, 0)");
         for reset in [false, true] {
             let ctx = IterCtx {
                 graph: &g,
@@ -704,15 +709,13 @@ mod tests {
                 coalesce_ratio: SLOW_SWEEPS.batched_bps / SLOW_SWEEPS.random_bps,
                 index_ratio: SLOW_SWEEPS.sequential_bps / SLOW_SWEEPS.random_bps,
                 deadline: None,
-                row_edges: &row_edges,
             };
-            // Vertex 5's one edge is split 15/16 : 1/16 between blocks
-            // (0, 0) and (0, 1) by their static shares of the row — as
-            // are the expected record and the expected destination
-            // interval, which therefore add up to the one of each the
-            // executor moves in the two tests above.
+            // Vertex 5 has edges in block (0, 0) only: one range of the
+            // block's mean length (15 records over 15 occupied vertices)
+            // and one destination interval, the one of each the executor
+            // moves in the two tests above.
             let d = if reset { 4 * 64 } else { 64 };
-            let want = IoPlan { sequential: 64 + 2 * 68 + d, random: 4, write: d, batched: 0 };
+            let want = IoPlan { sequential: 64 + 64 + d, random: 4, write: d, batched: 0 };
             assert_eq!(plan(&ctx, &frontier), want, "reset {reset}");
         }
     }
@@ -742,8 +745,8 @@ mod tests {
 
     /// A small clustered frontier on the HDD profile takes the
     /// selective-probe branch: its probes bill the random bytes of one
-    /// `load_out_index_entry` per (active vertex, non-empty block), but
-    /// as one batched read per block.
+    /// `load_out_index_entry` per (active vertex, block it has edges
+    /// in), but as one batched read per block.
     #[test]
     fn clustered_probes_bill_per_entry_bytes_in_fewer_ops() {
         let tmp = tempfile::tempdir().unwrap();
@@ -752,20 +755,25 @@ mod tests {
         let g = HusGraph::build_into(&hus_gen::classic::cycle(1 << 14), &dir, &config).unwrap();
         let hdd = hus_storage::DeviceProfile::hdd().read;
         let ratio = hdd.sequential_bps / hdd.random_bps;
-        assert!(selective_index_probe(CLUSTER.len(), 1 << 13, ratio));
+        // Out-block (0, 0) has edges from 8191 of interval 0's vertices.
+        assert_eq!(g.meta().out_block(0, 0).occupied, (1 << 13) - 1);
+        assert!(selective_index_probe(CLUSTER.len(), (1 << 13) - 1, ratio));
 
-        // The per-entry bill: one 8-byte random read per probe, in the
-        // two non-empty out-blocks of row 0 ((0, 1) holds 8191 → 8192).
+        // The per-entry bill: one 8-byte random read per probe in
+        // out-block (0, 0). The row's other non-empty block, (0, 1),
+        // holds only 8191 → 8192: its bitmap answers for the cluster
+        // without I/O.
         g.dir().tracker().reset();
         let mut probes = 0u64;
         for j in 0..2 {
             for v in CLUSTER {
-                g.load_out_index_entry(0, j, v as usize).unwrap();
-                probes += 1;
+                let (lo, hi) = g.load_out_index_entry(0, j, v as usize).unwrap();
+                assert_eq!(hi - lo, (j == 0) as u32, "vertex {v}, block (0, {j})");
+                probes += (j == 0) as u64;
             }
         }
         let per_entry = g.dir().tracker().snapshot();
-        assert_eq!((per_entry.rand_read_bytes, per_entry.rand_read_ops), (8 * probes, probes));
+        assert_eq!((per_entry.rand_read_bytes, per_entry.rand_read_ops), (8 * 16, probes));
 
         let config = RunConfig {
             max_iterations: 1,
@@ -779,7 +787,7 @@ mod tests {
         // The cluster's 16 adjacent records are one merged run.
         assert_eq!((io.batched_read_bytes, io.batched_read_ops), (4 * 16, 1));
         assert_eq!(io.rand_read_bytes, per_entry.rand_read_bytes);
-        assert_eq!(io.rand_read_ops, 2, "one probe run per block, not {probes}");
+        assert_eq!(io.rand_read_ops, 1, "one probe run, not {probes}");
     }
 
     #[test]
@@ -806,14 +814,14 @@ mod tests {
 
     /// Regression: the selective-index crossover is pinned to the
     /// on-disk layout constants. If the record layout changes (e.g. u64
-    /// CSR offsets), these exact boundaries move and this test must be
+    /// offsets), these exact boundaries move and this test must be
     /// updated together with [`crate::meta::INDEX_ENTRY_BYTES`].
     #[test]
     fn selective_index_crossover_is_pinned_to_layout() {
-        // index_ratio 3.0, interval of 600 vertices: the full offset
+        // index_ratio 3.0, a block with 600 occupied vertices: its offset
         // array costs (600 + 1) * 4 = 2404 sequential bytes; one probe
         // costs 8 * 3.0 = 24 random-byte equivalents. Crossover at
-        // 2404 / 24 = 100.17 actives.
+        // 2404 / 24 = 100.17 actives with edges in the block.
         assert!(selective_index_probe(100, 600, 3.0));
         assert!(!selective_index_probe(101, 600, 3.0));
         // index_ratio 1.0 degenerates to "probe while fewer than half

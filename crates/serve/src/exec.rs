@@ -3,11 +3,13 @@
 //! Point lookups (`degree`, `neighbors`, `khop`) read the way ROP does
 //! (paper §3.3, `LoadOutEdges`): one hop of a sorted frontier walks its
 //! source interval's out-blocks in order, probes the index entries of
-//! the vertices still owed edges in one batched read per block
+//! the vertices still owed edges that the block's resident occupancy
+//! bitmap says have edges there, in one batched read per block
 //! ([`HusGraph::load_out_index_entries`]), and fetches the found record
 //! ranges through [`rop::fetch_selective`] — nearby ranges merged into
 //! one batched read. A vertex stops probing once its fetched records
-//! reach its out-degree, so a degree-0 vertex never probes. A lookup
+//! reach its out-degree, so a degree-0 vertex never probes, and a block
+//! where none of the owed vertices has edges is skipped without I/O. A lookup
 //! touches only the blocks its frontier lives in, whatever codec or
 //! backend the graph was built with. Full analytics instantiate an
 //! [`Engine`] run on the shared snapshot, exactly the code path the CLI
@@ -44,9 +46,10 @@ fn check_vertex(graph: &HusGraph, v: u32) -> Result<(), ServeError> {
 /// receives every out-neighbor, block by block. Per source interval the
 /// out-blocks are walked in ascending order; each probes, in one batched
 /// read, the vertices whose fetched records have not yet reached their
-/// (overlay-aware) out-degree, then fetches the non-empty ranges. The
-/// meter is charged [`INDEX_PROBE_BYTES`] per probe and the record bytes
-/// before each read; the deadline is checked per block. A frontier of
+/// (overlay-aware) out-degree and that have edges in the block, then
+/// fetches their ranges. The meter is charged [`INDEX_PROBE_BYTES`] per
+/// probe and the record bytes before each read; the deadline is checked
+/// per probed block. A frontier of
 /// one vertex yields its neighbors in ascending order.
 fn expand(
     graph: &HusGraph,
@@ -75,17 +78,19 @@ fn expand(
             if owed.is_empty() {
                 break;
             }
-            if graph.out_block_len(i, j) == 0 {
+            locals.clear();
+            locals.extend(owed.iter().map(|&(local, _)| local));
+            graph.retain_out_occupied(i, j, &mut locals);
+            if locals.is_empty() {
                 continue;
             }
             check_deadline(deadline)?;
-            meter.charge(owed.len() as u64 * INDEX_PROBE_BYTES)?;
-            locals.clear();
-            locals.extend(owed.iter().map(|&(local, _)| local));
+            meter.charge(locals.len() as u64 * INDEX_PROBE_BYTES)?;
             let entries = graph.load_out_index_entries(i, j, &locals)?;
             ranges.clear();
-            for ((local, left), (lo, hi)) in owed.iter_mut().zip(entries) {
-                if hi > lo {
+            let mut found = locals.iter().zip(entries).peekable();
+            for (local, left) in owed.iter_mut() {
+                if let Some((_, (lo, hi))) = found.next_if(|&(l, _)| l == local) {
                     ranges.push((base + *local as u32, lo, hi));
                     *left = left.saturating_sub(hi - lo);
                 }

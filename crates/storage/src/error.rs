@@ -93,6 +93,18 @@ pub enum StorageError {
         /// The most the format can hold.
         limit: u64,
     },
+    /// A graph directory written in an on-disk layout this build does
+    /// not read (`meta.json`'s `format`; a directory without the field
+    /// predates it). Permanent and not corruption: the directory is
+    /// intact, only older — rebuild it.
+    UnsupportedFormat {
+        /// Root of the graph directory.
+        path: PathBuf,
+        /// The layout version it was written in.
+        found: u32,
+        /// The layout version this build reads.
+        expected: u32,
+    },
 }
 
 impl StorageError {
@@ -188,6 +200,12 @@ impl fmt::Display for StorageError {
             StorageError::CapacityExceeded { what, count, limit } => {
                 write!(f, "{what}: {count} exceeds the format limit of {limit}")
             }
+            StorageError::UnsupportedFormat { path, found, expected } => write!(
+                f,
+                "{} is in on-disk format {found}, but this build reads format {expected}: \
+                 rebuild it with `hus build`",
+                path.display()
+            ),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! `hus` — command-line front end to the HUS-Graph engine.
 //!
 //! ```text
-//! hus gen    <rmat|er|ws|ba> <vertices> <edges-or-param> <out.husg> [--seed N] [--weighted]
+//! hus gen    <rmat|er|ws|ba> <vertices> <edges|k|m> <out.husg> [--seed N] [--weighted]
 //! hus build  <edges.{husg,txt}> <graph-dir> [--p N] [--external] [--codec raw|delta-varint]
 //! hus stats  <graph-dir>
 //! hus fsck   <graph-dir> [--repair]
@@ -17,6 +17,10 @@
 //! hus convert <in.{husg,txt}> <out.{husg,txt}>
 //! hus probe  [dir]
 //! ```
+//!
+//! The third `gen` argument is the edge count for `rmat` and `er`, the
+//! neighbor count `k` of each vertex's ring lattice for `ws`, and the
+//! attachment count `m` of each new vertex for `ba`.
 //!
 //! Algorithms print the run's iteration trace, I/O ledger, and modeled
 //! HDD time alongside a result summary. `audit` replays an algorithm
@@ -57,7 +61,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  hus gen <rmat|er|ws|ba> <vertices> <edges> <out.husg> [--seed N] [--weighted]
+  hus gen <rmat|er|ws|ba> <vertices> <edges|k|m> <out.husg> [--seed N] [--weighted]
+          (rmat, er: edges; ws: neighbors k per vertex; ba: attachments m per vertex)
   hus build <edges.{husg,txt}> <graph-dir> [--p N] [--external] [--codec raw|delta-varint]
   hus stats <graph-dir>
   hus fsck <graph-dir> [--repair]
@@ -272,10 +277,45 @@ fn cmd_stats(rest: &[&String]) -> CliResult {
     );
     let max_deg = g.out_degrees().iter().max().copied().unwrap_or(0);
     println!("max out-degree: {max_deg}");
+    let footprint = g.dir().disk_footprint().map_err(|e| e.to_string())?;
+    println!("disk footprint: {:.1} MB", footprint as f64 / 1e6);
+    // Where the bytes are: the data files' parts by the format's
+    // arithmetic, the rest by file length.
+    let manifest = hus_storage::BuildManifest::load_from(g.dir().root())
+        .map_err(|e| e.to_string())?
+        .ok_or("MANIFEST is missing")?;
+    let file_len = |name: &str| g.dir().file_len(name).map_err(|e| e.to_string());
+    let data_files = 4 * meta.p as u64;
+    let footer = hus_storage::checksum::footer_len(meta.p as usize);
+    let (bitmaps, offsets) = (meta.bitmap_bytes(), meta.offsets_bytes());
+    let parts = [
+        ("edge payload", meta.encoded_edge_bytes(), String::new()),
+        ("index", bitmaps + offsets, format!("; bitmaps {bitmaps}, offsets {offsets}")),
+        ("degrees.bin", file_len(hus_core::meta::DEGREES_FILE)?, String::new()),
+        ("footers", if meta.checksums { data_files * footer } else { 0 }, String::new()),
+        (
+            "metadata",
+            file_len(hus_core::meta::META_FILE)? + file_len(hus_storage::MANIFEST_FILE)?,
+            "; meta.json, MANIFEST".into(),
+        ),
+        ("delta runs", manifest.runs.iter().map(|r| r.len).sum(), String::new()),
+    ];
+    let per_edge = |bytes: u64| bytes as f64 / g.num_edges().max(1) as f64;
+    println!("bytes on disk: {footprint} ({:.2} per edge)", per_edge(footprint));
+    for (part, bytes, note) in &parts {
+        println!("  {:<13} {bytes} B ({:.2} per edge{note})", format!("{part}:"), per_edge(*bytes));
+    }
+    let other = footprint as i64 - parts.iter().map(|p| p.1 as i64).sum::<i64>();
+    if other != 0 {
+        println!("  {:<13} {other} B (files outside the format)", "other:");
+    }
+    let slots = 2 * meta.p as u64 * meta.num_vertices as u64;
+    let occupied: u64 = meta.out_blocks.iter().chain(&meta.in_blocks).map(|b| b.occupied).sum();
     println!(
-        "disk footprint: {:.1} MB",
-        g.dir().disk_footprint().map_err(|e| e.to_string())? as f64 / 1e6
+        "mean block occupancy: {:.1} % of index slots ({occupied} of {slots})",
+        100.0 * occupied as f64 / slots.max(1) as f64
     );
+    println!("resident bitmaps: {} B", g.resident_index_bytes());
     for i in 0..g.p() {
         let row: u64 = (0..g.p()).map(|j| meta.out_block(i, j).edge_count).sum();
         println!("  interval {i}: vertices {:8}, out-edges {row}", meta.interval_len(i));

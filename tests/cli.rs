@@ -150,3 +150,43 @@ fn flags_before_or_after_the_arguments_do_the_same() {
     assert!(bfs.iter().any(|l| l.contains(" ROP ")), "{bfs:?}");
     assert_eq!(bfs, run(&last, &["bfs", "g", "0", "--mode", "rop"]));
 }
+
+/// The bytes `hus stats` prints per part of the directory — edge
+/// payload, sparse index, `degrees.bin`, footers, metadata files and
+/// delta runs — add up to `StorageDir::disk_footprint`, for a fresh
+/// build and for one carrying a delta run.
+#[test]
+fn stats_parts_sum_to_the_disk_footprint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (root, _) = built(&tmp);
+    for ingest in [false, true] {
+        if ingest {
+            let out = hus().arg("ingest").arg(&root).args(["--random", "300"]).output().unwrap();
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        }
+        let out = hus().arg("stats").arg(&root).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        let footprint = StorageDir::open(&root).unwrap().disk_footprint().unwrap();
+        let total = stdout.lines().find_map(|l| l.strip_prefix("bytes on disk: "));
+        let total: u64 = total.and_then(|t| t.split(' ').next()?.parse().ok()).expect("a total");
+        assert_eq!(total, footprint, "{stdout}");
+        let parts: Vec<(&str, u64)> = (stdout.lines())
+            .filter_map(|l| {
+                let (part, rest) = l.strip_prefix("  ")?.split_once(':')?;
+                let bytes = rest.trim_start().strip_suffix(')')?.split(" B (").next()?;
+                Some((part, bytes.parse().ok()?))
+            })
+            .collect();
+        let names: Vec<&str> = parts.iter().map(|p| p.0).collect();
+        assert_eq!(
+            names,
+            ["edge payload", "index", "degrees.bin", "footers", "metadata", "delta runs"],
+            "no bytes outside the format: {stdout}"
+        );
+        assert_eq!(parts.iter().map(|p| p.1).sum::<u64>(), footprint, "{stdout}");
+        assert_eq!(parts[5].1 > 0, ingest, "{stdout}");
+        assert!(stdout.contains("mean block occupancy: "), "{stdout}");
+        assert!(stdout.contains("resident bitmaps: "), "{stdout}");
+    }
+}

@@ -150,7 +150,9 @@ fn expand_braces(name: &str) -> Vec<String> {
 /// `hus_storage::checksum`.
 #[test]
 fn format_md_constants_match_source() {
-    use husgraph::core::meta::{INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
+    use husgraph::core::meta::{
+        BITMAP_WORD_BYTES, FORMAT_VERSION, INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES,
+    };
     use husgraph::storage::checksum::{
         footer_len, FOOTER_FIXED_BYTES, FOOTER_MAGIC, FOOTER_VERSION,
     };
@@ -161,6 +163,8 @@ fn format_md_constants_match_source() {
     for row in [
         format!("| `INDEX_ENTRY_BYTES` | {INDEX_ENTRY_BYTES} |"),
         format!("| `INDEX_PROBE_BYTES` | {INDEX_PROBE_BYTES} |"),
+        format!("| `BITMAP_WORD_BYTES` | {BITMAP_WORD_BYTES} |"),
+        format!("| `FORMAT_VERSION` | {FORMAT_VERSION} |"),
         format!("| `FOOTER_MAGIC` | `0x{FOOTER_MAGIC:08X}` |"),
         format!("| `FOOTER_VERSION` | {FOOTER_VERSION} |"),
         format!("| `FOOTER_FIXED_BYTES` | {FOOTER_FIXED_BYTES} |"),
@@ -337,6 +341,7 @@ fn bin_names(rel: &str) -> BTreeSet<String> {
 
 fn sample_meta() -> husgraph::core::GraphMeta {
     husgraph::core::GraphMeta {
+        format: husgraph::core::meta::FORMAT_VERSION,
         num_vertices: 2,
         num_edges: 1,
         p: 1,

@@ -151,7 +151,6 @@ proptest! {
         // an active vertex can only add cost (with merging on, a vertex
         // that bridges two singleton ranges rightly makes both cheaper).
         let tput = Throughput { sequential_bps: 120e6, random_bps: 1e6, batched_bps: 1e6 };
-        let row_edges = rop::row_edge_totals(&g);
         let program = Bfs::new(0);
         let c_rop = |frontier: &std::collections::BTreeSet<u32>| {
             let active = ActiveSet::from_fn(n, |v| frontier.contains(&v));
@@ -163,7 +162,6 @@ proptest! {
                 coalesce_ratio: tput.batched_bps / tput.random_bps,
                 index_ratio: tput.sequential_bps / tput.random_bps,
                 deadline: None,
-                row_edges: &row_edges,
             };
             rop::plan(&ctx, &Frontier::scan(&g, &active))
         };
