@@ -189,7 +189,8 @@ pub(crate) fn build_partitioned(
 /// its own directory: the write half of compaction (DESIGN.md §11.3).
 ///
 /// Every block is already in canonical order, so each `o`-shard goes
-/// straight from [`HusGraph::index`] + [`HusGraph::records`] to
+/// straight from its blocks' indices and records
+/// ([`HusGraph::block_index`] + [`HusGraph::records`]) to
 /// [`write_shard`]: no edge list, no bucketing, no sort. The new build
 /// keeps the base's interval boundaries, `P`, codec and weightedness,
 /// and commits through the same staged, crash-pointed tail as
@@ -213,14 +214,14 @@ pub(crate) fn build_from(graph: &HusGraph) -> Result<GraphMeta> {
             let blocks = (0..p)
                 .map(|other| {
                     let (i, j) = o.orient(own, other);
-                    let index = graph.index(o, i, j, Access::Sequential)?;
+                    let index = graph.block_index(o, i, j, Access::Sequential)?;
                     Ok((index, graph.records(o, i, j, None, Access::Sequential)?))
                 })
                 .collect::<Result<Vec<_>>>()?;
             let runs = blocks.iter().map(|(index, records)| {
-                (first..).zip(index.windows(2)).flat_map(move |(v, range)| {
-                    let walk = records.walk(range[0] as usize, range[1] as usize);
-                    walk.map(move |(neighbor, weight)| (v, neighbor, weight))
+                index.ranges().flat_map(move |(local, lo, hi)| {
+                    let v = first + local as u32;
+                    records.walk(lo as usize, hi as usize).map(move |(n, w)| (v, n, w))
                 })
             });
             write_shard(&out, &mut meta, o, own, runs)?;

@@ -141,7 +141,7 @@ fn pull_block<Pr: VertexProgram>(
     // Every source of an always-active program is active, and its next
     // frontier is already full: no frontier bit to load or set.
     let all_active = ctx.program.always_active();
-    block.index.for_each_range(|local, lo, hi| {
+    for (local, lo, hi) in block.index.ranges() {
         let (dst, dst_val) = (dst_base + local as u32, &mut d_col[local]);
         let mut changed = false;
         for (src, weight) in block.records.walk(lo as usize, hi as usize) {
@@ -157,7 +157,7 @@ fn pull_block<Pr: VertexProgram>(
         if changed && !all_active {
             ctx.next_active.set(dst);
         }
-    });
+    }
 }
 
 #[cfg(test)]

@@ -16,12 +16,14 @@
 //! by merging, never by sorting out-blocks: the layers resolve into one
 //! sorted newest-wins op list per block by successive two-way merges
 //! (oldest run → newest run → memtable), and each op list is
-//! two-pointer-merged with the block's base records into a fresh CSR
-//! block (in-blocks re-key their ops to `(dst, src)` and sort them
-//! first). [`DynamicGraph::compact`] writes the overlay-aware blocks
-//! shard by shard through the builders' shard writer into a new base
-//! build with the same partition (the crash-consistent staged build of
-//! DESIGN.md §10), dropping every run in the same atomic rename.
+//! two-pointer-merged with the block's base records into a block laid
+//! out as the builders lay out theirs — occupancy bitmap, one offset per
+//! occupied vertex, records (in-blocks re-key their ops to `(dst, src)`
+//! and sort them first). [`DynamicGraph::compact`] writes the
+//! overlay-aware blocks shard by shard through the builders' shard
+//! writer into a new base build with the same partition (the
+//! crash-consistent staged build of DESIGN.md §10), dropping every run
+//! in the same atomic rename.
 //!
 //! Ordering semantics: within one key `(src, dst)` the newest write
 //! wins — memtable over runs, higher run sequence over lower. A
@@ -31,6 +33,7 @@
 //! rebuild of the same final edge set would produce for that block.
 
 use crate::graph::{load_manifest, EdgeRecords, HusGraph};
+use crate::index::{BlockIndex, BlockParts, Occupancy};
 use crate::meta::Orientation;
 use crate::partition::interval_of;
 use hus_storage::delta::{DeltaRecord, DeltaRun, DELTA_RECORD_BYTES};
@@ -92,21 +95,37 @@ impl Memtable {
 }
 
 /// One fully merged block of the overlay: base records plus every
-/// resolved delta, re-indexed as a local CSR. Memory-resident — reads
-/// of a touched block are served from here without device I/O.
+/// resolved delta, indexed as a base block is — its occupancy and
+/// `occupied + 1` offsets. Memory-resident — reads of a touched block
+/// are served from here without device I/O.
 #[derive(Debug)]
 pub(crate) struct MergedBlock {
-    /// `interval_len + 1` local offsets: the dense view of an on-disk
-    /// index.
-    pub(crate) index: Vec<u32>,
+    /// Which vertices of the owning interval have records here.
+    pub(crate) occupancy: Occupancy,
+    /// The first record of every occupied vertex, then the record count.
+    pub(crate) offsets: Vec<u32>,
     /// Merged records in canonical order for the orientation.
     pub(crate) records: EdgeRecords,
 }
 
 impl MergedBlock {
+    /// Keep an assembled block over an interval of `len` vertices.
+    fn new(parts: BlockParts, len: usize, weighted: bool) -> Self {
+        let BlockParts { words, mut offsets, mut raw, .. } = parts;
+        offsets.shrink_to_fit();
+        raw.shrink_to_fit();
+        let occupancy = Occupancy::new(words, len).expect("an assembled bitmap fits its interval");
+        MergedBlock { occupancy, offsets, records: EdgeRecords::from_raw(raw, weighted) }
+    }
+
     /// Number of merged records in the block.
     pub(crate) fn len(&self) -> u64 {
         self.records.len() as u64
+    }
+
+    /// The block's index, lent from memory.
+    pub(crate) fn index(&self) -> BlockIndex<'_> {
+        BlockIndex::new(&self.occupancy, self.offsets.as_slice())
     }
 }
 
@@ -132,60 +151,46 @@ pub(crate) struct DeltaOverlay {
 /// unique.
 type BlockOps = Vec<((u32, u32), DeltaOp)>;
 
-/// Two-pointer merge of one block orientation: `base_index` (the dense
-/// view of the block's on-disk index) and `base` are its base CSR, `ops` the resolved newest-wins deltas for
-/// the block sorted by `(own vertex, neighbor)` — `(src, dst)` for
-/// out-blocks, `(dst, src)` for in-blocks. Relies on the canonical
-/// neighbor-sorted base order the builders guarantee. Base records
-/// between two ops pass through as one copied span.
+/// Two-pointer merge of one block orientation into `parts`: `index` and
+/// `base` are its base block, whose interval starts at `first`, and
+/// `ops` its resolved newest-wins deltas sorted by `(own vertex,
+/// neighbor)` — `(src, dst)` for out-blocks, `(dst, src)` for in-blocks.
+/// Relies on the canonical neighbor-sorted base order the builders
+/// guarantee. Base records between two ops pass through as one copied
+/// span; an op supersedes every base record of its key, and a put adds
+/// one record of its own.
 fn merge_block(
-    n_local: usize,
-    start: u32,
-    base_index: &[u32],
+    parts: &mut BlockParts,
+    first: u32,
+    index: &BlockIndex<'_>,
     base: &EdgeRecords,
-    ops: impl Iterator<Item = ((u32, u32), DeltaOp)>,
-    weighted: bool,
-) -> MergedBlock {
-    debug_assert_eq!(base_index.len(), n_local + 1);
-    let stride = if weighted { 8 } else { 4 };
-    let mut ops = ops.peekable();
-    let mut data: Vec<u8> = Vec::with_capacity(base.len() * stride);
-    let mut index = Vec::with_capacity(n_local + 1);
-    index.push(0u32);
-    // Base records `[0, copied)` are either in `data` or superseded.
-    let mut copied = 0;
-    for v in 0..n_local {
-        let own = start + v as u32;
-        let mut k = base_index[v] as usize;
-        let end = base_index[v + 1] as usize;
-        while let Some(&((o, nb), op)) = ops.peek() {
-            if o != own {
-                debug_assert!(o > own, "ops must be sorted by (own, neighbor)");
-                break;
-            }
-            // Base records strictly before the op's neighbor pass through.
-            while k < end && base.neighbor(k) < nb {
+    ops: &[((u32, u32), DeltaOp)],
+) {
+    let ranges = index.ranges().map(|(l, lo, hi)| (first + l as u32, lo as usize, hi as usize));
+    let (mut ranges, mut ops) = (ranges.peekable(), ops.iter().peekable());
+    loop {
+        // The next vertex with base records or ops.
+        let v = match (ranges.peek(), ops.peek()) {
+            (Some(&(v, ..)), Some(&&((u, _), _))) => v.min(u),
+            (Some(&(v, ..)), None) | (None, Some(&&((v, _), _))) => v,
+            (None, None) => return,
+        };
+        let (mut k, end) = ranges.next_if(|r| r.0 == v).map_or((0, 0), |(_, lo, hi)| (lo, hi));
+        while let Some(&((_, neighbor), op)) = ops.next_if(|((u, _), _)| *u == v) {
+            let from = k;
+            while k < end && base.neighbor(k) < neighbor {
                 k += 1;
             }
-            data.extend_from_slice(base.raw(copied, k));
-            // Records equal to the key are superseded (replaced or erased).
-            while k < end && base.neighbor(k) == nb {
+            parts.push_raw(v, base.raw(from, k));
+            while k < end && base.neighbor(k) == neighbor {
                 k += 1;
             }
-            copied = k;
             if let DeltaOp::Put(w) = op {
-                data.extend_from_slice(&nb.to_le_bytes());
-                if weighted {
-                    data.extend_from_slice(&w.to_le_bytes());
-                }
+                parts.push(v, neighbor, w);
             }
-            ops.next();
         }
-        index.push((data.len() / stride + end - copied) as u32);
+        parts.push_raw(v, base.raw(k, end));
     }
-    debug_assert!(ops.next().is_none(), "every op belongs to a vertex of the block");
-    data.extend_from_slice(base.raw(copied, base.len()));
-    MergedBlock { index, records: EdgeRecords::from_raw(data, weighted) }
 }
 
 /// Merge two sorted, key-unique op lists into one; on a shared key the
@@ -258,8 +263,8 @@ pub(crate) fn build_overlay(
             // The orientation's own vertex (src in out-blocks, dst in
             // in-blocks) indexes the block; the other is the neighbor.
             let own = o.orient(i, j).0;
-            let (n_own, start) = (meta.interval_len(own) as usize, meta.interval_start(own));
-            let base_idx = graph.index(o, i, j, Access::Sequential)?;
+            let interval = meta.interval_start(own)..meta.interval_start(own + 1);
+            let base_index = graph.block_index(o, i, j, Access::Sequential)?;
             let base = graph.records(o, i, j, None, Access::Sequential)?;
             // Ops are sorted `(src, dst)`: out-blocks take them as they
             // are, in-blocks re-key to `(dst, src)` and sort.
@@ -272,15 +277,15 @@ pub(crate) fn build_overlay(
                     &rekeyed
                 }
             };
-            let merged =
-                merge_block(n_own, start, &base_idx, &base, keyed.iter().copied(), weighted);
+            let mut parts = BlockParts::default();
+            parts.start(interval.clone(), weighted);
+            merge_block(&mut parts, interval.start, &base_index, &base, keyed);
+            parts.finish((o, i, j))?;
+            let merged = MergedBlock::new(parts, interval.len(), weighted);
             if o == Orientation::Out {
-                for v in 0..n_own {
-                    let before = base_idx[v + 1] - base_idx[v];
-                    let after = merged.index[v + 1] - merged.index[v];
-                    let d = &mut overlay.out_degrees[start as usize + v];
-                    *d = (*d + after) - before;
-                }
+                let degrees = &mut overlay.out_degrees[interval.start as usize..];
+                base_index.ranges().for_each(|(local, lo, hi)| degrees[local] -= hi - lo);
+                merged.index().ranges().for_each(|(local, lo, hi)| degrees[local] += hi - lo);
                 overlay.num_edges = overlay.num_edges + merged.len() - base.len() as u64;
             }
             overlay.blocks[o as usize].insert((i, j), merged);

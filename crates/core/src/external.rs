@@ -40,6 +40,7 @@
 //! (DESIGN.md §10).
 
 use crate::builder::{finalize_build, BuildConfig};
+use crate::index::BlockParts;
 use crate::meta::{BlockMeta, GraphMeta, Orientation, DEGREES_FILE};
 use crate::partition::{interval_starts, interval_table};
 use hus_gen::Edge;
@@ -456,9 +457,10 @@ fn counting_pass(
 ///
 /// `runs` yields the shard's `P` blocks in file order, each as
 /// `(own vertex, neighbor, weight)` records in canonical
-/// `(own vertex, neighbor)` order. The `.index` file gets each block's
-/// offset array — one offset per own vertex with records in the block,
-/// plus the terminal one — and then the `P` occupancy bitmaps, which
+/// `(own vertex, neighbor)` order, laid out by [`BlockParts`] as the
+/// delta overlay lays out its blocks. The `.index` file gets each
+/// block's offset array — one offset per own vertex with records in the
+/// block, plus the terminal one — and then the `P` occupancy bitmaps, which
 /// are held until the last block is written (`P · len / 8` bytes). The
 /// block descriptors are recorded into `meta`. The per-block CRC-32C
 /// covers the *encoded* bytes of an `.edges` block, and the bitmap
@@ -473,68 +475,42 @@ pub(crate) fn write_shard<R: Iterator<Item = (u32, u32, f32)>>(
 ) -> Result<()> {
     let codec = meta.codec().map_err(StorageError::Corrupt)?;
     let (p, weighted) = (meta.p as usize, meta.weighted);
-    let base = meta.interval_start(own);
+    let interval = meta.interval_start(own)..meta.interval_start(own + 1);
     let record_bytes = meta.edge_record_bytes() as usize;
     let (edges_name, index_name) = (GraphMeta::edges_file(o, own), GraphMeta::index_file(o, own));
     let mut edges_w = dir.writer(&edges_name)?;
     let mut index_w = dir.writer(&index_name)?;
     let mut edge_crcs = Vec::with_capacity(p);
     let mut index_crcs = Vec::with_capacity(p);
-    let words = meta.bitmap_words(own) as usize;
-    let mut bitmaps = vec![0u64; p * words];
-    // Reusable per-block scratch: the offsets of the occupied vertices,
-    // the decoded record run and its encoded payload.
-    let mut offsets: Vec<u32> = Vec::new();
-    let mut raw_buf: Vec<u8> = Vec::new();
+    let mut bitmaps = Vec::with_capacity(p * meta.bitmap_words(own) as usize);
+    // Reusable per-block scratch: the assembled block and its encoded
+    // payload.
+    let mut block = BlockParts::default();
     let mut enc_buf: Vec<u8> = Vec::new();
     let mut decoded_pos = 0u64;
     for (other, run) in runs.enumerate() {
-        offsets.clear();
-        raw_buf.clear();
-        let bitmap = &mut bitmaps[other * words..(other + 1) * words];
-        let mut records = 0u64;
-        let mut last = None;
-        for (v, neighbor, weight) in run {
-            let local = (v - base) as usize;
-            if last != Some(local) {
-                debug_assert!(last < Some(local), "records must arrive by own vertex");
-                bitmap[local / 64] |= 1 << (local % 64);
-                offsets.push(records as u32);
-                last = Some(local);
-            }
-            records += 1;
-            raw_buf.extend_from_slice(&neighbor.to_le_bytes());
-            if weighted {
-                raw_buf.extend_from_slice(&weight.to_le_bytes());
-            }
-        }
         let (i, j) = o.orient(own, other);
-        // Index entries are `u32` (docs/FORMAT.md): a larger block's
-        // offsets would wrap, so it is refused before a byte of it is
-        // written.
-        if records > u32::MAX as u64 {
-            return Err(StorageError::CapacityExceeded {
-                what: format!("records in {}-block ({i}, {j})", o.name()),
-                count: records,
-                limit: u32::MAX as u64,
-            });
-        }
-        offsets.push(records as u32);
-        codec.encode(&raw_buf, record_bytes, &mut enc_buf);
+        // A block too large for `u32` offsets is refused before a byte
+        // of it is written.
+        block.start(interval.clone(), weighted);
+        run.for_each(|(v, neighbor, weight)| block.push(v, neighbor, weight));
+        block.finish((o, i, j))?;
+        codec.encode(&block.raw, record_bytes, &mut enc_buf);
         *meta.block_mut(o, i, j) = BlockMeta {
             edge_offset: decoded_pos,
-            edge_count: records,
+            edge_count: block.len(),
             index_offset: index_w.position(),
-            occupied: offsets.len() as u64 - 1,
+            occupied: block.offsets.len() as u64 - 1,
             encoded_offset: edges_w.position(),
             encoded_bytes: enc_buf.len() as u64,
         };
-        decoded_pos += raw_buf.len() as u64;
+        decoded_pos += block.raw.len() as u64;
         let mut crc = Crc32c::new();
-        crc.update(pod::as_bytes(bitmap));
-        crc.update(pod::as_bytes(&offsets));
+        crc.update(pod::as_bytes(&block.words));
+        crc.update(pod::as_bytes(&block.offsets));
         index_crcs.push(crc.finish());
-        index_w.write_pod_slice(&offsets)?;
+        index_w.write_pod_slice(&block.offsets)?;
+        bitmaps.extend_from_slice(&block.words);
         edge_crcs.push(hus_storage::crc32c(&enc_buf));
         edges_w.write_all(&enc_buf)?;
     }

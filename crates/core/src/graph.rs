@@ -2,7 +2,7 @@
 
 use crate::builder::{build, BuildConfig};
 use crate::delta::{DeltaOverlay, MergedBlock};
-use crate::index::{BlockIndex, Occupancy, Occupied};
+use crate::index::{BlockIndex, Occupancy};
 use crate::meta::{
     BlockMeta, GraphMeta, Orientation, BITMAP_WORD_BYTES, DEGREES_FILE, INDEX_ENTRY_BYTES,
     INDEX_PROBE_BYTES, META_FILE,
@@ -292,19 +292,13 @@ impl HusGraph {
         Ok(HusGraph { dir, meta, codec, out_degrees, shards, verify, overlay: None })
     }
 
-    /// The resident occupancy of base `o`-block `(i, j)`.
-    fn base_occupancy(&self, o: Orientation, i: usize, j: usize) -> &Occupancy {
-        let (own, other) = o.orient(i, j);
-        &self.shards[o as usize][own].occupancy[other]
-    }
-
     /// Which vertices of the owning interval have records in `o`-block
     /// `(i, j)`, reflecting any overlay; resident, so asking costs no
     /// I/O.
-    pub(crate) fn occupied(&self, o: Orientation, i: usize, j: usize) -> Occupied<'_> {
+    pub(crate) fn occupied(&self, o: Orientation, i: usize, j: usize) -> &Occupancy {
         match self.source(o, i, j) {
-            Source::Overlay(m) => Occupied::Dense(&m.index),
-            Source::Base(..) => Occupied::Bitmap(self.base_occupancy(o, i, j)),
+            Source::Overlay(m) => &m.occupancy,
+            Source::Base(shard, _) => &shard.occupancy[o.orient(i, j).1],
         }
     }
 
@@ -318,17 +312,18 @@ impl HusGraph {
 
     /// Vertices with records in `o`-block `(i, j)`, reflecting any
     /// overlay: the entries of its offset array but the terminal one.
-    pub(crate) fn index_entries(&self, o: Orientation, i: usize, j: usize) -> u64 {
-        match self.source(o, i, j) {
-            Source::Overlay(m) => m.index.windows(2).filter(|w| w[0] < w[1]).count() as u64,
-            Source::Base(_, block) => block.occupied,
-        }
+    pub fn index_entries(&self, o: Orientation, i: usize, j: usize) -> u64 {
+        self.occupied(o, i, j).count() as u64
     }
 
-    /// Bytes the resident occupancy bitmaps and their rank directories
-    /// hold in memory.
+    /// Bytes the block index holds in memory: every base bitmap with its
+    /// rank directory and, with an overlay attached, each overlay
+    /// block's occupancy and offsets.
     pub fn resident_index_bytes(&self) -> u64 {
-        self.shards.iter().flatten().flat_map(|s| &s.occupancy).map(Occupancy::resident_bytes).sum()
+        let base = self.shards.iter().flatten().flat_map(|s| &s.occupancy);
+        let overlay = self.overlay.iter().flat_map(|ov| ov.blocks.iter().flat_map(|b| b.values()));
+        let overlay = overlay.map(|m| m.occupancy.resident_bytes() + 4 * m.offsets.len() as u64);
+        base.map(Occupancy::resident_bytes).sum::<u64>() + overlay.sum::<u64>()
     }
 
     /// Resolve `o`-block `(i, j)` to what serves its reads — the one
@@ -502,7 +497,7 @@ impl HusGraph {
 
     /// Load the index of `o`-block `(i, j)`. A base block reads its
     /// `occupied + 1` offsets, billed under `access`, beside its resident
-    /// bitmap; an overlay block lends its in-memory dense offsets.
+    /// bitmap; an overlay block lends its in-memory offsets.
     pub(crate) fn block_index(
         &self,
         o: Orientation,
@@ -511,32 +506,17 @@ impl HusGraph {
         access: Access,
     ) -> Result<BlockIndex<'_>> {
         let (shard, block) = match self.source(o, i, j) {
-            Source::Overlay(m) => return Ok(BlockIndex::Dense(&m.index)),
+            Source::Overlay(m) => return Ok(m.index()),
             Source::Base(shard, block) => (shard, block),
         };
-        let occupancy = self.base_occupancy(o, i, j);
+        let occupancy = &shard.occupancy[o.orient(i, j).1];
         let count = block.occupied as usize + 1;
         let offsets: Vec<u32> = hus_obs::attr::with_block(i as u32, j as u32, || {
             hus_storage::read_pod_vec(&shard.index, block.index_offset, count, access)
         })?;
         let parts = [occupancy.as_bytes(), hus_storage::pod::as_bytes(&offsets)];
         self.verify_block(o, (i, j), false, &parts, block.index_offset)?;
-        Ok(BlockIndex::Sparse(occupancy, offsets))
-    }
-
-    /// The dense view of `o`-block `(i, j)`'s index: one offset per
-    /// vertex of the interval that owns the shard, plus the end
-    /// sentinel, local to the block — expanded in memory from what
-    /// [`Self::block_index`] reads.
-    pub(crate) fn index(
-        &self,
-        o: Orientation,
-        i: usize,
-        j: usize,
-        access: Access,
-    ) -> Result<Vec<u32>> {
-        let len = self.meta.interval_len(o.orient(i, j).0) as usize;
-        Ok(self.block_index(o, i, j, access)?.to_dense(len))
+        Ok(BlockIndex::new(occupancy, offsets))
     }
 
     /// Load records `[lo, hi)` of `o`-block `(i, j)`, or the whole block
@@ -728,13 +708,15 @@ impl HusGraph {
     /// offsets local to out-block `(i, j)`, expanded in memory from the
     /// `occupied + 1` entries read.
     pub fn load_out_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
-        self.index(Orientation::Out, i, j, access)
+        let len = self.meta.interval_len(i) as usize;
+        Ok(self.block_index(Orientation::Out, i, j, access)?.to_dense(len))
     }
 
     /// Load in-index `(i, j)` as its dense view: `interval_len(j) + 1`
     /// offsets local to in-block `(i, j)`.
     pub fn load_in_index(&self, i: usize, j: usize, access: Access) -> Result<Vec<u32>> {
-        self.index(Orientation::In, i, j, access)
+        let len = self.meta.interval_len(j) as usize;
+        Ok(self.block_index(Orientation::In, i, j, access)?.to_dense(len))
     }
 
     /// Randomly load the two offsets delimiting one vertex's edge range
@@ -751,9 +733,11 @@ impl HusGraph {
     /// [`Self::load_out_index_entry`] for several local vertices of
     /// out-block `(i, j)` at once, `locals` ascending: the probe loader
     /// of ROP's selective branch and of `hus serve`'s lookups. A vertex
-    /// with no edge in the block gets an empty range from memory. The
-    /// others are probed at their rank in the block's offset array;
-    /// probes whose byte gap is at most [`DEFAULT_MERGE_SLACK`] share one
+    /// with no edge in the block gets the empty range `(0, 0)` from
+    /// memory, in an overlay block as in a base one. The others are
+    /// read at their rank in the block's offsets — from memory in an
+    /// overlay block; in a base block they are probed, and probes
+    /// whose byte gap is at most [`DEFAULT_MERGE_SLACK`] share one
     /// `read_ranges` call, in which vertices adjacent in rank overlap by
     /// one offset. Each probe still bills [`INDEX_PROBE_BYTES`] random
     /// bytes — those of one `load_out_index_entry` — so only the
@@ -764,20 +748,23 @@ impl HusGraph {
         j: usize,
         locals: &[usize],
     ) -> Result<Vec<(u32, u32)>> {
-        let (shard, block) = match self.source(Orientation::Out, i, j) {
-            Source::Overlay(m) => {
-                return Ok(locals.iter().map(|&l| (m.index[l], m.index[l + 1])).collect())
-            }
-            Source::Base(shard, block) => (shard, block),
-        };
         debug_assert!(locals.windows(2).all(|w| w[0] <= w[1]), "probes must be ascending");
-        let occupancy = self.base_occupancy(Orientation::Out, i, j);
+        let occupancy = self.occupied(Orientation::Out, i, j);
         // (position in `locals`, rank) of every vertex worth a probe.
         let probes: Vec<(usize, usize)> = (locals.iter().enumerate())
             .filter(|&(_, &l)| occupancy.contains(l))
             .map(|(k, &l)| (k, occupancy.rank(l)))
             .collect();
         let mut entries = vec![(0, 0); locals.len()];
+        let (shard, block) = match self.source(Orientation::Out, i, j) {
+            Source::Overlay(m) => {
+                for &(k, rank) in &probes {
+                    entries[k] = (m.offsets[rank], m.offsets[rank + 1]);
+                }
+                return Ok(entries);
+            }
+            Source::Base(shard, block) => (shard, block),
+        };
         if probes.is_empty() {
             return Ok(entries);
         }
@@ -1165,14 +1152,8 @@ pub(crate) mod tests {
         (i, j): (usize, usize),
         rank: usize,
     ) -> usize {
-        let occupancy = g.base_occupancy(o, i, j);
-        let mut found = None;
-        occupancy.for_each(|l| {
-            if found.is_none() && occupancy.rank(l) == rank {
-                found = Some(l);
-            }
-        });
-        found.expect("rank within the block's occupied vertices")
+        let occupancy = g.occupied(o, i, j);
+        occupancy.iter().nth(rank).expect("rank within the block's occupied vertices")
     }
 
     #[test]
@@ -1224,6 +1205,28 @@ pub(crate) mod tests {
             assert_eq!(batched_probes_match(g, (1, 2), &probe_locals(len, 9)), 0, "{kind:?}");
             assert_eq!(g.dir().tracker().snapshot().total_bytes(), 0);
         }
+    }
+
+    #[test]
+    fn resident_index_bytes_count_the_overlay_blocks() {
+        let el = rmat(200, 1000, 3, RmatConfig::default());
+        let (_t, g) = open_graph(&el, 2);
+        assert_eq!(g.meta().interval_len(0), 100);
+        // Each of the 2 · 4 base blocks keeps a bitmap of two words over
+        // a 100-vertex interval and one rank-directory entry: 20 bytes.
+        let base = g.resident_index_bytes();
+        assert_eq!(base, 8 * 20);
+        // One insert touches block (0, 1): its out- and in-block each add
+        // a 20-byte occupancy and `occupied + 1` four-byte offsets.
+        let mut dg = crate::delta::DynamicGraph::open(g.dir().clone()).unwrap();
+        dg.insert_edge(3, 150, 1.0).unwrap();
+        let g = dg.snapshot().unwrap();
+        let touched = g.overlay.as_ref().unwrap().blocks.each_ref().map(|b| b.len());
+        assert_eq!(touched, [1, 1]);
+        assert!(g.out_block_resident(0, 1) && g.in_block_resident(0, 1));
+        let entries = |o| g.index_entries(o, 0, 1) + 1;
+        let offsets = 4 * (entries(Orientation::Out) + entries(Orientation::In));
+        assert_eq!(g.resident_index_bytes(), base + 2 * 20 + offsets);
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //! sits in the block's offset array, costs no I/O. Only the offsets are
 //! read per run: a probe of an occupied vertex is one 8-byte read at its
 //! rank, a whole-index load reads `(occupied + 1)` entries.
+//!
+//! A block of the delta overlay has the same two parts, built in memory
+//! by the same [`BlockParts`] that lays out every block the
+//! shard writer writes, so every reader sees one [`BlockIndex`] type
+//! whichever source serves the block.
 
-use hus_storage::pod;
+use crate::meta::Orientation;
+use hus_storage::{pod, Result, StorageError};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Bitmap words covered by one rank-directory entry (512 bits).
 const RANK_WORDS: usize = 8;
@@ -33,7 +41,7 @@ impl Occupancy {
     /// The occupancy of a block over an interval of `len` vertices from
     /// its bitmap words, or what is wrong with them: a word count that
     /// does not cover `len` exactly, or a set bit past `len`.
-    pub fn new(words: Vec<u64>, len: usize) -> Result<Self, String> {
+    pub fn new(words: Vec<u64>, len: usize) -> std::result::Result<Self, String> {
         if words.len() != len.div_ceil(64) {
             return Err(format!("{} bitmap words for {len} vertices", words.len()));
         }
@@ -73,16 +81,17 @@ impl Occupancy {
         (self.ranks[w / RANK_WORDS] + before + below.count_ones()) as usize
     }
 
-    /// Call `f` with every occupied local vertex, ascending.
+    /// Every occupied local vertex, ascending.
     #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.words.iter().enumerate() {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+            std::iter::from_fn(move || {
+                let k = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits.wrapping_sub(1);
+                k
+            })
+        })
     }
 
     /// The bitmap as stored on disk.
@@ -96,92 +105,140 @@ impl Occupancy {
     }
 }
 
-/// Which vertices of the owning interval have records in one block,
-/// whatever serves it. Resident: asking costs no I/O.
+/// One block's index: its occupancy and its `occupied + 1` offsets —
+/// read from disk for a base block, lent from memory by an overlay
+/// block.
 #[derive(Debug)]
-pub enum Occupied<'a> {
-    /// A base block: its bitmap, loaded at open.
-    Bitmap(&'a Occupancy),
-    /// A block of the delta overlay: its in-memory dense offsets.
-    Dense(&'a [u32]),
+pub struct BlockIndex<'a> {
+    occupancy: &'a Occupancy,
+    offsets: Cow<'a, [u32]>,
 }
 
-impl Occupied<'_> {
-    /// Whether local vertex `local` has records in the block.
-    #[inline]
-    pub fn contains(&self, local: usize) -> bool {
-        match self {
-            Occupied::Bitmap(occupancy) => occupancy.contains(local),
-            Occupied::Dense(index) => index[local] < index[local + 1],
-        }
+impl<'a> BlockIndex<'a> {
+    /// The index of a block with `occupancy` and its offsets.
+    pub(crate) fn new(occupancy: &'a Occupancy, offsets: impl Into<Cow<'a, [u32]>>) -> Self {
+        BlockIndex { occupancy, offsets: offsets.into() }
     }
-}
 
-/// A loaded block index: where each vertex of the owning interval finds
-/// its records in the block.
-#[derive(Debug)]
-pub enum BlockIndex<'a> {
-    /// A base block: its resident occupancy and the `occupied + 1`
-    /// offsets read from disk.
-    Sparse(&'a Occupancy, Vec<u32>),
-    /// A block of the delta overlay: `len + 1` dense offsets in memory.
-    Dense(&'a [u32]),
-}
-
-impl BlockIndex<'_> {
-    /// Records `[lo, hi)` of local vertex `local`; `lo == hi` when it has
+    /// Records `[lo, hi)` of local vertex `local`; `(0, 0)` when it has
     /// none.
     #[inline]
     pub fn range(&self, local: usize) -> (u32, u32) {
-        match self {
-            BlockIndex::Sparse(occupancy, offsets) => {
-                if !occupancy.contains(local) {
-                    return (0, 0);
-                }
-                let r = occupancy.rank(local);
-                (offsets[r], offsets[r + 1])
-            }
-            BlockIndex::Dense(index) => (index[local], index[local + 1]),
+        if !self.occupancy.contains(local) {
+            return (0, 0);
         }
+        let r = self.occupancy.rank(local);
+        (self.offsets[r], self.offsets[r + 1])
     }
 
-    /// Call `f(local, lo, hi)` for every vertex with records in the
-    /// block, ascending — which is record order.
+    /// `(local, lo, hi)` of every vertex with records in the block,
+    /// ascending — which is record order.
     #[inline]
-    pub fn for_each_range(&self, mut f: impl FnMut(usize, u32, u32)) {
-        match self {
-            BlockIndex::Sparse(occupancy, offsets) => {
-                let mut r = 0;
-                occupancy.for_each(|local| {
-                    f(local, offsets[r], offsets[r + 1]);
-                    r += 1;
-                });
-            }
-            BlockIndex::Dense(index) => {
-                for (local, w) in index.windows(2).enumerate().filter(|(_, w)| w[0] < w[1]) {
-                    f(local, w[0], w[1]);
-                }
-            }
-        }
+    pub fn ranges(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
+        self.occupancy.iter().zip(self.offsets.windows(2)).map(|(local, w)| (local, w[0], w[1]))
     }
 
     /// The dense view over an interval of `len` vertices: `len + 1`
     /// offsets, entry `k` the first record of local vertex `k` and entry
     /// `len` the block's record count.
     pub fn to_dense(&self, len: usize) -> Vec<u32> {
-        match self {
-            BlockIndex::Sparse(occupancy, offsets) => {
-                let mut dense = Vec::with_capacity(len + 1);
-                let mut r = 0;
-                for local in 0..len {
-                    dense.push(offsets[r]);
-                    r += occupancy.contains(local) as usize;
-                }
-                dense.push(offsets[r]);
-                dense
-            }
-            BlockIndex::Dense(index) => index.to_vec(),
+        let mut dense = Vec::with_capacity(len + 1);
+        let mut r = 0;
+        for local in 0..len {
+            dense.push(self.offsets[r]);
+            r += self.occupancy.contains(local) as usize;
         }
+        dense.push(self.offsets[r]);
+        dense
+    }
+}
+
+/// One block laid out as the format stores it — occupancy bitmap words,
+/// `occupied + 1` offsets and the raw records — from its records in
+/// canonical order: the shard writer writes it, the delta overlay keeps
+/// it. [`Self::start`] empties the buffers for reuse, records are pushed
+/// by own vertex, ascending, and [`Self::finish`] seals the block.
+#[derive(Debug, Default)]
+pub(crate) struct BlockParts {
+    /// Bit `k % 64` of word `k / 64` is local vertex `k`.
+    pub(crate) words: Vec<u64>,
+    /// The first record of every occupied vertex, then the record count.
+    pub(crate) offsets: Vec<u32>,
+    /// The records, neighbor then (on a weighted graph) weight each.
+    pub(crate) raw: Vec<u8>,
+    /// The owning interval's first vertex.
+    first: u32,
+    /// Whether a record carries its weight.
+    weighted: bool,
+    /// Records appended.
+    count: u64,
+    /// The local vertex appended to last.
+    last: Option<usize>,
+}
+
+impl BlockParts {
+    /// Empty the parts for a block over the owning interval `interval`.
+    pub(crate) fn start(&mut self, interval: Range<u32>, weighted: bool) {
+        self.words.clear();
+        self.words.resize(interval.len().div_ceil(64), 0);
+        self.offsets.clear();
+        self.raw.clear();
+        (self.first, self.weighted, self.count, self.last) = (interval.start, weighted, 0, None);
+    }
+
+    /// Append `raw`, whole records as stored, to own vertex `v`: the
+    /// vertex appended to last or a later one.
+    #[inline]
+    pub(crate) fn push_raw(&mut self, v: u32, raw: &[u8]) {
+        if !raw.is_empty() {
+            self.open(v);
+            self.count += (raw.len() / if self.weighted { 8 } else { 4 }) as u64;
+            self.raw.extend_from_slice(raw);
+        }
+    }
+
+    /// Append one record to own vertex `v` (as [`Self::push_raw`]).
+    #[inline]
+    pub(crate) fn push(&mut self, v: u32, neighbor: u32, weight: f32) {
+        self.open(v);
+        self.count += 1;
+        self.raw.extend_from_slice(&neighbor.to_le_bytes());
+        if self.weighted {
+            self.raw.extend_from_slice(&weight.to_le_bytes());
+        }
+    }
+
+    /// Mark own vertex `v` occupied, its first record the next one.
+    #[inline]
+    fn open(&mut self, v: u32) {
+        let local = (v - self.first) as usize;
+        if self.last != Some(local) {
+            debug_assert!(self.last < Some(local), "records must arrive by own vertex");
+            self.words[local / 64] |= 1 << (local % 64);
+            self.offsets.push(self.count as u32);
+            self.last = Some(local);
+        }
+    }
+
+    /// Seal the parts as `o`-block `(i, j)` with the terminal offset.
+    /// Offsets are `u32` (docs/FORMAT.md): a block of more records is
+    /// refused.
+    pub(crate) fn finish(&mut self, (o, i, j): (Orientation, usize, usize)) -> Result<()> {
+        let count = self.len();
+        if count > u32::MAX as u64 {
+            return Err(StorageError::CapacityExceeded {
+                what: format!("records in {}-block ({i}, {j})", o.name()),
+                count,
+                limit: u32::MAX as u64,
+            });
+        }
+        self.offsets.push(count as u32);
+        Ok(())
+    }
+
+    /// Records in the block.
+    pub(crate) fn len(&self) -> u64 {
+        self.count
     }
 }
 
@@ -209,9 +266,7 @@ mod tests {
                 assert_eq!(occ.rank(local), want, "len {len}, vertex {local}");
                 assert_eq!(occ.contains(local), set.contains(&local));
             }
-            let mut seen = Vec::new();
-            occ.for_each(|k| seen.push(k));
-            assert_eq!(seen, set);
+            assert_eq!(occ.iter().collect::<Vec<_>>(), set);
         }
     }
 
@@ -227,17 +282,10 @@ mod tests {
     fn sparse_and_dense_views_agree() {
         // Vertices 1 and 4 of 6 hold records [0, 2) and [2, 5).
         let occ = occupancy(6, &[1, 4]);
-        let sparse = BlockIndex::Sparse(&occ, vec![0, 2, 5]);
-        let dense = sparse.to_dense(6);
-        assert_eq!(dense, [0, 0, 2, 2, 2, 5, 5]);
-        let dense = BlockIndex::Dense(&dense);
-        for index in [&sparse, &dense] {
-            let mut ranges = Vec::new();
-            index.for_each_range(|k, lo, hi| ranges.push((k, lo, hi)));
-            assert_eq!(ranges, [(1, 0, 2), (4, 2, 5)]);
-            assert_eq!(index.range(4), (2, 5));
-            let (lo, hi) = index.range(3);
-            assert_eq!(lo, hi);
-        }
+        let index = BlockIndex::new(&occ, vec![0, 2, 5]);
+        assert_eq!(index.to_dense(6), [0, 0, 2, 2, 2, 5, 5]);
+        assert_eq!(index.ranges().collect::<Vec<_>>(), [(1, 0, 2), (4, 2, 5)]);
+        assert_eq!(index.range(4), (2, 5));
+        assert_eq!(index.range(3), (0, 0));
     }
 }

@@ -30,8 +30,8 @@
 
 use hus_algos::{Bfs, PageRank, Sssp, Wcc};
 use hus_core::{
-    build, build_external, BinaryFileSource, BuildConfig, Engine, HusGraph, ListSource, RunConfig,
-    RunStats, UpdateMode, VertexProgram,
+    build, build_external, BinaryFileSource, BuildConfig, Engine, HusGraph, ListSource,
+    Orientation, RunConfig, RunStats, UpdateMode, VertexProgram,
 };
 use hus_gen::EdgeList;
 use hus_storage::{CostModel, DeviceProfile, StorageDir};
@@ -309,15 +309,23 @@ fn cmd_stats(rest: &[&String]) -> CliResult {
     if other != 0 {
         println!("  {:<13} {other} B (files outside the format)", "other:");
     }
+    // Occupancy, resident index and interval rows describe the graph
+    // served, delta runs included.
+    let p = g.p();
     let slots = 2 * meta.p as u64 * meta.num_vertices as u64;
-    let occupied: u64 = meta.out_blocks.iter().chain(&meta.in_blocks).map(|b| b.occupied).sum();
+    let mut occupied = 0;
+    for o in Orientation::BOTH {
+        for b in 0..p * p {
+            occupied += g.index_entries(o, b / p, b % p);
+        }
+    }
     println!(
         "mean block occupancy: {:.1} % of index slots ({occupied} of {slots})",
         100.0 * occupied as f64 / slots.max(1) as f64
     );
-    println!("resident bitmaps: {} B", g.resident_index_bytes());
-    for i in 0..g.p() {
-        let row: u64 = (0..g.p()).map(|j| meta.out_block(i, j).edge_count).sum();
+    println!("resident index: {} B", g.resident_index_bytes());
+    for i in 0..p {
+        let row: u64 = (0..p).map(|j| g.out_block_len(i, j)).sum();
         println!("  interval {i}: vertices {:8}, out-edges {row}", meta.interval_len(i));
     }
     Ok(())

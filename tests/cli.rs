@@ -4,7 +4,7 @@
 
 use std::process::{Command, Stdio};
 
-use husgraph::core::{BuildConfig, DynamicGraph, HusGraph};
+use husgraph::core::{BuildConfig, DynamicGraph, HusGraph, Orientation};
 use husgraph::storage::StorageDir;
 
 fn hus() -> Command {
@@ -187,6 +187,41 @@ fn stats_parts_sum_to_the_disk_footprint() {
         assert_eq!(parts.iter().map(|p| p.1).sum::<u64>(), footprint, "{stdout}");
         assert_eq!(parts[5].1 > 0, ingest, "{stdout}");
         assert!(stdout.contains("mean block occupancy: "), "{stdout}");
-        assert!(stdout.contains("resident bitmaps: "), "{stdout}");
+        assert!(stdout.contains("resident index: "), "{stdout}");
     }
+}
+
+/// On a directory with a live delta run, `hus stats` describes the graph
+/// served: its per-interval out-edge rows sum to the printed edge count,
+/// and the occupancy and resident index lines count the overlay blocks.
+#[test]
+fn stats_rows_describe_the_graph_with_its_delta_runs() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (root, base_edges) = built(&tmp);
+    let out =
+        hus().arg("ingest").arg(&root).args(["--random", "400", "--seed", "9"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = hus().arg("stats").arg(&root).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+
+    let mut dg = DynamicGraph::open(StorageDir::open(&root).unwrap()).unwrap();
+    let g = dg.snapshot().unwrap();
+    assert_ne!(g.num_edges(), base_edges, "the updates changed the edge count");
+    let edges = stdout.lines().find_map(|l| l.strip_prefix("edges:"));
+    let edges = edges.and_then(|e| e.split_whitespace().next()?.parse::<u64>().ok());
+    assert_eq!(edges, Some(g.num_edges()), "{stdout}");
+    let rows: u64 = (stdout.lines())
+        .filter(|l| l.starts_with("  interval "))
+        .map(|l| l.rsplit_once("out-edges ").unwrap().1.parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(rows, g.num_edges(), "{stdout}");
+    let p = g.p();
+    let occupied: u64 = (Orientation::BOTH.iter())
+        .flat_map(|&o| (0..p * p).map(move |b| (o, b / p, b % p)))
+        .map(|(o, i, j)| g.index_entries(o, i, j))
+        .sum();
+    assert!(stdout.contains(&format!("({occupied} of ")), "{occupied}: {stdout}");
+    let resident = format!("resident index: {} B", g.resident_index_bytes());
+    assert!(stdout.contains(&resident), "{resident}: {stdout}");
 }
