@@ -14,7 +14,7 @@
 //!   within a block (paper §3.3, Algorithm 3; §3.5).
 //! * **I/O-based performance prediction** ([`predict`]) — the `C_rop` /
 //!   `C_cop` comparison (paper §3.4, Table 1), over the I/O plans
-//!   [`rop::plan`] and [`cop::sweep_plan`] build of the bytes each
+//!   [`rop::plan`] and [`cop::plan`] build of the bytes each
 //!   executor would bill; an all-active iteration pulls unpriced.
 //! * **The hybrid engine** ([`engine`]) — per-iteration model selection,
 //!   double-buffered vertex stores ([`vertex_store`]), frontier tracking

@@ -270,9 +270,12 @@ fn cmd_stats(rest: &[&String]) -> CliResult {
     println!("weighted:  {}", meta.weighted);
     println!("record:    {} bytes/edge", meta.edge_record_bytes());
     println!("codec:     {}", meta.codec);
+    // The codec figures are the base's: its edge payload, which holds
+    // every edge once per orientation, over its edges.
     println!(
-        "on disk:   {:.2} bytes/edge ({:.2}x compression)",
+        "on disk:   {:.2} bytes/edge per orientation over {} base edges ({:.2}x compression)",
         meta.disk_edge_bytes(),
+        meta.num_edges,
         meta.compression_ratio()
     );
     let max_deg = g.out_degrees().iter().max().copied().unwrap_or(0);
@@ -300,8 +303,13 @@ fn cmd_stats(rest: &[&String]) -> CliResult {
         ),
         ("delta runs", manifest.runs.iter().map(|r| r.len).sum(), String::new()),
     ];
+    // Every part is over the edges served, delta runs included.
     let per_edge = |bytes: u64| bytes as f64 / g.num_edges().max(1) as f64;
-    println!("bytes on disk: {footprint} ({:.2} per edge)", per_edge(footprint));
+    println!(
+        "bytes on disk: {footprint} ({:.2} per edge over {} served edges)",
+        per_edge(footprint),
+        g.num_edges()
+    );
     for (part, bytes, note) in &parts {
         println!("  {:<13} {bytes} B ({:.2} per edge{note})", format!("{part}:"), per_edge(*bytes));
     }

@@ -191,6 +191,61 @@ fn stats_parts_sum_to_the_disk_footprint() {
     }
 }
 
+/// Every per-edge figure `hus stats` prints on a directory with a live
+/// delta run is its printed bytes over its printed edge count: the codec
+/// line's over the base edges it names (the payload holds each edge once
+/// per orientation), the footprint and its parts over the edges served.
+#[test]
+fn stats_per_edge_figures_follow_from_their_printed_bytes_and_base() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (root, base_edges) = built(&tmp);
+    let out =
+        hus().arg("ingest").arg(&root).args(["--random", "400", "--seed", "9"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = hus().arg("stats").arg(&root).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let line = |prefix: &str| {
+        let found = stdout.lines().find_map(|l| l.strip_prefix(prefix));
+        found.unwrap_or_else(|| panic!("no {prefix:?} line: {stdout}"))
+    };
+    let close = |printed: f64, bytes: f64, edges: f64| {
+        assert!(
+            (printed - bytes / edges).abs() <= 0.005,
+            "{printed} vs {bytes} / {edges}: {stdout}"
+        );
+    };
+
+    let served = number_between(line("edges:"), "", " ");
+    let on_disk = line("on disk:");
+    let base = number_between(on_disk, "over ", " base edges");
+    assert_eq!(base, base_edges as f64, "{stdout}");
+    assert_ne!(served, base, "the updates changed the edge count");
+    let payload = number_between(line("  edge payload:"), "", " B");
+    close(number_between(on_disk, "", " bytes/edge"), payload, 2.0 * base);
+    let record = number_between(line("record:"), "", " bytes/edge");
+    let ratio = number_between(on_disk, "(", "x compression");
+    assert!((ratio - 2.0 * base * record / payload).abs() <= 0.005, "{stdout}");
+
+    let total = line("bytes on disk: ");
+    assert_eq!(number_between(total, "over ", " served edges"), served, "{stdout}");
+    close(number_between(total, "(", " per edge"), number_between(total, "", " "), served);
+    let parts: Vec<&str> =
+        stdout.lines().filter(|l| l.starts_with("  ") && l.contains(" B (")).collect();
+    assert_eq!(parts.len(), 6, "{stdout}");
+    for part in parts {
+        let (_, rest) = part.split_once(':').unwrap();
+        close(number_between(rest, " B (", " per edge"), number_between(rest, "", " B ("), served);
+    }
+}
+
+/// The number in `text` between `start` and the next `end` after it.
+fn number_between(text: &str, start: &str, end: &str) -> f64 {
+    let rest = text[text.find(start).expect(start) + start.len()..].trim_start();
+    let number = &rest[..rest.find(end).expect(end)];
+    number.parse().unwrap_or_else(|e| panic!("{number:?} in {text:?}: {e}"))
+}
+
 /// On a directory with a live delta run, `hus stats` describes the graph
 /// served: its per-interval out-edge rows sum to the printed edge count,
 /// and the occupancy and resident index lines count the overlay blocks.

@@ -14,11 +14,31 @@ use husgraph::algos::Bfs;
 use husgraph::codec::Codec;
 use husgraph::core::audit::{audit_rows, misprediction_ratio};
 use husgraph::core::predict::IoPlan;
-use husgraph::core::{cop, BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode};
+use husgraph::core::{
+    cop, BuildConfig, Engine, HusGraph, RunConfig, RunStats, UpdateMode, UpdateModel,
+};
 use husgraph::gen::{rmat, watts_strogatz};
 use husgraph::storage::{CostModel, DeviceProfile, StorageDir};
 
 const P: u32 = 8;
+
+/// The terms of every priced iteration's plan that do not estimate the
+/// frontier's records are its bill: a push's sequential reads (interval
+/// values, each once and none while resident, and whole offset arrays)
+/// and its write-backs, and all of a pull.
+fn assert_exact_terms(hybrid: &RunStats, what: &str) {
+    for it in hybrid.iterations.iter().filter(|it| !it.gated) {
+        let (plan, billed) = (it.plan.expect("a priced iteration"), IoPlan::billed(&it.io));
+        let at = format!("{what}: iteration {} ({})", it.iteration, it.model);
+        match it.model {
+            UpdateModel::Rop => {
+                assert_eq!(plan.sequential, billed.sequential, "{at}");
+                assert_eq!(plan.write, billed.write, "{at}");
+            }
+            UpdateModel::Cop => assert_eq!(plan, billed, "{at}"),
+        }
+    }
+}
 
 /// One BFS on a freshly opened handle: every mode starts from the same
 /// cold decoded-block cache, so their billed bytes are comparable.
@@ -75,6 +95,7 @@ fn hybrid_on_the_mesh_crossover_never_loses_to_a_constant_policy() {
             let rows = audit_rows(&hybrid, &DeviceProfile::hdd().read);
             let error_pct = misprediction_ratio(&rows).expect("priced iterations");
             assert!(error_pct <= 30.0, "{what}: misprediction {error_pct:.1} %");
+            assert_exact_terms(&hybrid, &what);
         }
     }
 }
@@ -112,6 +133,7 @@ fn hybrid_prices_every_rmat_iteration_with_an_inactive_vertex() {
             let at = (codec, it.iteration, it.active_vertices);
             assert!(it.plan.is_some() && !it.gated, "{at:?}: an unpriced iteration");
         }
+        assert_exact_terms(&hybrid, &format!("{codec:?}"));
         let modeled = |stats: &RunStats| stats.modeled_seconds(&hdd);
         let best = modeled(&rop).min(modeled(&cop));
         assert!(

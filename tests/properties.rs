@@ -163,7 +163,7 @@ proptest! {
                 index_ratio: tput.sequential_bps / tput.random_bps,
                 deadline: None,
             };
-            rop::plan(&ctx, &Frontier::scan(&g, &active))
+            rop::plan(&ctx, &Frontier::scan(&g, &active), &vec![false; p as usize])
         };
         let sparse = c_rop(&small);
         let dense = c_rop(&small.union(&extra).copied().collect());
