@@ -3,13 +3,12 @@
 //! Point lookups (`degree`, `neighbors`, `khop`) read the way ROP does
 //! (paper §3.3, `LoadOutEdges`): one hop of a sorted frontier walks its
 //! source interval's out-blocks in order, probes the index entries of
-//! the vertices still owed edges that the block's resident occupancy
-//! bitmap says have edges there, in one batched read per block
+//! the frontier's vertices that the block's resident occupancy bitmap
+//! says have edges there, in one batched read per block
 //! ([`HusGraph::load_out_index_entries`]), and fetches the found record
 //! ranges through [`rop::fetch_selective`] — nearby ranges merged into
-//! one batched read. A vertex stops probing once its fetched records
-//! reach its out-degree, so a degree-0 vertex never probes, and a block
-//! where none of the owed vertices has edges is skipped without I/O. A lookup
+//! one batched read. So a degree-0 vertex never probes, and a block
+//! that holds none of the frontier is skipped without I/O. A lookup
 //! touches only the blocks its frontier lives in, whatever codec or
 //! backend the graph was built with. Full analytics instantiate an
 //! [`Engine`] run on the shared snapshot, exactly the code path the CLI
@@ -45,12 +44,11 @@ fn check_vertex(graph: &HusGraph, v: u32) -> Result<(), ServeError> {
 /// One hop from `frontier` (sorted, duplicate-free, in range): `emit`
 /// receives every out-neighbor, block by block. Per source interval the
 /// out-blocks are walked in ascending order; each probes, in one batched
-/// read, the vertices whose fetched records have not yet reached their
-/// (overlay-aware) out-degree and that have edges in the block, then
+/// read, the frontier's vertices that its occupancy bitmap holds, then
 /// fetches their ranges. The meter is charged [`INDEX_PROBE_BYTES`] per
 /// probe and the record bytes before each read; the deadline is checked
-/// per probed block. A frontier of
-/// one vertex yields its neighbors in ascending order.
+/// per probed block. A frontier of one vertex yields its neighbors in
+/// ascending order.
 fn expand(
     graph: &HusGraph,
     frontier: &[u32],
@@ -59,27 +57,18 @@ fn expand(
     mut emit: impl FnMut(u32),
 ) -> Result<(), ServeError> {
     let meta = graph.meta();
-    let degrees = graph.out_degrees();
     let rec_bytes = meta.edge_record_bytes();
     let (mut locals, mut ranges) = (Vec::new(), Vec::new());
     let mut rest = frontier;
     while let Some(&first) = rest.first() {
         let i = interval_of(&meta.interval_starts, first);
         let base = meta.interval_start(i);
-        let end = rest.partition_point(|&u| u < meta.interval_starts[i + 1]);
-        // (local vertex, out-edges not yet fetched) of the still-owed.
-        let mut owed: Vec<(usize, u32)> = rest[..end]
-            .iter()
-            .map(|&u| ((u - base) as usize, degrees[u as usize]))
-            .filter(|&(_, degree)| degree > 0)
-            .collect();
-        rest = &rest[end..];
+        let (here, later) =
+            rest.split_at(rest.partition_point(|&u| u < meta.interval_starts[i + 1]));
+        rest = later;
         for j in 0..graph.p() {
-            if owed.is_empty() {
-                break;
-            }
             locals.clear();
-            locals.extend(owed.iter().map(|&(local, _)| local));
+            locals.extend(here.iter().map(|&u| (u - base) as usize));
             graph.retain_out_occupied(i, j, &mut locals);
             if locals.is_empty() {
                 continue;
@@ -88,19 +77,13 @@ fn expand(
             meter.charge(locals.len() as u64 * INDEX_PROBE_BYTES)?;
             let entries = graph.load_out_index_entries(i, j, &locals)?;
             ranges.clear();
-            let mut found = locals.iter().zip(entries).peekable();
-            for (local, left) in owed.iter_mut() {
-                if let Some((_, (lo, hi))) = found.next_if(|&(l, _)| l == local) {
-                    ranges.push((base + *local as u32, lo, hi));
-                    *left = left.saturating_sub(hi - lo);
-                }
-            }
+            ranges
+                .extend(locals.iter().zip(entries).map(|(&l, (lo, hi))| (base + l as u32, lo, hi)));
             let records: u64 = ranges.iter().map(|&(_, lo, hi)| u64::from(hi - lo)).sum();
             meter.charge(records * rec_bytes)?;
             rop::fetch_selective(graph, (i, j), &ranges, Some(DEFAULT_MERGE_SLACK), |_, recs| {
                 recs.into_iter().for_each(|(w, _)| emit(w))
             })?;
-            owed.retain(|&(_, left)| left > 0);
         }
     }
     Ok(())
@@ -366,18 +349,27 @@ mod tests {
 
     /// Every vertex's `neighbors` (list, so count, order and hash) and
     /// `khop` at depths 0–3 (visited set, so count and hash, and the
-    /// frontier sizes) against the CSR of `edges`. A vertex without
-    /// out-edges is answered without charging a byte.
+    /// frontier sizes) against the CSR of `edges`. A `neighbors` lookup
+    /// is charged one probe per out-block whose occupancy bitmap holds
+    /// the vertex plus its records, so a vertex without out-edges is
+    /// answered without charging a byte.
     fn assert_lookups_match_csr(g: &HusGraph, edges: &BTreeSet<(u32, u32)>, what: &str) {
         let csr = Csr::from_edge_list(&edge_list(edges));
+        let meta = g.meta();
         for v in 0..N {
             let mut want = csr.out_neighbors(v).to_vec();
             want.sort_unstable();
             let mut meter = ByteMeter::new(0);
             assert_eq!(neighbors(g, v, &mut meter, None).unwrap(), want, "{what}: vertex {v}");
-            if want.is_empty() {
-                assert_eq!(meter.spent(), 0, "{what}: degree-0 vertex {v}");
-            }
+            let i = interval_of(&meta.interval_starts, v);
+            let holds = |j| {
+                let mut local = vec![(v - meta.interval_start(i)) as usize];
+                g.retain_out_occupied(i, j, &mut local);
+                !local.is_empty()
+            };
+            let blocks = (0..g.p()).filter(|&j| holds(j)).count() as u64;
+            let bill = blocks * INDEX_PROBE_BYTES + want.len() as u64 * meta.edge_record_bytes();
+            assert_eq!(meter.spent(), bill, "{what}: vertex {v} ({blocks} blocks)");
             for depth in 0..=3 {
                 let got = khop(g, v, depth, &mut ByteMeter::new(0), None).unwrap();
                 assert_eq!(got, khop_truth(&csr, v, depth), "{what}: vertex {v} depth {depth}");
@@ -407,9 +399,10 @@ mod tests {
         }
     }
 
-    /// Buffered (unflushed) inserts and deletes: the overlay's degrees
-    /// decide when a vertex stops probing, so a vertex that lost every
-    /// out-edge must not probe and one that gained its first must.
+    /// Buffered (unflushed) inserts and deletes: the overlay blocks'
+    /// occupancy bitmaps decide which blocks a vertex probes, so a vertex
+    /// that lost every out-edge must not probe and one that gained its
+    /// first must.
     #[test]
     fn lookups_match_csr_through_buffered_updates() {
         let mut edges = base_edges();

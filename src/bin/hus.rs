@@ -393,7 +393,8 @@ fn cmd_ingest(rest: &[&String]) -> CliResult {
         }
         let mut state = seed;
         for _ in 0..n {
-            let x = splitmix64(&mut state);
+            let x = hus_gen::types::splitmix64(state);
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let src = (x % nv) as u32;
             let dst = ((x >> 32) % nv) as u32;
             // 1-in-8 updates are deletes so random workloads exercise
@@ -478,14 +479,6 @@ fn parse_edge_spec(spec: &str) -> Result<(u32, u32, f32), String> {
         None => 1.0,
     };
     Ok((src, dst, w))
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 enum Algo {

@@ -5,8 +5,11 @@
 //! and base codecs. This is the end-to-end contract of DESIGN.md §11:
 //! the delta overlay is invisible to the engine.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 
+use common::SplitMix;
 use husgraph::algos::{PageRank, Sssp, Wcc};
 use husgraph::codec::Codec;
 use husgraph::core::{
@@ -17,14 +20,6 @@ use husgraph::storage::{BackendKind, StorageDir};
 
 const P: u32 = 4;
 const NV: u32 = 400;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Truth model and device under test, kept in lockstep: every update
 /// is applied to both, and `verify` rebuilds the truth from scratch
@@ -66,9 +61,9 @@ impl Harness {
     /// the truth set. Every fourth op deletes an edge that really
     /// exists, so tombstones hit live keys, not just absent ones.
     fn apply_random(&mut self, n: usize, seed: u64) {
-        let mut state = seed;
+        let mut rng = SplitMix(seed);
         for k in 0..n {
-            let x = splitmix64(&mut state);
+            let x = rng.next();
             if k % 4 == 3 && !self.truth.is_empty() {
                 let victim = *self.truth.iter().nth(x as usize % self.truth.len()).unwrap();
                 self.dg.delete_edge(victim.0, victim.1).unwrap();
@@ -217,9 +212,9 @@ fn weighted_updates_match_rebuild_bitwise() {
     HusGraph::build_into(&el(&truth), &dir, &BuildConfig::with_p(P)).unwrap();
 
     let mut dg = DynamicGraph::open(StorageDir::open(tmp.path().join("dyn")).unwrap()).unwrap();
-    let mut state = 77u64;
+    let mut rng = SplitMix(77);
     for k in 0..150 {
-        let x = splitmix64(&mut state);
+        let x = rng.next();
         let src = (x % NV as u64) as u32;
         let dst = ((x >> 32) % NV as u64) as u32;
         if x.is_multiple_of(5) {

@@ -17,6 +17,9 @@
 //! The generated cases come from a logged seed; a failure prints it,
 //! and pasting it into [`REPLAY`] reruns the same cases.
 
+mod common;
+
+use common::SplitMix;
 use husgraph::algos::{reference, Bfs, PageRank, Sssp};
 use husgraph::codec::Codec;
 use husgraph::core::predict::IoPlan;
@@ -30,32 +33,6 @@ use std::collections::BTreeMap;
 
 /// Replay a failure by putting its logged seed here.
 const REPLAY: Option<u64> = None;
-
-/// splitmix64, the generator of the cases.
-struct SplitMix(u64);
-
-impl SplitMix {
-    /// The generator of a test's cases: [`REPLAY`]'s seed or the
-    /// clock's, logged under `what`.
-    fn logged(what: &str) -> Self {
-        let seed = REPLAY.unwrap_or_else(|| {
-            let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
-            now.map_or(0, |d| d.as_nanos() as u64)
-        });
-        eprintln!("{what} seed: {seed:#x}");
-        SplitMix(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        husgraph::gen::types::splitmix64(self.0)
-    }
-
-    /// A draw from `lo..hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
 
 struct Case {
     what: String,
@@ -235,7 +212,7 @@ fn fixed_cases_match_the_csr_and_the_reference() {
 
 #[test]
 fn generated_cases_match_the_csr_and_the_reference() {
-    let mut rng = SplitMix::logged("sparse index differential");
+    let mut rng = SplitMix::logged("sparse index differential", REPLAY);
     let seed = rng.0;
     for k in 0..8 {
         let n = rng.range(4, 1500) as u32;
@@ -361,7 +338,7 @@ fn check_overlay(case: &Case, updates: &[Update], source: u32) {
 
 #[test]
 fn generated_overlays_match_a_fresh_build_and_the_reference() {
-    let mut rng = SplitMix::logged("sparse index overlay");
+    let mut rng = SplitMix::logged("sparse index overlay", REPLAY);
     let seed = rng.0;
     for k in 0..6 {
         let n = rng.range(4, 1200) as u32;
