@@ -4,20 +4,21 @@
 //! on disk, and edge access is selective.
 //!
 //! It runs over the same dual-block representation as HUS-Graph
-//! (out-blocks + indices), pushing from active vertices with selective
-//! loads, but pays **zero vertex I/O**. The paper positions such systems
-//! as needing "expensive SSD arrays and large memory" to shine; the
-//! `exp_semi_external` experiment shows exactly that — on the HDD
-//! profile it behaves like ROP, on the SSD profile it pulls far ahead.
+//! (out-blocks + indices), pushing from active vertices with ROP's own
+//! index and edge fetches (`rop::plan_block_fetch`), but pays **zero
+//! vertex I/O**. The paper positions such systems as needing "expensive
+//! SSD arrays and large memory" to shine; the `exp_semi_external`
+//! experiment shows exactly that — on the HDD profile it behaves like
+//! ROP, on the SSD profile it pulls far ahead.
 
 use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
 use hus_core::predict::{Decision, UpdateModel};
-use hus_core::program::EdgeCtx;
+use hus_core::rop::{self, IterCtx};
 use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::{HusGraph, VertexProgram};
 use hus_obs::span;
-use hus_storage::{Access, Result};
+use hus_storage::Result;
 
 /// The semi-external engine (in-memory vertex state, on-disk edges).
 pub struct SemiExternalEngine<'a, Pr: VertexProgram> {
@@ -55,6 +56,18 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
             rec.begin_iteration(iteration, active_vertices, active_edges);
             let next_active = ActiveSet::next(self.program, v);
             let mut edges_this_iter = 0u64;
+            // ROP's own index and edge fetch choices, priced on the HUS
+            // engine's default device.
+            let device = hus_storage::DeviceProfile::hdd().read;
+            let ctx = IterCtx {
+                graph: self.graph,
+                program: self.program,
+                active: &active,
+                next_active: &next_active,
+                coalesce_ratio: device.batched_bps / device.random_bps,
+                index_ratio: device.sequential_bps / device.random_bps,
+                deadline: None,
+            };
 
             // Next values start from reset(current) — synchronous.
             let mut next: Vec<Pr::Value> = current
@@ -71,56 +84,14 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
                     continue;
                 }
                 let _s = span!("push.row", interval = i);
+                let s_row = &current[base as usize..end as usize];
                 for j in 0..p {
-                    let block_edges = meta.out_block(i, j).edge_count;
-                    if block_edges == 0 {
+                    let Some(fetch) = rop::plan_block_fetch(&ctx, i, j, base, &actives)? else {
                         continue;
-                    }
-                    let index = self.graph.load_out_index(i, j, Access::Sequential)?;
-                    // Same cost-based fetch policy as ROP: selective
-                    // ranges vs one coalesced sweep.
-                    let requested: u64 = actives
-                        .iter()
-                        .map(|&x| {
-                            let l = (x - base) as usize;
-                            (index[l + 1] - index[l]) as u64
-                        })
-                        .sum();
-                    if requested == 0 {
-                        continue;
-                    }
-                    let coalesce = requested as f64 * 40.0 >= block_edges as f64;
-                    let batch =
-                        if coalesce { Some(self.graph.load_out_block_batch(i, j)?) } else { None };
-                    for &src in &actives {
-                        let local = (src - base) as usize;
-                        let (lo, hi) = (index[local], index[local + 1]);
-                        if lo == hi {
-                            continue;
-                        }
-                        let n = (hi - lo) as usize;
-                        let src_val = current[src as usize];
-                        let mut push = |records: &hus_core::graph::EdgeRecords, offset: usize| {
-                            for (dst, weight) in records.into_iter().skip(offset).take(n) {
-                                let ctx = EdgeCtx {
-                                    src,
-                                    dst,
-                                    weight,
-                                    src_out_degree: self.graph.out_degrees()[src as usize],
-                                };
-                                if let Some(msg) = self.program.scatter(&src_val, &ctx) {
-                                    if self.program.combine(&mut next[dst as usize], msg) {
-                                        next_active.set(dst);
-                                    }
-                                }
-                            }
-                        };
-                        match &batch {
-                            Some(b) => push(b, lo as usize),
-                            None => push(&self.graph.load_out_records(i, j, lo, hi)?, 0),
-                        }
-                        edges_this_iter += n as u64;
-                    }
+                    };
+                    let dst = meta.interval_start(j) as usize..meta.interval_starts[j + 1] as usize;
+                    edges_this_iter +=
+                        rop::push_fetch(&ctx, (i, j), base, fetch, s_row, &mut next[dst])?;
                 }
             }
 

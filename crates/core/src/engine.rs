@@ -281,8 +281,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     ///
     /// A pull streams every column; the columns write disjoint next
     /// buffers, so they fan out over the run's pool, one column per
-    /// worker. Every column is written and committed, and nothing stays
-    /// resident.
+    /// worker. Every column is written and committed, which supersedes
+    /// every resident copy without writing it; nothing stays resident.
     fn execute(
         &self,
         ctx: &IterCtx<'_, Pr>,
@@ -311,9 +311,13 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     /// error in row order wins. They hold the destination intervals they
     /// touch in memory for the whole iteration (the paper's per-row
     /// parallelism has them all resident anyway), deriving each lazily
-    /// on first push ([`rop::Intervals`]). Each touched `D_j` is written
-    /// back once and stays resident for the next iteration; nothing else
-    /// does.
+    /// on first push ([`rop::Intervals`]). Each touched `D_j` becomes
+    /// interval `j`'s current values unwritten and stays resident for the
+    /// next iteration; nothing else does. A resident copy from the
+    /// previous push is written back only if this push neither pushes
+    /// into its interval nor re-derives it; checkpoints and the result
+    /// take resident intervals from memory
+    /// ([`VertexStore::read_all_current`]).
     fn push(
         &self,
         ctx: &IterCtx<'_, Pr>,
@@ -337,21 +341,20 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             })
             .collect::<Result<Vec<u64>>>()?;
         rec.lap("rop");
-        // Under a non-identity reset (PageRank-style) a push also
-        // re-derives and writes the intervals nothing was pushed into.
-        let written = {
+        // The writes of a push: `reset` re-derivations (PageRank-style)
+        // and the carried copies it drops.
+        let commits = {
             let _s = span!("gather");
             intervals.finish(self.program)?
         };
         rec.lap("gather");
         {
             let _s = span!("sync");
-            let rederived = self.program.needs_reset();
-            for (j, values) in written.into_iter().enumerate() {
-                match values {
-                    Some(values) => store.commit_resident(j, values),
-                    None if rederived => store.commit(j),
-                    None => {}
+            for (j, commit) in commits.into_iter().enumerate() {
+                match commit {
+                    rop::Commit::Resident(values) => store.commit_resident(j, values),
+                    rop::Commit::Written => store.commit(j),
+                    rop::Commit::Unchanged => {}
                 }
             }
         }
@@ -707,35 +710,37 @@ mod tests {
         }
     }
 
-    /// A pull right after a push reads no interval the push wrote back:
-    /// its bill is the residency-aware sweep plan the hybrid priced it
-    /// at, below the run's plan with nothing resident.
-    #[test]
-    fn a_pull_after_a_push_bills_the_residency_aware_plan() {
-        /// Breadth-first levels from `0`.
-        struct Levels;
-        impl VertexProgram for Levels {
-            type Value = u32;
-            fn init(&self, v: u32) -> u32 {
-                if v == 0 {
-                    0
-                } else {
-                    u32::MAX
-                }
-            }
-            fn initially_active(&self, v: u32) -> bool {
-                v == 0
-            }
-            fn scatter(&self, level: &u32, _ctx: &EdgeCtx) -> Option<u32> {
-                Some(level + 1)
-            }
-            fn combine(&self, dst: &mut u32, msg: u32) -> bool {
-                MinLabel.combine(dst, msg)
+    /// Breadth-first levels from `0`.
+    struct Levels;
+
+    impl VertexProgram for Levels {
+        type Value = u32;
+        fn init(&self, v: u32) -> u32 {
+            if v == 0 {
+                0
+            } else {
+                u32::MAX
             }
         }
-        // A hub at 0 reaching every vertex, and a path through them: one
-        // push from 0, then a frontier of all but one vertex, pulled.
-        let n = 4096;
+        fn initially_active(&self, v: u32) -> bool {
+            v == 0
+        }
+        fn scatter(&self, level: &u32, _ctx: &EdgeCtx) -> Option<u32> {
+            Some(level + 1)
+        }
+        fn combine(&self, dst: &mut u32, msg: u32) -> bool {
+            MinLabel.combine(dst, msg)
+        }
+    }
+
+    /// Vertices of [`push_then_pull`]'s graph.
+    const HUB_AND_PATH: u32 = 4096;
+
+    /// A hybrid BFS over a hub at 0 reaching every vertex and a path
+    /// through them (P 4): one push from 0, then a frontier of all but
+    /// one vertex, pulled.
+    fn push_then_pull() -> (tempfile::TempDir, HusGraph, RunStats) {
+        let n = HUB_AND_PATH;
         let mut pairs: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
         pairs.extend((1..n - 1).map(|v| (v, v + 1)));
         let el = EdgeList::from_pairs(pairs);
@@ -748,13 +753,73 @@ mod tests {
         assert!(levels[1..].iter().all(|&l| l == 1), "every vertex one hop from the hub");
         let models: Vec<_> = stats.iterations.iter().map(|it| it.model).collect();
         assert_eq!(models[..2], [UpdateModel::Rop, UpdateModel::Cop], "{models:?}");
+        (tmp, g, stats)
+    }
 
+    /// A pull right after a push reads no interval the push left
+    /// resident: its bill is the residency-aware sweep plan the hybrid
+    /// priced it at, below the run's plan with nothing resident.
+    #[test]
+    fn a_pull_after_a_push_bills_the_residency_aware_plan() {
+        let (_tmp, g, stats) = push_then_pull();
         let pull = &stats.iterations[1];
         let plan = pull.plan.expect("a priced iteration");
         assert_eq!(IoPlan::billed(&pull.io), plan);
         let static_sweep = cop::sweep_plan(&g, 4);
         assert!(plan.sequential < static_sweep.sequential, "{plan:?} vs {static_sweep:?}");
         assert_eq!(plan.write, static_sweep.write);
+    }
+
+    /// The push leaves every interval resident unwritten; the pull
+    /// writes each of the `P` columns once and supersedes those copies
+    /// without writing them back.
+    #[test]
+    fn a_pull_after_a_push_writes_each_column_once_and_no_carried_copy() {
+        let (_tmp, _g, stats) = push_then_pull();
+        let writes = |it: &crate::IterationStats| (it.io.write_bytes, it.io.write_ops);
+        assert_eq!(writes(&stats.iterations[0]), (0, 0), "the push writes nothing");
+        assert_eq!(writes(&stats.iterations[1]), (4 * HUB_AND_PATH as u64, 4));
+    }
+
+    /// A whole forced-ROP run writes the store's initial population and
+    /// one interval per (iteration, interval) that the previous push
+    /// pushed into and this one does not; nothing else. Every other
+    /// pushed-into `D_j` is superseded by the next push unwritten, or
+    /// taken from memory for the result.
+    #[test]
+    fn a_forced_rop_run_writes_only_its_initial_population_and_drop_writes() {
+        let el = hus_gen::watts_strogatz(1 << 11, 4, 0.01, 3);
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(8, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&el, &dir, &config).unwrap();
+        let config = RunConfig { threads: 2, ..RunConfig::with_mode(UpdateMode::ForceRop) };
+        let (levels, stats) = Engine::new(&g, &Levels, config).run().unwrap();
+        assert!(stats.converged);
+
+        // Iteration t pushes from the vertices at level t into the
+        // intervals of their out-neighbours.
+        let starts = &g.meta().interval_starts;
+        let interval = |v: u32| starts.partition_point(|&s| s <= v) - 1;
+        let interval_bytes = |j: usize| 4 * (starts[j + 1] - starts[j]) as u64;
+        let mut pushed = vec![[false; 8]; stats.num_iterations()];
+        for e in &el.edges {
+            if let Some(into) = pushed.get_mut(levels[e.src as usize] as usize) {
+                into[interval(e.dst)] = true;
+            }
+        }
+        let mut resident = [false; 8];
+        let mut drops = 0;
+        for (it, into) in stats.iterations.iter().zip(&pushed) {
+            let dropped: u64 =
+                (0..8).filter(|&j| resident[j] && !into[j]).map(interval_bytes).sum();
+            assert_eq!(it.io.write_bytes, dropped, "iteration {}", it.iteration);
+            drops += dropped;
+            resident = *into;
+        }
+        assert!(drops > 0, "the wavefront leaves intervals behind");
+        let population = 4 * el.num_vertices as u64;
+        assert_eq!(stats.total_io.write_bytes, population + drops);
     }
 
     #[test]

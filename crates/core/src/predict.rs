@@ -19,12 +19,13 @@
 //!   by walking the same choices `rop.rs` makes when it executes: one
 //!   read of each interval an active row or a push needs, index probes
 //!   vs. the whole offset array, selective ranges vs. one coalesced
-//!   sweep per out-block, merged runs at `T_batched`, and one `D_j`
-//!   write per destination interval that is actually pushed into.
+//!   sweep per out-block, merged runs at `T_batched`, and one write per
+//!   interval the push re-derives or whose resident copy it drops.
 //!
-//! A push's write-backs stay resident in the vertex store for one
-//! iteration ([`crate::vertex_store`]); both plans price reads of
-//! resident intervals at zero.
+//! A push's `D` buffers stay resident, unwritten, in the vertex store
+//! for one iteration ([`crate::vertex_store`]); both plans price reads
+//! of resident intervals at zero, and a ROP plan prices the write-back
+//! of each resident interval it does not push into.
 //!
 //! Both plans are priced by [`IoPlan::seconds`] — the same function
 //! [`crate::audit`] prices the billed bytes with — and ROP is selected

@@ -4,16 +4,19 @@
 //! out-index, selectively fetch each active vertex's out-edge range
 //! (random I/O — the whole point of ROP is to pay random access in
 //! exchange for touching only active edges), derive `D_j = reset(S_j)`
-//! on the first block that actually has edges to push, push messages
-//! into it, and write the touched `D_j` back. Out-blocks of a row have
+//! on the first block that actually has edges to push, and push messages
+//! into it; the touched `D_j` becomes current at the end of the push.
+//! Out-blocks of a row have
 //! disjoint destination intervals, so they are processed in parallel
 //! (§3.5) with no write conflicts and no atomics on vertex values.
 //!
 //! An interval's values cross the device at most once per iteration
 //! ([`Intervals`]): one read of `S_j` serves both row `j` and
-//! `D_j = reset(S_j)`, and is freed once neither needs it; each
-//! written-back `D_j` stays resident in the [`VertexStore`] for the
-//! next iteration, whose `S_j` and `D_j` then cost no read at all.
+//! `D_j = reset(S_j)`, and is freed once neither needs it. Each touched
+//! `D_j` is committed to the [`VertexStore`] unwritten, as interval
+//! `j`'s resident current copy, so the next iteration reads none of it;
+//! it is written back only by the push that drops it — one that neither
+//! pushes into interval `j` nor re-derives it ([`Intervals::finish`]).
 //!
 //! [`plan`] prices an iteration before it runs by walking the same
 //! choices over a one-pass [`Frontier`] summary — the `C_rop` side of
@@ -105,16 +108,18 @@ pub fn reset_values<Pr: VertexProgram>(
 /// derive `D_j = reset(S_j)` for the first out-block that has edges to
 /// push into interval `j` ([`run_row`]); either use then finds it in
 /// memory. The push takes the store's resident copies (the previous
-/// push's write-backs) over as the `S` of their intervals, so those are
-/// not read at all. An `S_j` is freed as soon as it has no use left —
-/// once row `j` has run (or is not active) and `D_j` is derived — and
-/// `D_j` then reuses its buffer when no row still reads it. Otherwise it
-/// is kept to the end of the push, where a `reset` re-derivation may
-/// still need it. `D` buffers live for the whole iteration, as under the
+/// push's unwritten `D` buffers) over as the `S` of their intervals, so
+/// those are not read at all. An `S_j` is freed as soon as it has no use
+/// left — once row `j` has run (or is not active) and `D_j` is derived —
+/// and `D_j` then reuses its buffer when no row still reads it.
+/// Otherwise it is kept to the end of the push, where a `reset`
+/// re-derivation may still need it, or, if it was carried, its
+/// write-back. `D` buffers live for the whole iteration, as under the
 /// paper's per-row parallelism; one no active vertex pushes into is
-/// never derived (and never swapped — its current values stay valid),
-/// which is what makes ROP cheap on wavefront workloads that touch a
-/// couple of intervals per iteration.
+/// never derived, and is swapped only to write a carried copy back —
+/// otherwise its current values stay valid — which is what makes ROP
+/// cheap on wavefront workloads that touch a couple of intervals per
+/// iteration.
 pub struct Intervals<'s, V: Pod> {
     store: &'s VertexStore<V>,
     sources: Vec<Mutex<Source<V>>>,
@@ -126,8 +131,12 @@ pub struct Intervals<'s, V: Pod> {
 struct Source<V> {
     /// `S_j` while it is in memory.
     values: Option<Arc<Vec<V>>>,
-    /// `values` is the store's resident copy and has not been used yet.
+    /// `values` started as the store's resident copy, the interval's
+    /// only current copy: written back at the end of the push unless a
+    /// newer `D_j` supersedes it.
     carried: bool,
+    /// `values` has been used (a carried copy counts as served once).
+    used: bool,
     /// Row `j` is active and has not run yet.
     row_pending: bool,
     /// `D_j` has been derived.
@@ -146,6 +155,7 @@ impl<'s, V: Pod> Intervals<'s, V> {
             .map(|(j, values)| {
                 Mutex::new(Source {
                     carried: values.is_some(),
+                    used: false,
                     values: values.map(Arc::new),
                     row_pending: rows.contains(&j),
                     derived: false,
@@ -162,7 +172,9 @@ impl<'s, V: Pod> Intervals<'s, V> {
     fn source(&self, j: usize) -> Result<Arc<Vec<V>>> {
         let slot = &mut *self.sources[j].lock();
         match &slot.values {
-            Some(values) if std::mem::take(&mut slot.carried) => count_served(values),
+            Some(values) if slot.carried && !std::mem::replace(&mut slot.used, true) => {
+                count_served(values)
+            }
             Some(_) => {}
             None => {
                 let values = self.store.load_current(j, Access::Sequential)?;
@@ -204,26 +216,49 @@ impl<'s, V: Pod> Intervals<'s, V> {
         })
     }
 
-    /// Write every derived `D_j` through to the store's next file (one
-    /// tracked write per touched interval) once the rows have pushed;
-    /// under a non-identity `reset` also re-derive and write every
-    /// other interval. Returns the pushed-into buffers by interval, for
-    /// the store to keep resident ([`VertexStore::commit_resident`]).
-    pub fn finish<Pr: VertexProgram<Value = V>>(self, program: &Pr) -> Result<Vec<Option<Vec<V>>>> {
-        let mut written = Vec::with_capacity(self.dests.len());
+    /// Settle every interval once the rows have pushed. A pushed-into
+    /// `D_j` is handed back unwritten, to become interval `j`'s resident
+    /// current copy. Under a non-identity `reset` every other interval is
+    /// re-derived and written to the store's next file. Otherwise a
+    /// carried copy nothing superseded is written back there — the one
+    /// write of a resident copy, by the push that drops it — and the
+    /// rest stand. One tracked write per written interval.
+    pub fn finish<Pr: VertexProgram<Value = V>>(self, program: &Pr) -> Result<Vec<Commit<V>>> {
+        let mut commits = Vec::with_capacity(self.dests.len());
         for (j, d) in self.dests.iter().enumerate() {
-            let values = d.lock().take();
-            match &values {
-                Some(values) => self.store.write_next(j, values)?,
+            let commit = match d.lock().take() {
+                Some(values) => Commit::Resident(values),
                 None if program.needs_reset() => {
-                    self.store.write_next(j, &self.derive(program, j)?)?
+                    self.store.write_next(j, &self.derive(program, j)?)?;
+                    Commit::Written
                 }
-                None => {}
-            }
-            written.push(values);
+                None if !self.sources[j].lock().carried => Commit::Unchanged,
+                None => {
+                    let values = self.sources[j].lock().values.take();
+                    let values = values.expect("an underived carried copy is held");
+                    self.store.write_next(j, &values)?;
+                    Commit::Written
+                }
+            };
+            commits.push(commit);
         }
-        Ok(written)
+        Ok(commits)
     }
+}
+
+/// How a push leaves one interval's current values
+/// ([`Intervals::finish`]).
+#[derive(Debug, PartialEq)]
+pub enum Commit<V> {
+    /// Pushed into: the new values, to be kept resident and unwritten
+    /// ([`VertexStore::commit_resident`]).
+    Resident(Vec<V>),
+    /// The new values, or the dropped resident copy, are in the store's
+    /// next file ([`VertexStore::commit`]).
+    Written,
+    /// Neither pushed into nor carried: the current file holds its
+    /// values.
+    Unchanged,
 }
 
 /// Process row `i` under ROP, pushing its active vertices' edges of
@@ -323,8 +358,8 @@ fn merge_runs(
 }
 
 /// What out-block `(row, j)` fetches for this frontier, decided from its
-/// index.
-struct BlockFetch {
+/// index ([`plan_block_fetch`]).
+pub struct BlockFetch {
     /// The active vertices' non-empty `(vertex, lo, hi)` record ranges,
     /// ascending (`LoadOutEdges` in Algorithm 2).
     ranges: Vec<(VertexId, u32, u32)>,
@@ -343,7 +378,7 @@ struct BlockFetch {
 /// chooses between two fetch plans with the same cost model the
 /// predictor uses: fetching the active vertices' ranges selectively
 /// costs `bytes / T_random` for isolated ranges and `bytes / T_batched`
-/// for ranges [`merge_runs`] coalesces; one ascending sweep of the whole
+/// for ranges `merge_runs` coalesces; one ascending sweep of the whole
 /// block costs `block_bytes / T_batched`. The cheaper plan is taken, so
 /// a dense scattered frontier gracefully degrades to an elevator sweep
 /// instead of a seek storm, while a clustered one keeps reading only its
@@ -351,7 +386,10 @@ struct BlockFetch {
 /// cache is always swept: any read of it fetches the whole encoded
 /// payload, so the selective plan would move the same bytes at the
 /// random rate.
-fn plan_block_fetch<Pr: VertexProgram>(
+///
+/// [`run_row`] and the semi-external baseline, which holds every vertex
+/// value in memory, fetch edges through here and [`push_fetch`].
+pub fn plan_block_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     row: usize,
     j: usize,
@@ -409,10 +447,11 @@ fn plan_block_fetch<Pr: VertexProgram>(
     })
 }
 
-/// Fetch the edges `fetch` names and push them into the loaded `D_j`;
-/// returns the number of edges pushed. The selective plan goes through
-/// [`fetch_selective`] under [`IterCtx::merge_slack`].
-fn push_fetch<Pr: VertexProgram>(
+/// Fetch the edges `fetch` names and push them from the row's source
+/// values `s_row` into `D_j`; returns the number of edges pushed. The
+/// selective plan goes through [`fetch_selective`] under the context's
+/// merge slack.
+pub fn push_fetch<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     (row, j): (usize, usize),
     row_base: VertexId,
@@ -607,9 +646,11 @@ impl Frontier {
 ///   (gaps within the merge slack) batched and the rest random; on a
 ///   compressed graph, the whole encoded block swept once, or nothing
 ///   while the decoded-block cache holds it;
-/// * `D_j` write-back once per destination interval that some block
-///   has edges to push into; programs with a non-identity `reset`
-///   re-derive and write every interval, pushed into or not.
+/// * one write of each interval the push does not push into (no block
+///   has edges to push into it) but must write: every such interval for
+///   programs with a non-identity `reset`, which re-derive it, and
+///   otherwise each resident one, whose carried copy the push drops.
+///   A pushed-into `D_j` stays resident unwritten.
 ///
 /// Overlay-resident blocks are read from memory and cost nothing.
 pub fn plan<Pr: VertexProgram>(
@@ -673,10 +714,12 @@ pub fn plan<Pr: VertexProgram>(
             }
         }
     }
-    let written = |j: usize| pushed_into[j] || ctx.program.needs_reset();
+    let reset = ctx.program.needs_reset();
+    let derived = |j: usize| pushed_into[j] || reset;
+    let written = |j: usize| !pushed_into[j] && (resident[j] || reset);
     let interval_bytes = |j: usize| meta.interval_len(j) as u64 * value_bytes as u64;
     let read: u64 = (0..ctx.graph.p())
-        .filter(|&j| (source[j] || written(j)) && !resident[j])
+        .filter(|&j| (source[j] || derived(j)) && !resident[j])
         .map(interval_bytes)
         .sum();
     IoPlan {
@@ -773,15 +816,17 @@ mod tests {
         // (64 B sequential) beats one 8-byte probe at the HDD's 120:1
         // ratio.
         assert_eq!(io.seq_read_bytes, 64 + 64);
-        // D_0 is written back once; no other interval is.
-        assert_eq!((io.write_bytes, io.write_ops), (64, 1));
+        // D_0 stays resident unwritten, and the run's result takes it
+        // from memory: no interval is written.
+        assert_eq!((io.write_bytes, io.write_ops), (0, 0));
         // The one requested record, a singleton run.
         assert_eq!((io.rand_read_bytes, io.rand_read_ops), (4, 1));
         assert_eq!(io.batched_read_bytes, 0);
     }
 
     /// A PageRank-family program re-derives every vertex each iteration:
-    /// intervals nothing was pushed into are still reset and written.
+    /// intervals nothing was pushed into are still reset and written;
+    /// the pushed-into `D_0` stays resident unwritten.
     #[test]
     fn reset_programs_still_rederive_untouched_intervals() {
         let (values, stats) = one_push_from_five(true, 1);
@@ -789,7 +834,7 @@ mod tests {
         want[6] = 1;
         assert_eq!(values, want);
         let io = &stats.iterations[0].io;
-        assert_eq!((io.write_bytes, io.write_ops), (4 * 64, 4));
+        assert_eq!((io.write_bytes, io.write_ops), (3 * 64, 3));
         // S_0 (which D_0 is reset from), one index, and the other three
         // intervals read for their reset.
         assert_eq!(io.seq_read_bytes, 64 + 64 + 3 * 64);
@@ -804,7 +849,6 @@ mod tests {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("s")).unwrap();
         let mut store = VertexStore::create(&dir, "v", &[0, 2, 4, 6, 8], |v| 100 + v).unwrap();
-        store.write_next(2, &[7, 8]).unwrap();
         store.commit_resident(2, vec![7, 8]);
         dir.tracker().reset();
         let program = CountFromFive { reset: true };
@@ -837,20 +881,22 @@ mod tests {
         assert_eq!((io.seq_read_bytes, io.seq_read_ops), (2 * 8, 2), "S_0 and S_1, once each");
 
         // Interval 3 is neither pushed into nor active: the reset
-        // re-derivation reads it once at the end of the push.
-        let written = intervals.finish(&program).unwrap();
-        let pushed: Vec<bool> = written.iter().map(Option::is_some).collect();
-        assert_eq!(pushed, [true, true, true, false]);
+        // re-derivation reads it once at the end of the push, and is the
+        // one interval written. The pushed-into D's are handed back
+        // unwritten.
+        let commits = intervals.finish(&program).unwrap();
+        let pushed = || Commit::Resident(vec![0, 0]);
+        assert_eq!(commits, [pushed(), pushed(), pushed(), Commit::Written]);
         let io = dir.tracker().snapshot();
-        assert_eq!((io.seq_read_bytes, io.write_bytes, io.write_ops), (3 * 8, 4 * 8, 4));
+        assert_eq!((io.seq_read_bytes, io.write_bytes, io.write_ops), (3 * 8, 8, 1));
         assert_eq!(store.resident_mask(), [false; 4], "the push took the carried copy");
     }
 
-    /// The second of two pushes reads nothing of the interval the first
-    /// wrote back: `S_0` and `D_0` come from the resident copy. The
-    /// files hold every write-back all the same.
+    /// The second of two pushes neither reads nor writes the interval
+    /// the first pushed into: `S_0` and `D_0` come from the resident
+    /// copy, and the new `D_0` supersedes it unwritten.
     #[test]
-    fn a_written_back_interval_is_not_read_by_the_next_push() {
+    fn a_pushed_interval_is_not_read_or_written_by_the_next_push() {
         let (values, stats) = one_push_from_five(false, 2);
         assert_eq!((values[6], values[7]), (107, 108), "5 → 6, then 6 → 7");
         let second = &stats.iterations[1];
@@ -858,9 +904,9 @@ mod tests {
         // Block (0, 0)'s offset array and the one record only.
         assert_eq!(second.io.seq_read_bytes, 64);
         assert_eq!((second.io.rand_read_bytes, second.io.rand_read_ops), (4, 1));
-        assert_eq!((second.io.write_bytes, second.io.write_ops), (64, 1));
-        // The returned values are the files' (`read_all_current`): they
-        // equal a run that keeps nothing resident.
+        assert_eq!((second.io.write_bytes, second.io.write_ops), (0, 0));
+        // The returned values (`read_all_current`, interval 0 from
+        // memory) equal a run that keeps nothing resident.
         let config = RunConfig { max_iterations: 2, threads: 1, ..Default::default() };
         let cop = RunConfig { mode: UpdateMode::ForceCop, ..config };
         let (_tmp, g) = cycle64();
@@ -889,16 +935,37 @@ mod tests {
             // Vertex 5 has edges in block (0, 0) only: one range of the
             // block's mean length (15 records over 15 occupied vertices)
             // and one destination interval, the one of each the executor
-            // moves in the tests above. Each interval read is read once.
+            // moves in the tests above. Each interval read is read once;
+            // the pushed-into D_0 is not written, a re-derived one is.
             let d = if reset { 4 * 64 } else { 64 };
-            let want = IoPlan { sequential: 64 + d, random: 4, write: d, batched: 0 };
+            let rederived = if reset { 3 * 64 } else { 0 };
+            let want = IoPlan { sequential: 64 + d, random: 4, write: rederived, batched: 0 };
             assert_eq!(plan(&ctx, &frontier, &[false; 4]), want, "reset {reset}");
-            // Resident intervals are read from memory.
+            // Resident intervals are read from memory. The push drops
+            // the two it does not push into (2 and 3), writing each
+            // back once — a write a re-derivation makes anyway.
             let free = [true, false, true, true];
             let kept = if reset { 64 } else { 0 };
-            let want = IoPlan { sequential: 64 + kept, ..want };
+            let dropped = if reset { 3 * 64 } else { 2 * 64 };
+            let want = IoPlan { sequential: 64 + kept, write: dropped, ..want };
             assert_eq!(plan(&ctx, &frontier, &free), want, "reset {reset}, resident");
         }
+    }
+
+    /// Vertex `5 + t` is the frontier of iteration `t`. It pushes into
+    /// interval 0 until vertex 15's edge 15 → 16 moves the wavefront
+    /// into interval 1 at iteration 10: that push drops interval 0's
+    /// carried copy and writes it back, the run's one interval write.
+    #[test]
+    fn an_interval_no_longer_pushed_into_is_written_once_by_the_push_that_drops_it() {
+        let (values, stats) = one_push_from_five(false, 12);
+        let want: Vec<u32> = (0..64).map(|v| 100 + v + (6..18).contains(&v) as u32).collect();
+        assert_eq!(values, want, "one message into each of 6..=17");
+        let writes: Vec<_> =
+            stats.iterations.iter().map(|it| (it.io.write_bytes, it.io.write_ops)).collect();
+        let mut want = vec![(0, 0); 12];
+        want[10] = (64, 1);
+        assert_eq!(writes, want);
     }
 
     /// Sends one message along every edge of a frontier of 16

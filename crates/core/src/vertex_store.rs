@@ -11,17 +11,24 @@
 //! billed at random throughput under ROP and sequential under COP
 //! (exactly as the paper's `C_rop`/`C_cop` formulas do).
 //!
-//! An interval's current values may also be *resident*: a ROP
-//! write-back hands its `D_j` buffer over with
-//! [`VertexStore::commit_resident`] after writing it through to the file,
-//! and loads of that interval are then served from memory, unbilled, by
-//! [`VertexStore::current`]. Every other commit drops the interval's
-//! resident copy, and the next push takes every resident copy over
-//! ([`VertexStore::take_resident`]), so residency lasts one iteration
-//! and between iterations never exceeds the `D` buffers the previous
-//! push held. The files stay complete, so
-//! [`VertexStore::read_all_current`] (results, checkpoints) reads them
-//! alone.
+//! An interval's current values may also be *resident*, and the store is
+//! then write-back, not write-through: a ROP push hands each `D_j` it
+//! pushed into over with [`VertexStore::commit_resident`], which flips
+//! the interval and keeps the buffer as its only current copy without
+//! writing it. Loads of that interval are served from memory, unbilled,
+//! by [`VertexStore::current`]. The next push takes every resident copy
+//! over ([`VertexStore::take_resident`]) and settles each one: it
+//! commits a newer value (a push into the interval or a `reset`
+//! re-derivation), or writes the carried copy to the next file and
+//! commits that — the one write a resident copy ever costs, in the
+//! iteration that drops it. A pull writes and commits every column,
+//! superseding every resident copy unwritten. So residency lasts one
+//! iteration and between iterations never exceeds the `D` buffers the
+//! previous push held, and the files alone are not a result:
+//! [`VertexStore::read_all_current`] (results, checkpoints) takes a
+//! resident interval from memory and the rest from the files. A copy is
+//! never discarded any other way: reading an interval whose copy a push
+//! has taken and not settled panics.
 
 use crate::VertexId;
 use hus_storage::pod::{self, Pod};
@@ -31,7 +38,9 @@ use std::borrow::Cow;
 
 /// Nanosecond latency of interval value loads (`S_i`/`D_i` reads).
 static LOAD_NS: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("store.load_ns");
-/// Nanosecond latency of interval value write-backs (`D_i` stores).
+/// Nanosecond latency of interval value writes (`D_i` stores: COP
+/// columns, `reset` re-derivations and the write-back of a resident copy
+/// a push drops).
 static WRITE_NS: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("store.write_ns");
 /// Interval value bytes served from a resident copy instead of a load.
 static RESIDENT_BYTES: hus_obs::LazyCounter = hus_obs::LazyCounter::new("store.resident_bytes");
@@ -48,10 +57,20 @@ pub struct VertexStore<V: Pod> {
     file_b: TrackedFile,
     /// Per interval: whether the *current* copy lives in `file_a`.
     current_is_a: Vec<bool>,
-    /// Per interval: its current values held in memory, equal to the
-    /// current file's copy.
-    resident: Vec<Option<Vec<V>>>,
+    /// Per interval: where its current values are.
+    current: Vec<Current<V>>,
     starts: Vec<VertexId>,
+}
+
+/// Where one interval's current values are.
+enum Current<V> {
+    /// In the current file.
+    File,
+    /// Only in memory: the current file holds an older copy.
+    Resident(Vec<V>),
+    /// Handed to a push ([`VertexStore::take_resident`]), which commits
+    /// newer values or writes this copy back.
+    Taken,
 }
 
 impl<V: Pod> VertexStore<V> {
@@ -77,7 +96,7 @@ impl<V: Pod> VertexStore<V> {
             file_a,
             file_b,
             current_is_a: vec![true; starts.len() - 1],
-            resident: (1..starts.len()).map(|_| None).collect(),
+            current: (1..starts.len()).map(|_| Current::File).collect(),
             starts: starts.to_vec(),
         })
     }
@@ -113,13 +132,27 @@ impl<V: Pod> VertexStore<V> {
 
     /// Interval `i`'s **current** (`S_i`) values: borrowed from its
     /// resident copy at no I/O, otherwise one tracked load.
+    ///
+    /// # Panics
+    /// If a push has taken the interval's resident copy and not yet
+    /// settled it: the file holds older values.
     pub fn current(&self, i: usize, access: Access) -> Result<Cow<'_, [V]>> {
-        match &self.resident[i] {
+        match self.resident(i) {
             Some(values) => {
                 count_served(values);
                 Ok(Cow::Borrowed(values))
             }
             None => Ok(Cow::Owned(self.load_from(self.current_is_a[i], i, access)?)),
+        }
+    }
+
+    /// Interval `i`'s resident copy; `None` when the current file holds
+    /// its current values.
+    fn resident(&self, i: usize) -> Option<&[V]> {
+        match &self.current[i] {
+            Current::Resident(values) => Some(values),
+            Current::File => None,
+            Current::Taken => panic!("interval {i}'s current values are held by a push"),
         }
     }
 
@@ -146,44 +179,59 @@ impl<V: Pod> VertexStore<V> {
         res
     }
 
-    /// Swap `S_i` and `D_i`: the next buffer becomes current (paper's
-    /// `Swap(S_i, D_i)`). A metadata flip; no data moves. The interval's
-    /// resident copy, which held the old current values, is dropped.
+    /// Swap `S_i` and `D_i`: the next buffer, just written by
+    /// [`Self::write_next`], becomes current (paper's `Swap(S_i, D_i)`).
+    /// A metadata flip; no data moves. The interval's resident or taken
+    /// copy, which held the old current values, is superseded.
     pub fn commit(&mut self, i: usize) {
         self.current_is_a[i] = !self.current_is_a[i];
-        self.resident[i] = None;
+        self.current[i] = Current::File;
     }
 
-    /// [`Self::commit`] interval `i`, whose next values `values` were
-    /// just written by [`Self::write_next`], and keep them resident as
-    /// its current copy.
+    /// Make `values` interval `i`'s current values without writing them:
+    /// the interval flips, and the buffer is its only current copy until
+    /// a later [`Self::commit`] supersedes it or a push that takes it
+    /// over writes it back.
     pub fn commit_resident(&mut self, i: usize, values: Vec<V>) {
         assert_eq!(values.len(), self.interval_len(i) as usize, "interval {i} length mismatch");
         self.current_is_a[i] = !self.current_is_a[i];
-        self.resident[i] = Some(values);
+        self.current[i] = Current::Resident(values);
     }
 
     /// Hand every interval's resident copy over to the caller (a push,
-    /// which frees each as soon as it has no further use); the file
-    /// copies stay current and nothing is resident afterwards. A copy
-    /// the caller uses in place of a load is counted with
-    /// [`count_served`].
+    /// which frees each as soon as it has no further use). The caller
+    /// settles each interval it takes: it commits newer values, or
+    /// writes the copy to the next file ([`Self::write_next`]) and
+    /// commits that. Until then the interval cannot be read. A copy the
+    /// caller uses in place of a load is counted with [`count_served`].
     pub fn take_resident(&mut self) -> Vec<Option<Vec<V>>> {
-        self.resident.iter_mut().map(Option::take).collect()
+        (self.current.iter_mut())
+            .map(|slot| match slot {
+                Current::Resident(values) => {
+                    let values = std::mem::take(values);
+                    *slot = Current::Taken;
+                    Some(values)
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// Per interval: whether its current values are resident.
     pub fn resident_mask(&self) -> Vec<bool> {
-        self.resident.iter().map(Option::is_some).collect()
+        self.current.iter().map(|slot| matches!(slot, Current::Resident(_))).collect()
     }
 
-    /// Read back every vertex's current value from the files (not
-    /// billed — this is the final result collection, not part of the
-    /// iteration I/O).
+    /// Every vertex's current value: resident intervals from memory, the
+    /// rest read back from the files (not billed — this is result and
+    /// checkpoint collection, not part of the iteration I/O).
     pub fn read_all_current(&self) -> Result<Vec<V>> {
         let mut out = Vec::with_capacity(*self.starts.last().unwrap() as usize);
         for i in 0..self.num_intervals() {
-            out.extend(self.load_from(self.current_is_a[i], i, Access::Sequential)?);
+            match self.resident(i) {
+                Some(values) => out.extend_from_slice(values),
+                None => out.extend(self.load_from(self.current_is_a[i], i, Access::Sequential)?),
+            }
         }
         Ok(out)
     }
@@ -257,32 +305,50 @@ mod tests {
         assert_eq!(s.write_bytes, 32);
     }
 
-    /// A written-through interval kept resident is served from memory,
-    /// unbilled; its file copy is what remains once it is taken over.
+    /// A resident interval is its only current copy: loads and
+    /// `read_all_current` take it from memory, unbilled, and it is
+    /// written only when a push that takes it over drops it.
     #[test]
-    fn resident_intervals_are_served_unbilled_and_written_through() {
+    fn resident_intervals_are_served_unbilled_and_written_back_when_dropped() {
         let (_t, dir, mut vs) = store(&[0, 3, 7]);
-        vs.write_next(1, &[1, 2, 3, 4]).unwrap();
+        dir.tracker().reset();
         vs.commit_resident(1, vec![1, 2, 3, 4]);
         assert_eq!(vs.resident_mask(), [false, true]);
-        dir.tracker().reset();
         assert!(matches!(vs.current(1, Access::Sequential).unwrap(), Cow::Borrowed([1, 2, 3, 4])));
         assert_eq!(vs.load_current(1, Access::Sequential).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(dir.tracker().snapshot().read_bytes(), 0, "served from memory");
         assert!(matches!(vs.current(0, Access::Sequential).unwrap(), Cow::Owned(_)));
-        assert_eq!(dir.tracker().snapshot().seq_read_bytes, 12, "interval 0 is loaded");
+        let io = dir.tracker().snapshot();
+        assert_eq!((io.seq_read_bytes, io.write_bytes), (12, 0), "interval 0 is loaded");
+        assert_eq!(vs.read_all_current().unwrap(), vec![0, 10, 20, 1, 2, 3, 4]);
 
+        // A push takes the copy over and, not replacing it, writes it
+        // back: one write of the interval.
         let taken = vs.take_resident();
         assert_eq!(taken, [None, Some(vec![1, 2, 3, 4])]);
         assert_eq!(vs.resident_mask(), [false, false]);
+        dir.tracker().reset();
+        vs.write_next(1, taken[1].as_deref().unwrap()).unwrap();
+        vs.commit(1);
+        assert_eq!(dir.tracker().snapshot().write_bytes, 16);
         assert_eq!(vs.read_all_current().unwrap(), vec![0, 10, 20, 1, 2, 3, 4]);
-        // A plain commit drops what it overwrites.
-        vs.write_next(0, &[5, 6, 7]).unwrap();
+        // A commit supersedes a resident copy, which is never written.
         vs.commit_resident(0, vec![5, 6, 7]);
         vs.write_next(0, &[8, 9, 9]).unwrap();
         vs.commit(0);
         assert_eq!(vs.resident_mask(), [false, false]);
         assert_eq!(vs.load_current(0, Access::Sequential).unwrap(), vec![8, 9, 9]);
+    }
+
+    /// A copy a push has taken and not settled is nowhere else: the
+    /// store refuses to read the interval's older file copy.
+    #[test]
+    #[should_panic(expected = "held by a push")]
+    fn an_unsettled_taken_copy_cannot_be_read() {
+        let (_t, _d, mut vs) = store(&[0, 3, 7]);
+        vs.commit_resident(1, vec![1, 2, 3, 4]);
+        let _taken = vs.take_resident();
+        let _ = vs.read_all_current();
     }
 
     #[test]

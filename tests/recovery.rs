@@ -10,7 +10,9 @@
 //! fails with a typed `IncompleteBuild`/`ManifestMismatch` error —
 //! never silently wrong. On top of that, interrupted external builds
 //! must resume to byte-identical output, and a killed checkpointed
-//! engine run must resume to bit-identical PageRank values.
+//! engine run must resume to bit-identical PageRank values — and, under
+//! ROP, whose pushed intervals stay resident unwritten, to the same BFS
+//! levels.
 //!
 //! The guarded `recovery_child_*` tests are the child-process entry
 //! points: inert (they return immediately) unless `RECOVERY_CHILD`
@@ -19,11 +21,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use husgraph::algos::PageRank;
+use husgraph::algos::{reference, Bfs, PageRank};
 use husgraph::core::{
     build_external, fsck, BuildConfig, EdgeSource, Engine, HusGraph, ListSource, RunConfig,
+    UpdateMode,
 };
-use husgraph::gen::EdgeList;
+use husgraph::gen::{Csr, EdgeList};
 use husgraph::storage::durable::CRASH_EXIT_CODE;
 use husgraph::storage::{StorageDir, StorageError};
 
@@ -87,6 +90,34 @@ fn recovery_child_engine_run() {
     let g = HusGraph::open(StorageDir::open(recovery_dir().join("g")).unwrap()).unwrap();
     let pr = PageRank::new(g.meta().num_vertices);
     Engine::new(&g, &pr, engine_config()).run().unwrap();
+}
+
+/// A ring lattice with a few shortcuts (P 4): BFS from 0 runs about a
+/// hundred iterations, each pushing into one or two intervals.
+fn mesh_edges() -> EdgeList {
+    husgraph::gen::watts_strogatz(1_200, 3, 0.005, 5)
+}
+
+/// Forced-ROP BFS for the ROP kill/resume test: every iteration is a
+/// push, so checkpoints are taken while intervals are resident and their
+/// files are older than their values.
+fn rop_config() -> RunConfig {
+    RunConfig {
+        checkpoint_every: 2,
+        scratch_name: Some("rck_rop".into()),
+        ..RunConfig::with_mode(UpdateMode::ForceRop)
+    }
+}
+
+/// Child entry point: checkpointed forced-ROP BFS over a pre-built
+/// graph.
+#[test]
+fn recovery_child_rop_bfs_run() {
+    if child_role().as_deref() != Some("rop_bfs_run") {
+        return;
+    }
+    let g = HusGraph::open(StorageDir::open(recovery_dir().join("g")).unwrap()).unwrap();
+    Engine::new(&g, &Bfs::new(0), RunConfig { threads: 1, ..rop_config() }).run().unwrap();
 }
 
 /// Re-execute this test binary running exactly `test` with
@@ -336,6 +367,36 @@ fn killed_checkpointed_run_resumes_bit_identical_pagerank() {
         ref_vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "resumed PageRank is not bit-identical to the uninterrupted run"
     );
+}
+
+#[test]
+fn killed_checkpointed_rop_run_resumes_to_the_same_levels() {
+    let tmp = tempfile::tempdir().unwrap();
+    let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+    let el = mesh_edges();
+    let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+    let want = reference::bfs_levels(&Csr::from_edge_list(&el), 0);
+    let config = RunConfig { threads: 1, ..rop_config() };
+    let uninterrupted = RunConfig { scratch_name: Some("ref".into()), ..config.clone() };
+    let (levels, stats) = Engine::new(&g, &Bfs::new(0), uninterrupted).run().unwrap();
+    assert_eq!(levels, want, "the uninterrupted run");
+    assert!(stats.num_iterations() > 20, "{} iterations", stats.num_iterations());
+
+    // Kill the run at the end of iteration 5, right after its
+    // iteration-5 checkpoint: the push has just left the intervals it
+    // pushed into resident and unwritten.
+    let code = run_child(
+        "recovery_child_rop_bfs_run",
+        "rop_bfs_run",
+        tmp.path(),
+        "engine.iteration_end:6",
+    );
+    assert_eq!(code, Some(CRASH_EXIT_CODE));
+
+    let (resumed, stats) = Engine::new(&g, &Bfs::new(0), config).run().unwrap();
+    assert_eq!(stats.checkpoints.resumed_from, Some(5), "resumed from the iteration-5 snapshot");
+    assert_eq!(resumed, levels, "resumed BFS differs from the uninterrupted run");
+    assert_eq!(resumed, want);
 }
 
 /// Deterministic update batch shared by the delta-crash children and
