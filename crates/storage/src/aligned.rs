@@ -15,15 +15,15 @@ use std::sync::Mutex;
 
 /// Alignment (bytes) required for `O_DIRECT` transfers: buffer address,
 /// file offset and length must all be multiples of this.
-pub const DIRECT_ALIGN: usize = 4096;
+pub(crate) const DIRECT_ALIGN: usize = 4096;
 
 /// Round `n` up to the next multiple of [`DIRECT_ALIGN`].
-pub fn align_up(n: u64) -> u64 {
+pub(crate) fn align_up(n: u64) -> u64 {
     n.div_ceil(DIRECT_ALIGN as u64) * DIRECT_ALIGN as u64
 }
 
 /// Round `n` down to the previous multiple of [`DIRECT_ALIGN`].
-pub fn align_down(n: u64) -> u64 {
+pub(crate) fn align_down(n: u64) -> u64 {
     n - n % DIRECT_ALIGN as u64
 }
 
@@ -31,7 +31,7 @@ pub fn align_down(n: u64) -> u64 {
 /// [`DIRECT_ALIGN`], suitable as an `O_DIRECT` transfer target.
 ///
 /// Dereferences to `[u8]` over the full aligned capacity.
-pub struct AlignedBuf {
+pub(crate) struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
 }
@@ -45,7 +45,7 @@ impl AlignedBuf {
     /// Allocate a zeroed buffer of at least `min_len` bytes, rounded up to
     /// the alignment quantum. `min_len` of zero still allocates one block
     /// so the pointer stays valid.
-    pub fn zeroed(min_len: usize) -> AlignedBuf {
+    pub(crate) fn zeroed(min_len: usize) -> AlignedBuf {
         let len = (align_up(min_len.max(1) as u64)) as usize;
         let layout = Layout::from_size_align(len, DIRECT_ALIGN).expect("aligned layout");
         // SAFETY: `len` is non-zero and the layout is valid by construction.
@@ -55,7 +55,7 @@ impl AlignedBuf {
     }
 
     /// Aligned capacity in bytes (a multiple of [`DIRECT_ALIGN`]).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.len
     }
 }
@@ -91,19 +91,19 @@ impl Drop for AlignedBuf {
 /// otherwise); [`give`](BufPool::give) returns it. The pool keeps at most
 /// `max_pooled` buffers and drops the smallest first when over budget, so
 /// a burst of large bounce buffers does not pin memory forever.
-pub struct BufPool {
+pub(crate) struct BufPool {
     free: Mutex<Vec<AlignedBuf>>,
     max_pooled: usize,
 }
 
 impl BufPool {
     /// Create a pool retaining at most `max_pooled` idle buffers.
-    pub fn new(max_pooled: usize) -> BufPool {
+    pub(crate) fn new(max_pooled: usize) -> BufPool {
         BufPool { free: Mutex::new(Vec::new()), max_pooled }
     }
 
     /// Obtain a buffer with capacity ≥ `min_len` (aligned up).
-    pub fn take(&self, min_len: usize) -> AlignedBuf {
+    pub(crate) fn take(&self, min_len: usize) -> AlignedBuf {
         let mut free = self.free.lock().unwrap();
         if let Some(i) = free.iter().position(|b| b.capacity() >= min_len) {
             return free.swap_remove(i);
@@ -113,7 +113,7 @@ impl BufPool {
     }
 
     /// Return a buffer to the free list for reuse.
-    pub fn give(&self, buf: AlignedBuf) {
+    pub(crate) fn give(&self, buf: AlignedBuf) {
         let mut free = self.free.lock().unwrap();
         free.push(buf);
         if free.len() > self.max_pooled {
@@ -123,11 +123,6 @@ impl BufPool {
                 free.swap_remove(i);
             }
         }
-    }
-
-    /// Number of idle buffers currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.lock().unwrap().len()
     }
 }
 
@@ -168,10 +163,10 @@ mod tests {
         pool.give(b);
         pool.give(AlignedBuf::zeroed(8192));
         pool.give(AlignedBuf::zeroed(16384));
-        assert_eq!(pool.idle(), 2, "pool keeps at most max_pooled buffers");
-        // The two largest survive the eviction of the smallest.
-        let big = pool.take(16384);
-        assert!(big.capacity() >= 16384);
+        // Over the cap of two, the smallest buffer was dropped: the two
+        // largest are what any request now gets back.
+        let (x, y) = (pool.take(100), pool.take(100));
+        assert_eq!(x.capacity() + y.capacity(), 8192 + 16384);
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub enum BackendKind {
     /// stand-in reads the whole file into memory at open: contents are
     /// frozen at open and every opened file stays resident.
     Mmap,
-    /// `O_DIRECT` positioned reads bypassing the OS page cache, served
-    /// from pooled 4 KiB-aligned buffers with vectored multi-range
-    /// submission (a thread fan-out at queue depth).
+    /// `O_DIRECT` positioned reads bypassing the OS page cache, each one
+    /// aligned read into a pooled 4 KiB-aligned buffer; a multi-range
+    /// request is one spanning read, as on [`BackendKind::File`].
     /// Degrades to [`BackendKind::File`] on filesystems that refuse
     /// `O_DIRECT` (e.g. tmpfs).
     Direct,

@@ -1,5 +1,5 @@
-//! `O_DIRECT` device: page-cache-bypassing reads from a pool of 4 KiB-aligned
-//! buffers, with multi-range requests fanned out at queue depth.
+//! `O_DIRECT` device: page-cache-bypassing reads through a pool of 4 KiB-
+//! aligned bounce buffers.
 //!
 //! The out-of-core premise of HUS-Graph (paper §1, §4) is that the I/O
 //! device, not the CPU, should bound runtime — but reading shards through
@@ -10,17 +10,16 @@
 //! *below* the metered layer: callers see the same byte-exact semantics,
 //! and the requested bytes — not the aligned transfer — are billed.
 //!
-//! A multi-range request is submitted at queue depth instead of as one
-//! spanning `pread`: a scoped-thread fan-out of up to
-//! `DEFAULT_QUEUE_DEPTH` (8) aligned bounce reads.
+//! Every read is one aligned bounce read, from the sector at or below its
+//! start to the sector boundary at or past its end. A multi-range request
+//! takes the shared span-and-scatter of [`Device::read_ranges`], so a
+//! batch is one request on this device as on the file device.
 
 use crate::aligned::{align_down, align_up, AlignedBuf, BufPool, DIRECT_ALIGN};
 use crate::error::{Result, StorageError};
 use crate::metered::Device;
-use crate::RangeRead;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(unix)]
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
@@ -30,22 +29,6 @@ use std::os::unix::fs::{FileExt, OpenOptionsExt};
 const O_DIRECT: i32 = 0o200000;
 #[cfg(not(any(target_arch = "aarch64", target_arch = "arm", target_arch = "powerpc64")))]
 const O_DIRECT: i32 = 0o40000;
-
-/// I/O queue depth: the in-flight request target of a vectored
-/// submission.
-const DEFAULT_QUEUE_DEPTH: usize = 8;
-
-/// One aligned bounce read covering a caller range.
-struct AlignedJob {
-    /// Aligned file offset the bounce read starts at.
-    lo: u64,
-    /// Bytes that must be present in the bounce buffer (unaligned tail of
-    /// the caller's range relative to `lo`).
-    needed: usize,
-    /// Aligned transfer length.
-    alen: usize,
-    buf: AlignedBuf,
-}
 
 /// Read-only `O_DIRECT` device over a shard or index file.
 ///
@@ -75,9 +58,9 @@ impl DirectDevice {
             path: path.to_path_buf(),
             file,
             len,
-            // Enough idle buffers to serve a full-depth batch without
-            // re-allocating, plus slack for concurrent readers.
-            pool: BufPool::new(2 * DEFAULT_QUEUE_DEPTH),
+            // Idle bounce buffers kept for concurrent readers (ROP rows,
+            // COP columns) so that a read rarely allocates.
+            pool: BufPool::new(16),
         };
         device.probe_read()?;
         Ok(device)
@@ -138,69 +121,6 @@ impl DirectDevice {
         }
         Ok(filled)
     }
-
-    fn job_for(&self, offset: u64, len: usize) -> AlignedJob {
-        let lo = align_down(offset);
-        let needed = (offset + len as u64 - lo) as usize;
-        let alen = align_up(needed as u64) as usize;
-        AlignedJob { lo, needed, alen, buf: self.pool.take(alen) }
-    }
-
-    fn check_filled(&self, job: &AlignedJob, filled: usize) -> Result<()> {
-        if filled < job.needed {
-            return Err(StorageError::io_at(
-                &self.path,
-                std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "direct read at {} got {filled} of {} aligned bytes",
-                        job.lo, job.needed
-                    ),
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Thread-pool fan-out over aligned jobs: up to [`DEFAULT_QUEUE_DEPTH`]
-    /// scoped worker threads claim jobs from a shared counter and `pread`
-    /// them concurrently.
-    #[cfg(unix)]
-    fn fan_out(&self, jobs: &mut [AlignedJob]) -> Result<()> {
-        let workers = DEFAULT_QUEUE_DEPTH.min(jobs.len());
-        if workers <= 1 {
-            for job in jobs.iter_mut() {
-                let filled = self.pread_aligned(job.lo, &mut job.buf[..job.alen])?;
-                self.check_filled(job, filled)?;
-            }
-            return Ok(());
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Option<Result<()>>>> =
-            jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        let jobs_cells: Vec<parking_lot::Mutex<&mut AlignedJob>> =
-            jobs.iter_mut().map(parking_lot::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs_cells.len() {
-                        break;
-                    }
-                    let mut job = jobs_cells[i].lock();
-                    let job = &mut **job;
-                    let res = self
-                        .pread_aligned(job.lo, &mut job.buf[..job.alen])
-                        .and_then(|filled| self.check_filled(job, filled));
-                    *results[i].lock() = Some(res);
-                });
-            }
-        });
-        for cell in results {
-            cell.into_inner().expect("worker completed every claimed job")?;
-        }
-        Ok(())
-    }
 }
 
 impl Device for DirectDevice {
@@ -208,23 +128,25 @@ impl Device for DirectDevice {
         self.len
     }
 
+    /// One aligned bounce read covering the request, then a copy out.
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_ranges(&mut [RangeRead { offset, buf }])
-    }
-
-    /// Vectored multi-range read: one aligned bounce read per range,
-    /// overlapped at queue depth by the scoped-thread fan-out.
-    fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()> {
-        let mut jobs: Vec<AlignedJob> =
-            ranges.iter().map(|r| self.job_for(r.offset, r.buf.len())).collect();
-        self.fan_out(&mut jobs)?;
-        for (r, job) in ranges.iter_mut().zip(&jobs) {
-            let skip = (r.offset - job.lo) as usize;
-            r.buf.copy_from_slice(&job.buf[skip..skip + r.buf.len()]);
+        let lo = align_down(offset);
+        let needed = (offset + buf.len() as u64 - lo) as usize;
+        let alen = align_up(needed as u64) as usize;
+        let mut bounce = self.pool.take(alen);
+        let filled = self.pread_aligned(lo, &mut bounce[..alen])?;
+        if filled < needed {
+            return Err(StorageError::io_at(
+                &self.path,
+                std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!("direct read at {lo} got {filled} of {needed} aligned bytes"),
+                ),
+            ));
         }
-        for job in jobs {
-            self.pool.give(job.buf);
-        }
+        let skip = (offset - lo) as usize;
+        buf.copy_from_slice(&bounce[skip..skip + buf.len()]);
+        self.pool.give(bounce);
         Ok(())
     }
 }
@@ -278,42 +200,6 @@ mod tests {
             file.read_exact_at(off, &mut b).unwrap();
             assert_eq!(a, b, "mismatch at offset {off} len {len}");
             assert_eq!(a, &data[off as usize..off as usize + len]);
-        }
-    }
-
-    #[test]
-    fn read_ranges_scatters_aligned_jobs() {
-        let data = patterned(4 * DIRECT_ALIGN);
-        let Some((_d, direct, _)) = open_or_skip(&data) else { return };
-        let (mut a, mut m, mut z) = ([0u8; 8], [0u8; 5000], [0u8; 4]);
-        let mut ranges = [
-            RangeRead { offset: 10, buf: &mut a },
-            RangeRead { offset: DIRECT_ALIGN as u64 - 100, buf: &mut m },
-            RangeRead { offset: 3 * DIRECT_ALIGN as u64 + 500, buf: &mut z },
-        ];
-        direct.read_ranges(&mut ranges).unwrap();
-        assert_eq!(a, data[10..18]);
-        assert_eq!(m[..], data[DIRECT_ALIGN - 100..DIRECT_ALIGN - 100 + 5000]);
-        assert_eq!(z, data[3 * DIRECT_ALIGN + 500..3 * DIRECT_ALIGN + 504]);
-    }
-
-    #[test]
-    fn many_ranges_exceeding_queue_depth() {
-        let data = patterned(8 * DEFAULT_QUEUE_DEPTH * DIRECT_ALIGN);
-        let Some((_d, direct, _)) = open_or_skip(&data) else { return };
-        // Four claims per fan-out worker.
-        let n = 4 * DEFAULT_QUEUE_DEPTH;
-        let mut bufs: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; 777]).collect();
-        let mut ranges: Vec<RangeRead<'_>> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| RangeRead { offset: (i * 2 * DIRECT_ALIGN + 13 * i) as u64, buf: b })
-            .collect();
-        direct.read_ranges(&mut ranges).unwrap();
-        drop(ranges);
-        for (i, b) in bufs.iter().enumerate() {
-            let off = i * 2 * DIRECT_ALIGN + 13 * i;
-            assert_eq!(b[..], data[off..off + 777], "range {i}");
         }
     }
 }

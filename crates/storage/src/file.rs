@@ -3,7 +3,6 @@
 
 use crate::error::{Result, StorageError};
 use crate::metered::Device;
-use crate::RangeRead;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,26 +76,12 @@ impl Device for FileDevice {
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.file.read_exact_at(buf, offset).map_err(|e| StorageError::io_at(&self.path, e))
     }
-
-    /// One spanning `pread`, then scatter: the disk head travels the run
-    /// once (the elevator pass a real scheduler would make from the same
-    /// queue) for one syscall. Gap bytes are read, never billed.
-    fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()> {
-        let lo = ranges.iter().map(|r| r.offset).min().unwrap_or(0);
-        let hi = ranges.iter().map(|r| r.offset + r.buf.len() as u64).max().unwrap_or(lo);
-        let mut span = vec![0u8; (hi - lo) as usize];
-        self.read_exact_at(lo, &mut span)?;
-        for r in ranges.iter_mut() {
-            let s = (r.offset - lo) as usize;
-            r.buf.copy_from_slice(&span[s..s + r.buf.len()]);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RangeRead;
 
     fn device(content: &[u8]) -> (tempfile::TempDir, FileDevice) {
         let dir = tempfile::tempdir().unwrap();

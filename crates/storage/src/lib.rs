@@ -39,7 +39,7 @@
 
 #![warn(missing_docs)]
 
-pub mod aligned;
+mod aligned;
 pub mod buffer;
 pub mod checksum;
 pub mod delta;
@@ -58,7 +58,6 @@ pub mod probe;
 pub mod retry;
 pub mod tracker;
 
-pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
 pub use buffer::TrackedWriter;
 pub use checksum::{crc32c, Crc32c, ShardFooter};
 pub use delta::{DeltaRecord, DeltaRun};
@@ -104,15 +103,16 @@ pub trait ReadBackend: Send + Sync {
     /// Fill several disjoint ranges in one logical request.
     ///
     /// The default implementation loops [`ReadBackend::read_at`] (one
-    /// tracked access per range). A device reader overrides it with the
-    /// device's own multi-range shape — one spanning `pread` on `file`,
-    /// queue-depth fan-out on `direct` — and bills the *requested* bytes
-    /// once, so the modeled byte count is identical either way and only
-    /// the operation count shrinks. Callers pass ranges sorted by offset —
-    /// vectored submission and the spanning read both rely on it, and the
-    /// metered layer debug-asserts it. Sorted ranges may overlap (adjacent
-    /// vertices' 8-byte index probes share an offset); each is filled and
-    /// billed in full.
+    /// tracked access per range). A device reader overrides it — one
+    /// device read from the first range's start to the furthest range
+    /// end, then a copy out per range, on `file` and `direct` alike; one
+    /// copy per range out of the map on `mmap` — and bills the
+    /// *requested* bytes once, so the modeled byte count is identical
+    /// either way and only the operation count shrinks. Callers pass
+    /// ranges sorted by offset — the spanning read starts at the first —
+    /// and the metered layer debug-asserts it. Sorted ranges may overlap
+    /// (adjacent vertices' 8-byte index probes share an offset); each is
+    /// filled and billed in full.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
         debug_assert_ranges_sorted(ranges);
         for r in ranges {
@@ -140,8 +140,8 @@ pub struct RangeRead<'a> {
 }
 
 /// Debug-assert the [`ReadBackend::read_ranges`] calling convention:
-/// ranges sorted by offset. Vectored submission orders its queue by this,
-/// and the spanning read computes its span from it.
+/// ranges sorted by offset, so that a batch's span starts at its first
+/// range.
 pub(crate) fn debug_assert_ranges_sorted(ranges: &[RangeRead<'_>]) {
     debug_assert!(
         ranges.windows(2).all(|w| w[0].offset <= w[1].offset),

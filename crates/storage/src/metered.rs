@@ -3,8 +3,8 @@
 //! The paper's I/O amounts (Fig. 9) and the predictor's `C_rop`/`C_cop`
 //! (§3.4) rest on one accounting rule: every read is classed by its
 //! caller's [`Access`] and billed exactly its requested bytes. A
-//! [`Device`] — `pread` on a file, a copy out of a map, or `O_DIRECT`
-//! bounce reads — only moves bytes; [`Metered`] wraps one and applies the
+//! [`Device`] — `pread` on a file, a copy out of a map, or an `O_DIRECT`
+//! bounce read — only moves bytes; [`Metered`] wraps one and applies the
 //! rule, once for all of them: the bounds check, the zero-length cases,
 //! the sorted-ranges convention, the `storage.read_ns.*` latency
 //! histograms and the single [`IoTracker::record_read`] call. Backends
@@ -36,9 +36,21 @@ pub(crate) trait Device: Send + Sync {
     /// Fill `buf` with the bytes starting at `offset`.
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
 
-    /// Fill two or more ranges, sorted by offset, in this device's own
-    /// shape for a multi-range request.
-    fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()>;
+    /// Fill two or more ranges, sorted by offset. One spanning
+    /// [`Device::read_exact_at`], then scatter: the disk head travels the
+    /// run once (the elevator pass a real scheduler would make from the
+    /// same queue) for one request. Gap bytes are read, never billed.
+    fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()> {
+        let lo = ranges.iter().map(|r| r.offset).min().unwrap_or(0);
+        let hi = ranges.iter().map(|r| r.offset + r.buf.len() as u64).max().unwrap_or(lo);
+        let mut span = vec![0u8; (hi - lo) as usize];
+        self.read_exact_at(lo, &mut span)?;
+        for r in ranges.iter_mut() {
+            let s = (r.offset - lo) as usize;
+            r.buf.copy_from_slice(&span[s..s + r.buf.len()]);
+        }
+        Ok(())
+    }
 }
 
 /// A [`Device`] under the accounting rule. [`crate::StorageDir::reader`]
@@ -197,9 +209,51 @@ mod tests {
         (dir, out)
     }
 
+    /// A device that serves `patterned` bytes and logs every
+    /// `read_exact_at` it is asked for; it takes the provided `read_ranges`.
+    struct Counting {
+        len: u64,
+        reads: std::sync::Mutex<Vec<(u64, usize)>>,
+    }
+
+    impl Device for Counting {
+        fn len(&self) -> u64 {
+            self.len
+        }
+
+        fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.reads.lock().unwrap().push((offset, buf.len()));
+            buf.copy_from_slice(&patterned(offset as usize + buf.len())[offset as usize..]);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sorted_batch_is_one_spanning_device_read() {
+        let data = patterned(4096);
+        let device = Counting { len: 4096, reads: Default::default() };
+        let tracker = Arc::new(IoTracker::new());
+        let metered = Metered::new(device, Arc::clone(&tracker));
+        // The second range overlaps the first, and the third ends past the
+        // fourth: the span runs to the furthest end, not the last range's.
+        let (mut a, mut b, mut c, mut d) = ([0u8; 16], [0u8; 8], [0u8; 900], [0u8; 4]);
+        let mut ranges = [
+            RangeRead { offset: 100, buf: &mut a },
+            RangeRead { offset: 108, buf: &mut b },
+            RangeRead { offset: 1000, buf: &mut c },
+            RangeRead { offset: 1200, buf: &mut d },
+        ];
+        metered.read_ranges(&mut ranges, Access::Batched).unwrap();
+        assert_eq!(*metered.device.reads.lock().unwrap(), [(100, 1900 - 100)]);
+        assert_eq!((&a[..], &b[..]), (&data[100..116], &data[108..116]));
+        assert_eq!((&c[..], &d[..]), (&data[1000..1900], &data[1200..1204]));
+        let s = tracker.snapshot();
+        assert_eq!((s.batched_read_bytes, s.batched_read_ops), (16 + 8 + 900 + 4, 1));
+    }
+
     #[test]
     fn every_device_bills_requested_bytes_as_one_op() {
-        let data = patterned(4 * 4096);
+        let data = patterned(64 * 4096);
         let (_d, backends) = every_device(&data);
         for (tracker, b) in backends {
             let mut buf = vec![0u8; 100];
@@ -217,6 +271,20 @@ mod tests {
             assert_eq!((&a[..], &z[..]), (&data[10..18], &data[3 * 4096 + 500..3 * 4096 + 504]));
             assert_eq!(m[..], data[4096 - 100..4096 - 100 + 5000]);
 
+            // A long batch: 32 ranges of 777 bytes, each past the next
+            // sector boundary.
+            let at = |i: usize| 2 * 4096 * i + 13 * i;
+            let mut bufs = vec![[0u8; 777]; 32];
+            let mut ranges: Vec<RangeRead<'_>> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, buf)| RangeRead { offset: at(i) as u64, buf })
+                .collect();
+            b.read_ranges(&mut ranges, Access::Batched).unwrap();
+            for (i, buf) in bufs.iter().enumerate() {
+                assert_eq!(buf[..], data[at(i)..at(i) + 777], "range {i}");
+            }
+
             // Overlapping ranges (adjacent index probes) are each filled
             // and billed in full.
             let (mut x, mut y) = ([0u8; 8], [0u8; 8]);
@@ -228,7 +296,7 @@ mod tests {
             let s = tracker.snapshot();
             assert_eq!((s.rand_read_bytes, s.rand_read_ops), (100 + 16, 2));
             assert_eq!((s.seq_read_bytes, s.seq_read_ops), (0, 1), "zero-length read");
-            assert_eq!((s.batched_read_bytes, s.batched_read_ops), (8 + 5000 + 4, 1));
+            assert_eq!((s.batched_read_bytes, s.batched_read_ops), (8 + 5000 + 4 + 32 * 777, 2));
         }
     }
 

@@ -54,7 +54,7 @@ impl Device for MmapDevice {
         Ok(())
     }
 
-    /// One copy per range: a map has no syscall to save.
+    /// One copy per range: a map makes no request that a span could save.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>]) -> Result<()> {
         for r in ranges.iter_mut() {
             self.read_exact_at(r.offset, r.buf)?;
