@@ -5,7 +5,8 @@
 //!
 //! It runs over the same dual-block representation as HUS-Graph
 //! (out-blocks + indices), pushing from active vertices with ROP's own
-//! index and edge fetches (`rop::plan_block_fetch`), but pays **zero
+//! index and edge fetches (`rop::plan_block_fetch`, keeping each offset
+//! array it reads whole for the run, as HUS does), but pays **zero
 //! vertex I/O**. The paper positions such systems as needing "expensive
 //! SSD arrays and large memory" to shine; the `exp_semi_external`
 //! experiment shows exactly that — on the HDD profile it behaves like
@@ -14,7 +15,7 @@
 use crate::common::BaselineConfig;
 use hus_core::active::ActiveSet;
 use hus_core::predict::{Decision, UpdateModel};
-use hus_core::rop::{self, IterCtx};
+use hus_core::rop::{self, IterCtx, KeptOffsets};
 use hus_core::stats::{RunRecorder, RunStats};
 use hus_core::{HusGraph, VertexProgram};
 use hus_obs::span;
@@ -45,6 +46,7 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
         let mut current: Vec<Pr::Value> = (0..v).map(|x| self.program.init(x)).collect();
         let mut active = ActiveSet::initial(self.program, v);
         let mut converged = false;
+        let kept = KeptOffsets::new(p);
 
         for iteration in 0..self.config.max_iterations {
             let active_vertices = active.count();
@@ -67,6 +69,7 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
                 coalesce_ratio: device.batched_bps / device.random_bps,
                 index_ratio: device.sequential_bps / device.random_bps,
                 deadline: None,
+                kept: &kept,
             };
 
             // Next values start from reset(current) — synchronous.
@@ -79,14 +82,14 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
             for i in 0..p {
                 let base = meta.interval_start(i);
                 let end = meta.interval_starts[i + 1];
-                let actives: Vec<u32> = active.iter_range(base, end).collect();
-                if actives.is_empty() {
+                let marked = active.marked_words(base, end);
+                if marked.is_empty() {
                     continue;
                 }
                 let _s = span!("push.row", interval = i);
                 let s_row = &current[base as usize..end as usize];
                 for j in 0..p {
-                    let Some(fetch) = rop::plan_block_fetch(&ctx, i, j, base, &actives)? else {
+                    let Some(fetch) = rop::plan_block_fetch(&ctx, i, j, base, &marked)? else {
                         continue;
                     };
                     let dst = meta.interval_start(j) as usize..meta.interval_starts[j + 1] as usize;
@@ -100,6 +103,7 @@ impl<'a, Pr: VertexProgram> SemiExternalEngine<'a, Pr> {
             rec.end_iteration(push, None, (p as u32, 0), edges_this_iter);
             active = next_active;
         }
+        rec.kept_offsets(kept.bytes());
         rec.finish(converged, Default::default(), || Ok(current))
     }
 }

@@ -106,6 +106,28 @@ impl ActiveSet {
         self.iter_range(start, end).count() as u64
     }
 
+    /// The active vertices of `[start, end)` as a bitmap over the range
+    /// — local vertex `k` at bit `k % 64` of word `k / 64` — listed by
+    /// its nonzero words, `(word index, word)`, ascending. Reads whole
+    /// words, never single vertices.
+    pub fn marked_words(&self, start: VertexId, end: VertexId) -> Vec<(usize, u64)> {
+        assert!(start <= end && end <= self.num_vertices);
+        let (len, first, shift) = ((end - start) as usize, start as usize / 64, start % 64);
+        let word = |w: usize| self.words.get(w).map_or(0, |x| x.load(Ordering::Relaxed));
+        (0..len.div_ceil(64))
+            .filter_map(|k| {
+                let mut bits = word(first + k) >> shift;
+                if shift > 0 {
+                    bits |= word(first + k + 1) << (64 - shift);
+                }
+                if len - 64 * k < 64 {
+                    bits &= (1 << (len - 64 * k)) - 1;
+                }
+                (bits != 0).then_some((k, bits))
+            })
+            .collect()
+    }
+
     /// Whether no vertex is active.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
@@ -240,6 +262,22 @@ mod tests {
         assert_eq!(got, vec![1, 63, 64, 65, 127, 128]);
         let all: Vec<u32> = s.iter().collect();
         assert_eq!(all, vec![0, 1, 63, 64, 65, 127, 128, 200, 255]);
+    }
+
+    #[test]
+    fn marked_words_are_the_range_rebased_to_its_start() {
+        let s = ActiveSet::from_fn(300, |v| v % 7 == 3 || (100..170).contains(&v));
+        for (start, end) in [(0, 300), (1, 200), (64, 128), (70, 299), (130, 131), (5, 5)] {
+            let mut want: Vec<(usize, u64)> = Vec::new();
+            for v in s.iter_range(start, end) {
+                let k = (v - start) as usize;
+                match want.last_mut() {
+                    Some((w, bits)) if *w == k / 64 => *bits |= 1 << (k % 64),
+                    _ => want.push((k / 64, 1 << (k % 64))),
+                }
+            }
+            assert_eq!(s.marked_words(start, end), want, "[{start}, {end})");
+        }
     }
 
     #[test]

@@ -198,6 +198,7 @@ mod tests {
             threads: 1,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 0,
         }
     }
 

@@ -331,6 +331,7 @@ mod tests {
                 at: std::time::Instant::now() - std::time::Duration::from_millis(1),
                 budget_ms: 7,
             }),
+            kept: &crate::rop::KeptOffsets::new(4),
         };
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();

@@ -10,7 +10,7 @@ use crate::cop;
 use crate::graph::HusGraph;
 use crate::predict::{Decision, IoPlan, Predictor, UpdateModel};
 use crate::program::VertexProgram;
-use crate::rop::{self, Frontier, IterCtx};
+use crate::rop::{self, Frontier, IterCtx, KeptOffsets};
 use crate::stats::{CheckpointStats, RunRecorder, RunStats};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
@@ -415,6 +415,10 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             Predictor::new(self.config.throughput, self.graph.disk_edge_bytes(), value_bytes);
         predictor.paper_literal = self.config.paper_literal_predictor;
         let tput = &self.config.throughput;
+        // Every out-offset array a push reads whole is kept for the rest
+        // of this run (not the handle's: a run's bill never depends on
+        // the runs before it).
+        let kept = KeptOffsets::new(self.graph.p());
 
         let mut converged = false;
         for iteration in start_iteration..self.config.max_iterations {
@@ -454,6 +458,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                     coalesce_ratio: tput.batched_bps / tput.random_bps,
                     index_ratio: tput.sequential_bps / tput.random_bps,
                     deadline: self.config.deadline,
+                    kept: &kept,
                 };
                 let resident = store.resident_mask();
                 self.plan_iteration(&predictor, &ctx, frontier.as_ref(), &resident)
@@ -503,6 +508,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         if let Some(mgr) = &ckpt_mgr {
             mgr.clear();
         }
+        rec.kept_offsets(kept.bytes());
         rec.finish(converged, ckpt_stats, || store.read_all_current())
     }
 }
@@ -644,9 +650,13 @@ mod tests {
         let rop_iter = &rop_stats.iterations[0];
         let cop_iter = &cop_stats.iterations[0];
         // The fully-active first iteration coalesces into batched
-        // sweeps; the sparse tail issues genuinely random range reads.
+        // sweeps; on a raw graph the sparse tail issues genuinely random
+        // range reads. A compressed block is read whole whatever range
+        // is asked for, and the offsets the first iteration read are
+        // kept, so there ROP reads nothing at random.
         assert!(rop_iter.io.batched_read_bytes > 0);
-        assert!(rop_stats.total_io.rand_read_bytes > 0);
+        let rand = rop_stats.total_io.rand_read_bytes;
+        assert_eq!(rand > 0, g.codec().is_raw(), "{rand} random bytes on {:?}", g.codec());
         assert_eq!(cop_stats.total_io.rand_read_bytes, 0);
         assert_eq!(cop_stats.total_io.batched_read_bytes, 0);
         assert!(cop_iter.io.seq_read_bytes > rop_iter.io.seq_read_bytes);
@@ -820,6 +830,28 @@ mod tests {
         assert!(drops > 0, "the wavefront leaves intervals behind");
         let population = 4 * el.num_vertices as u64;
         assert_eq!(stats.total_io.write_bytes, population + drops);
+    }
+
+    /// The kept out-offsets belong to one run, not to the handle: a
+    /// second hybrid run on the same graph reads every offset array the
+    /// first one read, and bills the same bytes, iteration by iteration.
+    #[test]
+    fn consecutive_runs_on_one_handle_bill_the_same_bytes() {
+        let el = hus_gen::watts_strogatz(1 << 12, 8, 0.01, 4);
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let config = BuildConfig::with_p_codec(8, hus_codec::Codec::Raw);
+        let g = HusGraph::build_into(&el, &dir, &config).unwrap();
+        let config = RunConfig { threads: 2, ..Default::default() };
+        let (first_levels, first) = Engine::new(&g, &Levels, config.clone()).run().unwrap();
+        let (second_levels, second) = Engine::new(&g, &Levels, config).run().unwrap();
+        assert_eq!(first_levels, second_levels);
+        assert!(first.iterations_with_model(UpdateModel::Rop) > 1);
+        assert!(first.kept_offset_bytes > 0);
+        assert_eq!(first.kept_offset_bytes, second.kept_offset_bytes);
+        assert_eq!(first.total_io, second.total_io);
+        let bills = |stats: &RunStats| stats.iterations.iter().map(|it| it.io).collect::<Vec<_>>();
+        assert_eq!(bills(&first), bills(&second));
     }
 
     #[test]

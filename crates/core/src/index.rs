@@ -8,7 +8,9 @@
 //! so asking whether a vertex has edges in a block, or where its offset
 //! sits in the block's offset array, costs no I/O. Only the offsets are
 //! read per run: a probe of an occupied vertex is one 8-byte read at its
-//! rank, a whole-index load reads `(occupied + 1)` entries.
+//! rank, a whole-index load reads `(occupied + 1)` entries — which an
+//! engine run then keeps for its remaining pushes
+//! ([`crate::rop::KeptOffsets`]).
 //!
 //! A block of the delta overlay has the same two parts, built in memory
 //! by the same [`BlockParts`] that lays out every block the
@@ -81,6 +83,22 @@ impl Occupancy {
         (self.ranks[w / RANK_WORDS] + before + below.count_ones()) as usize
     }
 
+    /// The occupied local vertices among those a bitmap over the
+    /// interval marks, ascending. `marked` lists the bitmap's nonzero
+    /// words as `(word index, word)`, ascending
+    /// ([`crate::ActiveSet::marked_words`]); each is one AND with the
+    /// occupancy, not one test per vertex.
+    pub fn among<'s>(&'s self, marked: &'s [(usize, u64)]) -> impl Iterator<Item = usize> + 's {
+        marked.iter().flat_map(move |&(w, bits)| {
+            let mut hit = bits & self.words[w];
+            std::iter::from_fn(move || {
+                let k = (hit != 0).then(|| w * 64 + hit.trailing_zeros() as usize);
+                hit &= hit.wrapping_sub(1);
+                k
+            })
+        })
+    }
+
     /// Every occupied local vertex, ascending.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
@@ -118,6 +136,21 @@ impl<'a> BlockIndex<'a> {
     /// The index of a block with `occupancy` and its offsets.
     pub(crate) fn new(occupancy: &'a Occupancy, offsets: impl Into<Cow<'a, [u32]>>) -> Self {
         BlockIndex { occupancy, offsets: offsets.into() }
+    }
+
+    /// The block's occupancy.
+    pub(crate) fn occupancy(&self) -> &'a Occupancy {
+        self.occupancy
+    }
+
+    /// The offsets, when they were read from disk (a base block) for the
+    /// caller to keep; the index itself when it lends them from memory
+    /// (an overlay block).
+    pub(crate) fn into_read_offsets(self) -> std::result::Result<Vec<u32>, Self> {
+        match self.offsets {
+            Cow::Owned(offsets) => Ok(offsets),
+            Cow::Borrowed(_) => Err(self),
+        }
     }
 
     /// Records `[lo, hi)` of local vertex `local`; `(0, 0)` when it has
@@ -287,5 +320,22 @@ mod tests {
         assert_eq!(index.ranges().collect::<Vec<_>>(), [(1, 0, 2), (4, 2, 5)]);
         assert_eq!(index.range(4), (2, 5));
         assert_eq!(index.range(3), (0, 0));
+    }
+
+    #[test]
+    fn among_keeps_the_marked_occupied_vertices() {
+        let set: Vec<usize> = (0..1200).filter(|k| k % 3 == 0 || k % 7 == 5).collect();
+        let occ = occupancy(1200, &set);
+        let marked_vertices: Vec<usize> = (0..1200).filter(|k| k % 5 == 0 || *k > 1100).collect();
+        let mut marked: Vec<(usize, u64)> = Vec::new();
+        for &k in &marked_vertices {
+            match marked.last_mut() {
+                Some((w, bits)) if *w == k / 64 => *bits |= 1 << (k % 64),
+                _ => marked.push((k / 64, 1 << (k % 64))),
+            }
+        }
+        let want: Vec<usize> = marked_vertices.into_iter().filter(|&k| occ.contains(k)).collect();
+        assert!(want.len() > 100);
+        assert_eq!(occ.among(&marked).collect::<Vec<_>>(), want);
     }
 }

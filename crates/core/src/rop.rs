@@ -1,7 +1,7 @@
 //! Row-oriented Push (paper §3.3, Algorithm 2).
 //!
-//! Processing row `i`: load `S_i`; for every out-block `(i, j)` load the
-//! out-index, selectively fetch each active vertex's out-edge range
+//! Processing row `i`: load `S_i`; for every out-block `(i, j)` look up
+//! the out-index, selectively fetch each active vertex's out-edge range
 //! (random I/O — the whole point of ROP is to pay random access in
 //! exchange for touching only active edges), derive `D_j = reset(S_j)`
 //! on the first block that actually has edges to push, and push messages
@@ -18,12 +18,23 @@
 //! it is written back only by the push that drops it — one that neither
 //! pushes into interval `j` nor re-derives it ([`Intervals::finish`]).
 //!
+//! A run keeps every out-block's offset array it reads whole
+//! ([`KeptOffsets`]): the first whole read of a base block's offsets is
+//! billed and CRC-checked, and every later lookup in that block during
+//! the run — a whole-array range or a would-be probe — is answered from
+//! memory. The paper's Algorithm 2 reloads the index on every push; held
+//! for a run it costs at most 4 B per occupied (vertex, block) plus one
+//! terminal offset per block, where re-reading it costs that every
+//! iteration the block is touched.
+//!
 //! [`plan`] prices an iteration before it runs by walking the same
 //! choices over a one-pass [`Frontier`] summary — the `C_rop` side of
-//! the hybrid predictor ([`crate::predict`]).
+//! the hybrid predictor ([`crate::predict`]); a kept block is priced by
+//! its actual ranges, as the executor fetches them.
 
 use crate::active::ActiveSet;
 use crate::graph::{EdgeRecords, HusGraph};
+use crate::index::BlockIndex;
 use crate::meta::{Orientation, INDEX_ENTRY_BYTES, INDEX_PROBE_BYTES};
 use crate::predict::IoPlan;
 use crate::program::{EdgeCtx, VertexProgram};
@@ -33,7 +44,8 @@ use hus_storage::pod::Pod;
 use hus_storage::{Access, Result};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Sizes (in edges) of the selectively-fetched per-vertex ranges — the
 /// distribution behind ROP's random-I/O bill.
@@ -46,6 +58,58 @@ static SELECTIVE_BLOCKS: hus_obs::LazyCounter = hus_obs::LazyCounter::new("rop.s
 /// reads and are not recorded here).
 static MERGED_RUN_RANGES: hus_obs::LazyHistogram =
     hus_obs::LazyHistogram::new("rop.merged_run_ranges");
+/// Bytes of out-offset arrays the run in flight keeps ([`KeptOffsets`]).
+static KEPT_OFFSET_BYTES: hus_obs::LazyGauge = hus_obs::LazyGauge::new("rop.kept_offset_bytes");
+
+/// The out-offset arrays one run keeps: a slot per out-block `(i, j)`,
+/// filled by the first whole read of a base block's offsets
+/// ([`plan_block_fetch`]) and read from memory for the rest of the run.
+/// Overlay blocks lend their offsets from memory already and are never
+/// kept. The engine owns one per [`Engine::run`](crate::Engine::run),
+/// so a run's bill does not depend on the runs before it.
+pub struct KeptOffsets {
+    p: usize,
+    slots: Box<[OnceLock<Box<[u32]>>]>,
+    bytes: AtomicU64,
+}
+
+impl KeptOffsets {
+    /// Empty slots for the `P × P` out-blocks of a graph with `p`
+    /// intervals; the `rop.kept_offset_bytes` gauge restarts from zero.
+    pub fn new(p: usize) -> Self {
+        KEPT_OFFSET_BYTES.set(0);
+        let slots = (0..p * p).map(|_| OnceLock::new()).collect();
+        KeptOffsets { p, slots, bytes: AtomicU64::new(0) }
+    }
+
+    /// Out-block `(i, j)`'s offsets, once kept.
+    fn get(&self, i: usize, j: usize) -> Option<&[u32]> {
+        self.slots[i * self.p + j].get().map(|offsets| &offsets[..])
+    }
+
+    /// Keep `index`, just read for out-block `(i, j)`, for the rest of
+    /// the run, and answer from the kept copy; an index that lends its
+    /// offsets from memory (an overlay block) is used as it is. Only the
+    /// one worker pushing the block in an iteration fills its slot.
+    fn keep<'x>(&'x self, i: usize, j: usize, index: BlockIndex<'x>) -> BlockIndex<'x> {
+        let occupancy = index.occupancy();
+        let offsets = match index.into_read_offsets() {
+            Ok(offsets) => offsets,
+            Err(lent) => return lent,
+        };
+        let slot = &self.slots[i * self.p + j];
+        let bytes = std::mem::size_of_val(&offsets[..]) as u64;
+        if slot.set(offsets.into_boxed_slice()).is_ok() {
+            KEPT_OFFSET_BYTES.set(self.bytes.fetch_add(bytes, Ordering::Relaxed) + bytes);
+        }
+        BlockIndex::new(occupancy, &slot.get().expect("just kept")[..])
+    }
+
+    /// Bytes of the offset arrays kept so far.
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
+    }
+}
 
 /// Shared read-only state for one iteration's workers.
 pub struct IterCtx<'a, Pr: VertexProgram> {
@@ -69,6 +133,8 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     /// ([`RunConfig::deadline`](crate::engine::RunConfig)), checked at
     /// every block boundary of the ROP/COP loops.
     pub deadline: Option<crate::engine::Deadline>,
+    /// The run's kept out-offset arrays.
+    pub kept: &'a KeptOffsets,
 }
 
 /// Maximum byte gap between two selective edge ranges that are still
@@ -273,7 +339,7 @@ pub fn run_row<Pr: VertexProgram>(
     let meta = ctx.graph.meta();
     let base = meta.interval_start(row);
     let end = meta.interval_starts[row + 1];
-    let actives: Vec<VertexId> = ctx.active.iter_range(base, end).collect();
+    let marked = ctx.active.marked_words(base, end);
     // S_i: read-only source values for the whole row. Index transfers
     // are contiguous, so they are billed sequential, like the interval
     // values; only the per-vertex edge-range fetches below are random.
@@ -287,7 +353,7 @@ pub fn run_row<Pr: VertexProgram>(
         .into_par_iter()
         .map(|j| {
             crate::engine::check_deadline(ctx.deadline.as_ref())?;
-            let Some(fetch) = plan_block_fetch(ctx, row, j, base, &actives)? else {
+            let Some(fetch) = plan_block_fetch(ctx, row, j, base, &marked)? else {
                 return Ok(0);
             };
             let mut slot = intervals.dests[j].lock();
@@ -341,20 +407,23 @@ fn merge_runs(
     if plan.is_empty() {
         return Vec::new();
     }
-    let Some(slack) = slack_bytes else {
-        return (0..plan.len()).map(|k| k..k + 1).collect();
-    };
     let mut runs = Vec::new();
     let mut start = 0usize;
     for k in 1..plan.len() {
-        let gap_records = plan[k].1.saturating_sub(plan[k - 1].2) as u64;
-        if gap_records * record_bytes > slack {
+        if !joins(plan[k - 1].2, plan[k].1, record_bytes, slack_bytes) {
             runs.push(start..k);
             start = k;
         }
     }
     runs.push(start..plan.len());
     runs
+}
+
+/// Whether a range starting at record `lo` joins the run that ends at
+/// record `end`: their byte gap is at most `slack_bytes` (`None`: no
+/// range ever does) — [`merge_runs`]'s rule.
+fn joins(end: u32, lo: u32, record_bytes: u64, slack_bytes: Option<u64>) -> bool {
+    slack_bytes.is_some_and(|slack| lo.saturating_sub(end) as u64 * record_bytes <= slack)
 }
 
 /// What out-block `(row, j)` fetches for this frontier, decided from its
@@ -368,24 +437,93 @@ pub struct BlockFetch {
     sweep: bool,
 }
 
-/// Read out-block `(row, j)`'s index for the row's `actives` and choose
-/// its fetch plan; `None` when no active vertex has an edge in the
-/// block, so the caller never loads `D_j` for it.
+/// How ROP fetches a raw block's selected `ranges` ([`fetch_choice`]).
+struct FetchChoice {
+    /// One coalesced sweep of the whole block is predicted no dearer
+    /// than the selective fetch.
+    sweep: bool,
+    /// Records in singleton runs, fetched at the random rate when not
+    /// swept.
+    single: u64,
+    /// Records in merged runs, fetched at the batched rate when not
+    /// swept.
+    merged: u64,
+}
+
+/// The fetch choice for the ascending `(lo, hi)` record ranges of a
+/// block of `block_edges` records: they are grouped into runs by
+/// [`merge_runs`]'s rule under the context's slack, and the block is
+/// swept when its singleton records at the random rate plus its merged
+/// ones at the batched rate cost at least one batched sweep of every
+/// record. [`plan_block_fetch`] fetches by it and [`plan`] prices a
+/// kept block by it, walking the ranges once without collecting them.
+fn fetch_choice<Pr: VertexProgram>(
+    ctx: &IterCtx<'_, Pr>,
+    ranges: impl IntoIterator<Item = (u32, u32)>,
+    block_edges: u64,
+) -> FetchChoice {
+    let (record_bytes, slack) = (ctx.graph.meta().edge_record_bytes(), ctx.merge_slack());
+    let (mut single, mut merged) = (0u64, 0u64);
+    let mut close = |(len, records, _): (usize, u64, u32)| {
+        *if len == 1 { &mut single } else { &mut merged } += records;
+    };
+    // The open run: its range count, records and end.
+    let mut run: Option<(usize, u64, u32)> = None;
+    for (lo, hi) in ranges {
+        let records = (hi - lo) as u64;
+        run = match run {
+            Some((len, sum, end)) if joins(end, lo, record_bytes, slack) => {
+                Some((len + 1, sum + records, hi))
+            }
+            open => {
+                open.map(&mut close);
+                Some((1, records, hi))
+            }
+        };
+    }
+    run.map(close);
+    let sweep = single as f64 * ctx.coalesce_ratio + merged as f64 >= block_edges as f64;
+    FetchChoice { sweep, single, merged }
+}
+
+/// `(vertex, lo, hi)` of the occupied `locals` of the interval starting
+/// at `row_base`, looked up in `index`.
+fn lookup(
+    index: &BlockIndex<'_>,
+    row_base: VertexId,
+    locals: &[usize],
+) -> Vec<(VertexId, u32, u32)> {
+    (locals.iter())
+        .map(|&l| {
+            let (lo, hi) = index.range(l);
+            (row_base + l as VertexId, lo, hi)
+        })
+        .collect()
+}
+
+/// Look up out-block `(row, j)`'s index for the row's active vertices,
+/// `marked` ([`ActiveSet::marked_words`] of the interval starting at
+/// `row_base`), and choose its fetch plan; `None` when no active vertex
+/// has an edge in the block, so the caller never loads `D_j` for it.
 ///
 /// The block's resident occupancy bitmap first drops the actives with
-/// no edge in it, at no I/O; only the rest are looked up, by probes or
-/// one read of the offset array ([`selective_index_probe`]). Then ROP
-/// chooses between two fetch plans with the same cost model the
-/// predictor uses: fetching the active vertices' ranges selectively
-/// costs `bytes / T_random` for isolated ranges and `bytes / T_batched`
-/// for ranges `merge_runs` coalesces; one ascending sweep of the whole
-/// block costs `block_bytes / T_batched`. The cheaper plan is taken, so
-/// a dense scattered frontier gracefully degrades to an elevator sweep
+/// no edge in it, at no I/O; only the rest are looked up. A block whose
+/// offsets the run keeps ([`KeptOffsets`]) answers from memory. Any
+/// other is looked up by probes or one read of the offset array
+/// ([`selective_index_probe`]); a base block's array read whole is kept
+/// for the rest of the run. Then ROP chooses between two fetch plans
+/// with the same cost model the predictor uses (`fetch_choice`):
+/// fetching the active vertices' ranges selectively costs
+/// `bytes / T_random` for isolated ranges and `bytes / T_batched` for
+/// ranges `merge_runs` coalesces; one ascending sweep of the whole block
+/// costs `block_bytes / T_batched`. The cheaper plan is taken, so a
+/// dense scattered frontier gracefully degrades to an elevator sweep
 /// instead of a seek storm, while a clustered one keeps reading only its
-/// runs. On a compressed graph a block that is not in the decoded-block
-/// cache is always swept: any read of it fetches the whole encoded
-/// payload, so the selective plan would move the same bytes at the
-/// random rate.
+/// runs. A probed block, whose index cost already bet on a tiny
+/// frontier, is fetched selectively. On a compressed graph a block that
+/// is not in the decoded-block cache is always swept: any read of it
+/// fetches the whole encoded payload, so the selective plan would move
+/// the same bytes at the random rate.
 ///
 /// [`run_row`] and the semi-external baseline, which holds every vertex
 /// value in memory, fetch edges through here and [`push_fetch`].
@@ -394,54 +532,44 @@ pub fn plan_block_fetch<Pr: VertexProgram>(
     row: usize,
     j: usize,
     row_base: VertexId,
-    actives: &[VertexId],
+    marked: &[(usize, u64)],
 ) -> Result<Option<BlockFetch>> {
     let block_edges = ctx.graph.out_block_len(row, j);
     if block_edges == 0 {
         return Ok(None);
     }
-    let mut locals: Vec<usize> = actives.iter().map(|&v| (v - row_base) as usize).collect();
-    ctx.graph.retain_out_occupied(row, j, &mut locals);
+    let occupancy = ctx.graph.occupied(Orientation::Out, row, j);
+    let locals: Vec<usize> = occupancy.among(marked).collect();
     if locals.is_empty() {
         return Ok(None);
     }
-    let entries = ctx.graph.index_entries(Orientation::Out, row, j) as usize;
-    let record_bytes = ctx.graph.meta().edge_record_bytes();
     // Index probes land on (row, j)'s attribution cell, like the edge
     // fetches of `push_fetch`.
     hus_obs::attr::with_block(row as u32, j as u32, || {
         let mut sweep = !ctx.graph.codec().is_raw() && !ctx.graph.out_records_cached(row, j);
-        let vertex = |local: usize| row_base + local as VertexId;
+        let kept = ctx.kept.get(row, j);
+        let probed = kept.is_none()
+            && selective_index_probe(locals.len(), occupancy.count(), ctx.index_ratio);
         // Every looked-up vertex has a non-empty range.
-        let ranges: Vec<(VertexId, u32, u32)> =
-            if selective_index_probe(locals.len(), entries, ctx.index_ratio) {
-                // Tiny frontiers probe each vertex's two offsets (nearby
-                // probes batched into one read, billed per probe) instead
-                // of reading the block's whole offset array — the same
-                // cost logic as every other fetch choice here.
-                let found = ctx.graph.load_out_index_entries(row, j, &locals)?;
-                locals.iter().zip(found).map(|(&l, (lo, hi))| (vertex(l), lo, hi)).collect()
-            } else {
-                let index = ctx.graph.block_index(Orientation::Out, row, j, Access::Sequential)?;
-                let ranges: Vec<_> = (locals.iter())
-                    .map(|&l| {
-                        let (lo, hi) = index.range(l);
-                        (vertex(l), lo, hi)
-                    })
-                    .collect();
-                // Records in singleton runs are fetched at the random
-                // rate, those in merged runs at the batched rate the
-                // sweep pays.
-                let (mut single, mut merged) = (0u64, 0u64);
-                for run in merge_runs(&ranges, record_bytes, ctx.merge_slack()) {
-                    let isolated = run.len() == 1;
-                    let records: u64 =
-                        ranges[run].iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
-                    *if isolated { &mut single } else { &mut merged } += records;
-                }
-                sweep |= single as f64 * ctx.coalesce_ratio + merged as f64 >= block_edges as f64;
-                ranges
-            };
+        let ranges = if let Some(offsets) = kept {
+            lookup(&BlockIndex::new(occupancy, offsets), row_base, &locals)
+        } else if probed {
+            // Tiny frontiers probe each vertex's two offsets (nearby
+            // probes batched into one read, billed per probe) instead
+            // of reading the block's whole offset array — the same
+            // cost logic as every other fetch choice here.
+            let found = ctx.graph.load_out_index_entries(row, j, &locals)?;
+            let vertex = |local: usize| row_base + local as VertexId;
+            locals.iter().zip(found).map(|(&l, (lo, hi))| (vertex(l), lo, hi)).collect()
+        } else {
+            let index = ctx.graph.block_index(Orientation::Out, row, j, Access::Sequential)?;
+            lookup(&ctx.kept.keep(row, j, index), row_base, &locals)
+        };
+        // The probed ranges are fetched selectively.
+        if !probed {
+            let ranges = ranges.iter().map(|&(_, lo, hi)| (lo, hi));
+            sweep |= fetch_choice(ctx, ranges, block_edges).sweep;
+        }
         if sweep { &COALESCED_SWEEPS } else { &SELECTIVE_BLOCKS }.incr();
         Ok(Some(BlockFetch { ranges, sweep }))
     })
@@ -639,13 +767,16 @@ impl Frontier {
 /// * per out-block `(i, j)` in which some active vertex has edges (the
 ///   frontier counts them off the resident occupancy, as the executor
 ///   does): index probes (random) or the whole `occupied + 1`-entry
-///   offset array (sequential), by [`selective_index_probe`]; then the
-///   requested edges — each such vertex bringing the block's mean range
-///   — either as one coalesced sweep of the block (batched) or
-///   selectively, the share of them that sits in mergeable clusters
-///   (gaps within the merge slack) batched and the rest random; on a
-///   compressed graph, the whole encoded block swept once, or nothing
-///   while the decoded-block cache holds it;
+///   offset array (sequential), by [`selective_index_probe`] — nothing
+///   for a block whose offsets the run keeps; then the requested edges
+///   — each such vertex bringing the block's mean range — either as one
+///   coalesced sweep of the block (batched) or selectively, the share
+///   of them that sits in mergeable clusters (gaps within the merge
+///   slack) batched and the rest random; on a compressed graph, the
+///   whole encoded block swept once, or nothing while the decoded-block
+///   cache holds it. A kept block of a raw graph is priced by its
+///   actual ranges under the executor's `fetch_choice`, so its plan
+///   is its bill;
 /// * one write of each interval the push does not push into (no block
 ///   has edges to push into it) but must write: every such interval for
 ///   programs with a non-identity `reset`, which re-derive it, and
@@ -664,8 +795,13 @@ pub fn plan<Pr: VertexProgram>(
     let (mut sequential, mut batched, mut random) = (0.0f64, 0.0f64, 0.0f64);
     let mut pushed_into = vec![false; ctx.graph.p()];
     let mut source = vec![false; ctx.graph.p()];
+    let record_bytes = meta.edge_record_bytes() as f64;
     for (i, row) in frontier.rows.iter().enumerate().filter(|(_, row)| row.actives > 0) {
         let len = meta.interval_len(i) as f64;
+        let base = meta.interval_start(i);
+        // The row's actives as a bitmap over the interval, its nonzero
+        // words listed once a kept block needs their actual ranges.
+        let mut marked: Option<Vec<(usize, u64)>> = None;
         source[i] = true;
         for (j, touched) in pushed_into.iter_mut().enumerate() {
             let looked_up = row.occupied[j];
@@ -677,11 +813,18 @@ pub fn plan<Pr: VertexProgram>(
                 continue;
             }
             let block = meta.out_block(i, j);
-            let probe =
-                selective_index_probe(looked_up as usize, block.occupied as usize, ctx.index_ratio);
+            // A kept block's index is in memory; any other is probed or
+            // read whole.
+            let kept = ctx.kept.get(i, j);
+            let probe = kept.is_none()
+                && selective_index_probe(
+                    looked_up as usize,
+                    block.occupied as usize,
+                    ctx.index_ratio,
+                );
             if probe {
                 random += (looked_up * INDEX_PROBE_BYTES) as f64;
-            } else {
+            } else if kept.is_none() {
                 sequential += block.offsets_bytes() as f64;
             }
             let block_bytes = block.encoded_bytes as f64;
@@ -690,6 +833,22 @@ pub fn plan<Pr: VertexProgram>(
                 // Decoded-block cache hit: the records cost nothing.
             } else if !ctx.graph.codec().is_raw() {
                 batched += block_bytes;
+            } else if let Some(offsets) = kept {
+                // The row's actual ranges, fetched by the executor's own
+                // choice: priced exactly.
+                let marked = marked.get_or_insert_with(|| {
+                    ctx.active.marked_words(base, meta.interval_starts[i + 1])
+                });
+                let occupancy = ctx.graph.occupied(Orientation::Out, i, j);
+                let index = BlockIndex::new(occupancy, offsets);
+                let ranges = occupancy.among(marked).map(|l| index.range(l));
+                let choice = fetch_choice(ctx, ranges, block.edge_count);
+                if choice.sweep {
+                    batched += block_bytes;
+                } else {
+                    batched += choice.merged as f64 * record_bytes;
+                    random += choice.single as f64 * record_bytes;
+                }
             } else {
                 let block_edges = block.edge_count as f64;
                 let requested = ranges * block_edges / block.occupied as f64;
@@ -901,8 +1060,10 @@ mod tests {
         assert_eq!((values[6], values[7]), (107, 108), "5 → 6, then 6 → 7");
         let second = &stats.iterations[1];
         assert_eq!(second.active_vertices, 1, "vertex 6");
-        // Block (0, 0)'s offset array and the one record only.
-        assert_eq!(second.io.seq_read_bytes, 64);
+        // The one record only: block (0, 0)'s 64 B offset array was kept
+        // by the first push.
+        assert_eq!(second.io.seq_read_bytes, 0);
+        assert_eq!(stats.kept_offset_bytes, 64);
         assert_eq!((second.io.rand_read_bytes, second.io.rand_read_ops), (4, 1));
         assert_eq!((second.io.write_bytes, second.io.write_ops), (0, 0));
         // The returned values (`read_all_current`, interval 0 from
@@ -931,6 +1092,7 @@ mod tests {
                 coalesce_ratio: SLOW_SWEEPS.batched_bps / SLOW_SWEEPS.random_bps,
                 index_ratio: SLOW_SWEEPS.sequential_bps / SLOW_SWEEPS.random_bps,
                 deadline: None,
+                kept: &KeptOffsets::new(4),
             };
             // Vertex 5 has edges in block (0, 0) only: one range of the
             // block's mean length (15 records over 15 occupied vertices)
@@ -1036,6 +1198,111 @@ mod tests {
         assert_eq!((io.batched_read_bytes, io.batched_read_ops), (4 * 16, 1));
         assert_eq!(io.rand_read_bytes, per_entry.rand_read_bytes);
         assert_eq!(io.rand_read_ops, 1, "one probe run, not {probes}");
+    }
+
+    /// Sends one message along every edge of an arbitrary frontier.
+    struct Touch;
+
+    impl VertexProgram for Touch {
+        type Value = u32;
+        fn init(&self, _v: u32) -> u32 {
+            0
+        }
+        fn initially_active(&self, _v: u32) -> bool {
+            false
+        }
+        fn scatter(&self, _src: &u32, _ctx: &EdgeCtx) -> Option<u32> {
+            Some(1)
+        }
+        fn combine(&self, dst: &mut u32, msg: u32) -> bool {
+            *dst += msg;
+            true
+        }
+    }
+
+    /// One push of `active` over `g` from a fresh vertex store, keeping
+    /// offsets in `kept`: the plan priced before it and its bill.
+    fn priced_push(
+        g: &HusGraph,
+        kept: &KeptOffsets,
+        active: &ActiveSet,
+        tput: hus_storage::Throughput,
+    ) -> (IoPlan, IoPlan) {
+        let n = g.meta().num_vertices;
+        let next_active = ActiveSet::new(n);
+        let ctx = IterCtx {
+            graph: g,
+            program: &Touch,
+            active,
+            next_active: &next_active,
+            coalesce_ratio: tput.batched_bps / tput.random_bps,
+            index_ratio: tput.sequential_bps / tput.random_bps,
+            deadline: None,
+            kept,
+        };
+        let meta = g.meta();
+        let scratch = g.dir().subdir("priced_push").unwrap();
+        let mut store = VertexStore::create(&scratch, "v", &meta.interval_starts, |_| 0).unwrap();
+        let planned = plan(&ctx, &Frontier::scan(g, active), &store.resident_mask());
+        let before = g.dir().tracker().snapshot();
+        let rows: Vec<usize> = (0..g.p())
+            .filter(|&i| {
+                active.count_range(meta.interval_start(i), meta.interval_starts[i + 1]) > 0
+            })
+            .collect();
+        let intervals = Intervals::new(&mut store, &rows);
+        for &row in &rows {
+            run_row(&ctx, &intervals, row).unwrap();
+        }
+        intervals.finish(&Touch).unwrap();
+        (planned, IoPlan::billed(&g.dir().tracker().snapshot().since(&before)))
+    }
+
+    /// Once an all-active push has kept every out-block's offsets, a
+    /// push of any frontier reads no index, and [`plan`] prices its
+    /// records by the row's actual ranges under the executor's own fetch
+    /// choice: every access class is planned to the byte.
+    #[test]
+    fn an_iteration_over_kept_blocks_is_planned_equal_to_its_bill() {
+        let hdd = hus_storage::DeviceProfile::hdd().read;
+        let graphs = [
+            hus_gen::watts_strogatz(1 << 12, 8, 0.05, 5),
+            hus_gen::rmat(1 << 12, 40_000, 6, hus_gen::RmatConfig::default()),
+        ];
+        let (mut swept, mut merged, mut random) = (0, 0, 0);
+        for (k, el) in graphs.iter().enumerate() {
+            let tmp = tempfile::tempdir().unwrap();
+            let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+            let config = BuildConfig::with_p_codec(4, hus_codec::Codec::Raw);
+            let g = HusGraph::build_into(el, &dir, &config).unwrap();
+            let n = el.num_vertices;
+            for tput in [hdd, SLOW_SWEEPS] {
+                let kept = KeptOffsets::new(4);
+                priced_push(&g, &kept, &ActiveSet::all(n), tput);
+                let blocks = (0..16).filter(|&b| g.out_block_len(b / 4, b % 4) > 0).count();
+                assert!((0..16).all(
+                    |b| kept.get(b / 4, b % 4).is_some() || g.out_block_len(b / 4, b % 4) == 0
+                ));
+                assert!(blocks > 4, "graph {k}");
+                // Frontiers from a handful of scattered vertices to
+                // dense clusters.
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ k as u64;
+                for density in [1u64, 4, 30, 200, 700] {
+                    let active = ActiveSet::from_fn(n, |v| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let clustered = (v / 64) % 5 == 0 && density > 100;
+                        (x >> 33) % 1000 < density || clustered
+                    });
+                    let (planned, billed) = priced_push(&g, &kept, &active, tput);
+                    let at = format!("graph {k}, {tput:?}, density {density}");
+                    assert_eq!(planned, billed, "{at}");
+                    swept += (billed.batched > 0 && billed.random == 0) as u32;
+                    merged += (billed.batched > 0) as u32;
+                    random += (billed.random > 0) as u32;
+                }
+            }
+        }
+        assert!(swept > 0 && merged > 0 && random > 0, "{swept} {merged} {random}");
     }
 
     #[test]

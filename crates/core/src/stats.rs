@@ -90,6 +90,10 @@ pub struct RunStats {
     /// `HUS_CKPT`); all zero when checkpointing is off. See DESIGN.md
     /// §10.
     pub checkpoints: CheckpointStats,
+    /// Bytes of out-offset arrays the run kept in memory
+    /// ([`crate::rop::KeptOffsets`]): part of its resident set, never
+    /// re-read. Zero for engines that keep none.
+    pub kept_offset_bytes: u64,
 }
 
 /// Checkpoint/restore accounting for one run.
@@ -128,7 +132,8 @@ impl RunStats {
     }
 
     /// One-line human summary, e.g.
-    /// `12 iters (8 rop / 4 cop) | 1.2e6 edges | 0.35 GB I/O | 0.42 s | converged | 8 threads`.
+    /// `12 iters (8 rop / 4 cop) | 1.2e6 edges | 0.35 GB I/O | 0.42 s | converged | 8 threads | 0.20 MB kept offsets`
+    /// (the last segment only when the run kept any).
     /// Runs with resilience events append a segment such as
     /// `| 3 retries / 0 giveups / 1 fallbacks`.
     pub fn summary(&self) -> String {
@@ -143,6 +148,9 @@ impl RunStats {
             if self.converged { "converged" } else { "iteration-capped" },
             self.threads,
         );
+        if self.kept_offset_bytes > 0 {
+            s.push_str(&format!(" | {:.2} MB kept offsets", self.kept_offset_bytes as f64 / 1e6));
+        }
         if self.resilience.any() {
             s.push_str(&format!(
                 " | {} retries / {} giveups / {} fallbacks",
@@ -208,6 +216,8 @@ pub struct RunRecorder {
     /// disabled.
     phase_last: Option<(IoSnapshot, Instant)>,
     phase_io: hus_obs::PhaseIo,
+    /// [`RunStats::kept_offset_bytes`].
+    kept_offset_bytes: u64,
 }
 
 impl RunRecorder {
@@ -234,6 +244,7 @@ impl RunRecorder {
             iter_start: now,
             phase_last: None,
             phase_io: hus_obs::PhaseIo::new(),
+            kept_offset_bytes: 0,
         }
     }
 
@@ -319,6 +330,11 @@ impl RunRecorder {
         self.iterations.last().expect("just pushed")
     }
 
+    /// Record the bytes of out-offset arrays the run kept.
+    pub fn kept_offsets(&mut self, bytes: u64) {
+        self.kept_offset_bytes = bytes;
+    }
+
     /// Close the run: totals are taken first, then `result` collects
     /// the answer (its reads are not part of the run's I/O) while the
     /// scratch directory still exists, then a derived scratch directory
@@ -337,6 +353,7 @@ impl RunRecorder {
             threads: self.threads,
             resilience: self.resilience.snapshot().since(&self.run_res_start),
             checkpoints,
+            kept_offset_bytes: self.kept_offset_bytes,
             iterations: self.iterations,
         };
         if let Some(sink) = hus_obs::sink::trace() {
@@ -409,6 +426,7 @@ mod tests {
             threads: 4,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 0,
         };
         let model = CostModel::new(DeviceProfile::hdd());
         let total = stats.modeled_seconds(&model);
@@ -432,6 +450,7 @@ mod tests {
             threads: 1,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 0,
         };
         assert_eq!(stats.iterations_with_model(UpdateModel::Rop), 2);
         assert_eq!(stats.iterations_with_model(UpdateModel::Cop), 1);
@@ -453,6 +472,7 @@ mod tests {
             threads: 1,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 0,
         };
         assert!((stats.io_gb() - 2.0).abs() < 1e-9);
     }
@@ -471,6 +491,7 @@ mod tests {
             threads: 2,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 0,
         };
         let s = serde_json::to_string(&stats).unwrap();
         let back: RunStats = serde_json::from_str(&s).unwrap();
@@ -493,6 +514,7 @@ mod tests {
             threads: 8,
             resilience: Default::default(),
             checkpoints: Default::default(),
+            kept_offset_bytes: 250_000,
         };
         let s = stats.summary();
         assert!(!s.contains('\n'));
@@ -500,5 +522,6 @@ mod tests {
         assert!(s.contains("1 rop / 1 cop"), "{s}");
         assert!(s.contains("converged"), "{s}");
         assert!(s.contains("8 threads"), "{s}");
+        assert!(s.ends_with("| 0.25 MB kept offsets"), "{s}");
     }
 }

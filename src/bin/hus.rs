@@ -748,6 +748,7 @@ fn cmd_audit(rest: &[&String]) -> CliResult {
         stats.num_iterations(),
         if stats.converged { "converged" } else { "iteration cap" }
     );
+    println!("kept out-offsets: {:.3} MB", stats.kept_offset_bytes as f64 / 1e6);
     print!("{}", hus_core::audit::render_table(&hus_core::audit::audit_rows(&stats, &throughput)));
     print_hot_blocks(blocks);
     Ok(())

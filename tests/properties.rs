@@ -205,6 +205,7 @@ fn predictor_plans_are_monotone_in_the_frontier() {
                 coalesce_ratio: tput.batched_bps / tput.random_bps,
                 index_ratio: tput.sequential_bps / tput.random_bps,
                 deadline: None,
+                kept: &rop::KeptOffsets::new(p as usize),
             };
             rop::plan(&ctx, &Frontier::scan(&g, &active), &vec![false; p as usize])
         };
